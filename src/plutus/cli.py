@@ -27,8 +27,7 @@ from .errors import (
     OracleSizeError,
 )
 from .geometry import random_geometric
-from .graph import is_connected, is_m_connected
-from .pipeline import PlutusConfig, run_plutus, timed_run
+from .pipeline import PlutusConfig, run_plutus
 from .serialize import (
     dumps,
     load_graph,
@@ -51,12 +50,18 @@ EXIT_INFEASIBLE = 4
 EXIT_ITERATION_CAP = 5
 EXIT_VERIFY_FAILED = 6
 
-_PREFLIGHT_ERRORS = (GraphNotMConnectedError, DisconnectedInputError, EmptyGraphError)
-_INFEASIBLE_ERRORS = (
-    InfeasibleKDominanceError,
-    Infeasible2ConnectivityError,
-    Infeasible3ConnectivityError,
-)
+_EXIT_CODES = {
+    GraphInputError: EXIT_INPUT,
+    OracleSizeError: EXIT_INPUT,
+    OSError: EXIT_INPUT,
+    GraphNotMConnectedError: EXIT_PREFLIGHT,
+    DisconnectedInputError: EXIT_PREFLIGHT,
+    EmptyGraphError: EXIT_PREFLIGHT,
+    InfeasibleKDominanceError: EXIT_INFEASIBLE,
+    Infeasible2ConnectivityError: EXIT_INFEASIBLE,
+    Infeasible3ConnectivityError: EXIT_INFEASIBLE,
+    IterationCapExceededError: EXIT_ITERATION_CAP,
+}
 
 
 def _default_seed(value: int | None) -> int:
@@ -131,7 +136,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
     if args.dot:
         Path(args.dot).write_text(
-            to_dot(g, result.roles, result.dominating_set), encoding="utf-8"
+            to_dot(g, result.dominating_set), encoding="utf-8"
         )
     return EXIT_OK
 
@@ -141,8 +146,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     backbone, k_file, m_file = result_from_dict(read_json(args.result))
     k = args.k if args.k is not None else k_file
     m = args.m if args.m is not None else m_file
-    if any(v >= g.node_count or v < 0 for v in backbone):
-        raise GraphInputError("result references nodes outside the graph")
     report = is_m_connected_k_dominating(g, backbone, k, m)
     stretch = None
     if report.overall:
@@ -185,19 +188,19 @@ def _parse_seed_range(text: str) -> list[int]:
 def _cmd_bench(args: argparse.Namespace) -> int:
     ns = _parse_int_list(args.n)
     seeds = _parse_seed_range(args.seeds) if args.seeds else [_default_seed(args.seed)]
-    cfg = PlutusConfig(k=args.k, m=args.m, max_augmentation_iterations=args.max_iters)
+    cfg = _config_from(args)
     rows = []
     for n in ns:
         for seed in seeds:
-            instance = random_geometric(n, args.radius, seed)
-            g = instance.graph()
+            g = random_geometric(n, args.radius, seed).graph()
             row: dict = {"n": n, "seed": seed}
-            if not is_connected(g):
+            try:
+                result = run_plutus(g, cfg)
+            except DisconnectedInputError:
                 row.update(status="skipped", note="disconnected")
-            elif args.m >= 2 and not is_m_connected(g, range(n), args.m):
+            except GraphNotMConnectedError:
                 row.update(status="skipped", note=f"not {args.m}-connected")
             else:
-                result, micros = timed_run(g, cfg)
                 report = is_m_connected_k_dominating(
                     g, result.dominating_set, args.k, args.m
                 )
@@ -206,7 +209,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     status="ok",
                     backbone=len(result.dominating_set),
                     phase_sizes={p.name: p.size for p in result.phase_trace},
-                    phase_micros=micros,
+                    phase_micros={p.name: p.micros for p in result.phase_trace},
                     verified=report.overall,
                     max_stretch=round(stretch, 4),
                 )
@@ -324,24 +327,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
         return args.func(args)
-    except OracleSizeError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except GraphInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _PREFLIGHT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PREFLIGHT
-    except _INFEASIBLE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except IterationCapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ITERATION_CAP
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -33,13 +33,6 @@ class Graph:
     node_count: int
     adjacency: tuple[tuple[int, ...], ...]
 
-    @property
-    def n(self) -> int:
-        return self.node_count
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -91,8 +84,26 @@ class DistanceReport:
         return self.d_backbone / self.d_g
 
 
+def _is_int(value: object) -> bool:
+    """A genuine integer: bools are rejected although bool subclasses int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_real(value: object, what: str) -> float:
+    """``value`` as a float; bools, non-numbers and non-finite values
+    (integers beyond the float range included) are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise GraphInputError(f"{what} must be a finite real number, got {value!r}")
+
+
 def _check_node(g: Graph, v: int, what: str = "node") -> None:
-    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < g.node_count:
+    if not _is_int(v) or not 0 <= v < g.node_count:
         raise GraphInputError(f"{what} {v!r} out of range 0..{g.node_count - 1}")
 
 
@@ -107,14 +118,18 @@ def _as_subset(g: Graph, subset: Iterable[int]) -> list[int]:
 def from_edge_list(n: int, edges: Iterable[Edge]) -> Graph:
     """Build a simple symmetric graph from an edge list.
 
-    Duplicate edges (in either orientation) are collapsed.  Self-loops and
-    out-of-range ids are rejected.
+    Duplicate edges (in either orientation) are collapsed.  Self-loops,
+    out-of-range ids and ids that are not ints (bools included) are
+    rejected.
     """
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise GraphInputError(f"node count must be a non-negative integer, got {n!r}")
     neighbor_sets: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        if not (isinstance(u, int) and isinstance(v, int)):
+    for edge in edges:
+        if not (isinstance(edge, (tuple, list)) and len(edge) == 2):
+            raise GraphInputError(f"edge {edge!r} is not a (u, v) pair")
+        u, v = edge
+        if not (_is_int(u) and _is_int(v)):
             raise GraphInputError(f"edge ({u!r}, {v!r}) has non-integer endpoint")
         if u == v:
             raise SelfLoopError(f"self-loop on node {u}")
@@ -130,17 +145,18 @@ def from_points(points: Sequence[tuple[float, float]], radius: float) -> Graph:
     """Build the unit-disk graph of a point set: edge iff the euclidean
     distance is at most ``radius`` (closed disk, so a tie at exactly the
     radius produces an edge).  Comparison is done on squared distances.
+    Each point must be an (x, y) pair of finite real numbers.
     """
-    if not (isinstance(radius, (int, float)) and math.isfinite(radius) and radius > 0):
-        raise GraphInputError(f"radius must be a positive finite real, got {radius!r}")
+    r = _finite_real(radius, "radius")
+    if r <= 0:
+        raise GraphInputError(f"radius must be positive, got {radius!r}")
     pts: list[tuple[float, float]] = []
     for i, p in enumerate(points):
-        x, y = float(p[0]), float(p[1])
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise GraphInputError(f"point {i} has non-finite coordinates {p!r}")
-        pts.append((x, y))
+        if not (isinstance(p, (tuple, list)) and len(p) == 2):
+            raise GraphInputError(f"point {i} is not an (x, y) pair: {p!r}")
+        pts.append((_finite_real(p[0], f"point {i} x"), _finite_real(p[1], f"point {i} y")))
     n = len(pts)
-    r2 = float(radius) * float(radius)
+    r2 = r * r
     edges: list[Edge] = []
     for i in range(n):
         xi, yi = pts[i]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -34,6 +34,7 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    _as_subset,
     _lex_shortest_path,
     _strictly_biconnected,
     block_cut_tree,
@@ -41,6 +42,7 @@ from .graph import (
     is_connected,
     is_m_connected,
 )
+from .verify import is_connected_dominating_set, is_maximal_independent_set
 
 
 class Role(Enum):
@@ -75,19 +77,25 @@ class PlutusConfig:
 
 @dataclass(frozen=True)
 class PhaseTrace:
+    """One executed phase: backbone size after it, the vertices it added,
+    and its wall time in microseconds.  The time is left out of equality
+    and of the result JSON, so both stay deterministic."""
+
     name: str
     size: int
     added: tuple[int, ...]
+    micros: int = field(compare=False)
 
 
 @dataclass(frozen=True)
 class PlutusResult:
-    """Backbone plus provenance: the per-phase growth trace and the final
-    role of every node.  ``dominating_set`` equals the dominator roles."""
+    """Backbone plus provenance: the per-phase growth trace and the node
+    count of the graph it was built on.  Every node outside
+    ``dominating_set`` ends the run reluctant."""
 
     dominating_set: frozenset[int]
     phase_trace: tuple[PhaseTrace, ...]
-    roles: tuple[Role, ...]
+    node_count: int
 
 
 def _greedy_mis_component(
@@ -207,10 +215,10 @@ def domination(g: Graph, mis: Iterable[int]) -> frozenset[int]:
     otherwise the internal vertices of the deterministic shortest path
     between them are promoted.
     """
-    members = sorted(set(mis))
+    members = _as_subset(g, mis)
     if not members:
         raise GraphInputError("mis must be non-empty")
-    independent, witness = _check_maximal_independent(g, set(members))
+    independent, witness = is_maximal_independent_set(g, members)
     if not independent:
         raise GraphInputError(f"input is not a maximal independent set: {witness}")
 
@@ -239,17 +247,6 @@ def domination(g: Graph, mis: Iterable[int]) -> frozenset[int]:
     return frozenset(dominating)
 
 
-def _check_maximal_independent(g: Graph, s: set[int]) -> tuple[bool, tuple | None]:
-    for u in sorted(s):
-        for v in g.adjacency[u]:
-            if v in s and v > u:
-                return False, ("adjacent-pair", u, v)
-    for v in range(g.node_count):
-        if v not in s and not any(w in s for w in g.adjacency[v]):
-            return False, ("addable-vertex", v)
-    return True, None
-
-
 def synergy_layers(
     g: Graph, d: Iterable[int], k: int, strict: bool = False
 ) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
@@ -267,7 +264,12 @@ def synergy_layers(
     """
     if not isinstance(k, int) or k < 1:
         raise GraphInputError(f"k must be a positive integer, got {k!r}")
-    backbone = set(_as_valid_cds(g, d))
+    nodes = _as_subset(g, d)
+    is_cds, witness = is_connected_dominating_set(g, nodes)
+    if not is_cds:
+        error = DisconnectedInputError if witness[0] == "disconnected" else GraphInputError
+        raise error(f"input set is not a connected dominating set: {witness}")
+    backbone = set(nodes)
     layer_one, _ = isolation(g)
     if not layer_one <= backbone:
         raise GraphInputError("input set must contain the first independent layer")
@@ -311,22 +313,6 @@ def synergy(g: Graph, d: Iterable[int], k: int, strict: bool = False) -> frozens
     dominator neighbours.  See :func:`synergy_layers`."""
     backbone, _ = synergy_layers(g, d, k, strict)
     return backbone
-
-
-def _as_valid_cds(g: Graph, d: Iterable[int]) -> list[int]:
-    nodes = sorted(set(d))
-    if not nodes:
-        raise GraphInputError("dominating set must be non-empty")
-    member = set(nodes)
-    for v in nodes:
-        if not 0 <= v < g.node_count:
-            raise GraphInputError(f"node {v} out of range")
-    for v in range(g.node_count):
-        if v not in member and not any(w in member for w in g.adjacency[v]):
-            raise GraphInputError(f"input set does not dominate node {v}")
-    if not is_connected(g, nodes):
-        raise DisconnectedInputError("input set does not induce a connected subgraph")
-    return nodes
 
 
 def _multi_target_distances(
@@ -442,7 +428,9 @@ def diversification(
     Additions never reduce any outside node's dominator count, so
     k-dominance survives the phase.
     """
-    backbone = set(_subset_nodes(g, d))
+    backbone = set(_as_subset(g, d))
+    if not backbone:
+        raise GraphInputError("backbone must be non-empty")
     if not is_connected(g, backbone):
         raise DisconnectedInputError("input set does not induce a connected subgraph")
     cap = _resolve_cap(g, max_iterations)
@@ -474,16 +462,6 @@ def diversification(
     return frozenset(backbone)
 
 
-def _subset_nodes(g: Graph, d: Iterable[int]) -> list[int]:
-    nodes = sorted(set(d))
-    if not nodes:
-        raise GraphInputError("backbone must be non-empty")
-    for v in nodes:
-        if not 0 <= v < g.node_count:
-            raise GraphInputError(f"node {v} out of range")
-    return nodes
-
-
 def _first_bad_point(g: Graph, backbone: set[int], known_good: set[int]) -> int | None:
     """Lowest-id backbone vertex whose removal leaves the backbone not
     2-connected.  ``known_good`` carries vertices proven good earlier;
@@ -513,7 +491,7 @@ def sustainability(
     before, except possibly the ear endpoints; only those (and the new
     vertices) are re-examined.
     """
-    backbone = set(_subset_nodes(g, d))
+    backbone = set(_as_subset(g, d))
     if not (len(backbone) >= 3 and _strictly_biconnected(g, backbone)):
         raise GraphInputError("sustainability requires a 2-connected input set")
     cap = _resolve_cap(g, max_iterations)
@@ -550,15 +528,9 @@ def run_plutus(g: Graph, cfg: PlutusConfig) -> PlutusResult:
     For m >= 2 the graph itself must be m-connected (no m-connected
     backbone can exist otherwise); this is checked up front.  Phases after
     synergy run only when the connectivity target asks for them.  The
-    result records the backbone, one trace entry per executed phase and
-    the final role of every node.
+    result records the backbone and one trace entry, with its wall time,
+    per executed phase.
     """
-    result, _ = timed_run(g, cfg)
-    return result
-
-
-def timed_run(g: Graph, cfg: PlutusConfig) -> tuple[PlutusResult, dict[str, int]]:
-    """:func:`run_plutus` plus wall time per phase in microseconds."""
     if g.node_count == 0:
         raise EmptyGraphError("pipeline needs at least one node")
     if not is_connected(g):
@@ -566,38 +538,23 @@ def timed_run(g: Graph, cfg: PlutusConfig) -> tuple[PlutusResult, dict[str, int]
     if cfg.m >= 2 and not is_m_connected(g, range(g.node_count), cfg.m):
         raise GraphNotMConnectedError(cfg.m)
 
-    timings: dict[str, int] = {}
-    trace: list[PhaseTrace] = []
-
-    def record(name: str, before: set[int], after: frozenset[int], t0: float) -> None:
-        timings[name] = int((time.perf_counter() - t0) * 1_000_000)
-        trace.append(PhaseTrace(name, len(after), tuple(sorted(after - before))))
-
-    t0 = time.perf_counter()
-    mis, _ = isolation(g)
-    record("isolation", set(), mis, t0)
-
-    t0 = time.perf_counter()
-    connected = domination(g, mis)
-    record("domination", set(mis), connected, t0)
-
-    t0 = time.perf_counter()
-    backbone, _ = synergy_layers(g, connected, cfg.k, cfg.strict_k_dominance)
-    record("synergy", set(connected), backbone, t0)
-
+    cap = cfg.max_augmentation_iterations
+    phases = [
+        ("isolation", lambda d: isolation(g)[0]),
+        ("domination", lambda d: domination(g, d)),
+        ("synergy", lambda d: synergy_layers(g, d, cfg.k, cfg.strict_k_dominance)[0]),
+    ]
     if cfg.m >= 2:
-        t0 = time.perf_counter()
-        widened = diversification(g, backbone, cfg.max_augmentation_iterations)
-        record("diversification", set(backbone), widened, t0)
-        backbone = widened
+        phases.append(("diversification", lambda d: diversification(g, d, cap)))
     if cfg.m == 3:
-        t0 = time.perf_counter()
-        hardened = sustainability(g, backbone, cfg.max_augmentation_iterations)
-        record("sustainability", set(backbone), hardened, t0)
-        backbone = hardened
+        phases.append(("sustainability", lambda d: sustainability(g, d, cap)))
 
-    roles = tuple(
-        Role.DOMINATOR if v in backbone else Role.DOMINATION_RELUCTANT
-        for v in range(g.node_count)
-    )
-    return PlutusResult(frozenset(backbone), tuple(trace), roles), timings
+    backbone: frozenset[int] = frozenset()
+    trace: list[PhaseTrace] = []
+    for name, phase in phases:
+        t0 = time.perf_counter()
+        grown = phase(backbone)
+        micros = int((time.perf_counter() - t0) * 1_000_000)
+        trace.append(PhaseTrace(name, len(grown), tuple(sorted(grown - backbone)), micros))
+        backbone = grown
+    return PlutusResult(backbone, tuple(trace), g.node_count)

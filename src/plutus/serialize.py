@@ -14,7 +14,7 @@ from typing import Any, Iterable, Mapping
 
 from .errors import GraphInputError
 from .geometry import UdgInstance
-from .graph import Graph, from_edge_list
+from .graph import Graph, _is_int, from_edge_list, from_points
 from .pipeline import PlutusConfig, PlutusResult, Role
 from .verify import OracleResult, VerificationReport
 
@@ -53,11 +53,20 @@ def udg_to_dict(instance: UdgInstance) -> dict[str, Any]:
     }
 
 
+def _check_schema(payload: dict) -> None:
+    """A missing schema is accepted (hand-written files omit it)."""
+    schema = payload.get("schema", SCHEMA_VERSION)
+    if not (_is_int(schema) and schema == SCHEMA_VERSION):
+        raise GraphInputError(f"unsupported schema {schema!r}, expected {SCHEMA_VERSION}")
+
+
 def graph_from_dict(payload: Any) -> tuple[Graph, UdgInstance | None]:
     """Parse a graph file: returns the graph and, for unit-disk files, the
-    underlying instance."""
+    underlying instance.  Values are never coerced: node ids and ``n`` must
+    be ints, coordinates and the radius real numbers."""
     if not isinstance(payload, dict):
         raise GraphInputError("graph JSON must be an object")
+    _check_schema(payload)
     if "points" in payload or "radius" in payload:
         if "edges" in payload:
             raise GraphInputError("edges must be absent when points are given")
@@ -66,26 +75,20 @@ def graph_from_dict(payload: Any) -> tuple[Graph, UdgInstance | None]:
         points = payload["points"]
         if not isinstance(points, list):
             raise GraphInputError("points must be a list of [x, y] pairs")
-        try:
-            coords = tuple((float(p[0]), float(p[1])) for p in points)
-        except (TypeError, ValueError, IndexError) as exc:
-            raise GraphInputError(f"malformed point list: {exc}") from exc
-        if "n" in payload and payload["n"] != len(coords):
-            raise GraphInputError(
-                f"n={payload['n']} does not match {len(coords)} points"
-            )
-        instance = UdgInstance(coords, float(payload["radius"]))
-        return instance.graph(), instance
+        n = payload.get("n", len(points))
+        if not (_is_int(n) and n == len(points)):
+            raise GraphInputError(f"n={n!r} does not match {len(points)} points")
+        g = from_points(points, payload["radius"])
+        instance = UdgInstance(
+            tuple((float(x), float(y)) for x, y in points), float(payload["radius"])
+        )
+        return g, instance
     if "n" not in payload or "edges" not in payload:
         raise GraphInputError("graph JSON needs either n+edges or points+radius")
     edges = payload["edges"]
     if not isinstance(edges, list):
         raise GraphInputError("edges must be a list of [u, v] pairs")
-    try:
-        pairs = [(int(e[0]), int(e[1])) for e in edges]
-    except (TypeError, ValueError, IndexError) as exc:
-        raise GraphInputError(f"malformed edge list: {exc}") from exc
-    return from_edge_list(int(payload["n"]), pairs), None
+    return from_edge_list(payload["n"], edges), None
 
 
 def load_graph(path: str | Path) -> tuple[Graph, UdgInstance | None]:
@@ -93,6 +96,9 @@ def load_graph(path: str | Path) -> tuple[Graph, UdgInstance | None]:
 
 
 def result_to_dict(result: PlutusResult, cfg: PlutusConfig) -> dict[str, Any]:
+    """The result file; its ``roles`` map is derived from D (members are
+    dominators, every other node ends the run reluctant)."""
+    dominator, reluctant = Role.DOMINATOR.value, Role.DOMINATION_RELUCTANT.value
     return {
         "schema": SCHEMA_VERSION,
         "D": sorted(result.dominating_set),
@@ -102,21 +108,27 @@ def result_to_dict(result: PlutusResult, cfg: PlutusConfig) -> dict[str, Any]:
             {"name": phase.name, "size": phase.size, "added": list(phase.added)}
             for phase in result.phase_trace
         ],
-        "roles": {str(v): role.value for v, role in enumerate(result.roles)},
+        "roles": {
+            str(v): dominator if v in result.dominating_set else reluctant
+            for v in range(result.node_count)
+        },
     }
 
 
 def result_from_dict(payload: Any) -> tuple[frozenset[int], int, int]:
-    """Extract (D, k, m) from a result file; enough to re-verify it."""
+    """Extract (D, k, m) from a result file; enough to re-verify it.  D
+    must be a list of ints and k, m ints; ranges are checked on use."""
     if not isinstance(payload, dict) or "D" not in payload:
         raise GraphInputError("result JSON must be an object with a D field")
-    try:
-        backbone = frozenset(int(v) for v in payload["D"])
-        k = int(payload.get("k", 1))
-        m = int(payload.get("m", 1))
-    except (TypeError, ValueError) as exc:
-        raise GraphInputError(f"malformed result JSON: {exc}") from exc
-    return backbone, k, m
+    _check_schema(payload)
+    backbone = payload["D"]
+    k = payload.get("k", 1)
+    m = payload.get("m", 1)
+    if not (isinstance(backbone, list) and all(_is_int(v) for v in backbone)):
+        raise GraphInputError("D must be a list of integer node ids")
+    if not (_is_int(k) and _is_int(m)):
+        raise GraphInputError(f"k and m must be integers, got k={k!r}, m={m!r}")
+    return frozenset(backbone), k, m
 
 
 def _jsonify_witness(witness: tuple | None) -> list | None:
@@ -184,16 +196,9 @@ def manifest_to_dict(
     }
 
 
-_DOT_FILL = {
-    Role.DOMINATOR: "black",
-    Role.DOMINATION_RELUCTANT: "gray",
-    Role.DOMINATION_PRONE: "white",
-}
-
-
-def to_dot(g: Graph, roles: tuple[Role, ...], dominating_set: Iterable[int]) -> str:
-    """Graphviz rendering: nodes filled by role, the backbone grouped as a
-    subgraph.  Write-only format."""
+def to_dot(g: Graph, dominating_set: Iterable[int]) -> str:
+    """Graphviz rendering: the backbone grouped as a subgraph and filled
+    black, every other (reluctant) node filled gray.  Write-only format."""
     backbone = sorted(set(dominating_set))
     lines = ["graph backbone {", "  node [style=filled];"]
     lines.append("  subgraph cluster_dominating_set {")
@@ -205,7 +210,7 @@ def to_dot(g: Graph, roles: tuple[Role, ...], dominating_set: Iterable[int]) -> 
     for v in range(g.node_count):
         if v in member:
             continue
-        lines.append(f"  {v} [fillcolor={_DOT_FILL[roles[v]]}];")
+        lines.append(f"  {v} [fillcolor=gray];")
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")

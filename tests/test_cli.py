@@ -213,6 +213,88 @@ class TestBench:
             outs.append(payload)
         assert outs[0] == outs[1]
 
+    def test_preflight_runs_once_per_row(self, tmp_path, monkeypatch):
+        import plutus.cli
+        import plutus.pipeline
+        from plutus.graph import is_m_connected
+
+        whole_graph_checks = []
+
+        def counting(g, subset, m):
+            nodes = set(subset)
+            if len(nodes) == g.node_count:
+                whole_graph_checks.append(m)
+            return is_m_connected(g, nodes, m)
+
+        for module in (plutus.cli, plutus.pipeline):
+            monkeypatch.setattr(module, "is_m_connected", counting, raising=False)
+        out = tmp_path / "bench.json"
+        main(["bench", "-n", "12,14", "-r", "0.6", "--seeds", "1..3", "-m", "2",
+              "--out", str(out)])
+        rows = json.loads(out.read_text())["rows"]
+        connected = [r for r in rows if r.get("note") != "disconnected"]
+        assert any(r["status"] == "ok" for r in rows)
+        assert len(whole_graph_checks) == len(connected)
+        for row in rows:
+            if row["status"] == "ok":
+                assert list(row["phase_micros"]) == list(row["phase_sizes"]) == [
+                    "isolation", "domination", "synergy", "diversification"
+                ]
+
+
+_P3 = {"n": 3, "edges": [[0, 1], [1, 2]]}
+_POINTS = [[0.1, 0.1], [0.2, 0.1]]
+
+
+class TestMalformedInput:
+    """Malformed files exit 2 with a one-line error, never a traceback and
+    never a silently coerced graph or result."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": 2, "edges": [[0, 1.7]]},
+            {"n": 3.9, "edges": [[0, 1], [1, 2]]},
+            {"n": True, "edges": []},
+            {"n": 3, "edges": [[True, 2, 5], [0, 1]]},
+            {"n": 3, "edges": [[0, 1, 5], [1, 2]]},
+            {"n": 3, "edges": [{"u": 0, "v": 1}, [1, 2]]},
+            {**_P3, "schema": 99},
+            {**_P3, "schema": True},
+            {"points": [["0.1", "0.1"], ["0.2", "0.1"]], "radius": 0.3},
+            {"points": [[0.1, 0.1], {"x": 0.2, "y": 0.1}], "radius": 0.3},
+            {"points": _POINTS, "radius": "0.3"},
+            {"points": _POINTS, "radius": True},
+            {"points": _POINTS, "radius": "abc"},
+            {"points": _POINTS, "radius": None},
+            {"n": True, "points": [[0.1, 0.1]], "radius": 0.3},
+        ],
+    )
+    def test_graph_file(self, payload, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload))
+        assert main(["solve", str(path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"D": "1"},
+            {"D": "12"},
+            {"D": [1.9]},
+            {"D": [True]},
+            {"D": [1], "k": True},
+            {"D": [1], "k": "2"},
+            {"D": [1], "m": 2.0},
+            {"D": [1], "schema": 99},
+        ],
+    )
+    def test_result_file(self, payload, p3_file, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(payload))
+        assert main(["verify", str(p3_file), str(path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestParsing:
     def test_unknown_command_exits_2(self):

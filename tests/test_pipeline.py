@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from plutus import (
     synergy_layers,
 )
 from plutus.graph import _strictly_biconnected
+from plutus.serialize import result_to_dict
 
 from .conftest import complete_graph
 from .helpers import random_connected_graph
@@ -100,6 +103,11 @@ class TestDomination:
             domination(p5, {1, 2})
         with pytest.raises(GraphInputError):
             domination(p5, {1})  # not maximal: 3 and 4 uncovered
+
+    def test_rejects_bool_node_id(self, k4):
+        # {1} is a maximal independent set of K4, but True is not a node id
+        with pytest.raises(GraphInputError):
+            domination(k4, {True})
 
     @given(seeds)
     @settings(max_examples=50)
@@ -303,10 +311,46 @@ class TestRunPlutus:
             run_plutus(from_edge_list(0, []), PlutusConfig())
 
     def test_roles_match_backbone(self, c6):
-        result = run_plutus(c6, PlutusConfig(k=1, m=2))
-        dominators = {v for v, r in enumerate(result.roles) if r is Role.DOMINATOR}
+        cfg = PlutusConfig(k=1, m=1)
+        result = run_plutus(c6, cfg)
+        roles = result_to_dict(result, cfg)["roles"]
+        assert set(roles) == {str(v) for v in range(c6.node_count)}
+        dominators = {int(v) for v, r in roles.items() if r == Role.DOMINATOR.value}
         assert dominators == set(result.dominating_set)
-        assert Role.DOMINATION_PRONE not in result.roles
+        assert set(roles.values()) == {
+            Role.DOMINATOR.value,
+            Role.DOMINATION_RELUCTANT.value,
+        }
+
+    def test_phase_times_on_trace_only(self, k4):
+        result = run_plutus(k4, PlutusConfig(k=1, m=3))
+        assert all(isinstance(t.micros, int) and t.micros >= 0 for t in result.phase_trace)
+        slower = tuple(replace(t, micros=t.micros + 10**6) for t in result.phase_trace)
+        assert replace(result, phase_trace=slower) == result
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_composed_phases_reproduce_run_plutus(self, m):
+        compared = 0
+        for seed in range(300):
+            g = random_connected_graph(seed)
+            if m >= 2 and not is_m_connected(g, range(g.node_count), m):
+                continue
+            result = run_plutus(g, PlutusConfig(k=2, m=m))
+            mis, _ = isolation(g)
+            stages = [("isolation", mis), ("domination", domination(g, mis))]
+            stages.append(("synergy", synergy(g, stages[-1][1], 2)))
+            if m >= 2:
+                stages.append(("diversification", diversification(g, stages[-1][1])))
+            if m == 3:
+                stages.append(("sustainability", sustainability(g, stages[-1][1])))
+            expected, before = [], frozenset()
+            for name, backbone in stages:
+                expected.append((name, len(backbone), tuple(sorted(backbone - before))))
+                before = backbone
+            assert [(t.name, t.size, t.added) for t in result.phase_trace] == expected
+            assert result.dominating_set == before
+            compared += 1
+        assert compared >= 10
 
     def test_config_validation(self):
         with pytest.raises(GraphInputError):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plutus import (
     GraphInputError,
@@ -79,6 +82,7 @@ class TestResultJson:
             "synergy",
             "diversification",
         ]
+        assert all(set(p) == {"name", "size", "added"} for p in payload["phases"])
         assert set(payload["roles"]) == {str(v) for v in range(4)}
         assert set(payload["roles"].values()) <= {"dominator", "reluctant", "prone"}
         backbone, k, m = result_from_dict(payload)
@@ -96,6 +100,31 @@ class TestResultJson:
             result_from_dict({"k": 1})
         with pytest.raises(GraphInputError):
             result_from_dict({"D": ["x"]})
+
+
+_FIELDS = ["schema", "n", "edges", "points", "radius", "D", "k", "m"]
+# Integers stay within |x| <= 1000: a valid file with a huge n legitimately
+# allocates that many adjacency rows, which is not malformed input.
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-1000, max_value=1000)
+    | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(_JSON_VALUES | st.fixed_dictionaries({}, optional=dict.fromkeys(_FIELDS, _JSON_VALUES)))
+@settings(max_examples=250, deadline=None)
+def test_loaders_load_or_reject_any_json(payload):
+    for loader in (graph_from_dict, result_from_dict):
+        try:
+            loader(payload)
+        except GraphInputError:
+            pass
 
 
 class TestReportJson:
@@ -118,14 +147,16 @@ class TestReportJson:
 
 
 class TestDot:
-    def test_roles_and_subgraph(self, p3):
-        result = run_plutus(p3, PlutusConfig())
-        dot = to_dot(p3, result.roles, result.dominating_set)
+    def test_roles_and_subgraph(self, c6):
+        result = run_plutus(c6, PlutusConfig(k=1, m=2))
+        dot = to_dot(c6, result.dominating_set)
         assert dot.startswith("graph backbone {")
         assert "subgraph cluster_dominating_set" in dot
-        assert "1 [fillcolor=black, fontcolor=white];" in dot
-        assert "0 [fillcolor=gray];" in dot
-        assert "0 -- 1;" in dot and "1 -- 2;" in dot
+        fills = dict(re.findall(r"^ +(\d+) \[fillcolor=(\w+)", dot, re.MULTILINE))
+        assert fills == {
+            str(v): "black" if v in result.dominating_set else "gray" for v in range(6)
+        }
+        assert "0 -- 1;" in dot and "4 -- 5;" in dot
         assert dot.endswith("}\n")
 
 
