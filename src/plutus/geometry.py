@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphInputError
-from .graph import Graph, from_points
+from .graph import Graph, _finite_real, _is_int, from_points
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -66,9 +66,10 @@ def random_geometric(n: int, radius: float, seed: int) -> UdgInstance:
     SplitMix64 stream of ``seed``.  Identical arguments reproduce the
     instance bit-for-bit.  Seeds are taken mod 2^64.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise GraphInputError(f"n must be a positive integer, got {n!r}")
-    if not radius > 0:
+    r = _finite_real(radius, "radius")
+    if r <= 0:
         raise GraphInputError(f"radius must be positive, got {radius!r}")
     if not isinstance(seed, int):
         raise GraphInputError(f"seed must be an integer, got {seed!r}")
@@ -76,4 +77,4 @@ def random_geometric(n: int, radius: float, seed: int) -> UdgInstance:
     points = tuple(
         (unit_interval(s, 2 * i), unit_interval(s, 2 * i + 1)) for i in range(n)
     )
-    return UdgInstance(points, float(radius))
+    return UdgInstance(points, r)

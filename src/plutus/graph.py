@@ -108,11 +108,23 @@ def _check_node(g: Graph, v: int, what: str = "node") -> None:
 
 
 def _as_subset(g: Graph, subset: Iterable[int]) -> list[int]:
-    """Validate and return the subset as a sorted, deduplicated list."""
-    nodes = sorted(set(subset))
-    for v in nodes:
+    """Validate and return the subset as a sorted, deduplicated list.
+    Members are checked before they are hashed or compared, so a member
+    that is not a node id raises GraphInputError, never TypeError."""
+    members = list(subset)
+    for v in members:
         _check_node(g, v, "subset node")
-    return nodes
+    return sorted(set(members))
+
+
+def _check_k(k: object) -> None:
+    if not _is_int(k) or k < 1:
+        raise GraphInputError(f"k must be a positive integer, got {k!r}")
+
+
+def _check_m(m: object) -> None:
+    if not _is_int(m) or m not in (1, 2, 3):
+        raise GraphInputError(f"m must be 1, 2 or 3, got {m!r}")
 
 
 def from_edge_list(n: int, edges: Iterable[Edge]) -> Graph:
@@ -452,26 +464,6 @@ def _local_connected_and_biconnected(adj: list[list[int]], skip: int = -1) -> bo
     return counter == remaining
 
 
-def _local_connected_after_removal(adj: list[list[int]], skip: int) -> bool:
-    n = len(adj)
-    root = 1 if skip == 0 else 0
-    remaining = n - 1 if 0 <= skip < n else n
-    if remaining <= 0 or root >= n:
-        return False
-    seen = [False] * n
-    seen[root] = True
-    count = 1
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y != skip and not seen[y]:
-                seen[y] = True
-                count += 1
-                queue.append(y)
-    return count == remaining
-
-
 def _strictly_biconnected(g: Graph, subset: Iterable[int]) -> bool:
     """Strict 2-connectivity of the induced subgraph: at least three
     vertices, connected, and free of articulation points."""
@@ -481,31 +473,44 @@ def _strictly_biconnected(g: Graph, subset: Iterable[int]) -> bool:
     return _local_connected_and_biconnected(_local_adjacency(g, nodes))
 
 
+def _first_bad_point(g: Graph, nodes: Sequence[int], known_good: set[int]) -> int | None:
+    """Lowest member of the sorted ``nodes`` whose removal leaves the rest
+    not strictly 2-connected, or None when there is no such bad point.
+
+    The local adjacency is built once and each removal is one
+    articulation-point DFS.  Members in ``known_good`` are skipped and
+    members found good are added to it.  With fewer than four members
+    every member is bad: the two or fewer left cannot be 2-connected.
+    """
+    if len(nodes) < 4:
+        return next((v for v in nodes if v not in known_good), None)
+    local = _local_adjacency(g, nodes)
+    for i, v in enumerate(nodes):
+        if v in known_good:
+            continue
+        if not _local_connected_and_biconnected(local, skip=i):
+            return v
+        known_good.add(v)
+    return None
+
+
 def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
     """Exact m-connectivity (m in 1..3) of the subgraph induced by ``subset``:
     it stays connected after removal of any m-1 of its vertices.
 
     m = 1 is plain connectivity (a singleton counts as connected).  For
     m >= 2 a subset of at most m vertices never qualifies: the complete
-    graph on n vertices is only (n-1)-connected.  m = 2 removes each vertex
-    in turn; m = 3 checks, for each removed vertex, that the remainder is
-    connected with no articulation point, which is exactly the exhaustive
-    pair-removal test evaluated one batch per removed vertex.
+    graph on n vertices is only (n-1)-connected.  m = 2 is one
+    articulation-point DFS: connected with no cut vertex.  m = 3 asks for
+    a set with no bad point (see :func:`_first_bad_point`), which is the
+    exhaustive pair-removal test evaluated one DFS per removed vertex.
     """
-    if m not in (1, 2, 3):
-        raise GraphInputError(f"m must be 1, 2 or 3, got {m!r}")
+    _check_m(m)
     nodes = _as_subset(g, subset)
     if not nodes:
         raise GraphInputError("subset must be non-empty")
     if m == 1:
         return is_connected(g, nodes)
-    if len(nodes) <= m:
-        return False
-    local = _local_adjacency(g, nodes)
     if m == 2:
-        return all(
-            _local_connected_after_removal(local, v) for v in range(len(nodes))
-        )
-    return all(
-        _local_connected_and_biconnected(local, skip=v) for v in range(len(nodes))
-    )
+        return _strictly_biconnected(g, nodes)
+    return _first_bad_point(g, nodes, set()) is None

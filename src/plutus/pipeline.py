@@ -35,6 +35,10 @@ from .errors import (
 from .graph import (
     Graph,
     _as_subset,
+    _check_k,
+    _check_m,
+    _first_bad_point,
+    _is_int,
     _lex_shortest_path,
     _strictly_biconnected,
     block_cut_tree,
@@ -66,12 +70,10 @@ class PlutusConfig:
     strict_k_dominance: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
-            raise GraphInputError(f"k must be a positive integer, got {self.k!r}")
-        if self.m not in (1, 2, 3):
-            raise GraphInputError(f"m must be 1, 2 or 3, got {self.m!r}")
+        _check_k(self.k)
+        _check_m(self.m)
         cap = self.max_augmentation_iterations
-        if cap is not None and (not isinstance(cap, int) or cap < 1):
+        if cap is not None and (not _is_int(cap) or cap < 1):
             raise GraphInputError(f"iteration cap must be positive, got {cap!r}")
 
 
@@ -262,8 +264,7 @@ def synergy_layers(
     dominator neighbours is an infeasibility witness: strict mode raises,
     best-effort mode (default) promotes the witness itself.
     """
-    if not isinstance(k, int) or k < 1:
-        raise GraphInputError(f"k must be a positive integer, got {k!r}")
+    _check_k(k)
     nodes = _as_subset(g, d)
     is_cds, witness = is_connected_dominating_set(g, nodes)
     if not is_cds:
@@ -379,19 +380,15 @@ def _augment_leaf_block(
     """
     tree = block_cut_tree(g, base)
     leaf = tree.leaf_blocks[0]
-    sources = sorted(leaf - tree.cut_vertices)
-    targets = base - leaf
-    dist = _multi_target_distances(g, targets, backbone, forbidden)
-    best_path: list[int] | None = None
-    for a in sources:
-        if a not in dist:
-            continue
-        candidate = _walk_augmentation_path(g, a, dist, backbone)
-        if best_path is None or (len(candidate), candidate) < (len(best_path), best_path):
-            best_path = candidate
-    if best_path is None:
+    dist = _multi_target_distances(g, base - leaf, backbone, forbidden)
+    # A walk from source a has dist[a] + 1 vertices and starts with a, so
+    # the shortest, lexicographically smallest path is the walk from the
+    # source with the smallest (dist[a], a).
+    starts = [(dist[a], a) for a in leaf - tree.cut_vertices if a in dist]
+    if not starts:
         return None
-    return best_path[1:-1], (best_path[0], best_path[-1])
+    path = _walk_augmentation_path(g, min(starts)[1], dist, backbone)
+    return path[1:-1], (path[0], path[-1])
 
 
 def _alternate_pair_path(
@@ -435,7 +432,7 @@ def diversification(
         raise DisconnectedInputError("input set does not induce a connected subgraph")
     cap = _resolve_cap(g, max_iterations)
     iterations = 0
-    while not (len(backbone) >= 3 and _strictly_biconnected(g, backbone)):
+    while not _strictly_biconnected(g, backbone):
         iterations += 1
         if iterations > cap:
             raise IterationCapExceededError("diversification", cap)
@@ -462,20 +459,6 @@ def diversification(
     return frozenset(backbone)
 
 
-def _first_bad_point(g: Graph, backbone: set[int], known_good: set[int]) -> int | None:
-    """Lowest-id backbone vertex whose removal leaves the backbone not
-    2-connected.  ``known_good`` carries vertices proven good earlier;
-    augmentations only invalidate the ear endpoints (see sustainability)."""
-    for v in sorted(backbone):
-        if v in known_good:
-            continue
-        if _strictly_biconnected(g, backbone - {v}):
-            known_good.add(v)
-        else:
-            return v
-    return None
-
-
 def sustainability(
     g: Graph, d: Iterable[int], max_iterations: int | None = None
 ) -> frozenset[int]:
@@ -492,13 +475,13 @@ def sustainability(
     vertices) are re-examined.
     """
     backbone = set(_as_subset(g, d))
-    if not (len(backbone) >= 3 and _strictly_biconnected(g, backbone)):
+    if not _strictly_biconnected(g, backbone):
         raise GraphInputError("sustainability requires a 2-connected input set")
     cap = _resolve_cap(g, max_iterations)
     iterations = 0
     known_good: set[int] = set()
     while True:
-        bad = _first_bad_point(g, backbone, known_good)
+        bad = _first_bad_point(g, sorted(backbone), known_good)
         if bad is None:
             break
         iterations += 1

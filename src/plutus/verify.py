@@ -30,6 +30,9 @@ from .graph import (
     DistanceReport,
     Graph,
     _as_subset,
+    _check_k,
+    _check_m,
+    _first_bad_point,
     connected_components,
     is_m_connected,
 )
@@ -101,8 +104,7 @@ def is_connected_dominating_set(g: Graph, s: Iterable[int]) -> tuple[bool, Witne
 
 def is_k_dominating(g: Graph, s: Iterable[int], k: int) -> tuple[bool, Witness | None]:
     """Every vertex outside the set has at least k neighbours inside it."""
-    if not isinstance(k, int) or k < 1:
-        raise GraphInputError(f"k must be a positive integer, got {k!r}")
+    _check_k(k)
     member_set = set(_as_subset(g, s))
     for v in range(g.node_count):
         if v in member_set:
@@ -114,21 +116,28 @@ def is_k_dominating(g: Graph, s: Iterable[int], k: int) -> tuple[bool, Witness |
 
 
 def _m_connectivity_witness(g: Graph, nodes: list[int], m: int) -> Witness:
-    """Concrete evidence for a failed m-connectivity check."""
+    """Concrete evidence for a failed m-connectivity check: the first
+    component of a split set, a set of at most m vertices, or the
+    lexicographically smallest disconnecting set of m - 1 vertices.
+
+    For m = 3 that pair starts at the lowest bad point (see
+    :func:`graph._first_bad_point`): both members of a disconnecting pair
+    are bad points, and in a set of four or more vertices every bad point
+    belongs to one.  Its partner is the lowest vertex that completes it,
+    so the search costs one BFS per candidate, not one per pair.
+    """
     if m == 1:
         return ("disconnected", tuple(connected_components(g, nodes)[0]))
     if len(nodes) <= m:
         return ("too-small", len(nodes))
-    if m == 2:
-        for v in nodes:
-            rest = [x for x in nodes if x != v]
-            if len(connected_components(g, rest)) > 1:
-                return ("disconnecting-set", (v,))
-    else:
-        for v, w in combinations(nodes, 2):
-            rest = [x for x in nodes if x != v and x != w]
-            if rest and len(connected_components(g, rest)) > 1:
-                return ("disconnecting-set", (v, w))
+    pinned = () if m == 2 else (_first_bad_point(g, nodes, set()),)
+    for w in nodes:
+        if w in pinned:
+            continue
+        removed = (*pinned, w)
+        rest = [x for x in nodes if x not in removed]
+        if len(connected_components(g, rest)) > 1:
+            return ("disconnecting-set", removed)
     raise AssertionError("witness requested for a passing check")
 
 
@@ -252,10 +261,8 @@ def brute_force_min_mcds(
     Returns infeasible when nothing up to ``size_cap`` (default: all n
     nodes) qualifies.
     """
-    if not isinstance(k, int) or k < 1:
-        raise GraphInputError(f"k must be a positive integer, got {k!r}")
-    if m not in (1, 2, 3):
-        raise GraphInputError(f"m must be 1, 2 or 3, got {m!r}")
+    _check_k(k)
+    _check_m(m)
     n = g.node_count
     if n > ORACLE_NODE_LIMIT:
         raise OracleSizeError(n, ORACLE_NODE_LIMIT)

@@ -59,6 +59,17 @@ def induced_connected(g: Graph, nodes: set[int]) -> bool:
     return seen == nodes
 
 
+def naive_disconnecting_set(g: Graph, subset, m: int) -> tuple[int, ...] | None:
+    """Lexicographically first set of m-1 members whose removal leaves the
+    rest disconnected, found by trying every such set in order; None when
+    there is none."""
+    nodes = set(subset)
+    for removed in combinations(sorted(nodes), m - 1):
+        if not induced_connected(g, nodes - set(removed)):
+            return removed
+    return None
+
+
 def naive_m_connected(g: Graph, subset, m: int) -> bool:
     """Literal removal-subset semantics: connected after deleting any m-1
     members; sets of at most m vertices never qualify for m >= 2."""
@@ -67,10 +78,7 @@ def naive_m_connected(g: Graph, subset, m: int) -> bool:
         return induced_connected(g, nodes)
     if len(nodes) <= m:
         return False
-    for removed in combinations(sorted(nodes), m - 1):
-        if not induced_connected(g, nodes - set(removed)):
-            return False
-    return True
+    return naive_disconnecting_set(g, nodes, m) is None
 
 
 def vertex_disjoint_paths(g: Graph, nodes: set[int], s: int, t: int, cap: int) -> int:

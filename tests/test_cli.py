@@ -66,6 +66,13 @@ class TestGenerate:
         assert instance is not None
         assert g.edge_count() == 50 * 49 // 2
 
+    @pytest.mark.parametrize("radius", ["inf", "nan", "0"])
+    def test_non_finite_or_zero_radius_writes_nothing(self, radius, tmp_path, capsys):
+        out = tmp_path / "bad"
+        assert main(["generate", "-n", "3", "-r", radius, "--out", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestSolve:
     def test_path_graph(self, p3_file, tmp_path, capsys):
@@ -273,8 +280,11 @@ class TestMalformedInput:
     def test_graph_file(self, payload, tmp_path, capsys):
         path = tmp_path / "g.json"
         path.write_text(json.dumps(payload))
-        assert main(["solve", str(path)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        result = tmp_path / "r.json"
+        result.write_text(json.dumps({"D": [0]}))
+        for argv in (["solve", path], ["oracle", path], ["verify", path, result]):
+            assert main([str(a) for a in argv]) == 2, argv
+            assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "payload",

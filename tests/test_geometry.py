@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,3 +80,9 @@ def test_bad_arguments_rejected():
         random_geometric(5, 0.0, 1)
     with pytest.raises(GraphInputError):
         random_geometric(5, 0.3, "x")  # type: ignore[arg-type]
+    with pytest.raises(GraphInputError):
+        random_geometric(3, True, 1)
+    with pytest.raises(GraphInputError):
+        random_geometric(3, math.inf, 1)
+    with pytest.raises(GraphInputError):
+        random_geometric(True, 0.3, 1)

@@ -16,6 +16,7 @@ from plutus import (
     IterationCapExceededError,
     PlutusConfig,
     Role,
+    brute_force_min_mcds,
     diversification,
     domination,
     from_edge_list,
@@ -29,11 +30,10 @@ from plutus import (
     synergy,
     synergy_layers,
 )
-from plutus.graph import _strictly_biconnected
 from plutus.serialize import result_to_dict
 
 from .conftest import complete_graph
-from .helpers import random_connected_graph
+from .helpers import naive_m_connected, random_connected_graph
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -268,9 +268,7 @@ class TestSustainability:
         backbone = diversification(g, synergy(g, cds, 2))
         hardened = sustainability(g, backbone)
         assert backbone <= hardened
-        assert is_m_connected(g, hardened, 3)
-        for v in sorted(hardened):
-            assert _strictly_biconnected(g, hardened - {v})
+        assert naive_m_connected(g, hardened, 3)
 
 
 class TestRunPlutus:
@@ -359,6 +357,8 @@ class TestRunPlutus:
             PlutusConfig(m=4)
         with pytest.raises(GraphInputError):
             PlutusConfig(max_augmentation_iterations=0)
+        with pytest.raises(GraphInputError):
+            PlutusConfig(max_augmentation_iterations=True)
 
     @given(seeds, st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3))
     @settings(max_examples=60, deadline=None)
@@ -384,3 +384,30 @@ class TestRunPlutus:
         g = random_connected_graph(seed)
         cfg = PlutusConfig(k=2, m=1)
         assert run_plutus(g, cfg) == run_plutus(g, cfg)
+
+
+@pytest.mark.parametrize("value", [True, 2.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, v: PlutusConfig(k=v),
+        lambda g, v: synergy_layers(g, range(g.node_count), v),
+        lambda g, v: is_k_dominating(g, {0}, v),
+        lambda g, v: brute_force_min_mcds(g, v, 1),
+        lambda g, v: PlutusConfig(m=v),
+        lambda g, v: is_m_connected(g, range(g.node_count), v),
+        lambda g, v: brute_force_min_mcds(g, 1, v),
+    ],
+    ids=["config-k", "synergy-k", "k-dominating-k", "oracle-k",
+         "config-m", "m-connected-m", "oracle-m"],
+)
+def test_k_and_m_must_be_genuine_ints(call, value, k4):
+    with pytest.raises(GraphInputError):
+        call(k4, value)
+
+
+def test_non_int_members_rejected_before_sorting(k4):
+    with pytest.raises(GraphInputError):
+        is_k_dominating(k4, [1, "a"], 1)
+    with pytest.raises(GraphInputError):
+        diversification(k4, [[1]])

@@ -9,6 +9,7 @@ from plutus import (
     OracleSizeError,
     backbone_stretch,
     brute_force_min_mcds,
+    from_edge_list,
     is_connected_dominating_set,
     is_k_dominating,
     is_m_connected,
@@ -16,8 +17,10 @@ from plutus import (
     is_maximal_independent_set,
 )
 
+from plutus.graph import connected_components
+
 from .conftest import complete_graph, structured_graphs
-from .helpers import random_connected_graph, random_graph
+from .helpers import naive_disconnecting_set, random_connected_graph, random_graph
 from plutus.geometry import splitmix64
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -119,6 +122,41 @@ class TestCertificate:
                 assert check.witness is None
             else:
                 _replay_witness(g, subset, k, check.witness)
+
+    @given(seeds, st.integers(min_value=2, max_value=3))
+    @settings(max_examples=200, deadline=None)
+    def test_witness_is_lexicographically_first(self, seed, m):
+        g = random_graph(seed, max_nodes=12)
+        subset = {v for v in range(g.node_count) if splitmix64(seed, 50 + v) % 4}
+        if len(subset) <= m:
+            return
+        check = is_m_connected_k_dominating(g, subset, 1, m).checks[1]
+        first = naive_disconnecting_set(g, subset, m)
+        assert check.witness == (None if first is None else ("disconnecting-set", first))
+
+    def test_separation_pair_at_highest_ids(self, monkeypatch):
+        # two 20-cliques joined only through the two highest ids, each of
+        # which sees every other vertex: the one separating pair comes last
+        # in id order, and the witness search still runs at most one BFS
+        # per vertex
+        import plutus.verify
+
+        side = 20
+        n = 2 * side + 2
+        edges = [(u, v) for block in (range(side), range(side, 2 * side))
+                 for u in block for v in block if u < v]
+        edges += [(u, v) for v in (n - 2, n - 1) for u in range(v)]
+        g = from_edge_list(n, edges)
+        searches = []
+
+        def counting(graph, subset=None):
+            searches.append(subset)
+            return connected_components(graph, subset)
+
+        monkeypatch.setattr(plutus.verify, "connected_components", counting)
+        report = is_m_connected_k_dominating(g, range(n), 1, 3)
+        assert report.checks[1].witness == ("disconnecting-set", (n - 2, n - 1))
+        assert len(searches) <= n
 
     def test_whole_set_reduces_to_graph_connectivity(self, c6):
         for m in (1, 2, 3):
