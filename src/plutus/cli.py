@@ -96,11 +96,12 @@ def _config_echo(cfg: PlutusConfig) -> dict:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     seed = _default_seed(args.seed)
+    # every instance is generated, and so validated, before anything is written
+    instances = [random_geometric(args.n, args.radius, seed + i) for i in range(args.count)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    for offset in range(args.count):
-        instance = random_geometric(args.n, args.radius, seed + offset)
+    for offset, instance in enumerate(instances):
         name = f"udg_n{args.n}_r{args.radius:g}_s{seed + offset}.json"
         write_json(out_dir / name, udg_to_dict(instance))
         outputs.append(name)
@@ -209,6 +210,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     status="ok",
                     backbone=len(result.dominating_set),
                     phase_sizes={p.name: p.size for p in result.phase_trace},
+                    preflight_micros=result.preflight_micros,
                     phase_micros={p.name: p.micros for p in result.phase_trace},
                     verified=report.overall,
                     max_stretch=round(stretch, 4),

@@ -1,6 +1,13 @@
 """Undirected graph substrate: construction, traversal, block decomposition,
 and exact vertex-connectivity tests.
 
+The connectivity tests each cost one DFS of the induced subgraph: m = 2
+is the articulation-point DFS, O(n + E), and m = 3 adds a separation-pair
+test on the same tree, O((n + E) log n) (see :func:`_local_triconnected`).
+The lowest-id bad point that sustainability repairs and the checkers
+report is found by a separate sweep, one articulation-point DFS per
+removed vertex (:func:`_first_bad_point`), O(n (n + E)).
+
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely across threads.  Every iteration
 order (neighbour lists, component lists, block lists, path tie-breaks) is
@@ -11,7 +18,7 @@ deterministic.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -494,6 +501,143 @@ def _first_bad_point(g: Graph, nodes: Sequence[int], known_good: set[int]) -> in
     return None
 
 
+def _local_triconnected(adj: list[list[int]]) -> bool:
+    """True when the local graph is 3-connected: at least four vertices,
+    connected, no cut vertex and no separation pair.  O((n + E) log n).
+
+    One iterative DFS from vertex 0 gives every vertex its depth, subtree
+    size and low point (shallowest frond target from its subtree).  In a
+    2-connected graph the two members of a separation pair lie on one
+    root path.  Let a be a proper ancestor of b at depth k; without them
+    the graph falls into the part above a, the middle M between a and b,
+    and the subtrees T(c) of b's children.  With hi(c) the deepest frond
+    target from T(c) above b, the pair separates exactly when
+
+    - type 1: some T(c) reaches nothing above b but a, that is
+      low(c) = hi(c) = k, and T(c) is not all that is left; or
+    - type 2: 1 <= k <= depth(b) - 2, so that both other parts exist, no
+      frond leaves M above a, and no T(c) reaches both M and above a,
+      that is low(c) < k < hi(c) holds for no child c.
+
+    hi is painted by walking the fronds in decreasing target depth, with
+    union-find skip pointers so that each vertex is painted once.  For M
+    the test needs H(w) >= k for each w on the tree path at depths
+    k + 2 .. depth(b), where H(w) is the shallowest frond target from
+    parent(w) itself or from the subtrees of its other children.  The k
+    that pass form a sorted stack carried down the DFS path: entries above
+    H(b) are cut off and depth(b) - 2 pushed, and a per-depth log undoes
+    both on backtrack.  The gaps between b's child intervals (low, hi) are
+    then probed against the stack by bisection.
+    """
+    n = len(adj)
+    if n < 4:
+        return False
+    depth = [-1] * n
+    parent = [-1] * n
+    own = [0] * n  # shallowest frond target from the vertex itself
+    low = [0] * n
+    size = [1] * n
+    by_target: list[list[int]] = [[] for _ in range(n)]  # frond sources by target depth
+    order = [0]
+    depth[0] = 0
+    stack = [(0, iter(adj[0]))]
+    while stack:
+        x, rest = stack[-1]
+        dx = depth[x]
+        for y in rest:
+            dy = depth[y]
+            if dy < 0:
+                depth[y] = own[y] = low[y] = dx + 1
+                parent[y] = x
+                order.append(y)
+                stack.append((y, iter(adj[y])))
+                break
+            if dy < dx - 1:  # a frond up to a proper ancestor other than the parent
+                by_target[dy].append(x)
+                if dy < own[x]:
+                    own[x] = dy
+        else:
+            stack.pop()
+            if own[x] < low[x]:
+                low[x] = own[x]
+            p = parent[x]
+            if p >= 0:
+                size[p] += size[x]
+                if low[x] < low[p]:
+                    low[p] = low[x]
+    if len(order) < n or size[order[1]] < n - 1:
+        return False  # disconnected, or the root is a cut vertex
+    children: list[list[int]] = [[] for _ in range(n)]
+    first_low = [n] * n  # the two smallest child low points of each vertex
+    first_child = [-1] * n
+    second_low = [n] * n
+    for v in order[1:]:
+        if depth[v] >= 2 and low[v] >= depth[v] - 1:
+            return False  # parent(v) is a cut vertex
+        p = parent[v]
+        children[p].append(v)
+        if low[v] < first_low[p]:
+            second_low[p] = first_low[p]
+            first_low[p], first_child[p] = low[v], v
+        elif low[v] < second_low[p]:
+            second_low[p] = low[v]
+
+    hi = [-1] * n
+    up = list(range(n))
+    for t in range(n - 1, -1, -1):
+        for s in by_target[t]:
+            x = s
+            while up[x] != x:
+                up[x] = x = up[up[x]]
+            while depth[x] >= t + 2:
+                hi[x] = t
+                up[x] = x = parent[x]
+                while up[x] != x:
+                    up[x] = x = up[up[x]]
+    for c in order[1:]:
+        if depth[c] >= 2 and low[c] == hi[c] and size[c] < n - 2:
+            return False  # type 1
+
+    candidates = [0] * n
+    length = 0
+    log_length = [0] * n
+    log_slot = [-1] * n
+    log_value = [0] * n
+    top = -1
+    for b in order:
+        d = depth[b]
+        while top >= d:
+            slot = log_slot[top]
+            if slot >= 0:
+                candidates[slot] = log_value[top]
+            length = log_length[top]
+            top -= 1
+        log_length[d] = length
+        log_slot[d] = -1
+        top = d
+        if d == 0:
+            continue
+        p = parent[b]
+        h = min(own[p], second_low[p] if first_child[p] == b else first_low[p])
+        length = bisect_right(candidates, h, 0, length)
+        if 1 <= d - 2 <= h:
+            log_slot[d], log_value[d] = length, candidates[length]
+            candidates[length] = d - 2
+            length += 1
+        if not length:
+            continue
+        start = 1  # lowest k not yet known to be covered by a child interval
+        spans = sorted((low[c] + 1, hi[c] - 1) for c in children[b])
+        for first, last in spans + [(d - 1, d - 1)]:
+            if first > start:
+                i = bisect_left(candidates, start, 0, length)
+                if i < length and candidates[i] < first:
+                    return False  # type 2
+            if last >= start:
+                start = last + 1
+    return True
+
+
 def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
     """Exact m-connectivity (m in 1..3) of the subgraph induced by ``subset``:
     it stays connected after removal of any m-1 of its vertices.
@@ -501,9 +645,9 @@ def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
     m = 1 is plain connectivity (a singleton counts as connected).  For
     m >= 2 a subset of at most m vertices never qualifies: the complete
     graph on n vertices is only (n-1)-connected.  m = 2 is one
-    articulation-point DFS: connected with no cut vertex.  m = 3 asks for
-    a set with no bad point (see :func:`_first_bad_point`), which is the
-    exhaustive pair-removal test evaluated one DFS per removed vertex.
+    articulation-point DFS: connected with no cut vertex.  m = 3 is one
+    DFS followed by the separation-pair test of
+    :func:`_local_triconnected`, O((n + E) log n) on the induced subgraph.
     """
     _check_m(m)
     nodes = _as_subset(g, subset)
@@ -513,4 +657,4 @@ def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
         return is_connected(g, nodes)
     if m == 2:
         return _strictly_biconnected(g, nodes)
-    return _first_bad_point(g, nodes, set()) is None
+    return _local_triconnected(_local_adjacency(g, nodes))

@@ -91,13 +91,16 @@ class PhaseTrace:
 
 @dataclass(frozen=True)
 class PlutusResult:
-    """Backbone plus provenance: the per-phase growth trace and the node
-    count of the graph it was built on.  Every node outside
-    ``dominating_set`` ends the run reluctant."""
+    """Backbone plus provenance: the per-phase growth trace, the node
+    count of the graph it was built on and the wall time of the input
+    checks in microseconds.  Every node outside ``dominating_set`` ends
+    the run reluctant.  Like :attr:`PhaseTrace.micros`, the time is left
+    out of equality and of the result JSON."""
 
     dominating_set: frozenset[int]
     phase_trace: tuple[PhaseTrace, ...]
     node_count: int
+    preflight_micros: int = field(compare=False)
 
 
 def _greedy_mis_component(
@@ -511,15 +514,17 @@ def run_plutus(g: Graph, cfg: PlutusConfig) -> PlutusResult:
     For m >= 2 the graph itself must be m-connected (no m-connected
     backbone can exist otherwise); this is checked up front.  Phases after
     synergy run only when the connectivity target asks for them.  The
-    result records the backbone and one trace entry, with its wall time,
-    per executed phase.
+    result records the backbone, the wall time of these input checks and
+    one trace entry, with its wall time, per executed phase.
     """
+    t0 = time.perf_counter()
     if g.node_count == 0:
         raise EmptyGraphError("pipeline needs at least one node")
     if not is_connected(g):
         raise DisconnectedInputError("pipeline requires a connected graph")
     if cfg.m >= 2 and not is_m_connected(g, range(g.node_count), cfg.m):
         raise GraphNotMConnectedError(cfg.m)
+    preflight_micros = int((time.perf_counter() - t0) * 1_000_000)
 
     cap = cfg.max_augmentation_iterations
     phases = [
@@ -540,4 +545,4 @@ def run_plutus(g: Graph, cfg: PlutusConfig) -> PlutusResult:
         micros = int((time.perf_counter() - t0) * 1_000_000)
         trace.append(PhaseTrace(name, len(grown), tuple(sorted(grown - backbone)), micros))
         backbone = grown
-    return PlutusResult(backbone, tuple(trace), g.node_count)
+    return PlutusResult(backbone, tuple(trace), g.node_count, preflight_micros)

@@ -33,6 +33,7 @@ from .graph import (
     _check_k,
     _check_m,
     _first_bad_point,
+    block_cut_tree,
     connected_components,
     is_m_connected,
 )
@@ -120,16 +121,20 @@ def _m_connectivity_witness(g: Graph, nodes: list[int], m: int) -> Witness:
     component of a split set, a set of at most m vertices, or the
     lexicographically smallest disconnecting set of m - 1 vertices.
 
-    For m = 3 that pair starts at the lowest bad point (see
-    :func:`graph._first_bad_point`): both members of a disconnecting pair
-    are bad points, and in a set of four or more vertices every bad point
-    belongs to one.  Its partner is the lowest vertex that completes it,
-    so the search costs one BFS per candidate, not one per pair.
+    For m = 2 and a connected set that vertex is the lowest cut vertex,
+    which one block decomposition gives.  For m = 3 the pair starts at the
+    lowest bad point (see :func:`graph._first_bad_point`): both members of
+    a disconnecting pair are bad points, and in a set of four or more
+    vertices every bad point belongs to one.  Its partner is the lowest
+    vertex that completes it, so the search costs one BFS per candidate,
+    not one per pair.  A disconnected set stops within two tries.
     """
     if m == 1:
         return ("disconnected", tuple(connected_components(g, nodes)[0]))
     if len(nodes) <= m:
         return ("too-small", len(nodes))
+    if m == 2 and len(connected_components(g, nodes)) == 1:
+        return ("disconnecting-set", (min(block_cut_tree(g, nodes).cut_vertices),))
     pinned = () if m == 2 else (_first_bad_point(g, nodes, set()),)
     for w in nodes:
         if w in pinned:

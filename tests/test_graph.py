@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from plutus import (
     DisconnectedInputError,
+    Graph,
     GraphInputError,
     SelfLoopError,
     block_cut_tree,
@@ -15,11 +16,13 @@ from plutus import (
     hop_distance,
     is_connected,
     is_m_connected,
+    random_geometric,
     shortest_path,
 )
-from plutus.graph import _strictly_biconnected
+from plutus.geometry import splitmix64
+from plutus.graph import _first_bad_point, _strictly_biconnected
 
-from .conftest import complete_graph, cycle_graph, path_graph
+from .conftest import complete_graph, cycle_graph, path_graph, wheel_graph
 from .helpers import menger_m_connected, naive_m_connected, random_graph
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -269,6 +272,173 @@ def splitmix_pick(seed: int, v: int) -> bool:
     from plutus.geometry import splitmix64
 
     return splitmix64(seed ^ 0xABCDEF, v) % 2 == 0
+
+
+def prism_graph(rungs: int) -> Graph:
+    """Two cycles 0..r-1 and r..2r-1 joined by the rungs (i, i + r)."""
+    r = rungs
+    edges = [(i, (i + 1) % r) for i in range(r)]
+    edges += [(r + i, r + (i + 1) % r) for i in range(r)]
+    edges += [(i, i + r) for i in range(r)]
+    return from_edge_list(2 * r, edges)
+
+
+def moebius_ladder(rungs: int) -> Graph:
+    """A 2r-cycle with the long diagonals (i, i + r)."""
+    n = 2 * rungs
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + rungs) for i in range(rungs)]
+    return from_edge_list(n, edges)
+
+
+def ladder_graph(rungs: int) -> Graph:
+    """Two paths 0..r-1 and r..2r-1 joined by the rungs (i, i + r)."""
+    r = rungs
+    edges = [(i, i + 1) for i in range(r - 1)] + [(r + i, r + i + 1) for i in range(r - 1)]
+    edges += [(i, i + r) for i in range(r)]
+    return from_edge_list(2 * r, edges)
+
+
+def relabel(g: Graph, order: list[int]) -> Graph:
+    """The same graph with old node order[i] renamed to i."""
+    new = {old: i for i, old in enumerate(order)}
+    return from_edge_list(g.node_count, [(new[u], new[v]) for u, v in g.edges()])
+
+
+def place_pair(g: Graph, pair: tuple[int, int], slots: tuple[int, int]) -> Graph:
+    """Relabel g so that ``pair`` takes the new ids ``slots``; the other
+    nodes keep their relative order.  Node 0 is the root of the DFS."""
+    rest = iter(v for v in range(g.node_count) if v not in pair)
+    order = []
+    for i in range(g.node_count):
+        order.append(pair[slots.index(i)] if i in slots else next(rest))
+    return relabel(g, order)
+
+
+def _not_triconnected_families() -> dict[str, tuple[Graph, tuple[int, int]]]:
+    """Graphs that are 2- but not 3-connected, each with one separation pair."""
+    k5_pair = from_edge_list(
+        8,
+        [(u, v) for block in (range(5), range(3, 8)) for u in block for v in block if u < v],
+    )
+    cycle = [(i, (i + 1) % 10) for i in range(10)]
+    return {
+        "open-ladder": (ladder_graph(6), (2, 8)),
+        "k5-k5-on-a-pair": (k5_pair, (3, 4)),
+        "cycle-with-chord-pair": (from_edge_list(10, cycle + [(0, 5), (3, 8)]), (0, 2)),
+        "k5-on-a-prism-edge": (
+            from_edge_list(
+                11, [*prism_graph(4).edges()] + [(u + 6, v + 6) for u, v in complete_graph(5).edges()]
+            ),
+            (6, 7),
+        ),
+    }
+
+
+PAIR_SLOTS = {
+    "lowest": lambda n: (0, 1),
+    "highest": lambda n: (n - 2, n - 1),
+    "root-and-last": lambda n: (0, n - 1),
+    "middle": lambda n: (n // 3, 2 * n // 3),
+}
+
+
+@st.composite
+def ring_with_chords(draw):
+    """A cycle in a random node order plus random chords: 2-connected,
+    often 3-connected, and rich in separation pairs of both kinds."""
+    n = draw(st.integers(min_value=4, max_value=14))
+    order = draw(st.permutations(range(n)))
+    ring = [(order[i], order[(i + 1) % n]) for i in range(n)]
+    node = st.integers(min_value=0, max_value=n - 1)
+    chords = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    return from_edge_list(n, ring + [(u, v) for u, v in chords if u != v])
+
+
+@st.composite
+def sparse_graph(draw):
+    """Any graph on up to 14 nodes with at most 3n edges."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    node = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    return from_edge_list(n, [(u, v) for u, v in pairs if u != v])
+
+
+class TestTriconnectivity:
+    """The m = 3 test of is_m_connected against the removal-subset and
+    path-counting references and against the bad-point sweep."""
+
+    @given(st.one_of(ring_with_chords(), sparse_graph()), st.integers(0, 2**16))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_removal_and_menger(self, g, pick):
+        subset = [v for v in range(g.node_count) if not (pick >> v) & 1 or v < 4]
+        got = is_m_connected(g, subset, 3)
+        assert got == naive_m_connected(g, subset, 3)
+        assert got == menger_m_connected(g, subset, 3)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_every_small_graph(self, n):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for mask in range(1 << len(pairs)):
+            g = from_edge_list(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            assert is_m_connected(g, range(n), 3) == naive_m_connected(g, range(n), 3)
+
+    @pytest.mark.parametrize("size", range(3, 8))
+    @pytest.mark.parametrize("family", [wheel_graph, prism_graph, moebius_ladder])
+    def test_triconnected_families(self, family, size):
+        g = family(size)
+        n = g.node_count
+        shuffled = sorted(range(n), key=lambda v: splitmix64(size, v))
+        for order in (list(range(n)), list(range(n))[::-1], shuffled):
+            h = relabel(g, order)
+            assert is_m_connected(h, range(n), 3)
+            assert naive_m_connected(h, range(n), 3)
+
+    @pytest.mark.parametrize("slots", sorted(PAIR_SLOTS))
+    @pytest.mark.parametrize("family", sorted(_not_triconnected_families()))
+    def test_separation_pair_anywhere(self, family, slots):
+        g, pair = _not_triconnected_families()[family]
+        n = g.node_count
+        target = PAIR_SLOTS[slots](n)
+        h = place_pair(g, pair, target)
+        assert not is_connected(h, set(range(n)) - set(target))
+        assert is_m_connected(h, range(n), 2)
+        assert not is_m_connected(h, range(n), 3)
+        assert not naive_m_connected(h, range(n), 3)
+
+    @pytest.mark.parametrize("n, radius, seed", [
+        (200, 0.15, 1), (200, 0.15, 3), (200, 0.15, 5), (300, 0.12, 2), (500, 0.1, 1),
+        (500, 0.1, 2),
+    ])
+    def test_relabelled_unit_disk_graphs_match_sweep(self, n, radius, seed):
+        g = random_geometric(n, radius, seed).graph()
+        h = relabel(g, sorted(range(n), key=lambda v: splitmix64(seed, v)))
+        for graph in (g, h):
+            expected = _first_bad_point(graph, range(n), set()) is None
+            assert is_m_connected(graph, range(n), 3) == expected
+
+    def test_stack_slot_restored_on_backtrack(self):
+        # {8, 9} is the only separation pair.  It is found in a later
+        # subtree of the DFS only if the candidate-stack slot a deeper
+        # vertex of an earlier subtree overwrote is restored on backtrack
+        # (a minimal graph found by search)
+        g = from_edge_list(11, [
+            (0, 8), (0, 9), (1, 2), (1, 8), (1, 9), (2, 4), (2, 10), (3, 5), (3, 8),
+            (3, 10), (4, 6), (4, 10), (5, 7), (5, 10), (6, 7), (6, 9), (7, 10),
+        ])
+        assert not is_connected(g, set(range(11)) - {8, 9})
+        assert is_m_connected(g, range(11), 2)
+        assert not is_m_connected(g, range(11), 3)
+
+    def test_deep_dfs_needs_no_recursion(self):
+        # the DFS from node 0 walks around both rims, so its depth is
+        # about n, far beyond the interpreter's recursion limit
+        rungs = 2500
+        n = 2 * rungs
+        prism = prism_graph(rungs)
+        broken = from_edge_list(n, [e for e in prism.edges() if e != (rungs // 2, rungs // 2 + rungs)])
+        assert is_m_connected(prism, range(n), 3)
+        assert not is_m_connected(ladder_graph(rungs), range(n), 3)
+        assert not is_m_connected(broken, range(n), 3)
 
 
 class TestStrictBiconnectivity:

@@ -326,6 +326,13 @@ class TestRunPlutus:
         slower = tuple(replace(t, micros=t.micros + 10**6) for t in result.phase_trace)
         assert replace(result, phase_trace=slower) == result
 
+    def test_preflight_time_on_result_only(self, k4):
+        result = run_plutus(k4, PlutusConfig(k=1, m=3))
+        assert isinstance(result.preflight_micros, int) and result.preflight_micros >= 0
+        assert replace(result, preflight_micros=result.preflight_micros + 10**6) == result
+        text = repr(result_to_dict(result, PlutusConfig(k=1, m=3)))
+        assert "micros" not in text
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_composed_phases_reproduce_run_plutus(self, m):
         compared = 0

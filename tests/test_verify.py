@@ -158,6 +158,32 @@ class TestCertificate:
         assert report.checks[1].witness == ("disconnecting-set", (n - 2, n - 1))
         assert len(searches) <= n
 
+    def test_cut_vertex_at_highest_id(self, monkeypatch):
+        # two cycles joined only at the highest id: the one cut vertex
+        # comes last in id order, and the witness search still runs a
+        # constant number of BFSs instead of one per vertex
+        import plutus.verify
+
+        side = 30
+        n = 2 * side + 1
+        hub = n - 1
+        edges = []
+        for block in (range(side), range(side, 2 * side)):
+            ring = [*block, hub]
+            edges += [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
+        g = from_edge_list(n, edges)
+        searches = []
+
+        def counting(graph, subset=None):
+            searches.append(subset)
+            return connected_components(graph, subset)
+
+        monkeypatch.setattr(plutus.verify, "connected_components", counting)
+        report = is_m_connected_k_dominating(g, range(n), 1, 2)
+        assert report.checks[1].witness == ("disconnecting-set", (hub,))
+        assert naive_disconnecting_set(g, range(n), 2) == (hub,)
+        assert len(searches) <= 2
+
     def test_whole_set_reduces_to_graph_connectivity(self, c6):
         for m in (1, 2, 3):
             report = is_m_connected_k_dominating(c6, range(6), 3, m)
