@@ -96,6 +96,8 @@ def _config_echo(cfg: PlutusConfig) -> dict:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     seed = _default_seed(args.seed)
+    if args.count < 1:
+        raise GraphInputError(f"--count must be at least 1, got {args.count}")
     # every instance is generated, and so validated, before anything is written
     instances = [random_geometric(args.n, args.radius, seed + i) for i in range(args.count)]
     out_dir = Path(args.out)
@@ -189,6 +191,10 @@ def _parse_seed_range(text: str) -> list[int]:
 def _cmd_bench(args: argparse.Namespace) -> int:
     ns = _parse_int_list(args.n)
     seeds = _parse_seed_range(args.seeds) if args.seeds else [_default_seed(args.seed)]
+    if not ns:
+        raise GraphInputError(f"-n {args.n!r} names no node count")
+    if not seeds:
+        raise GraphInputError(f"--seeds {args.seeds!r} names no seed")
     cfg = _config_from(args)
     rows = []
     for n in ns:

@@ -8,6 +8,12 @@ The lowest-id bad point that sustainability repairs and the checkers
 report is found by a separate sweep, one articulation-point DFS per
 removed vertex (:func:`_first_bad_point`), O(n (n + E)).
 
+Every deterministic shortest path (``shortest_path``, and the paths the
+pipeline's domination and both augmentation phases promote) comes from
+one search, :func:`_lex_shortest_path`: a backward BFS from a target set
+through the vertices a predicate allows, then a smallest-id walk from
+the nearest source.
+
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely across threads.  Every iteration
 order (neighbour lists, component lists, block lists, path tie-breaks) is
@@ -227,62 +233,57 @@ def shortest_path(
     _check_node(g, v)
     if u in banned or v in banned:
         raise GraphInputError("path endpoints must not be forbidden")
-    if u == v:
-        return [u]
 
     def allowed(x: int) -> bool:
         if x in banned:
             return False
         return internal_constraint is None or internal_constraint(x)
 
-    return _lex_shortest_path(g, u, v, allowed)
+    return _lex_shortest_path(g, (u,), (v,), allowed)
 
 
 def _lex_shortest_path(
     g: Graph,
-    u: int,
-    v: int,
+    sources: Iterable[int],
+    targets: Iterable[int],
     allowed: Callable[[int], bool],
-    exclude_direct_edge: bool = False,
 ) -> list[int] | None:
-    """Lexicographically smallest shortest u-v path whose internal vertices
-    all satisfy ``allowed``.  With ``exclude_direct_edge`` the single-edge
-    path (u, v) is ruled out, forcing an alternate route of length >= 2.
+    """Lexicographically smallest among the shortest paths from any source
+    to any target whose internal vertices all satisfy ``allowed``; None
+    when there is none.  A source that is also a target is the path
+    [source].
+
+    A backward BFS layers the graph by distance to the target set,
+    expanding only the targets and the vertices ``allowed`` accepts, and
+    stops once the layer holding the nearest source is complete.  Every
+    path from a source has its distance plus one vertices, so the walk
+    starts at the smallest (distance, source) and always steps to the
+    smallest-id vertex one layer closer.
     """
-    # Backward BFS from v so the forward greedy walk can always step onto
-    # a neighbour one layer closer to v.
-    dist = {v: 0}
-    queue = deque([v])
-    found = False
-    while queue and not found:
-        x = queue.popleft()
-        d = dist[x] + 1
-        for y in g.adjacency[x]:
-            if exclude_direct_edge and x == v and y == u:
-                continue
-            if y in dist:
-                continue
-            if y == u:
-                dist[y] = d
-                found = True
-                break
-            if allowed(y):
-                dist[y] = d
-                queue.append(y)
-    if u not in dist:
-        return None
-    path = [u]
-    cur, d = u, dist[u]
-    while d > 0:
-        best = None
-        for y in g.adjacency[cur]:
-            if dist.get(y) == d - 1 and (d - 1 == 0 or allowed(y)):
-                if d - 1 == 0 and y != v:
+    starts = frozenset(sources)
+    dist = {t: 0 for t in targets}
+    found = [t for t in dist if t in starts]
+    layer = list(dist)
+    d = 0
+    while layer and not found:
+        d += 1
+        next_layer = []
+        for x in layer:
+            for y in g.adjacency[x]:
+                if y in dist:
                     continue
-                if best is None or y < best:
-                    best = y
-        path.append(best)  # always exists: dist[u] is finite
-        cur, d = best, d - 1
+                if y in starts:
+                    dist[y] = d
+                    found.append(y)
+                elif allowed(y):
+                    dist[y] = d
+                    next_layer.append(y)
+        layer = next_layer
+    if not found:
+        return None
+    path = [min(found)]
+    for d in range(d - 1, -1, -1):
+        path.append(min(y for y in g.adjacency[path[-1]] if dist.get(y) == d))
     return path
 
 

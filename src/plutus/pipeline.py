@@ -20,7 +20,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     DisconnectedInputError,
@@ -103,27 +103,24 @@ class PlutusResult:
     preflight_micros: int = field(compare=False)
 
 
-def _greedy_mis_component(
-    comp: Sequence[int], adj: Mapping[int, Sequence[int]], roles: dict[int, Role]
-) -> list[int]:
-    """Greedy independent-set rounds on one connected component.
+def _greedy_mis_component(comp: Sequence[int], adj: Mapping[int, Sequence[int]]) -> list[int]:
+    """Greedy independent-set rounds on one connected component, every
+    node of which starts prone.
 
-    All component nodes must currently be prone.  The maximum-degree node
-    (tie: lowest id) becomes a dominator and its neighbours turn reluctant;
-    then, while prone nodes remain, the prone node with the most reluctant
-    neighbours (tie: lowest id) is promoted the same way.
+    The maximum-degree node (tie: lowest id) becomes a dominator and its
+    prone neighbours turn reluctant; then, while prone nodes remain, the
+    prone node with the most reluctant neighbours (tie: lowest id) is
+    promoted the same way.
     """
     prone = set(comp)
     reluctant_neighbors = {v: 0 for v in comp}
     dominators: list[int] = []
 
     def promote(v: int) -> None:
-        roles[v] = Role.DOMINATOR
         prone.discard(v)
         dominators.append(v)
         for w in adj[v]:
-            if roles[w] is Role.DOMINATION_PRONE:
-                roles[w] = Role.DOMINATION_RELUCTANT
+            if w in prone:
                 prone.discard(w)
                 for x in adj[w]:
                     reluctant_neighbors[x] += 1
@@ -154,17 +151,17 @@ def isolation(g: Graph) -> tuple[frozenset[int], tuple[Role, ...]]:
     :func:`_greedy_mis_component`) run until no prone node remains.  The
     returned set is independent (a prone node is never adjacent to a
     dominator) and maximal (every non-member ends up reluctant, i.e.
-    adjacent to a member).
+    adjacent to a member), so the roles follow from it: members are
+    dominators and every other node is reluctant.
     """
     if g.node_count == 0:
         raise EmptyGraphError("isolation needs at least one node")
     if not is_connected(g):
         raise DisconnectedInputError("isolation requires a connected graph")
-    nodes = list(range(g.node_count))
-    roles = {v: Role.DOMINATION_PRONE for v in nodes}
-    adj = {v: g.adjacency[v] for v in nodes}
-    mis = _greedy_mis_component(nodes, adj, roles)
-    return frozenset(mis), tuple(roles[v] for v in nodes)
+    nodes = range(g.node_count)
+    mis = frozenset(_greedy_mis_component(nodes, dict(enumerate(g.adjacency))))
+    roles = tuple(Role.DOMINATOR if v in mis else Role.DOMINATION_RELUCTANT for v in nodes)
+    return mis, roles
 
 
 class _UnionFind:
@@ -240,7 +237,7 @@ def domination(g: Graph, mis: Iterable[int]) -> frozenset[int]:
     for _, u, v in _mis_pairs_within(g, members, 3):
         if components.find(u) == components.find(v):
             continue
-        path = _lex_shortest_path(g, u, v, lambda x: True)
+        path = _lex_shortest_path(g, (u,), (v,), lambda x: True)
         for w in path[1:-1]:
             if w not in dominating:
                 promote(w)
@@ -287,10 +284,9 @@ def synergy_layers(
         adj = {
             v: tuple(w for w in g.adjacency[v] if w not in covered) for v in residual
         }
-        roles = {v: Role.DOMINATION_PRONE for v in residual}
         layer: list[int] = []
         for comp in connected_components(g, residual):
-            layer.extend(_greedy_mis_component(comp, adj, roles))
+            layer.extend(_greedy_mis_component(comp, adj))
         layers.append(frozenset(layer))
         covered.update(layer)
         backbone.update(layer)
@@ -319,57 +315,8 @@ def synergy(g: Graph, d: Iterable[int], k: int, strict: bool = False) -> frozens
     return backbone
 
 
-def _multi_target_distances(
-    g: Graph, targets: set[int], blocked: set[int], forbidden: set[int]
-) -> dict[int, int]:
-    """Backward BFS layering for augmentation paths.
-
-    Distance 0 sits on the targets; expansion proceeds only through nodes
-    outside ``blocked`` (the backbone) and outside ``forbidden``.  Nodes in
-    ``blocked`` still receive a distance (as potential path starts) but are
-    never expanded.
-    """
-    dist: dict[int, int] = {t: 0 for t in targets}
-    queue = deque(sorted(targets))
-    while queue:
-        x = queue.popleft()
-        d = dist[x] + 1
-        if dist[x] > 0 and x in blocked:
-            continue
-        for y in g.adjacency[x]:
-            if y in dist or y in forbidden:
-                continue
-            dist[y] = d
-            queue.append(y)
-    return dist
-
-
-def _walk_augmentation_path(
-    g: Graph,
-    start: int,
-    dist: Mapping[int, int],
-    blocked: set[int],
-) -> list[int]:
-    """Forward greedy walk down the BFS layering: always the smallest-id
-    next hop, yielding the lexicographically smallest shortest sequence."""
-    path = [start]
-    cur, d = start, dist[start]
-    while d > 0:
-        best = None
-        for y in g.adjacency[cur]:
-            if dist.get(y) != d - 1:
-                continue
-            if d - 1 > 0 and y in blocked:
-                continue
-            if best is None or y < best:
-                best = y
-        path.append(best)
-        cur, d = best, d - 1
-    return path
-
-
 def _augment_leaf_block(
-    g: Graph, backbone: set[int], base: set[int], forbidden: set[int]
+    g: Graph, base: set[int], allowed: Callable[[int], bool]
 ) -> tuple[list[int], tuple[int, int]] | None:
     """One leaf-block augmentation step on the connected, not yet
     2-connected set ``base`` (the backbone, or the backbone minus a bad
@@ -377,35 +324,26 @@ def _augment_leaf_block(
 
     Picks the leaf block with the smallest member, then the shortest path
     in g from a non-cut member of that block to any base vertex outside
-    it, all internal vertices outside the backbone and ``forbidden``.
-    Returns (promoted internals, path endpoints) or None when no such path
-    exists.
+    it whose internal vertices all satisfy ``allowed``.  Returns
+    (promoted internals, path endpoints) or None when no such path exists.
     """
     tree = block_cut_tree(g, base)
     leaf = tree.leaf_blocks[0]
-    dist = _multi_target_distances(g, base - leaf, backbone, forbidden)
-    # A walk from source a has dist[a] + 1 vertices and starts with a, so
-    # the shortest, lexicographically smallest path is the walk from the
-    # source with the smallest (dist[a], a).
-    starts = [(dist[a], a) for a in leaf - tree.cut_vertices if a in dist]
-    if not starts:
+    path = _lex_shortest_path(g, leaf - tree.cut_vertices, base - leaf, allowed)
+    if path is None:
         return None
-    path = _walk_augmentation_path(g, min(starts)[1], dist, backbone)
     return path[1:-1], (path[0], path[-1])
 
 
 def _alternate_pair_path(
-    g: Graph, u: int, v: int, backbone: set[int], forbidden: set[int]
+    g: Graph, u: int, v: int, allowed: Callable[[int], bool]
 ) -> list[int] | None:
-    """Shortest second route between two adjacent backbone members: length
-    at least two, internal vertices outside the backbone and ``forbidden``.
-    The length-2 case promotes the lowest-id common neighbour, closing a
-    triangle."""
-
-    def allowed(x: int) -> bool:
-        return x not in backbone and x not in forbidden
-
-    return _lex_shortest_path(g, u, v, allowed, exclude_direct_edge=True)
+    """Shortest second route between two adjacent backbone members, which
+    ``allowed`` must reject: a path from u to an allowed neighbour of v,
+    then v, so its length is at least two.  The length-2 case promotes the
+    lowest-id common neighbour, closing a triangle."""
+    path = _lex_shortest_path(g, (u,), [w for w in g.adjacency[v] if allowed(w)], allowed)
+    return None if path is None else path + [v]
 
 
 def _resolve_cap(g: Graph, max_iterations: int | None) -> int:
@@ -435,6 +373,7 @@ def diversification(
         raise DisconnectedInputError("input set does not induce a connected subgraph")
     cap = _resolve_cap(g, max_iterations)
     iterations = 0
+    outside = lambda x: x not in backbone
     while not _strictly_biconnected(g, backbone):
         iterations += 1
         if iterations > cap:
@@ -449,12 +388,12 @@ def diversification(
             continue
         if len(backbone) == 2:
             u, v = sorted(backbone)
-            path = _alternate_pair_path(g, u, v, backbone, set())
+            path = _alternate_pair_path(g, u, v, outside)
             if path is None:
                 raise Infeasible2ConnectivityError((u, v))
             backbone.update(path[1:-1])
             continue
-        step = _augment_leaf_block(g, backbone, backbone, set())
+        step = _augment_leaf_block(g, backbone, outside)
         if step is None:
             stuck = block_cut_tree(g, backbone).leaf_blocks[0]
             raise Infeasible2ConnectivityError(tuple(stuck))
@@ -482,6 +421,7 @@ def sustainability(
         raise GraphInputError("sustainability requires a 2-connected input set")
     cap = _resolve_cap(g, max_iterations)
     iterations = 0
+    outside = lambda x: x not in backbone
     known_good: set[int] = set()
     while True:
         bad = _first_bad_point(g, sorted(backbone), known_good)
@@ -493,12 +433,12 @@ def sustainability(
         base = backbone - {bad}
         if len(base) == 2:
             u, v = sorted(base)
-            path = _alternate_pair_path(g, u, v, backbone, {bad})
+            path = _alternate_pair_path(g, u, v, outside)
             if path is None:
                 raise Infeasible3ConnectivityError(bad)
             internals, endpoints = path[1:-1], (u, v)
         else:
-            step = _augment_leaf_block(g, backbone, base, {bad})
+            step = _augment_leaf_block(g, base, outside)
             if step is None:
                 raise Infeasible3ConnectivityError(bad)
             internals, endpoints = step

@@ -33,6 +33,7 @@ from .graph import (
     _check_k,
     _check_m,
     _first_bad_point,
+    _is_int,
     block_cut_tree,
     connected_components,
     is_m_connected,
@@ -263,11 +264,13 @@ def brute_force_min_mcds(
 
     Subsets are enumerated in ascending cardinality (lexicographic within
     one cardinality), so the first valid subset is a global minimum.
-    Returns infeasible when nothing up to ``size_cap`` (default: all n
-    nodes) qualifies.
+    Returns infeasible when nothing up to ``size_cap`` (a positive int;
+    default: all n nodes) qualifies.
     """
     _check_k(k)
     _check_m(m)
+    if size_cap is not None and (not _is_int(size_cap) or size_cap < 1):
+        raise GraphInputError(f"size cap must be a positive integer, got {size_cap!r}")
     n = g.node_count
     if n > ORACLE_NODE_LIMIT:
         raise OracleSizeError(n, ORACLE_NODE_LIMIT)

@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here deliberately avoids the library's own algorithms: the
-m-connectivity twin enumerates removal subsets literally, and the path
+m-connectivity twin enumerates removal subsets literally, the path
 counter runs unit-capacity augmentation on a vertex-split digraph
-(Menger's view of connectivity).
+(Menger's view of connectivity), and the shortest-path twin enumerates
+simple paths.
 """
 
 from __future__ import annotations
@@ -79,6 +80,27 @@ def naive_m_connected(g: Graph, subset, m: int) -> bool:
     if len(nodes) <= m:
         return False
     return naive_disconnecting_set(g, nodes, m) is None
+
+
+def naive_lex_shortest_path(g: Graph, sources, targets, allowed) -> list[int] | None:
+    """Minimum (length, vertex sequence) over the simple paths from a
+    source to a target whose internal vertices all satisfy ``allowed``;
+    None when there is none.  Paths are enumerated one length at a time,
+    so the first length that reaches a target holds the answer."""
+    ends = set(targets)
+    paths = [[s] for s in sorted(set(sources))]
+    while paths:
+        done = [p for p in paths if p[-1] in ends]
+        if done:
+            return min(done)
+        paths = [
+            p + [y]
+            for p in paths
+            if len(p) == 1 or allowed(p[-1])
+            for y in g.adjacency[p[-1]]
+            if y not in p
+        ]
+    return None
 
 
 def vertex_disjoint_paths(g: Graph, nodes: set[int], s: int, t: int, cap: int) -> int:

@@ -73,6 +73,13 @@ class TestGenerate:
         assert not out.exists()
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_writes_nothing(self, count, tmp_path, capsys):
+        out = tmp_path / "none"
+        assert main(["generate", "-n", "16", "-r", "0.5", "--count", count, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestSolve:
     def test_path_graph(self, p3_file, tmp_path, capsys):
@@ -182,6 +189,13 @@ class TestOracle:
         path = _write_graph(tmp_path / "big.json", complete_graph(21))
         assert main(["oracle", str(path)]) == 2
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_size_cap_below_one_is_input_error(self, k4_file, cap, capsys):
+        assert main(["oracle", str(k4_file), "-k", "1", "-m", "2", "--size-cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
 
 class TestBench:
     def test_rows_and_summary(self, tmp_path, capsys):
@@ -208,6 +222,18 @@ class TestBench:
 
     def test_empty_seed_list(self, capsys):
         assert main(["bench", "-n", "10", "-r", "0.4", "--seeds", ""]) == 0
+
+    @pytest.mark.parametrize(
+        "n, seeds", [("", "1..2"), (",", "1..2"), ("10", "5..1"), ("10", ",")]
+    )
+    def test_empty_corpus_is_input_error(self, n, seeds, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        code = main(["bench", "-n", n, "-r", "0.5", "--seeds", seeds, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "all_verified" not in captured.out
+        assert "Traceback" not in captured.err
 
     def test_deterministic_apart_from_timing(self, tmp_path):
         outs = []

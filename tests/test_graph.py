@@ -20,10 +20,16 @@ from plutus import (
     shortest_path,
 )
 from plutus.geometry import splitmix64
-from plutus.graph import _first_bad_point, _strictly_biconnected
+from plutus.graph import _first_bad_point, _lex_shortest_path, _strictly_biconnected
 
 from .conftest import complete_graph, cycle_graph, path_graph, wheel_graph
-from .helpers import menger_m_connected, naive_m_connected, random_graph
+from .helpers import (
+    menger_m_connected,
+    naive_lex_shortest_path,
+    naive_m_connected,
+    random_connected_graph,
+    random_graph,
+)
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -155,6 +161,38 @@ class TestShortestPath:
                 assert len(path) - 1 == d
                 for a, b in zip(path, path[1:]):
                     assert g.has_edge(a, b)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_simple_path_enumeration(self, data):
+        seed = data.draw(seeds)
+        g = random_connected_graph(seed) if data.draw(st.booleans()) else random_graph(seed)
+        nodes = st.integers(0, g.node_count - 1)
+        u, v = data.draw(nodes), data.draw(nodes)
+        forbidden = data.draw(st.sets(nodes)) - {u, v}
+        constraint = data.draw(st.none() | st.sets(nodes))
+        test = None if constraint is None else constraint.__contains__
+        expected = naive_lex_shortest_path(
+            g, (u,), (v,), lambda x: x not in forbidden and (test is None or test(x))
+        )
+        assert shortest_path(g, u, v, forbidden, test) == expected
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_source_and_target_sets_match_simple_path_enumeration(self, data):
+        seed = data.draw(seeds)
+        g = random_connected_graph(seed) if data.draw(st.booleans()) else random_graph(seed)
+        nodes = st.integers(0, g.node_count - 1)
+        sources, targets = data.draw(st.sets(nodes)), data.draw(st.sets(nodes))
+        allowed = data.draw(st.sets(nodes)).__contains__
+        expected = naive_lex_shortest_path(g, sources, targets, allowed)
+        assert _lex_shortest_path(g, sources, targets, allowed) == expected
+
+    def test_nearest_source_found_last_still_wins(self):
+        # 4 is discovered (through 1) before 3 (through 2); both are at
+        # distance 2 and the smaller id starts the path
+        g = from_edge_list(5, [(0, 1), (0, 2), (1, 4), (2, 3)])
+        assert _lex_shortest_path(g, {3, 4}, {0}, lambda x: True) == [3, 2, 0]
 
 
 class TestBlockCutTree:

@@ -3,7 +3,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plutus import (
@@ -16,10 +16,12 @@ from plutus import (
     IterationCapExceededError,
     PlutusConfig,
     Role,
+    block_cut_tree,
     brute_force_min_mcds,
     diversification,
     domination,
     from_edge_list,
+    is_connected,
     is_connected_dominating_set,
     is_k_dominating,
     is_m_connected,
@@ -30,10 +32,11 @@ from plutus import (
     synergy,
     synergy_layers,
 )
+from plutus.pipeline import _alternate_pair_path, _augment_leaf_block
 from plutus.serialize import result_to_dict
 
 from .conftest import complete_graph
-from .helpers import naive_m_connected, random_connected_graph
+from .helpers import naive_lex_shortest_path, naive_m_connected, random_connected_graph
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -269,6 +272,48 @@ class TestSustainability:
         hardened = sustainability(g, backbone)
         assert backbone <= hardened
         assert naive_m_connected(g, hardened, 3)
+
+
+class TestAugmentationPaths:
+    """Both augmentation steps take the lexicographically smallest
+    shortest admissible path, checked against simple-path enumeration on
+    random graphs with random forbidden sets and constraints."""
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_leaf_block_path(self, data):
+        g = random_connected_graph(data.draw(seeds))
+        assume(g.node_count >= 3)
+        nodes = st.integers(0, g.node_count - 1)
+        base = data.draw(st.sets(nodes, min_size=3))
+        assume(is_connected(g, base))
+        tree = block_cut_tree(g, base)
+        assume(tree.leaf_blocks)
+        blocked = base | data.draw(st.sets(nodes))
+        constraint = data.draw(st.sets(nodes))
+        allowed = lambda x: x not in blocked and x in constraint
+        leaf = tree.leaf_blocks[0]
+        path = naive_lex_shortest_path(g, leaf - tree.cut_vertices, base - leaf, allowed)
+        expected = None if path is None else (path[1:-1], (path[0], path[-1]))
+        assert _augment_leaf_block(g, base, allowed) == expected
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_alternate_pair_path(self, data):
+        g = random_connected_graph(data.draw(seeds))
+        nodes = st.integers(0, g.node_count - 1)
+        u, v = data.draw(st.sampled_from(list(g.edges())))
+        if data.draw(st.booleans()):
+            u, v = v, u
+        blocked = {u, v} | data.draw(st.sets(nodes))
+        constraint = data.draw(st.sets(nodes))
+        allowed = lambda x: x not in blocked and x in constraint
+        # the second route must not be the edge itself: search without it
+        without_uv = from_edge_list(
+            g.node_count, [e for e in g.edges() if set(e) != {u, v}]
+        )
+        expected = naive_lex_shortest_path(without_uv, (u,), (v,), allowed)
+        assert _alternate_pair_path(g, u, v, allowed) == expected
 
 
 class TestRunPlutus:

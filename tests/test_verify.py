@@ -290,6 +290,12 @@ class TestOracle:
                 assert not is_m_connected_k_dominating(g, combo, k, m).overall
 
 
+    @pytest.mark.parametrize("cap", [0, -5, True, 2.0, "3"])
+    def test_size_cap_must_be_positive_int(self, c6, cap):
+        with pytest.raises(GraphInputError):
+            brute_force_min_mcds(c6, 1, 1, size_cap=cap)
+
+
 class TestStructuredOracleTable:
     def test_known_optima(self):
         graphs = structured_graphs()
