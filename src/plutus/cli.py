@@ -10,6 +10,7 @@ environment variable, then to 0.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -145,6 +146,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if math.isnan(args.stretch_threshold):
+        # Every comparison with NaN is false, so such a threshold never warns.
+        raise GraphInputError("--stretch-threshold must be a number, got nan")
     g, _ = load_graph(args.graph)
     backbone, k_file, m_file = result_from_dict(read_json(args.result))
     k = args.k if args.k is not None else k_file

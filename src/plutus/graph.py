@@ -1,6 +1,9 @@
 """Undirected graph substrate: construction, traversal, block decomposition,
 and exact vertex-connectivity tests.
 
+:func:`from_points` buckets the points into a grid of cells about one
+radius wide and compares only neighbouring cells.
+
 The connectivity tests each cost one DFS of the induced subgraph: m = 2
 is the articulation-point DFS, O(n + E), and m = 3 adds a separation-pair
 test on the same tree, O((n + E) log n) (see :func:`_local_triconnected`).
@@ -166,11 +169,39 @@ def from_edge_list(n: int, edges: Iterable[Edge]) -> Graph:
     return Graph(n, adjacency)
 
 
+# Grid cells are a little wider than the reach of the edge test, and never
+# narrower than 2**-30 of the largest coordinate: see from_points.
+_CELL_MARGIN = 1 + 2.0**-20
+_CELL_SPAN = 2.0**30
+
+
 def from_points(points: Sequence[tuple[float, float]], radius: float) -> Graph:
     """Build the unit-disk graph of a point set: edge iff the euclidean
     distance is at most ``radius`` (closed disk, so a tie at exactly the
-    radius produces an edge).  Comparison is done on squared distances.
-    Each point must be an (x, y) pair of finite real numbers.
+    radius produces an edge).  Comparison is done on squared distances,
+    ``dx * dx + dy * dy <= radius * radius`` with ``dx = x_i - x_j``;
+    rounding is symmetric, so swapping i and j only flips the signs and
+    leaves the test unchanged.  Each point must be an (x, y) pair of
+    finite real numbers.
+
+    The points are bucketed into square cells and each point is compared
+    only with the points of its own and the eight neighbouring cells, so
+    the build costs O(n + C) for C compared pairs (about three per edge
+    when the points are spread evenly) instead of n^2 / 2 comparisons.  The
+    cell side never lets a pair that passes the float test fall two
+    cells apart:
+
+    - The exact coordinate differences of a passing pair are at most
+      t (1 + 3 eps), where t = max(radius, 2**-511) and eps = 2**-53.
+      The floor 2**-511 covers a squared radius that underflows; a
+      squared radius that overflows accepts every pair, so then all
+      points share one cell.
+    - The side is at least t (1 + 2**-20), so the exact coordinate
+      quotients of a passing pair differ by less than 1 - 2**-21.
+    - The side is at least 2**-30 of the largest coordinate, so the two
+      rounded quotients move by at most 2**-22 in all, and the computed
+      cell indices differ by at most one.  The same bound keeps the
+      quotient finite, however large the coordinates or small the radius.
     """
     r = _finite_real(radius, "radius")
     if r <= 0:
@@ -182,15 +213,30 @@ def from_points(points: Sequence[tuple[float, float]], radius: float) -> Graph:
         pts.append((_finite_real(p[0], f"point {i} x"), _finite_real(p[1], f"point {i} y")))
     n = len(pts)
     r2 = r * r
-    edges: list[Edge] = []
-    for i in range(n):
-        xi, yi = pts[i]
-        for j in range(i + 1, n):
-            dx = xi - pts[j][0]
-            dy = yi - pts[j][1]
-            if dx * dx + dy * dy <= r2:
-                edges.append((i, j))
-    return from_edge_list(n, edges)
+    if r2 == math.inf:
+        side = math.inf
+    else:
+        extent = max((max(abs(x), abs(y)) for x, y in pts), default=0.0)
+        side = max(max(r, 2.0**-511) * _CELL_MARGIN, extent / _CELL_SPAN)
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, (x, y) in enumerate(pts):
+        cells.setdefault((math.floor(x / side), math.floor(y / side)), []).append(i)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for (cx, cy), here in cells.items():
+        # This cell against itself and the four neighbours that follow it,
+        # so each pair of cells is visited once.
+        near = list(here)
+        for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
+            near += cells.get(key, ())
+        for a, i in enumerate(here):
+            xi, yi = pts[i]
+            for j in near[a + 1 :]:
+                dx = xi - pts[j][0]
+                dy = yi - pts[j][1]
+                if dx * dx + dy * dy <= r2:
+                    rows[i].append(j)
+                    rows[j].append(i)
+    return Graph(n, tuple(tuple(sorted(row)) for row in rows))
 
 
 def hop_distance(g: Graph, u: int, v: int) -> int | None:

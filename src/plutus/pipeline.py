@@ -250,11 +250,18 @@ def domination(g: Graph, mis: Iterable[int]) -> frozenset[int]:
 
 
 def synergy_layers(
-    g: Graph, d: Iterable[int], k: int, strict: bool = False
+    g: Graph,
+    d: Iterable[int],
+    k: int,
+    strict: bool = False,
+    *,
+    layer_one: Iterable[int] | None = None,
 ) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
     """Phase 3 with its layer decomposition exposed.
 
-    Layer 1 is the isolation output; layer i is a maximal independent set
+    Layer 1 is the isolation output, ``isolation(g)[0]``; a caller that
+    already holds it passes it as ``layer_one`` (which must equal it) to
+    save the second run.  Layer i is a maximal independent set
     of the subgraph induced by the nodes not yet in any layer, built
     independently on each connected component of that residual.  Layers
     are unioned into the backbone; the loop stops early once the residual
@@ -271,7 +278,7 @@ def synergy_layers(
         error = DisconnectedInputError if witness[0] == "disconnected" else GraphInputError
         raise error(f"input set is not a connected dominating set: {witness}")
     backbone = set(nodes)
-    layer_one, _ = isolation(g)
+    layer_one = isolation(g)[0] if layer_one is None else frozenset(_as_subset(g, layer_one))
     if not layer_one <= backbone:
         raise GraphInputError("input set must contain the first independent layer")
 
@@ -470,7 +477,12 @@ def run_plutus(g: Graph, cfg: PlutusConfig) -> PlutusResult:
     phases = [
         ("isolation", lambda d: isolation(g)[0]),
         ("domination", lambda d: domination(g, d)),
-        ("synergy", lambda d: synergy_layers(g, d, cfg.k, cfg.strict_k_dominance)[0]),
+        (
+            "synergy",
+            lambda d: synergy_layers(
+                g, d, cfg.k, cfg.strict_k_dominance, layer_one=grown_by["isolation"]
+            )[0],
+        ),
     ]
     if cfg.m >= 2:
         phases.append(("diversification", lambda d: diversification(g, d, cap)))
@@ -478,10 +490,11 @@ def run_plutus(g: Graph, cfg: PlutusConfig) -> PlutusResult:
         phases.append(("sustainability", lambda d: sustainability(g, d, cap)))
 
     backbone: frozenset[int] = frozenset()
+    grown_by: dict[str, frozenset[int]] = {}
     trace: list[PhaseTrace] = []
     for name, phase in phases:
         t0 = time.perf_counter()
-        grown = phase(backbone)
+        grown = grown_by[name] = phase(backbone)
         micros = int((time.perf_counter() - t0) * 1_000_000)
         trace.append(PhaseTrace(name, len(grown), tuple(sorted(grown - backbone)), micros))
         backbone = grown

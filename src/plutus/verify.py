@@ -20,14 +20,14 @@ pipeline comparisons stay two independent routes.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import GraphInputError, OracleSizeError
 from .graph import (
     DistanceReport,
+    Edge,
     Graph,
     _as_subset,
     _check_k,
@@ -164,20 +164,11 @@ def is_m_connected_k_dominating(
     )
 
 
-def _distances_from(g: Graph, source: int, expandable) -> list[int | None]:
-    dist: list[int | None] = [None] * g.node_count
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        if x != source and not expandable(x):
-            continue
-        d = dist[x] + 1
-        for y in g.adjacency[x]:
-            if dist[y] is None:
-                dist[y] = d
-                queue.append(y)
-    return dist
+# Sources per pass of the all-sources search.  Every mask of a pass (two
+# per vertex, plus the pending ones) has up to this many bits, so the
+# width bounds the memory of a pass, while a wider block makes fewer
+# passes.
+_STRETCH_BLOCK = 1024
 
 
 def backbone_stretch(g: Graph, s: Iterable[int]) -> tuple[float, DistanceReport | None]:
@@ -185,26 +176,119 @@ def backbone_stretch(g: Graph, s: Iterable[int]) -> tuple[float, DistanceReport 
     all internal vertices inside the backbone to the true shortest path.
 
     The backbone must be a connected dominating set (validated), which
-    makes every routed distance finite.  Returns (1.0, None) when the
-    graph has fewer than two nodes.
+    makes every routed distance finite.  Returns (1.0, None) when no pair
+    has a ratio above 1; otherwise the ratio and the lexicographically
+    first pair (u, v), u < v, that attains it.
+
+    The sources run in blocks of ``_STRETCH_BLOCK``, one bit each: a
+    level-synchronous BFS from all of them at once keeps, for every
+    vertex, the mask of sources within plain distance d and the mask of
+    sources within routed distance d, and grows both by one level per
+    sweep (see :func:`_stretch_block`).  A pass costs O(n + E) big-int ORs
+    per level, and the levels are bounded by the largest routed distance,
+    so the whole search costs O(ceil(n / block) * levels * (n + E)) such
+    operations, each on a mask of block width.
     """
     members = set(_as_subset(g, s))
     ok, witness = is_connected_dominating_set(g, members)
     if not ok:
         raise GraphInputError(f"backbone is not a connected dominating set: {witness}")
-    worst: DistanceReport | None = None
-    worst_ratio = 1.0
-    for u in range(g.node_count):
-        plain = _distances_from(g, u, lambda x: True)
-        routed = _distances_from(g, u, lambda x: x in members)
-        for v in range(u + 1, g.node_count):
-            if plain[v] is None:
+    n = g.node_count
+    relays = [tuple(w for w in row if w in members) for row in g.adjacency]
+    worst: tuple[int, int, Edge | None] = (1, 1, None)
+    for lo in range(0, n, _STRETCH_BLOCK):
+        worst = _stretch_block(g.adjacency, relays, lo, min(lo + _STRETCH_BLOCK, n), worst)
+    d_backbone, d_g, pair = worst
+    if pair is None:
+        return 1.0, None
+    return d_backbone / d_g, DistanceReport(pair, d_g, d_backbone)
+
+
+def _stretch_block(
+    adjacency: Sequence[Sequence[int]],
+    relays: Sequence[Sequence[int]],
+    lo: int,
+    hi: int,
+    worst: tuple[int, int, Edge | None],
+) -> tuple[int, int, Edge | None]:
+    """Fold the pairs (u, v), lo <= u < hi and u < v, into ``worst``, the
+    (d_backbone, d_g, pair) of the largest ratio seen so far.
+
+    Source u is bit u - lo.  ``plain[v]`` holds the sources within
+    distance ``level`` of v and ``routed[v]`` those within routed distance
+    ``level``; a routed path may leave a source or a backbone member
+    (``relays[v]`` lists v's member neighbours), never any other vertex.
+    Both distances are symmetric, so u can be the source of every pair.
+
+    ``pending[v]`` is ``[a, mask_a, mask_a+1, ...]``: mask_d holds the
+    sources u < v reached at plain distance d and not yet by the routed
+    search.  The routed level that reaches them is their d_backbone.
+    Pairs with equal distances never enter it, as their ratio 1 cannot
+    beat the starting worst.
+    """
+    n = len(adjacency)
+    full = (1 << (hi - lo)) - 1
+    seed = [0] * n
+    for u in range(lo, hi):
+        seed[u] = 1 << (u - lo)
+    # One hop is one hop on both routes, because a source may be left.
+    plain = [_grow(seed, row, seed[v]) for v, row in enumerate(adjacency)]
+    routed = plain[:]
+    del seed
+    pending: dict[int, list[int]] = {}
+    plain_live = [v for v in range(n) if plain[v] != full]
+    routed_live = [v for v in range(n) if routed[v] != full]
+    d_backbone, d_g, pair = worst
+    level = 1
+    while routed_live:
+        level += 1
+        grown = [_grow(routed, relays[v], routed[v]) for v in routed_live]
+        for v, mask in zip(routed_live, grown):
+            fresh = mask & ~routed[v]
+            routed[v] = mask
+            entries = pending.get(v)
+            if not (fresh and entries):
                 continue
-            ratio = routed[v] / plain[v]
-            if ratio > worst_ratio:
-                worst_ratio = ratio
-                worst = DistanceReport((u, v), plain[v], routed[v])
-    return worst_ratio, worst
+            first = entries[0]
+            for i in range(1, len(entries)):
+                hit = entries[i] & fresh
+                if hit:
+                    entries[i] ^= hit
+                    a = first + i - 1
+                    # level / a against d_backbone / d_g, compared exactly
+                    gain = level * d_g - d_backbone * a
+                    if gain >= 0:
+                        u = lo + (hit & -hit).bit_length() - 1
+                        if gain > 0 or (u, v) < pair:
+                            d_backbone, d_g, pair = level, a, (u, v)
+            settled = 1
+            while settled < len(entries) and not entries[settled]:
+                settled += 1
+            if settled == len(entries):
+                del pending[v]
+            elif settled > 1:
+                del entries[1:settled]
+                entries[0] = first + settled - 1
+        grown = [_grow(plain, adjacency[v], plain[v]) for v in plain_live]
+        for v, mask in zip(plain_live, grown):
+            fresh = mask & ~plain[v] & ~routed[v]
+            plain[v] = mask
+            if fresh and v > lo:
+                fresh &= full if v >= hi else (1 << (v - lo)) - 1
+                if fresh:
+                    entries = pending.setdefault(v, [level])
+                    # a zero mask for each level that added nothing
+                    entries += [0] * (level - entries[0] - len(entries) + 1)
+                    entries.append(fresh)
+        plain_live = [v for v in plain_live if plain[v] != full]
+        routed_live = [v for v in routed_live if routed[v] != full]
+    return d_backbone, d_g, pair
+
+
+def _grow(masks: list[int], row: Sequence[int], mask: int) -> int:
+    for w in row:
+        mask |= masks[w]
+    return mask
 
 
 def _mask_connected(adj_masks: list[int], mask: int) -> bool:

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own algorithms: the
 m-connectivity twin enumerates removal subsets literally, the path
 counter runs unit-capacity augmentation on a vertex-split digraph
-(Menger's view of connectivity), and the shortest-path twin enumerates
-simple paths.
+(Menger's view of connectivity), the shortest-path twin enumerates
+simple paths, the stretch twin runs two BFSs per source and the
+unit-disk twin compares every pair of points.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from collections import deque
 from itertools import combinations
 
 from plutus import Graph, from_edge_list
+from plutus.graph import DistanceReport
 from plutus.geometry import splitmix64
 
 
@@ -43,6 +45,65 @@ def random_connected_graph(seed: int, max_nodes: int = 9) -> Graph:
                 edges.append((u, v))
             counter += 1
     return from_edge_list(n, edges)
+
+
+def relabel(g: Graph, order: list[int]) -> Graph:
+    """The same graph with old node order[i] renamed to i."""
+    new = {old: i for i, old in enumerate(order)}
+    return from_edge_list(g.node_count, [(new[u], new[v]) for u, v in g.edges()])
+
+
+def naive_from_points(points, radius: float) -> Graph:
+    """The unit-disk graph by comparing every pair of points with the
+    closed-disk test on squared float differences, ``x_i - x_j`` for
+    i < j."""
+    pts = [(float(x), float(y)) for x, y in points]
+    r2 = radius * radius
+    edges = []
+    for i in range(len(pts)):
+        xi, yi = pts[i]
+        for j in range(i + 1, len(pts)):
+            dx = xi - pts[j][0]
+            dy = yi - pts[j][1]
+            if dx * dx + dy * dy <= r2:
+                edges.append((i, j))
+    return from_edge_list(len(pts), edges)
+
+
+def _distances_from(g: Graph, source: int, expandable) -> list[int | None]:
+    dist: list[int | None] = [None] * g.node_count
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        x = queue.popleft()
+        if x != source and not expandable(x):
+            continue
+        d = dist[x] + 1
+        for y in g.adjacency[x]:
+            if dist[y] is None:
+                dist[y] = d
+                queue.append(y)
+    return dist
+
+
+def naive_backbone_stretch(g: Graph, s) -> tuple[float, DistanceReport | None]:
+    """Worst routed-to-plain distance ratio and its first pair (u, v) in
+    lexicographic order, from one plain and one routed BFS per source; a
+    routed path may leave only the source and backbone members."""
+    members = set(s)
+    worst: DistanceReport | None = None
+    worst_ratio = 1.0
+    for u in range(g.node_count):
+        plain = _distances_from(g, u, lambda x: True)
+        routed = _distances_from(g, u, lambda x: x in members)
+        for v in range(u + 1, g.node_count):
+            if plain[v] is None:
+                continue
+            ratio = routed[v] / plain[v]
+            if ratio > worst_ratio:
+                worst_ratio = ratio
+                worst = DistanceReport((u, v), plain[v], routed[v])
+    return worst_ratio, worst
 
 
 def induced_connected(g: Graph, nodes: set[int]) -> bool:

@@ -169,6 +169,31 @@ class TestVerify:
         assert main(["verify", str(c4_path), str(whole)]) == 0
 
 
+    @pytest.mark.parametrize("threshold", ["nan", "NaN", "-nan"])
+    def test_nan_stretch_threshold_rejected(self, threshold, k4_file, tmp_path, capsys):
+        # every comparison with NaN is false, so it could never warn
+        out = tmp_path / "result.json"
+        assert main(["solve", str(k4_file), "-k", "2", "-m", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = main(["verify", str(k4_file), str(out), f"--stretch-threshold={threshold}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "stretch-threshold" in captured.err
+
+    def test_stretch_threshold_warns_above_it(self, tmp_path, capsys):
+        from .conftest import cycle_graph
+
+        c6 = _write_graph(tmp_path / "c6.json", cycle_graph(6))
+        result = tmp_path / "r.json"
+        result.write_text(dumps({"D": [0, 1, 2, 3, 4], "k": 1, "m": 1}))
+        for threshold, warns in (("1.5", True), ("2", False), ("inf", False), ("-inf", True)):
+            assert main(["verify", str(c6), str(result), f"--stretch-threshold={threshold}"]) == 0
+            err = capsys.readouterr().err
+            assert ("warning: max stretch 2.000" in err) == warns
+
+
 class TestOracle:
     def test_cycle(self, tmp_path, capsys):
         from .conftest import cycle_graph

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,12 +28,79 @@ from .conftest import complete_graph, cycle_graph, path_graph, wheel_graph
 from .helpers import (
     menger_m_connected,
     naive_lex_shortest_path,
+    naive_from_points,
     naive_m_connected,
     random_connected_graph,
     random_graph,
+    relabel,
 )
 
 seeds = st.integers(min_value=0, max_value=10**9)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def point_sets(draw):
+    """Points and a radius: any finite floats, or lattice points a
+    quarter radius apart (so many pairs sit at exactly the radius or on a
+    cell border), optionally nudged by one ulp."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.tuples(finite, finite), max_size=25)), draw(positive)
+    radius = draw(positive)
+    step = st.integers(min_value=-12, max_value=12)
+    nudge = st.sampled_from([0.0, -math.inf, math.inf])
+    points = []
+    for i, j, d in draw(st.lists(st.tuples(step, step, nudge), max_size=25)):
+        x = i * radius / 4
+        point = (math.nextafter(x, d) if d else x, j * radius / 4)
+        if all(map(math.isfinite, point)):
+            points.append(point)
+    return points, radius
+
+
+GRID_CASES = {
+    "exact-radius": ([(0.0, 0.0), (3.0, 4.0), (6.0, 8.0), (-3.0, -4.0), (3.0, -4.0)], 5.0),
+    "axis-steps": ([(0.1 * i, 0.0) for i in range(-6, 7)] + [(0.0, 0.1 * i) for i in range(-6, 7)], 0.1),
+    **{
+        f"lattice-{r:.3g}": ([(i * r, j * r) for i in range(-4, 5) for j in range(-4, 5)], r)
+        for r in (0.1, 0.25, 1 / 3, 7.0)
+    },
+    "cell-borders-nudged": (
+        [(i * 0.1 + math.nextafter(0.0, d), j * 0.1)
+         for i in range(-3, 4) for j in range(-3, 4) for d in (-1.0, 1.0)],
+        0.1,
+    ),
+    "negative": (
+        [(-5.5 - splitmix64(9, i) % 997 / 200, -0.5 - splitmix64(9, i + 99) % 991 / 300)
+         for i in range(120)],
+        0.45,
+    ),
+    "radius-beyond-box": (
+        [(splitmix64(4, i) % 101 / 100, splitmix64(4, i + 50) % 103 / 100) for i in range(40)],
+        10.0,
+    ),
+    "coincident": ([(0.5, 0.5)] * 4 + [(0.5, 0.75), (0.5, 0.75), (-0.5, 0.5)], 0.25),
+    "huge-tiny-radius": (
+        [(1e308, 1e308), (-1e308, -1e308), (1e308, -1e308), (1e308, 1e308),
+         (1.7976931348623157e308, -1.7976931348623157e308), (0.0, 0.0), (1e-10, 0.0)],
+        1e-10,
+    ),
+    "huge-adjacent-floats": (
+        [(1e300, 1.0), (1e300, 1.0), (math.nextafter(1e300, math.inf), 1.0), (-1e300, 1.0)],
+        1e-300,
+    ),
+    # the squared radius underflows to zero: the float test accepts pairs
+    # whose squared differences underflow too, far beyond the radius
+    "radius-squared-underflows": (
+        [(0.0, 0.0), (1e-165, 0.0), (0.0, 3e-162), (1e-150, 1e-150), (-1e-163, 2e-163)],
+        1e-170,
+    ),
+    # the squared radius overflows: every pair passes, even one whose
+    # difference overflows
+    "radius-squared-overflows": ([(1e308, 0.0), (-1e308, 0.0), (0.0, 1e308), (5.0, 5.0)], 1e200),
+    "difference-overflows": ([(1.5e308, 0.0), (-1.5e308, 0.0), (1.5e308, 1e154)], 1e154),
+}
 
 
 class TestFromEdgeList:
@@ -93,6 +162,25 @@ class TestFromPoints:
     def test_bad_radius_rejected(self):
         with pytest.raises(GraphInputError):
             from_points([(0.0, 0.0)], 0.0)
+
+    @pytest.mark.parametrize("case", sorted(GRID_CASES))
+    def test_grid_matches_pairwise_scan(self, case):
+        points, radius = GRID_CASES[case]
+        assert from_points(points, radius) == naive_from_points(points, radius)
+
+    def test_extreme_radii_follow_the_float_test(self):
+        tiny = from_points([(0.0, 0.0), (1e-165, 0.0), (1.0, 0.0)], 1e-170)
+        assert tiny.edge_count() == 1 and tiny.has_edge(0, 1)
+        huge = from_points([(1e308, 0.0), (-1e308, 0.0), (0.0, 1e308)], 1e200)
+        assert huge.edge_count() == 3
+        far = from_points([(1e308, 1e308), (-1e308, -1e308), (1e308, 1e308)], 1e-10)
+        assert far.edge_count() == 1 and far.has_edge(0, 2)
+
+    @given(point_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_grid_matches_pairwise_scan_on_any_points(self, case):
+        points, radius = case
+        assert from_points(points, radius) == naive_from_points(points, radius)
 
 
 class TestHopDistance:
@@ -334,12 +422,6 @@ def ladder_graph(rungs: int) -> Graph:
     edges = [(i, i + 1) for i in range(r - 1)] + [(r + i, r + i + 1) for i in range(r - 1)]
     edges += [(i, i + r) for i in range(r)]
     return from_edge_list(2 * r, edges)
-
-
-def relabel(g: Graph, order: list[int]) -> Graph:
-    """The same graph with old node order[i] renamed to i."""
-    new = {old: i for i, old in enumerate(order)}
-    return from_edge_list(g.node_count, [(new[u], new[v]) for u, v in g.edges()])
 
 
 def place_pair(g: Graph, pair: tuple[int, int], slots: tuple[int, int]) -> Graph:

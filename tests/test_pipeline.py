@@ -33,7 +33,7 @@ from plutus import (
     synergy_layers,
 )
 from plutus.pipeline import _alternate_pair_path, _augment_leaf_block
-from plutus.serialize import result_to_dict
+from plutus.serialize import dumps, result_to_dict
 
 from .conftest import complete_graph
 from .helpers import naive_lex_shortest_path, naive_m_connected, random_connected_graph
@@ -137,6 +137,20 @@ class TestSynergy:
     def test_layers_include_first_isolation(self, c6):
         _, layers = synergy_layers(c6, {0, 1, 2, 3, 4}, 2)
         assert layers[0] == isolation(c6)[0]
+
+    @given(seeds, st.integers(min_value=1, max_value=3))
+    @settings(max_examples=50, deadline=None)
+    def test_given_first_layer_matches_isolation(self, seed, k):
+        g = random_connected_graph(seed)
+        cds = domination(g, isolation(g)[0])
+        given_layer = synergy_layers(g, cds, k, layer_one=isolation(g)[0])
+        assert given_layer == synergy_layers(g, cds, k)
+
+    def test_given_first_layer_is_checked(self, c6):
+        with pytest.raises(GraphInputError):
+            synergy_layers(c6, {0, 1, 2, 3, 4}, 2, layer_one=[0, 6])
+        with pytest.raises(GraphInputError):
+            synergy_layers(c6, {0, 1, 2, 3, 4}, 2, layer_one={1, 5})
 
     def test_requires_containing_first_layer(self, c6):
         # {1, 2, 3, 4, 5} is a CDS of C6 but misses isolation's {0, 2, 4}
@@ -401,6 +415,46 @@ class TestRunPlutus:
             assert result.dominating_set == before
             compared += 1
         assert compared >= 10
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_isolation_runs_once(self, m, monkeypatch):
+        import plutus.pipeline
+
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return isolation(g)
+
+        monkeypatch.setattr(plutus.pipeline, "isolation", counting)
+        runs = 0
+        for seed in range(120):
+            g = random_connected_graph(seed)
+            if m >= 2 and not is_m_connected(g, range(g.node_count), m):
+                continue
+            run_plutus(g, PlutusConfig(k=2, m=m))
+            runs += 1
+        assert runs >= 5
+        assert len(calls) == runs
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_reused_first_layer_keeps_result_bytes(self, m, monkeypatch):
+        import plutus.pipeline
+
+        def recomputing(g, d, k, strict=False, *, layer_one=None):
+            return synergy_layers(g, d, k, strict)
+
+        cfg = PlutusConfig(k=2, m=m)
+        results = []
+        for seed in range(120):
+            g = random_connected_graph(seed, max_nodes=12)
+            if m >= 2 and not is_m_connected(g, range(g.node_count), m):
+                continue
+            results.append((g, dumps(result_to_dict(run_plutus(g, cfg), cfg))))
+        assert len(results) >= 5
+        monkeypatch.setattr(plutus.pipeline, "synergy_layers", recomputing)
+        for g, text in results:
+            assert dumps(result_to_dict(run_plutus(g, cfg), cfg)) == text
 
     def test_config_validation(self):
         with pytest.raises(GraphInputError):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,18 +11,29 @@ from plutus import (
     OracleSizeError,
     backbone_stretch,
     brute_force_min_mcds,
+    domination,
     from_edge_list,
+    is_connected,
     is_connected_dominating_set,
     is_k_dominating,
     is_m_connected,
     is_m_connected_k_dominating,
     is_maximal_independent_set,
+    isolation,
+    random_geometric,
+    synergy,
+    verify,
 )
-
 from plutus.graph import connected_components
 
 from .conftest import complete_graph, structured_graphs
-from .helpers import naive_disconnecting_set, random_connected_graph, random_graph
+from .helpers import (
+    naive_backbone_stretch,
+    naive_disconnecting_set,
+    random_connected_graph,
+    random_graph,
+    relabel,
+)
 from plutus.geometry import splitmix64
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -230,6 +243,95 @@ class TestBackboneStretch:
         if worst is not None:
             assert worst.d_backbone >= worst.d_g
             assert worst.d_backbone / worst.d_g == value
+
+
+@st.composite
+def graph_with_cds(draw):
+    """A connected graph on up to 12 nodes (a random spanning tree plus
+    random chords, in random node order) and a random connected
+    dominating set of it: the inner nodes of the tree plus any extra
+    nodes, since a superset of a connected dominating set is one too."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    order = draw(st.permutations(range(n)))
+    tree = [(order[i], order[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    node = st.integers(min_value=0, max_value=n - 1)
+    chords = [(u, v) for u, v in draw(st.lists(st.tuples(node, node), max_size=2 * n)) if u != v]
+    g = from_edge_list(n, tree + chords)
+    degree = [0] * n
+    for u, v in tree:
+        degree[u] += 1
+        degree[v] += 1
+    inner = {v for v in range(n) if degree[v] >= 2} or {order[0]}
+    return g, inner | set(draw(st.lists(node, max_size=n)))
+
+
+def _chained_detours(order: list[int]) -> tuple:
+    """Two shortcuts through outsiders, 1-2-5 and 5-4-8, that the backbone
+    replaces by 1-3-6-5 and 5-0-7-8, relabelled by ``order`` (old v is
+    renamed order[v]).  The pairs (1, 5) and (5, 8) route 3 hops instead
+    of 2, and (1, 8), which takes both shortcuts, 6 instead of 4: all
+    three have ratio 3 / 2, and no pair has more."""
+    edges = [(1, 2), (1, 3), (2, 3), (2, 5), (3, 6), (5, 6), (0, 5), (0, 7), (4, 5),
+             (4, 7), (4, 8), (7, 8)]
+    g = from_edge_list(9, [(order[u], order[v]) for u, v in edges])
+    backbone = {order[v] for v in (0, 3, 5, 6, 7, 8)}
+    return g, backbone
+
+
+class TestStretchAgainstNaive:
+    """backbone_stretch against the per-source BFS pair it replaced."""
+
+    @given(graph_with_cds())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive(self, case):
+        g, backbone = case
+        assert is_connected_dominating_set(g, backbone)[0]
+        assert backbone_stretch(g, backbone) == naive_backbone_stretch(g, backbone)
+
+    @given(graph_with_cds(), st.integers(min_value=1, max_value=5))
+    @settings(max_examples=200, deadline=None)
+    def test_narrow_blocks_match_naive(self, case, width):
+        # many block boundaries: pairs whose source lies in an earlier
+        # block than the worst one, or in a later one
+        g, backbone = case
+        with patch.object(verify, "_STRETCH_BLOCK", width):
+            got = backbone_stretch(g, backbone)
+        assert got == naive_backbone_stretch(g, backbone)
+
+    @pytest.mark.parametrize("order, pair, distances", [
+        ([0, 1, 2, 3, 4, 5, 6, 7, 8], (1, 5), (2, 3)),
+        ([2, 0, 3, 4, 5, 6, 7, 8, 1], (0, 1), (4, 6)),
+        ([8, 7, 6, 5, 4, 3, 2, 1, 0], (0, 3), (2, 3)),
+    ])
+    def test_ratio_tie_goes_to_lexicographically_first_pair(self, order, pair, distances):
+        # 6 / 4 against 3 / 2: whichever pair comes first in (u, v) order
+        # wins, whether it is reached before or after the others
+        g, backbone = _chained_detours(order)
+        value, worst = backbone_stretch(g, backbone)
+        assert value == 1.5
+        assert worst.pair == pair
+        assert (worst.d_g, worst.d_backbone) == distances
+        assert (value, worst) == naive_backbone_stretch(g, backbone)
+
+    @pytest.mark.parametrize("n, radius, seed", [(200, 0.15, 1), (300, 0.12, 2), (500, 0.1, 1)])
+    def test_relabelled_unit_disk_graphs(self, n, radius, seed):
+        g = random_geometric(n, radius, seed).graph()
+        h = relabel(g, sorted(range(n), key=lambda v: splitmix64(seed, v)))
+        for graph in (g, h):
+            cds = domination(graph, isolation(graph)[0])
+            for backbone in (cds, synergy(graph, cds, 2)):
+                got = backbone_stretch(graph, backbone)
+                assert got == naive_backbone_stretch(graph, backbone)
+                assert got[0] > 1.0
+
+    def test_more_nodes_than_one_block(self):
+        n = verify._STRETCH_BLOCK + 76
+        g = random_geometric(n, 0.07, 1).graph()
+        assert is_connected(g)
+        backbone = domination(g, isolation(g)[0])
+        got = backbone_stretch(g, backbone)
+        assert got == naive_backbone_stretch(g, backbone)
+        assert got[1].pair[0] < verify._STRETCH_BLOCK
 
 
 class TestOracle:
