@@ -4,11 +4,13 @@ and exact vertex-connectivity tests.
 :func:`from_points` buckets the points into a grid of cells about one
 radius wide and compares only neighbouring cells.
 
-The connectivity tests each cost one DFS of the induced subgraph: m = 2
-is the articulation-point DFS, O(n + E), and m = 3 adds a separation-pair
-test on the same tree, O((n + E) log n) (see :func:`_local_triconnected`).
-The lowest-id bad point that sustainability repairs and the checkers
-report is found by a separate sweep, one articulation-point DFS per
+The connectivity tests each cost one DFS of the induced subgraph, run
+on its local adjacency (:func:`_local_adjacency`): m = 2 is the
+articulation-point DFS that also gives the blocks (:func:`_local_blocks`),
+O(n + E), and m = 3 is one DFS plus a separation-pair test,
+O((n + E) log n), that names the lowest bad point, the vertex
+sustainability repairs (:func:`_lowest_bad_point`).  Verify's witness
+finds that point by a separate, independent sweep, one block DFS per
 removed vertex (:func:`_first_bad_point`), O(n (n + E)).
 
 Every deterministic shortest path (``shortest_path``, and the paths the
@@ -30,7 +32,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DisconnectedInputError, GraphInputError, SelfLoopError
 
@@ -333,33 +335,43 @@ def _lex_shortest_path(
     return path
 
 
-def _induced_adjacency(g: Graph, nodes: Sequence[int]) -> dict[int, list[int]]:
-    """Adjacency of the induced subgraph, neighbour lists sorted."""
-    member = set(nodes)
-    return {v: [w for w in g.adjacency[v] if w in member] for v in nodes}
+def _local_adjacency(g: Graph, nodes: Sequence[int]) -> list[list[int]]:
+    """Induced adjacency relabelled onto local indices 0..len(nodes)-1.
+
+    ``nodes`` must be sorted, so local order mirrors node-id order and
+    neighbour lists stay sorted; the traversals below run on plain lists
+    for speed.
+    """
+    index = [-1] * g.node_count
+    for i, v in enumerate(nodes):
+        index[v] = i
+    adj = g.adjacency
+    return [[index[w] for w in adj[v] if index[w] >= 0] for v in nodes]
 
 
 def connected_components(g: Graph, subset: Iterable[int] | None = None) -> list[list[int]]:
     """Connected components of the (induced) graph, each sorted, listed in
     ascending order of their smallest member."""
-    nodes = list(range(g.node_count)) if subset is None else _as_subset(g, subset)
-    adj = _induced_adjacency(g, nodes)
-    seen: set[int] = set()
+    if subset is None:
+        nodes: Sequence[int] = range(g.node_count)
+        adj: Sequence[Sequence[int]] = g.adjacency
+    else:
+        nodes = _as_subset(g, subset)
+        adj = _local_adjacency(g, nodes)
+    seen = [False] * len(nodes)
     components: list[list[int]] = []
-    for start in nodes:
-        if start in seen:
+    for start in range(len(nodes)):
+        if seen[start]:
             continue
+        seen[start] = True
         comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
+        for x in comp:
             for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
+                if not seen[y]:
+                    seen[y] = True
                     comp.append(y)
-                    queue.append(y)
-        components.append(sorted(comp))
+        comp.sort()
+        components.append([nodes[i] for i in comp])
     return components
 
 
@@ -368,154 +380,96 @@ def is_connected(g: Graph, subset: Iterable[int] | None = None) -> bool:
     return len(connected_components(g, subset)) <= 1
 
 
-def _biconnected_components(
-    adj: Mapping[int, Sequence[int]], nodes: Sequence[int]
-) -> list[frozenset[int]]:
-    """Vertex sets of the biconnected components of a connected graph,
-    via the linear-time articulation-point DFS with an edge stack."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    parent: dict[int, int] = {}
-    ptr: dict[int, int] = {}
-    edge_stack: list[Edge] = []
-    blocks: list[frozenset[int]] = []
-    counter = 0
-    root = nodes[0]
-    disc[root] = low[root] = counter
-    counter += 1
-    ptr[root] = 0
-    stack = [root]
+def _local_blocks(adj: list[list[int]], skip: int = -1) -> list[list[int]] | None:
+    """Vertex sets of the biconnected components of the local graph minus
+    the local vertex ``skip``, or None when that graph is disconnected; a
+    lone vertex is one block.
+
+    One iterative articulation-point DFS with a vertex stack: when a child
+    c of p is finished and nothing in its subtree reaches above p, the
+    vertices pushed since c, plus p, form a block.  The tree edge to the
+    parent may lower a low point to the parent's discovery time, which
+    leaves that test unchanged, so no parent check is needed.  ``skip`` is
+    marked discovered with a time no low point reaches, so it is neither
+    entered nor counted.
+    """
+    n = len(adj)
+    disc = [-1] * n
+    low = [0] * n
+    remaining = n
+    if 0 <= skip < n:
+        disc[skip] = n
+        remaining -= 1
+    if remaining <= 0:
+        return []
+    root = 1 if skip == 0 else 0
+    disc[root] = 0
+    counter = 1
+    pushed = [root]
+    pos = [0] * n  # where each vertex sits on ``pushed``
+    blocks: list[list[int]] = []
+    stack = [(root, iter(adj[root]))]
     while stack:
-        x = stack[-1]
-        row = adj[x]
-        advanced = False
-        while ptr[x] < len(row):
-            y = row[ptr[x]]
-            ptr[x] += 1
-            if y not in disc:
-                parent[y] = x
+        x, rest = stack[-1]
+        for y in rest:
+            dy = disc[y]
+            if dy < 0:
                 disc[y] = low[y] = counter
                 counter += 1
-                ptr[y] = 0
-                edge_stack.append((x, y))
-                stack.append(y)
-                advanced = True
+                pos[y] = len(pushed)
+                pushed.append(y)
+                stack.append((y, iter(adj[y])))
                 break
-            if y != parent.get(x) and disc[y] < disc[x]:
-                edge_stack.append((x, y))
-                if disc[y] < low[x]:
-                    low[x] = disc[y]
-        if advanced:
-            continue
-        stack.pop()
-        p = parent.get(x)
-        if p is None:
-            continue
-        if low[x] < low[p]:
-            low[p] = low[x]
-        if low[x] >= disc[p]:
-            members: set[int] = set()
-            while True:
-                a, b = edge_stack.pop()
-                members.add(a)
-                members.add(b)
-                if (a, b) == (p, x):
-                    break
-            blocks.append(frozenset(members))
-    return blocks
+            if dy < low[x]:
+                low[x] = dy
+        else:
+            stack.pop()
+            if not stack:
+                continue
+            p = stack[-1][0]
+            if low[x] < low[p]:
+                low[p] = low[x]
+            if low[x] >= disc[p]:
+                i = pos[x]
+                blocks.append(pushed[i:] + [p])
+                del pushed[i:]
+    if counter < remaining:
+        return None
+    return blocks or [[root]]
+
+
+def _block_cut_tree(nodes: Sequence[int], adj: list[list[int]], skip: int = -1) -> BlockCutTree:
+    """:func:`block_cut_tree` of the local graph ``adj`` of the sorted ids
+    ``nodes``, minus the local vertex ``skip``, mapped back to ids."""
+    local = _local_blocks(adj, skip)
+    if local is None:
+        raise DisconnectedInputError("subset does not induce a connected subgraph")
+    count = [0] * len(adj)
+    for block in local:
+        for v in block:
+            count[v] += 1
+    blocks = tuple(frozenset(nodes[v] for v in block) for block in sorted(map(sorted, local)))
+    cut_vertices = frozenset(nodes[v] for v, c in enumerate(count) if c >= 2)
+    if len(blocks) == 1:
+        leaf_blocks: tuple[frozenset[int], ...] = ()
+    else:
+        leaf_blocks = tuple(b for b in blocks if len(b & cut_vertices) == 1)
+    return BlockCutTree(blocks, cut_vertices, leaf_blocks)
 
 
 def block_cut_tree(g: Graph, subset: Iterable[int]) -> BlockCutTree:
     """Biconnected components, cut vertices and leaf blocks of the subgraph
     induced by ``subset``.  The subset must induce a connected subgraph.
 
-    Blocks are sorted by smallest member; a vertex is a cut vertex iff it
-    lies in at least two blocks; a leaf block contains exactly one cut
-    vertex (a lone block yields no leaf blocks).  A singleton subset is
-    reported as the single block {v}.
+    Blocks are sorted by their sorted member lists, so by smallest member
+    first; a vertex is a cut vertex iff it lies in at least two blocks; a
+    leaf block contains exactly one cut vertex (a lone block yields no
+    leaf blocks).  A singleton subset is reported as the single block {v}.
     """
     nodes = _as_subset(g, subset)
     if not nodes:
         raise GraphInputError("subset must be non-empty")
-    if not is_connected(g, nodes):
-        raise DisconnectedInputError("subset does not induce a connected subgraph")
-    if len(nodes) == 1:
-        return BlockCutTree((frozenset(nodes),), frozenset(), ())
-    adj = _induced_adjacency(g, nodes)
-    blocks = sorted(_biconnected_components(adj, nodes), key=lambda b: sorted(b))
-    membership: dict[int, int] = {}
-    for block in blocks:
-        for v in block:
-            membership[v] = membership.get(v, 0) + 1
-    cut_vertices = frozenset(v for v, count in membership.items() if count >= 2)
-    if len(blocks) == 1:
-        leaf_blocks: tuple[frozenset[int], ...] = ()
-    else:
-        leaf_blocks = tuple(b for b in blocks if len(b & cut_vertices) == 1)
-    return BlockCutTree(tuple(blocks), cut_vertices, leaf_blocks)
-
-
-def _local_adjacency(g: Graph, nodes: Sequence[int]) -> list[list[int]]:
-    """Induced adjacency relabelled onto local indices 0..len(nodes)-1.
-
-    ``nodes`` must be sorted, so local order mirrors node-id order; the
-    removal sweeps below run on plain lists for speed.
-    """
-    index = {v: i for i, v in enumerate(nodes)}
-    member = set(nodes)
-    return [[index[w] for w in g.adjacency[v] if w in member] for v in nodes]
-
-
-def _local_connected_and_biconnected(adj: list[list[int]], skip: int = -1) -> bool:
-    """True when the local graph minus ``skip`` is connected and has no
-    articulation point.  Single iterative DFS; size conventions are the
-    callers' concern."""
-    n = len(adj)
-    root = 1 if skip == 0 else 0
-    remaining = n - 1 if 0 <= skip < n else n
-    if remaining <= 0 or root >= n:
-        return False
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    ptr = [0] * n
-    disc[root] = 0
-    counter = 1
-    root_children = 0
-    stack = [root]
-    while stack:
-        x = stack[-1]
-        row = adj[x]
-        advanced = False
-        while ptr[x] < len(row):
-            y = row[ptr[x]]
-            ptr[x] += 1
-            if y == skip:
-                continue
-            if disc[y] < 0:
-                parent[y] = x
-                disc[y] = low[y] = counter
-                counter += 1
-                if x == root:
-                    root_children += 1
-                stack.append(y)
-                advanced = True
-                break
-            if y != parent[x] and disc[y] < low[x]:
-                low[x] = disc[y]
-        if advanced:
-            continue
-        stack.pop()
-        p = parent[x]
-        if p < 0:
-            continue
-        if low[x] < low[p]:
-            low[p] = low[x]
-        if p != root and low[x] >= disc[p]:
-            return False
-    if root_children > 1:
-        return False
-    return counter == remaining
+    return _block_cut_tree(nodes, _local_adjacency(g, nodes))
 
 
 def _strictly_biconnected(g: Graph, subset: Iterable[int]) -> bool:
@@ -524,33 +478,43 @@ def _strictly_biconnected(g: Graph, subset: Iterable[int]) -> bool:
     nodes = _as_subset(g, subset)
     if len(nodes) < 3:
         return False
-    return _local_connected_and_biconnected(_local_adjacency(g, nodes))
+    blocks = _local_blocks(_local_adjacency(g, nodes))
+    return blocks is not None and len(blocks) == 1
 
 
-def _first_bad_point(g: Graph, nodes: Sequence[int], known_good: set[int]) -> int | None:
+def _first_bad_point(g: Graph, nodes: Sequence[int]) -> int | None:
     """Lowest member of the sorted ``nodes`` whose removal leaves the rest
     not strictly 2-connected, or None when there is no such bad point.
 
-    The local adjacency is built once and each removal is one
-    articulation-point DFS.  Members in ``known_good`` are skipped and
-    members found good are added to it.  With fewer than four members
-    every member is bad: the two or fewer left cannot be 2-connected.
+    The slow route, independent of :func:`_lowest_bad_point`: the local
+    adjacency is built once and each removal is one block DFS.  With
+    fewer than four members every member is bad: the two or fewer left
+    cannot be 2-connected.
     """
     if len(nodes) < 4:
-        return next((v for v in nodes if v not in known_good), None)
+        return nodes[0] if nodes else None
     local = _local_adjacency(g, nodes)
     for i, v in enumerate(nodes):
-        if v in known_good:
-            continue
-        if not _local_connected_and_biconnected(local, skip=i):
+        blocks = _local_blocks(local, skip=i)
+        if blocks is None or len(blocks) > 1:
             return v
-        known_good.add(v)
     return None
 
 
-def _local_triconnected(adj: list[list[int]]) -> bool:
-    """True when the local graph is 3-connected: at least four vertices,
-    connected, no cut vertex and no separation pair.  O((n + E) log n).
+def _lowest_bad_point(adj: list[list[int]]) -> int | None:
+    """Lowest local index of a bad point of a 2-connected local graph, or
+    None when there is none, that is when the graph is 3-connected.
+    O((n + E) log n).
+
+    A bad point is a vertex whose removal leaves the rest not strictly
+    2-connected.  With fewer than four vertices every vertex is bad, so
+    the answer is 0.  With four or more, in a 2-connected graph the bad
+    points are exactly the members of separation pairs: if v is bad, the
+    rest is connected and has a cut vertex w, so {v, w} separates; if
+    {v, w} separates, w is a cut vertex of the graph minus v.  A graph
+    that is not itself 2-connected gets some bad point, not always the
+    lowest: a cut vertex, or a vertex that leaves a disconnected graph
+    disconnected.
 
     One iterative DFS from vertex 0 gives every vertex its depth, subtree
     size and low point (shallowest frond target from its subtree).  In a
@@ -575,16 +539,28 @@ def _local_triconnected(adj: list[list[int]]) -> bool:
     H(b) are cut off and depth(b) - 2 pushed, and a per-depth log undoes
     both on backtrack.  The gaps between b's child intervals (low, hi) are
     then probed against the stack by bisection.
+
+    A type-1 hit names the path vertex at depth low(c) and b; a type-2 hit
+    names b and the path vertex at every candidate depth in the gap.  The
+    stack is sorted, so such a gap is a contiguous range of slots.  Each
+    slot holds a backward sparse-table row, ``rows[s][j]`` being the
+    lowest path vertex over slots s - 2**j + 1 .. s, built in O(log n)
+    when the slot is pushed and restored by the same log, so the lowest
+    vertex of a gap costs two lookups.
     """
     n = len(adj)
     if n < 4:
-        return False
+        return 0
     depth = [-1] * n
     parent = [-1] * n
     own = [0] * n  # shallowest frond target from the vertex itself
     low = [0] * n
     size = [1] * n
     by_target: list[list[int]] = [[] for _ in range(n)]  # frond sources by target depth
+    children: list[list[int]] = [[] for _ in range(n)]
+    first_low = [n] * n  # the two smallest child low points of each vertex
+    first_child = [-1] * n
+    second_low = [n] * n
     order = [0]
     depth[0] = 0
     stack = [(0, iter(adj[0]))]
@@ -594,7 +570,7 @@ def _local_triconnected(adj: list[list[int]]) -> bool:
         for y in rest:
             dy = depth[y]
             if dy < 0:
-                depth[y] = own[y] = low[y] = dx + 1
+                depth[y] = own[y] = dx + 1
                 parent[y] = x
                 order.append(y)
                 stack.append((y, iter(adj[y])))
@@ -605,29 +581,26 @@ def _local_triconnected(adj: list[list[int]]) -> bool:
                     own[x] = dy
         else:
             stack.pop()
-            if own[x] < low[x]:
-                low[x] = own[x]
+            lx = own[x]
+            if first_low[x] < lx:
+                lx = first_low[x]
+            low[x] = lx
             p = parent[x]
-            if p >= 0:
-                size[p] += size[x]
-                if low[x] < low[p]:
-                    low[p] = low[x]
-    if len(order) < n or size[order[1]] < n - 1:
-        return False  # disconnected, or the root is a cut vertex
-    children: list[list[int]] = [[] for _ in range(n)]
-    first_low = [n] * n  # the two smallest child low points of each vertex
-    first_child = [-1] * n
-    second_low = [n] * n
-    for v in order[1:]:
-        if depth[v] >= 2 and low[v] >= depth[v] - 1:
-            return False  # parent(v) is a cut vertex
-        p = parent[v]
-        children[p].append(v)
-        if low[v] < first_low[p]:
-            second_low[p] = first_low[p]
-            first_low[p], first_child[p] = low[v], v
-        elif low[v] < second_low[p]:
-            second_low[p] = low[v]
+            if p < 0:
+                continue
+            if lx >= dx - 1 and dx >= 2:
+                return p  # a cut vertex
+            size[p] += size[x]
+            children[p].append(x)
+            if lx < first_low[p]:
+                second_low[p] = first_low[p]
+                first_low[p], first_child[p] = lx, x
+            elif lx < second_low[p]:
+                second_low[p] = lx
+    if len(order) < n:
+        return 0 if len(order) > 1 else 1  # disconnected, and so is the rest
+    if size[order[1]] < n - 1:
+        return 0  # the root is a cut vertex
 
     hi = [-1] * n
     up = list(range(n))
@@ -641,15 +614,16 @@ def _local_triconnected(adj: list[list[int]]) -> bool:
                 up[x] = x = parent[x]
                 while up[x] != x:
                     up[x] = x = up[up[x]]
-    for c in order[1:]:
-        if depth[c] >= 2 and low[c] == hi[c] and size[c] < n - 2:
-            return False  # type 1
 
+    best = n
+    path = [0] * n  # the root path of the current vertex, by depth
     candidates = [0] * n
+    rows: list[list[int]] = [[] for _ in range(n)]
     length = 0
     log_length = [0] * n
     log_slot = [-1] * n
     log_value = [0] * n
+    log_row: list[list[int]] = [[] for _ in range(n)]
     top = -1
     for b in order:
         d = depth[b]
@@ -657,32 +631,58 @@ def _local_triconnected(adj: list[list[int]]) -> bool:
             slot = log_slot[top]
             if slot >= 0:
                 candidates[slot] = log_value[top]
+                rows[slot] = log_row[top]
             length = log_length[top]
             top -= 1
         log_length[d] = length
         log_slot[d] = -1
         top = d
+        path[d] = b
         if d == 0:
             continue
         p = parent[b]
-        h = min(own[p], second_low[p] if first_child[p] == b else first_low[p])
+        if d >= 2 and low[b] == hi[b] and size[b] < n - 2:  # type 1, with c = b
+            a = path[low[b]]
+            best = min(best, a if a < p else p)
+        h = second_low[p] if first_child[p] == b else first_low[p]
+        if own[p] < h:
+            h = own[p]
         length = bisect_right(candidates, h, 0, length)
         if 1 <= d - 2 <= h:
-            log_slot[d], log_value[d] = length, candidates[length]
-            candidates[length] = d - 2
+            slot = length
+            log_slot[d], log_value[d], log_row[d] = slot, candidates[slot], rows[slot]
+            candidates[slot] = d - 2
+            lowest = path[d - 2]
+            row = [lowest]
+            for j in range((slot + 1).bit_length() - 1):
+                other = rows[slot - (1 << j)][j]
+                if other < lowest:
+                    lowest = other
+                row.append(lowest)
+            rows[slot] = row
             length += 1
         if not length:
             continue
+        if b >= best:
+            t = length.bit_length() - 1
+            if rows[length - 1][t] >= best and rows[(1 << t) - 1][t] >= best:
+                continue  # no pair at b can name a lower vertex
         start = 1  # lowest k not yet known to be covered by a child interval
-        spans = sorted((low[c] + 1, hi[c] - 1) for c in children[b])
-        for first, last in spans + [(d - 1, d - 1)]:
+        kids = children[b]
+        spans = [(low[c] + 1, hi[c] - 1) for c in kids]
+        if len(kids) > 1:
+            spans.sort()
+        spans.append((d - 1, d - 1))
+        for first, last in spans:
             if first > start:
                 i = bisect_left(candidates, start, 0, length)
-                if i < length and candidates[i] < first:
-                    return False  # type 2
+                j = bisect_left(candidates, first, i, length)
+                if i < j:  # type 2: b with every candidate in the gap
+                    t = (j - i).bit_length() - 1
+                    best = min(best, b, rows[j - 1][t], rows[i + (1 << t) - 1][t])
             if last >= start:
                 start = last + 1
-    return True
+    return None if best == n else best
 
 
 def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
@@ -694,7 +694,8 @@ def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
     graph on n vertices is only (n-1)-connected.  m = 2 is one
     articulation-point DFS: connected with no cut vertex.  m = 3 is one
     DFS followed by the separation-pair test of
-    :func:`_local_triconnected`, O((n + E) log n) on the induced subgraph.
+    :func:`_lowest_bad_point`, O((n + E) log n) on the induced subgraph:
+    3-connected when it finds no bad point.
     """
     _check_m(m)
     nodes = _as_subset(g, subset)
@@ -704,4 +705,4 @@ def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
         return is_connected(g, nodes)
     if m == 2:
         return _strictly_biconnected(g, nodes)
-    return _local_triconnected(_local_adjacency(g, nodes))
+    return _lowest_bad_point(_local_adjacency(g, nodes)) is None

@@ -33,13 +33,16 @@ from .errors import (
     IterationCapExceededError,
 )
 from .graph import (
+    BlockCutTree,
     Graph,
     _as_subset,
+    _block_cut_tree,
     _check_k,
     _check_m,
-    _first_bad_point,
     _is_int,
     _lex_shortest_path,
+    _local_adjacency,
+    _lowest_bad_point,
     _strictly_biconnected,
     block_cut_tree,
     connected_components,
@@ -50,12 +53,11 @@ from .verify import is_connected_dominating_set, is_maximal_independent_set
 
 
 class Role(Enum):
-    """Pipeline state of a node.  Transitions only move toward dominance:
-    prone -> reluctant, prone -> dominator, reluctant -> dominator."""
+    """Role of a node with respect to a dominating set: members are
+    dominators, every other node is reluctant."""
 
     DOMINATOR = "dominator"
     DOMINATION_RELUCTANT = "reluctant"
-    DOMINATION_PRONE = "prone"
 
 
 @dataclass(frozen=True)
@@ -323,23 +325,19 @@ def synergy(g: Graph, d: Iterable[int], k: int, strict: bool = False) -> frozens
 
 
 def _augment_leaf_block(
-    g: Graph, base: set[int], allowed: Callable[[int], bool]
-) -> tuple[list[int], tuple[int, int]] | None:
-    """One leaf-block augmentation step on the connected, not yet
+    g: Graph, base: set[int], tree: BlockCutTree, allowed: Callable[[int], bool]
+) -> list[int] | None:
+    """One leaf-block augmentation path for the connected, not yet
     2-connected set ``base`` (the backbone, or the backbone minus a bad
-    point).
+    point) with block-cut tree ``tree``.
 
-    Picks the leaf block with the smallest member, then the shortest path
+    Takes the leaf block with the smallest member, then the shortest path
     in g from a non-cut member of that block to any base vertex outside
-    it whose internal vertices all satisfy ``allowed``.  Returns
-    (promoted internals, path endpoints) or None when no such path exists.
+    it whose internal vertices all satisfy ``allowed``; None when there
+    is no such path.  Its internal vertices are the ones to promote.
     """
-    tree = block_cut_tree(g, base)
     leaf = tree.leaf_blocks[0]
-    path = _lex_shortest_path(g, leaf - tree.cut_vertices, base - leaf, allowed)
-    if path is None:
-        return None
-    return path[1:-1], (path[0], path[-1])
+    return _lex_shortest_path(g, leaf - tree.cut_vertices, base - leaf, allowed)
 
 
 def _alternate_pair_path(
@@ -381,7 +379,12 @@ def diversification(
     cap = _resolve_cap(g, max_iterations)
     iterations = 0
     outside = lambda x: x not in backbone
-    while not _strictly_biconnected(g, backbone):
+    while True:
+        # one block decomposition per round answers both "2-connected?"
+        # and "which leaf block?"
+        tree = block_cut_tree(g, backbone) if len(backbone) >= 3 else None
+        if tree is not None and len(tree.blocks) == 1:
+            break
         iterations += 1
         if iterations > cap:
             raise IterationCapExceededError("diversification", cap)
@@ -400,11 +403,10 @@ def diversification(
                 raise Infeasible2ConnectivityError((u, v))
             backbone.update(path[1:-1])
             continue
-        step = _augment_leaf_block(g, backbone, outside)
-        if step is None:
-            stuck = block_cut_tree(g, backbone).leaf_blocks[0]
-            raise Infeasible2ConnectivityError(tuple(stuck))
-        backbone.update(step[0])
+        path = _augment_leaf_block(g, backbone, tree, outside)
+        if path is None:
+            raise Infeasible2ConnectivityError(tuple(tree.leaf_blocks[0]))
+        backbone.update(path[1:-1])
     return frozenset(backbone)
 
 
@@ -418,10 +420,10 @@ def sustainability(
     Rounds pick the lowest-id bad point v and run the diversification
     augmentation on the backbone minus v, with paths avoiding v entirely.
 
-    Every augmentation adds an open ear between two retained vertices,
-    which keeps the backbone-minus-x 2-connected for every x proven good
-    before, except possibly the ear endpoints; only those (and the new
-    vertices) are re-examined.
+    Each round builds the backbone's local adjacency once; the
+    separation-pair test of :func:`graph._lowest_bad_point` names v in one
+    pass, and the block DFS of the backbone minus v runs on the same
+    lists.
     """
     backbone = set(_as_subset(g, d))
     if not _strictly_biconnected(g, backbone):
@@ -429,29 +431,24 @@ def sustainability(
     cap = _resolve_cap(g, max_iterations)
     iterations = 0
     outside = lambda x: x not in backbone
-    known_good: set[int] = set()
     while True:
-        bad = _first_bad_point(g, sorted(backbone), known_good)
+        nodes = sorted(backbone)
+        local = _local_adjacency(g, nodes)
+        bad = _lowest_bad_point(local)
         if bad is None:
             break
         iterations += 1
         if iterations > cap:
             raise IterationCapExceededError("sustainability", cap)
-        base = backbone - {bad}
+        base = backbone - {nodes[bad]}
         if len(base) == 2:
             u, v = sorted(base)
             path = _alternate_pair_path(g, u, v, outside)
-            if path is None:
-                raise Infeasible3ConnectivityError(bad)
-            internals, endpoints = path[1:-1], (u, v)
         else:
-            step = _augment_leaf_block(g, base, outside)
-            if step is None:
-                raise Infeasible3ConnectivityError(bad)
-            internals, endpoints = step
-        backbone.update(internals)
-        known_good.discard(endpoints[0])
-        known_good.discard(endpoints[1])
+            path = _augment_leaf_block(g, base, _block_cut_tree(nodes, local, bad), outside)
+        if path is None:
+            raise Infeasible3ConnectivityError(nodes[bad])
+        backbone.update(path[1:-1])
     return frozenset(backbone)
 
 

@@ -30,9 +30,12 @@ def write_json(path: str | Path, payload: Mapping[str, Any]) -> None:
 
 
 def read_json(path: str | Path) -> Any:
+    """Parse a JSON file.  Text that is not UTF-8, not JSON, nested too
+    deeply for the parser or holding an integer too long to convert is an
+    input error."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise GraphInputError(f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -136,7 +136,7 @@ def _m_connectivity_witness(g: Graph, nodes: list[int], m: int) -> Witness:
         return ("too-small", len(nodes))
     if m == 2 and len(connected_components(g, nodes)) == 1:
         return ("disconnecting-set", (min(block_cut_tree(g, nodes).cut_vertices),))
-    pinned = () if m == 2 else (_first_bad_point(g, nodes, set()),)
+    pinned = () if m == 2 else (_first_bad_point(g, nodes),)
     for w in nodes:
         if w in pinned:
             continue

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own algorithms: the
 m-connectivity twin enumerates removal subsets literally, the path
 counter runs unit-capacity augmentation on a vertex-split digraph
 (Menger's view of connectivity), the shortest-path twin enumerates
-simple paths, the stretch twin runs two BFSs per source and the
-unit-disk twin compares every pair of points.
+simple paths, the stretch twin runs two BFSs per source, the unit-disk
+twin compares every pair of points and the block twin runs the
+dict-based edge-stack DFS.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import deque
 from itertools import combinations
 
 from plutus import Graph, from_edge_list
-from plutus.graph import DistanceReport
+from plutus.graph import BlockCutTree, DistanceReport
 from plutus.geometry import splitmix64
 
 
@@ -119,6 +120,89 @@ def induced_connected(g: Graph, nodes: set[int]) -> bool:
                 seen.add(y)
                 queue.append(y)
     return seen == nodes
+
+
+def naive_biconnected_components(g: Graph, nodes) -> list[frozenset[int]]:
+    """Vertex sets of the biconnected components of the connected
+    subgraph induced by ``nodes``, by the articulation-point DFS with an
+    edge stack over a dict adjacency."""
+    member = set(nodes)
+    adj = {v: [w for w in g.adjacency[v] if w in member] for v in nodes}
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    parent: dict[int, int] = {}
+    ptr: dict[int, int] = {}
+    edge_stack: list[tuple[int, int]] = []
+    blocks: list[frozenset[int]] = []
+    counter = 0
+    root = min(member)
+    disc[root] = low[root] = counter
+    counter += 1
+    ptr[root] = 0
+    stack = [root]
+    while stack:
+        x = stack[-1]
+        row = adj[x]
+        advanced = False
+        while ptr[x] < len(row):
+            y = row[ptr[x]]
+            ptr[x] += 1
+            if y not in disc:
+                parent[y] = x
+                disc[y] = low[y] = counter
+                counter += 1
+                ptr[y] = 0
+                edge_stack.append((x, y))
+                stack.append(y)
+                advanced = True
+                break
+            if y != parent.get(x) and disc[y] < disc[x]:
+                edge_stack.append((x, y))
+                if disc[y] < low[x]:
+                    low[x] = disc[y]
+        if advanced:
+            continue
+        stack.pop()
+        p = parent.get(x)
+        if p is None:
+            continue
+        if low[x] < low[p]:
+            low[p] = low[x]
+        if low[x] >= disc[p]:
+            members: set[int] = set()
+            while True:
+                a, b = edge_stack.pop()
+                members.add(a)
+                members.add(b)
+                if (a, b) == (p, x):
+                    break
+            blocks.append(frozenset(members))
+    return blocks
+
+
+def naive_block_cut_tree(g: Graph, nodes) -> BlockCutTree:
+    """The block-cut tree of a connected induced subgraph from
+    :func:`naive_biconnected_components`: blocks sorted by their sorted
+    members, cut vertices in two or more blocks, leaf blocks holding
+    exactly one cut vertex."""
+    nodes = sorted(set(nodes))
+    if len(nodes) == 1:
+        return BlockCutTree((frozenset(nodes),), frozenset(), ())
+    blocks = sorted(naive_biconnected_components(g, nodes), key=sorted)
+    membership: dict[int, int] = {}
+    for block in blocks:
+        for v in block:
+            membership[v] = membership.get(v, 0) + 1
+    cut_vertices = frozenset(v for v, count in membership.items() if count >= 2)
+    leaves = () if len(blocks) == 1 else tuple(b for b in blocks if len(b & cut_vertices) == 1)
+    return BlockCutTree(tuple(blocks), cut_vertices, leaves)
+
+
+def naive_lowest_bad_point(g: Graph, subset) -> int | None:
+    """Lowest member whose removal leaves the rest not 2-connected, by
+    :func:`naive_m_connected`; None when there is none."""
+    nodes = set(subset)
+    return next((v for v in sorted(nodes) if not naive_m_connected(g, nodes - {v}, 2)), None)
 
 
 def naive_disconnecting_set(g: Graph, subset, m: int) -> tuple[int, ...] | None:

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plutus.cli import main
 from plutus.serialize import dumps, graph_to_dict, write_json
@@ -358,6 +364,18 @@ class TestMalformedInput:
         assert main(["verify", str(p3_file), str(path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text", [b"\xff\xfe{}", b"[" * 100_000, b'{"n": 1' + b"0" * 5000 + b', "edges": []}']
+    )
+    def test_undecodable_file(self, text, p3_file, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        for argv in (["solve", path], ["oracle", path], ["verify", path, path],
+                     ["verify", p3_file, path]):
+            assert main([str(a) for a in argv]) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid JSON in") and "Traceback" not in err
+
 
 class TestParsing:
     def test_unknown_command_exits_2(self):
@@ -365,3 +383,139 @@ class TestParsing:
 
     def test_missing_required_exits_2(self):
         assert main(["generate", "-n", "5"]) == 2
+
+
+_DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5, 6}
+
+# Graph files: valid ones (small enough for the oracle), malformed JSON,
+# wrong shapes and values.  ``None`` names a missing file.
+_GRAPH_FILES = {
+    "p3": json.dumps(_P3),
+    "k4": json.dumps({"n": 4, "edges": [[u, v] for u in range(4) for v in range(u + 1, 4)]}),
+    "udg": json.dumps({"points": [[i / 8, (i * 3 % 8) / 8] for i in range(8)], "radius": 0.6}),
+    "disconnected": json.dumps({"n": 4, "edges": [[0, 1], [2, 3]]}),
+    "empty-graph": json.dumps({"n": 0, "edges": []}),
+    "not-json": "{n: 3",
+    "empty-file": "",
+    "array": "[1, 2, 3]",
+    "nan-radius": '{"points": [[0.1, 0.2]], "radius": NaN}',
+    "nan-point": '{"points": [[NaN, 0.2], [0.1, 0.1]], "radius": 0.3}',
+    "negative-n": json.dumps({"n": -1, "edges": []}),
+    "self-loop": json.dumps({"n": 2, "edges": [[1, 1]]}),
+    "out-of-range": json.dumps({"n": 2, "edges": [[0, 2]]}),
+    "edges-and-points": json.dumps({"n": 1, "edges": [], "points": [[0, 0]], "radius": 1}),
+    "not-utf8": b'\xff\xfe{"n": 1, "edges": []}',
+    "deep-nesting": "[" * 100_000,
+    "long-integer": '{"n": 1' + "0" * 5000 + ', "edges": []}',
+    "missing": None,
+}
+_RESULT_FILES = {
+    "triangle": json.dumps({"D": [0, 1, 2], "k": 1, "m": 2}),
+    "single": json.dumps({"D": [0]}),
+    "empty-D": json.dumps({"D": []}),
+    "out-of-range": json.dumps({"D": [0, 99]}),
+    "k-zero": json.dumps({"D": [0], "k": 0}),
+    "m-four": json.dumps({"D": [0], "m": 4}),
+    "string-D": json.dumps({"D": "01"}),
+    "no-D": json.dumps({"k": 1}),
+    "not-json": "D: [0]",
+    "array": "[0]",
+    "not-utf8": b'\xff{"D": [0]}',
+    "deep-nesting": '{"D": ' + "[" * 100_000,
+    "missing": None,
+}
+_INTS = ["0", "1", "2", "3", "-1", "x", "2.5", ""]
+_REALS = ["0.5", "0", "-1", "nan", "inf", "1e309", "x"]
+
+_SUBCOMMANDS = {
+    "generate": {
+        "-n": ["-1", "0", "1", "5", "x", "2.5", ""],
+        "-r": _REALS,
+        "--seed": ["0", "-5", "x", "18446744073709551621"],
+        "--count": ["0", "1", "2", "-1", "x"],
+        "--out": ["OUT", "FILE"],
+    },
+    "solve": {
+        "-k": _INTS,
+        "-m": _INTS + ["4"],
+        "--out": ["OUT/r.json", "FILE", "OUT"],
+        "--dot": ["OUT/v.dot", "FILE"],
+        "--strict": None,
+        "--max-iters": _INTS,
+    },
+    "verify": {"-k": _INTS, "-m": _INTS + ["4"], "--stretch-threshold": _REALS},
+    "oracle": {"-k": _INTS, "-m": _INTS, "--size-cap": _INTS + ["30"]},
+    "bench": {
+        "-n": ["8", "6,9", "0", "-5", "x", "", "8,,9"],
+        "-r": _REALS,
+        "--seeds": ["1..2", "2..1", "1..", "x", "1,2", "", "0..0"],
+        "--seed": ["1", "x", "-3"],
+        "-k": _INTS,
+        "-m": _INTS,
+        "--max-iters": _INTS,
+        "--out": ["OUT/bench.json", "FILE"],
+    },
+}
+_POSITIONALS = {"generate": [], "solve": ["graph"], "verify": ["graph", "result"],
+                "oracle": ["graph"], "bench": []}
+
+
+@st.composite
+def cli_invocations(draw):
+    """A subcommand with each positional file drawn from the valid and
+    malformed pools (sometimes left out), and each option left out or
+    given a valid or malformed value."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv: list = [command]
+    for kind in _POSITIONALS[command]:
+        pool = _GRAPH_FILES if kind == "graph" else _RESULT_FILES
+        if draw(st.integers(0, 19)):
+            argv.append((kind, draw(st.sampled_from(sorted(pool)))))
+    for option, values in _SUBCOMMANDS[command].items():
+        if draw(st.booleans()):
+            argv.append(option)
+            if values is not None:
+                argv.append(draw(st.sampled_from(values)))
+    if command in ("generate", "bench") and draw(st.integers(0, 9)):
+        # the required options, so that runs get past the parser
+        for option, value in (("-n", "8"), ("-r", "0.5")):
+            if option not in argv:
+                argv += [option, value]
+    return argv
+
+
+class TestEverySubcommandFuzz:
+    """Any mix of valid and malformed files and arguments, for every
+    subcommand, ends in a documented exit code with no traceback."""
+
+    @given(cli_invocations())
+    @settings(max_examples=400, deadline=None)
+    def test_documented_exit_and_no_traceback(self, invocation):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "FILE").write_text("a plain file, not a directory\n")
+            argv = []
+            for item in invocation:
+                if isinstance(item, tuple):
+                    kind, name = item
+                    text = (_GRAPH_FILES if kind == "graph" else _RESULT_FILES)[name]
+                    path = root / f"{kind}-{name}.json"
+                    if isinstance(text, bytes):
+                        path.write_bytes(text)
+                    elif text is not None:
+                        path.write_text(text)
+                    argv.append(str(path))
+                elif item.startswith(("OUT", "FILE")):
+                    argv.append(str(root / item))
+                else:
+                    argv.append(item)
+            out, err = io.StringIO(), io.StringIO()
+            cwd = os.getcwd()
+            os.chdir(root)  # generate writes to "." when --out is left out
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            finally:
+                os.chdir(cwd)
+        assert code in _DOCUMENTED_EXIT_CODES, (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plutus import (
     DisconnectedInputError,
     Graph,
     GraphInputError,
+    PlutusConfig,
     SelfLoopError,
     block_cut_tree,
     connected_components,
@@ -19,16 +21,27 @@ from plutus import (
     is_connected,
     is_m_connected,
     random_geometric,
+    run_plutus,
     shortest_path,
 )
 from plutus.geometry import splitmix64
-from plutus.graph import _first_bad_point, _lex_shortest_path, _strictly_biconnected
+from plutus.graph import (
+    _block_cut_tree,
+    _first_bad_point,
+    _lex_shortest_path,
+    _local_adjacency,
+    _lowest_bad_point,
+    _strictly_biconnected,
+)
 
 from .conftest import complete_graph, cycle_graph, path_graph, wheel_graph
 from .helpers import (
+    induced_connected,
     menger_m_connected,
+    naive_block_cut_tree,
     naive_lex_shortest_path,
     naive_from_points,
+    naive_lowest_bad_point,
     naive_m_connected,
     random_connected_graph,
     random_graph,
@@ -101,6 +114,19 @@ GRID_CASES = {
     "radius-squared-overflows": ([(1e308, 0.0), (-1e308, 0.0), (0.0, 1e308), (5.0, 5.0)], 1e200),
     "difference-overflows": ([(1.5e308, 0.0), (-1.5e308, 0.0), (1.5e308, 1e154)], 1e154),
 }
+
+
+@st.composite
+def connected_graph(draw):
+    """A random spanning tree in a random node order plus a few random
+    edges, on up to 12 nodes: often a tree or close to one, so blocks
+    often share their smallest member."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    order = draw(st.permutations(range(n)))
+    edges = [(order[i], order[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    node = st.integers(min_value=0, max_value=n - 1)
+    extra = draw(st.lists(st.tuples(node, node), max_size=n))
+    return from_edge_list(n, edges + [(u, v) for u, v in extra if u != v])
 
 
 class TestFromEdgeList:
@@ -348,6 +374,39 @@ class TestBlockCutTree:
                 removal_splits = len(connected_components(g, rest)) > 1
                 assert (v in tree.cut_vertices) == removal_splits
 
+    def test_blocks_sharing_their_smallest_member(self):
+        # three blocks meet at 0.  The DFS enters them through 0's
+        # neighbours 2, 4 and 6 in that order, but the 4-cycle's second
+        # member is 3, so it must sort before the triangle {0, 4, 5}
+        edges = [(0, 6), (6, 3), (3, 7), (7, 0), (0, 4), (4, 5), (5, 0), (0, 2), (1, 5)]
+        g = from_edge_list(8, edges)
+        tree = block_cut_tree(g, range(8))
+        assert tree.blocks == (
+            frozenset({0, 2}), frozenset({0, 3, 6, 7}), frozenset({0, 4, 5}), frozenset({1, 5}),
+        )
+        assert tree.cut_vertices == frozenset({0, 5})
+        assert tree.leaf_blocks == (frozenset({0, 2}), frozenset({0, 3, 6, 7}), frozenset({1, 5}))
+        for order in ([0, 7, 6, 5, 4, 3, 2, 1], [0, 3, 5, 1, 6, 2, 7, 4]):
+            h = relabel(g, order)
+            assert block_cut_tree(h, range(8)) == naive_block_cut_tree(h, range(8))
+
+    @given(connected_graph())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_blocks_with_every_skip(self, g):
+        n = g.node_count
+        nodes = list(range(n))
+        assert block_cut_tree(g, nodes) == naive_block_cut_tree(g, nodes)
+        local = _local_adjacency(g, nodes)
+        for skip in range(n):
+            rest = set(nodes) - {nodes[skip]}
+            if not rest:
+                continue
+            if induced_connected(g, rest):
+                assert _block_cut_tree(nodes, local, skip) == naive_block_cut_tree(g, rest)
+            else:
+                with pytest.raises(DisconnectedInputError):
+                    _block_cut_tree(nodes, local, skip)
+
 
 class TestIsMConnected:
     def test_triangle_two_connected(self):
@@ -533,7 +592,7 @@ class TestTriconnectivity:
         g = random_geometric(n, radius, seed).graph()
         h = relabel(g, sorted(range(n), key=lambda v: splitmix64(seed, v)))
         for graph in (g, h):
-            expected = _first_bad_point(graph, range(n), set()) is None
+            expected = _first_bad_point(graph, range(n)) is None
             assert is_m_connected(graph, range(n), 3) == expected
 
     def test_stack_slot_restored_on_backtrack(self):
@@ -548,6 +607,10 @@ class TestTriconnectivity:
         assert not is_connected(g, set(range(11)) - {8, 9})
         assert is_m_connected(g, range(11), 2)
         assert not is_m_connected(g, range(11), 3)
+        # the two members of that pair are the only bad points
+        assert lowest_bad_point(g) == 8 == _first_bad_point(g, range(11))
+        assert lowest_bad_point(relabel(g, [8] + [v for v in range(11) if v != 8])) == 0
+        assert lowest_bad_point(relabel(g, [v for v in range(11) if v != 9] + [9])) == 8
 
     def test_deep_dfs_needs_no_recursion(self):
         # the DFS from node 0 walks around both rims, so its depth is
@@ -559,6 +622,106 @@ class TestTriconnectivity:
         assert is_m_connected(prism, range(n), 3)
         assert not is_m_connected(ladder_graph(rungs), range(n), 3)
         assert not is_m_connected(broken, range(n), 3)
+
+
+def lowest_bad_point(g: Graph, subset=None) -> int | None:
+    """The separation-pair engine's lowest bad point, as a node id."""
+    nodes = list(range(g.node_count)) if subset is None else sorted(subset)
+    bad = _lowest_bad_point(_local_adjacency(g, nodes))
+    return None if bad is None else nodes[bad]
+
+
+def every_graph(n: int):
+    """Every labelled graph on n nodes."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for mask in range(1 << len(pairs)):
+        yield from_edge_list(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def every_graph_by_degree(n: int):
+    """Every graph on n nodes up to isomorphism, each at least once: the
+    labelled graphs whose degrees do not increase with the node id.  The
+    masks are split into two halves whose packed degree vectors (four bits
+    per node) are tabulated, so only the sums need testing."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    weights = [(1 << 4 * u) + (1 << 4 * v) for u, v in pairs]
+    half = len(pairs) // 2
+
+    def sums(ws):
+        out = [0]
+        for w in ws:
+            out += [x + w for x in out]
+        return out
+
+    sorted_degrees = set()
+    for degrees in itertools.combinations_with_replacement(range(n), n):
+        sorted_degrees.add(sum(d << 4 * i for i, d in enumerate(sorted(degrees, reverse=True))))
+    low_sums = sums(weights[:half])
+    for high, high_sum in enumerate(sums(weights[half:])):
+        for low, low_sum in enumerate(low_sums):
+            if high_sum + low_sum in sorted_degrees:
+                mask = high << half | low
+                yield from_edge_list(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+class TestLowestBadPoint:
+    """The lowest bad point named by the separation-pair engine against
+    the bad-point sweep and the removal-subset reference."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_every_small_two_connected_graph(self, n):
+        for g in every_graph(n):
+            if _strictly_biconnected(g, range(n)):
+                expected = naive_lowest_bad_point(g, range(n))
+                assert lowest_bad_point(g) == expected == _first_bad_point(g, range(n))
+
+    def test_every_two_connected_graph_on_seven_nodes(self):
+        # each graph in a labelling with degrees falling and one with them
+        # rising, so the DFS root is once a busiest and once a quietest node
+        checked = 0
+        for g in every_graph_by_degree(7):
+            if not _strictly_biconnected(g, range(7)):
+                continue
+            checked += 1
+            assert lowest_bad_point(g) == naive_lowest_bad_point(g, range(7))
+            h = relabel(g, list(range(6, -1, -1)))
+            assert lowest_bad_point(h) == _first_bad_point(h, range(7))
+        assert checked > 468  # the number of 2-connected graphs on 7 nodes
+
+    @given(ring_with_chords())
+    @settings(max_examples=300, deadline=None)
+    def test_rings_with_chords(self, g):
+        n = g.node_count
+        expected = naive_lowest_bad_point(g, range(n))
+        assert lowest_bad_point(g) == expected == _first_bad_point(g, range(n))
+
+    @given(sparse_graph())
+    @settings(max_examples=200, deadline=None)
+    def test_any_graph_gets_a_bad_point_or_is_triconnected(self, g):
+        # on a graph that is not 2-connected the answer is some bad point
+        n = g.node_count
+        assume(n >= 1)
+        bad = lowest_bad_point(g)
+        if bad is None:
+            assert naive_m_connected(g, range(n), 3)
+        else:
+            assert not naive_m_connected(g, set(range(n)) - {bad}, 2)
+
+    @pytest.mark.parametrize("n, radius, seed", [
+        (200, 0.15, 3), (300, 0.12, 2), (400, 0.1, 4), (500, 0.1, 1), (500, 0.1, 2),
+    ])
+    def test_relabelled_unit_disk_graphs(self, n, radius, seed):
+        # the largest block of the graph, and the m = 2 backbone grown in a
+        # 2-connected graph, which is full of bad points
+        g = random_geometric(n, radius, seed).graph()
+        h = relabel(g, sorted(range(n), key=lambda v: splitmix64(seed, v)))
+        for graph in (g, h):
+            biggest = max(connected_components(graph), key=len)
+            sets = [max(block_cut_tree(graph, biggest).blocks, key=len)]
+            if len(sets[0]) == n:
+                sets.append(run_plutus(graph, PlutusConfig(k=2, m=2)).dominating_set)
+            for subset in sets:
+                assert lowest_bad_point(graph, subset) == _first_bad_point(graph, sorted(subset))
 
 
 class TestStrictBiconnectivity:

@@ -27,16 +27,26 @@ from plutus import (
     is_m_connected,
     is_maximal_independent_set,
     isolation,
+    random_geometric,
     run_plutus,
     sustainability,
     synergy,
     synergy_layers,
 )
+from plutus import pipeline
+from plutus.geometry import splitmix64
 from plutus.pipeline import _alternate_pair_path, _augment_leaf_block
 from plutus.serialize import dumps, result_to_dict
 
 from .conftest import complete_graph
-from .helpers import naive_lex_shortest_path, naive_m_connected, random_connected_graph
+from .helpers import (
+    naive_lex_shortest_path,
+    naive_lowest_bad_point,
+    naive_m_connected,
+    random_connected_graph,
+    random_graph,
+    relabel,
+)
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -76,7 +86,8 @@ class TestIsolation:
 
     def test_no_prone_roles_remain(self, w6):
         _, roles = isolation(w6)
-        assert Role.DOMINATION_PRONE not in roles
+        assert set(Role) == {Role.DOMINATOR, Role.DOMINATION_RELUCTANT}
+        assert set(roles) == set(Role)
 
     @given(seeds)
     @settings(max_examples=50)
@@ -288,6 +299,81 @@ class TestSustainability:
         assert naive_m_connected(g, hardened, 3)
 
 
+def _recorded_rounds(monkeypatch, g, backbone):
+    """Run sustainability and return, per round, the sorted backbone, the
+    bad point the engine named (an id, or None in the last round) and the
+    promoted path (None in the last round)."""
+    rounds: list[list] = []
+    local_adjacency = pipeline._local_adjacency
+    lowest_bad_point = pipeline._lowest_bad_point
+
+    def record_nodes(graph, nodes):
+        rounds.append([list(nodes), None, None])
+        return local_adjacency(graph, nodes)
+
+    def record_bad(adj):
+        bad = lowest_bad_point(adj)
+        rounds[-1][1] = None if bad is None else rounds[-1][0][bad]
+        return bad
+
+    def record_path(search):
+        def wrapped(*args):
+            path = search(*args)
+            rounds[-1][2] = path
+            return path
+        return wrapped
+
+    monkeypatch.setattr(pipeline, "_local_adjacency", record_nodes)
+    monkeypatch.setattr(pipeline, "_lowest_bad_point", record_bad)
+    monkeypatch.setattr(pipeline, "_augment_leaf_block", record_path(pipeline._augment_leaf_block))
+    monkeypatch.setattr(pipeline, "_alternate_pair_path", record_path(pipeline._alternate_pair_path))
+    sustainability(g, backbone)
+    return rounds
+
+
+class TestSustainabilityRounds:
+    """Every bad point sustainability repairs is the lowest one of that
+    round's backbone, by the removal-subset reference.  It is also what a
+    sweep returns that skips the members found good in earlier rounds,
+    unless a later path ended at them: an open ear between two other
+    members keeps the backbone minus any such member 2-connected."""
+
+    def check(self, monkeypatch, g):
+        backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
+        rounds = _recorded_rounds(monkeypatch, g, backbone)
+        assert rounds[-1][1] is None
+        known_good: set[int] = set()
+        for nodes, bad, path in rounds:
+            assert bad == naive_lowest_bad_point(g, nodes)
+            swept = next(
+                (v for v in nodes
+                 if v not in known_good and not naive_m_connected(g, set(nodes) - {v}, 2)),
+                None,
+            )
+            assert swept == bad
+            known_good.update(v for v in nodes if swept is None or v < swept)
+            if path is not None:
+                known_good -= {path[0], path[-1]}
+        return rounds
+
+    @pytest.mark.parametrize("n, radius, seed", [(40, 0.3, 11), (60, 0.25, 16), (120, 0.16, 22)])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_unit_disk_graphs(self, monkeypatch, n, radius, seed, shuffled):
+        g = random_geometric(n, radius, seed).graph()
+        if shuffled:
+            g = relabel(g, sorted(range(n), key=lambda v: splitmix64(seed, v)))
+        assert is_m_connected(g, range(n), 3)
+        assert len(self.check(monkeypatch, g)) > 3
+
+    @given(seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs(self, seed):
+        g = random_graph(seed, max_nodes=12, edge_bias=3)
+        assume(is_m_connected(g, range(g.node_count), 3))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.check(monkeypatch, g)
+
+
 class TestAugmentationPaths:
     """Both augmentation steps take the lexicographically smallest
     shortest admissible path, checked against simple-path enumeration on
@@ -307,9 +393,8 @@ class TestAugmentationPaths:
         constraint = data.draw(st.sets(nodes))
         allowed = lambda x: x not in blocked and x in constraint
         leaf = tree.leaf_blocks[0]
-        path = naive_lex_shortest_path(g, leaf - tree.cut_vertices, base - leaf, allowed)
-        expected = None if path is None else (path[1:-1], (path[0], path[-1]))
-        assert _augment_leaf_block(g, base, allowed) == expected
+        expected = naive_lex_shortest_path(g, leaf - tree.cut_vertices, base - leaf, allowed)
+        assert _augment_leaf_block(g, base, tree, allowed) == expected
 
     @given(st.data())
     @settings(max_examples=300)
