@@ -52,8 +52,9 @@ class InfeasibleKDominanceError(PlutusError):
 
 class Infeasible2ConnectivityError(PlutusError):
     """No augmenting path exists to 2-connect the backbone.  ``witness``
-    is the stuck leaf block (or the whole backbone when nothing remains
-    to promote)."""
+    is the whole backbone when nothing remains to promote, else the lone
+    member with no neighbour, the pair with no second route, or the stuck
+    leaf block."""
 
     def __init__(self, witness: tuple[int, ...]) -> None:
         super().__init__(f"cannot 2-connect backbone; stuck at {sorted(witness)}")

@@ -71,7 +71,7 @@ def random_geometric(n: int, radius: float, seed: int) -> UdgInstance:
     r = _finite_real(radius, "radius")
     if r <= 0:
         raise GraphInputError(f"radius must be positive, got {radius!r}")
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise GraphInputError(f"seed must be an integer, got {seed!r}")
     s = seed & _MASK64
     points = tuple(

@@ -472,16 +472,6 @@ def block_cut_tree(g: Graph, subset: Iterable[int]) -> BlockCutTree:
     return _block_cut_tree(nodes, _local_adjacency(g, nodes))
 
 
-def _strictly_biconnected(g: Graph, subset: Iterable[int]) -> bool:
-    """Strict 2-connectivity of the induced subgraph: at least three
-    vertices, connected, and free of articulation points."""
-    nodes = _as_subset(g, subset)
-    if len(nodes) < 3:
-        return False
-    blocks = _local_blocks(_local_adjacency(g, nodes))
-    return blocks is not None and len(blocks) == 1
-
-
 def _first_bad_point(g: Graph, nodes: Sequence[int]) -> int | None:
     """Lowest member of the sorted ``nodes`` whose removal leaves the rest
     not strictly 2-connected, or None when there is no such bad point.
@@ -691,10 +681,10 @@ def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
 
     m = 1 is plain connectivity (a singleton counts as connected).  For
     m >= 2 a subset of at most m vertices never qualifies: the complete
-    graph on n vertices is only (n-1)-connected.  m = 2 is one
-    articulation-point DFS: connected with no cut vertex.  m = 3 is one
-    DFS followed by the separation-pair test of
-    :func:`_lowest_bad_point`, O((n + E) log n) on the induced subgraph:
+    graph on n vertices is only (n-1)-connected.  Both higher levels run
+    on one local adjacency of the subset.  m = 2 is one articulation-point
+    DFS: connected with no cut vertex.  m = 3 is one DFS followed by the
+    separation-pair test of :func:`_lowest_bad_point`, O((n + E) log n):
     3-connected when it finds no bad point.
     """
     _check_m(m)
@@ -703,6 +693,8 @@ def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
         raise GraphInputError("subset must be non-empty")
     if m == 1:
         return is_connected(g, nodes)
+    local = _local_adjacency(g, nodes)
     if m == 2:
-        return _strictly_biconnected(g, nodes)
-    return _lowest_bad_point(_local_adjacency(g, nodes)) is None
+        blocks = _local_blocks(local)
+        return len(nodes) >= 3 and blocks is not None and len(blocks) == 1
+    return _lowest_bad_point(local) is None

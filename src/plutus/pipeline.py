@@ -7,15 +7,18 @@ an m-connected k-dominating backbone.
     diversification augment leaf blocks until the backbone is 2-connected
     sustainability  repair bad points until the backbone is 3-connected
 
-Phases only ever add vertices; a dominator never loses its role.  All
-tie-breaks (degree picks, block picks, path choices) go to the lowest node
-id, so a run is a pure deterministic function of (graph, config).  The
-pipeline is single-threaded; callers wanting parallelism run independent
-instances concurrently.
+Diversification and sustainability are one augmentation loop,
+:func:`_augment`, run at m = 2 and at m = 3.  Phases only ever add
+vertices; a dominator never loses its role.  All tie-breaks (degree
+picks, block picks, path choices) go to the lowest node id, so a run is
+a pure deterministic function of (graph, config).  The pipeline is
+single-threaded; callers wanting parallelism run independent instances
+concurrently.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -43,8 +46,6 @@ from .graph import (
     _lex_shortest_path,
     _local_adjacency,
     _lowest_bad_point,
-    _strictly_biconnected,
-    block_cut_tree,
     connected_components,
     is_connected,
     is_m_connected,
@@ -327,14 +328,10 @@ def synergy(g: Graph, d: Iterable[int], k: int, strict: bool = False) -> frozens
 def _augment_leaf_block(
     g: Graph, base: set[int], tree: BlockCutTree, allowed: Callable[[int], bool]
 ) -> list[int] | None:
-    """One leaf-block augmentation path for the connected, not yet
-    2-connected set ``base`` (the backbone, or the backbone minus a bad
-    point) with block-cut tree ``tree``.
-
-    Takes the leaf block with the smallest member, then the shortest path
-    in g from a non-cut member of that block to any base vertex outside
-    it whose internal vertices all satisfy ``allowed``; None when there
-    is no such path.  Its internal vertices are the ones to promote.
+    """Shortest path in g from a non-cut member of the smallest-member leaf
+    block of ``tree``, the block-cut tree of ``base``, to any base vertex
+    outside that block, whose internal vertices all satisfy ``allowed``;
+    None when there is none.  Its internal vertices are the ones to promote.
     """
     leaf = tree.leaf_blocks[0]
     return _lex_shortest_path(g, leaf - tree.cut_vertices, base - leaf, allowed)
@@ -346,15 +343,56 @@ def _alternate_pair_path(
     """Shortest second route between two adjacent backbone members, which
     ``allowed`` must reject: a path from u to an allowed neighbour of v,
     then v, so its length is at least two.  The length-2 case promotes the
-    lowest-id common neighbour, closing a triangle."""
+    lowest-id common neighbour, closing a triangle.  With u = v it is the
+    walk u, w, u through the smallest allowed neighbour w of a lone member."""
     path = _lex_shortest_path(g, (u,), [w for w in g.adjacency[v] if allowed(w)], allowed)
     return None if path is None else path + [v]
 
 
-def _resolve_cap(g: Graph, max_iterations: int | None) -> int:
-    if max_iterations is not None:
-        return max_iterations
-    return max(1, 10 * g.node_count)
+def _augment(g: Graph, backbone: set[int], max_iterations: int | None, m: int) -> frozenset[int]:
+    """The augmentation loop of diversification (m = 2) and sustainability
+    (m = 3): grow ``backbone`` in place until it is m-connected.
+
+    Each round builds the backbone's local adjacency once and names the set
+    to repair: the backbone for m = 2, the backbone minus its lowest bad
+    point (:func:`graph._lowest_bad_point`, one pass) for m = 3.  A lone
+    vertex adopts its smallest neighbour, a pair is joined by its shortest
+    alternate route (a common neighbour when one exists) and a larger set
+    has its smallest leaf block reconnected to the rest, always through
+    vertices outside the backbone.  A stuck round raises the phase's
+    infeasibility error; for m = 3 the witness is the bad point.
+    """
+    phase = "diversification" if m == 2 else "sustainability"
+    cap = max(1, 10 * g.node_count) if max_iterations is None else max_iterations
+    outside = lambda x: x not in backbone
+    for iterations in itertools.count(1):
+        nodes = sorted(backbone)
+        local = _local_adjacency(g, nodes)
+        bad = -1 if m == 2 else _lowest_bad_point(local)
+        if bad is None:
+            break
+        base = backbone if bad < 0 else backbone - {nodes[bad]}
+        # for m = 2 one block decomposition per round answers both
+        # "2-connected?" and "which leaf block?"
+        tree = _block_cut_tree(nodes, local, bad) if len(base) >= 3 else None
+        if m == 2 and tree is not None and len(tree.blocks) == 1:
+            break
+        if iterations > cap:
+            raise IterationCapExceededError(phase, cap)
+        witness = base
+        if len(backbone) == g.node_count:
+            path = None  # nothing left to promote
+        elif len(base) <= 2:
+            path = _alternate_pair_path(g, min(base), max(base), outside)
+        else:
+            witness = tree.leaf_blocks[0]
+            path = _augment_leaf_block(g, base, tree, outside)
+        if path is None:
+            if m == 2:
+                raise Infeasible2ConnectivityError(tuple(witness))
+            raise Infeasible3ConnectivityError(nodes[bad])
+        backbone.update(path[1:-1])
+    return frozenset(backbone)
 
 
 def diversification(
@@ -364,50 +402,17 @@ def diversification(
     vertices, no cut vertex).
 
     Each round decomposes the backbone into blocks and reconnects the
-    smallest leaf block to the rest through promoted outside vertices.
-    Backbones of one or two vertices are grown directly: a lone dominator
-    first adopts its smallest neighbour, and a dominator pair is joined by
-    its shortest alternate route (a common neighbour when one exists).
-    Additions never reduce any outside node's dominator count, so
-    k-dominance survives the phase.
+    smallest leaf block to the rest through promoted outside vertices;
+    backbones of one or two vertices are grown directly (see
+    :func:`_augment`).  Additions never reduce any outside node's
+    dominator count, so k-dominance survives the phase.
     """
     backbone = set(_as_subset(g, d))
     if not backbone:
         raise GraphInputError("backbone must be non-empty")
     if not is_connected(g, backbone):
         raise DisconnectedInputError("input set does not induce a connected subgraph")
-    cap = _resolve_cap(g, max_iterations)
-    iterations = 0
-    outside = lambda x: x not in backbone
-    while True:
-        # one block decomposition per round answers both "2-connected?"
-        # and "which leaf block?"
-        tree = block_cut_tree(g, backbone) if len(backbone) >= 3 else None
-        if tree is not None and len(tree.blocks) == 1:
-            break
-        iterations += 1
-        if iterations > cap:
-            raise IterationCapExceededError("diversification", cap)
-        if len(backbone) == g.node_count:
-            raise Infeasible2ConnectivityError(tuple(backbone))
-        if len(backbone) == 1:
-            (v,) = backbone
-            if not g.adjacency[v]:
-                raise Infeasible2ConnectivityError((v,))
-            backbone.add(g.adjacency[v][0])
-            continue
-        if len(backbone) == 2:
-            u, v = sorted(backbone)
-            path = _alternate_pair_path(g, u, v, outside)
-            if path is None:
-                raise Infeasible2ConnectivityError((u, v))
-            backbone.update(path[1:-1])
-            continue
-        path = _augment_leaf_block(g, backbone, tree, outside)
-        if path is None:
-            raise Infeasible2ConnectivityError(tuple(tree.leaf_blocks[0]))
-        backbone.update(path[1:-1])
-    return frozenset(backbone)
+    return _augment(g, backbone, max_iterations, 2)
 
 
 def sustainability(
@@ -418,38 +423,13 @@ def sustainability(
     A backbone vertex is a bad point when removing it leaves the rest not
     2-connected; a 2-connected backbone with no bad point is 3-connected.
     Rounds pick the lowest-id bad point v and run the diversification
-    augmentation on the backbone minus v, with paths avoiding v entirely.
-
-    Each round builds the backbone's local adjacency once; the
-    separation-pair test of :func:`graph._lowest_bad_point` names v in one
-    pass, and the block DFS of the backbone minus v runs on the same
-    lists.
+    augmentation on the backbone minus v, with paths avoiding v entirely
+    (see :func:`_augment`).
     """
     backbone = set(_as_subset(g, d))
-    if not _strictly_biconnected(g, backbone):
+    if not backbone or not is_m_connected(g, backbone, 2):
         raise GraphInputError("sustainability requires a 2-connected input set")
-    cap = _resolve_cap(g, max_iterations)
-    iterations = 0
-    outside = lambda x: x not in backbone
-    while True:
-        nodes = sorted(backbone)
-        local = _local_adjacency(g, nodes)
-        bad = _lowest_bad_point(local)
-        if bad is None:
-            break
-        iterations += 1
-        if iterations > cap:
-            raise IterationCapExceededError("sustainability", cap)
-        base = backbone - {nodes[bad]}
-        if len(base) == 2:
-            u, v = sorted(base)
-            path = _alternate_pair_path(g, u, v, outside)
-        else:
-            path = _augment_leaf_block(g, base, _block_cut_tree(nodes, local, bad), outside)
-        if path is None:
-            raise Infeasible3ConnectivityError(nodes[bad])
-        backbone.update(path[1:-1])
-    return frozenset(backbone)
+    return _augment(g, backbone, max_iterations, 3)
 
 
 def run_plutus(g: Graph, cfg: PlutusConfig) -> PlutusResult:

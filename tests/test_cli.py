@@ -104,6 +104,19 @@ class TestSolve:
     def test_preflight_exit_code(self, p3_file, capsys):
         assert main(["solve", str(p3_file), "-m", "3"]) == 3
 
+    def test_iteration_cap_exit_code(self, tmp_path, capsys):
+        # the README instance; one round does not 2-connect its backbone
+        main(["generate", "-n", "50", "-r", "0.3", "--seed", "8", "--out", str(tmp_path)])
+        instance = tmp_path / "udg_n50_r0.3_s8.json"
+        capsys.readouterr()
+        code = main(["solve", str(instance), "-k", "2", "-m", "3", "--max-iters", "1"])
+        captured = capsys.readouterr()
+        assert code == 5
+        assert captured.out == ""
+        assert captured.err == (
+            "error: diversification exceeded the augmentation cap of 1 iterations\n"
+        )
+
     def test_complete_graph_full(self, k4_file, capsys):
         assert main(["solve", str(k4_file), "-k", "1", "-m", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)

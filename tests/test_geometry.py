@@ -86,3 +86,5 @@ def test_bad_arguments_rejected():
         random_geometric(3, math.inf, 1)
     with pytest.raises(GraphInputError):
         random_geometric(True, 0.3, 1)
+    with pytest.raises(GraphInputError):
+        random_geometric(3, 0.3, True)

@@ -31,7 +31,6 @@ from plutus.graph import (
     _lex_shortest_path,
     _local_adjacency,
     _lowest_bad_point,
-    _strictly_biconnected,
 )
 
 from .conftest import complete_graph, cycle_graph, path_graph, wheel_graph
@@ -671,7 +670,7 @@ class TestLowestBadPoint:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_every_small_two_connected_graph(self, n):
         for g in every_graph(n):
-            if _strictly_biconnected(g, range(n)):
+            if is_m_connected(g, range(n), 2):
                 expected = naive_lowest_bad_point(g, range(n))
                 assert lowest_bad_point(g) == expected == _first_bad_point(g, range(n))
 
@@ -680,7 +679,7 @@ class TestLowestBadPoint:
         # rising, so the DFS root is once a busiest and once a quietest node
         checked = 0
         for g in every_graph_by_degree(7):
-            if not _strictly_biconnected(g, range(7)):
+            if not is_m_connected(g, range(7), 2):
                 continue
             checked += 1
             assert lowest_bad_point(g) == naive_lowest_bad_point(g, range(7))
@@ -730,7 +729,7 @@ class TestStrictBiconnectivity:
     def test_matches_two_connectivity(self, seed):
         g = random_graph(seed, max_nodes=8)
         subset = list(range(g.node_count))
-        assert _strictly_biconnected(g, subset) == naive_m_connected(g, subset, 2)
+        assert is_m_connected(g, subset, 2) == naive_m_connected(g, subset, 2)
 
 
 class TestComponents:

@@ -38,8 +38,9 @@ from plutus.geometry import splitmix64
 from plutus.pipeline import _alternate_pair_path, _augment_leaf_block
 from plutus.serialize import dumps, result_to_dict
 
-from .conftest import complete_graph
+from .conftest import complete_graph, path_graph
 from .helpers import (
+    naive_block_cut_tree,
     naive_lex_shortest_path,
     naive_lowest_bad_point,
     naive_m_connected,
@@ -299,16 +300,57 @@ class TestSustainability:
         assert naive_m_connected(g, hardened, 3)
 
 
-def _recorded_rounds(monkeypatch, g, backbone):
-    """Run sustainability and return, per round, the sorted backbone, the
-    bad point the engine named (an id, or None in the last round) and the
-    promoted path (None in the last round)."""
+class TestInfeasibilityWitnesses:
+    """Every way an augmentation round can get stuck, with the witness and
+    message it ends in."""
+
+    @pytest.mark.parametrize("g, backbone, witness", [
+        (path_graph(3), {0, 1, 2}, (0, 1, 2)),  # the whole graph
+        (from_edge_list(2, []), {0}, (0,)),  # a lone vertex with no neighbour
+        (from_edge_list(3, [(0, 1)]), {0, 1}, (0, 1)),  # a pair with no second route
+        (path_graph(4), {0, 1, 2}, (0, 1)),  # the smallest leaf block
+    ])
+    def test_diversification(self, g, backbone, witness):
+        with pytest.raises(Infeasible2ConnectivityError) as info:
+            diversification(g, backbone)
+        assert info.value.witness == witness
+        assert str(info.value) == f"cannot 2-connect backbone; stuck at {list(witness)}"
+
+    @pytest.mark.parametrize("g, backbone", [
+        (complete_graph(3), {0, 1, 2}),  # the whole graph
+        (from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]), {0, 1, 2, 3}),
+    ])
+    def test_sustainability(self, g, backbone):
+        # in the second graph the only outside vertex hangs off the bad point
+        with pytest.raises(Infeasible3ConnectivityError) as info:
+            sustainability(g, backbone)
+        assert info.value.witness == 0
+        assert str(info.value) == "cannot 3-connect backbone; bad point 0 is stuck"
+
+
+def test_sustainability_iteration_cap():
+    g = random_geometric(50, 0.3, 8).graph()
+    backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
+    with pytest.raises(IterationCapExceededError) as info:
+        sustainability(g, backbone, 2)
+    assert (info.value.phase, info.value.cap) == ("sustainability", 2)
+    assert is_m_connected(g, sustainability(g, backbone, 3), 3)
+
+
+def _recorded_rounds(monkeypatch, phase, g, backbone):
+    """Run ``phase`` (diversification or sustainability) and return, per
+    round, the sorted backbone, the bad point the engine named (an id, or
+    None in the last round and in every diversification round), the leaf
+    block handed to the leaf step (None in other rounds) and the promoted
+    path (None in the last round)."""
     rounds: list[list] = []
     local_adjacency = pipeline._local_adjacency
     lowest_bad_point = pipeline._lowest_bad_point
+    augment_leaf_block = pipeline._augment_leaf_block
+    alternate_pair_path = pipeline._alternate_pair_path
 
     def record_nodes(graph, nodes):
-        rounds.append([list(nodes), None, None])
+        rounds.append([list(nodes), None, None, None])
         return local_adjacency(graph, nodes)
 
     def record_bad(adj):
@@ -316,18 +358,20 @@ def _recorded_rounds(monkeypatch, g, backbone):
         rounds[-1][1] = None if bad is None else rounds[-1][0][bad]
         return bad
 
-    def record_path(search):
-        def wrapped(*args):
-            path = search(*args)
-            rounds[-1][2] = path
-            return path
-        return wrapped
+    def record_leaf(graph, base, tree, allowed):
+        rounds[-1][2] = tree.leaf_blocks[0]
+        rounds[-1][3] = augment_leaf_block(graph, base, tree, allowed)
+        return rounds[-1][3]
+
+    def record_pair(*args):
+        rounds[-1][3] = alternate_pair_path(*args)
+        return rounds[-1][3]
 
     monkeypatch.setattr(pipeline, "_local_adjacency", record_nodes)
     monkeypatch.setattr(pipeline, "_lowest_bad_point", record_bad)
-    monkeypatch.setattr(pipeline, "_augment_leaf_block", record_path(pipeline._augment_leaf_block))
-    monkeypatch.setattr(pipeline, "_alternate_pair_path", record_path(pipeline._alternate_pair_path))
-    sustainability(g, backbone)
+    monkeypatch.setattr(pipeline, "_augment_leaf_block", record_leaf)
+    monkeypatch.setattr(pipeline, "_alternate_pair_path", record_pair)
+    phase(g, backbone)
     return rounds
 
 
@@ -340,10 +384,10 @@ class TestSustainabilityRounds:
 
     def check(self, monkeypatch, g):
         backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
-        rounds = _recorded_rounds(monkeypatch, g, backbone)
+        rounds = _recorded_rounds(monkeypatch, sustainability, g, backbone)
         assert rounds[-1][1] is None
         known_good: set[int] = set()
-        for nodes, bad, path in rounds:
+        for nodes, bad, _, path in rounds:
             assert bad == naive_lowest_bad_point(g, nodes)
             swept = next(
                 (v for v in nodes
@@ -372,6 +416,59 @@ class TestSustainabilityRounds:
         assume(is_m_connected(g, range(g.node_count), 3))
         with pytest.MonkeyPatch.context() as monkeypatch:
             self.check(monkeypatch, g)
+
+
+class TestDiversificationRounds:
+    """Every leaf block diversification repairs is the smallest-member leaf
+    of that round's backbone by the naive block-cut tree, and the path it
+    promotes is the one simple-path enumeration finds for that leaf.  A
+    lone member adopts its smallest neighbour and a pair takes the shortest
+    route that avoids its own edge."""
+
+    def check(self, monkeypatch, g, k):
+        backbone = run_plutus(g, PlutusConfig(k=k, m=1)).dominating_set
+        rounds = _recorded_rounds(monkeypatch, diversification, g, backbone)
+        assert rounds[-1][3] is None
+        assert naive_m_connected(g, rounds[-1][0], 2)
+        for nodes, bad, leaf, path in rounds[:-1]:
+            assert bad is None
+            members = set(nodes)
+            outside = lambda x: x not in members
+            u, v = nodes[0], nodes[-1]
+            if len(nodes) == 1:
+                assert leaf is None and path == [u, g.adjacency[u][0], u]
+            elif len(nodes) == 2:
+                without_uv = from_edge_list(
+                    g.node_count, [e for e in g.edges() if set(e) != {u, v}]
+                )
+                assert leaf is None
+                assert path == naive_lex_shortest_path(without_uv, (u,), (v,), outside)
+            else:
+                tree = naive_block_cut_tree(g, nodes)
+                assert leaf == tree.leaf_blocks[0]
+                expected = naive_lex_shortest_path(
+                    g, leaf - tree.cut_vertices, members - leaf, outside
+                )
+                assert path == expected
+        return rounds
+
+    @pytest.mark.parametrize("n, radius, seed", [(40, 0.3, 11), (60, 0.25, 16), (120, 0.16, 22)])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_unit_disk_graphs(self, monkeypatch, n, radius, seed, shuffled, k):
+        g = random_geometric(n, radius, seed).graph()
+        if shuffled:
+            g = relabel(g, sorted(range(n), key=lambda v: splitmix64(seed, v)))
+        assert is_m_connected(g, range(n), 2)
+        assert len(self.check(monkeypatch, g, k)) > 1
+
+    @given(seeds, st.sampled_from([1, 2]))
+    @settings(max_examples=100, deadline=None)
+    def test_random_graphs(self, seed, k):
+        g = random_graph(seed, max_nodes=12)
+        assume(is_m_connected(g, range(g.node_count), 2))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.check(monkeypatch, g, k)
 
 
 class TestAugmentationPaths:
@@ -413,6 +510,17 @@ class TestAugmentationPaths:
         )
         expected = naive_lex_shortest_path(without_uv, (u,), (v,), allowed)
         assert _alternate_pair_path(g, u, v, allowed) == expected
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_lone_member_adopts_smallest_allowed_neighbour(self, data):
+        g = random_connected_graph(data.draw(seeds))
+        v = data.draw(st.integers(0, g.node_count - 1))
+        allowed_set = data.draw(st.sets(st.integers(0, g.node_count - 1))) - {v}
+        allowed = lambda x: x in allowed_set
+        adopted = [w for w in g.adjacency[v] if allowed(w)]
+        expected = [v, adopted[0], v] if adopted else None
+        assert _alternate_pair_path(g, v, v, allowed) == expected
 
 
 class TestRunPlutus:
