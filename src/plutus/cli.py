@@ -23,7 +23,6 @@ from .errors import (
     GraphNotMConnectedError,
     Infeasible2ConnectivityError,
     Infeasible3ConnectivityError,
-    InfeasibleKDominanceError,
     IterationCapExceededError,
     OracleSizeError,
 )
@@ -58,7 +57,6 @@ _EXIT_CODES = {
     GraphNotMConnectedError: EXIT_PREFLIGHT,
     DisconnectedInputError: EXIT_PREFLIGHT,
     EmptyGraphError: EXIT_PREFLIGHT,
-    InfeasibleKDominanceError: EXIT_INFEASIBLE,
     Infeasible2ConnectivityError: EXIT_INFEASIBLE,
     Infeasible3ConnectivityError: EXIT_INFEASIBLE,
     IterationCapExceededError: EXIT_ITERATION_CAP,
@@ -82,7 +80,6 @@ def _config_from(args: argparse.Namespace) -> PlutusConfig:
         k=args.k,
         m=args.m,
         max_augmentation_iterations=args.max_iters,
-        strict_k_dominance=getattr(args, "strict", False),
     )
 
 
@@ -91,7 +88,6 @@ def _config_echo(cfg: PlutusConfig) -> dict:
         "k": cfg.k,
         "m": cfg.m,
         "max_augmentation_iterations": cfg.max_augmentation_iterations,
-        "strict": cfg.strict_k_dominance,
     }
 
 
@@ -299,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("-m", type=int, default=1, choices=(1, 2, 3))
     p_solve.add_argument("--out", default=None, help="result JSON path")
     p_solve.add_argument("--dot", default=None, help="also write a DOT rendering")
-    p_solve.add_argument("--strict", action="store_true", help="strict k-dominance")
     p_solve.add_argument("--max-iters", type=int, default=None)
     p_solve.set_defaults(func=_cmd_solve)
 

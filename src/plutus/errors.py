@@ -37,19 +37,6 @@ class GraphNotMConnectedError(PlutusError):
         self.m = m
 
 
-class InfeasibleKDominanceError(PlutusError):
-    """Strict-mode failure: some node outside the backbone cannot reach
-    k dominators.  ``witness`` is the deficient node."""
-
-    def __init__(self, witness: int, count: int, k: int) -> None:
-        super().__init__(
-            f"node {witness} has only {count} dominator neighbours, needs {k}"
-        )
-        self.witness = witness
-        self.count = count
-        self.k = k
-
-
 class Infeasible2ConnectivityError(PlutusError):
     """No augmenting path exists to 2-connect the backbone.  ``witness``
     is the whole backbone when nothing remains to promote, else the lone

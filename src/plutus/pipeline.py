@@ -3,15 +3,16 @@ an m-connected k-dominating backbone.
 
     isolation       greedy maximal independent set via role propagation
     domination      connect independent dominators into a CDS
-    synergy         stack further independent layers until k-dominance
+    synergy         stack k disjoint independent layers (k-dominating)
     diversification augment leaf blocks until the backbone is 2-connected
     sustainability  repair bad points until the backbone is 3-connected
 
-Diversification and sustainability are one augmentation loop,
-:func:`_augment`, run at m = 2 and at m = 3.  Phases only ever add
-vertices; a dominator never loses its role.  All tie-breaks (degree
-picks, block picks, path choices) go to the lowest node id, so a run is
-a pure deterministic function of (graph, config).  The pipeline is
+Isolation and every synergy layer are one greedy independent-set
+routine, :func:`_greedy_mis`; diversification and sustainability are one
+augmentation loop, :func:`_augment`, run at m = 2 and at m = 3.  Phases
+only ever add vertices; a dominator never loses its role.  All tie-breaks
+(degree picks, block picks, path choices) go to the lowest node id, so a
+run is a pure deterministic function of (graph, config).  The pipeline is
 single-threaded; callers wanting parallelism run independent instances
 concurrently.
 """
@@ -32,7 +33,6 @@ from .errors import (
     GraphNotMConnectedError,
     Infeasible2ConnectivityError,
     Infeasible3ConnectivityError,
-    InfeasibleKDominanceError,
     IterationCapExceededError,
 )
 from .graph import (
@@ -46,7 +46,6 @@ from .graph import (
     _lex_shortest_path,
     _local_adjacency,
     _lowest_bad_point,
-    connected_components,
     is_connected,
     is_m_connected,
 )
@@ -61,23 +60,26 @@ class Role(Enum):
     DOMINATION_RELUCTANT = "reluctant"
 
 
+def _check_cap(cap: object) -> None:
+    """An augmentation cap is None (10 * node count) or a positive int."""
+    if cap is not None and (not _is_int(cap) or cap < 1):
+        raise GraphInputError(f"iteration cap must be positive, got {cap!r}")
+
+
 @dataclass(frozen=True)
 class PlutusConfig:
     """Targets for a pipeline run: k-dominance multiplicity, connectivity
-    level m (at most 3), the augmentation-loop safety cap (None means
-    10 * node count) and the synergy feasibility mode."""
+    level m (at most 3) and the augmentation-loop safety cap (None means
+    10 * node count)."""
 
     k: int = 1
     m: int = 1
     max_augmentation_iterations: int | None = None
-    strict_k_dominance: bool = False
 
     def __post_init__(self) -> None:
         _check_k(self.k)
         _check_m(self.m)
-        cap = self.max_augmentation_iterations
-        if cap is not None and (not _is_int(cap) or cap < 1):
-            raise GraphInputError(f"iteration cap must be positive, got {cap!r}")
+        _check_cap(self.max_augmentation_iterations)
 
 
 @dataclass(frozen=True)
@@ -106,43 +108,36 @@ class PlutusResult:
     preflight_micros: int = field(compare=False)
 
 
-def _greedy_mis_component(comp: Sequence[int], adj: Mapping[int, Sequence[int]]) -> list[int]:
-    """Greedy independent-set rounds on one connected component, every
-    node of which starts prone.
+def _greedy_mis(nodes: Iterable[int], adj: Mapping[int, Sequence[int]]) -> list[int]:
+    """Greedy independent-set rounds over ``nodes``, every one of which
+    starts prone; ``adj[v]`` lists v's neighbours among them.
 
-    The maximum-degree node (tie: lowest id) becomes a dominator and its
-    prone neighbours turn reluctant; then, while prone nodes remain, the
-    prone node with the most reluctant neighbours (tie: lowest id) is
-    promoted the same way.
+    Each round promotes the prone node with the most reluctant neighbours
+    (tie: lowest id) to dominator and turns its prone neighbours reluctant.
+    When that count is 0 for every prone node, the highest-degree prone
+    node (tie: lowest id) is promoted instead.  A prone node is never
+    adjacent to a dominator, so a connected component that has a dominator
+    and still holds prone nodes has a prone node next to a reluctant one:
+    the fallback fires exactly when every started component is finished,
+    and then starts a new one.  Each component's picks depend only on its
+    own state, so the set equals independent per-component rounds, each
+    opened by the component's highest-degree node.
     """
-    prone = set(comp)
-    reluctant_neighbors = {v: 0 for v in comp}
+    prone = set(nodes)
+    reluctant_neighbors = dict.fromkeys(prone, 0)
     dominators: list[int] = []
-
-    def promote(v: int) -> None:
-        prone.discard(v)
-        dominators.append(v)
-        for w in adj[v]:
+    while prone:
+        ordered = sorted(prone)
+        pick = max(ordered, key=reluctant_neighbors.__getitem__)
+        if not reluctant_neighbors[pick]:
+            pick = max(ordered, key=lambda v: len(adj[v]))
+        prone.discard(pick)
+        dominators.append(pick)
+        for w in adj[pick]:
             if w in prone:
                 prone.discard(w)
                 for x in adj[w]:
                     reluctant_neighbors[x] += 1
-
-    first = None
-    best_degree = -1
-    for v in comp:
-        if len(adj[v]) > best_degree:
-            best_degree = len(adj[v])
-            first = v
-    promote(first)
-    while prone:
-        pick = None
-        best = -1
-        for v in sorted(prone):
-            if reluctant_neighbors[v] > best:
-                best = reluctant_neighbors[v]
-                pick = v
-        promote(pick)
     return dominators
 
 
@@ -150,19 +145,18 @@ def isolation(g: Graph) -> tuple[frozenset[int], tuple[Role, ...]]:
     """Phase 1: carve a maximal independent dominator set out of a
     connected graph.
 
-    Every node starts prone; greedy rounds (see
-    :func:`_greedy_mis_component`) run until no prone node remains.  The
-    returned set is independent (a prone node is never adjacent to a
-    dominator) and maximal (every non-member ends up reluctant, i.e.
-    adjacent to a member), so the roles follow from it: members are
-    dominators and every other node is reluctant.
+    Every node starts prone; greedy rounds (see :func:`_greedy_mis`) run
+    until no prone node remains.  The returned set is independent (a prone
+    node is never adjacent to a dominator) and maximal (every non-member
+    ends up reluctant, i.e. adjacent to a member), so the roles follow from
+    it: members are dominators and every other node is reluctant.
     """
     if g.node_count == 0:
         raise EmptyGraphError("isolation needs at least one node")
     if not is_connected(g):
         raise DisconnectedInputError("isolation requires a connected graph")
     nodes = range(g.node_count)
-    mis = frozenset(_greedy_mis_component(nodes, dict(enumerate(g.adjacency))))
+    mis = frozenset(_greedy_mis(nodes, dict(enumerate(g.adjacency))))
     roles = tuple(Role.DOMINATOR if v in mis else Role.DOMINATION_RELUCTANT for v in nodes)
     return mis, roles
 
@@ -253,26 +247,23 @@ def domination(g: Graph, mis: Iterable[int]) -> frozenset[int]:
 
 
 def synergy_layers(
-    g: Graph,
-    d: Iterable[int],
-    k: int,
-    strict: bool = False,
-    *,
-    layer_one: Iterable[int] | None = None,
+    g: Graph, d: Iterable[int], k: int, *, layer_one: Iterable[int] | None = None
 ) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
     """Phase 3 with its layer decomposition exposed.
 
-    Layer 1 is the isolation output, ``isolation(g)[0]``; a caller that
-    already holds it passes it as ``layer_one`` (which must equal it) to
-    save the second run.  Layer i is a maximal independent set
-    of the subgraph induced by the nodes not yet in any layer, built
-    independently on each connected component of that residual.  Layers
-    are unioned into the backbone; the loop stops early once the residual
-    empties, after which k-dominance holds vacuously.
+    Layer 1 is ``layer_one``, a maximal independent set of g inside ``d``
+    (default ``isolation(g)[0]``; a caller that already holds the isolation
+    output passes it to save the second run).  Layer i is the greedy
+    maximal independent set (:func:`_greedy_mis`) of the subgraph induced
+    by the nodes in no earlier layer.  Layers are unioned into the
+    backbone; the loop stops early once that residual empties.
 
-    Any node still outside the backbone after k layers with fewer than k
-    dominator neighbours is an infeasibility witness: strict mode raises,
-    best-effort mode (default) promotes the witness itself.
+    The backbone is k-dominating by construction.  A node outside it is in
+    no layer, so it belonged to the residual of every layer; each layer is
+    maximal in its residual, so the node has a neighbour in every layer,
+    and the layers are disjoint: k backbone neighbours.  If the residual
+    empties first, every node is in the backbone and k-dominance holds
+    vacuously.
     """
     _check_k(k)
     nodes = _as_subset(g, d)
@@ -280,9 +271,14 @@ def synergy_layers(
     if not is_cds:
         error = DisconnectedInputError if witness[0] == "disconnected" else GraphInputError
         raise error(f"input set is not a connected dominating set: {witness}")
-    backbone = set(nodes)
-    layer_one = isolation(g)[0] if layer_one is None else frozenset(_as_subset(g, layer_one))
-    if not layer_one <= backbone:
+    if layer_one is None:
+        layer_one = isolation(g)[0]
+    else:
+        layer_one = frozenset(_as_subset(g, layer_one))
+        independent, witness = is_maximal_independent_set(g, layer_one)
+        if not independent:
+            raise GraphInputError(f"layer_one is not a maximal independent set: {witness}")
+    if not layer_one <= set(nodes):
         raise GraphInputError("input set must contain the first independent layer")
 
     layers: list[frozenset[int]] = [layer_one]
@@ -294,34 +290,16 @@ def synergy_layers(
         adj = {
             v: tuple(w for w in g.adjacency[v] if w not in covered) for v in residual
         }
-        layer: list[int] = []
-        for comp in connected_components(g, residual):
-            layer.extend(_greedy_mis_component(comp, adj))
-        layers.append(frozenset(layer))
-        covered.update(layer)
-        backbone.update(layer)
-
-    while True:
-        deficient = None
-        for v in range(g.node_count):
-            if v in backbone:
-                continue
-            count = sum(1 for w in g.adjacency[v] if w in backbone)
-            if count < k:
-                deficient = (v, count)
-                break
-        if deficient is None:
-            break
-        if strict:
-            raise InfeasibleKDominanceError(deficient[0], deficient[1], k)
-        backbone.add(deficient[0])
-    return frozenset(backbone), tuple(layers)
+        layer = frozenset(_greedy_mis(residual, adj))
+        layers.append(layer)
+        covered |= layer
+    return frozenset(covered.union(nodes)), tuple(layers)
 
 
-def synergy(g: Graph, d: Iterable[int], k: int, strict: bool = False) -> frozenset[int]:
+def synergy(g: Graph, d: Iterable[int], k: int) -> frozenset[int]:
     """Phase 3: stack independent layers until every outside node has k
     dominator neighbours.  See :func:`synergy_layers`."""
-    backbone, _ = synergy_layers(g, d, k, strict)
+    backbone, _ = synergy_layers(g, d, k)
     return backbone
 
 
@@ -360,10 +338,12 @@ def _augment(g: Graph, backbone: set[int], max_iterations: int | None, m: int) -
     alternate route (a common neighbour when one exists) and a larger set
     has its smallest leaf block reconnected to the rest, always through
     vertices outside the backbone.  A stuck round raises the phase's
-    infeasibility error; for m = 3 the witness is the bad point.
+    infeasibility error; for m = 3 the witness is the bad point.  A cap
+    other than None or a positive int is an input error.
     """
+    _check_cap(max_iterations)
     phase = "diversification" if m == 2 else "sustainability"
-    cap = max(1, 10 * g.node_count) if max_iterations is None else max_iterations
+    cap = 10 * g.node_count if max_iterations is None else max_iterations
     outside = lambda x: x not in backbone
     for iterations in itertools.count(1):
         nodes = sorted(backbone)
@@ -456,9 +436,7 @@ def run_plutus(g: Graph, cfg: PlutusConfig) -> PlutusResult:
         ("domination", lambda d: domination(g, d)),
         (
             "synergy",
-            lambda d: synergy_layers(
-                g, d, cfg.k, cfg.strict_k_dominance, layer_one=grown_by["isolation"]
-            )[0],
+            lambda d: synergy_layers(g, d, cfg.k, layer_one=grown_by["isolation"])[0],
         ),
     ]
     if cfg.m >= 2:

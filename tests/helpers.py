@@ -5,8 +5,9 @@ m-connectivity twin enumerates removal subsets literally, the path
 counter runs unit-capacity augmentation on a vertex-split digraph
 (Menger's view of connectivity), the shortest-path twin enumerates
 simple paths, the stretch twin runs two BFSs per source, the unit-disk
-twin compares every pair of points and the block twin runs the
-dict-based edge-stack DFS.
+twin compares every pair of points, the block twin runs the
+dict-based edge-stack DFS and the independent-set twin runs the greedy
+rounds separately on each component.
 """
 
 from __future__ import annotations
@@ -120,6 +121,75 @@ def induced_connected(g: Graph, nodes: set[int]) -> bool:
                 seen.add(y)
                 queue.append(y)
     return seen == nodes
+
+
+def _greedy_mis_component(comp, adj) -> list[int]:
+    """Greedy independent-set rounds on one connected component, every
+    node of which starts prone.
+
+    The maximum-degree node (tie: lowest id) becomes a dominator and its
+    prone neighbours turn reluctant; then, while prone nodes remain, the
+    prone node with the most reluctant neighbours (tie: lowest id) is
+    promoted the same way.
+    """
+    prone = set(comp)
+    reluctant_neighbors = {v: 0 for v in comp}
+    dominators: list[int] = []
+
+    def promote(v: int) -> None:
+        prone.discard(v)
+        dominators.append(v)
+        for w in adj[v]:
+            if w in prone:
+                prone.discard(w)
+                for x in adj[w]:
+                    reluctant_neighbors[x] += 1
+
+    first = None
+    best_degree = -1
+    for v in comp:
+        if len(adj[v]) > best_degree:
+            best_degree = len(adj[v])
+            first = v
+    promote(first)
+    while prone:
+        pick = None
+        best = -1
+        for v in sorted(prone):
+            if reluctant_neighbors[v] > best:
+                best = reluctant_neighbors[v]
+                pick = v
+        promote(pick)
+    return dominators
+
+
+def naive_components(g: Graph, nodes) -> list[list[int]]:
+    """Connected components of the subgraph induced by ``nodes``, each
+    sorted, in ascending order of their smallest member."""
+    unseen = set(nodes)
+    components = []
+    while unseen:
+        comp = [min(unseen)]
+        unseen.discard(comp[0])
+        for x in comp:
+            for y in g.adjacency[x]:
+                if y in unseen:
+                    unseen.discard(y)
+                    comp.append(y)
+        components.append(sorted(comp))
+    return components
+
+
+def naive_greedy_mis(g: Graph, nodes) -> list[int]:
+    """The independent set that isolation and each synergy layer build on
+    the subgraph induced by ``nodes``: the greedy rounds run separately on
+    each of its connected components."""
+    residual = set(nodes)
+    adj = {v: [w for w in g.adjacency[v] if w in residual] for v in residual}
+    mis: list[int] = []
+    for comp in naive_components(g, residual):
+        mis.extend(_greedy_mis_component(comp, adj))
+    return mis
 
 
 def naive_biconnected_components(g: Graph, nodes) -> list[frozenset[int]]:

@@ -397,6 +397,14 @@ class TestParsing:
     def test_missing_required_exits_2(self):
         assert main(["generate", "-n", "5"]) == 2
 
+    def test_unknown_option_exits_2(self, k4_file, capsys):
+        # --strict was a solve option once
+        assert main(["solve", str(k4_file), "--strict"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --strict" in captured.err
+        assert "Traceback" not in captured.err
+
 
 _DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5, 6}
 
@@ -453,7 +461,6 @@ _SUBCOMMANDS = {
         "-m": _INTS + ["4"],
         "--out": ["OUT/r.json", "FILE", "OUT"],
         "--dot": ["OUT/v.dot", "FILE"],
-        "--strict": None,
         "--max-iters": _INTS,
     },
     "verify": {"-k": _INTS, "-m": _INTS + ["4"], "--stretch-threshold": _REALS},

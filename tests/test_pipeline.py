@@ -38,9 +38,11 @@ from plutus.geometry import splitmix64
 from plutus.pipeline import _alternate_pair_path, _augment_leaf_block
 from plutus.serialize import dumps, result_to_dict
 
-from .conftest import complete_graph, path_graph
+from .conftest import complete_graph, path_graph, wheel_graph
 from .helpers import (
     naive_block_cut_tree,
+    naive_components,
+    naive_greedy_mis,
     naive_lex_shortest_path,
     naive_lowest_bad_point,
     naive_m_connected,
@@ -158,11 +160,17 @@ class TestSynergy:
         given_layer = synergy_layers(g, cds, k, layer_one=isolation(g)[0])
         assert given_layer == synergy_layers(g, cds, k)
 
-    def test_given_first_layer_is_checked(self, c6):
+    def test_given_first_layer_is_checked(self, c6, p5):
         with pytest.raises(GraphInputError):
             synergy_layers(c6, {0, 1, 2, 3, 4}, 2, layer_one=[0, 6])
         with pytest.raises(GraphInputError):
             synergy_layers(c6, {0, 1, 2, 3, 4}, 2, layer_one={1, 5})
+        # inside d = {1, 2, 3}, but not a maximal independent set of P5
+        d = domination(p5, isolation(p5)[0])
+        with pytest.raises(GraphInputError, match="not a maximal independent set"):
+            synergy_layers(p5, d, 2, layer_one=[1])
+        with pytest.raises(GraphInputError, match="adjacent-pair"):
+            synergy_layers(p5, d, 2, layer_one=[1, 2])
 
     def test_requires_containing_first_layer(self, c6):
         # {1, 2, 3, 4, 5} is a CDS of C6 but misses isolation's {0, 2, 4}
@@ -193,15 +201,79 @@ class TestSynergy:
 
     def test_strict_mode_never_fires_after_full_layers(self, k5):
         # every residual node joins a layer or keeps a neighbour per layer,
-        # so strict mode passes whenever layers complete
-        assert synergy(k5, {0}, 3, strict=True) == frozenset({0, 1, 2})
+        # so the layers alone are k-dominating
+        assert synergy(k5, {0}, 3) == frozenset({0, 1, 2})
 
     def test_early_stop_when_residual_exhausts(self, k5):
         # K5 yields singleton layers; asking for more layers than nodes
         # stops once everything is covered and holds vacuously
-        backbone, layers = synergy_layers(k5, {0}, 7, strict=True)
+        backbone, layers = synergy_layers(k5, {0}, 7)
         assert backbone == frozenset(range(5))
         assert layers == tuple(frozenset({v}) for v in range(5))
+
+    @given(seeds, st.integers(min_value=1, max_value=5), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_k_dominating_for_any_first_layer(self, seed, k, rnd):
+        # layer one is any maximal independent set: greedy over a random order
+        g = random_connected_graph(seed, max_nodes=14)
+        order = list(range(g.node_count))
+        rnd.shuffle(order)
+        layer_one: set[int] = set()
+        for v in order:
+            if not any(w in layer_one for w in g.adjacency[v]):
+                layer_one.add(v)
+        backbone, layers = synergy_layers(
+            g, domination(g, layer_one), k, layer_one=layer_one
+        )
+        assert layers[0] == layer_one
+        assert len(layers) == k or backbone == frozenset(range(g.node_count))
+        for v in range(g.node_count):
+            if v not in backbone:
+                assert all(any(w in layer for w in g.adjacency[v]) for layer in layers)
+                assert sum(w in backbone for w in g.adjacency[v]) >= k
+
+
+def _has_split_residual(g, k: int = 5) -> bool:
+    """Some residual of layers 2..k (by the reference) has several
+    components, one of which does not open with its lowest id."""
+    covered = set(naive_greedy_mis(g, range(g.node_count)))
+    for _ in range(2, k + 1):
+        residual = {v for v in range(g.node_count) if v not in covered}
+        components = naive_components(g, residual)
+        degree = lambda v: sum(w in residual for w in g.adjacency[v])
+        if len(components) > 1 and any(
+            max(comp, key=degree) != comp[0] for comp in components
+        ):
+            return True
+        covered |= set(naive_greedy_mis(g, residual))
+    return False
+
+
+_SPLIT_SEEDS = [
+    seed for seed in range(400) if _has_split_residual(random_connected_graph(seed, 14))
+]
+
+
+class TestGreedyMis:
+    def test_split_residuals_are_common(self):
+        assert len(_SPLIT_SEEDS) >= 50
+
+    @given(
+        st.one_of(seeds, st.sampled_from(_SPLIT_SEEDS)),
+        st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_isolation_and_layers_match_per_component_rounds(self, seed, k):
+        g = random_connected_graph(seed, max_nodes=14)
+        mis = isolation(g)[0]
+        assert mis == frozenset(naive_greedy_mis(g, range(g.node_count)))
+        _, layers = synergy_layers(g, domination(g, mis), k)
+        covered: set[int] = set()
+        for layer in layers:
+            residual = [v for v in range(g.node_count) if v not in covered]
+            assert layer == frozenset(naive_greedy_mis(g, residual))
+            covered |= layer
+        assert len(layers) == k or len(covered) == g.node_count
 
 
 def _layer_is_maximal_independent(g, layer, residual: set[int]) -> bool:
@@ -326,6 +398,18 @@ class TestInfeasibilityWitnesses:
             sustainability(g, backbone)
         assert info.value.witness == 0
         assert str(info.value) == "cannot 3-connect backbone; bad point 0 is stuck"
+
+
+@pytest.mark.parametrize("cap", [0, -1, 2.5, True])
+def test_direct_phase_calls_check_the_cap(cap):
+    # both inputs need augmentation rounds, so an accepted cap would run
+    g = from_edge_list(
+        7, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3), (0, 5), (5, 2), (2, 6), (6, 4)]
+    )
+    with pytest.raises(GraphInputError, match="iteration cap must be positive"):
+        diversification(g, {0, 1, 2, 3, 4}, cap)
+    with pytest.raises(GraphInputError, match="iteration cap must be positive"):
+        sustainability(wheel_graph(5), range(1, 6), cap)
 
 
 def test_sustainability_iteration_cap():
@@ -634,8 +718,8 @@ class TestRunPlutus:
     def test_reused_first_layer_keeps_result_bytes(self, m, monkeypatch):
         import plutus.pipeline
 
-        def recomputing(g, d, k, strict=False, *, layer_one=None):
-            return synergy_layers(g, d, k, strict)
+        def recomputing(g, d, k, *, layer_one=None):
+            return synergy_layers(g, d, k)
 
         cfg = PlutusConfig(k=2, m=m)
         results = []
