@@ -10,6 +10,7 @@ environment variable, then to 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -84,11 +85,7 @@ def _config_from(args: argparse.Namespace) -> PlutusConfig:
 
 
 def _config_echo(cfg: PlutusConfig) -> dict:
-    return {
-        "k": cfg.k,
-        "m": cfg.m,
-        "max_augmentation_iterations": cfg.max_augmentation_iterations,
-    }
+    return dataclasses.asdict(cfg)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

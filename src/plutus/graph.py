@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -242,23 +241,9 @@ def from_points(points: Sequence[tuple[float, float]], radius: float) -> Graph:
 
 
 def hop_distance(g: Graph, u: int, v: int) -> int | None:
-    """BFS hop count between u and v; 0 when u == v, None when unreachable."""
-    _check_node(g, u)
-    _check_node(g, v)
-    if u == v:
-        return 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        d = dist[x] + 1
-        for y in g.adjacency[x]:
-            if y not in dist:
-                if y == v:
-                    return d
-                dist[y] = d
-                queue.append(y)
-    return None
+    """Hop count between u and v; 0 when u == v, None when unreachable."""
+    path = shortest_path(g, u, v)
+    return None if path is None else len(path) - 1
 
 
 def shortest_path(

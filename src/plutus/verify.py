@@ -122,29 +122,31 @@ def _m_connectivity_witness(g: Graph, nodes: list[int], m: int) -> Witness:
     component of a split set, a set of at most m vertices, or the
     lexicographically smallest disconnecting set of m - 1 vertices.
 
-    For m = 2 and a connected set that vertex is the lowest cut vertex,
-    which one block decomposition gives.  For m = 3 the pair starts at the
-    lowest bad point (see :func:`graph._first_bad_point`): both members of
-    a disconnecting pair are bad points, and in a set of four or more
-    vertices every bad point belongs to one.  Its partner is the lowest
-    vertex that completes it, so the search costs one BFS per candidate,
-    not one per pair.  A disconnected set stops within two tries.
+    The first m - 2 members are pinned: none for m = 2, and for m = 3 the
+    lowest bad point (see :func:`graph._first_bad_point`), since both
+    members of a disconnecting pair are bad points, and in a set of four
+    or more vertices every bad point belongs to one.  The last member is
+    the lowest vertex whose removal splits ``rest``, the set without the
+    pinned ones, and one component search names it.  A connected ``rest``
+    has at least three vertices, so it splits exactly when a cut vertex
+    goes, and one block decomposition gives the lowest.  A split ``rest``
+    stays split when its lowest vertex goes, unless that vertex is alone
+    beside one other component; then the second-lowest vertex splits it.
     """
     if m == 1:
         return ("disconnected", tuple(connected_components(g, nodes)[0]))
     if len(nodes) <= m:
         return ("too-small", len(nodes))
-    if m == 2 and len(connected_components(g, nodes)) == 1:
-        return ("disconnecting-set", (min(block_cut_tree(g, nodes).cut_vertices),))
     pinned = () if m == 2 else (_first_bad_point(g, nodes),)
-    for w in nodes:
-        if w in pinned:
-            continue
-        removed = (*pinned, w)
-        rest = [x for x in nodes if x not in removed]
-        if len(connected_components(g, rest)) > 1:
-            return ("disconnecting-set", removed)
-    raise AssertionError("witness requested for a passing check")
+    rest = [x for x in nodes if x not in pinned]
+    components = connected_components(g, rest)
+    if len(components) == 1:
+        last = min(block_cut_tree(g, rest).cut_vertices)
+    elif len(components) == 2 and len(components[0]) == 1:
+        last = rest[1]
+    else:
+        last = rest[0]
+    return ("disconnecting-set", (*pinned, last))
 
 
 def is_m_connected_k_dominating(

@@ -199,7 +199,7 @@ class TestSynergy:
             assert _layer_is_maximal_independent(g, layer, set(residual))
             covered |= layer
 
-    def test_strict_mode_never_fires_after_full_layers(self, k5):
+    def test_full_layers_are_k_dominating(self, k5):
         # every residual node joins a layer or keeps a neighbour per layer,
         # so the layers alone are k-dominating
         assert synergy(k5, {0}, 3) == frozenset({0, 1, 2})

@@ -150,8 +150,8 @@ class TestCertificate:
     def test_separation_pair_at_highest_ids(self, monkeypatch):
         # two 20-cliques joined only through the two highest ids, each of
         # which sees every other vertex: the one separating pair comes last
-        # in id order, and the witness search still runs at most one BFS
-        # per vertex
+        # in id order, and the witness search still runs a constant number
+        # of BFSs instead of one per vertex
         import plutus.verify
 
         side = 20
@@ -169,7 +169,7 @@ class TestCertificate:
         monkeypatch.setattr(plutus.verify, "connected_components", counting)
         report = is_m_connected_k_dominating(g, range(n), 1, 3)
         assert report.checks[1].witness == ("disconnecting-set", (n - 2, n - 1))
-        assert len(searches) <= n
+        assert len(searches) <= 2
 
     def test_cut_vertex_at_highest_id(self, monkeypatch):
         # two cycles joined only at the highest id: the one cut vertex
@@ -196,6 +196,22 @@ class TestCertificate:
         assert report.checks[1].witness == ("disconnecting-set", (hub,))
         assert naive_disconnecting_set(g, range(n), 2) == (hub,)
         assert len(searches) <= 2
+
+    def test_lone_lowest_vertex_beside_one_component_m2(self):
+        # removing the isolated 0 leaves the path 1-2-3 connected, so the
+        # witness is the second-lowest vertex
+        g = from_edge_list(4, [(1, 2), (2, 3)])
+        report = is_m_connected_k_dominating(g, range(4), 1, 2)
+        assert report.checks[1].witness == ("disconnecting-set", (1,))
+        assert naive_disconnecting_set(g, range(4), 2) == (1,)
+
+    def test_lone_lowest_vertex_beside_one_component_m3(self):
+        # 0 is the lowest bad point; without it, 1 sits alone beside the
+        # edge 2-3, so its partner is 2
+        g = from_edge_list(4, [(0, 1), (2, 3)])
+        report = is_m_connected_k_dominating(g, range(4), 1, 3)
+        assert report.checks[1].witness == ("disconnecting-set", (0, 2))
+        assert naive_disconnecting_set(g, range(4), 3) == (0, 2)
 
     def test_whole_set_reduces_to_graph_connectivity(self, c6):
         for m in (1, 2, 3):
