@@ -423,6 +423,12 @@ def _local_blocks(adj: list[list[int]], skip: int = -1) -> list[list[int]] | Non
     return blocks or [[root]]
 
 
+def _local_two_connected(adj: list[list[int]]) -> bool:
+    """At least three vertices, connected, and no cut vertex."""
+    blocks = _local_blocks(adj)
+    return len(adj) >= 3 and blocks is not None and len(blocks) == 1
+
+
 def _block_cut_tree(nodes: Sequence[int], adj: list[list[int]], skip: int = -1) -> BlockCutTree:
     """:func:`block_cut_tree` of the local graph ``adj`` of the sorted ids
     ``nodes``, minus the local vertex ``skip``, mapped back to ids."""
@@ -680,6 +686,5 @@ def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
         return is_connected(g, nodes)
     local = _local_adjacency(g, nodes)
     if m == 2:
-        blocks = _local_blocks(local)
-        return len(nodes) >= 3 and blocks is not None and len(blocks) == 1
+        return _local_two_connected(local)
     return _lowest_bad_point(local) is None

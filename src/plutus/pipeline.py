@@ -19,6 +19,7 @@ concurrently.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from collections import deque
@@ -45,6 +46,7 @@ from .graph import (
     _is_int,
     _lex_shortest_path,
     _local_adjacency,
+    _local_two_connected,
     _lowest_bad_point,
     is_connected,
     is_m_connected,
@@ -108,7 +110,9 @@ class PlutusResult:
     preflight_micros: int = field(compare=False)
 
 
-def _greedy_mis(nodes: Iterable[int], adj: Mapping[int, Sequence[int]]) -> list[int]:
+def _greedy_mis(
+    nodes: Iterable[int], adj: Mapping[int, Sequence[int]] | Sequence[Sequence[int]]
+) -> list[int]:
     """Greedy independent-set rounds over ``nodes``, every one of which
     starts prone; ``adj[v]`` lists v's neighbours among them.
 
@@ -122,22 +126,47 @@ def _greedy_mis(nodes: Iterable[int], adj: Mapping[int, Sequence[int]]) -> list[
     and then starts a new one.  Each component's picks depend only on its
     own state, so the set equals independent per-component rounds, each
     opened by the component's highest-degree node.
+
+    The prone nodes with a positive count sit in a lazy heap keyed on
+    (-count, id), packed into the one int ``id - count * span`` (every id
+    is below ``span``): a round pushes one entry per prone node whose count
+    it raised, and a pop drops entries whose node is no longer prone.
+    Counts only grow, so a node's newest entry pops before its stale ones,
+    and the first entry of a prone node is the round's pick.  The fallback
+    walks a pointer along the nodes sorted by (-degree, id), past those no
+    longer prone.  Every raise is one neighbour of a newly reluctant node,
+    so the routine costs O((n + E) log n) for n nodes and E edges.
     """
     prone = set(nodes)
-    reluctant_neighbors = dict.fromkeys(prone, 0)
+    span = max(prone, default=0) + 1
+    reluctant_neighbors = [0] * span
+    by_degree = sorted(prone, key=lambda v: v - len(adj[v]) * span)
+    next_opener = 0
+    heap: list[int] = []
     dominators: list[int] = []
     while prone:
-        ordered = sorted(prone)
-        pick = max(ordered, key=reluctant_neighbors.__getitem__)
-        if not reluctant_neighbors[pick]:
-            pick = max(ordered, key=lambda v: len(adj[v]))
+        pick = None
+        while heap:
+            v = heapq.heappop(heap) % span
+            if v in prone:
+                pick = v
+                break
+        if pick is None:
+            while by_degree[next_opener] not in prone:
+                next_opener += 1
+            pick = by_degree[next_opener]
         prone.discard(pick)
         dominators.append(pick)
+        raised: set[int] = set()
         for w in adj[pick]:
             if w in prone:
                 prone.discard(w)
-                for x in adj[w]:
+                row = adj[w]
+                for x in row:
                     reluctant_neighbors[x] += 1
+                raised.update(row)
+        for x in raised & prone:
+            heapq.heappush(heap, x - reluctant_neighbors[x] * span)
     return dominators
 
 
@@ -156,7 +185,7 @@ def isolation(g: Graph) -> tuple[frozenset[int], tuple[Role, ...]]:
     if not is_connected(g):
         raise DisconnectedInputError("isolation requires a connected graph")
     nodes = range(g.node_count)
-    mis = frozenset(_greedy_mis(nodes, dict(enumerate(g.adjacency))))
+    mis = frozenset(_greedy_mis(nodes, g.adjacency))
     roles = tuple(Role.DOMINATOR if v in mis else Role.DOMINATION_RELUCTANT for v in nodes)
     return mis, roles
 
@@ -327,11 +356,18 @@ def _alternate_pair_path(
     return None if path is None else path + [v]
 
 
-def _augment(g: Graph, backbone: set[int], max_iterations: int | None, m: int) -> frozenset[int]:
+def _augment(
+    g: Graph,
+    backbone: set[int],
+    max_iterations: int | None,
+    m: int,
+    local: list[list[int]] | None = None,
+) -> frozenset[int]:
     """The augmentation loop of diversification (m = 2) and sustainability
     (m = 3): grow ``backbone`` in place until it is m-connected.
 
-    Each round builds the backbone's local adjacency once and names the set
+    Each round builds the backbone's local adjacency once (the first round
+    takes ``local`` when the caller has built it already) and names the set
     to repair: the backbone for m = 2, the backbone minus its lowest bad
     point (:func:`graph._lowest_bad_point`, one pass) for m = 3.  A lone
     vertex adopts its smallest neighbour, a pair is joined by its shortest
@@ -347,7 +383,8 @@ def _augment(g: Graph, backbone: set[int], max_iterations: int | None, m: int) -
     outside = lambda x: x not in backbone
     for iterations in itertools.count(1):
         nodes = sorted(backbone)
-        local = _local_adjacency(g, nodes)
+        if local is None:
+            local = _local_adjacency(g, nodes)
         bad = -1 if m == 2 else _lowest_bad_point(local)
         if bad is None:
             break
@@ -372,6 +409,7 @@ def _augment(g: Graph, backbone: set[int], max_iterations: int | None, m: int) -
                 raise Infeasible2ConnectivityError(tuple(witness))
             raise Infeasible3ConnectivityError(nodes[bad])
         backbone.update(path[1:-1])
+        local = None
     return frozenset(backbone)
 
 
@@ -407,9 +445,11 @@ def sustainability(
     (see :func:`_augment`).
     """
     backbone = set(_as_subset(g, d))
-    if not backbone or not is_m_connected(g, backbone, 2):
+    nodes = sorted(backbone)
+    local = _local_adjacency(g, nodes)
+    if not _local_two_connected(local):
         raise GraphInputError("sustainability requires a 2-connected input set")
-    return _augment(g, backbone, max_iterations, 3)
+    return _augment(g, backbone, max_iterations, 3, local)
 
 
 def run_plutus(g: Graph, cfg: PlutusConfig) -> PlutusResult:

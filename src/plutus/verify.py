@@ -166,11 +166,11 @@ def is_m_connected_k_dominating(
     )
 
 
-# Sources per pass of the all-sources search.  Every mask of a pass (two
-# per vertex, plus the pending ones) has up to this many bits, so the
-# width bounds the memory of a pass, while a wider block makes fewer
-# passes.
-_STRETCH_BLOCK = 1024
+# Memory budget of one pass of the all-sources search, in bits: a pass
+# over ``width`` sources keeps arrays of one ``width``-bit mask per vertex,
+# and n * width, the bits of one such array (2**26 bits is 8 MiB), may not
+# exceed the budget.
+_STRETCH_BUDGET = 1 << 26
 
 
 def backbone_stretch(g: Graph, s: Iterable[int]) -> tuple[float, DistanceReport | None]:
@@ -182,14 +182,17 @@ def backbone_stretch(g: Graph, s: Iterable[int]) -> tuple[float, DistanceReport 
     has a ratio above 1; otherwise the ratio and the lexicographically
     first pair (u, v), u < v, that attains it.
 
-    The sources run in blocks of ``_STRETCH_BLOCK``, one bit each: a
-    level-synchronous BFS from all of them at once keeps, for every
+    The sources run in blocks (see :func:`_source_blocks`), one bit each:
+    a level-synchronous BFS from all of them at once keeps, for every
     vertex, the mask of sources within plain distance d and the mask of
     sources within routed distance d, and grows both by one level per
-    sweep (see :func:`_stretch_block`).  A pass costs O(n + E) big-int ORs
-    per level, and the levels are bounded by the largest routed distance,
-    so the whole search costs O(ceil(n / block) * levels * (n + E)) such
-    operations, each on a mask of block width.
+    sweep (see :func:`_stretch_block`).  A pass costs O(n + E) big-int
+    ORs per level, and the levels are bounded by the largest routed
+    distance L, so the whole search costs O(passes * L * (n + E)) such
+    operations, each on a mask of block width.  The width comes from the
+    memory budget ``_STRETCH_BUDGET`` (n * width <= 2**26 bits), so a
+    graph of up to 8192 nodes takes one pass; the answer does not depend
+    on the width.
     """
     members = set(_as_subset(g, s))
     ok, witness = is_connected_dominating_set(g, members)
@@ -198,12 +201,23 @@ def backbone_stretch(g: Graph, s: Iterable[int]) -> tuple[float, DistanceReport 
     n = g.node_count
     relays = [tuple(w for w in row if w in members) for row in g.adjacency]
     worst: tuple[int, int, Edge | None] = (1, 1, None)
-    for lo in range(0, n, _STRETCH_BLOCK):
-        worst = _stretch_block(g.adjacency, relays, lo, min(lo + _STRETCH_BLOCK, n), worst)
+    bounds = _source_blocks(n)
+    for lo, hi in zip(bounds, bounds[1:]):
+        worst = _stretch_block(g.adjacency, relays, lo, hi, worst)
     d_backbone, d_g, pair = worst
     if pair is None:
         return 1.0, None
     return d_backbone / d_g, DistanceReport(pair, d_g, d_backbone)
+
+
+def _source_blocks(n: int) -> list[int]:
+    """Bounds 0 = b_0 < b_1 < ... < b_p = n of the source blocks of an
+    n-node stretch search: the fewest passes whose width keeps
+    n * width within ``_STRETCH_BUDGET``, their widths differing by at
+    most one."""
+    widest = max(1, _STRETCH_BUDGET // n)
+    passes = -(-n // widest)
+    return [i * n // passes for i in range(passes + 1)]
 
 
 def _stretch_block(
@@ -227,6 +241,12 @@ def _stretch_block(
     search.  The routed level that reaches them is their d_backbone.
     Pairs with equal distances never enter it, as their ratio 1 cannot
     beat the starting worst.
+
+    One call costs O(L * (n + E)) ORs of (hi - lo)-bit masks, L the
+    largest routed distance.  It holds ``plain``, ``routed``, one sweep's
+    grown masks and the pending ones, which grow with how far the routed
+    search trails the plain one: at its peak about ten to twenty arrays of
+    n such masks on unit-disk graphs of 8000 to 16 000 nodes.
     """
     n = len(adjacency)
     full = (1 << (hi - lo)) - 1

@@ -38,7 +38,7 @@ from plutus.geometry import splitmix64
 from plutus.pipeline import _alternate_pair_path, _augment_leaf_block
 from plutus.serialize import dumps, result_to_dict
 
-from .conftest import complete_graph, path_graph, wheel_graph
+from .conftest import complete_graph, cycle_graph, path_graph, wheel_graph
 from .helpers import (
     naive_block_cut_tree,
     naive_components,
@@ -254,6 +254,50 @@ _SPLIT_SEEDS = [
 ]
 
 
+def _grid(rows: int, cols: int):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return from_edge_list(rows * cols, edges)
+
+
+def _complete_bipartite(a: int, b: int):
+    return from_edge_list(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def _disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.node_count
+    return from_edge_list(offset, edges)
+
+
+_TIE_HEAVY = {
+    **{f"C{n}": cycle_graph(n) for n in (3, 4, 5, 9, 16, 31)},
+    **{f"grid{r}x{c}": _grid(r, c) for r, c in ((1, 7), (3, 3), (4, 6), (9, 9), (12, 20))},
+    **{f"K{a},{b}": _complete_bipartite(a, b) for a, b in ((1, 5), (2, 2), (3, 4), (6, 6))},
+}
+# components of equal and of unequal top degree, two isolated nodes
+_UNION = _disjoint_union(
+    cycle_graph(6), _grid(3, 4), _complete_bipartite(2, 3), path_graph(4),
+    _complete_bipartite(3, 3), cycle_graph(5), path_graph(1), path_graph(1),
+)
+
+
+def _assert_layers_match_reference(g, layers: int) -> None:
+    """``layers`` rounds of :func:`pipeline._greedy_mis`, each on the nodes
+    no earlier round took, match the per-component reference."""
+    covered: set[int] = set()
+    for _ in range(layers):
+        residual = [v for v in range(g.node_count) if v not in covered]
+        if not residual:
+            return
+        adj = {v: tuple(w for w in g.adjacency[v] if w not in covered) for v in residual}
+        layer = frozenset(pipeline._greedy_mis(residual, adj))
+        assert layer == frozenset(naive_greedy_mis(g, residual))
+        covered |= layer
+
+
 class TestGreedyMis:
     def test_split_residuals_are_common(self):
         assert len(_SPLIT_SEEDS) >= 50
@@ -274,6 +318,32 @@ class TestGreedyMis:
             assert layer == frozenset(naive_greedy_mis(g, residual))
             covered |= layer
         assert len(layers) == k or len(covered) == g.node_count
+
+    @pytest.mark.parametrize("n, seed", [(1000, 1), (2000, 2), (4000, 3)])
+    def test_relabelled_unit_disk_graphs(self, n, seed):
+        g = random_geometric(n, 0.046 * (2000 / n) ** 0.5, seed).graph()
+        h = relabel(g, sorted(range(n), key=lambda v: splitmix64(seed, v)))
+        for graph in (g, h):
+            _assert_layers_match_reference(graph, 3)
+
+    @pytest.mark.parametrize("name", sorted(_TIE_HEAVY))
+    def test_tie_heavy_graphs(self, name):
+        _assert_layers_match_reference(_TIE_HEAVY[name], 4)
+
+    @given(st.permutations(range(_UNION.node_count)))
+    @settings(max_examples=100, deadline=None)
+    def test_relabelled_disjoint_unions(self, order):
+        _assert_layers_match_reference(relabel(_UNION, order), 4)
+
+    def test_fallback_opens_components_by_degree(self):
+        # P3 on 0-2, a star centred on 3, K_{3,3} on 9-14: the star opens
+        # first, then K_{3,3} (10 and 11 win on count), then the path
+        edges = [(0, 1), (1, 2)] + [(3, v) for v in range(4, 9)]
+        edges += [(u, v) for u in (9, 10, 11) for v in (12, 13, 14)]
+        g = from_edge_list(15, edges)
+        picks = pipeline._greedy_mis(range(15), dict(enumerate(g.adjacency)))
+        assert picks == [3, 9, 10, 11, 1]
+        assert frozenset(picks) == frozenset(naive_greedy_mis(g, range(15)))
 
 
 def _layer_is_maximal_independent(g, layer, residual: set[int]) -> bool:

@@ -310,8 +310,12 @@ class TestStretchAgainstNaive:
         # many block boundaries: pairs whose source lies in an earlier
         # block than the worst one, or in a later one
         g, backbone = case
-        with patch.object(verify, "_STRETCH_BLOCK", width):
+        n = g.node_count
+        with patch.object(verify, "_STRETCH_BUDGET", n * width):
+            bounds = verify._source_blocks(n)
             got = backbone_stretch(g, backbone)
+        assert max(hi - lo for lo, hi in zip(bounds, bounds[1:])) <= width
+        assert len(bounds) - 1 == -(-n // width)
         assert got == naive_backbone_stretch(g, backbone)
 
     @pytest.mark.parametrize("order, pair, distances", [
@@ -341,13 +345,31 @@ class TestStretchAgainstNaive:
                 assert got[0] > 1.0
 
     def test_more_nodes_than_one_block(self):
-        n = verify._STRETCH_BLOCK + 76
+        # two passes, then three of unequal width (366, 367, 367): the
+        # worst pair, found in the first pass, survives the later ones
+        n = 1100
         g = random_geometric(n, 0.07, 1).graph()
         assert is_connected(g)
         backbone = domination(g, isolation(g)[0])
-        got = backbone_stretch(g, backbone)
-        assert got == naive_backbone_stretch(g, backbone)
-        assert got[1].pair[0] < verify._STRETCH_BLOCK
+        want = naive_backbone_stretch(g, backbone)
+        for passes, bounds in ((2, [0, 550, 1100]), (3, [0, 366, 733, 1100])):
+            with patch.object(verify, "_STRETCH_BUDGET", n * -(-n // passes)):
+                assert verify._source_blocks(n) == bounds
+                got = backbone_stretch(g, backbone)
+            assert got == want
+            assert got[1].pair[0] < bounds[1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 2047, 2048, 2049, 8192, 8193, 16000, 10**6])
+    def test_blocks_keep_the_budget(self, n):
+        bounds = verify._source_blocks(n)
+        widths = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert max(widths) - min(widths) <= 1
+        assert max(widths) * n <= verify._STRETCH_BUDGET
+        # one pass fewer would overrun the budget
+        assert len(widths) == 1 or -(-n // (len(widths) - 1)) * n > verify._STRETCH_BUDGET
+        if n <= 2048:
+            assert bounds == [0, n]
 
 
 class TestOracle:
