@@ -8,10 +8,10 @@ The connectivity tests each cost one DFS of the induced subgraph, run
 on its local adjacency (:func:`_local_adjacency`): m = 2 is the
 articulation-point DFS that also gives the blocks (:func:`_local_blocks`),
 O(n + E), and m = 3 is one DFS plus a separation-pair test,
-O((n + E) log n), that names the lowest bad point, the vertex
-sustainability repairs (:func:`_lowest_bad_point`).  Verify's witness
-finds that point by a separate, independent sweep, one block DFS per
-removed vertex (:func:`_first_bad_point`), O(n (n + E)).
+O((n + E) log n), that names the lowest bad point
+(:func:`_lowest_bad_point`).  That one engine serves the m = 3 verdict,
+the vertex sustainability repairs and the first member of verify's
+m = 3 witness.
 
 Every deterministic shortest path (``shortest_path``, and the paths the
 pipeline's domination and both augmentation phases promote) comes from
@@ -463,28 +463,23 @@ def block_cut_tree(g: Graph, subset: Iterable[int]) -> BlockCutTree:
     return _block_cut_tree(nodes, _local_adjacency(g, nodes))
 
 
-def _first_bad_point(g: Graph, nodes: Sequence[int]) -> int | None:
-    """Lowest member of the sorted ``nodes`` whose removal leaves the rest
-    not strictly 2-connected, or None when there is no such bad point.
-
-    The slow route, independent of :func:`_lowest_bad_point`: the local
-    adjacency is built once and each removal is one block DFS.  With
-    fewer than four members every member is bad: the two or fewer left
-    cannot be 2-connected.
-    """
-    if len(nodes) < 4:
-        return nodes[0] if nodes else None
-    local = _local_adjacency(g, nodes)
-    for i, v in enumerate(nodes):
-        blocks = _local_blocks(local, skip=i)
-        if blocks is None or len(blocks) > 1:
-            return v
-    return None
+def _not_two_connected(adj: list[list[int]]) -> int:
+    """Lowest bad point of a local graph of four or more vertices that is
+    not 2-connected: vertex 0, unless it has at most one neighbour and the
+    rest is 2-connected; then vertex 1.  Only such a vertex u can leave a
+    2-connected rest (two neighbours would make G 2-connected), and only
+    one can: every other vertex has two neighbours in G - u.  Costs at
+    most one block DFS."""
+    if len(adj[0]) <= 1:
+        blocks = _local_blocks(adj, skip=0)
+        if blocks is not None and len(blocks) == 1:
+            return 1
+    return 0
 
 
 def _lowest_bad_point(adj: list[list[int]]) -> int | None:
-    """Lowest local index of a bad point of a 2-connected local graph, or
-    None when there is none, that is when the graph is 3-connected.
+    """Lowest local index of a bad point of the local graph, or None when
+    there is none, that is when the graph is 3-connected.
     O((n + E) log n).
 
     A bad point is a vertex whose removal leaves the rest not strictly
@@ -493,9 +488,9 @@ def _lowest_bad_point(adj: list[list[int]]) -> int | None:
     points are exactly the members of separation pairs: if v is bad, the
     rest is connected and has a cut vertex w, so {v, w} separates; if
     {v, w} separates, w is a cut vertex of the graph minus v.  A graph
-    that is not itself 2-connected gets some bad point, not always the
-    lowest: a cut vertex, or a vertex that leaves a disconnected graph
-    disconnected.
+    that is not itself 2-connected, which the DFS shows by a cut vertex
+    or by not reaching every vertex, has its answer from
+    :func:`_not_two_connected`, at the cost of at most one more block DFS.
 
     One iterative DFS from vertex 0 gives every vertex its depth, subtree
     size and low point (shallowest frond target from its subtree).  In a
@@ -570,7 +565,7 @@ def _lowest_bad_point(adj: list[list[int]]) -> int | None:
             if p < 0:
                 continue
             if lx >= dx - 1 and dx >= 2:
-                return p  # a cut vertex
+                return _not_two_connected(adj)  # p is a cut vertex
             size[p] += size[x]
             children[p].append(x)
             if lx < first_low[p]:
@@ -578,10 +573,8 @@ def _lowest_bad_point(adj: list[list[int]]) -> int | None:
                 first_low[p], first_child[p] = lx, x
             elif lx < second_low[p]:
                 second_low[p] = lx
-    if len(order) < n:
-        return 0 if len(order) > 1 else 1  # disconnected, and so is the rest
-    if size[order[1]] < n - 1:
-        return 0  # the root is a cut vertex
+    if len(order) < n or size[order[1]] < n - 1:
+        return _not_two_connected(adj)  # disconnected, or the root is a cut vertex
 
     hi = [-1] * n
     up = list(range(n))

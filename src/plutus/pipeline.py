@@ -46,6 +46,7 @@ from .graph import (
     _is_int,
     _lex_shortest_path,
     _local_adjacency,
+    _local_blocks,
     _local_two_connected,
     _lowest_bad_point,
     is_connected,
@@ -428,9 +429,10 @@ def diversification(
     backbone = set(_as_subset(g, d))
     if not backbone:
         raise GraphInputError("backbone must be non-empty")
-    if not is_connected(g, backbone):
+    local = _local_adjacency(g, sorted(backbone))
+    if _local_blocks(local) is None:
         raise DisconnectedInputError("input set does not induce a connected subgraph")
-    return _augment(g, backbone, max_iterations, 2)
+    return _augment(g, backbone, max_iterations, 2, local)
 
 
 def sustainability(

@@ -7,7 +7,9 @@ counter runs unit-capacity augmentation on a vertex-split digraph
 simple paths, the stretch twin runs two BFSs per source, the unit-disk
 twin compares every pair of points, the block twin runs the
 dict-based edge-stack DFS and the independent-set twin runs the greedy
-rounds separately on each component.
+rounds separately on each component.  The one exception is the
+bad-point sweep, which runs the package's m = 2 test once per member: it
+is independent of the m = 3 engine it checks.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
-from plutus import Graph, from_edge_list
+from plutus import Graph, from_edge_list, is_m_connected
 from plutus.graph import BlockCutTree, DistanceReport
 from plutus.geometry import splitmix64
 
@@ -273,6 +275,17 @@ def naive_lowest_bad_point(g: Graph, subset) -> int | None:
     :func:`naive_m_connected`; None when there is none."""
     nodes = set(subset)
     return next((v for v in sorted(nodes) if not naive_m_connected(g, nodes - {v}, 2)), None)
+
+
+def sweep_lowest_bad_point(g: Graph, subset) -> int | None:
+    """Lowest member whose removal leaves the rest not 2-connected, by one
+    public m = 2 test per member; None when there is none.  Independent of
+    the separation-pair engine, and fast enough for a few hundred nodes,
+    where :func:`naive_lowest_bad_point` is not."""
+    nodes = set(subset)
+    if len(nodes) < 4:
+        return min(nodes, default=None)
+    return next((v for v in sorted(nodes) if not is_m_connected(g, nodes - {v}, 2)), None)
 
 
 def naive_disconnecting_set(g: Graph, subset, m: int) -> tuple[int, ...] | None:

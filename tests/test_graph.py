@@ -27,7 +27,6 @@ from plutus import (
 from plutus.geometry import splitmix64
 from plutus.graph import (
     _block_cut_tree,
-    _first_bad_point,
     _lex_shortest_path,
     _local_adjacency,
     _lowest_bad_point,
@@ -38,6 +37,7 @@ from .helpers import (
     induced_connected,
     menger_m_connected,
     naive_block_cut_tree,
+    naive_disconnecting_set,
     naive_lex_shortest_path,
     naive_from_points,
     naive_lowest_bad_point,
@@ -45,6 +45,7 @@ from .helpers import (
     random_connected_graph,
     random_graph,
     relabel,
+    sweep_lowest_bad_point,
 )
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -591,7 +592,7 @@ class TestTriconnectivity:
         g = random_geometric(n, radius, seed).graph()
         h = relabel(g, sorted(range(n), key=lambda v: splitmix64(seed, v)))
         for graph in (g, h):
-            expected = _first_bad_point(graph, range(n)) is None
+            expected = sweep_lowest_bad_point(graph, range(n)) is None
             assert is_m_connected(graph, range(n), 3) == expected
 
     def test_stack_slot_restored_on_backtrack(self):
@@ -607,7 +608,7 @@ class TestTriconnectivity:
         assert is_m_connected(g, range(11), 2)
         assert not is_m_connected(g, range(11), 3)
         # the two members of that pair are the only bad points
-        assert lowest_bad_point(g) == 8 == _first_bad_point(g, range(11))
+        assert lowest_bad_point(g) == 8 == naive_lowest_bad_point(g, range(11))
         assert lowest_bad_point(relabel(g, [8] + [v for v in range(11) if v != 8])) == 0
         assert lowest_bad_point(relabel(g, [v for v in range(11) if v != 9] + [9])) == 8
 
@@ -665,14 +666,13 @@ def every_graph_by_degree(n: int):
 
 class TestLowestBadPoint:
     """The lowest bad point named by the separation-pair engine against
-    the bad-point sweep and the removal-subset reference."""
+    the removal-subset reference, and on large graphs against a sweep of
+    the public m = 2 test."""
 
     @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_every_small_two_connected_graph(self, n):
+    def test_every_small_graph(self, n):
         for g in every_graph(n):
-            if is_m_connected(g, range(n), 2):
-                expected = naive_lowest_bad_point(g, range(n))
-                assert lowest_bad_point(g) == expected == _first_bad_point(g, range(n))
+            assert lowest_bad_point(g) == naive_lowest_bad_point(g, range(n))
 
     def test_every_two_connected_graph_on_seven_nodes(self):
         # each graph in a labelling with degrees falling and one with them
@@ -684,27 +684,57 @@ class TestLowestBadPoint:
             checked += 1
             assert lowest_bad_point(g) == naive_lowest_bad_point(g, range(7))
             h = relabel(g, list(range(6, -1, -1)))
-            assert lowest_bad_point(h) == _first_bad_point(h, range(7))
+            assert lowest_bad_point(h) == naive_lowest_bad_point(h, range(7))
         assert checked > 468  # the number of 2-connected graphs on 7 nodes
 
     @given(ring_with_chords())
     @settings(max_examples=300, deadline=None)
     def test_rings_with_chords(self, g):
         n = g.node_count
-        expected = naive_lowest_bad_point(g, range(n))
-        assert lowest_bad_point(g) == expected == _first_bad_point(g, range(n))
+        assert lowest_bad_point(g) == naive_lowest_bad_point(g, range(n))
 
     @given(sparse_graph())
     @settings(max_examples=200, deadline=None)
     def test_any_graph_gets_a_bad_point_or_is_triconnected(self, g):
-        # on a graph that is not 2-connected the answer is some bad point
+        # exact on graphs that are not 2-connected too
         n = g.node_count
         assume(n >= 1)
         bad = lowest_bad_point(g)
+        assert bad == naive_lowest_bad_point(g, range(n))
         if bad is None:
             assert naive_m_connected(g, range(n), 3)
-        else:
-            assert not naive_m_connected(g, set(range(n)) - {bad}, 2)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)],  # 0 pendant on the 4-cycle 1-2-3-4
+        [(u, v) for u in range(1, 5) for v in range(u + 1, 5)],  # 0 isolated beside K4
+    ])
+    def test_second_lowest_when_the_rest_is_two_connected(self, edges):
+        # the one vertex whose removal leaves a 2-connected rest is 0, so
+        # the lowest bad point is 1, and (1, 2) is the first disconnecting pair
+        g = from_edge_list(5, edges)
+        assert is_m_connected(g, range(1, 5), 2)
+        assert lowest_bad_point(g) == 1 == naive_lowest_bad_point(g, range(5))
+        assert naive_disconnecting_set(g, range(5), 3) == (1, 2)
+
+    def test_not_two_connected_exit_costs_at_most_one_block_search(self, monkeypatch):
+        # a graph with a cut vertex: vertex 0 with two neighbours is bad at
+        # once, and a pendant vertex 0 costs one block DFS of the rest
+        import plutus.graph
+
+        calls = []
+        local_blocks = plutus.graph._local_blocks
+
+        def counting(adj, skip=-1):
+            calls.append(skip)
+            return local_blocks(adj, skip)
+
+        monkeypatch.setattr(plutus.graph, "_local_blocks", counting)
+        bowtie = from_edge_list(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+        assert lowest_bad_point(bowtie) == 0
+        assert calls == []
+        pendant = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)])
+        assert lowest_bad_point(pendant) == 1
+        assert calls == [0]
 
     @pytest.mark.parametrize("n, radius, seed", [
         (200, 0.15, 3), (300, 0.12, 2), (400, 0.1, 4), (500, 0.1, 1), (500, 0.1, 2),
@@ -720,7 +750,7 @@ class TestLowestBadPoint:
             if len(sets[0]) == n:
                 sets.append(run_plutus(graph, PlutusConfig(k=2, m=2)).dominating_set)
             for subset in sets:
-                assert lowest_bad_point(graph, subset) == _first_bad_point(graph, sorted(subset))
+                assert lowest_bad_point(graph, subset) == sweep_lowest_bad_point(graph, subset)
 
 
 class TestStrictBiconnectivity:

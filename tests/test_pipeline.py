@@ -625,6 +625,35 @@ class TestDiversificationRounds:
             self.check(monkeypatch, g, k)
 
 
+def test_diversification_builds_one_adjacency_per_round(monkeypatch):
+    # the entry check's adjacency serves the first round, so each build,
+    # through either module's name, is of a larger backbone than the last
+    import plutus.graph
+
+    g = random_geometric(120, 0.16, 22).graph()
+    backbone = run_plutus(g, PlutusConfig(k=2, m=1)).dominating_set
+    builds, rounds = [], []
+    local_adjacency = plutus.graph._local_adjacency
+    block_cut_tree = pipeline._block_cut_tree
+
+    def record_build(graph, nodes):
+        builds.append(list(nodes))
+        return local_adjacency(graph, nodes)
+
+    def record_round(*args):
+        rounds.append(args[0])
+        return block_cut_tree(*args)
+
+    for module in (plutus.graph, pipeline):
+        monkeypatch.setattr(module, "_local_adjacency", record_build)
+    monkeypatch.setattr(pipeline, "_block_cut_tree", record_round)
+    grown = diversification(g, backbone)
+    assert len(rounds) > 1
+    assert builds == rounds
+    assert builds[0] == sorted(backbone) and builds[-1] == sorted(grown)
+    assert all(len(a) < len(b) for a, b in zip(builds, builds[1:]))
+
+
 class TestAugmentationPaths:
     """Both augmentation steps take the lexicographically smallest
     shortest admissible path, checked against simple-path enumeration on

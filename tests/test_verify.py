@@ -30,6 +30,7 @@ from .conftest import complete_graph, structured_graphs
 from .helpers import (
     naive_backbone_stretch,
     naive_disconnecting_set,
+    naive_lowest_bad_point,
     random_connected_graph,
     random_graph,
     relabel,
@@ -212,6 +213,19 @@ class TestCertificate:
         report = is_m_connected_k_dominating(g, range(4), 1, 3)
         assert report.checks[1].witness == ("disconnecting-set", (0, 2))
         assert naive_disconnecting_set(g, range(4), 3) == (0, 2)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)],  # 0 pendant on the 4-cycle 1-2-3-4
+        [(u, v) for u in range(1, 5) for v in range(u + 1, 5)],  # 0 isolated beside K4
+    ])
+    def test_pinned_point_is_second_lowest_when_the_rest_is_two_connected(self, edges):
+        # removing 0 leaves a 2-connected rest, so the lowest bad point
+        # is 1; without 1, the lowest vertex to split the rest is 2
+        g = from_edge_list(5, edges)
+        report = is_m_connected_k_dominating(g, range(5), 1, 3)
+        assert report.checks[1].witness == ("disconnecting-set", (1, 2))
+        assert naive_lowest_bad_point(g, range(5)) == 1
+        assert naive_disconnecting_set(g, range(5), 3) == (1, 2)
 
     def test_whole_set_reduces_to_graph_connectivity(self, c6):
         for m in (1, 2, 3):
