@@ -4,14 +4,13 @@ and exact vertex-connectivity tests.
 :func:`from_points` buckets the points into a grid of cells about one
 radius wide and compares only neighbouring cells.
 
-The connectivity tests each cost one DFS of the induced subgraph, run
-on its local adjacency (:func:`_local_adjacency`): m = 2 is the
-articulation-point DFS that also gives the blocks (:func:`_local_blocks`),
-O(n + E), and m = 3 is one DFS plus a separation-pair test,
-O((n + E) log n), that names the lowest bad point
-(:func:`_lowest_bad_point`).  That one engine serves the m = 3 verdict,
-the vertex sustainability repairs and the first member of verify's
-m = 3 witness.
+Every block question is read from the block lists of one
+articulation-point DFS of the induced subgraph's local adjacency
+(:func:`_local_blocks`), O(n + E).  One routine, :func:`_disconnecting_set`,
+gives the m = 2 and m = 3 verdicts and verify's witness; at m = 3 it
+pins the lowest bad point from one DFS plus a separation-pair test,
+O((n + E) log n) (:func:`_lowest_bad_point`), the engine that also picks
+the vertex each sustainability round repairs.
 
 Every deterministic shortest path (``shortest_path``, and the paths the
 pipeline's domination and both augmentation phases promote) comes from
@@ -423,29 +422,14 @@ def _local_blocks(adj: list[list[int]], skip: int = -1) -> list[list[int]] | Non
     return blocks or [[root]]
 
 
-def _local_two_connected(adj: list[list[int]]) -> bool:
-    """At least three vertices, connected, and no cut vertex."""
-    blocks = _local_blocks(adj)
-    return len(adj) >= 3 and blocks is not None and len(blocks) == 1
-
-
-def _block_cut_tree(nodes: Sequence[int], adj: list[list[int]], skip: int = -1) -> BlockCutTree:
-    """:func:`block_cut_tree` of the local graph ``adj`` of the sorted ids
-    ``nodes``, minus the local vertex ``skip``, mapped back to ids."""
-    local = _local_blocks(adj, skip)
-    if local is None:
-        raise DisconnectedInputError("subset does not induce a connected subgraph")
-    count = [0] * len(adj)
-    for block in local:
-        for v in block:
-            count[v] += 1
-    blocks = tuple(frozenset(nodes[v] for v in block) for block in sorted(map(sorted, local)))
-    cut_vertices = frozenset(nodes[v] for v, c in enumerate(count) if c >= 2)
-    if len(blocks) == 1:
-        leaf_blocks: tuple[frozenset[int], ...] = ()
-    else:
-        leaf_blocks = tuple(b for b in blocks if len(b & cut_vertices) == 1)
-    return BlockCutTree(blocks, cut_vertices, leaf_blocks)
+def _cut_vertices(blocks: list[list[int]]) -> set[int]:
+    """The vertices that lie in two or more of ``blocks``."""
+    seen: set[int] = set()
+    cut: set[int] = set()
+    for block in blocks:
+        cut |= seen.intersection(block)
+        seen.update(block)
+    return cut
 
 
 def block_cut_tree(g: Graph, subset: Iterable[int]) -> BlockCutTree:
@@ -460,7 +444,13 @@ def block_cut_tree(g: Graph, subset: Iterable[int]) -> BlockCutTree:
     nodes = _as_subset(g, subset)
     if not nodes:
         raise GraphInputError("subset must be non-empty")
-    return _block_cut_tree(nodes, _local_adjacency(g, nodes))
+    local = _local_blocks(_local_adjacency(g, nodes))
+    if local is None:
+        raise DisconnectedInputError("subset does not induce a connected subgraph")
+    blocks = tuple(frozenset(nodes[v] for v in block) for block in sorted(map(sorted, local)))
+    cut_vertices = frozenset(nodes[v] for v in _cut_vertices(local))
+    leaf_blocks = tuple(b for b in blocks if len(b & cut_vertices) == 1)
+    return BlockCutTree(blocks, cut_vertices, leaf_blocks)
 
 
 def _not_two_connected(adj: list[list[int]]) -> int:
@@ -659,17 +649,52 @@ def _lowest_bad_point(adj: list[list[int]]) -> int | None:
     return None if best == n else best
 
 
+def _disconnecting_set(
+    g: Graph, nodes: list[int], local: list[list[int]], m: int
+) -> tuple[int, ...] | None:
+    """Lexicographically smallest set of m - 1 ids (m = 2 or 3) whose
+    removal splits the subgraph induced by the more than m sorted ids
+    ``nodes``, whose local adjacency is ``local``; None when it is m-connected.
+
+    The first m - 2 members are pinned: none for m = 2, and for m = 3 the
+    lowest bad point, from one pass of :func:`_lowest_bad_point`, since
+    both members of a disconnecting pair are bad points, and in a set of
+    four or more vertices every bad point belongs to one.  The last member
+    is the lowest vertex whose removal splits ``rest``, the set without
+    the pinned ones.  A connected ``rest`` has at least three vertices, so
+    it splits exactly when a cut vertex goes, and its block lists give the
+    lowest.  A split ``rest`` stays split when its lowest vertex goes,
+    unless that vertex is alone beside one other component; then the
+    second-lowest vertex splits it.
+    """
+    skip = -1 if m == 2 else _lowest_bad_point(local)
+    if skip is None:
+        return None
+    pinned = () if skip < 0 else (nodes[skip],)
+    blocks = _local_blocks(local, skip)
+    if blocks is None:
+        rest = [v for v in nodes if v not in pinned]
+        components = connected_components(g, rest)
+        last = rest[1] if len(components) == 2 and len(components[0]) == 1 else rest[0]
+    elif len(blocks) == 1:
+        return None  # only at m = 2: a 2-connected set
+    else:
+        last = nodes[min(_cut_vertices(blocks))]
+    return (*pinned, last)
+
+
 def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
     """Exact m-connectivity (m in 1..3) of the subgraph induced by ``subset``:
     it stays connected after removal of any m-1 of its vertices.
 
     m = 1 is plain connectivity (a singleton counts as connected).  For
     m >= 2 a subset of at most m vertices never qualifies: the complete
-    graph on n vertices is only (n-1)-connected.  Both higher levels run
-    on one local adjacency of the subset.  m = 2 is one articulation-point
-    DFS: connected with no cut vertex.  m = 3 is one DFS followed by the
-    separation-pair test of :func:`_lowest_bad_point`, O((n + E) log n):
-    3-connected when it finds no bad point.
+    graph on n vertices is only (n-1)-connected.  Both higher levels ask
+    :func:`_disconnecting_set` on one local adjacency of the subset.  m = 2
+    is one articulation-point DFS: connected with no cut vertex.  m = 3 is
+    one DFS followed by the separation-pair test of
+    :func:`_lowest_bad_point`, O((n + E) log n): 3-connected when it finds
+    no bad point.
     """
     _check_m(m)
     nodes = _as_subset(g, subset)
@@ -677,7 +702,4 @@ def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
         raise GraphInputError("subset must be non-empty")
     if m == 1:
         return is_connected(g, nodes)
-    local = _local_adjacency(g, nodes)
-    if m == 2:
-        return _local_two_connected(local)
-    return _lowest_bad_point(local) is None
+    return len(nodes) > m and _disconnecting_set(g, nodes, _local_adjacency(g, nodes), m) is None

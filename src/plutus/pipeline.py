@@ -37,17 +37,16 @@ from .errors import (
     IterationCapExceededError,
 )
 from .graph import (
-    BlockCutTree,
     Graph,
     _as_subset,
-    _block_cut_tree,
     _check_k,
     _check_m,
+    _cut_vertices,
+    _disconnecting_set,
     _is_int,
     _lex_shortest_path,
     _local_adjacency,
     _local_blocks,
-    _local_two_connected,
     _lowest_bad_point,
     is_connected,
     is_m_connected,
@@ -191,26 +190,6 @@ def isolation(g: Graph) -> tuple[frozenset[int], tuple[Role, ...]]:
     return mis, roles
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[int]) -> None:
-        self.parent = {v: v for v in items}
-
-    def add(self, v: int) -> None:
-        self.parent.setdefault(v, v)
-
-    def find(self, v: int) -> int:
-        p = self.parent
-        while p[v] != v:
-            p[v] = p[p[v]]
-            v = p[v]
-        return v
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def _mis_pairs_within(g: Graph, mis: Sequence[int], limit: int) -> list[tuple[int, int, int]]:
     """(distance, u, v) for independent-set pairs with hop distance <= limit,
     found by a depth-limited BFS from each member."""
@@ -252,23 +231,24 @@ def domination(g: Graph, mis: Iterable[int]) -> frozenset[int]:
         raise GraphInputError(f"input is not a maximal independent set: {witness}")
 
     dominating = set(members)
-    components = _UnionFind(members)
+    parent = list(range(g.node_count))
 
-    def promote(w: int) -> None:
-        dominating.add(w)
-        components.add(w)
-        for x in g.adjacency[w]:
-            if x in dominating:
-                components.union(w, x)
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
 
     for _, u, v in _mis_pairs_within(g, members, 3):
-        if components.find(u) == components.find(v):
+        if find(u) == find(v):
             continue
         path = _lex_shortest_path(g, (u,), (v,), lambda x: True)
         for w in path[1:-1]:
             if w not in dominating:
-                promote(w)
-    roots = {components.find(v) for v in dominating}
+                dominating.add(w)
+                for x in g.adjacency[w]:
+                    if x in dominating:
+                        parent[find(w)] = find(x)
+    roots = {find(v) for v in dominating}
     if len(roots) > 1:
         raise DisconnectedInputError(
             "dominator set did not converge to a single component"
@@ -334,15 +314,22 @@ def synergy(g: Graph, d: Iterable[int], k: int) -> frozenset[int]:
 
 
 def _augment_leaf_block(
-    g: Graph, base: set[int], tree: BlockCutTree, allowed: Callable[[int], bool]
-) -> list[int] | None:
-    """Shortest path in g from a non-cut member of the smallest-member leaf
-    block of ``tree``, the block-cut tree of ``base``, to any base vertex
-    outside that block, whose internal vertices all satisfy ``allowed``;
-    None when there is none.  Its internal vertices are the ones to promote.
-    """
-    leaf = tree.leaf_blocks[0]
-    return _lex_shortest_path(g, leaf - tree.cut_vertices, base - leaf, allowed)
+    g: Graph,
+    nodes: Sequence[int],
+    blocks: list[list[int]],
+    base: set[int],
+    allowed: Callable[[int], bool],
+) -> tuple[frozenset[int], list[int] | None]:
+    """The smallest-member leaf block of ``base``, a block meeting the cut
+    vertices once, from its two or more ``blocks`` in local indices of the
+    sorted ids ``nodes``; and the shortest path in g from a non-cut member
+    of that leaf to any base vertex outside it, whose internal vertices all
+    satisfy ``allowed`` (None when there is none), the ones to promote."""
+    cut = _cut_vertices(blocks)
+    leaf = min((b for b in blocks if len(cut.intersection(b)) == 1), key=sorted)
+    ids = frozenset(nodes[v] for v in leaf)
+    sources = [nodes[v] for v in leaf if v not in cut]
+    return ids, _lex_shortest_path(g, sources, base - ids, allowed)
 
 
 def _alternate_pair_path(
@@ -392,8 +379,8 @@ def _augment(
         base = backbone if bad < 0 else backbone - {nodes[bad]}
         # for m = 2 one block decomposition per round answers both
         # "2-connected?" and "which leaf block?"
-        tree = _block_cut_tree(nodes, local, bad) if len(base) >= 3 else None
-        if m == 2 and tree is not None and len(tree.blocks) == 1:
+        blocks = _local_blocks(local, bad) if len(base) >= 3 else None
+        if m == 2 and blocks is not None and len(blocks) == 1:
             break
         if iterations > cap:
             raise IterationCapExceededError(phase, cap)
@@ -403,8 +390,7 @@ def _augment(
         elif len(base) <= 2:
             path = _alternate_pair_path(g, min(base), max(base), outside)
         else:
-            witness = tree.leaf_blocks[0]
-            path = _augment_leaf_block(g, base, tree, outside)
+            witness, path = _augment_leaf_block(g, nodes, blocks, base, outside)
         if path is None:
             if m == 2:
                 raise Infeasible2ConnectivityError(tuple(witness))
@@ -449,7 +435,7 @@ def sustainability(
     backbone = set(_as_subset(g, d))
     nodes = sorted(backbone)
     local = _local_adjacency(g, nodes)
-    if not _local_two_connected(local):
+    if len(nodes) <= 2 or _disconnecting_set(g, nodes, local, 2) is not None:
         raise GraphInputError("sustainability requires a 2-connected input set")
     return _augment(g, backbone, max_iterations, 3, local)
 

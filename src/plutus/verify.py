@@ -32,10 +32,9 @@ from .graph import (
     _as_subset,
     _check_k,
     _check_m,
+    _disconnecting_set,
     _is_int,
     _local_adjacency,
-    _lowest_bad_point,
-    block_cut_tree,
     connected_components,
     is_m_connected,
 )
@@ -121,34 +120,13 @@ def is_k_dominating(g: Graph, s: Iterable[int], k: int) -> tuple[bool, Witness |
 def _m_connectivity_witness(g: Graph, nodes: list[int], m: int) -> Witness:
     """Concrete evidence for a failed m-connectivity check: the first
     component of a split set, a set of at most m vertices, or the
-    lexicographically smallest disconnecting set of m - 1 vertices.
-
-    The first m - 2 members are pinned: none for m = 2, and for m = 3 the
-    lowest bad point, from one pass of :func:`graph._lowest_bad_point`,
-    since both members of a disconnecting pair are bad points, and in a
-    set of four or more vertices every bad point belongs to one.  The
-    last member is the lowest vertex whose removal splits ``rest``, the
-    set without the pinned ones, and one component search names it.  A
-    connected ``rest`` has at least three vertices, so it splits exactly
-    when a cut vertex goes, and one block decomposition gives the lowest.
-    A split ``rest`` stays split when its lowest vertex goes, unless that
-    vertex is alone beside one other component; then the second-lowest
-    vertex splits it.
-    """
+    lexicographically smallest disconnecting set of m - 1 vertices, from
+    :func:`graph._disconnecting_set` on one induced graph of the set."""
     if m == 1:
         return ("disconnected", tuple(connected_components(g, nodes)[0]))
     if len(nodes) <= m:
         return ("too-small", len(nodes))
-    pinned = () if m == 2 else (nodes[_lowest_bad_point(_local_adjacency(g, nodes))],)
-    rest = [x for x in nodes if x not in pinned]
-    components = connected_components(g, rest)
-    if len(components) == 1:
-        last = min(block_cut_tree(g, rest).cut_vertices)
-    elif len(components) == 2 and len(components[0]) == 1:
-        last = rest[1]
-    else:
-        last = rest[0]
-    return ("disconnecting-set", (*pinned, last))
+    return ("disconnecting-set", _disconnecting_set(g, nodes, _local_adjacency(g, nodes), m))
 
 
 def is_m_connected_k_dominating(

@@ -16,7 +16,6 @@ from plutus import (
     IterationCapExceededError,
     PlutusConfig,
     Role,
-    block_cut_tree,
     brute_force_min_mcds,
     diversification,
     domination,
@@ -35,6 +34,7 @@ from plutus import (
 )
 from plutus import pipeline
 from plutus.geometry import splitmix64
+from plutus.graph import _local_adjacency, _local_blocks
 from plutus.pipeline import _alternate_pair_path, _augment_leaf_block
 from plutus.serialize import dumps, result_to_dict
 
@@ -512,10 +512,9 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
         rounds[-1][1] = None if bad is None else rounds[-1][0][bad]
         return bad
 
-    def record_leaf(graph, base, tree, allowed):
-        rounds[-1][2] = tree.leaf_blocks[0]
-        rounds[-1][3] = augment_leaf_block(graph, base, tree, allowed)
-        return rounds[-1][3]
+    def record_leaf(*args):
+        rounds[-1][2:] = augment_leaf_block(*args)
+        return rounds[-1][2:]
 
     def record_pair(*args):
         rounds[-1][3] = alternate_pair_path(*args)
@@ -627,31 +626,55 @@ class TestDiversificationRounds:
 
 def test_diversification_builds_one_adjacency_per_round(monkeypatch):
     # the entry check's adjacency serves the first round, so each build,
-    # through either module's name, is of a larger backbone than the last
+    # through either module's name, is of a larger backbone than the last,
+    # and each round decomposes the one adjacency built for it
     import plutus.graph
 
     g = random_geometric(120, 0.16, 22).graph()
     backbone = run_plutus(g, PlutusConfig(k=2, m=1)).dominating_set
-    builds, rounds = [], []
+    builds, built, decomposed = [], [], []
     local_adjacency = plutus.graph._local_adjacency
-    block_cut_tree = pipeline._block_cut_tree
+    local_blocks = pipeline._local_blocks
 
     def record_build(graph, nodes):
         builds.append(list(nodes))
-        return local_adjacency(graph, nodes)
+        built.append(local_adjacency(graph, nodes))
+        return built[-1]
 
-    def record_round(*args):
-        rounds.append(args[0])
-        return block_cut_tree(*args)
+    def record_round(adj, skip=-1):
+        decomposed.append(adj)
+        return local_blocks(adj, skip)
 
     for module in (plutus.graph, pipeline):
         monkeypatch.setattr(module, "_local_adjacency", record_build)
-    monkeypatch.setattr(pipeline, "_block_cut_tree", record_round)
+    monkeypatch.setattr(pipeline, "_local_blocks", record_round)
     grown = diversification(g, backbone)
-    assert len(rounds) > 1
-    assert builds == rounds
+    rounds = decomposed[1:]  # the first call is the entry check
+    assert len(rounds) > 1 and decomposed[0] is rounds[0]
+    assert len(rounds) == len(built) and all(a is b for a, b in zip(rounds, built))
     assert builds[0] == sorted(backbone) and builds[-1] == sorted(grown)
     assert all(len(a) < len(b) for a, b in zip(builds, builds[1:]))
+
+
+def test_augmentation_rounds_build_no_block_cut_tree(monkeypatch):
+    # every round reads the plain block lists; the recorder does see the
+    # public block_cut_tree build one
+    import plutus.graph
+
+    built = []
+    block_cut_tree_type = plutus.graph.BlockCutTree
+
+    def record(*args):
+        built.append(args)
+        return block_cut_tree_type(*args)
+
+    monkeypatch.setattr(plutus.graph, "BlockCutTree", record)
+    g = random_geometric(60, 0.25, 16).graph()
+    trace = run_plutus(g, PlutusConfig(k=2, m=3)).phase_trace
+    assert [len(p.added) > 0 for p in trace[-2:]] == [True, True]
+    assert built == []
+    plutus.graph.block_cut_tree(g, range(g.node_count))
+    assert len(built) == 1
 
 
 class TestAugmentationPaths:
@@ -667,14 +690,16 @@ class TestAugmentationPaths:
         nodes = st.integers(0, g.node_count - 1)
         base = data.draw(st.sets(nodes, min_size=3))
         assume(is_connected(g, base))
-        tree = block_cut_tree(g, base)
+        tree = naive_block_cut_tree(g, base)
         assume(tree.leaf_blocks)
         blocked = base | data.draw(st.sets(nodes))
         constraint = data.draw(st.sets(nodes))
         allowed = lambda x: x not in blocked and x in constraint
         leaf = tree.leaf_blocks[0]
         expected = naive_lex_shortest_path(g, leaf - tree.cut_vertices, base - leaf, allowed)
-        assert _augment_leaf_block(g, base, tree, allowed) == expected
+        members = sorted(base)
+        blocks = _local_blocks(_local_adjacency(g, members))
+        assert _augment_leaf_block(g, members, blocks, base, allowed) == (leaf, expected)
 
     @given(st.data())
     @settings(max_examples=300)

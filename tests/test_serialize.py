@@ -83,8 +83,9 @@ class TestResultJson:
             "diversification",
         ]
         assert all(set(p) == {"name", "size", "added"} for p in payload["phases"])
-        assert set(payload["roles"]) == {str(v) for v in range(4)}
-        assert set(payload["roles"].values()) <= {"dominator", "reluctant", "prone"}
+        assert payload["roles"] == {
+            str(v): "dominator" if v in result.dominating_set else "reluctant" for v in range(4)
+        }
         backbone, k, m = result_from_dict(payload)
         assert backbone == result.dominating_set
         assert (k, m) == (1, 2)
