@@ -4,13 +4,14 @@ and exact vertex-connectivity tests.
 :func:`from_points` buckets the points into a grid of cells about one
 radius wide and compares only neighbouring cells.
 
-Every block question is read from the block lists of one
-articulation-point DFS of the induced subgraph's local adjacency
-(:func:`_local_blocks`), O(n + E).  One routine, :func:`_disconnecting_set`,
-gives the m = 2 and m = 3 verdicts and verify's witness; at m = 3 it
-pins the lowest bad point from one DFS plus a separation-pair test,
-O((n + E) log n) (:func:`_lowest_bad_point`), the engine that also picks
-the vertex each sustainability round repairs.
+Block lists (:func:`_local_blocks`), cut vertices and separation pairs
+are all read from one palm tree of the induced subgraph's local
+adjacency (:func:`_palm_tree`), O(n + E).  One routine,
+:func:`_disconnecting_set`, gives the m = 2 and m = 3 verdicts and
+verify's witness; at m = 3 it pins the lowest bad point from one palm
+tree plus a separation-pair test, O((n + E) log n)
+(:func:`_lowest_bad_point`), the engine that also picks the vertex each
+sustainability round repairs.
 
 Every deterministic shortest path (``shortest_path``, and the paths the
 pipeline's domination and both augmentation phases promote) comes from
@@ -364,62 +365,83 @@ def is_connected(g: Graph, subset: Iterable[int] | None = None) -> bool:
     return len(connected_components(g, subset)) <= 1
 
 
+def _palm_tree(
+    adj: list[list[int]], skip: int = -1, fronds: list[list[int]] | None = None
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """(preorder, parent, depth, low) of one iterative DFS, from its lowest
+    vertex, of the local graph minus the local vertex ``skip``: the palm
+    tree of Tarjan (1972) and Hopcroft and Tarjan (1973).
+
+    The preorder covers one component.  Off the tree ``parent`` and
+    ``depth`` are -1, as is the root's parent, but ``skip`` has depth n,
+    so it is neither entered nor lowers a low point.  ``low[v]`` is the
+    shallowest depth reached by an edge leaving v's subtree, the edge to
+    v's parent included, or ``depth[v]`` when none goes higher.  Only
+    given ``fronds`` does the DFS test for fronds, the edges up to an
+    ancestor other than the parent, and append each one's deeper end to
+    ``fronds[d]``, d being the depth of its shallower end.
+    """
+    n = len(adj)
+    depth = [-1] * n
+    parent = [-1] * n
+    low = [0] * n
+    if 0 <= skip < n:
+        depth[skip] = n
+    root = 1 if skip == 0 else 0
+    if root >= n:
+        return [], parent, depth, low
+    order = [root]
+    depth[root] = 0
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        x, rest = stack[-1]
+        dx = depth[x]
+        lx = low[x]  # a local is cheaper per edge than low[x]
+        for y in rest:
+            dy = depth[y]
+            if dy < 0:
+                low[x] = lx
+                depth[y] = low[y] = dx + 1
+                parent[y] = x
+                order.append(y)
+                stack.append((y, iter(adj[y])))
+                break
+            if dy < lx:
+                lx = dy
+            if fronds is not None and dy < dx - 1:
+                fronds[dy].append(x)
+        else:
+            stack.pop()
+            low[x] = lx
+            p = parent[x]
+            if p >= 0 and lx < low[p]:
+                low[p] = lx
+    return order, parent, depth, low
+
+
 def _local_blocks(adj: list[list[int]], skip: int = -1) -> list[list[int]] | None:
     """Vertex sets of the biconnected components of the local graph minus
     the local vertex ``skip``, or None when that graph is disconnected; a
     lone vertex is one block.
 
-    One iterative articulation-point DFS with a vertex stack: when a child
-    c of p is finished and nothing in its subtree reaches above p, the
-    vertices pushed since c, plus p, form a block.  The tree edge to the
-    parent may lower a low point to the parent's discovery time, which
-    leaves that test unchanged, so no parent check is needed.  ``skip`` is
-    marked discovered with a time no low point reaches, so it is neither
-    entered nor counted.
+    One pass over the preorder of :func:`_palm_tree`: a child whose low
+    point is its parent's depth opens the block [parent, child], and
+    every other vertex joins its parent's block.
     """
-    n = len(adj)
-    disc = [-1] * n
-    low = [0] * n
-    remaining = n
-    if 0 <= skip < n:
-        disc[skip] = n
-        remaining -= 1
-    if remaining <= 0:
-        return []
-    root = 1 if skip == 0 else 0
-    disc[root] = 0
-    counter = 1
-    pushed = [root]
-    pos = [0] * n  # where each vertex sits on ``pushed``
-    blocks: list[list[int]] = []
-    stack = [(root, iter(adj[root]))]
-    while stack:
-        x, rest = stack[-1]
-        for y in rest:
-            dy = disc[y]
-            if dy < 0:
-                disc[y] = low[y] = counter
-                counter += 1
-                pos[y] = len(pushed)
-                pushed.append(y)
-                stack.append((y, iter(adj[y])))
-                break
-            if dy < low[x]:
-                low[x] = dy
-        else:
-            stack.pop()
-            if not stack:
-                continue
-            p = stack[-1][0]
-            if low[x] < low[p]:
-                low[p] = low[x]
-            if low[x] >= disc[p]:
-                i = pos[x]
-                blocks.append(pushed[i:] + [p])
-                del pushed[i:]
-    if counter < remaining:
+    order, parent, depth, low = _palm_tree(adj, skip)
+    if len(order) < len(adj) - (0 <= skip < len(adj)):
         return None
-    return blocks or [[root]]
+    blocks: list[list[int]] = []
+    home = [0] * len(adj)  # the index of the block each vertex joined
+    for v in order[1:]:
+        p = parent[v]
+        if low[v] == depth[p]:
+            home[v] = len(blocks)
+            blocks.append([p, v])
+        else:
+            home[v] = home[p]
+            blocks[home[p]].append(v)
+    return [order] if len(order) == 1 else blocks
 
 
 def _cut_vertices(blocks: list[list[int]]) -> set[int]:
@@ -482,13 +504,15 @@ def _lowest_bad_point(adj: list[list[int]]) -> int | None:
     or by not reaching every vertex, has its answer from
     :func:`_not_two_connected`, at the cost of at most one more block DFS.
 
-    One iterative DFS from vertex 0 gives every vertex its depth, subtree
-    size and low point (shallowest frond target from its subtree).  In a
-    2-connected graph the two members of a separation pair lie on one
-    root path.  Let a be a proper ancestor of b at depth k; without them
-    the graph falls into the part above a, the middle M between a and b,
-    and the subtrees T(c) of b's children.  With hi(c) the deepest frond
-    target from T(c) above b, the pair separates exactly when
+    One palm tree from vertex 0 gives every vertex its depth and low point
+    and lists the fronds by target depth; one pass back over the preorder
+    finds any cut vertex and gives the subtree sizes, children and two
+    smallest child low points.  In a 2-connected graph the two members of
+    a separation pair lie on one root path.  Let a be a proper ancestor of
+    b at depth k; without them the graph falls into the part above a, the
+    middle M between a and b, and the subtrees T(c) of b's children.  With
+    hi(c) the deepest frond target from T(c) above b, the pair separates
+    exactly when
 
     - type 1: some T(c) reaches nothing above b but a, that is
       low(c) = hi(c) = k, and T(c) is not all that is left; or
@@ -517,60 +541,33 @@ def _lowest_bad_point(adj: list[list[int]]) -> int | None:
     n = len(adj)
     if n < 4:
         return 0
-    depth = [-1] * n
-    parent = [-1] * n
-    own = [0] * n  # shallowest frond target from the vertex itself
-    low = [0] * n
-    size = [1] * n
     by_target: list[list[int]] = [[] for _ in range(n)]  # frond sources by target depth
+    order, parent, depth, low = _palm_tree(adj, fronds=by_target)
+    if len(order) < n:
+        return _not_two_connected(adj)
+    size = [1] * n
     children: list[list[int]] = [[] for _ in range(n)]
     first_low = [n] * n  # the two smallest child low points of each vertex
-    first_child = [-1] * n
     second_low = [n] * n
-    order = [0]
-    depth[0] = 0
-    stack = [(0, iter(adj[0]))]
-    while stack:
-        x, rest = stack[-1]
-        dx = depth[x]
-        for y in rest:
-            dy = depth[y]
-            if dy < 0:
-                depth[y] = own[y] = dx + 1
-                parent[y] = x
-                order.append(y)
-                stack.append((y, iter(adj[y])))
-                break
-            if dy < dx - 1:  # a frond up to a proper ancestor other than the parent
-                by_target[dy].append(x)
-                if dy < own[x]:
-                    own[x] = dy
-        else:
-            stack.pop()
-            lx = own[x]
-            if first_low[x] < lx:
-                lx = first_low[x]
-            low[x] = lx
-            p = parent[x]
-            if p < 0:
-                continue
-            if lx >= dx - 1 and dx >= 2:
-                return _not_two_connected(adj)  # p is a cut vertex
-            size[p] += size[x]
-            children[p].append(x)
-            if lx < first_low[p]:
-                second_low[p] = first_low[p]
-                first_low[p], first_child[p] = lx, x
-            elif lx < second_low[p]:
-                second_low[p] = lx
-    if len(order) < n or size[order[1]] < n - 1:
-        return _not_two_connected(adj)  # disconnected, or the root is a cut vertex
+    for x in reversed(order[2:]):
+        p = parent[x]
+        lx = low[x]
+        if lx == depth[p]:
+            return _not_two_connected(adj)  # p is a cut vertex
+        size[p] += size[x]
+        children[p].append(x)
+        if lx < first_low[p]:
+            second_low[p] = first_low[p]
+            first_low[p] = lx
+        elif lx < second_low[p]:
+            second_low[p] = lx
 
+    own = depth[:]  # shallowest frond target from the vertex itself
     hi = [-1] * n
     up = list(range(n))
     for t in range(n - 1, -1, -1):
-        for s in by_target[t]:
-            x = s
+        for x in by_target[t]:
+            own[x] = t
             while up[x] != x:
                 up[x] = x = up[up[x]]
             while depth[x] >= t + 2:
@@ -608,7 +605,7 @@ def _lowest_bad_point(adj: list[list[int]]) -> int | None:
         if d >= 2 and low[b] == hi[b] and size[b] < n - 2:  # type 1, with c = b
             a = path[low[b]]
             best = min(best, a if a < p else p)
-        h = second_low[p] if first_child[p] == b else first_low[p]
+        h = second_low[p] if low[b] == first_low[p] else first_low[p]
         if own[p] < h:
             h = own[p]
         length = bisect_right(candidates, h, 0, length)
@@ -662,24 +659,26 @@ def _disconnecting_set(
     four or more vertices every bad point belongs to one.  The last member
     is the lowest vertex whose removal splits ``rest``, the set without
     the pinned ones.  A connected ``rest`` has at least three vertices, so
-    it splits exactly when a cut vertex goes, and its block lists give the
-    lowest.  A split ``rest`` stays split when its lowest vertex goes,
-    unless that vertex is alone beside one other component; then the
-    second-lowest vertex splits it.
+    it splits exactly when a cut vertex goes: past the root's first child,
+    each v of its palm tree with ``low[v] == depth[parent[v]]`` names
+    one, ``parent[v]``.  A split ``rest`` stays split when its lowest
+    vertex goes, unless that vertex is alone beside one other component;
+    then the second-lowest vertex splits it.
     """
     skip = -1 if m == 2 else _lowest_bad_point(local)
     if skip is None:
         return None
     pinned = () if skip < 0 else (nodes[skip],)
-    blocks = _local_blocks(local, skip)
-    if blocks is None:
+    order, parent, depth, low = _palm_tree(local, skip)
+    if len(order) + len(pinned) < len(nodes):
         rest = [v for v in nodes if v not in pinned]
         components = connected_components(g, rest)
         last = rest[1] if len(components) == 2 and len(components[0]) == 1 else rest[0]
-    elif len(blocks) == 1:
-        return None  # only at m = 2: a 2-connected set
     else:
-        last = nodes[min(_cut_vertices(blocks))]
+        cut = [parent[v] for v in order[2:] if low[v] == depth[parent[v]]]
+        if not cut:
+            return None  # only at m = 2: a 2-connected set
+        last = nodes[min(cut)]
     return (*pinned, last)
 
 
@@ -691,8 +690,8 @@ def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
     m >= 2 a subset of at most m vertices never qualifies: the complete
     graph on n vertices is only (n-1)-connected.  Both higher levels ask
     :func:`_disconnecting_set` on one local adjacency of the subset.  m = 2
-    is one articulation-point DFS: connected with no cut vertex.  m = 3 is
-    one DFS followed by the separation-pair test of
+    is one palm tree (:func:`_palm_tree`): connected with no cut vertex.
+    m = 3 is one palm tree followed by the separation-pair test of
     :func:`_lowest_bad_point`, O((n + E) log n): 3-connected when it finds
     no bad point.
     """

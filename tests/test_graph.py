@@ -32,6 +32,7 @@ from plutus.graph import (
     _local_adjacency,
     _local_blocks,
     _lowest_bad_point,
+    _palm_tree,
 )
 
 from .conftest import complete_graph, cycle_graph, path_graph, wheel_graph
@@ -629,6 +630,16 @@ class TestTriconnectivity:
         assert is_m_connected(prism, range(n), 3)
         assert not is_m_connected(ladder_graph(rungs), range(n), 3)
         assert not is_m_connected(broken, range(n), 3)
+        # a path and a cycle of 5000 vertices: the DFS is one long root path
+        nodes = list(range(n))
+        path, cycle = path_graph(n), cycle_graph(n)
+        tree = block_cut_tree(path, nodes)
+        assert (len(tree.blocks), len(tree.cut_vertices), len(tree.leaf_blocks)) == (n - 1, n - 2, 2)
+        assert block_cut_tree(cycle, nodes).blocks == (frozenset(nodes),)
+        for g, at_two in ((path, (1,)), (cycle, None)):
+            local = _local_adjacency(g, nodes)
+            assert _disconnecting_set(g, nodes, local, 2) == at_two
+            assert _disconnecting_set(g, nodes, local, 3) == (0, 2)
 
 
 def lowest_bad_point(g: Graph, subset=None) -> int | None:
@@ -781,6 +792,69 @@ class TestDisconnectingSet:
         found = _disconnecting_set(g, nodes, _local_adjacency(g, nodes), m)
         assert found == naive_disconnecting_set(g, nodes, m)
         assert is_m_connected(g, nodes, m) == (found is None)
+
+
+def check_palm_tree(adj: list[list[int]], skip: int) -> None:
+    """The palm tree of the local graph minus ``skip`` against its
+    definition, each part found by brute force."""
+    n = len(adj)
+    fronds: list[list[int]] = [[] for _ in range(n)]
+    order, parent, depth, low = _palm_tree(adj, skip, fronds)
+    assert (order, parent, depth, low) == _palm_tree(adj, skip)
+    rest = [v for v in range(n) if v != skip]
+    if not rest:
+        assert order == []
+        return
+    component = {rest[0]}
+    todo = [rest[0]]
+    while todo:
+        for y in adj[todo.pop()]:
+            if y != skip and y not in component:
+                component.add(y)
+                todo.append(y)
+    assert order[0] == rest[0] and len(order) == len(component) and set(order) == component
+    assert (parent[order[0]], depth[order[0]]) == (-1, 0)
+    ancestors = {order[0]: set()}  # proper ancestors, filled in preorder
+    for v in order[1:]:
+        p = parent[v]
+        assert v in adj[p] and depth[v] == depth[p] + 1
+        ancestors[v] = ancestors[p] | {p}
+    for v in range(n):
+        if v not in component:
+            assert (parent[v], depth[v]) == (-1, n if v == skip else -1)
+    expected = []
+    for x in order:
+        for y in adj[x]:
+            if y != skip:
+                assert y in ancestors[x] or x in ancestors[y]
+                if y in ancestors[x] and y != parent[x]:
+                    expected.append((depth[y], x))
+    # each frond once, its deeper end listed under the shallower end's depth
+    assert sorted((d, x) for d, row in enumerate(fronds) for x in row) == sorted(expected)
+    for v in order:
+        subtree = {w for w in order if w == v or v in ancestors[w]}
+        leaving = [depth[y] for x in subtree for y in adj[x] if y != skip and y not in subtree]
+        assert low[v] == min(leaving + [depth[v]])
+
+
+class TestPalmTree:
+    """The one DFS behind the block lists, the cut vertices and the
+    separation-pair engine."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_small_graph_and_skip(self, n):
+        for g in every_graph(n):
+            local = _local_adjacency(g, range(n))
+            for skip in range(-1, n):
+                check_palm_tree(local, skip)
+
+    @pytest.mark.parametrize("n, radius, seed", [(200, 0.15, 1), (300, 0.12, 2), (400, 0.1, 3)])
+    def test_unit_disk_subsets(self, n, radius, seed):
+        g = random_geometric(n, radius, seed).graph()
+        nodes = [v for v in range(n) if splitmix_pick(seed, v) or v % 3 == 0]
+        local = _local_adjacency(g, nodes)
+        for skip in (-1, 0, 1, len(nodes) // 2):
+            check_palm_tree(local, skip)
 
 
 class TestStrictBiconnectivity:
