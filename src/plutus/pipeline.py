@@ -41,7 +41,6 @@ from .graph import (
     _as_subset,
     _check_k,
     _check_m,
-    _cut_vertices,
     _disconnecting_set,
     _is_int,
     _lex_shortest_path,
@@ -317,15 +316,16 @@ def _augment_leaf_block(
     g: Graph,
     nodes: Sequence[int],
     blocks: list[list[int]],
+    cut: set[int],
     base: set[int],
     allowed: Callable[[int], bool],
 ) -> tuple[frozenset[int], list[int] | None]:
-    """The smallest-member leaf block of ``base``, a block meeting the cut
-    vertices once, from its two or more ``blocks`` in local indices of the
-    sorted ids ``nodes``; and the shortest path in g from a non-cut member
-    of that leaf to any base vertex outside it, whose internal vertices all
-    satisfy ``allowed`` (None when there is none), the ones to promote."""
-    cut = _cut_vertices(blocks)
+    """The smallest-member leaf block of ``base``, a block meeting its cut
+    vertices ``cut`` once, from its two or more ``blocks`` in local indices
+    of the sorted ids ``nodes``; and the shortest path in g from a non-cut
+    member of that leaf to any base vertex outside it, whose internal
+    vertices all satisfy ``allowed`` (None when there is none), the ones to
+    promote."""
     leaf = min((b for b in blocks if len(cut.intersection(b)) == 1), key=sorted)
     ids = frozenset(nodes[v] for v in leaf)
     sources = [nodes[v] for v in leaf if v not in cut]
@@ -357,13 +357,16 @@ def _augment(
     Each round builds the backbone's local adjacency once (the first round
     takes ``local`` when the caller has built it already) and names the set
     to repair: the backbone for m = 2, the backbone minus its lowest bad
-    point (:func:`graph._lowest_bad_point`, one pass) for m = 3.  A lone
-    vertex adopts its smallest neighbour, a pair is joined by its shortest
-    alternate route (a common neighbour when one exists) and a larger set
-    has its smallest leaf block reconnected to the rest, always through
-    vertices outside the backbone.  A stuck round raises the phase's
-    infeasibility error; for m = 3 the witness is the bad point.  A cap
-    other than None or a positive int is an input error.
+    point (:func:`graph._lowest_bad_point`, one pass) for m = 3, and
+    splits it into blocks and cut vertices (:func:`graph._local_blocks`);
+    at m = 2 three or more members with no cut vertex end the loop.  A
+    lone vertex adopts its smallest neighbour, a pair is joined by its
+    shortest alternate route (a common neighbour when one exists) and a
+    larger set has its smallest leaf block reconnected to the rest, always
+    through vertices outside the backbone.  A disconnected first set and a
+    cap other than None or a positive int are input errors; a stuck round
+    raises the phase's infeasibility error, for m = 3 with the bad point
+    as witness.
     """
     _check_cap(max_iterations)
     phase = "diversification" if m == 2 else "sustainability"
@@ -379,8 +382,10 @@ def _augment(
         base = backbone if bad < 0 else backbone - {nodes[bad]}
         # for m = 2 one block decomposition per round answers both
         # "2-connected?" and "which leaf block?"
-        blocks = _local_blocks(local, bad) if len(base) >= 3 else None
-        if m == 2 and blocks is not None and len(blocks) == 1:
+        blocks, cut = _local_blocks(local, bad)
+        if blocks is None:
+            raise DisconnectedInputError("input set does not induce a connected subgraph")
+        if m == 2 and len(base) >= 3 and not cut:
             break
         if iterations > cap:
             raise IterationCapExceededError(phase, cap)
@@ -390,7 +395,7 @@ def _augment(
         elif len(base) <= 2:
             path = _alternate_pair_path(g, min(base), max(base), outside)
         else:
-            witness, path = _augment_leaf_block(g, nodes, blocks, base, outside)
+            witness, path = _augment_leaf_block(g, nodes, blocks, cut, base, outside)
         if path is None:
             if m == 2:
                 raise Infeasible2ConnectivityError(tuple(witness))
@@ -409,16 +414,14 @@ def diversification(
     Each round decomposes the backbone into blocks and reconnects the
     smallest leaf block to the rest through promoted outside vertices;
     backbones of one or two vertices are grown directly (see
-    :func:`_augment`).  Additions never reduce any outside node's
-    dominator count, so k-dominance survives the phase.
+    :func:`_augment`); the first decomposition also rejects a set that
+    does not induce a connected subgraph.  Additions never reduce any
+    outside node's dominator count, so k-dominance survives the phase.
     """
     backbone = set(_as_subset(g, d))
     if not backbone:
         raise GraphInputError("backbone must be non-empty")
-    local = _local_adjacency(g, sorted(backbone))
-    if _local_blocks(local) is None:
-        raise DisconnectedInputError("input set does not induce a connected subgraph")
-    return _augment(g, backbone, max_iterations, 2, local)
+    return _augment(g, backbone, max_iterations, 2)
 
 
 def sustainability(

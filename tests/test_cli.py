@@ -57,6 +57,21 @@ class TestGenerate:
         assert main(["generate", "-n", "5", "-r", "0.3", "--out", str(out)]) == 0
         assert (out / "udg_n5_r0.3_s11.json").exists()
 
+    @pytest.mark.parametrize("env, argv, message", [
+        ("abc", ["generate", "-n", "5", "-r", "0.3"], "PLUTUS_SEED must be an integer"),
+        (None, ["bench", "-n", "10", "-r", "0.4", "--seeds", "1..x"], "bad seed range"),
+        (None, ["bench", "-n", "x", "-r", "0.4", "--seeds", "1"], "comma-separated integers"),
+    ])
+    def test_malformed_integer_is_input_error(self, env, argv, message, tmp_path, monkeypatch,
+                                              capsys):
+        if env is not None:
+            monkeypatch.setenv("PLUTUS_SEED", env)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_single_node_instance(self, tmp_path):
         out = tmp_path / "one"
         assert main(["generate", "-n", "1", "-r", "0.3", "--seed", "0", "--out", str(out)]) == 0

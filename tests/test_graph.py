@@ -26,7 +26,6 @@ from plutus import (
 )
 from plutus.geometry import splitmix64
 from plutus.graph import (
-    _cut_vertices,
     _disconnecting_set,
     _lex_shortest_path,
     _local_adjacency,
@@ -187,6 +186,8 @@ class TestFromPoints:
             from_points([(0.0, float("nan"))], 1.0)
         with pytest.raises(GraphInputError):
             from_points([(float("inf"), 0.0)], 1.0)
+        with pytest.raises(GraphInputError):
+            from_points([(10**400, 0.0)], 1.0)  # an int beyond the float range
 
     def test_bad_radius_rejected(self):
         with pytest.raises(GraphInputError):
@@ -399,21 +400,21 @@ class TestBlockCutTree:
         n = g.node_count
         nodes = list(range(n))
         assert block_cut_tree(g, nodes) == naive_block_cut_tree(g, nodes)
-        # the plain block lists of every one-vertex-deleted subgraph,
-        # mapped to ids, with the cut vertices they give
+        # the plain block lists of every one-vertex-deleted subgraph and the
+        # cut vertices read off the same pass, mapped to ids
         local = _local_adjacency(g, nodes)
         for skip in range(n):
             rest = set(nodes) - {nodes[skip]}
             if not rest:
                 continue
-            blocks = _local_blocks(local, skip)
+            blocks, cut = _local_blocks(local, skip)
             if induced_connected(g, rest):
                 tree = naive_block_cut_tree(g, rest)
                 ids = [frozenset(nodes[v] for v in block) for block in blocks]
                 assert sorted(ids, key=sorted) == list(tree.blocks)
-                assert {nodes[v] for v in _cut_vertices(blocks)} == tree.cut_vertices
+                assert {nodes[v] for v in cut} == tree.cut_vertices
             else:
-                assert blocks is None
+                assert blocks is None and cut == set()
 
 
 class TestIsMConnected:

@@ -16,6 +16,7 @@ from plutus import (
     IterationCapExceededError,
     PlutusConfig,
     Role,
+    block_cut_tree,
     brute_force_min_mcds,
     diversification,
     domination,
@@ -125,6 +126,12 @@ class TestDomination:
         # {1} is a maximal independent set of K4, but True is not a node id
         with pytest.raises(GraphInputError):
             domination(k4, {True})
+
+    def test_disconnected_graph_does_not_converge(self):
+        # {0, 2} is a maximal independent set, but no path joins its members
+        g = from_edge_list(4, [(0, 1), (2, 3)])
+        with pytest.raises(DisconnectedInputError, match="did not converge to a single component"):
+            domination(g, {0, 2})
 
     @given(seeds)
     @settings(max_examples=50)
@@ -383,6 +390,10 @@ class TestDiversification:
     def test_disconnected_input_rejected(self, p5):
         with pytest.raises(DisconnectedInputError):
             diversification(p5, {0, 4})
+        # the first round's decomposition is the entry check, so a bad cap
+        # is named first; PlutusConfig checks the cap before any phase runs
+        with pytest.raises(GraphInputError, match="iteration cap must be positive"):
+            diversification(p5, {0, 4}, 0)
 
     def test_iteration_cap(self):
         # two ears are needed here: one for each leaf block of the path
@@ -625,9 +636,9 @@ class TestDiversificationRounds:
 
 
 def test_diversification_builds_one_adjacency_per_round(monkeypatch):
-    # the entry check's adjacency serves the first round, so each build,
+    # the first round's decomposition is the entry check, so each build,
     # through either module's name, is of a larger backbone than the last,
-    # and each round decomposes the one adjacency built for it
+    # and each round decomposes the one adjacency built for it, once
     import plutus.graph
 
     g = random_geometric(120, 0.16, 22).graph()
@@ -649,9 +660,8 @@ def test_diversification_builds_one_adjacency_per_round(monkeypatch):
         monkeypatch.setattr(module, "_local_adjacency", record_build)
     monkeypatch.setattr(pipeline, "_local_blocks", record_round)
     grown = diversification(g, backbone)
-    rounds = decomposed[1:]  # the first call is the entry check
-    assert len(rounds) > 1 and decomposed[0] is rounds[0]
-    assert len(rounds) == len(built) and all(a is b for a, b in zip(rounds, built))
+    assert len(decomposed) > 1
+    assert len(decomposed) == len(built) and all(a is b for a, b in zip(decomposed, built))
     assert builds[0] == sorted(backbone) and builds[-1] == sorted(grown)
     assert all(len(a) < len(b) for a, b in zip(builds, builds[1:]))
 
@@ -698,8 +708,8 @@ class TestAugmentationPaths:
         leaf = tree.leaf_blocks[0]
         expected = naive_lex_shortest_path(g, leaf - tree.cut_vertices, base - leaf, allowed)
         members = sorted(base)
-        blocks = _local_blocks(_local_adjacency(g, members))
-        assert _augment_leaf_block(g, members, blocks, base, allowed) == (leaf, expected)
+        blocks, cut = _local_blocks(_local_adjacency(g, members))
+        assert _augment_leaf_block(g, members, blocks, cut, base, allowed) == (leaf, expected)
 
     @given(st.data())
     @settings(max_examples=300)
@@ -911,6 +921,16 @@ class TestRunPlutus:
 def test_k_and_m_must_be_genuine_ints(call, value, k4):
     with pytest.raises(GraphInputError):
         call(k4, value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [domination, diversification, block_cut_tree, lambda g, s: is_m_connected(g, s, 2)],
+    ids=["domination", "diversification", "block-cut-tree", "m-connected"],
+)
+def test_empty_set_is_input_error(call, k4):
+    with pytest.raises(GraphInputError, match="must be non-empty"):
+        call(k4, [])
 
 
 def test_non_int_members_rejected_before_sorting(k4):

@@ -67,6 +67,10 @@ class TestGraphJson:
             graph_from_dict({"n": 2})
         with pytest.raises(GraphInputError):
             graph_from_dict({"n": 2, "edges": [["a", "b"]]})
+        with pytest.raises(GraphInputError):
+            graph_from_dict({"n": 2, "edges": {}})
+        with pytest.raises(GraphInputError):
+            graph_from_dict({"n": 1, "points": {}, "radius": 1.0})
 
 
 class TestResultJson:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plutus import (
+    DistanceReport,
     GraphInputError,
     OracleSizeError,
     backbone_stretch,
@@ -257,9 +258,10 @@ class TestBackboneStretch:
     def test_detour_measured(self, c6):
         # backbone {0..4}: the pair (0, 4) routes 0-1-2-3-4 instead of 0-5-4
         value, worst = backbone_stretch(c6, {0, 1, 2, 3, 4})
-        assert value == 2.0
+        assert value == 2.0 == worst.stretch
         assert worst.pair == (0, 4)
         assert (worst.d_g, worst.d_backbone) == (2, 4)
+        assert DistanceReport((0, 1), 2, 3).stretch == 1.5
 
     def test_requires_cds(self, p5):
         with pytest.raises(GraphInputError):
