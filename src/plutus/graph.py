@@ -5,19 +5,22 @@ and exact vertex-connectivity tests.
 radius wide and compares only neighbouring cells.
 
 Block lists with their cut vertices (:func:`_local_blocks`) and
-separation pairs are all read from one palm tree of the induced
-subgraph's local adjacency (:func:`_palm_tree`), O(n + E).  One routine,
-:func:`_disconnecting_set`, gives the m = 2 and m = 3 verdicts and
-verify's witness; at m = 3 it pins the lowest bad point from one palm
-tree plus a separation-pair test, O((n + E) log n)
+separation pairs are all read from one palm tree of an induced subgraph
+(:func:`_palm_tree`), O(n + E).  One-shot callers hand it a local
+adjacency (:func:`_local_adjacency`); the pipeline's augmentation loop
+hands it rows indexed by node id (:func:`_induced_rows`), which it keeps
+for a whole phase.  Local order mirrors id order, so both give the same
+traversal.  One routine, :func:`_disconnecting_set`, gives the m = 2 and
+m = 3 verdicts and verify's witness; at m = 3 it pins the lowest bad
+point from one palm tree plus a separation-pair test, O((n + E) log n)
 (:func:`_lowest_bad_point`), the engine that also picks the vertex each
 sustainability round repairs.
 
 Every deterministic shortest path (``shortest_path``, and the paths the
 pipeline's domination and both augmentation phases promote) comes from
-one search, :func:`_lex_shortest_path`: a backward BFS from a target set
-through the vertices a predicate allows, then a smallest-id walk from
-the nearest source.
+one search, :func:`_lex_shortest_path`: a BFS from the smaller of a
+source and a target set through the vertices a predicate allows, then a
+smallest-id walk from the nearest source.
 
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely across threads.  Every iteration
@@ -286,37 +289,55 @@ def _lex_shortest_path(
     when there is none.  A source that is also a target is the path
     [source].
 
-    A backward BFS layers the graph by distance to the target set,
-    expanding only the targets and the vertices ``allowed`` accepts, and
-    stops once the layer holding the nearest source is complete.  Every
-    path from a source has its distance plus one vertices, so the walk
-    starts at the smallest (distance, source) and always steps to the
-    smallest-id vertex one layer closer.
+    One BFS layers the graph by distance from the smaller of the two sets
+    (the targets on a tie), expanding only that set and the vertices
+    ``allowed`` accepts, and stops once the layer holding the nearest
+    member of the other set is complete.  On a shortest path the i-th
+    vertex lies in layer i counted from the source end, so from the
+    targets the walk starts at the smallest source of the last layer and
+    always steps to the smallest-id vertex one layer closer.  From the
+    sources, one pass back over the layers first marks the vertices with
+    a marked neighbour one layer further out, the targets reached being
+    marked; the walk then starts at the smallest marked source and always
+    steps to the smallest marked vertex one layer further out.
     """
     starts = frozenset(sources)
-    dist = {t: 0 for t in targets}
-    found = [t for t in dist if t in starts]
-    layer = list(dist)
-    d = 0
-    while layer and not found:
-        d += 1
-        next_layer = []
-        for x in layer:
-            for y in g.adjacency[x]:
+    ends = frozenset(targets)
+    forward = len(starts) < len(ends)
+    near, far = (starts, ends) if forward else (ends, starts)
+    adj = g.adjacency
+    dist = dict.fromkeys(near, 0)
+    found = [v for v in near if v in far]
+    layers = [list(near)]
+    while layers[-1] and not found:
+        d = len(layers)
+        layer = []
+        for x in layers[-1]:
+            for y in adj[x]:
                 if y in dist:
                     continue
-                if y in starts:
+                if y in far:
                     dist[y] = d
                     found.append(y)
                 elif allowed(y):
                     dist[y] = d
-                    next_layer.append(y)
-        layer = next_layer
+                    layer.append(y)
+        layers.append(layer)
     if not found:
         return None
-    path = [min(found)]
-    for d in range(d - 1, -1, -1):
-        path.append(min(y for y in g.adjacency[path[-1]] if dist.get(y) == d))
+    last = len(layers) - 1
+    if not forward:
+        path = [min(found)]
+        for d in range(last - 1, -1, -1):
+            path.append(min(y for y in adj[path[-1]] if dist.get(y) == d))
+        return path
+    marked = set(found)
+    for layer in reversed(layers[:-1]):
+        # an expanded vertex has no neighbour two layers further out
+        marked.update([x for x in layer if not marked.isdisjoint(adj[x])])
+    path = [min(marked.intersection(layers[0]))]
+    for d in range(1, last + 1):
+        path.append(min(y for y in adj[path[-1]] if y in marked and dist[y] == d))
     return path
 
 
@@ -325,13 +346,29 @@ def _local_adjacency(g: Graph, nodes: Sequence[int]) -> list[list[int]]:
 
     ``nodes`` must be sorted, so local order mirrors node-id order and
     neighbour lists stay sorted; the traversals below run on plain lists
-    for speed.
+    for speed, and take ``range(len(nodes))`` as their members.
     """
     index = [-1] * g.node_count
     for i, v in enumerate(nodes):
         index[v] = i
     adj = g.adjacency
     return [[index[w] for w in adj[v] if index[w] >= 0] for v in nodes]
+
+
+def _induced_rows(g: Graph, nodes: Sequence[int]) -> list[list[int]]:
+    """Induced adjacency indexed by node id: the row of each of the ids
+    ``nodes`` lists its neighbours among them in ascending order, and every
+    other row is empty.  Unlike :func:`_local_adjacency` it stays valid as
+    vertices join, each needing only its own row and one insertion into
+    each neighbour's."""
+    member = [False] * g.node_count
+    for v in nodes:
+        member[v] = True
+    adj = g.adjacency
+    rows: list[list[int]] = [[] for _ in range(g.node_count)]
+    for v in nodes:
+        rows[v] = [w for w in adj[v] if member[w]]
+    return rows
 
 
 def connected_components(g: Graph, subset: Iterable[int] | None = None) -> list[list[int]]:
@@ -366,30 +403,38 @@ def is_connected(g: Graph, subset: Iterable[int] | None = None) -> bool:
 
 
 def _palm_tree(
-    adj: list[list[int]], skip: int = -1, fronds: list[list[int]] | None = None
+    adj: Sequence[list[int]],
+    members: Sequence[int],
+    skip: int = -1,
+    fronds: list[list[int]] | None = None,
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """(preorder, parent, depth, low) of one iterative DFS, from its lowest
-    vertex, of the local graph minus the local vertex ``skip``: the palm
-    tree of Tarjan (1972) and Hopcroft and Tarjan (1973).
+    vertex, of the graph on the sorted vertices ``members`` minus the
+    member ``skip``: the palm tree of Tarjan (1972) and Hopcroft and
+    Tarjan (1973).  ``adj[v]`` lists the neighbours of each member v among
+    the members in ascending order, and the arrays returned are as long as
+    ``adj``: a local adjacency with members ``range(len(adj))``, or the
+    rows of :func:`_induced_rows` with the ids they hold.
 
     The preorder covers one component.  Off the tree ``parent`` and
-    ``depth`` are -1, as is the root's parent, but ``skip`` has depth n,
-    so it is neither entered nor lowers a low point.  ``low[v]`` is the
-    shallowest depth reached by an edge leaving v's subtree, the edge to
-    v's parent included, or ``depth[v]`` when none goes higher.  Only
-    given ``fronds`` does the DFS test for fronds, the edges up to an
-    ancestor other than the parent, and append each one's deeper end to
-    ``fronds[d]``, d being the depth of its shallower end.
+    ``depth`` are -1, as is the root's parent, but ``skip`` has depth
+    ``len(adj)``, so it is neither entered nor lowers a low point.
+    ``low[v]`` is the shallowest depth reached by an edge leaving v's
+    subtree, the edge to v's parent included, or ``depth[v]`` when none
+    goes higher.  Only given ``fronds`` does the DFS test for fronds, the
+    edges up to an ancestor other than the parent, and append each one's
+    deeper end to ``fronds[d]``, d being the depth of its shallower end.
     """
     n = len(adj)
     depth = [-1] * n
     parent = [-1] * n
     low = [0] * n
-    if 0 <= skip < n:
+    if skip >= 0:
         depth[skip] = n
-    root = 1 if skip == 0 else 0
-    if root >= n:
+    roots = [v for v in members[:2] if v != skip]
+    if not roots:
         return [], parent, depth, low
+    root = roots[0]
     order = [root]
     depth[root] = 0
     stack = [(root, iter(adj[root]))]
@@ -420,19 +465,20 @@ def _palm_tree(
 
 
 def _local_blocks(
-    adj: list[list[int]], skip: int = -1
+    adj: Sequence[list[int]], members: Sequence[int], skip: int = -1
 ) -> tuple[list[list[int]] | None, set[int]]:
-    """(blocks, cut vertices) of the local graph minus the local vertex
-    ``skip``, the blocks being None when that graph is disconnected.  A
-    block is the vertex set of a biconnected component; a lone vertex is one.
+    """(blocks, cut vertices) of the graph on ``members`` minus the member
+    ``skip`` (see :func:`_palm_tree`), the blocks being None when that
+    graph is disconnected.  A block is the vertex set of a biconnected
+    component; a lone vertex is one.
 
     One pass over the preorder of :func:`_palm_tree`: a child whose low
     point is its parent's depth opens the block [parent, child] and, past
     the root's first child, names its parent a cut vertex; every other
     vertex joins its parent's block.
     """
-    order, parent, depth, low = _palm_tree(adj, skip)
-    if len(order) < len(adj) - (0 <= skip < len(adj)):
+    order, parent, depth, low = _palm_tree(adj, members, skip)
+    if len(order) < len(members) - (skip >= 0):
         return None, set()
     blocks: list[list[int]] = []
     cut: set[int] = set()
@@ -462,7 +508,7 @@ def block_cut_tree(g: Graph, subset: Iterable[int]) -> BlockCutTree:
     nodes = _as_subset(g, subset)
     if not nodes:
         raise GraphInputError("subset must be non-empty")
-    local, cut = _local_blocks(_local_adjacency(g, nodes))
+    local, cut = _local_blocks(_local_adjacency(g, nodes), range(len(nodes)))
     if local is None:
         raise DisconnectedInputError("subset does not induce a connected subgraph")
     blocks = tuple(frozenset(nodes[v] for v in block) for block in sorted(map(sorted, local)))
@@ -471,24 +517,26 @@ def block_cut_tree(g: Graph, subset: Iterable[int]) -> BlockCutTree:
     return BlockCutTree(blocks, cut_vertices, leaf_blocks)
 
 
-def _not_two_connected(adj: list[list[int]]) -> int:
-    """Lowest bad point of a local graph of four or more vertices that is
-    not 2-connected: vertex 0, unless it has at most one neighbour and the
-    rest is 2-connected; then vertex 1.  Only such a vertex u can leave a
-    2-connected rest (two neighbours would make G 2-connected), and only
-    one can: every other vertex has two neighbours in G - u.  Costs at
-    most one block DFS."""
-    if len(adj[0]) <= 1:
-        blocks, cut = _local_blocks(adj, skip=0)
+def _not_two_connected(adj: Sequence[list[int]], members: Sequence[int]) -> int:
+    """Lowest bad point of a graph on four or more ``members`` (see
+    :func:`_palm_tree`) that is not 2-connected: the lowest member, unless
+    it has at most one neighbour and the rest is 2-connected; then the
+    second-lowest.  Only such a vertex u can leave a 2-connected rest (two
+    neighbours would make G 2-connected), and only one can: every other
+    vertex has two neighbours in G - u.  Costs at most one block DFS."""
+    first = members[0]
+    if len(adj[first]) <= 1:
+        blocks, cut = _local_blocks(adj, members, skip=first)
         if blocks is not None and not cut:
-            return 1
-    return 0
+            return members[1]
+    return first
 
 
-def _lowest_bad_point(adj: list[list[int]]) -> int | None:
-    """Lowest local index of a bad point of the local graph, or None when
-    there is none, that is when the graph is 3-connected.
-    O((n + E) log n).
+def _lowest_bad_point(adj: Sequence[list[int]], members: Sequence[int]) -> int | None:
+    """Lowest bad point of the graph on the sorted vertices ``members``
+    (see :func:`_palm_tree`), or None when there is none, that is when the
+    graph is 3-connected.  O((n + E) log n) for n members, plus one pass
+    over arrays as long as ``adj``.
 
     A bad point is a vertex whose removal leaves the rest not strictly
     2-connected.  With fewer than four vertices every vertex is bad, so
@@ -534,22 +582,23 @@ def _lowest_bad_point(adj: list[list[int]]) -> int | None:
     when the slot is pushed and restored by the same log, so the lowest
     vertex of a gap costs two lookups.
     """
-    n = len(adj)
+    n = len(members)
     if n < 4:
-        return 0
+        return members[0]
+    span = len(adj)  # vertex-indexed arrays, and an id above every vertex
     by_target: list[list[int]] = [[] for _ in range(n)]  # frond sources by target depth
-    order, parent, depth, low = _palm_tree(adj, fronds=by_target)
+    order, parent, depth, low = _palm_tree(adj, members, fronds=by_target)
     if len(order) < n:
-        return _not_two_connected(adj)
-    size = [1] * n
-    children: list[list[int]] = [[] for _ in range(n)]
-    first_low = [n] * n  # the two smallest child low points of each vertex
-    second_low = [n] * n
+        return _not_two_connected(adj, members)
+    size = [1] * span
+    children: list[list[int]] = [[] for _ in range(span)]
+    first_low = [n] * span  # the two smallest child low points of each vertex
+    second_low = [n] * span
     for x in reversed(order[2:]):
         p = parent[x]
         lx = low[x]
         if lx == depth[p]:
-            return _not_two_connected(adj)  # p is a cut vertex
+            return _not_two_connected(adj, members)  # p is a cut vertex
         size[p] += size[x]
         children[p].append(x)
         if lx < first_low[p]:
@@ -559,8 +608,8 @@ def _lowest_bad_point(adj: list[list[int]]) -> int | None:
             second_low[p] = lx
 
     own = depth[:]  # shallowest frond target from the vertex itself
-    hi = [-1] * n
-    up = list(range(n))
+    hi = [-1] * span
+    up = list(range(span))
     for t in range(n - 1, -1, -1):
         for x in by_target[t]:
             own[x] = t
@@ -572,7 +621,7 @@ def _lowest_bad_point(adj: list[list[int]]) -> int | None:
                 while up[x] != x:
                     up[x] = x = up[up[x]]
 
-    best = n
+    best = span
     path = [0] * n  # the root path of the current vertex, by depth
     candidates = [0] * n
     rows: list[list[int]] = [[] for _ in range(n)]
@@ -639,7 +688,7 @@ def _lowest_bad_point(adj: list[list[int]]) -> int | None:
                     best = min(best, b, rows[j - 1][t], rows[i + (1 << t) - 1][t])
             if last >= start:
                 start = last + 1
-    return None if best == n else best
+    return None if best == span else best
 
 
 def _disconnecting_set(
@@ -661,11 +710,12 @@ def _disconnecting_set(
     vertex goes, unless that vertex is alone beside one other component;
     then the second-lowest vertex splits it.
     """
-    skip = -1 if m == 2 else _lowest_bad_point(local)
+    members = range(len(local))
+    skip = -1 if m == 2 else _lowest_bad_point(local, members)
     if skip is None:
         return None
     pinned = () if skip < 0 else (nodes[skip],)
-    order, parent, depth, low = _palm_tree(local, skip)
+    order, parent, depth, low = _palm_tree(local, members, skip)
     if len(order) + len(pinned) < len(nodes):
         rest = [v for v in nodes if v not in pinned]
         components = connected_components(g, rest)

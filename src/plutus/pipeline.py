@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -41,10 +42,9 @@ from .graph import (
     _as_subset,
     _check_k,
     _check_m,
-    _disconnecting_set,
+    _induced_rows,
     _is_int,
     _lex_shortest_path,
-    _local_adjacency,
     _local_blocks,
     _lowest_bad_point,
     is_connected,
@@ -314,21 +314,19 @@ def synergy(g: Graph, d: Iterable[int], k: int) -> frozenset[int]:
 
 def _augment_leaf_block(
     g: Graph,
-    nodes: Sequence[int],
     blocks: list[list[int]],
     cut: set[int],
     base: set[int],
     allowed: Callable[[int], bool],
 ) -> tuple[frozenset[int], list[int] | None]:
     """The smallest-member leaf block of ``base``, a block meeting its cut
-    vertices ``cut`` once, from its two or more ``blocks`` in local indices
-    of the sorted ids ``nodes``; and the shortest path in g from a non-cut
-    member of that leaf to any base vertex outside it, whose internal
-    vertices all satisfy ``allowed`` (None when there is none), the ones to
-    promote."""
+    vertices ``cut`` once, from its two or more ``blocks`` of ids; and the
+    shortest path in g from a non-cut member of that leaf to any base
+    vertex outside it, whose internal vertices all satisfy ``allowed``
+    (None when there is none), the ones to promote."""
     leaf = min((b for b in blocks if len(cut.intersection(b)) == 1), key=sorted)
-    ids = frozenset(nodes[v] for v in leaf)
-    sources = [nodes[v] for v in leaf if v not in cut]
+    ids = frozenset(leaf)
+    sources = [v for v in leaf if v not in cut]
     return ids, _lex_shortest_path(g, sources, base - ids, allowed)
 
 
@@ -349,40 +347,43 @@ def _augment(
     backbone: set[int],
     max_iterations: int | None,
     m: int,
-    local: list[list[int]] | None = None,
+    rows: list[list[int]] | None = None,
 ) -> frozenset[int]:
     """The augmentation loop of diversification (m = 2) and sustainability
     (m = 3): grow ``backbone`` in place until it is m-connected.
 
-    Each round builds the backbone's local adjacency once (the first round
-    takes ``local`` when the caller has built it already) and names the set
-    to repair: the backbone for m = 2, the backbone minus its lowest bad
-    point (:func:`graph._lowest_bad_point`, one pass) for m = 3, and
-    splits it into blocks and cut vertices (:func:`graph._local_blocks`);
-    at m = 2 three or more members with no cut vertex end the loop.  A
-    lone vertex adopts its smallest neighbour, a pair is joined by its
-    shortest alternate route (a common neighbour when one exists) and a
-    larger set has its smallest leaf block reconnected to the rest, always
-    through vertices outside the backbone.  A disconnected first set and a
-    cap other than None or a positive int are input errors; a stuck round
+    The backbone's induced adjacency is built once, indexed by node id
+    (:func:`graph._induced_rows`; ``rows`` when the caller has built it
+    already), and kept with the sorted member list for the whole phase:
+    each promoted vertex gets its row and is inserted into its neighbours'
+    rows and into the list.  Each round names the set to repair: the
+    backbone for m = 2, the backbone minus its lowest bad point
+    (:func:`graph._lowest_bad_point`, one pass) for m = 3, and splits it
+    into blocks and cut vertices (:func:`graph._local_blocks`); at m = 2
+    three or more members with no cut vertex end the loop.  A lone vertex
+    adopts its smallest neighbour, a pair is joined by its shortest
+    alternate route (a common neighbour when one exists) and a larger set
+    has its smallest leaf block reconnected to the rest, always through
+    vertices outside the backbone.  A disconnected first set and a cap
+    other than None or a positive int are input errors; a stuck round
     raises the phase's infeasibility error, for m = 3 with the bad point
     as witness.
     """
     _check_cap(max_iterations)
     phase = "diversification" if m == 2 else "sustainability"
     cap = 10 * g.node_count if max_iterations is None else max_iterations
+    members = sorted(backbone)
+    if rows is None:
+        rows = _induced_rows(g, members)
     outside = lambda x: x not in backbone
     for iterations in itertools.count(1):
-        nodes = sorted(backbone)
-        if local is None:
-            local = _local_adjacency(g, nodes)
-        bad = -1 if m == 2 else _lowest_bad_point(local)
+        bad = -1 if m == 2 else _lowest_bad_point(rows, members)
         if bad is None:
             break
-        base = backbone if bad < 0 else backbone - {nodes[bad]}
+        base = backbone if bad < 0 else backbone - {bad}
         # for m = 2 one block decomposition per round answers both
         # "2-connected?" and "which leaf block?"
-        blocks, cut = _local_blocks(local, bad)
+        blocks, cut = _local_blocks(rows, members, bad)
         if blocks is None:
             raise DisconnectedInputError("input set does not induce a connected subgraph")
         if m == 2 and len(base) >= 3 and not cut:
@@ -395,13 +396,20 @@ def _augment(
         elif len(base) <= 2:
             path = _alternate_pair_path(g, min(base), max(base), outside)
         else:
-            witness, path = _augment_leaf_block(g, nodes, blocks, cut, base, outside)
+            witness, path = _augment_leaf_block(g, blocks, cut, base, outside)
         if path is None:
             if m == 2:
                 raise Infeasible2ConnectivityError(tuple(witness))
-            raise Infeasible3ConnectivityError(nodes[bad])
-        backbone.update(path[1:-1])
-        local = None
+            raise Infeasible3ConnectivityError(bad)
+        ear = path[1:-1]
+        backbone.update(ear)
+        for x in ear:
+            rows[x] = [w for w in g.adjacency[x] if w in backbone]
+            insort(members, x)
+        for x in ear:
+            for w in rows[x]:
+                if w not in ear:
+                    insort(rows[w], x)
     return frozenset(backbone)
 
 
@@ -433,14 +441,16 @@ def sustainability(
     2-connected; a 2-connected backbone with no bad point is 3-connected.
     Rounds pick the lowest-id bad point v and run the diversification
     augmentation on the backbone minus v, with paths avoiding v entirely
-    (see :func:`_augment`).
+    (see :func:`_augment`).  The input must be 2-connected; that check is
+    one block DFS of the induced adjacency the loop then keeps.
     """
     backbone = set(_as_subset(g, d))
-    nodes = sorted(backbone)
-    local = _local_adjacency(g, nodes)
-    if len(nodes) <= 2 or _disconnecting_set(g, nodes, local, 2) is not None:
+    members = sorted(backbone)
+    rows = _induced_rows(g, members)
+    blocks, cut = _local_blocks(rows, members)
+    if len(members) <= 2 or blocks is None or cut:
         raise GraphInputError("sustainability requires a 2-connected input set")
-    return _augment(g, backbone, max_iterations, 3, local)
+    return _augment(g, backbone, max_iterations, 3, rows)
 
 
 def run_plutus(g: Graph, cfg: PlutusConfig) -> PlutusResult:

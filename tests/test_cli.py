@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -149,6 +150,46 @@ class TestSolve:
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         assert main(["solve", str(bad)]) == 2
+
+
+# SHA-256 of the solve result JSON, the DOT file and the verify report on
+# three seeded instances with many augmentation rounds (k = 2).  A change
+# that is meant to keep the bytes must leave every digest as it is.
+_GOLDEN = [
+    ("300", "0.12", "1", "2", {
+        "result": "b996a1d685b0351a97f0df1246239e207d92aeaab23ff19cc40532e05d7b65e7",
+        "dot": "80c39c27bb1fe7fb8ca063b0d6ef2b0797f91fad7bf4506a069497c1c2b9e6ae",
+        "report": "beea75566723a8e5c9f8e50ec995a583e9a68b1b82273a2a2153e95fedcd5090",
+    }),
+    ("300", "0.13", "2", "3", {
+        "result": "4b81a0b8ea0a895ac2a2c81780221894a24091a3faaf5cb21b61448cc51b9fe0",
+        "dot": "0d994fe82694467d45f54e53236fc22b30caef7938ad7034f2e3f5c8f8087518",
+        "report": "15e7d6fb15c455478361a0667865ebd813123d53d581f1e027fbfa38e4953a5f",
+    }),
+    ("400", "0.11", "2", "3", {
+        "result": "9c76e1385116701c2f922556b00f535e7f3bd9d280792b13f2fb16124ebc0275",
+        "dot": "ed2651500f83241a001958f205395e830e81d18ee60af0353f703b926bd9a7f6",
+        "report": "459d62de58b236b8cfdcaf69c08067f975b73643cafbf28216827821973f7e24",
+    }),
+]
+
+
+@pytest.mark.parametrize("n, radius, seed, m, digests", _GOLDEN)
+def test_golden_bytes(n, radius, seed, m, digests, tmp_path, capsys):
+    assert main(["generate", "-n", n, "-r", radius, "--seed", seed, "--out", str(tmp_path)]) == 0
+    instance = tmp_path / f"udg_n{n}_r{radius}_s{seed}.json"
+    result, dot = tmp_path / "result.json", tmp_path / "view.dot"
+    assert main(["solve", str(instance), "-k", "2", "-m", m,
+                 "--out", str(result), "--dot", str(dot)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(instance), str(result)]) == 0
+    report = capsys.readouterr().out.encode("utf-8")
+    found = {
+        "result": hashlib.sha256(result.read_bytes()).hexdigest(),
+        "dot": hashlib.sha256(dot.read_bytes()).hexdigest(),
+        "report": hashlib.sha256(report).hexdigest(),
+    }
+    assert found == digests
 
 
 class TestVerify:

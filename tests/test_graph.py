@@ -27,6 +27,7 @@ from plutus import (
 from plutus.geometry import splitmix64
 from plutus.graph import (
     _disconnecting_set,
+    _induced_rows,
     _lex_shortest_path,
     _local_adjacency,
     _local_blocks,
@@ -313,6 +314,70 @@ class TestShortestPath:
         assert _lex_shortest_path(g, {3, 4}, {0}, lambda x: True) == [3, 2, 0]
 
 
+class TestLexShortestPath:
+    """The one path search runs from the smaller side: a forward BFS from
+    the sources when they are fewer than the targets, the backward BFS
+    from the targets otherwise.  Both give the path that simple-path
+    enumeration finds."""
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_every_size_order_matches_simple_path_enumeration(self, data):
+        # each example runs with fewer, as many and more sources than
+        # targets, the sets overlapping or not, a target reachable or not
+        seed = data.draw(seeds)
+        g = random_connected_graph(seed) if data.draw(st.booleans()) else random_graph(seed)
+        nodes = st.integers(0, g.node_count - 1)
+        small, large = sorted((data.draw(st.sets(nodes)), data.draw(st.sets(nodes))), key=len)
+        if data.draw(st.booleans()):
+            small = set(sorted(small)[1:]) | set(sorted(large)[:1])  # share a vertex
+        equal = set(sorted(large)[: len(small)])
+        allowed = data.draw(st.sets(nodes)).__contains__
+        for sources, targets in (
+            (small, large), (large, small), (small, equal), (equal, small), (large, large),
+        ):
+            expected = naive_lex_shortest_path(g, sources, targets, allowed)
+            assert _lex_shortest_path(g, sources, targets, allowed) == expected
+
+    def test_search_runs_from_the_smaller_side(self):
+        # a path 0 - 1 - ... - 99 with a target two steps from source 0 and
+        # fifty far away: only vertex 1 is ever offered to the predicate,
+        # whichever side holds the fifty
+        g = path_graph(100)
+        many = {2, *range(50, 100)}
+        for sources, targets, expected in (({0}, many, [0, 1, 2]), (many, {0}, [2, 1, 0])):
+            asked = []
+            allowed = lambda x: asked.append(x) or True
+            assert _lex_shortest_path(g, sources, targets, allowed) == expected
+            assert asked == [1]
+
+    def test_forward_tie_ends_where_the_smallest_walk_ends(self):
+        # 5 and 6 are both two steps from source 0; the smallest walk
+        # 0 - 1 - 6 ends at the larger of the two targets
+        g = from_edge_list(10, [(0, 1), (0, 2), (1, 6), (2, 5)])
+        for allowed in (lambda x: True, {1, 2}.__contains__):
+            assert _lex_shortest_path(g, {0}, {5, 6, 9}, allowed) == [0, 1, 6]
+            assert naive_lex_shortest_path(g, {0}, {5, 6, 9}, allowed) == [0, 1, 6]
+        assert _lex_shortest_path(g, {0}, {5, 6, 9}, {2}.__contains__) == [0, 2, 5]
+
+    def test_forward_marks_one_layer_at_a_time(self):
+        # sources iterate as 8, 1, so layer 1 is [3, 2]; 2 lies beside the
+        # marked 3 in its own layer but on no shortest path, and a walk
+        # from 1 through 2 would find no next step
+        g = from_edge_list(9, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 8)])
+        assert list(frozenset({1, 8})) == [8, 1]
+        assert _lex_shortest_path(g, {1, 8}, {4, 5, 6}, lambda x: True) == [1, 3, 4]
+
+    def test_forward_overlap_and_unreachable_targets(self):
+        g = from_edge_list(6, [(0, 1), (1, 2), (3, 4)])
+        # a source that is a target is the whole path, the smallest such
+        assert _lex_shortest_path(g, {1, 4}, {0, 1, 2, 4, 5}, lambda x: True) == [1]
+        # 3 and 4 are cut off, 5 is isolated, and 1 is not allowed inside
+        assert _lex_shortest_path(g, {3}, {0, 2, 5}, lambda x: True) is None
+        assert _lex_shortest_path(g, {0}, {2, 3, 5}, lambda x: x != 1) is None
+        assert _lex_shortest_path(g, {0}, {2, 3, 5}, lambda x: True) == [0, 1, 2]
+
+
 class TestBlockCutTree:
     def test_induced_path(self, p3):
         tree = block_cut_tree(p3, {0, 1, 2})
@@ -407,7 +472,7 @@ class TestBlockCutTree:
             rest = set(nodes) - {nodes[skip]}
             if not rest:
                 continue
-            blocks, cut = _local_blocks(local, skip)
+            blocks, cut = _local_blocks(local, nodes, skip)
             if induced_connected(g, rest):
                 tree = naive_block_cut_tree(g, rest)
                 ids = [frozenset(nodes[v] for v in block) for block in blocks]
@@ -644,10 +709,15 @@ class TestTriconnectivity:
 
 
 def lowest_bad_point(g: Graph, subset=None) -> int | None:
-    """The separation-pair engine's lowest bad point, as a node id."""
+    """The separation-pair engine's lowest bad point, as a node id.  On a
+    subset the engine runs on the local adjacency and on the rows indexed
+    by node id, and both must agree."""
     nodes = list(range(g.node_count)) if subset is None else sorted(subset)
-    bad = _lowest_bad_point(_local_adjacency(g, nodes))
-    return None if bad is None else nodes[bad]
+    bad = _lowest_bad_point(_local_adjacency(g, nodes), range(len(nodes)))
+    bad = None if bad is None else nodes[bad]
+    if subset is not None:
+        assert _lowest_bad_point(_induced_rows(g, nodes), nodes) == bad
+    return bad
 
 
 def every_graph(n: int):
@@ -743,9 +813,9 @@ class TestLowestBadPoint:
         calls = []
         local_blocks = plutus.graph._local_blocks
 
-        def counting(adj, skip=-1):
+        def counting(adj, members, skip=-1):
             calls.append(skip)
-            return local_blocks(adj, skip)
+            return local_blocks(adj, members, skip)
 
         monkeypatch.setattr(plutus.graph, "_local_blocks", counting)
         bowtie = from_edge_list(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
@@ -795,17 +865,17 @@ class TestDisconnectingSet:
         assert is_m_connected(g, nodes, m) == (found is None)
 
 
-def check_palm_tree(adj: list[list[int]], skip: int) -> None:
-    """The palm tree of the local graph minus ``skip`` against its
-    definition, each part found by brute force."""
+def check_palm_tree(adj: list[list[int]], members, skip: int):
+    """The palm tree of the graph on ``members`` minus ``skip`` against its
+    definition, each part found by brute force; returns the tree."""
     n = len(adj)
     fronds: list[list[int]] = [[] for _ in range(n)]
-    order, parent, depth, low = _palm_tree(adj, skip, fronds)
-    assert (order, parent, depth, low) == _palm_tree(adj, skip)
-    rest = [v for v in range(n) if v != skip]
+    tree = order, parent, depth, low = _palm_tree(adj, members, skip, fronds)
+    assert tree == _palm_tree(adj, members, skip)
+    rest = [v for v in members if v != skip]
     if not rest:
         assert order == []
-        return
+        return tree
     component = {rest[0]}
     todo = [rest[0]]
     while todo:
@@ -836,6 +906,7 @@ def check_palm_tree(adj: list[list[int]], skip: int) -> None:
         subtree = {w for w in order if w == v or v in ancestors[w]}
         leaving = [depth[y] for x in subtree for y in adj[x] if y != skip and y not in subtree]
         assert low[v] == min(leaving + [depth[v]])
+    return tree
 
 
 class TestPalmTree:
@@ -847,15 +918,20 @@ class TestPalmTree:
         for g in every_graph(n):
             local = _local_adjacency(g, range(n))
             for skip in range(-1, n):
-                check_palm_tree(local, skip)
+                check_palm_tree(local, range(n), skip)
 
     @pytest.mark.parametrize("n, radius, seed", [(200, 0.15, 1), (300, 0.12, 2), (400, 0.1, 3)])
     def test_unit_disk_subsets(self, n, radius, seed):
         g = random_geometric(n, radius, seed).graph()
         nodes = [v for v in range(n) if splitmix_pick(seed, v) or v % 3 == 0]
         local = _local_adjacency(g, nodes)
+        rows = _induced_rows(g, nodes)
         for skip in (-1, 0, 1, len(nodes) // 2):
-            check_palm_tree(local, skip)
+            order, parent, depth, low = check_palm_tree(local, range(len(nodes)), skip)
+            # on rows indexed by node id the same tree, relabelled
+            by_id = check_palm_tree(rows, nodes, -1 if skip < 0 else nodes[skip])
+            assert by_id[0] == [nodes[v] for v in order]
+            assert [by_id[3][v] for v in nodes] == low
 
 
 class TestStrictBiconnectivity:

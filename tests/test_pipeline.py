@@ -33,9 +33,10 @@ from plutus import (
     synergy,
     synergy_layers,
 )
+import plutus.graph
 from plutus import pipeline
 from plutus.geometry import splitmix64
-from plutus.graph import _local_adjacency, _local_blocks
+from plutus.graph import _induced_rows, _local_blocks
 from plutus.pipeline import _alternate_pair_path, _augment_leaf_block
 from plutus.serialize import dumps, result_to_dict
 
@@ -502,26 +503,67 @@ def test_sustainability_iteration_cap():
     assert is_m_connected(g, sustainability(g, backbone, 3), 3)
 
 
+def _count_builds(monkeypatch):
+    """Record every induced-adjacency build of a phase: the rows indexed by
+    node id (as ``("rows", members, rows)``) and any local adjacency."""
+    builds = []
+    induced_rows = pipeline._induced_rows
+    local_adjacency = plutus.graph._local_adjacency
+
+    def record_rows(graph, nodes):
+        builds.append(("rows", list(nodes), induced_rows(graph, nodes)))
+        return builds[-1][2]
+
+    def record_local(graph, nodes):
+        builds.append(("local", list(nodes), None))
+        return local_adjacency(graph, nodes)
+
+    monkeypatch.setattr(pipeline, "_induced_rows", record_rows)
+    monkeypatch.setattr(plutus.graph, "_local_adjacency", record_local)
+    return builds
+
+
 def _recorded_rounds(monkeypatch, phase, g, backbone):
     """Run ``phase`` (diversification or sustainability) and return, per
     round, the sorted backbone, the bad point the engine named (an id, or
     None in the last round and in every diversification round), the leaf
     block handed to the leaf step (None in other rounds) and the promoted
-    path (None in the last round)."""
+    path (None in the last round).
+
+    A round opens with the engine call at m = 3 and with the block
+    decomposition at m = 2.  Each round must see the one adjacency the
+    phase keeps: rows equal to a fresh induced adjacency mapped to ids,
+    with a member list equal to the sorted backbone so far, the input
+    plus every promoted path; and no local adjacency is built."""
     rounds: list[list] = []
-    local_adjacency = pipeline._local_adjacency
+    kept = []  # the adjacency each round reads
     lowest_bad_point = pipeline._lowest_bad_point
+    local_blocks = pipeline._local_blocks
     augment_leaf_block = pipeline._augment_leaf_block
     alternate_pair_path = pipeline._alternate_pair_path
+    fresh_adjacency = plutus.graph._local_adjacency
+    builds = _count_builds(monkeypatch)
 
-    def record_nodes(graph, nodes):
-        rounds.append([list(nodes), None, None, None])
-        return local_adjacency(graph, nodes)
+    def open_round(adj, members):
+        grown = set(backbone)
+        for _, _, _, path in rounds:
+            grown.update(path[1:-1])
+        assert list(members) == sorted(grown)
+        fresh = fresh_adjacency(g, members)
+        assert [adj[v] for v in members] == [[members[j] for j in row] for row in fresh]
+        assert all(adj[v] == [] for v in range(g.node_count) if v not in grown)
+        kept.append(adj)
+        rounds.append([list(members), None, None, None])
 
-    def record_bad(adj):
-        bad = lowest_bad_point(adj)
-        rounds[-1][1] = None if bad is None else rounds[-1][0][bad]
-        return bad
+    def record_bad(adj, members):
+        open_round(adj, members)
+        rounds[-1][1] = lowest_bad_point(adj, members)
+        return rounds[-1][1]
+
+    def record_blocks(adj, members, skip=-1):
+        if phase is diversification:
+            open_round(adj, members)
+        return local_blocks(adj, members, skip)
 
     def record_leaf(*args):
         rounds[-1][2:] = augment_leaf_block(*args)
@@ -531,11 +573,13 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
         rounds[-1][3] = alternate_pair_path(*args)
         return rounds[-1][3]
 
-    monkeypatch.setattr(pipeline, "_local_adjacency", record_nodes)
     monkeypatch.setattr(pipeline, "_lowest_bad_point", record_bad)
+    monkeypatch.setattr(pipeline, "_local_blocks", record_blocks)
     monkeypatch.setattr(pipeline, "_augment_leaf_block", record_leaf)
     monkeypatch.setattr(pipeline, "_alternate_pair_path", record_pair)
     phase(g, backbone)
+    assert [kind for kind, _, _ in builds] == ["rows"]
+    assert all(adj is builds[0][2] for adj in kept)
     return rounds
 
 
@@ -636,41 +680,69 @@ class TestDiversificationRounds:
 
 
 def test_diversification_builds_one_adjacency_per_round(monkeypatch):
-    # the first round's decomposition is the entry check, so each build,
-    # through either module's name, is of a larger backbone than the last,
-    # and each round decomposes the one adjacency built for it, once
-    import plutus.graph
-
+    # the first round's decomposition is the entry check; the one
+    # adjacency built for the phase is decomposed once per round, each
+    # round on a larger member list than the last
     g = random_geometric(120, 0.16, 22).graph()
     backbone = run_plutus(g, PlutusConfig(k=2, m=1)).dominating_set
-    builds, built, decomposed = [], [], []
-    local_adjacency = plutus.graph._local_adjacency
+    builds = _count_builds(monkeypatch)
+    decomposed, rounds = [], []
     local_blocks = pipeline._local_blocks
 
-    def record_build(graph, nodes):
-        builds.append(list(nodes))
-        built.append(local_adjacency(graph, nodes))
-        return built[-1]
-
-    def record_round(adj, skip=-1):
+    def record_round(adj, members, skip=-1):
         decomposed.append(adj)
-        return local_blocks(adj, skip)
+        rounds.append(list(members))
+        return local_blocks(adj, members, skip)
 
-    for module in (plutus.graph, pipeline):
-        monkeypatch.setattr(module, "_local_adjacency", record_build)
     monkeypatch.setattr(pipeline, "_local_blocks", record_round)
     grown = diversification(g, backbone)
     assert len(decomposed) > 1
-    assert len(decomposed) == len(built) and all(a is b for a, b in zip(decomposed, built))
-    assert builds[0] == sorted(backbone) and builds[-1] == sorted(grown)
-    assert all(len(a) < len(b) for a, b in zip(builds, builds[1:]))
+    assert [kind for kind, _, _ in builds] == ["rows"]
+    assert all(a is builds[0][2] for a in decomposed)
+    assert builds[0][1] == rounds[0] == sorted(backbone) and rounds[-1] == sorted(grown)
+    assert all(len(a) < len(b) for a, b in zip(rounds, rounds[1:]))
+
+
+def test_sustainability_builds_its_induced_graph_once(monkeypatch):
+    # the entry check is one block DFS of the rows the loop then keeps
+    g = random_geometric(120, 0.16, 22).graph()
+    backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
+    builds = _count_builds(monkeypatch)
+    checks = []
+    local_blocks = pipeline._local_blocks
+    lowest_bad_point = pipeline._lowest_bad_point
+
+    def record_blocks(adj, members, skip=-1):
+        checks.append(("blocks", adj, skip))
+        return local_blocks(adj, members, skip)
+
+    def record_bad(adj, members):
+        checks.append(("bad", adj, None))
+        return lowest_bad_point(adj, members)
+
+    monkeypatch.setattr(pipeline, "_local_blocks", record_blocks)
+    monkeypatch.setattr(pipeline, "_lowest_bad_point", record_bad)
+    grown = sustainability(g, backbone)
+    assert [(kind, members) for kind, members, _ in builds] == [("rows", sorted(backbone))]
+    assert checks[:2] == [("blocks", builds[0][2], -1), ("bad", builds[0][2], None)]
+    assert all(adj is builds[0][2] for _, adj, _ in checks)
+    assert is_m_connected(g, grown, 3) and len(grown) > len(backbone)
+    # a set that is disconnected, has a cut vertex or is too small is
+    # rejected after the same single build
+    for g, rejected in (
+        (path_graph(5), {0, 1, 3, 4}),
+        (path_graph(5), {1, 2, 3}),
+        (complete_graph(4), {0, 1}),
+    ):
+        builds.clear()
+        with pytest.raises(GraphInputError, match="^sustainability requires a 2-connected input set$"):
+            sustainability(g, rejected)
+        assert [kind for kind, _, _ in builds] == ["rows"]
 
 
 def test_augmentation_rounds_build_no_block_cut_tree(monkeypatch):
     # every round reads the plain block lists; the recorder does see the
     # public block_cut_tree build one
-    import plutus.graph
-
     built = []
     block_cut_tree_type = plutus.graph.BlockCutTree
 
@@ -708,8 +780,8 @@ class TestAugmentationPaths:
         leaf = tree.leaf_blocks[0]
         expected = naive_lex_shortest_path(g, leaf - tree.cut_vertices, base - leaf, allowed)
         members = sorted(base)
-        blocks, cut = _local_blocks(_local_adjacency(g, members))
-        assert _augment_leaf_block(g, members, blocks, cut, base, allowed) == (leaf, expected)
+        blocks, cut = _local_blocks(_induced_rows(g, members), members)
+        assert _augment_leaf_block(g, blocks, cut, base, allowed) == (leaf, expected)
 
     @given(st.data())
     @settings(max_examples=300)
