@@ -84,10 +84,6 @@ def _config_from(args: argparse.Namespace) -> PlutusConfig:
     )
 
 
-def _config_echo(cfg: PlutusConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     seed = _default_seed(args.seed)
     if args.count < 1:
@@ -127,7 +123,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         outputs.append(args.out)
         write_json(
             Path(args.out).with_suffix(".manifest.json"),
-            manifest_to_dict("solve", None, [str(args.input)], outputs, _config_echo(cfg)),
+            manifest_to_dict("solve", None, [str(args.input)], outputs, dataclasses.asdict(cfg)),
         )
     else:
         sys.stdout.write(text)

@@ -16,11 +16,11 @@ point from one palm tree plus a separation-pair test, O((n + E) log n)
 (:func:`_lowest_bad_point`), the engine that also picks the vertex each
 sustainability round repairs.
 
-Every deterministic shortest path (``shortest_path``, and the paths the
-pipeline's domination and both augmentation phases promote) comes from
-one search, :func:`_lex_shortest_path`: a BFS from the smaller of a
-source and a target set through the vertices a predicate allows, then a
-smallest-id walk from the nearest source.
+Every deterministic shortest path (the paths the pipeline's domination
+and both augmentation phases promote) comes from one search,
+:func:`_lex_shortest_path`: a BFS from the smaller of a source and a
+target set through the vertices a predicate allows, then a smallest-id
+walk from the nearest source.
 
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely across threads.  Every iteration
@@ -36,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import DisconnectedInputError, GraphInputError, SelfLoopError
+from .errors import GraphInputError, SelfLoopError
 
 Edge = tuple[int, int]
 
@@ -70,21 +70,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(len(row) for row in self.adjacency) // 2
-
-
-@dataclass(frozen=True)
-class BlockCutTree:
-    """Biconnected components of a connected (induced) subgraph.
-
-    ``blocks`` are maximal 2-connected vertex sets, sorted by smallest
-    member; ``cut_vertices`` are the vertices lying in two or more blocks;
-    ``leaf_blocks`` are the blocks containing exactly one cut vertex
-    (empty when there is a single block).
-    """
-
-    blocks: tuple[frozenset[int], ...]
-    cut_vertices: frozenset[int]
-    leaf_blocks: tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True)
@@ -122,18 +107,14 @@ def _finite_real(value: object, what: str) -> float:
     raise GraphInputError(f"{what} must be a finite real number, got {value!r}")
 
 
-def _check_node(g: Graph, v: int, what: str = "node") -> None:
-    if not _is_int(v) or not 0 <= v < g.node_count:
-        raise GraphInputError(f"{what} {v!r} out of range 0..{g.node_count - 1}")
-
-
 def _as_subset(g: Graph, subset: Iterable[int]) -> list[int]:
     """Validate and return the subset as a sorted, deduplicated list.
     Members are checked before they are hashed or compared, so a member
     that is not a node id raises GraphInputError, never TypeError."""
     members = list(subset)
     for v in members:
-        _check_node(g, v, "subset node")
+        if not _is_int(v) or not 0 <= v < g.node_count:
+            raise GraphInputError(f"subset node {v!r} out of range 0..{g.node_count - 1}")
     return sorted(set(members))
 
 
@@ -241,41 +222,6 @@ def from_points(points: Sequence[tuple[float, float]], radius: float) -> Graph:
                     rows[i].append(j)
                     rows[j].append(i)
     return Graph(n, tuple(tuple(sorted(row)) for row in rows))
-
-
-def hop_distance(g: Graph, u: int, v: int) -> int | None:
-    """Hop count between u and v; 0 when u == v, None when unreachable."""
-    path = shortest_path(g, u, v)
-    return None if path is None else len(path) - 1
-
-
-def shortest_path(
-    g: Graph,
-    u: int,
-    v: int,
-    forbidden: Iterable[int] = (),
-    internal_constraint: Callable[[int], bool] | None = None,
-) -> list[int] | None:
-    """Deterministic constrained shortest path from u to v.
-
-    Internal vertices must avoid ``forbidden`` and satisfy
-    ``internal_constraint``; the endpoints are exempt from the constraint
-    but must not themselves be forbidden.  Among all shortest admissible
-    paths the lexicographically smallest vertex sequence is returned.
-    Returns None when no admissible path exists.
-    """
-    banned = frozenset(forbidden)
-    _check_node(g, u)
-    _check_node(g, v)
-    if u in banned or v in banned:
-        raise GraphInputError("path endpoints must not be forbidden")
-
-    def allowed(x: int) -> bool:
-        if x in banned:
-            return False
-        return internal_constraint is None or internal_constraint(x)
-
-    return _lex_shortest_path(g, (u,), (v,), allowed)
 
 
 def _lex_shortest_path(
@@ -496,27 +442,6 @@ def _local_blocks(
     return ([order] if len(order) == 1 else blocks), cut
 
 
-def block_cut_tree(g: Graph, subset: Iterable[int]) -> BlockCutTree:
-    """Biconnected components, cut vertices and leaf blocks of the subgraph
-    induced by ``subset``.  The subset must induce a connected subgraph.
-
-    Blocks are sorted by their sorted member lists, so by smallest member
-    first; a vertex is a cut vertex iff it lies in at least two blocks; a
-    leaf block contains exactly one cut vertex (a lone block yields no
-    leaf blocks).  A singleton subset is reported as the single block {v}.
-    """
-    nodes = _as_subset(g, subset)
-    if not nodes:
-        raise GraphInputError("subset must be non-empty")
-    local, cut = _local_blocks(_local_adjacency(g, nodes), range(len(nodes)))
-    if local is None:
-        raise DisconnectedInputError("subset does not induce a connected subgraph")
-    blocks = tuple(frozenset(nodes[v] for v in block) for block in sorted(map(sorted, local)))
-    cut_vertices = frozenset(nodes[v] for v in cut)
-    leaf_blocks = tuple(b for b in blocks if len(b & cut_vertices) == 1)
-    return BlockCutTree(blocks, cut_vertices, leaf_blocks)
-
-
 def _not_two_connected(adj: Sequence[list[int]], members: Sequence[int]) -> int:
     """Lowest bad point of a graph on four or more ``members`` (see
     :func:`_palm_tree`) that is not 2-connected: the lowest member, unless
@@ -691,12 +616,11 @@ def _lowest_bad_point(adj: Sequence[list[int]], members: Sequence[int]) -> int |
     return None if best == span else best
 
 
-def _disconnecting_set(
-    g: Graph, nodes: list[int], local: list[list[int]], m: int
-) -> tuple[int, ...] | None:
+def _disconnecting_set(g: Graph, nodes: list[int], m: int) -> tuple[int, ...] | None:
     """Lexicographically smallest set of m - 1 ids (m = 2 or 3) whose
     removal splits the subgraph induced by the more than m sorted ids
-    ``nodes``, whose local adjacency is ``local``; None when it is m-connected.
+    ``nodes``, read from one local adjacency of them; None when it is
+    m-connected.
 
     The first m - 2 members are pinned: none for m = 2, and for m = 3 the
     lowest bad point, from one pass of :func:`_lowest_bad_point`, since
@@ -710,7 +634,8 @@ def _disconnecting_set(
     vertex goes, unless that vertex is alone beside one other component;
     then the second-lowest vertex splits it.
     """
-    members = range(len(local))
+    local = _local_adjacency(g, nodes)
+    members = range(len(nodes))
     skip = -1 if m == 2 else _lowest_bad_point(local, members)
     if skip is None:
         return None
@@ -747,4 +672,4 @@ def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
         raise GraphInputError("subset must be non-empty")
     if m == 1:
         return is_connected(g, nodes)
-    return len(nodes) > m and _disconnecting_set(g, nodes, _local_adjacency(g, nodes), m) is None
+    return len(nodes) > m and _disconnecting_set(g, nodes, m) is None

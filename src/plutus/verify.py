@@ -34,7 +34,6 @@ from .graph import (
     _check_m,
     _disconnecting_set,
     _is_int,
-    _local_adjacency,
     connected_components,
     is_m_connected,
 )
@@ -126,7 +125,7 @@ def _m_connectivity_witness(g: Graph, nodes: list[int], m: int) -> Witness:
         return ("disconnected", tuple(connected_components(g, nodes)[0]))
     if len(nodes) <= m:
         return ("too-small", len(nodes))
-    return ("disconnecting-set", _disconnecting_set(g, nodes, _local_adjacency(g, nodes), m))
+    return ("disconnecting-set", _disconnecting_set(g, nodes, m))
 
 
 def is_m_connected_k_dominating(

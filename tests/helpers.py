@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
+from typing import NamedTuple
 
 from plutus import Graph, from_edge_list, is_m_connected
-from plutus.graph import BlockCutTree, DistanceReport
+from plutus.graph import DistanceReport
 from plutus.geometry import splitmix64
 
 
@@ -252,14 +253,20 @@ def naive_biconnected_components(g: Graph, nodes) -> list[frozenset[int]]:
     return blocks
 
 
-def naive_block_cut_tree(g: Graph, nodes) -> BlockCutTree:
+class NaiveBlockCutTree(NamedTuple):
+    blocks: tuple[frozenset[int], ...]
+    cut_vertices: frozenset[int]
+    leaf_blocks: tuple[frozenset[int], ...]
+
+
+def naive_block_cut_tree(g: Graph, nodes) -> NaiveBlockCutTree:
     """The block-cut tree of a connected induced subgraph from
     :func:`naive_biconnected_components`: blocks sorted by their sorted
     members, cut vertices in two or more blocks, leaf blocks holding
     exactly one cut vertex."""
     nodes = sorted(set(nodes))
     if len(nodes) == 1:
-        return BlockCutTree((frozenset(nodes),), frozenset(), ())
+        return NaiveBlockCutTree((frozenset(nodes),), frozenset(), ())
     blocks = sorted(naive_biconnected_components(g, nodes), key=sorted)
     membership: dict[int, int] = {}
     for block in blocks:
@@ -267,7 +274,7 @@ def naive_block_cut_tree(g: Graph, nodes) -> BlockCutTree:
             membership[v] = membership.get(v, 0) + 1
     cut_vertices = frozenset(v for v, count in membership.items() if count >= 2)
     leaves = () if len(blocks) == 1 else tuple(b for b in blocks if len(b & cut_vertices) == 1)
-    return BlockCutTree(tuple(blocks), cut_vertices, leaves)
+    return NaiveBlockCutTree(tuple(blocks), cut_vertices, leaves)
 
 
 def naive_lowest_bad_point(g: Graph, subset) -> int | None:

@@ -1,0 +1,73 @@
+"""The package's public surface, pinned: adding or removing an export
+means editing this list, and README with it."""
+
+from __future__ import annotations
+
+import plutus
+import plutus.graph
+
+PUBLIC = [
+    "CheckResult",
+    "DisconnectedInputError",
+    "DistanceReport",
+    "EmptyGraphError",
+    "Graph",
+    "GraphInputError",
+    "GraphNotMConnectedError",
+    "Infeasible2ConnectivityError",
+    "Infeasible3ConnectivityError",
+    "IterationCapExceededError",
+    "OracleResult",
+    "OracleSizeError",
+    "PhaseTrace",
+    "PlutusConfig",
+    "PlutusError",
+    "PlutusResult",
+    "Role",
+    "SelfLoopError",
+    "UdgInstance",
+    "VerificationReport",
+    "backbone_stretch",
+    "brute_force_min_mcds",
+    "connected_components",
+    "diversification",
+    "domination",
+    "from_edge_list",
+    "from_points",
+    "is_connected",
+    "is_connected_dominating_set",
+    "is_k_dominating",
+    "is_m_connected",
+    "is_m_connected_k_dominating",
+    "is_maximal_independent_set",
+    "isolation",
+    "random_geometric",
+    "run_plutus",
+    "splitmix64",
+    "sustainability",
+    "synergy",
+    "synergy_layers",
+    "unit_interval",
+]
+
+# test-only wrappers over the pipeline's private block and path routines
+REMOVED = ["BlockCutTree", "block_cut_tree", "hop_distance", "shortest_path"]
+
+
+def test_all_is_the_pinned_sorted_list():
+    assert PUBLIC == sorted(set(PUBLIC))
+    assert plutus.__all__ == PUBLIC
+
+
+def test_every_exported_name_resolves():
+    for name in plutus.__all__:
+        assert getattr(plutus, name) is not None, name
+    namespace: dict = {}
+    exec("from plutus import *", namespace)
+    assert set(PUBLIC) <= namespace.keys()
+
+
+def test_removed_names_stay_removed():
+    for name in REMOVED:
+        assert not hasattr(plutus, name), name
+        assert not hasattr(plutus.graph, name), name

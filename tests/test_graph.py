@@ -8,21 +8,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plutus import (
-    DisconnectedInputError,
     Graph,
     GraphInputError,
     PlutusConfig,
     SelfLoopError,
-    block_cut_tree,
     connected_components,
     from_edge_list,
     from_points,
-    hop_distance,
     is_connected,
     is_m_connected,
     random_geometric,
     run_plutus,
-    shortest_path,
 )
 from plutus.geometry import splitmix64
 from plutus.graph import (
@@ -34,9 +30,11 @@ from plutus.graph import (
     _lowest_bad_point,
     _palm_tree,
 )
+from plutus.pipeline import _augment_leaf_block
 
 from .conftest import complete_graph, cycle_graph, path_graph, wheel_graph
 from .helpers import (
+    _distances_from,
     induced_connected,
     menger_m_connected,
     naive_block_cut_tree,
@@ -214,26 +212,36 @@ class TestFromPoints:
         assert from_points(points, radius) == naive_from_points(points, radius)
 
 
+def path_between(g: Graph, u: int, v: int, allowed=lambda x: True) -> list[int] | None:
+    """The one path search from u to v, internal vertices passing ``allowed``."""
+    return _lex_shortest_path(g, (u,), (v,), allowed)
+
+
+def hops(g: Graph, u: int, v: int) -> int | None:
+    path = path_between(g, u, v)
+    return None if path is None else len(path) - 1
+
+
 class TestHopDistance:
     def test_path_ends(self, p3):
-        assert hop_distance(p3, 0, 2) == 2
+        assert hops(p3, 0, 2) == 2
 
     def test_same_node(self, c6):
-        assert hop_distance(c6, 3, 3) == 0
+        assert hops(c6, 3, 3) == 0
 
     def test_cycle_antipodes(self, c6):
-        assert hop_distance(c6, 0, 3) == 3
+        assert hops(c6, 0, 3) == 3
 
     def test_unreachable(self):
         g = from_edge_list(4, [(0, 1), (2, 3)])
-        assert hop_distance(g, 0, 3) is None
+        assert hops(g, 0, 3) is None
 
     @given(seeds)
     @settings(max_examples=30)
     def test_triangle_inequality(self, seed):
         g = random_graph(seed, max_nodes=7)
         n = g.node_count
-        dist = [[hop_distance(g, u, v) for v in range(n)] for u in range(n)]
+        dist = [[hops(g, u, v) for v in range(n)] for u in range(n)]
         for u in range(n):
             for v in range(n):
                 for w in range(n):
@@ -245,39 +253,34 @@ class TestHopDistance:
 class TestShortestPath:
     def test_internal_constraint_forces_detour(self, c4):
         blocked = {0, 1, 2}
-        path = shortest_path(c4, 0, 2, internal_constraint=lambda v: v not in blocked)
-        assert path == [0, 3, 2]
+        assert path_between(c4, 0, 2, lambda v: v not in blocked) == [0, 3, 2]
 
     def test_forbidden_cuts_only_route(self, p3):
-        assert shortest_path(p3, 0, 2, forbidden={1}) is None
+        assert path_between(p3, 0, 2, lambda v: v != 1) is None
 
     def test_adjacent_endpoints(self, k4):
-        assert shortest_path(k4, 1, 3) == [1, 3]
+        assert path_between(k4, 1, 3) == [1, 3]
 
     def test_lexicographic_tie_break(self, c4):
         # both 0-1-2 and 0-3-2 are shortest; the smaller sequence wins
-        assert shortest_path(c4, 0, 2) == [0, 1, 2]
-
-    def test_forbidden_endpoint_rejected(self, p3):
-        with pytest.raises(GraphInputError):
-            shortest_path(p3, 0, 2, forbidden={0})
+        assert path_between(c4, 0, 2) == [0, 1, 2]
 
     def test_same_endpoint(self, p3):
-        assert shortest_path(p3, 1, 1) == [1]
+        assert path_between(p3, 1, 1) == [1]
 
     @given(seeds)
     @settings(max_examples=30)
     def test_path_is_shortest_and_valid(self, seed):
         g = random_graph(seed)
         for u in range(g.node_count):
+            dist = _distances_from(g, u, lambda x: True)
             for v in range(u + 1, g.node_count):
-                path = shortest_path(g, u, v)
-                d = hop_distance(g, u, v)
-                if d is None:
+                path = path_between(g, u, v)
+                if dist[v] is None:
                     assert path is None
                     continue
                 assert path[0] == u and path[-1] == v
-                assert len(path) - 1 == d
+                assert len(path) - 1 == dist[v]
                 for a, b in zip(path, path[1:]):
                     assert g.has_edge(a, b)
 
@@ -290,11 +293,9 @@ class TestShortestPath:
         u, v = data.draw(nodes), data.draw(nodes)
         forbidden = data.draw(st.sets(nodes)) - {u, v}
         constraint = data.draw(st.none() | st.sets(nodes))
-        test = None if constraint is None else constraint.__contains__
-        expected = naive_lex_shortest_path(
-            g, (u,), (v,), lambda x: x not in forbidden and (test is None or test(x))
-        )
-        assert shortest_path(g, u, v, forbidden, test) == expected
+        allowed = lambda x: x not in forbidden and (constraint is None or x in constraint)
+        expected = naive_lex_shortest_path(g, (u,), (v,), allowed)
+        assert path_between(g, u, v, allowed) == expected
 
     @given(st.data())
     @settings(max_examples=300)
@@ -378,58 +379,80 @@ class TestLexShortestPath:
         assert _lex_shortest_path(g, {0}, {2, 3, 5}, lambda x: True) == [0, 1, 2]
 
 
+def blocks_by_id(g: Graph, subset) -> tuple[list[list[int]] | None, set[int]]:
+    """The blocks and cut vertices :func:`_local_blocks` reads from one
+    local adjacency of ``subset``, mapped to ids: the blocks as sorted id
+    lists in sorted order, the order of :func:`naive_block_cut_tree`, or
+    None when the subset is disconnected."""
+    nodes = sorted(set(subset))
+    local, cut = _local_blocks(_local_adjacency(g, nodes), range(len(nodes)))
+    blocks = None if local is None else sorted(sorted(nodes[v] for v in b) for b in local)
+    return blocks, {nodes[v] for v in cut}
+
+
+def leaf_pick(g: Graph, subset) -> frozenset[int]:
+    """The leaf block the pipeline repairs in a round on ``subset``."""
+    blocks, cut = blocks_by_id(g, subset)
+    return _augment_leaf_block(g, blocks, cut, set(subset), lambda x: False)[0]
+
+
+def assert_matches_naive(g: Graph, subset) -> tuple[list[list[int]], set[int]]:
+    """:func:`blocks_by_id` of a connected ``subset`` against
+    :func:`naive_block_cut_tree`: the same blocks and cut vertices, and
+    the pipeline's leaf pick is the naive first leaf block.  Returns
+    the blocks and cut vertices."""
+    blocks, cut = blocks_by_id(g, subset)
+    tree = naive_block_cut_tree(g, subset)
+    assert [frozenset(b) for b in blocks] == list(tree.blocks)
+    assert cut == tree.cut_vertices
+    if tree.leaf_blocks:
+        assert leaf_pick(g, subset) == tree.leaf_blocks[0]
+    return blocks, cut
+
+
 class TestBlockCutTree:
     def test_induced_path(self, p3):
-        tree = block_cut_tree(p3, {0, 1, 2})
-        assert tree.blocks == (frozenset({0, 1}), frozenset({1, 2}))
-        assert tree.cut_vertices == frozenset({1})
-        assert set(tree.leaf_blocks) == set(tree.blocks)
+        assert assert_matches_naive(p3, {0, 1, 2}) == ([[0, 1], [1, 2]], {1})
+        assert naive_block_cut_tree(p3, {0, 1, 2}).leaf_blocks == ({0, 1}, {1, 2})
 
     def test_triangle_single_block(self):
         g = complete_graph(3)
-        tree = block_cut_tree(g, range(3))
-        assert tree.blocks == (frozenset({0, 1, 2}),)
-        assert tree.cut_vertices == frozenset()
-        assert tree.leaf_blocks == ()
+        assert assert_matches_naive(g, range(3)) == ([[0, 1, 2]], set())
+        assert naive_block_cut_tree(g, range(3)).leaf_blocks == ()
 
     def test_two_triangles_sharing_a_vertex(self):
         g = from_edge_list(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-        tree = block_cut_tree(g, range(5))
-        assert tree.blocks == (frozenset({0, 1, 2}), frozenset({2, 3, 4}))
-        assert tree.cut_vertices == frozenset({2})
-        assert len(tree.leaf_blocks) == 2
+        assert assert_matches_naive(g, range(5)) == ([[0, 1, 2], [2, 3, 4]], {2})
+        assert len(naive_block_cut_tree(g, range(5)).leaf_blocks) == 2
+        assert leaf_pick(g, range(5)) == {0, 1, 2}
 
     def test_disconnected_subset_rejected(self, p5):
-        with pytest.raises(DisconnectedInputError):
-            block_cut_tree(p5, {0, 4})
+        assert blocks_by_id(p5, {0, 4}) == (None, set())
 
     def test_singleton_subset(self, p5):
-        tree = block_cut_tree(p5, {2})
-        assert tree.blocks == (frozenset({2}),)
-        assert tree.leaf_blocks == ()
+        assert assert_matches_naive(p5, {2}) == ([[2]], set())
+        assert naive_block_cut_tree(p5, {2}).leaf_blocks == ()
 
     def test_cut_vertices_match_removal_on_midsize_instance(self):
-        from plutus import random_geometric
-
         g = random_geometric(50, 0.22, 3).graph()
         for comp in connected_components(g):
             if len(comp) == 1:
                 continue
-            tree = block_cut_tree(g, comp)
+            _, cut = blocks_by_id(g, comp)
             for v in comp:
                 rest = set(comp) - {v}
                 removal_splits = len(connected_components(g, rest)) > 1
-                assert (v in tree.cut_vertices) == removal_splits
+                assert (v in cut) == removal_splits
 
     @given(seeds)
     @settings(max_examples=40)
     def test_edges_partition_and_cut_vertices_match_removal(self, seed):
         g = random_graph(seed)
         for comp in connected_components(g):
-            tree = block_cut_tree(g, comp)
+            blocks, cut = blocks_by_id(g, comp)
             in_block = sum(
                 sum(1 for u in block for v in g.adjacency[u] if v in block and v > u)
-                for block in tree.blocks
+                for block in blocks
             )
             induced_edges = sum(
                 1 for u in comp for v in g.adjacency[u] if v in comp and v > u
@@ -441,7 +464,7 @@ class TestBlockCutTree:
                 if not rest:
                     continue
                 removal_splits = len(connected_components(g, rest)) > 1
-                assert (v in tree.cut_vertices) == removal_splits
+                assert (v in cut) == removal_splits
 
     def test_blocks_sharing_their_smallest_member(self):
         # three blocks meet at 0.  The DFS enters them through 0's
@@ -449,22 +472,22 @@ class TestBlockCutTree:
         # member is 3, so it must sort before the triangle {0, 4, 5}
         edges = [(0, 6), (6, 3), (3, 7), (7, 0), (0, 4), (4, 5), (5, 0), (0, 2), (1, 5)]
         g = from_edge_list(8, edges)
-        tree = block_cut_tree(g, range(8))
-        assert tree.blocks == (
-            frozenset({0, 2}), frozenset({0, 3, 6, 7}), frozenset({0, 4, 5}), frozenset({1, 5}),
+        assert assert_matches_naive(g, range(8)) == (
+            [[0, 2], [0, 3, 6, 7], [0, 4, 5], [1, 5]], {0, 5},
         )
-        assert tree.cut_vertices == frozenset({0, 5})
-        assert tree.leaf_blocks == (frozenset({0, 2}), frozenset({0, 3, 6, 7}), frozenset({1, 5}))
+        tree = naive_block_cut_tree(g, range(8))
+        assert tree.leaf_blocks == ({0, 2}, {0, 3, 6, 7}, {1, 5})
+        assert leaf_pick(g, range(8)) == {0, 2}
         for order in ([0, 7, 6, 5, 4, 3, 2, 1], [0, 3, 5, 1, 6, 2, 7, 4]):
             h = relabel(g, order)
-            assert block_cut_tree(h, range(8)) == naive_block_cut_tree(h, range(8))
+            assert_matches_naive(h, range(8))
 
     @given(connected_graph())
     @settings(max_examples=300, deadline=None)
     def test_matches_naive_blocks_with_every_skip(self, g):
         n = g.node_count
         nodes = list(range(n))
-        assert block_cut_tree(g, nodes) == naive_block_cut_tree(g, nodes)
+        assert_matches_naive(g, nodes)
         # the plain block lists of every one-vertex-deleted subgraph and the
         # cut vertices read off the same pass, mapped to ids
         local = _local_adjacency(g, nodes)
@@ -699,13 +722,14 @@ class TestTriconnectivity:
         # a path and a cycle of 5000 vertices: the DFS is one long root path
         nodes = list(range(n))
         path, cycle = path_graph(n), cycle_graph(n)
-        tree = block_cut_tree(path, nodes)
-        assert (len(tree.blocks), len(tree.cut_vertices), len(tree.leaf_blocks)) == (n - 1, n - 2, 2)
-        assert block_cut_tree(cycle, nodes).blocks == (frozenset(nodes),)
+        blocks, cut = blocks_by_id(path, nodes)
+        assert (len(blocks), len(cut)) == (n - 1, n - 2)
+        assert sum(len(cut.intersection(b)) == 1 for b in blocks) == 2
+        assert leaf_pick(path, nodes) == {0, 1}
+        assert blocks_by_id(cycle, nodes) == ([nodes], set())
         for g, at_two in ((path, (1,)), (cycle, None)):
-            local = _local_adjacency(g, nodes)
-            assert _disconnecting_set(g, nodes, local, 2) == at_two
-            assert _disconnecting_set(g, nodes, local, 3) == (0, 2)
+            assert _disconnecting_set(g, nodes, 2) == at_two
+            assert _disconnecting_set(g, nodes, 3) == (0, 2)
 
 
 def lowest_bad_point(g: Graph, subset=None) -> int | None:
@@ -835,7 +859,7 @@ class TestLowestBadPoint:
         h = relabel(g, sorted(range(n), key=lambda v: splitmix64(seed, v)))
         for graph in (g, h):
             biggest = max(connected_components(graph), key=len)
-            sets = [max(block_cut_tree(graph, biggest).blocks, key=len)]
+            sets = [max(blocks_by_id(graph, biggest)[0], key=len)]
             if len(sets[0]) == n:
                 sets.append(run_plutus(graph, PlutusConfig(k=2, m=2)).dominating_set)
             for subset in sets:
@@ -851,7 +875,7 @@ class TestDisconnectingSet:
     def test_every_small_graph(self, n, m):
         nodes = list(range(n))
         for g in every_graph(n):
-            found = _disconnecting_set(g, nodes, _local_adjacency(g, nodes), m)
+            found = _disconnecting_set(g, nodes, m)
             assert found == naive_disconnecting_set(g, nodes, m)
 
     @given(seeds, st.integers(min_value=2, max_value=3))
@@ -860,7 +884,7 @@ class TestDisconnectingSet:
         g = random_graph(seed, max_nodes=12)
         nodes = [v for v in range(g.node_count) if splitmix_pick(seed, v)]
         assume(len(nodes) > m)
-        found = _disconnecting_set(g, nodes, _local_adjacency(g, nodes), m)
+        found = _disconnecting_set(g, nodes, m)
         assert found == naive_disconnecting_set(g, nodes, m)
         assert is_m_connected(g, nodes, m) == (found is None)
 

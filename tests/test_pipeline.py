@@ -16,7 +16,6 @@ from plutus import (
     IterationCapExceededError,
     PlutusConfig,
     Role,
-    block_cut_tree,
     brute_force_min_mcds,
     diversification,
     domination,
@@ -740,25 +739,6 @@ def test_sustainability_builds_its_induced_graph_once(monkeypatch):
         assert [kind for kind, _, _ in builds] == ["rows"]
 
 
-def test_augmentation_rounds_build_no_block_cut_tree(monkeypatch):
-    # every round reads the plain block lists; the recorder does see the
-    # public block_cut_tree build one
-    built = []
-    block_cut_tree_type = plutus.graph.BlockCutTree
-
-    def record(*args):
-        built.append(args)
-        return block_cut_tree_type(*args)
-
-    monkeypatch.setattr(plutus.graph, "BlockCutTree", record)
-    g = random_geometric(60, 0.25, 16).graph()
-    trace = run_plutus(g, PlutusConfig(k=2, m=3)).phase_trace
-    assert [len(p.added) > 0 for p in trace[-2:]] == [True, True]
-    assert built == []
-    plutus.graph.block_cut_tree(g, range(g.node_count))
-    assert len(built) == 1
-
-
 class TestAugmentationPaths:
     """Both augmentation steps take the lexicographically smallest
     shortest admissible path, checked against simple-path enumeration on
@@ -997,8 +977,8 @@ def test_k_and_m_must_be_genuine_ints(call, value, k4):
 
 @pytest.mark.parametrize(
     "call",
-    [domination, diversification, block_cut_tree, lambda g, s: is_m_connected(g, s, 2)],
-    ids=["domination", "diversification", "block-cut-tree", "m-connected"],
+    [domination, diversification, lambda g, s: is_m_connected(g, s, 2)],
+    ids=["domination", "diversification", "m-connected"],
 )
 def test_empty_set_is_input_error(call, k4):
     with pytest.raises(GraphInputError, match="must be non-empty"):
