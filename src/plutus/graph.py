@@ -6,15 +6,15 @@ radius wide and compares only neighbouring cells.
 
 Block lists with their cut vertices (:func:`_local_blocks`) and
 separation pairs are all read from one palm tree of an induced subgraph
-(:func:`_palm_tree`), O(n + E).  One-shot callers hand it a local
-adjacency (:func:`_local_adjacency`); the pipeline's augmentation loop
-hands it rows indexed by node id (:func:`_induced_rows`), which it keeps
-for a whole phase.  Local order mirrors id order, so both give the same
-traversal.  One routine, :func:`_disconnecting_set`, gives the m = 2 and
-m = 3 verdicts and verify's witness; at m = 3 it pins the lowest bad
-point from one palm tree plus a separation-pair test, O((n + E) log n)
-(:func:`_lowest_bad_point`), the engine that also picks the vertex each
-sustainability round repairs.
+(:func:`_palm_tree`), O(n + E).  An induced subgraph has one form: rows
+indexed by node id (:func:`_induced_rows`), which the pipeline's
+augmentation loop keeps for a whole phase; a check of the whole graph
+reads the graph's own adjacency.  One routine,
+:func:`_connectivity_witness`, gives the m = 1..3 verdicts and verify's
+witness in one call; at m = 2 and 3 it asks :func:`_disconnecting_set`,
+which at m = 3 pins the lowest bad point from one palm tree plus a
+separation-pair test, O((n + E) log n) (:func:`_lowest_bad_point`), the
+engine that also picks the vertex each sustainability round repairs.
 
 Every deterministic shortest path (the paths the pipeline's domination
 and both augmentation phases promote) comes from one search,
@@ -287,26 +287,11 @@ def _lex_shortest_path(
     return path
 
 
-def _local_adjacency(g: Graph, nodes: Sequence[int]) -> list[list[int]]:
-    """Induced adjacency relabelled onto local indices 0..len(nodes)-1.
-
-    ``nodes`` must be sorted, so local order mirrors node-id order and
-    neighbour lists stay sorted; the traversals below run on plain lists
-    for speed, and take ``range(len(nodes))`` as their members.
-    """
-    index = [-1] * g.node_count
-    for i, v in enumerate(nodes):
-        index[v] = i
-    adj = g.adjacency
-    return [[index[w] for w in adj[v] if index[w] >= 0] for v in nodes]
-
-
 def _induced_rows(g: Graph, nodes: Sequence[int]) -> list[list[int]]:
     """Induced adjacency indexed by node id: the row of each of the ids
     ``nodes`` lists its neighbours among them in ascending order, and every
-    other row is empty.  Unlike :func:`_local_adjacency` it stays valid as
-    vertices join, each needing only its own row and one insertion into
-    each neighbour's."""
+    other row is empty.  It stays valid as vertices join, each needing
+    only its own row and one insertion into each neighbour's."""
     member = [False] * g.node_count
     for v in nodes:
         member[v] = True
@@ -322,24 +307,26 @@ def connected_components(g: Graph, subset: Iterable[int] | None = None) -> list[
     ascending order of their smallest member."""
     if subset is None:
         nodes: Sequence[int] = range(g.node_count)
-        adj: Sequence[Sequence[int]] = g.adjacency
+        unseen = [True] * g.node_count
     else:
         nodes = _as_subset(g, subset)
-        adj = _local_adjacency(g, nodes)
-    seen = [False] * len(nodes)
+        unseen = [False] * g.node_count
+        for v in nodes:
+            unseen[v] = True
+    adj = g.adjacency
     components: list[list[int]] = []
-    for start in range(len(nodes)):
-        if seen[start]:
+    for start in nodes:
+        if not unseen[start]:
             continue
-        seen[start] = True
+        unseen[start] = False
         comp = [start]
         for x in comp:
             for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
+                if unseen[y]:
+                    unseen[y] = False
                     comp.append(y)
         comp.sort()
-        components.append([nodes[i] for i in comp])
+        components.append(comp)
     return components
 
 
@@ -349,7 +336,7 @@ def is_connected(g: Graph, subset: Iterable[int] | None = None) -> bool:
 
 
 def _palm_tree(
-    adj: Sequence[list[int]],
+    adj: Sequence[Sequence[int]],
     members: Sequence[int],
     skip: int = -1,
     fronds: list[list[int]] | None = None,
@@ -357,10 +344,11 @@ def _palm_tree(
     """(preorder, parent, depth, low) of one iterative DFS, from its lowest
     vertex, of the graph on the sorted vertices ``members`` minus the
     member ``skip``: the palm tree of Tarjan (1972) and Hopcroft and
-    Tarjan (1973).  ``adj[v]`` lists the neighbours of each member v among
+    Tarjan (1973).  ``adj`` is indexed by node id (the rows of
+    :func:`_induced_rows`, or a graph's own adjacency when the members are
+    all its nodes): ``adj[v]`` lists the neighbours of each member v among
     the members in ascending order, and the arrays returned are as long as
-    ``adj``: a local adjacency with members ``range(len(adj))``, or the
-    rows of :func:`_induced_rows` with the ids they hold.
+    ``adj``.
 
     The preorder covers one component.  Off the tree ``parent`` and
     ``depth`` are -1, as is the root's parent, but ``skip`` has depth
@@ -411,7 +399,7 @@ def _palm_tree(
 
 
 def _local_blocks(
-    adj: Sequence[list[int]], members: Sequence[int], skip: int = -1
+    adj: Sequence[Sequence[int]], members: Sequence[int], skip: int = -1
 ) -> tuple[list[list[int]] | None, set[int]]:
     """(blocks, cut vertices) of the graph on ``members`` minus the member
     ``skip`` (see :func:`_palm_tree`), the blocks being None when that
@@ -442,7 +430,7 @@ def _local_blocks(
     return ([order] if len(order) == 1 else blocks), cut
 
 
-def _not_two_connected(adj: Sequence[list[int]], members: Sequence[int]) -> int:
+def _not_two_connected(adj: Sequence[Sequence[int]], members: Sequence[int]) -> int:
     """Lowest bad point of a graph on four or more ``members`` (see
     :func:`_palm_tree`) that is not 2-connected: the lowest member, unless
     it has at most one neighbour and the rest is 2-connected; then the
@@ -457,7 +445,7 @@ def _not_two_connected(adj: Sequence[list[int]], members: Sequence[int]) -> int:
     return first
 
 
-def _lowest_bad_point(adj: Sequence[list[int]], members: Sequence[int]) -> int | None:
+def _lowest_bad_point(adj: Sequence[Sequence[int]], members: Sequence[int]) -> int | None:
     """Lowest bad point of the graph on the sorted vertices ``members``
     (see :func:`_palm_tree`), or None when there is none, that is when the
     graph is 3-connected.  O((n + E) log n) for n members, plus one pass
@@ -619,8 +607,9 @@ def _lowest_bad_point(adj: Sequence[list[int]], members: Sequence[int]) -> int |
 def _disconnecting_set(g: Graph, nodes: list[int], m: int) -> tuple[int, ...] | None:
     """Lexicographically smallest set of m - 1 ids (m = 2 or 3) whose
     removal splits the subgraph induced by the more than m sorted ids
-    ``nodes``, read from one local adjacency of them; None when it is
-    m-connected.
+    ``nodes``, read from one build of their rows (:func:`_induced_rows`),
+    or from the graph's own adjacency when they are all its nodes; None
+    when it is m-connected.
 
     The first m - 2 members are pinned: none for m = 2, and for m = 3 the
     lowest bad point, from one pass of :func:`_lowest_bad_point`, since
@@ -634,13 +623,12 @@ def _disconnecting_set(g: Graph, nodes: list[int], m: int) -> tuple[int, ...] | 
     vertex goes, unless that vertex is alone beside one other component;
     then the second-lowest vertex splits it.
     """
-    local = _local_adjacency(g, nodes)
-    members = range(len(nodes))
-    skip = -1 if m == 2 else _lowest_bad_point(local, members)
+    rows = g.adjacency if len(nodes) == g.node_count else _induced_rows(g, nodes)
+    skip = -1 if m == 2 else _lowest_bad_point(rows, nodes)
     if skip is None:
         return None
-    pinned = () if skip < 0 else (nodes[skip],)
-    order, parent, depth, low = _palm_tree(local, members, skip)
+    pinned = () if skip < 0 else (skip,)
+    order, parent, depth, low = _palm_tree(rows, nodes, skip)
     if len(order) + len(pinned) < len(nodes):
         rest = [v for v in nodes if v not in pinned]
         components = connected_components(g, rest)
@@ -649,8 +637,30 @@ def _disconnecting_set(g: Graph, nodes: list[int], m: int) -> tuple[int, ...] | 
         cut = [parent[v] for v in order[2:] if low[v] == depth[parent[v]]]
         if not cut:
             return None  # only at m = 2: a 2-connected set
-        last = nodes[min(cut)]
+        last = min(cut)
     return (*pinned, last)
+
+
+def _connectivity_witness(g: Graph, subset: Iterable[int], m: int) -> tuple | None:
+    """Why the subgraph induced by the non-empty ``subset`` is not
+    m-connected (m in 1..3), or None when it is: ``("disconnected",
+    comp)`` with the first component of a split set at m = 1,
+    ``("too-small", size)`` for a set of at most m vertices at m >= 2,
+    and otherwise ``("disconnecting-set", ids)``, the lexicographically
+    smallest m - 1 ids whose removal splits it (:func:`_disconnecting_set`).
+    The one call gives both the verdict of :func:`is_m_connected` and
+    verify's witness."""
+    _check_m(m)
+    nodes = _as_subset(g, subset)
+    if not nodes:
+        raise GraphInputError("subset must be non-empty")
+    if m == 1:
+        components = connected_components(g, nodes)
+        return None if len(components) == 1 else ("disconnected", tuple(components[0]))
+    if len(nodes) <= m:
+        return ("too-small", len(nodes))
+    found = _disconnecting_set(g, nodes, m)
+    return None if found is None else ("disconnecting-set", found)
 
 
 def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
@@ -660,16 +670,11 @@ def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
     m = 1 is plain connectivity (a singleton counts as connected).  For
     m >= 2 a subset of at most m vertices never qualifies: the complete
     graph on n vertices is only (n-1)-connected.  Both higher levels ask
-    :func:`_disconnecting_set` on one local adjacency of the subset.  m = 2
-    is one palm tree (:func:`_palm_tree`): connected with no cut vertex.
-    m = 3 is one palm tree followed by the separation-pair test of
-    :func:`_lowest_bad_point`, O((n + E) log n): 3-connected when it finds
-    no bad point.
+    :func:`_disconnecting_set` on one build of the subset's rows, or on
+    the graph's own adjacency for the whole graph.  m = 2 is one palm tree
+    (:func:`_palm_tree`): connected with no cut vertex.  m = 3 is one palm
+    tree followed by the separation-pair test of :func:`_lowest_bad_point`,
+    O((n + E) log n): 3-connected when it finds no bad point.  The verdict
+    is that of :func:`_connectivity_witness`.
     """
-    _check_m(m)
-    nodes = _as_subset(g, subset)
-    if not nodes:
-        raise GraphInputError("subset must be non-empty")
-    if m == 1:
-        return is_connected(g, nodes)
-    return len(nodes) > m and _disconnecting_set(g, nodes, m) is None
+    return _connectivity_witness(g, subset, m) is None

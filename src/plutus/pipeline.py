@@ -26,7 +26,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DisconnectedInputError,
@@ -109,9 +109,7 @@ class PlutusResult:
     preflight_micros: int = field(compare=False)
 
 
-def _greedy_mis(
-    nodes: Iterable[int], adj: Mapping[int, Sequence[int]] | Sequence[Sequence[int]]
-) -> list[int]:
+def _greedy_mis(nodes: Iterable[int], adj: Sequence[Sequence[int]]) -> list[int]:
     """Greedy independent-set rounds over ``nodes``, every one of which
     starts prone; ``adj[v]`` lists v's neighbours among them.
 
@@ -296,10 +294,7 @@ def synergy_layers(
         residual = [v for v in range(g.node_count) if v not in covered]
         if not residual:
             break
-        adj = {
-            v: tuple(w for w in g.adjacency[v] if w not in covered) for v in residual
-        }
-        layer = frozenset(_greedy_mis(residual, adj))
+        layer = frozenset(_greedy_mis(residual, _induced_rows(g, residual)))
         layers.append(layer)
         covered |= layer
     return frozenset(covered.union(nodes)), tuple(layers)

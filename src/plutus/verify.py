@@ -32,10 +32,9 @@ from .graph import (
     _as_subset,
     _check_k,
     _check_m,
-    _disconnecting_set,
+    _connectivity_witness,
     _is_int,
     connected_components,
-    is_m_connected,
 )
 
 Witness = tuple
@@ -116,31 +115,19 @@ def is_k_dominating(g: Graph, s: Iterable[int], k: int) -> tuple[bool, Witness |
     return True, None
 
 
-def _m_connectivity_witness(g: Graph, nodes: list[int], m: int) -> Witness:
-    """Concrete evidence for a failed m-connectivity check: the first
-    component of a split set, a set of at most m vertices, or the
-    lexicographically smallest disconnecting set of m - 1 vertices, from
-    :func:`graph._disconnecting_set` on one induced graph of the set."""
-    if m == 1:
-        return ("disconnected", tuple(connected_components(g, nodes)[0]))
-    if len(nodes) <= m:
-        return ("too-small", len(nodes))
-    return ("disconnecting-set", _disconnecting_set(g, nodes, m))
-
-
 def is_m_connected_k_dominating(
     g: Graph, s: Iterable[int], k: int, m: int
 ) -> VerificationReport:
     """The full backbone certificate: k-domination of the outside plus
-    m-connectivity of the induced subgraph."""
+    m-connectivity of the induced subgraph, whose verdict and witness come
+    from one call of :func:`graph._connectivity_witness`."""
     nodes = _as_subset(g, s)
     ok_k, witness_k = is_k_dominating(g, nodes, k)
-    ok_m = is_m_connected(g, nodes, m)
-    witness_m = None if ok_m else _m_connectivity_witness(g, nodes, m)
+    witness_m = _connectivity_witness(g, nodes, m)
     return VerificationReport(
         (
             CheckResult("k-dominating", ok_k, witness_k),
-            CheckResult("m-connected", ok_m, witness_m),
+            CheckResult("m-connected", witness_m is None, witness_m),
         )
     )
 

@@ -7,9 +7,11 @@ counter runs unit-capacity augmentation on a vertex-split digraph
 simple paths, the stretch twin runs two BFSs per source, the unit-disk
 twin compares every pair of points, the block twin runs the
 dict-based edge-stack DFS and the independent-set twin runs the greedy
-rounds separately on each component.  The one exception is the
-bad-point sweep, which runs the package's m = 2 test once per member: it
-is independent of the m = 3 engine it checks.
+rounds separately on each component.  The local adjacency relabels an
+induced subgraph onto local indices: the traversals run on it too, and
+must agree with their runs on the rows indexed by node id.  The one
+exception is the bad-point sweep, which runs the package's m = 2 test
+once per member: it is independent of the m = 3 engine it checks.
 """
 
 from __future__ import annotations
@@ -164,6 +166,20 @@ def _greedy_mis_component(comp, adj) -> list[int]:
                 pick = v
         promote(pick)
     return dominators
+
+
+def local_adjacency(g: Graph, nodes) -> list[list[int]]:
+    """Induced adjacency relabelled onto local indices 0..len(nodes)-1,
+    the reference the rows indexed by node id are checked against.
+
+    ``nodes`` must be sorted, so local order mirrors node-id order and
+    neighbour lists stay sorted; the traversals take ``range(len(nodes))``
+    as their members on it.
+    """
+    index = [-1] * g.node_count
+    for i, v in enumerate(nodes):
+        index[v] = i
+    return [[index[w] for w in g.adjacency[v] if index[w] >= 0] for v in nodes]
 
 
 def naive_components(g: Graph, nodes) -> list[list[int]]:

@@ -153,8 +153,11 @@ class TestSolve:
 
 
 # SHA-256 of the solve result JSON, the DOT file and the verify report on
-# three seeded instances with many augmentation rounds (k = 2).  A change
-# that is meant to keep the bytes must leave every digest as it is.
+# three seeded instances with many augmentation rounds (k = 2).  The two
+# n = 50 rows also pin the reports of verify at a higher ``-m``
+# ("report -m 3"), which rejects the backbone with a disconnecting-set
+# witness and exits 6.  A change that is meant to keep the bytes must
+# leave every digest as it is.
 _GOLDEN = [
     ("300", "0.12", "1", "2", {
         "result": "b996a1d685b0351a97f0df1246239e207d92aeaab23ff19cc40532e05d7b65e7",
@@ -171,6 +174,19 @@ _GOLDEN = [
         "dot": "ed2651500f83241a001958f205395e830e81d18ee60af0353f703b926bd9a7f6",
         "report": "459d62de58b236b8cfdcaf69c08067f975b73643cafbf28216827821973f7e24",
     }),
+    ("50", "0.3", "8", "2", {
+        "result": "2eb4c0085e419396f43e206794539a97b866cd894825d9bd6a3688b88e69bad5",
+        "dot": "889909d54faa6469f2d426ceda73f4f55025624e9221b0ca1225d14797c01695",
+        "report": "a50ba2f120ea264d5fa505fca7eb1a4690ec85b154419a3c5c916d62cbe2e556",
+        "report -m 3": "ffcd1d76e7b996665e972d9e40824e78a68e189188d2a2b0ea651123d39d01e9",
+    }),
+    ("50", "0.3", "8", "1", {
+        "result": "53fa0aa7c95171e2d5a34f3b04ceef6151c23b945e79d7416315cd02523102d2",
+        "dot": "e5993b8eea12e052f572bd7872b222affd5ed95735abac2bd21ac341b9deb59e",
+        "report": "9a7658c232305c7403a5e26a1dcf847a3c88ceb7d04b567773d405f62cdd9f28",
+        "report -m 2": "80907164cdb690e419f7c9ab1911ecaab57dd117c33f96840d47ff8672fac659",
+        "report -m 3": "af4e569cc7e4885b23faadfce8a1f87970c28dad47efc5bcda2864273117a56a",
+    }),
 ]
 
 
@@ -182,13 +198,17 @@ def test_golden_bytes(n, radius, seed, m, digests, tmp_path, capsys):
     assert main(["solve", str(instance), "-k", "2", "-m", m,
                  "--out", str(result), "--dot", str(dot)]) == 0
     capsys.readouterr()
-    assert main(["verify", str(instance), str(result)]) == 0
-    report = capsys.readouterr().out.encode("utf-8")
     found = {
         "result": hashlib.sha256(result.read_bytes()).hexdigest(),
         "dot": hashlib.sha256(dot.read_bytes()).hexdigest(),
-        "report": hashlib.sha256(report).hexdigest(),
     }
+    for name in digests:
+        if name.startswith("report"):
+            options = name.split()[1:]
+            code = main(["verify", str(instance), str(result), *options])
+            assert code == (6 if options else 0)
+            report = capsys.readouterr().out.encode("utf-8")
+            found[name] = hashlib.sha256(report).hexdigest()
     assert found == digests
 
 

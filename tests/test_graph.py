@@ -25,7 +25,6 @@ from plutus.graph import (
     _disconnecting_set,
     _induced_rows,
     _lex_shortest_path,
-    _local_adjacency,
     _local_blocks,
     _lowest_bad_point,
     _palm_tree,
@@ -36,8 +35,10 @@ from .conftest import complete_graph, cycle_graph, path_graph, wheel_graph
 from .helpers import (
     _distances_from,
     induced_connected,
+    local_adjacency,
     menger_m_connected,
     naive_block_cut_tree,
+    naive_components,
     naive_disconnecting_set,
     naive_lex_shortest_path,
     naive_from_points,
@@ -380,14 +381,17 @@ class TestLexShortestPath:
 
 
 def blocks_by_id(g: Graph, subset) -> tuple[list[list[int]] | None, set[int]]:
-    """The blocks and cut vertices :func:`_local_blocks` reads from one
-    local adjacency of ``subset``, mapped to ids: the blocks as sorted id
-    lists in sorted order, the order of :func:`naive_block_cut_tree`, or
-    None when the subset is disconnected."""
+    """The blocks and cut vertices :func:`_local_blocks` reads from the
+    rows of ``subset`` indexed by node id: the blocks as sorted id lists in
+    sorted order, the order of :func:`naive_block_cut_tree`, or None when
+    the subset is disconnected.  On the reference local adjacency the same
+    pass must give the same blocks, in the same order, and cut vertices."""
     nodes = sorted(set(subset))
-    local, cut = _local_blocks(_local_adjacency(g, nodes), range(len(nodes)))
-    blocks = None if local is None else sorted(sorted(nodes[v] for v in b) for b in local)
-    return blocks, {nodes[v] for v in cut}
+    found, cut = _local_blocks(_induced_rows(g, nodes), nodes)
+    local, local_cut = _local_blocks(local_adjacency(g, nodes), range(len(nodes)))
+    assert found == (None if local is None else [[nodes[v] for v in b] for b in local])
+    assert cut == {nodes[v] for v in local_cut}
+    return (None if found is None else sorted(sorted(b) for b in found)), cut
 
 
 def leaf_pick(g: Graph, subset) -> frozenset[int]:
@@ -489,18 +493,17 @@ class TestBlockCutTree:
         nodes = list(range(n))
         assert_matches_naive(g, nodes)
         # the plain block lists of every one-vertex-deleted subgraph and the
-        # cut vertices read off the same pass, mapped to ids
-        local = _local_adjacency(g, nodes)
+        # cut vertices read off the same pass of the graph's own adjacency
         for skip in range(n):
             rest = set(nodes) - {nodes[skip]}
             if not rest:
                 continue
-            blocks, cut = _local_blocks(local, nodes, skip)
+            blocks, cut = _local_blocks(g.adjacency, nodes, skip)
             if induced_connected(g, rest):
                 tree = naive_block_cut_tree(g, rest)
-                ids = [frozenset(nodes[v] for v in block) for block in blocks]
+                ids = [frozenset(block) for block in blocks]
                 assert sorted(ids, key=sorted) == list(tree.blocks)
-                assert {nodes[v] for v in cut} == tree.cut_vertices
+                assert cut == tree.cut_vertices
             else:
                 assert blocks is None and cut == set()
 
@@ -733,14 +736,16 @@ class TestTriconnectivity:
 
 
 def lowest_bad_point(g: Graph, subset=None) -> int | None:
-    """The separation-pair engine's lowest bad point, as a node id.  On a
-    subset the engine runs on the local adjacency and on the rows indexed
-    by node id, and both must agree."""
-    nodes = list(range(g.node_count)) if subset is None else sorted(subset)
-    bad = _lowest_bad_point(_local_adjacency(g, nodes), range(len(nodes)))
-    bad = None if bad is None else nodes[bad]
-    if subset is not None:
-        assert _lowest_bad_point(_induced_rows(g, nodes), nodes) == bad
+    """The separation-pair engine's lowest bad point, read from the
+    graph's own adjacency.  On a subset the engine runs on the rows
+    indexed by node id and on the reference local adjacency, and both
+    must name the same vertex."""
+    if subset is None:
+        return _lowest_bad_point(g.adjacency, range(g.node_count))
+    nodes = sorted(subset)
+    bad = _lowest_bad_point(_induced_rows(g, nodes), nodes)
+    local = _lowest_bad_point(local_adjacency(g, nodes), range(len(nodes)))
+    assert bad == (None if local is None else nodes[local])
     return bad
 
 
@@ -940,15 +945,14 @@ class TestPalmTree:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_small_graph_and_skip(self, n):
         for g in every_graph(n):
-            local = _local_adjacency(g, range(n))
             for skip in range(-1, n):
-                check_palm_tree(local, range(n), skip)
+                check_palm_tree(g.adjacency, range(n), skip)
 
     @pytest.mark.parametrize("n, radius, seed", [(200, 0.15, 1), (300, 0.12, 2), (400, 0.1, 3)])
     def test_unit_disk_subsets(self, n, radius, seed):
         g = random_geometric(n, radius, seed).graph()
         nodes = [v for v in range(n) if splitmix_pick(seed, v) or v % 3 == 0]
-        local = _local_adjacency(g, nodes)
+        local = local_adjacency(g, nodes)
         rows = _induced_rows(g, nodes)
         for skip in (-1, 0, 1, len(nodes) // 2):
             order, parent, depth, low = check_palm_tree(local, range(len(nodes)), skip)
@@ -977,3 +981,15 @@ class TestComponents:
 
     def test_path_subset(self):
         assert not is_connected(path_graph(5), {0, 2})
+
+    @given(seeds, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_subsets(self, seed, data):
+        # a random subset (unsorted, with repeats), the whole graph and a
+        # singleton, against the set-based reference
+        g = random_graph(seed, max_nodes=12)
+        n = g.node_count
+        subset = data.draw(st.lists(st.integers(0, n - 1)))
+        for nodes in (subset, range(n), [data.draw(st.integers(0, n - 1))]):
+            assert connected_components(g, nodes) == naive_components(g, nodes)
+        assert connected_components(g) == naive_components(g, range(n))

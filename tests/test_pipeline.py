@@ -41,6 +41,7 @@ from plutus.serialize import dumps, result_to_dict
 
 from .conftest import complete_graph, cycle_graph, path_graph, wheel_graph
 from .helpers import (
+    local_adjacency,
     naive_block_cut_tree,
     naive_components,
     naive_greedy_mis,
@@ -503,22 +504,17 @@ def test_sustainability_iteration_cap():
 
 
 def _count_builds(monkeypatch):
-    """Record every induced-adjacency build of a phase: the rows indexed by
-    node id (as ``("rows", members, rows)``) and any local adjacency."""
+    """Record every induced-adjacency build of a phase, by the pipeline or
+    by a graph routine it calls, as ``("rows", members, rows)``."""
     builds = []
     induced_rows = pipeline._induced_rows
-    local_adjacency = plutus.graph._local_adjacency
 
     def record_rows(graph, nodes):
         builds.append(("rows", list(nodes), induced_rows(graph, nodes)))
         return builds[-1][2]
 
-    def record_local(graph, nodes):
-        builds.append(("local", list(nodes), None))
-        return local_adjacency(graph, nodes)
-
     monkeypatch.setattr(pipeline, "_induced_rows", record_rows)
-    monkeypatch.setattr(plutus.graph, "_local_adjacency", record_local)
+    monkeypatch.setattr(plutus.graph, "_induced_rows", record_rows)
     return builds
 
 
@@ -531,16 +527,15 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
 
     A round opens with the engine call at m = 3 and with the block
     decomposition at m = 2.  Each round must see the one adjacency the
-    phase keeps: rows equal to a fresh induced adjacency mapped to ids,
-    with a member list equal to the sorted backbone so far, the input
-    plus every promoted path; and no local adjacency is built."""
+    phase keeps: rows equal to a fresh reference local adjacency mapped to
+    ids, with a member list equal to the sorted backbone so far, the input
+    plus every promoted path; and no other adjacency is built."""
     rounds: list[list] = []
     kept = []  # the adjacency each round reads
     lowest_bad_point = pipeline._lowest_bad_point
     local_blocks = pipeline._local_blocks
     augment_leaf_block = pipeline._augment_leaf_block
     alternate_pair_path = pipeline._alternate_pair_path
-    fresh_adjacency = plutus.graph._local_adjacency
     builds = _count_builds(monkeypatch)
 
     def open_round(adj, members):
@@ -548,7 +543,7 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
         for _, _, _, path in rounds:
             grown.update(path[1:-1])
         assert list(members) == sorted(grown)
-        fresh = fresh_adjacency(g, members)
+        fresh = local_adjacency(g, members)
         assert [adj[v] for v in members] == [[members[j] for j in row] for row in fresh]
         assert all(adj[v] == [] for v in range(g.node_count) if v not in grown)
         kept.append(adj)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from unittest.mock import patch
 
 import pytest
@@ -10,6 +11,7 @@ from plutus import (
     DistanceReport,
     GraphInputError,
     OracleSizeError,
+    PlutusConfig,
     backbone_stretch,
     brute_force_min_mcds,
     domination,
@@ -22,6 +24,7 @@ from plutus import (
     is_maximal_independent_set,
     isolation,
     random_geometric,
+    run_plutus,
     synergy,
     verify,
 )
@@ -231,6 +234,53 @@ class TestCertificate:
         assert report.checks[1].witness == ("disconnecting-set", (1, 2))
         assert naive_lowest_bad_point(g, range(5)) == 1
         assert naive_disconnecting_set(g, range(5), 3) == (1, 2)
+
+    def test_one_connectivity_pass_per_check(self, monkeypatch):
+        # a rejected backbone gets its verdict and its witness from one
+        # pass: the disconnecting-set search runs once, and at m = 3 so
+        # does the bad-point engine.  Calls are counted by code object,
+        # whatever name a module imported them under.
+        import plutus.graph
+
+        g = random_geometric(1000, 0.07, 1).graph()
+        n = g.node_count
+        engine = {
+            plutus.graph._disconnecting_set.__code__: "disconnecting set",
+            plutus.graph._lowest_bad_point.__code__: "bad point",
+        }
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in engine:
+                calls.append(engine[frame.f_code])
+
+        for solved_at, checked_at, expected in (
+            (2, 3, ["disconnecting set", "bad point"]),
+            (1, 2, ["disconnecting set"]),
+        ):
+            backbone = run_plutus(g, PlutusConfig(k=2, m=solved_at)).dominating_set
+            calls.clear()
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                report = is_m_connected_k_dominating(g, backbone, 2, checked_at)
+            finally:
+                sys.setprofile(previous)
+            assert not report.checks[1].passed
+            assert report.checks[1].witness[0] == "disconnecting-set"
+            assert calls == expected
+        # the whole-graph check reads the graph's own adjacency, uncopied
+        trees = []
+        palm_tree = plutus.graph._palm_tree
+
+        def recording(adj, *args, **kwargs):
+            trees.append(adj)
+            return palm_tree(adj, *args, **kwargs)
+
+        monkeypatch.setattr(plutus.graph, "_palm_tree", recording)
+        for m in (2, 3):
+            is_m_connected(g, range(n), m)
+        assert len(trees) >= 2 and all(adj is g.adjacency for adj in trees)
 
     def test_whole_set_reduces_to_graph_connectivity(self, c6):
         for m in (1, 2, 3):
