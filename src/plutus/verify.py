@@ -13,15 +13,16 @@ tagged tuple that, replayed against the graph, reproduces the violation:
     ("too-small", size)            a set of at most m vertices (never
                                    m-connected for m >= 2)
 
-The oracle keeps its validity tests self-contained (bitmask arithmetic,
-no shared code with the checkers or the pipeline) so that oracle versus
-pipeline comparisons stay two independent routes.
+The oracle keeps its validity tests self-contained (bitmask arithmetic:
+bit-sliced neighbour counts and breadth-first search on masks, no shared
+code with the checkers or the pipeline) so that oracle versus pipeline
+comparisons stay two independent routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import GraphInputError, OracleSizeError
@@ -295,37 +296,44 @@ def _mask_connected(adj_masks: list[int], mask: int) -> bool:
     return reach == mask
 
 
-def _mask_valid(adj_masks: list[int], n: int, mask: int, k: int, m: int) -> bool:
-    size = mask.bit_count()
-    for v in range(n):
-        bit = 1 << v
-        if mask & bit:
-            continue
-        if (adj_masks[v] & mask).bit_count() < k:
-            return False
+def _mask_m_connected(adj_masks: list[int], mask: int, m: int) -> bool:
+    """G[mask] is connected and, for m >= 2, stays connected after the
+    removal of any m - 1 members.  For m >= 2 every member must already
+    have at least m member neighbours, so the set has more than m."""
     if m == 1:
         return _mask_connected(adj_masks, mask)
-    if size <= m:
-        return False
-    if m == 2:
-        probe = mask
-        while probe:
-            bit = probe & -probe
-            if not _mask_connected(adj_masks, mask ^ bit):
-                return False
-            probe ^= bit
-        return True
     bits = []
     probe = mask
     while probe:
         bit = probe & -probe
         bits.append(bit)
         probe ^= bit
-    for i in range(len(bits)):
-        for j in range(i + 1, len(bits)):
-            if not _mask_connected(adj_masks, mask ^ bits[i] ^ bits[j]):
-                return False
-    return True
+    if m == 2:
+        return all(_mask_connected(adj_masks, mask ^ bit) for bit in bits)
+    return all(
+        _mask_connected(adj_masks, mask ^ bits[i] ^ bits[j])
+        for i in range(len(bits))
+        for j in range(i + 1, len(bits))
+    )
+
+
+def _add_vertex(levels: tuple[int, ...], nbrs: int) -> tuple[int, ...]:
+    """Bit-sliced counters after one more vertex with neighbour mask
+    ``nbrs``: ``levels[i]`` holds the vertices with at least i + 1
+    neighbours counted, saturating at ``len(levels)``."""
+    grown = [levels[0] | nbrs]
+    for i in range(1, len(levels)):
+        grown.append(levels[i] | (levels[i - 1] & nbrs))
+    return tuple(grown)
+
+
+def _reach(prefix: tuple[int, ...], rest: tuple[int, ...], need: int) -> int:
+    """The vertices with at least ``need`` neighbours counted by two sets
+    of counters together: a from ``prefix`` and need - a from ``rest``."""
+    mask = prefix[need - 1] | rest[need - 1]
+    for a in range(1, need):
+        mask |= prefix[a - 1] & rest[need - a - 1]
+    return mask
 
 
 def brute_force_min_mcds(
@@ -334,10 +342,24 @@ def brute_force_min_mcds(
     """Exhaustive minimum m-connected k-dominating set, for graphs of at
     most 20 nodes.
 
-    Subsets are enumerated in ascending cardinality (lexicographic within
-    one cardinality), so the first valid subset is a global minimum.
-    Returns infeasible when nothing up to ``size_cap`` (a positive int;
-    default: all n nodes) qualifies.
+    Subsets are searched in ascending cardinality, lexicographic within
+    one cardinality, so the first valid subset is a global minimum.
+    ``sets_examined`` is the rank of that witness in this order, or the
+    number of subsets up to the cap when none qualifies.  It counts every
+    subset ordered before the witness, including those the search skips
+    by counting.  Returns infeasible when nothing up to ``size_cap`` (a
+    positive int; default: all n nodes) qualifies.
+
+    One depth-first pass per cardinality picks members in ascending order
+    and carries bit-sliced counts of chosen neighbours down the prefix,
+    saturating at max(k, m).  A set is valid only if every outsider has
+    at least k chosen neighbours and, for m >= 2, every member at least m
+    member neighbours (vertex connectivity is at most the minimum
+    degree); only sets that pass both reach the connectivity test.  The
+    counts are monotone, so a pick stops its depth when some vertex below
+    it cannot reach its need even with every vertex from the pick on, and
+    skips its own subtree when the pick itself cannot; each skipped
+    subtree adds its binomial size to ``sets_examined``.
     """
     _check_k(k)
     _check_m(m)
@@ -351,13 +373,54 @@ def brute_force_min_mcds(
     for v in range(n):
         for w in g.adjacency[v]:
             adj_masks[v] |= 1 << w
+    # No count exceeds n - 1, so a need above n is the need n.
+    k = min(k, n)
+    saturation = max(k, m)
+    full = (1 << n) - 1
+    # suffix[c]: the counters of the vertices c..n-1 all chosen
+    suffix = [(0,) * saturation] * (n + 1)
+    for c in range(n - 1, -1, -1):
+        suffix[c] = _add_vertex(suffix[c + 1], adj_masks[c])
     examined = 0
-    for size in range(1, cap + 1):
-        for combo in combinations(range(n), size):
+
+    def search(levels: tuple[int, ...], chosen: int, lo: int, left: int) -> int:
+        """The first valid set of ``chosen`` plus ``left`` picks from lo
+        on, or 0; every set passed or skipped adds to ``examined``."""
+        nonlocal examined
+        for c in range(lo, n - left + 1):
+            rest = suffix[c]
+            below = ((1 << c) - 1) & ~chosen
+            if below & ~_reach(levels, rest, k):
+                examined += comb(n - c, left)
+                return 0
+            bit = 1 << c
+            if m > 1:
+                reach = _reach(levels, rest, m)
+                if chosen & ~reach:
+                    examined += comb(n - c, left)
+                    return 0
+                if not reach & bit:
+                    examined += comb(n - c - 1, left - 1)
+                    continue
+            grown = _add_vertex(levels, adj_masks[c])
+            if left > 1:
+                found = search(grown, chosen | bit, c + 1, left - 1)
+                if found:
+                    return found
+                continue
             examined += 1
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if _mask_valid(adj_masks, n, mask, k, m):
-                return OracleResult(size, frozenset(combo), examined)
+            mask = chosen | bit
+            if (
+                not full & ~mask & ~grown[k - 1]
+                and (m == 1 or not mask & ~grown[m - 1])
+                and _mask_m_connected(adj_masks, mask, m)
+            ):
+                return mask
+        return 0
+
+    for size in range(1, cap + 1):
+        mask = search((0,) * saturation, 0, 0, size)
+        if mask:
+            witness = frozenset(v for v in range(n) if mask >> v & 1)
+            return OracleResult(size, witness, examined)
     return OracleResult(None, None, examined)

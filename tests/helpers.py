@@ -6,8 +6,9 @@ counter runs unit-capacity augmentation on a vertex-split digraph
 (Menger's view of connectivity), the shortest-path twin enumerates
 simple paths, the stretch twin runs two BFSs per source, the unit-disk
 twin compares every pair of points, the block twin runs the
-dict-based edge-stack DFS and the independent-set twin runs the greedy
-rounds separately on each component.  The local adjacency relabels an
+dict-based edge-stack DFS, the independent-set twin runs the greedy
+rounds separately on each component and the oracle twin tries every
+subset against the package's checkers.  The local adjacency relabels an
 induced subgraph onto local indices: the traversals run on it too, and
 must agree with their runs on the rows indexed by node id.  The one
 exception is the bad-point sweep, which runs the package's m = 2 test
@@ -20,7 +21,7 @@ from collections import deque
 from itertools import combinations
 from typing import NamedTuple
 
-from plutus import Graph, from_edge_list, is_m_connected
+from plutus import Graph, OracleResult, from_edge_list, is_k_dominating, is_m_connected
 from plutus.graph import DistanceReport
 from plutus.geometry import splitmix64
 
@@ -415,6 +416,21 @@ def menger_m_connected(g: Graph, subset, m: int) -> bool:
             if vertex_disjoint_paths(g, nodes, order[i], order[j], m) < m:
                 return False
     return True
+
+
+def naive_min_mcds(g: Graph, k: int, m: int, size_cap: int | None = None) -> OracleResult:
+    """The exhaustive oracle by plain enumeration: every subset in
+    ascending size, lexicographic within one size, tried against the
+    k-domination and m-connectivity checkers until one passes."""
+    n = g.node_count
+    cap = n if size_cap is None else min(size_cap, n)
+    examined = 0
+    for size in range(1, cap + 1):
+        for combo in combinations(range(n), size):
+            examined += 1
+            if is_k_dominating(g, combo, k)[0] and is_m_connected(g, combo, m):
+                return OracleResult(size, frozenset(combo), examined)
+    return OracleResult(None, None, examined)
 
 
 def replay_witness(g: Graph, subset: set[int], k: int, witness: tuple) -> None:

@@ -156,7 +156,9 @@ class TestSolve:
 # three seeded instances with many augmentation rounds (k = 2).  The two
 # n = 50 rows also pin the reports of verify at a higher ``-m``
 # ("report -m 3"), which rejects the backbone with a disconnecting-set
-# witness and exits 6.  A change that is meant to keep the bytes must
+# witness and exits 6.  The two small rows also pin the JSON of the
+# exhaustive oracle at the key's -k and -m (at n = 18: optimum 11, found
+# after 207 955 sets).  A change that is meant to keep the bytes must
 # leave every digest as it is.
 _GOLDEN = [
     ("300", "0.12", "1", "2", {
@@ -187,6 +189,18 @@ _GOLDEN = [
         "report -m 2": "80907164cdb690e419f7c9ab1911ecaab57dd117c33f96840d47ff8672fac659",
         "report -m 3": "af4e569cc7e4885b23faadfce8a1f87970c28dad47efc5bcda2864273117a56a",
     }),
+    ("18", "0.45", "10", "3", {
+        "result": "dd87eb0e59c1f46c9fee30038da48a990ce1e3ac730382df49b9ed3dded3968a",
+        "dot": "b00191735add795dbdcbfe95ad17af35a15c9cdfd00f2bcf874049c6704de1a6",
+        "report": "e63b6d57ec1aa5265e64dd8abbe5840d0ff5a41b286391a484c04544e540369a",
+        "oracle -k 2 -m 3": "cc95a05cc1528d0facc9497240080d244abc0d7a7922ef7acefc00b169da5c34",
+    }),
+    ("16", "0.5", "4", "2", {
+        "result": "aad11d081366c7fa60caa3b7e2c0233f16ae9220fef3d258e2e2b2df72591c1b",
+        "dot": "02ce11037826389f33c01378ed1a5d78a9cb10ca05460fae5f3286bdd0fc40fe",
+        "report": "e63b6d57ec1aa5265e64dd8abbe5840d0ff5a41b286391a484c04544e540369a",
+        "oracle -k 1 -m 2": "4ae528dce18cdbcb4ea5bd0a4773b666ae434f2067c2bf0d0f486ec359b56ec4",
+    }),
 ]
 
 
@@ -209,6 +223,9 @@ def test_golden_bytes(n, radius, seed, m, digests, tmp_path, capsys):
             assert code == (6 if options else 0)
             report = capsys.readouterr().out.encode("utf-8")
             found[name] = hashlib.sha256(report).hexdigest()
+        elif name.startswith("oracle"):
+            assert main(["oracle", str(instance), *name.split()[1:]]) == 0
+            found[name] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert found == digests
 
 

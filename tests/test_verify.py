@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from plutus import (
     DistanceReport,
     GraphInputError,
+    OracleResult,
     OracleSizeError,
     PlutusConfig,
     backbone_stretch,
@@ -30,11 +31,12 @@ from plutus import (
 )
 from plutus.graph import connected_components
 
-from .conftest import complete_graph, structured_graphs
+from .conftest import complete_graph, cycle_graph, path_graph, star_graph, structured_graphs
 from .helpers import (
     naive_backbone_stretch,
     naive_disconnecting_set,
     naive_lowest_bad_point,
+    naive_min_mcds,
     random_connected_graph,
     random_graph,
     relabel,
@@ -504,6 +506,76 @@ class TestOracle:
     def test_size_cap_must_be_positive_int(self, c6, cap):
         with pytest.raises(GraphInputError):
             brute_force_min_mcds(c6, 1, 1, size_cap=cap)
+
+    def test_matches_plain_enumeration(self):
+        # size, witness and count all agree with trying every subset in
+        # order against the checkers: the count is the witness's rank,
+        # skipped subtrees included
+        feasible = 0
+        for seed in range(2000):
+            g = random_graph(seed, max_nodes=10, edge_bias=(1, 2, 4)[seed % 3])
+            n = g.node_count
+            k = 1 + seed % 4
+            m = 1 + seed // 4 % 3
+            cap = splitmix64(seed, 1000) % (n + 1) or None
+            expected = naive_min_mcds(g, k, m, cap)
+            assert brute_force_min_mcds(g, k, m, cap) == expected, (seed, k, m, cap)
+            feasible += expected.feasible
+        assert 500 < feasible < 1500
+
+    @pytest.mark.parametrize("g, k, m, cap, size, witness, examined", [
+        # vertex 4 hangs off K4 with degree 1 < k: it and its neighbour 0
+        # are in every valid set, ranked 5 + 10 + 3
+        (from_edge_list(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)]),
+         2, 1, None, 3, {0, 1, 4}, 18),
+        # k above every degree: only the whole set, the last of 2**n - 1
+        (complete_graph(5), 5, 3, None, 5, set(range(5)), 2**5 - 1),
+        (path_graph(4), 3, 1, None, 4, set(range(4)), 2**4 - 1),
+        # m = 1: a singleton has a member of degree 0 and still counts
+        (star_graph(4), 1, 1, None, 1, {0}, 1),
+        (complete_graph(1), 4, 1, None, 1, {0}, 1),
+        # m >= 2: no set of at most m members qualifies
+        (complete_graph(3), 1, 3, None, None, None, 2**3 - 1),
+        (complete_graph(2), 1, 2, None, None, None, 2**2 - 1),
+        (complete_graph(1), 1, 2, None, None, None, 1),
+        (complete_graph(4), 1, 3, None, 4, set(range(4)), 2**4 - 1),
+        # an isolated vertex is in every dominating set, and disconnects it
+        (from_edge_list(4, [(0, 1), (1, 2)]), 1, 1, None, None, None, 2**4 - 1),
+        # a cap below the optimum: every subset up to the cap, none valid
+        (cycle_graph(6), 1, 1, 3, None, None, 6 + 15 + 20),
+        (cycle_graph(6), 1, 2, 5, None, None, 2**6 - 2),
+        (cycle_graph(6), 1, 2, 6, 6, set(range(6)), 2**6 - 1),
+    ])
+    def test_hand_cases(self, g, k, m, cap, size, witness, examined):
+        result = brute_force_min_mcds(g, k, m, cap)
+        expected = OracleResult(size, None if witness is None else frozenset(witness), examined)
+        assert result == expected
+        assert naive_min_mcds(g, k, m, cap) == expected
+
+    def test_degree_filter_spares_the_connectivity_search(self):
+        # the member-degree test rejects almost every k-dominating set
+        # before a breadth-first search runs (running the removal BFSs on
+        # each of them takes 120 568 calls here); calls are counted by
+        # code object
+        import plutus.verify
+
+        g = random_geometric(18, 0.45, 10).graph()
+        code = plutus.verify._mask_connected.__code__
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code is code:
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            result = brute_force_min_mcds(g, 2, 3)
+        finally:
+            sys.setprofile(previous)
+        assert (result.optimum_size, result.sets_examined) == (11, 207_955)
+        assert 0 < calls < 12_000
 
 
 class TestStructuredOracleTable:
