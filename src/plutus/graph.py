@@ -53,14 +53,6 @@ class Graph:
     node_count: int
     adjacency: tuple[tuple[int, ...], ...]
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.adjacency[u]
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
-
     def edges(self) -> Iterator[Edge]:
         """Yield each edge once, as (u, v) with u < v, in ascending order."""
         for u in range(self.node_count):
@@ -77,16 +69,14 @@ class DistanceReport:
     """Hop distance of a node pair in the graph versus through a backbone.
 
     ``d_backbone`` is the length of the shortest path whose internal
-    vertices all lie in the backbone; it is never below ``d_g``.
+    vertices all lie in the backbone; it is never below ``d_g``.  The
+    ratio ``d_backbone / d_g`` is the stretch :func:`verify.backbone_stretch`
+    returns with it.
     """
 
     pair: Edge
     d_g: int
     d_backbone: int
-
-    @property
-    def stretch(self) -> float:
-        return self.d_backbone / self.d_g
 
 
 def _is_int(value: object) -> bool:
@@ -305,14 +295,10 @@ def _induced_rows(g: Graph, nodes: Sequence[int]) -> list[list[int]]:
 def connected_components(g: Graph, subset: Iterable[int] | None = None) -> list[list[int]]:
     """Connected components of the (induced) graph, each sorted, listed in
     ascending order of their smallest member."""
-    if subset is None:
-        nodes: Sequence[int] = range(g.node_count)
-        unseen = [True] * g.node_count
-    else:
-        nodes = _as_subset(g, subset)
-        unseen = [False] * g.node_count
-        for v in nodes:
-            unseen[v] = True
+    nodes = range(g.node_count) if subset is None else _as_subset(g, subset)
+    unseen = [False] * g.node_count
+    for v in nodes:
+        unseen[v] = True
     adj = g.adjacency
     components: list[list[int]] = []
     for start in nodes:

@@ -71,7 +71,8 @@ def _check_cap(cap: object) -> None:
 class PlutusConfig:
     """Targets for a pipeline run: k-dominance multiplicity, connectivity
     level m (at most 3) and the augmentation-loop safety cap (None means
-    10 * node count)."""
+    10 * node count).  A phase that starts from d ends within
+    n - |d| + 1 rounds (see :func:`_augment`), so the default never fires."""
 
     k: int = 1
     m: int = 1
@@ -363,6 +364,11 @@ def _augment(
     other than None or a positive int are input errors; a stuck round
     raises the phase's infeasibility error, for m = 3 with the bad point
     as witness.
+
+    Every ear has an internal vertex, so every round that does not end the
+    loop promotes at least one vertex from outside the backbone: a phase
+    ends within n - |backbone| + 1 rounds, and a cap of at least that
+    changes nothing.
     """
     _check_cap(max_iterations)
     phase = "diversification" if m == 2 else "sustainability"

@@ -14,7 +14,7 @@ from typing import Any, Iterable, Mapping
 
 from .errors import GraphInputError
 from .geometry import UdgInstance
-from .graph import Graph, _is_int, from_edge_list, from_points
+from .graph import Graph, _as_subset, _is_int, from_edge_list, from_points
 from .pipeline import PlutusConfig, PlutusResult, Role
 from .verify import OracleResult, VerificationReport
 
@@ -37,14 +37,6 @@ def read_json(path: str | Path) -> Any:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
         raise GraphInputError(f"invalid JSON in {path}: {exc}") from exc
-
-
-def graph_to_dict(g: Graph) -> dict[str, Any]:
-    return {
-        "schema": SCHEMA_VERSION,
-        "n": g.node_count,
-        "edges": [[u, v] for u, v in g.edges()],
-    }
 
 
 def udg_to_dict(instance: UdgInstance) -> dict[str, Any]:
@@ -134,21 +126,11 @@ def result_from_dict(payload: Any) -> tuple[frozenset[int], int, int]:
     return frozenset(backbone), k, m
 
 
-def _jsonify_witness(witness: tuple | None) -> list | None:
-    if witness is None:
-        return None
-    out: list[Any] = []
-    for item in witness:
-        if isinstance(item, (tuple, frozenset, set, list)):
-            out.append(sorted(item))
-        else:
-            out.append(item)
-    return out
-
-
 def report_to_dict(
     report: VerificationReport, stretch: tuple[float, Any] | None = None
 ) -> dict[str, Any]:
+    """The verify report.  A witness becomes a list, its tuple members
+    (node ids, ascending as the checkers emit them) lists too."""
     payload: dict[str, Any] = {
         "schema": SCHEMA_VERSION,
         "overall": report.overall,
@@ -156,7 +138,9 @@ def report_to_dict(
             {
                 "name": check.name,
                 "pass": check.passed,
-                "witness": _jsonify_witness(check.witness),
+                "witness": None
+                if check.witness is None
+                else [list(x) if isinstance(x, tuple) else x for x in check.witness],
             }
             for check in report.checks
         ],
@@ -201,8 +185,9 @@ def manifest_to_dict(
 
 def to_dot(g: Graph, dominating_set: Iterable[int]) -> str:
     """Graphviz rendering: the backbone grouped as a subgraph and filled
-    black, every other (reluctant) node filled gray.  Write-only format."""
-    backbone = sorted(set(dominating_set))
+    black, every other (reluctant) node filled gray.  Write-only format.
+    A backbone member that is not a node of g is a GraphInputError."""
+    backbone = _as_subset(g, dominating_set)
     lines = ["graph backbone {", "  node [style=filled];"]
     lines.append("  subgraph cluster_dominating_set {")
     lines.append('    label="D";')

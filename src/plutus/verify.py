@@ -35,7 +35,6 @@ from .graph import (
     _check_m,
     _connectivity_witness,
     _is_int,
-    connected_components,
 )
 
 Witness = tuple
@@ -89,7 +88,8 @@ def is_maximal_independent_set(g: Graph, s: Iterable[int]) -> tuple[bool, Witnes
 
 def is_connected_dominating_set(g: Graph, s: Iterable[int]) -> tuple[bool, Witness | None]:
     """Every outside vertex has a neighbour in the set and the induced
-    subgraph is connected."""
+    subgraph is connected, the witness of a split set coming from
+    :func:`graph._connectivity_witness` at m = 1."""
     members = _as_subset(g, s)
     if not members:
         raise GraphInputError("set must be non-empty")
@@ -97,10 +97,8 @@ def is_connected_dominating_set(g: Graph, s: Iterable[int]) -> tuple[bool, Witne
     for v in range(g.node_count):
         if v not in member_set and not any(w in member_set for w in g.adjacency[v]):
             return False, ("undominated", v)
-    components = connected_components(g, members)
-    if len(components) > 1:
-        return False, ("disconnected", tuple(components[0]))
-    return True, None
+    witness = _connectivity_witness(g, members, 1)
+    return witness is None, witness
 
 
 def is_k_dominating(g: Graph, s: Iterable[int], k: int) -> tuple[bool, Witness | None]:

