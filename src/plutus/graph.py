@@ -295,7 +295,12 @@ def _induced_rows(g: Graph, nodes: Sequence[int]) -> list[list[int]]:
 def connected_components(g: Graph, subset: Iterable[int] | None = None) -> list[list[int]]:
     """Connected components of the (induced) graph, each sorted, listed in
     ascending order of their smallest member."""
-    nodes = range(g.node_count) if subset is None else _as_subset(g, subset)
+    return _components(g, range(g.node_count) if subset is None else _as_subset(g, subset))
+
+
+def _components(g: Graph, nodes: Sequence[int]) -> list[list[int]]:
+    """:func:`connected_components` of the subgraph induced by the
+    ascending, already validated ids ``nodes``."""
     unseen = [False] * g.node_count
     for v in nodes:
         unseen[v] = True
@@ -627,21 +632,19 @@ def _disconnecting_set(g: Graph, nodes: list[int], m: int) -> tuple[int, ...] | 
     return (*pinned, last)
 
 
-def _connectivity_witness(g: Graph, subset: Iterable[int], m: int) -> tuple | None:
-    """Why the subgraph induced by the non-empty ``subset`` is not
-    m-connected (m in 1..3), or None when it is: ``("disconnected",
-    comp)`` with the first component of a split set at m = 1,
-    ``("too-small", size)`` for a set of at most m vertices at m >= 2,
-    and otherwise ``("disconnecting-set", ids)``, the lexicographically
-    smallest m - 1 ids whose removal splits it (:func:`_disconnecting_set`).
-    The one call gives both the verdict of :func:`is_m_connected` and
-    verify's witness."""
-    _check_m(m)
-    nodes = _as_subset(g, subset)
+def _connectivity_witness(g: Graph, nodes: list[int], m: int) -> tuple | None:
+    """Why the subgraph induced by the ascending, already validated ids
+    ``nodes`` is not m-connected (m in 1..3, checked by the caller), or
+    None when it is: ``("disconnected", comp)`` with the first component
+    of a split set at m = 1, ``("too-small", size)`` for a set of at most
+    m vertices at m >= 2, and otherwise ``("disconnecting-set", ids)``,
+    the lexicographically smallest m - 1 ids whose removal splits it
+    (:func:`_disconnecting_set`).  The one call gives both the verdict of
+    :func:`is_m_connected` and verify's witness."""
     if not nodes:
         raise GraphInputError("subset must be non-empty")
     if m == 1:
-        components = connected_components(g, nodes)
+        components = _components(g, nodes)
         return None if len(components) == 1 else ("disconnected", tuple(components[0]))
     if len(nodes) <= m:
         return ("too-small", len(nodes))
@@ -663,4 +666,5 @@ def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
     O((n + E) log n): 3-connected when it finds no bad point.  The verdict
     is that of :func:`_connectivity_witness`.
     """
-    return _connectivity_witness(g, subset, m) is None
+    _check_m(m)
+    return _connectivity_witness(g, _as_subset(g, subset), m) is None

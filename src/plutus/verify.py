@@ -90,15 +90,21 @@ def is_connected_dominating_set(g: Graph, s: Iterable[int]) -> tuple[bool, Witne
     """Every outside vertex has a neighbour in the set and the induced
     subgraph is connected, the witness of a split set coming from
     :func:`graph._connectivity_witness` at m = 1."""
-    members = _as_subset(g, s)
+    witness = _cds_witness(g, _as_subset(g, s))
+    return witness is None, witness
+
+
+def _cds_witness(g: Graph, members: list[int]) -> Witness | None:
+    """:func:`is_connected_dominating_set`'s witness for the ascending,
+    already validated ids ``members``: one domination scan, then one
+    component search."""
     if not members:
         raise GraphInputError("set must be non-empty")
     member_set = set(members)
     for v in range(g.node_count):
         if v not in member_set and not any(w in member_set for w in g.adjacency[v]):
-            return False, ("undominated", v)
-    witness = _connectivity_witness(g, members, 1)
-    return witness is None, witness
+            return ("undominated", v)
+    return _connectivity_witness(g, members, 1)
 
 
 def is_k_dominating(g: Graph, s: Iterable[int], k: int) -> tuple[bool, Witness | None]:
@@ -122,6 +128,7 @@ def is_m_connected_k_dominating(
     from one call of :func:`graph._connectivity_witness`."""
     nodes = _as_subset(g, s)
     ok_k, witness_k = is_k_dominating(g, nodes, k)
+    _check_m(m)
     witness_m = _connectivity_witness(g, nodes, m)
     return VerificationReport(
         (
@@ -142,37 +149,84 @@ def backbone_stretch(g: Graph, s: Iterable[int]) -> tuple[float, DistanceReport 
     """Worst ratio, over all node pairs, of the shortest path routed with
     all internal vertices inside the backbone to the true shortest path.
 
-    The backbone must be a connected dominating set (validated), which
-    makes every routed distance finite.  Returns (1.0, None) when no pair
-    has a ratio above 1; otherwise the ratio and the lexicographically
-    first pair (u, v), u < v, that attains it.
+    The backbone must be a connected dominating set (validated once: one
+    domination scan and one component search), which makes every routed
+    distance finite.  Returns (1.0, None) when no pair has a ratio above
+    1; otherwise the ratio and the lexicographically first pair (u, v),
+    u < v, that attains it.
 
     The sources run in blocks (see :func:`_source_blocks`), one bit each:
     a level-synchronous BFS from all of them at once keeps, for every
     vertex, the mask of sources within plain distance d and the mask of
     sources within routed distance d, and grows both by one level per
     sweep (see :func:`_stretch_block`).  A pass costs O(n + E) big-int
-    ORs per level, and the levels are bounded by the largest routed
-    distance L, so the whole search costs O(passes * L * (n + E)) such
-    operations, each on a mask of block width.  The width comes from the
-    memory budget ``_STRETCH_BUDGET`` (n * width <= 2**26 bits), so a
-    graph of up to 8192 nodes takes one pass; the answer does not depend
-    on the width.
+    ORs per level.  Every routed distance is at most ``reach``
+    (:func:`_routed_reach`, three O(n + E) searches shared by all
+    blocks), so a pair at plain distance a can tie the worst ratio
+    d_backbone / d_g only if reach * d_g >= d_backbone * a: the plain
+    search stops past that distance, and the routed one once it has
+    settled the pairs within it.  The levels are bounded by L, the largest
+    routed distance of a pair the cutoff keeps (L <= reach), so the whole
+    search costs O(passes * L * (n + E)) such operations, each on a mask
+    of block width.  The width comes from the memory budget
+    ``_STRETCH_BUDGET`` (n * width <= 2**26 bits), so a graph of up to
+    8192 nodes takes one pass; the answer does not depend on the width.
     """
-    members = set(_as_subset(g, s))
-    ok, witness = is_connected_dominating_set(g, members)
-    if not ok:
+    nodes = _as_subset(g, s)
+    witness = _cds_witness(g, nodes)
+    if witness is not None:
         raise GraphInputError(f"backbone is not a connected dominating set: {witness}")
     n = g.node_count
+    members = set(nodes)
     relays = [tuple(w for w in row if w in members) for row in g.adjacency]
+    reach = _routed_reach(g.adjacency, members, nodes[0])
     worst: tuple[int, int, Edge | None] = (1, 1, None)
     bounds = _source_blocks(n)
     for lo, hi in zip(bounds, bounds[1:]):
-        worst = _stretch_block(g.adjacency, relays, lo, hi, worst)
+        worst = _stretch_block(g.adjacency, relays, lo, hi, reach, worst)
     d_backbone, d_g, pair = worst
     if pair is None:
         return 1.0, None
     return d_backbone / d_g, DistanceReport(pair, d_g, d_backbone)
+
+
+def _routed_reach(adjacency: Sequence[Sequence[int]], members: set[int], lowest: int) -> int:
+    """An upper bound on every routed distance: twice the routed
+    eccentricity of a member x, since a routed path u -> x and one
+    x -> v join into a routed walk u -> v.  It tries the member
+    ``lowest``, the member farthest from it and the member halfway along
+    the search tree between the two, one O(n + E) search each, and keeps
+    the smallest eccentricity."""
+    order, dist, parent = _routed_search(adjacency, members, lowest)
+    far = next(v for v in reversed(order) if v in members)
+    middle = far
+    for _ in range(dist[far] // 2):
+        middle = parent[middle]
+    eccentricity = dist[order[-1]]
+    for x in (far, middle):
+        order, dist, _ = _routed_search(adjacency, members, x)
+        eccentricity = min(eccentricity, dist[order[-1]])
+    return 2 * eccentricity
+
+
+def _routed_search(
+    adjacency: Sequence[Sequence[int]], members: set[int], x: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first order, routed distance and search-tree parent from
+    the member x, leaving members only."""
+    dist = [-1] * len(adjacency)
+    parent = dist[:]
+    dist[x] = 0
+    order = [x]
+    for w in order:
+        if w in members:
+            d = dist[w] + 1
+            for y in adjacency[w]:
+                if dist[y] < 0:
+                    dist[y] = d
+                    parent[y] = w
+                    order.append(y)
+    return order, dist, parent
 
 
 def _source_blocks(n: int) -> list[int]:
@@ -190,10 +244,12 @@ def _stretch_block(
     relays: Sequence[Sequence[int]],
     lo: int,
     hi: int,
+    reach: int,
     worst: tuple[int, int, Edge | None],
 ) -> tuple[int, int, Edge | None]:
     """Fold the pairs (u, v), lo <= u < hi and u < v, into ``worst``, the
-    (d_backbone, d_g, pair) of the largest ratio seen so far.
+    (d_backbone, d_g, pair) of the largest ratio seen so far, given that
+    no routed distance exceeds ``reach``.
 
     Source u is bit u - lo.  ``plain[v]`` holds the sources within
     distance ``level`` of v and ``routed[v]`` those within routed distance
@@ -205,13 +261,18 @@ def _stretch_block(
     sources u < v reached at plain distance d and not yet by the routed
     search.  The routed level that reaches them is their d_backbone.
     Pairs with equal distances never enter it, as their ratio 1 cannot
-    beat the starting worst.
+    beat the starting worst.  A pair at plain distance a routes at most
+    ``reach``, so it can tie or beat the worst only while a <= ``cap`` =
+    reach * d_g // d_backbone.  The worst only rises, so the plain search
+    stops at the first level past ``cap``, pending masks past it are
+    dropped whenever the worst rises, and the call ends once the plain
+    search has stopped and nothing is pending.  Ties keep the first pair.
 
     One call costs O(L * (n + E)) ORs of (hi - lo)-bit masks, L the
-    largest routed distance.  It holds ``plain``, ``routed``, one sweep's
-    grown masks and the pending ones, which grow with how far the routed
-    search trails the plain one: at its peak about ten to twenty arrays of
-    n such masks on unit-disk graphs of 8000 to 16 000 nodes.
+    largest routed distance of a pair within ``cap`` (at most ``reach``).
+    It holds ``plain`` (until the plain search stops), ``routed``, one
+    sweep's grown masks and the pending ones, which grow with how far the
+    routed search trails the plain one, up to ``cap``.
     """
     n = len(adjacency)
     full = (1 << (hi - lo)) - 1
@@ -226,8 +287,9 @@ def _stretch_block(
     plain_live = [v for v in range(n) if plain[v] != full]
     routed_live = [v for v in range(n) if routed[v] != full]
     d_backbone, d_g, pair = worst
+    cap = reach * d_g // d_backbone
     level = 1
-    while routed_live:
+    while plain_live or pending:
         level += 1
         grown = [_grow(routed, relays[v], routed[v]) for v in routed_live]
         for v, mask in zip(routed_live, grown):
@@ -256,6 +318,18 @@ def _stretch_block(
             elif settled > 1:
                 del entries[1:settled]
                 entries[0] = first + settled - 1
+        if reach * d_g // d_backbone < cap:
+            cap = reach * d_g // d_backbone
+            for v in list(pending):
+                entries = pending[v]
+                keep = max(1, cap - entries[0] + 2)
+                if any(entries[1:keep]):
+                    del entries[keep:]
+                else:
+                    del pending[v]
+        if level > cap:
+            # the cutoff never rises again, so the plain search is done
+            plain_live, plain = [], []
         grown = [_grow(plain, adjacency[v], plain[v]) for v in plain_live]
         for v, mask in zip(plain_live, grown):
             fresh = mask & ~plain[v] & ~routed[v]

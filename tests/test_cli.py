@@ -158,8 +158,11 @@ class TestSolve:
 # ("report -m 3"), which rejects the backbone with a disconnecting-set
 # witness and exits 6.  The two small rows also pin the JSON of the
 # exhaustive oracle at the key's -k and -m (at n = 18: optimum 11, found
-# after 207 955 sets).  A change that is meant to keep the bytes must
-# leave every digest as it is.
+# after 207 955 sets).  The last two rows pin the stretch search on
+# larger backbones: the m = 3 backbone of the n = 1000 ``udg-m3`` graph in
+# generated order and an m = 1 backbone at n = 500, both with stretch 5.5.
+# A change that is meant to keep the bytes must leave every digest as it
+# is.
 _GOLDEN = [
     ("300", "0.12", "1", "2", {
         "result": "b996a1d685b0351a97f0df1246239e207d92aeaab23ff19cc40532e05d7b65e7",
@@ -200,6 +203,16 @@ _GOLDEN = [
         "dot": "02ce11037826389f33c01378ed1a5d78a9cb10ca05460fae5f3286bdd0fc40fe",
         "report": "e63b6d57ec1aa5265e64dd8abbe5840d0ff5a41b286391a484c04544e540369a",
         "oracle -k 1 -m 2": "4ae528dce18cdbcb4ea5bd0a4773b666ae434f2067c2bf0d0f486ec359b56ec4",
+    }),
+    ("1000", "0.07", "4", "3", {
+        "result": "5c0e609dfaba24d2ce8b1b234ba69b377934f7095c73e837217ed7b24d316422",
+        "dot": "637da78551369356449e3538f7ce01e63c355f51eaaa8fd3176cc59d2fb10cd5",
+        "report": "fdfc59e2e5eaad441b4a72dd214fcfc328a48048cb26fc1a5879519d7bfe2123",
+    }),
+    ("500", "0.1", "1", "1", {
+        "result": "5baf42cfd3e5ca19acd8262095254933298a05c9988fb85f834088df2837a22d",
+        "dot": "7f8e39e4a09e15a8bc0b160da1dee2c0259856ce70f9501d74d1d7aa2dd0e8c1",
+        "report": "b0996619f88a2b7b59e2cf18f7e9d53c986c573ddf704265aa1eb7f8b697478b",
     }),
 ]
 

@@ -524,6 +524,25 @@ def test_augmentation_ends_within_the_outside_count_plus_one(seed, data):
         assert _phase_outcome(phase, g, start_set, bound) == _phase_outcome(phase, g, start_set)
 
 
+@given(seeds, st.integers(1, 3), st.integers(2, 3), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_no_infeasibility_after_the_preflight(seed, k, m, edge_bias):
+    # in an m-connected graph every repair round finds its path: a leaf
+    # block L with cut vertex c (and bad point a at m = 3) leaves G - c
+    # (G - a - c) connected, so a path runs from L - c to the rest of the
+    # set through outside vertices.  Only a direct phase call on a graph
+    # the preflight would reject can raise an infeasibility error.
+    g = random_graph(seed, max_nodes=12, edge_bias=edge_bias)
+    cfg = PlutusConfig(k=k, m=m)
+    if not (is_connected(g) and is_m_connected(g, range(g.node_count), m)):
+        with pytest.raises((DisconnectedInputError, GraphNotMConnectedError)):
+            run_plutus(g, cfg)
+        return
+    backbone = run_plutus(g, cfg).dominating_set
+    assert is_k_dominating(g, backbone, k)[0]
+    assert is_m_connected(g, backbone, m)
+
+
 def test_sustainability_iteration_cap():
     g = random_geometric(50, 0.3, 8).graph()
     backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set

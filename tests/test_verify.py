@@ -28,10 +28,11 @@ from plutus import (
     synergy,
     verify,
 )
-from plutus.graph import connected_components
+from plutus.graph import DistanceReport, connected_components
 
 from .conftest import complete_graph, cycle_graph, path_graph, star_graph, structured_graphs
 from .helpers import (
+    _distances_from,
     naive_backbone_stretch,
     naive_disconnecting_set,
     naive_lowest_bad_point,
@@ -436,6 +437,56 @@ class TestStretchAgainstNaive:
         assert len(widths) == 1 or -(-n // (len(widths) - 1)) * n > verify._STRETCH_BUDGET
         if n <= 2048:
             assert bounds == [0, n]
+
+
+def _detour_of_three(order: list[int]) -> tuple:
+    """The backbone path 0-1-...-10 and three outsiders: 11 sees 0, 7 and
+    12; 12 sees 4, 7, 11 and 13; 13 sees 10.  The pair (0, 13) takes
+    0-11-12-13, 3 hops, and routes 11 along the path: the one worst ratio
+    11 / 3.  The runner-up is (4, 13), 7 / 2.  Relabelled by ``order``
+    (old v is renamed order[v])."""
+    edges = [(i, i + 1) for i in range(10)]
+    edges += [(0, 11), (7, 11), (11, 12), (4, 12), (7, 12), (12, 13), (10, 13)]
+    g = from_edge_list(14, [(order[u], order[v]) for u, v in edges])
+    return g, {order[v] for v in range(11)}
+
+
+class TestStretchBound:
+    """The routed-distance ceiling that cuts the stretch search short."""
+
+    @given(graph_with_cds())
+    @settings(max_examples=300, deadline=None)
+    def test_reach_bounds_every_routed_distance(self, case):
+        g, backbone = case
+        reach = verify._routed_reach(g.adjacency, backbone, min(backbone))
+        routed = [
+            d
+            for u in range(g.node_count)
+            for d in _distances_from(g, u, lambda x: x in backbone)
+        ]
+        assert max(routed) <= reach <= 2 * max(routed)
+
+    def test_worst_pair_three_hops_apart(self):
+        # reach = 12 (twice the eccentricity of member 5), so once the
+        # runner-up 7 / 2 is found the cutoff is 12 * 2 // 7 = 3: the
+        # pending pairs at plain distance 3 must be kept
+        g, backbone = _detour_of_three(list(range(14)))
+        assert verify._routed_reach(g.adjacency, backbone, 0) == 12
+        got = backbone_stretch(g, backbone)
+        assert got == (11 / 3, DistanceReport((0, 13), 3, 11))
+        assert got == naive_backbone_stretch(g, backbone)
+
+    def test_worst_pair_set_by_a_later_block(self):
+        # the path reversed, one source per pass: the runner-up (6, 13) is
+        # found in pass 6, so pass 10 starts with the cutoff 3 and its
+        # plain search must still reach level 3 for the worst (10, 13)
+        g, backbone = _detour_of_three([*range(10, -1, -1), 11, 12, 13])
+        assert verify._routed_reach(g.adjacency, backbone, 0) == 12
+        with patch.object(verify, "_STRETCH_BUDGET", g.node_count):
+            assert verify._source_blocks(g.node_count) == list(range(15))
+            got = backbone_stretch(g, backbone)
+        assert got == (11 / 3, DistanceReport((10, 13), 3, 11))
+        assert got == naive_backbone_stretch(g, backbone)
 
 
 class TestOracle:
