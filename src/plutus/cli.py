@@ -1,9 +1,9 @@
 """Command-line front end: generate instances, solve, verify, compare to
 the oracle, benchmark.
 
-Exit codes: 0 ok; 2 parse/input error; 3 preflight failure (disconnected
-or not m-connected input); 4 infeasible phase; 5 iteration cap exceeded;
-6 verification failure.  The seed falls back to the PLUTUS_SEED
+Exit codes: 0 ok; 2 parse/input error; 3 preflight failure (empty,
+disconnected or not m-connected input); 5 iteration cap exceeded; 6
+verification failure.  The seed falls back to the PLUTUS_SEED
 environment variable, then to 0.
 """
 
@@ -22,8 +22,6 @@ from .errors import (
     EmptyGraphError,
     GraphInputError,
     GraphNotMConnectedError,
-    Infeasible2ConnectivityError,
-    Infeasible3ConnectivityError,
     IterationCapExceededError,
     OracleSizeError,
 )
@@ -47,7 +45,6 @@ from .verify import backbone_stretch, brute_force_min_mcds, is_m_connected_k_dom
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PREFLIGHT = 3
-EXIT_INFEASIBLE = 4
 EXIT_ITERATION_CAP = 5
 EXIT_VERIFY_FAILED = 6
 
@@ -58,8 +55,6 @@ _EXIT_CODES = {
     GraphNotMConnectedError: EXIT_PREFLIGHT,
     DisconnectedInputError: EXIT_PREFLIGHT,
     EmptyGraphError: EXIT_PREFLIGHT,
-    Infeasible2ConnectivityError: EXIT_INFEASIBLE,
-    Infeasible3ConnectivityError: EXIT_INFEASIBLE,
     IterationCapExceededError: EXIT_ITERATION_CAP,
 }
 

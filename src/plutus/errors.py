@@ -29,31 +29,19 @@ class DisconnectedInputError(PlutusError):
 
 
 class GraphNotMConnectedError(PlutusError):
-    """Preflight failure: the input graph is not m-connected, so no
-    m-connected backbone can exist inside it."""
+    """The input graph is not m-connected, so no m-connected backbone can
+    exist inside it.  The preflight raises it without a witness; a direct
+    diversification or sustainability call raises it from a stuck round,
+    with the stuck set as ``witness``: the lone member with no neighbour,
+    the pair with no second route or the stuck leaf block at m = 2, and
+    the one-element tuple of the irreparable bad point at m = 3."""
 
-    def __init__(self, m: int) -> None:
-        super().__init__(f"input graph is not {m}-connected")
+    def __init__(self, m: int, witness: tuple[int, ...] | None = None) -> None:
+        message = f"input graph is not {m}-connected"
+        if witness is not None:
+            message += f"; stuck at {list(witness)}"
+        super().__init__(message)
         self.m = m
-
-
-class Infeasible2ConnectivityError(PlutusError):
-    """No augmenting path exists to 2-connect the backbone.  ``witness``
-    is the whole backbone when nothing remains to promote, else the lone
-    member with no neighbour, the pair with no second route, or the stuck
-    leaf block."""
-
-    def __init__(self, witness: tuple[int, ...]) -> None:
-        super().__init__(f"cannot 2-connect backbone; stuck at {sorted(witness)}")
-        self.witness = tuple(sorted(witness))
-
-
-class Infeasible3ConnectivityError(PlutusError):
-    """No augmenting path exists to repair a bad point.  ``witness`` is
-    the irreparable bad point."""
-
-    def __init__(self, witness: int) -> None:
-        super().__init__(f"cannot 3-connect backbone; bad point {witness} is stuck")
         self.witness = witness
 
 

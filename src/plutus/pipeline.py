@@ -9,10 +9,12 @@ an m-connected k-dominating backbone.
 
 Isolation and every synergy layer are one greedy independent-set
 routine, :func:`_greedy_mis`; diversification and sustainability are one
-augmentation loop, :func:`_augment`, run at m = 2 and at m = 3.  Phases
-only ever add vertices; a dominator never loses its role.  All tie-breaks
-(degree picks, block picks, path choices) go to the lowest node id, so a
-run is a pure deterministic function of (graph, config).  The pipeline is
+augmentation loop, :func:`_augment`, run at m = 2 and at m = 3, which
+gets stuck only on a graph that is not m-connected and then raises the
+preflight's :class:`GraphNotMConnectedError`.  Phases only ever add
+vertices; a dominator never loses its role.  All tie-breaks (degree
+picks, block picks, path choices) go to the lowest node id, so a run is a
+pure deterministic function of (graph, config).  The pipeline is
 single-threaded; callers wanting parallelism run independent instances
 concurrently.
 """
@@ -33,8 +35,6 @@ from .errors import (
     EmptyGraphError,
     GraphInputError,
     GraphNotMConnectedError,
-    Infeasible2ConnectivityError,
-    Infeasible3ConnectivityError,
     IterationCapExceededError,
 )
 from .graph import (
@@ -340,30 +340,33 @@ def _alternate_pair_path(
 
 def _augment(
     g: Graph,
-    backbone: set[int],
+    members: list[int],
+    rows: list[list[int]],
     max_iterations: int | None,
     m: int,
-    rows: list[list[int]] | None = None,
 ) -> frozenset[int]:
     """The augmentation loop of diversification (m = 2) and sustainability
-    (m = 3): grow ``backbone`` in place until it is m-connected.
+    (m = 3): grow the backbone until it is m-connected.
 
-    The backbone's induced adjacency is built once, indexed by node id
-    (:func:`graph._induced_rows`; ``rows`` when the caller has built it
-    already), and kept with the sorted member list for the whole phase:
-    each promoted vertex gets its row and is inserted into its neighbours'
-    rows and into the list.  Each round names the set to repair: the
-    backbone for m = 2, the backbone minus its lowest bad point
-    (:func:`graph._lowest_bad_point`, one pass) for m = 3, and splits it
-    into blocks and cut vertices (:func:`graph._local_blocks`); at m = 2
-    three or more members with no cut vertex end the loop.  A lone vertex
-    adopts its smallest neighbour, a pair is joined by its shortest
-    alternate route (a common neighbour when one exists) and a larger set
-    has its smallest leaf block reconnected to the rest, always through
-    vertices outside the backbone.  A disconnected first set and a cap
-    other than None or a positive int are input errors; a stuck round
-    raises the phase's infeasibility error, for m = 3 with the bad point
-    as witness.
+    The caller passes the backbone as its sorted member list and its
+    induced adjacency indexed by node id (:func:`graph._induced_rows`);
+    both are kept for the whole phase: each promoted vertex gets its row
+    and is inserted into its neighbours' rows and into the list.  Each
+    round names the set to repair: the backbone for m = 2, the backbone
+    minus its lowest bad point (:func:`graph._lowest_bad_point`, one pass)
+    for m = 3, and splits it into blocks and cut vertices
+    (:func:`graph._local_blocks`); at m = 2 three or more members with no
+    cut vertex end the loop.  A lone vertex adopts its smallest neighbour,
+    a pair is joined by its shortest alternate route (a common neighbour
+    when one exists) and a larger set has its smallest leaf block
+    reconnected to the rest, always through vertices outside the backbone.
+    A disconnected first set and a cap other than None or a positive int
+    are input errors.  A round gets stuck only when g is not m-connected:
+    otherwise G - c (G - a - c at m = 3, with bad point a) is connected for
+    the leaf block's cut vertex c, so a path leaves the block through
+    outside vertices.  So a stuck round raises
+    :class:`GraphNotMConnectedError`, with the stuck set as witness at
+    m = 2 and the bad point at m = 3.
 
     Every ear has an internal vertex, so every round that does not end the
     loop promotes at least one vertex from outside the backbone: a phase
@@ -373,9 +376,7 @@ def _augment(
     _check_cap(max_iterations)
     phase = "diversification" if m == 2 else "sustainability"
     cap = 10 * g.node_count if max_iterations is None else max_iterations
-    members = sorted(backbone)
-    if rows is None:
-        rows = _induced_rows(g, members)
+    backbone = set(members)
     outside = lambda x: x not in backbone
     for iterations in itertools.count(1):
         bad = -1 if m == 2 else _lowest_bad_point(rows, members)
@@ -392,16 +393,12 @@ def _augment(
         if iterations > cap:
             raise IterationCapExceededError(phase, cap)
         witness = base
-        if len(backbone) == g.node_count:
-            path = None  # nothing left to promote
-        elif len(base) <= 2:
+        if len(base) <= 2:
             path = _alternate_pair_path(g, min(base), max(base), outside)
         else:
             witness, path = _augment_leaf_block(g, blocks, cut, base, outside)
         if path is None:
-            if m == 2:
-                raise Infeasible2ConnectivityError(tuple(witness))
-            raise Infeasible3ConnectivityError(bad)
+            raise GraphNotMConnectedError(m, tuple(sorted(witness)) if m == 2 else (bad,))
         ear = path[1:-1]
         backbone.update(ear)
         for x in ear:
@@ -427,10 +424,10 @@ def diversification(
     does not induce a connected subgraph.  Additions never reduce any
     outside node's dominator count, so k-dominance survives the phase.
     """
-    backbone = set(_as_subset(g, d))
-    if not backbone:
+    members = _as_subset(g, d)
+    if not members:
         raise GraphInputError("backbone must be non-empty")
-    return _augment(g, backbone, max_iterations, 2)
+    return _augment(g, members, _induced_rows(g, members), max_iterations, 2)
 
 
 def sustainability(
@@ -445,13 +442,12 @@ def sustainability(
     (see :func:`_augment`).  The input must be 2-connected; that check is
     one block DFS of the induced adjacency the loop then keeps.
     """
-    backbone = set(_as_subset(g, d))
-    members = sorted(backbone)
+    members = _as_subset(g, d)
     rows = _induced_rows(g, members)
     blocks, cut = _local_blocks(rows, members)
     if len(members) <= 2 or blocks is None or cut:
         raise GraphInputError("sustainability requires a 2-connected input set")
-    return _augment(g, backbone, max_iterations, 3, rows)
+    return _augment(g, members, rows, max_iterations, 3)
 
 
 def run_plutus(g: Graph, cfg: PlutusConfig) -> PlutusResult:

@@ -512,7 +512,7 @@ class TestParsing:
         assert "Traceback" not in captured.err
 
 
-_DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5, 6}
+_DOCUMENTED_EXIT_CODES = {0, 2, 3, 5, 6}
 
 # Graph files: valid ones (small enough for the oracle), malformed JSON,
 # wrong shapes and values.  ``None`` names a missing file.

@@ -11,8 +11,6 @@ from plutus import (
     EmptyGraphError,
     GraphInputError,
     GraphNotMConnectedError,
-    Infeasible2ConnectivityError,
-    Infeasible3ConnectivityError,
     IterationCapExceededError,
     PlutusConfig,
     PlutusError,
@@ -386,8 +384,10 @@ class TestDiversification:
         assert diversification(k4, {0}) == frozenset({0, 1, 2})
 
     def test_infeasible_on_tree(self, p3):
-        with pytest.raises(Infeasible2ConnectivityError):
+        with pytest.raises(GraphNotMConnectedError) as info:
             diversification(p3, {0, 1, 2})
+        assert info.value.witness == (0, 1)
+        assert str(info.value) == "input graph is not 2-connected; stuck at [0, 1]"
 
     def test_disconnected_input_rejected(self, p5):
         with pytest.raises(DisconnectedInputError):
@@ -438,9 +438,10 @@ class TestSustainability:
     def test_infeasible_when_graph_cannot_give_three_connectivity(self, c4):
         # C4 is 2-connected but nothing outside the cycle exists to repair
         # its bad points
-        with pytest.raises(Infeasible3ConnectivityError) as info:
+        with pytest.raises(GraphNotMConnectedError) as info:
             sustainability(c4, range(4))
-        assert info.value.witness == 0
+        assert (info.value.m, info.value.witness) == (3, (0,))
+        assert str(info.value) == "input graph is not 3-connected; stuck at [0]"
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)
@@ -457,19 +458,20 @@ class TestSustainability:
 
 class TestInfeasibilityWitnesses:
     """Every way an augmentation round can get stuck, with the witness and
-    message it ends in."""
+    message it ends in.  Each graph is not m-connected, so the error is
+    the preflight's, with the stuck set added."""
 
     @pytest.mark.parametrize("g, backbone, witness", [
-        (path_graph(3), {0, 1, 2}, (0, 1, 2)),  # the whole graph
+        (path_graph(3), {0, 1, 2}, (0, 1)),  # the whole graph: its smallest leaf block
         (from_edge_list(2, []), {0}, (0,)),  # a lone vertex with no neighbour
         (from_edge_list(3, [(0, 1)]), {0, 1}, (0, 1)),  # a pair with no second route
         (path_graph(4), {0, 1, 2}, (0, 1)),  # the smallest leaf block
     ])
     def test_diversification(self, g, backbone, witness):
-        with pytest.raises(Infeasible2ConnectivityError) as info:
+        with pytest.raises(GraphNotMConnectedError) as info:
             diversification(g, backbone)
-        assert info.value.witness == witness
-        assert str(info.value) == f"cannot 2-connect backbone; stuck at {list(witness)}"
+        assert (info.value.m, info.value.witness) == (2, witness)
+        assert str(info.value) == f"input graph is not 2-connected; stuck at {list(witness)}"
 
     @pytest.mark.parametrize("g, backbone", [
         (complete_graph(3), {0, 1, 2}),  # the whole graph
@@ -477,10 +479,10 @@ class TestInfeasibilityWitnesses:
     ])
     def test_sustainability(self, g, backbone):
         # in the second graph the only outside vertex hangs off the bad point
-        with pytest.raises(Infeasible3ConnectivityError) as info:
+        with pytest.raises(GraphNotMConnectedError) as info:
             sustainability(g, backbone)
-        assert info.value.witness == 0
-        assert str(info.value) == "cannot 3-connect backbone; bad point 0 is stuck"
+        assert (info.value.m, info.value.witness) == (3, (0,))
+        assert str(info.value) == "input graph is not 3-connected; stuck at [0]"
 
 
 @pytest.mark.parametrize("cap", [0, -1, 2.5, True])
@@ -503,6 +505,14 @@ def _phase_outcome(phase, g, d, cap=None):
         return type(exc), str(exc)
 
 
+def _draw_connected_set(g, data):
+    """A prefix of the breadth-first order from a drawn start vertex."""
+    order = [data.draw(st.integers(0, g.node_count - 1))]
+    for x in order:
+        order += [y for y in g.adjacency[x] if y not in order]
+    return frozenset(order[: data.draw(st.integers(1, len(order)))])
+
+
 @given(seeds, st.data())
 @settings(max_examples=150, deadline=None)
 def test_augmentation_ends_within_the_outside_count_plus_one(seed, data):
@@ -510,11 +520,7 @@ def test_augmentation_ends_within_the_outside_count_plus_one(seed, data):
     # a cap of n - |d| + 1 never fires: the capped call gives what the
     # uncapped one gives, backbone or error
     g = random_connected_graph(seed, max_nodes=14)
-    start = data.draw(st.integers(0, g.node_count - 1))
-    order = [start]
-    for x in order:
-        order += [y for y in g.adjacency[x] if y not in order]
-    d = frozenset(order[: data.draw(st.integers(1, g.node_count))])
+    d = _draw_connected_set(g, data)
     cases = [(diversification, d), (sustainability, d)]
     widened = _phase_outcome(diversification, g, d)
     if isinstance(widened, frozenset):
@@ -530,8 +536,9 @@ def test_no_infeasibility_after_the_preflight(seed, k, m, edge_bias):
     # in an m-connected graph every repair round finds its path: a leaf
     # block L with cut vertex c (and bad point a at m = 3) leaves G - c
     # (G - a - c) connected, so a path runs from L - c to the rest of the
-    # set through outside vertices.  Only a direct phase call on a graph
-    # the preflight would reject can raise an infeasibility error.
+    # set through outside vertices.  So a stuck round, which raises
+    # GraphNotMConnectedError with its witness, needs a direct phase call
+    # on a graph the preflight would reject.
     g = random_graph(seed, max_nodes=12, edge_bias=edge_bias)
     cfg = PlutusConfig(k=k, m=m)
     if not (is_connected(g) and is_m_connected(g, range(g.node_count), m)):
@@ -541,6 +548,32 @@ def test_no_infeasibility_after_the_preflight(seed, k, m, edge_bias):
     backbone = run_plutus(g, cfg).dominating_set
     assert is_k_dominating(g, backbone, k)[0]
     assert is_m_connected(g, backbone, m)
+
+
+@given(seeds, st.integers(1, 3), st.sampled_from([2, 3]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_stuck_phase_means_graph_not_m_connected(seed, edge_bias, m, data):
+    # a direct phase call on a valid input raises GraphNotMConnectedError
+    # only when the graph is not m-connected by the literal removal-subset
+    # reference, which shares no code with the phase
+    g = random_graph(seed, max_nodes=12, edge_bias=edge_bias)
+    d = _draw_connected_set(g, data)
+    phase = diversification
+    if m == 3:
+        phase = sustainability
+        if not naive_m_connected(g, d, 2):
+            d = _phase_outcome(diversification, g, d)
+            if not isinstance(d, frozenset):
+                return
+    try:
+        backbone = phase(g, d)
+    except GraphNotMConnectedError as exc:
+        assert exc.m == m
+        assert list(exc.witness) == sorted(set(exc.witness))
+        assert m == 2 or (len(exc.witness) == 1 and exc.witness[0] in d)
+        assert not naive_m_connected(g, range(g.node_count), m)
+    else:
+        assert naive_m_connected(g, backbone, m)
 
 
 def test_sustainability_iteration_cap():
