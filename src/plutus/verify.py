@@ -16,7 +16,11 @@ tagged tuple that, replayed against the graph, reproduces the violation:
 The oracle keeps its validity tests self-contained (bitmask arithmetic:
 bit-sliced neighbour counts and breadth-first search on masks, no shared
 code with the checkers or the pipeline) so that oracle versus pipeline
-comparisons stay two independent routes.
+comparisons stay two independent routes.  Its search prunes by counts
+alone: a depth with ``left`` picks to go gives a vertex at most ``left``
+more chosen neighbours, which bounds (a) whether a vertex can still reach
+its need, (b) the candidates of the last pick and (c) the picks at every
+depth (see ``brute_force_min_mcds``).
 """
 
 from __future__ import annotations
@@ -399,13 +403,22 @@ def _add_vertex(levels: tuple[int, ...], nbrs: int) -> tuple[int, ...]:
     return tuple(grown)
 
 
-def _reach(prefix: tuple[int, ...], rest: tuple[int, ...], need: int) -> int:
+def _reach(prefix: tuple[int, ...], rest: tuple[int, ...], need: int, left: int) -> int:
     """The vertices with at least ``need`` neighbours counted by two sets
-    of counters together: a from ``prefix`` and need - a from ``rest``."""
-    mask = prefix[need - 1] | rest[need - 1]
-    for a in range(1, need):
+    of counters together: a from ``prefix`` and need - a <= ``left`` from
+    ``rest``."""
+    mask = prefix[need - 1]
+    if need <= left:
+        mask |= rest[need - 1]
+    for a in range(max(1, need - left), need):
         mask |= prefix[a - 1] & rest[need - a - 1]
     return mask
+
+
+def _short(levels: tuple[int, ...], need: int, left: int) -> int:
+    """The vertices that ``levels`` counts at least ``left`` neighbours
+    short of ``need``, as a mask to intersect with a finite one."""
+    return ~levels[need - left] if need >= left else 0
 
 
 def brute_force_min_mcds(
@@ -418,20 +431,35 @@ def brute_force_min_mcds(
     one cardinality, so the first valid subset is a global minimum.
     ``sets_examined`` is the rank of that witness in this order, or the
     number of subsets up to the cap when none qualifies.  It counts every
-    subset ordered before the witness, including those the search skips
-    by counting.  Returns infeasible when nothing up to ``size_cap`` (a
-    positive int; default: all n nodes) qualifies.
+    subset ordered before the witness, including those the search skips.
+    Returns infeasible when nothing up to ``size_cap`` (a positive int;
+    default: all n nodes) qualifies.
 
     One depth-first pass per cardinality picks members in ascending order
     and carries bit-sliced counts of chosen neighbours down the prefix,
     saturating at max(k, m).  A set is valid only if every outsider has
     at least k chosen neighbours and, for m >= 2, every member at least m
     member neighbours (vertex connectivity is at most the minimum
-    degree); only sets that pass both reach the connectivity test.  The
-    counts are monotone, so a pick stops its depth when some vertex below
-    it cannot reach its need even with every vertex from the pick on, and
-    skips its own subtree when the pick itself cannot; each skipped
-    subtree adds its binomial size to ``sets_examined``.
+    degree); only sets that pass both reach the connectivity test.  A
+    depth with ``left`` picks to go can give a vertex at most ``left``
+    more chosen neighbours, which prunes three ways:
+
+    (a) a pick stops its depth when some vertex below it, or a member,
+        cannot reach its need with at most ``left`` more neighbours from
+        the pick on, and skips its own subtree when the pick cannot;
+    (b) the last pick comes from one candidate mask: it has m chosen
+        neighbours, is adjacent to every member one short and to every
+        outsider one short that it is not, and is the one outsider short
+        by more, if there is one (no pick works for two, or for a member
+        short by more);
+    (c) at every depth, each pick has m - left + 1 chosen neighbours and
+        is adjacent to every member ``left`` short and every outsider
+        ``left`` short that can no longer be picked.
+
+    Every prune drops only sets that fail the counts, so the first set
+    the search accepts is still the first valid set in the order, and
+    ``sets_examined``, the sets of smaller sizes plus the witness's rank
+    among the sets of its size, needs no count of what was skipped.
     """
     _check_k(k)
     _check_m(m)
@@ -453,46 +481,66 @@ def brute_force_min_mcds(
     suffix = [(0,) * saturation] * (n + 1)
     for c in range(n - 1, -1, -1):
         suffix[c] = _add_vertex(suffix[c + 1], adj_masks[c])
-    examined = 0
 
     def search(levels: tuple[int, ...], chosen: int, lo: int, left: int) -> int:
         """The first valid set of ``chosen`` plus ``left`` picks from lo
-        on, or 0; every set passed or skipped adds to ``examined``."""
-        nonlocal examined
-        for c in range(lo, n - left + 1):
+        on, or 0."""
+        # (b), (c): each pick has m - left + 1 chosen neighbours and is
+        # adjacent to every vertex ``left`` short that cannot be picked or,
+        # with one pick left, is not the pick; one short by more must be
+        # the last pick
+        picks = ((1 << (n - left + 1)) - 1) & ~((1 << lo) - 1)
+        outside = ~chosen & (full if left == 1 else (1 << lo) - 1)
+        wanting = outside & _short(levels, k, left)
+        lacking = outside & _short(levels, k, left + 1)
+        if m > 1:
+            picks &= ~_short(levels, m, left)
+            wanting |= chosen & _short(levels, m, left)
+            lacking |= chosen & _short(levels, m, left + 1)
+        while wanting and picks:
+            bit = wanting & -wanting
+            picks &= bit if bit & lacking else adj_masks[bit.bit_length() - 1] | bit
+            wanting ^= bit
+        if left == 1:
+            while picks:
+                bit = picks & -picks
+                if _mask_m_connected(adj_masks, chosen | bit, m):
+                    return chosen | bit
+                picks ^= bit
+            return 0
+        # (a): every vertex below the pick and every member must still
+        # reach its need from the suffix; the pick must reach m
+        while picks:
+            bit = picks & -picks
+            picks ^= bit
+            c = bit.bit_length() - 1
             rest = suffix[c]
-            below = ((1 << c) - 1) & ~chosen
-            if below & ~_reach(levels, rest, k):
-                examined += comb(n - c, left)
+            if (bit - 1) & ~chosen & ~_reach(levels, rest, k, left):
                 return 0
-            bit = 1 << c
             if m > 1:
-                reach = _reach(levels, rest, m)
+                reach = _reach(levels, rest, m, left)
                 if chosen & ~reach:
-                    examined += comb(n - c, left)
                     return 0
                 if not reach & bit:
-                    examined += comb(n - c - 1, left - 1)
                     continue
-            grown = _add_vertex(levels, adj_masks[c])
-            if left > 1:
-                found = search(grown, chosen | bit, c + 1, left - 1)
-                if found:
-                    return found
-                continue
-            examined += 1
-            mask = chosen | bit
-            if (
-                not full & ~mask & ~grown[k - 1]
-                and (m == 1 or not mask & ~grown[m - 1])
-                and _mask_m_connected(adj_masks, mask, m)
-            ):
-                return mask
+            found = search(_add_vertex(levels, adj_masks[c]), chosen | bit, c + 1, left - 1)
+            if found:
+                return found
         return 0
 
+    # sets_examined: every set of a smaller size, then the witness's rank
+    # among the sets of its size; at each pick c, with ``left`` picks to
+    # go from before + 1 on, comb(n - before - 1, left) - comb(n - c, left)
+    # sets share the earlier picks and pick a smaller vertex here
+    examined = 0
     for size in range(1, cap + 1):
         mask = search((0,) * saturation, 0, 0, size)
         if mask:
-            witness = frozenset(v for v in range(n) if mask >> v & 1)
-            return OracleResult(size, witness, examined)
+            members = [v for v in range(n) if mask >> v & 1]
+            before = -1
+            for left, c in zip(range(size, 0, -1), members):
+                examined += comb(n - before - 1, left) - comb(n - c, left)
+                before = c
+            return OracleResult(size, frozenset(members), examined + 1)
+        examined += comb(n, size)
     return OracleResult(None, None, examined)

@@ -214,6 +214,13 @@ _GOLDEN = [
         "dot": "7f8e39e4a09e15a8bc0b160da1dee2c0259856ce70f9501d74d1d7aa2dd0e8c1",
         "report": "b0996619f88a2b7b59e2cf18f7e9d53c986c573ddf704265aa1eb7f8b697478b",
     }),
+    # the slowest graph of the benchmark's small-oracle workload
+    ("20", "0.45", "4", "3", {
+        "result": "e0bc54b86a7dcf855b52e19ab3f7d7976fad143f45454181476456f2b9826264",
+        "dot": "0355e85e329b5b512746ae5792378f4128744c726c0fc60cbdb8da041cd92ec9",
+        "report": "e63b6d57ec1aa5265e64dd8abbe5840d0ff5a41b286391a484c04544e540369a",
+        "oracle -k 2 -m 3": "5b87c84233e8164b772cb3f477b3c9214c4d05eac4b9c55dc5ba8a495b6a0c76",
+    }),
 ]
 
 

@@ -565,15 +565,37 @@ def test_stuck_phase_means_graph_not_m_connected(seed, edge_bias, m, data):
             d = _phase_outcome(diversification, g, d)
             if not isinstance(d, frozenset):
                 return
+    _check_stuck_phase(g, phase, d, m)
+
+
+def _check_stuck_phase(g, phase, d, m):
     try:
         backbone = phase(g, d)
     except GraphNotMConnectedError as exc:
         assert exc.m == m
         assert list(exc.witness) == sorted(set(exc.witness))
-        assert m == 2 or (len(exc.witness) == 1 and exc.witness[0] in d)
         assert not naive_m_connected(g, range(g.node_count), m)
+        if m == 3:
+            # the witness is the stuck round's bad point a, possibly one
+            # that sustainability promoted; the round is stuck because
+            # G - a - c is disconnected for a cut vertex c of D - a
+            (bad,) = exc.witness
+            assert not naive_m_connected(g, [v for v in range(g.node_count) if v != bad], 2)
     else:
         assert naive_m_connected(g, backbone, m)
+
+
+def test_stuck_sustainability_witness_may_be_a_promoted_vertex():
+    # the BFS prefix {1, 2, 4} from 4 is not 2-connected; diversification
+    # makes it {1, 2, 4, 6}, and sustainability gets stuck at vertex 0,
+    # which it promoted itself
+    g = random_graph(1_000_000, max_nodes=12, edge_bias=3)
+    d = diversification(g, {1, 2, 4})
+    assert d == {1, 2, 4, 6}
+    with pytest.raises(GraphNotMConnectedError) as info:
+        sustainability(g, d)
+    assert info.value.witness == (0,)
+    _check_stuck_phase(g, sustainability, d, 3)
 
 
 def test_sustainability_iteration_cap():

@@ -567,6 +567,13 @@ class TestOracle:
             assert brute_force_min_mcds(g, k, m, cap) == expected, (seed, k, m, cap)
             feasible += expected.feasible
         assert 500 < feasible < 1500
+        # unit-disk graphs, denser and more regular than the above
+        for n in (11, 12, 13):
+            for k in (1, 2, 3):
+                for m in (1, 2, 3):
+                    g = random_geometric(n, 0.6, 10 * n + 3 * k + m).graph()
+                    expected = naive_min_mcds(g, k, m)
+                    assert brute_force_min_mcds(g, k, m) == expected, (n, k, m)
 
     @pytest.mark.parametrize("g, k, m, cap, size, witness, examined", [
         # vertex 4 hangs off K4 with degree 1 < k: it and its neighbour 0
@@ -600,18 +607,22 @@ class TestOracle:
     def test_degree_filter_spares_the_connectivity_search(self):
         # the member-degree test rejects almost every k-dominating set
         # before a breadth-first search runs (running the removal BFSs on
-        # each of them takes 120 568 calls here); calls are counted by
-        # code object
+        # each of them takes 120 568 calls here), and the bound on what
+        # the picks left can add spares most counter updates (16 842
+        # without it, 7 249 with it); calls are counted by code object
         import plutus.verify
 
         g = random_geometric(18, 0.45, 10).graph()
         code = plutus.verify._mask_connected.__code__
-        calls = 0
+        add_code = plutus.verify._add_vertex.__code__
+        calls = adds = 0
 
         def profile(frame, event, arg):
-            nonlocal calls
+            nonlocal calls, adds
             if event == "call" and frame.f_code is code:
                 calls += 1
+            elif event == "call" and frame.f_code is add_code:
+                adds += 1
 
         previous = sys.getprofile()
         sys.setprofile(profile)
@@ -621,6 +632,7 @@ class TestOracle:
             sys.setprofile(previous)
         assert (result.optimum_size, result.sets_examined) == (11, 207_955)
         assert 0 < calls < 12_000
+        assert 0 < adds < 8_000
 
 
 class TestStructuredOracleTable:
