@@ -12,9 +12,10 @@ augmentation loop keeps for a whole phase; a check of the whole graph
 reads the graph's own adjacency.  One routine,
 :func:`_connectivity_witness`, gives the m = 1..3 verdicts and verify's
 witness in one call; at m = 2 and 3 it asks :func:`_disconnecting_set`,
-which at m = 3 pins the lowest bad point from one palm tree plus a
-separation-pair test, O((n + E) log n) (:func:`_lowest_bad_point`), the
-engine that also picks the vertex each sustainability round repairs.
+which at m = 3 pins the lowest bad point.  That comes from the one
+separation-pair engine, :func:`_bad_points`: one palm tree plus a
+separation-pair pass, about O((n + E) log n), that marks every bad point.
+Sustainability fills its candidate set from the same engine.
 
 Every deterministic shortest path (the paths the pipeline's domination
 and both augmentation phases promote) comes from one search,
@@ -436,21 +437,22 @@ def _not_two_connected(adj: Sequence[Sequence[int]], members: Sequence[int]) -> 
     return first
 
 
-def _lowest_bad_point(adj: Sequence[Sequence[int]], members: Sequence[int]) -> int | None:
-    """Lowest bad point of the graph on the sorted vertices ``members``
-    (see :func:`_palm_tree`), or None when there is none, that is when the
-    graph is 3-connected.  O((n + E) log n) for n members, plus one pass
-    over arrays as long as ``adj``.
+def _bad_points(adj: Sequence[Sequence[int]], members: Sequence[int]) -> list[int]:
+    """Every bad point of the graph on the sorted vertices ``members``
+    (see :func:`_palm_tree`) in ascending order, empty when the graph is
+    3-connected; on a graph that is not 2-connected only the lowest one.
+    About O((n + E) log n) for n members, plus one pass over arrays as long
+    as ``adj``.
 
     A bad point is a vertex whose removal leaves the rest not strictly
-    2-connected.  With fewer than four vertices every vertex is bad, so
-    the answer is 0.  With four or more, in a 2-connected graph the bad
-    points are exactly the members of separation pairs: if v is bad, the
-    rest is connected and has a cut vertex w, so {v, w} separates; if
-    {v, w} separates, w is a cut vertex of the graph minus v.  A graph
-    that is not itself 2-connected, which the DFS shows by a cut vertex
-    or by not reaching every vertex, has its answer from
-    :func:`_not_two_connected`, at the cost of at most one more block DFS.
+    2-connected.  With fewer than four vertices every vertex is bad.  With
+    four or more, in a 2-connected graph the bad points are exactly the
+    members of separation pairs: if v is bad, the rest is connected and
+    has a cut vertex w, so {v, w} separates; if {v, w} separates, w is a
+    cut vertex of the graph minus v.  A graph that is not itself
+    2-connected, which the DFS shows by a cut vertex or by not reaching
+    every vertex, has its lowest bad point from :func:`_not_two_connected`,
+    at the cost of at most one more block DFS.
 
     One palm tree from vertex 0 gives every vertex its depth and low point
     and lists the fronds by target depth; one pass back over the preorder
@@ -473,27 +475,28 @@ def _lowest_bad_point(adj: Sequence[Sequence[int]], members: Sequence[int]) -> i
     the test needs H(w) >= k for each w on the tree path at depths
     k + 2 .. depth(b), where H(w) is the shallowest frond target from
     parent(w) itself or from the subtrees of its other children.  The k
-    that pass form a sorted stack carried down the DFS path: entries above
-    H(b) are cut off and depth(b) - 2 pushed, and a per-depth log undoes
-    both on backtrack.  The gaps between b's child intervals (low, hi) are
-    then probed against the stack by bisection.
+    that pass form a sorted stack of candidate slots carried down the DFS
+    path: entries above H(b) are cut off and depth(b) - 2 pushed, and a
+    per-depth log undoes both on backtrack.  The gaps between b's child
+    intervals (low, hi) are then probed against the stack by bisection.
 
-    A type-1 hit names the path vertex at depth low(c) and b; a type-2 hit
-    names b and the path vertex at every candidate depth in the gap.  The
-    stack is sorted, so such a gap is a contiguous range of slots.  Each
-    slot holds a backward sparse-table row, ``rows[s][j]`` being the
-    lowest path vertex over slots s - 2**j + 1 .. s, built in O(log n)
-    when the slot is pushed and restored by the same log, so the lowest
-    vertex of a gap costs two lookups.
+    A type-1 hit marks the path vertex at depth low(c) and b; a type-2 hit
+    marks b and the path vertex at every candidate depth in the gap, a
+    contiguous range of slots.  So that a cycle's nested gaps cost less
+    than their total length, each slot keeps a downward skip pointer
+    ``down[s]``: every slot above it up to s holds a marked vertex.  A
+    range is marked from its top, following the pointers and halving the
+    paths walked, and its top slot then points below it; a pushed slot
+    points at itself, and the log restores its pointer with its value.
     """
     n = len(members)
     if n < 4:
-        return members[0]
-    span = len(adj)  # vertex-indexed arrays, and an id above every vertex
+        return list(members)
+    span = len(adj)  # vertex-indexed arrays
     by_target: list[list[int]] = [[] for _ in range(n)]  # frond sources by target depth
     order, parent, depth, low = _palm_tree(adj, members, fronds=by_target)
     if len(order) < n:
-        return _not_two_connected(adj, members)
+        return [_not_two_connected(adj, members)]
     size = [1] * span
     children: list[list[int]] = [[] for _ in range(span)]
     first_low = [n] * span  # the two smallest child low points of each vertex
@@ -502,7 +505,7 @@ def _lowest_bad_point(adj: Sequence[Sequence[int]], members: Sequence[int]) -> i
         p = parent[x]
         lx = low[x]
         if lx == depth[p]:
-            return _not_two_connected(adj, members)  # p is a cut vertex
+            return [_not_two_connected(adj, members)]  # p is a cut vertex
         size[p] += size[x]
         children[p].append(x)
         if lx < first_low[p]:
@@ -525,15 +528,15 @@ def _lowest_bad_point(adj: Sequence[Sequence[int]], members: Sequence[int]) -> i
                 while up[x] != x:
                     up[x] = x = up[up[x]]
 
-    best = span
+    bad = [False] * span
     path = [0] * n  # the root path of the current vertex, by depth
     candidates = [0] * n
-    rows: list[list[int]] = [[] for _ in range(n)]
+    down = [0] * n
     length = 0
     log_length = [0] * n
     log_slot = [-1] * n
     log_value = [0] * n
-    log_row: list[list[int]] = [[] for _ in range(n)]
+    log_down = [0] * n
     top = -1
     for b in order:
         d = depth[b]
@@ -541,7 +544,7 @@ def _lowest_bad_point(adj: Sequence[Sequence[int]], members: Sequence[int]) -> i
             slot = log_slot[top]
             if slot >= 0:
                 candidates[slot] = log_value[top]
-                rows[slot] = log_row[top]
+                down[slot] = log_down[top]
             length = log_length[top]
             top -= 1
         log_length[d] = length
@@ -552,31 +555,19 @@ def _lowest_bad_point(adj: Sequence[Sequence[int]], members: Sequence[int]) -> i
             continue
         p = parent[b]
         if d >= 2 and low[b] == hi[b] and size[b] < n - 2:  # type 1, with c = b
-            a = path[low[b]]
-            best = min(best, a if a < p else p)
+            bad[path[low[b]]] = bad[p] = True
         h = second_low[p] if low[b] == first_low[p] else first_low[p]
         if own[p] < h:
             h = own[p]
         length = bisect_right(candidates, h, 0, length)
         if 1 <= d - 2 <= h:
             slot = length
-            log_slot[d], log_value[d], log_row[d] = slot, candidates[slot], rows[slot]
+            log_slot[d], log_value[d], log_down[d] = slot, candidates[slot], down[slot]
             candidates[slot] = d - 2
-            lowest = path[d - 2]
-            row = [lowest]
-            for j in range((slot + 1).bit_length() - 1):
-                other = rows[slot - (1 << j)][j]
-                if other < lowest:
-                    lowest = other
-                row.append(lowest)
-            rows[slot] = row
+            down[slot] = slot
             length += 1
         if not length:
             continue
-        if b >= best:
-            t = length.bit_length() - 1
-            if rows[length - 1][t] >= best and rows[(1 << t) - 1][t] >= best:
-                continue  # no pair at b can name a lower vertex
         start = 1  # lowest k not yet known to be covered by a child interval
         kids = children[b]
         spans = [(low[c] + 1, hi[c] - 1) for c in kids]
@@ -588,11 +579,20 @@ def _lowest_bad_point(adj: Sequence[Sequence[int]], members: Sequence[int]) -> i
                 i = bisect_left(candidates, start, 0, length)
                 j = bisect_left(candidates, first, i, length)
                 if i < j:  # type 2: b with every candidate in the gap
-                    t = (j - i).bit_length() - 1
-                    best = min(best, b, rows[j - 1][t], rows[i + (1 << t) - 1][t])
+                    bad[b] = True
+                    s = j - 1
+                    while s >= i:
+                        t = down[s]
+                        if t == s:
+                            bad[path[candidates[s]]] = True
+                            down[s] = t = s - 1
+                        elif t >= 0:
+                            down[s] = down[t]
+                        s = t
+                    down[j - 1] = s
             if last >= start:
                 start = last + 1
-    return None if best == span else best
+    return [v for v in members if bad[v]]
 
 
 def _disconnecting_set(g: Graph, nodes: list[int], m: int) -> tuple[int, ...] | None:
@@ -603,7 +603,7 @@ def _disconnecting_set(g: Graph, nodes: list[int], m: int) -> tuple[int, ...] | 
     when it is m-connected.
 
     The first m - 2 members are pinned: none for m = 2, and for m = 3 the
-    lowest bad point, from one pass of :func:`_lowest_bad_point`, since
+    lowest bad point, the first of one pass of :func:`_bad_points`, since
     both members of a disconnecting pair are bad points, and in a set of
     four or more vertices every bad point belongs to one.  The last member
     is the lowest vertex whose removal splits ``rest``, the set without
@@ -615,11 +615,10 @@ def _disconnecting_set(g: Graph, nodes: list[int], m: int) -> tuple[int, ...] | 
     then the second-lowest vertex splits it.
     """
     rows = g.adjacency if len(nodes) == g.node_count else _induced_rows(g, nodes)
-    skip = -1 if m == 2 else _lowest_bad_point(rows, nodes)
-    if skip is None:
-        return None
-    pinned = () if skip < 0 else (skip,)
-    order, parent, depth, low = _palm_tree(rows, nodes, skip)
+    pinned = () if m == 2 else tuple(_bad_points(rows, nodes)[:1])
+    if len(pinned) < m - 2:
+        return None  # a 3-connected set
+    order, parent, depth, low = _palm_tree(rows, nodes, *pinned)
     if len(order) + len(pinned) < len(nodes):
         rest = [v for v in nodes if v not in pinned]
         components = connected_components(g, rest)
@@ -662,9 +661,9 @@ def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
     :func:`_disconnecting_set` on one build of the subset's rows, or on
     the graph's own adjacency for the whole graph.  m = 2 is one palm tree
     (:func:`_palm_tree`): connected with no cut vertex.  m = 3 is one palm
-    tree followed by the separation-pair test of :func:`_lowest_bad_point`,
-    O((n + E) log n): 3-connected when it finds no bad point.  The verdict
-    is that of :func:`_connectivity_witness`.
+    tree followed by the separation-pair pass of :func:`_bad_points`,
+    about O((n + E) log n): 3-connected when it finds no bad point.  The
+    verdict is that of :func:`_connectivity_witness`.
     """
     _check_m(m)
     return _connectivity_witness(g, _as_subset(g, subset), m) is None

@@ -40,13 +40,13 @@ from .errors import (
 from .graph import (
     Graph,
     _as_subset,
+    _bad_points,
     _check_k,
     _check_m,
     _induced_rows,
     _is_int,
     _lex_shortest_path,
     _local_blocks,
-    _lowest_bad_point,
     is_connected,
     is_m_connected,
 )
@@ -352,21 +352,34 @@ def _augment(
     induced adjacency indexed by node id (:func:`graph._induced_rows`);
     both are kept for the whole phase: each promoted vertex gets its row
     and is inserted into its neighbours' rows and into the list.  Each
-    round names the set to repair: the backbone for m = 2, the backbone
-    minus its lowest bad point (:func:`graph._lowest_bad_point`, one pass)
-    for m = 3, and splits it into blocks and cut vertices
-    (:func:`graph._local_blocks`); at m = 2 three or more members with no
-    cut vertex end the loop.  A lone vertex adopts its smallest neighbour,
-    a pair is joined by its shortest alternate route (a common neighbour
-    when one exists) and a larger set has its smallest leaf block
-    reconnected to the rest, always through vertices outside the backbone.
-    A disconnected first set and a cap other than None or a positive int
-    are input errors.  A round gets stuck only when g is not m-connected:
-    otherwise G - c (G - a - c at m = 3, with bad point a) is connected for
-    the leaf block's cut vertex c, so a path leaves the block through
-    outside vertices.  So a stuck round raises
+    round names the set to repair, the backbone for m = 2 and the backbone
+    minus its lowest bad point for m = 3, and splits it into blocks and
+    cut vertices (:func:`graph._local_blocks`); at m = 2 three or more
+    members with no cut vertex end the loop.  A lone vertex adopts its
+    smallest neighbour, a pair is joined by its shortest alternate route
+    (a common neighbour when one exists) and a larger set has its smallest
+    leaf block reconnected to the rest, always through vertices outside
+    the backbone.  A disconnected first set and a cap other than None or a
+    positive int are input errors.  A round gets stuck only when g is not
+    m-connected: otherwise G - c (G - a - c at m = 3, with bad point a) is
+    connected for the leaf block's cut vertex c, so a path leaves the
+    block through outside vertices.  So a stuck round raises
     :class:`GraphNotMConnectedError`, with the stuck set as witness at
     m = 2 and the bad point at m = 3.
+
+    At m = 3 the loop keeps a min-heap of candidates that holds every bad
+    point, filled by one pass of :func:`graph._bad_points`.  A round tests
+    the lowest candidate v with the block DFS of the backbone minus v it
+    needs anyway: v is the round's bad point when that set is split, has a
+    cut vertex or has fewer than three vertices.  Otherwise v is stale and
+    one more pass refills the heap exactly, so the next test succeeds and
+    an empty heap ends the phase.  Adding the ear is settled without a
+    DFS: only the ear and its two ends can turn bad, and they are pushed
+    unless a one-vertex ear x shows they cannot (see the loop).  The
+    repaired point a leaves the heap when x is adjacent to a non-cut
+    member of every leaf block of D - a, which makes D' - a 2-connected.
+    A round thus costs one block DFS plus, when its candidate was stale,
+    one block DFS and one engine pass.
 
     Every ear has an internal vertex, so every round that does not end the
     loop promotes at least one vertex from outside the backbone: a phase
@@ -378,14 +391,23 @@ def _augment(
     cap = 10 * g.node_count if max_iterations is None else max_iterations
     backbone = set(members)
     outside = lambda x: x not in backbone
+    bad = -1
+    heap = [] if m == 2 else _bad_points(rows, members)  # ascending: a heap already
     for iterations in itertools.count(1):
-        bad = -1 if m == 2 else _lowest_bad_point(rows, members)
-        if bad is None:
-            break
+        if m == 2:
+            # one block decomposition per round answers both
+            # "2-connected?" and "which leaf block?"
+            blocks, cut = _local_blocks(rows, members)
+        else:
+            while heap:
+                bad = heap[0]
+                blocks, cut = _local_blocks(rows, members, bad)
+                if blocks is None or cut or len(members) <= 3:
+                    break
+                heap = _bad_points(rows, members)  # bad was stale: refill exactly
+            else:
+                break  # no bad point: the backbone is 3-connected
         base = backbone if bad < 0 else backbone - {bad}
-        # for m = 2 one block decomposition per round answers both
-        # "2-connected?" and "which leaf block?"
-        blocks, cut = _local_blocks(rows, members, bad)
         if blocks is None:
             raise DisconnectedInputError("input set does not induce a connected subgraph")
         if m == 2 and len(base) >= 3 and not cut:
@@ -408,6 +430,24 @@ def _augment(
             for w in rows[x]:
                 if w not in ear:
                     insort(rows[w], x)
+        if m == 2:
+            continue
+        # Keep every bad point of the grown backbone among the candidates.
+        # Only the ear and its ends can turn bad.  A one-vertex ear x never
+        # is (the backbone without it is the old one), its ends stay as
+        # they were when x has a third backbone neighbour, and it leaves
+        # the backbone minus bad 2-connected when it meets every leaf
+        # block of the old one off its cut vertex.
+        maybe_bad = [path[0], path[-1], *ear]
+        if len(ear) == 1:
+            reach = set(rows[ear[0]])
+            maybe_bad = maybe_bad[:2] if len(reach) < 3 else []
+            reach -= cut
+            if all(not reach.isdisjoint(b) for b in blocks if len(cut.intersection(b)) == 1):
+                heapq.heappop(heap)
+        for x in maybe_bad:
+            if x not in heap:
+                heapq.heappush(heap, x)
     return frozenset(backbone)
 
 

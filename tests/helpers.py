@@ -7,8 +7,9 @@ counter runs unit-capacity augmentation on a vertex-split digraph
 simple paths, the stretch twin runs two BFSs per source, the unit-disk
 twin compares every pair of points, the block twin runs the
 dict-based edge-stack DFS, the independent-set twin runs the greedy
-rounds separately on each component and the oracle twin tries every
-subset against the package's checkers.  The local adjacency relabels an
+rounds separately on each component, the sustainability twin repairs the
+removal-subset lowest bad point round by round and the oracle twin tries
+every subset against the package's checkers.  The local adjacency relabels an
 induced subgraph onto local indices: the traversals run on it too, and
 must agree with their runs on the rows indexed by node id.  The one
 exception is the bad-point sweep, which runs the package's m = 2 test
@@ -301,6 +302,22 @@ def naive_lowest_bad_point(g: Graph, subset) -> int | None:
     return next((v for v in sorted(nodes) if not naive_m_connected(g, nodes - {v}, 2)), None)
 
 
+def naive_bad_points(g: Graph, subset) -> list[int]:
+    """Every member whose removal leaves the rest not 2-connected, by
+    :func:`naive_m_connected`, in ascending order."""
+    nodes = set(subset)
+    return [v for v in sorted(nodes) if not naive_m_connected(g, nodes - {v}, 2)]
+
+
+def sweep_bad_points(g: Graph, subset) -> list[int]:
+    """:func:`naive_bad_points` by one public m = 2 test per member, like
+    :func:`sweep_lowest_bad_point`."""
+    nodes = set(subset)
+    if len(nodes) < 4:
+        return sorted(nodes)
+    return [v for v in sorted(nodes) if not is_m_connected(g, nodes - {v}, 2)]
+
+
 def sweep_lowest_bad_point(g: Graph, subset) -> int | None:
     """Lowest member whose removal leaves the rest not 2-connected, by one
     public m = 2 test per member; None when there is none.  Independent of
@@ -353,6 +370,42 @@ def naive_lex_shortest_path(g: Graph, sources, targets, allowed) -> list[int] | 
             if y not in p
         ]
     return None
+
+
+def naive_sustainability(g: Graph, d, cap: int | None = None) -> frozenset[int]:
+    """Sustainability round by round from the references: each round
+    repairs :func:`naive_lowest_bad_point` a of the backbone D, joining
+    the pair D - a by its shortest second route, or reconnecting the first
+    leaf block of :func:`naive_block_cut_tree` to the rest of D - a, both
+    through outside vertices by :func:`naive_lex_shortest_path`.  It
+    raises the package's errors, with their messages and witnesses, where
+    the phase raises them: a set that is not 2-connected, a round past
+    ``cap`` (default 10 * node count) and a round with no path."""
+    from plutus import GraphInputError, GraphNotMConnectedError, IterationCapExceededError
+
+    nodes = set(d)
+    if not naive_m_connected(g, nodes, 2):
+        raise GraphInputError("sustainability requires a 2-connected input set")
+    cap = 10 * g.node_count if cap is None else cap
+    rounds = 0
+    while (bad := naive_lowest_bad_point(g, nodes)) is not None:
+        rounds += 1
+        if rounds > cap:
+            raise IterationCapExceededError("sustainability", cap)
+        base = nodes - {bad}
+        outside = lambda x: x not in nodes
+        if len(base) <= 2:
+            u, v = sorted(base)
+            without_uv = from_edge_list(g.node_count, [e for e in g.edges() if set(e) != {u, v}])
+            path = naive_lex_shortest_path(without_uv, (u,), (v,), outside)
+        else:
+            tree = naive_block_cut_tree(g, base)
+            leaf = tree.leaf_blocks[0]
+            path = naive_lex_shortest_path(g, leaf - tree.cut_vertices, base - leaf, outside)
+        if path is None:
+            raise GraphNotMConnectedError(3, (bad,))
+        nodes.update(path[1:-1])
+    return frozenset(nodes)
 
 
 def vertex_disjoint_paths(g: Graph, nodes: set[int], s: int, t: int, cap: int) -> int:

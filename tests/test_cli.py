@@ -221,6 +221,12 @@ _GOLDEN = [
         "report": "e63b6d57ec1aa5265e64dd8abbe5840d0ff5a41b286391a484c04544e540369a",
         "oracle -k 2 -m 3": "5b87c84233e8164b772cb3f477b3c9214c4d05eac4b9c55dc5ba8a495b6a0c76",
     }),
+    # the n = 1000 graph of the m = 3 scaling corpus: many sustainability rounds
+    ("1000", "0.064", "18", "3", {
+        "result": "59949f402299b3cb5a29fa3dc37fad934696a0ff291dcbc818aa691ed50cfcfa",
+        "dot": "8ede3badfa57f3cf548e5213d20f29edfe86001b5a3d63ddf57374cf50aed701",
+        "report": "4e7abbb87a924143cd8959e4853092794aecfd58628bb41c60166a6cffa9db16",
+    }),
 ]
 
 

@@ -22,11 +22,11 @@ from plutus import (
 )
 from plutus.geometry import splitmix64
 from plutus.graph import (
+    _bad_points,
     _disconnecting_set,
     _induced_rows,
     _lex_shortest_path,
     _local_blocks,
-    _lowest_bad_point,
     _palm_tree,
 )
 from plutus.pipeline import _augment_leaf_block
@@ -37,6 +37,7 @@ from .helpers import (
     induced_connected,
     local_adjacency,
     menger_m_connected,
+    naive_bad_points,
     naive_block_cut_tree,
     naive_components,
     naive_disconnecting_set,
@@ -47,6 +48,7 @@ from .helpers import (
     random_connected_graph,
     random_graph,
     relabel,
+    sweep_bad_points,
     sweep_lowest_bad_point,
 )
 
@@ -735,18 +737,23 @@ class TestTriconnectivity:
             assert _disconnecting_set(g, nodes, 3) == (0, 2)
 
 
-def lowest_bad_point(g: Graph, subset=None) -> int | None:
-    """The separation-pair engine's lowest bad point, read from the
-    graph's own adjacency.  On a subset the engine runs on the rows
-    indexed by node id and on the reference local adjacency, and both
-    must name the same vertex."""
+def bad_points(g: Graph, subset=None) -> list[int]:
+    """The separation-pair engine's bad points, read from the graph's own
+    adjacency.  On a subset the engine runs on the rows indexed by node id
+    and on the reference local adjacency, and both must name the same
+    vertices."""
     if subset is None:
-        return _lowest_bad_point(g.adjacency, range(g.node_count))
+        return _bad_points(g.adjacency, range(g.node_count))
     nodes = sorted(subset)
-    bad = _lowest_bad_point(_induced_rows(g, nodes), nodes)
-    local = _lowest_bad_point(local_adjacency(g, nodes), range(len(nodes)))
-    assert bad == (None if local is None else nodes[local])
+    bad = _bad_points(_induced_rows(g, nodes), nodes)
+    local = _bad_points(local_adjacency(g, nodes), range(len(nodes)))
+    assert bad == [nodes[v] for v in local]
     return bad
+
+
+def lowest_bad_point(g: Graph, subset=None) -> int | None:
+    """The first of :func:`bad_points`, or None when there is none."""
+    return next(iter(bad_points(g, subset)), None)
 
 
 def every_graph(n: int):
@@ -783,14 +790,18 @@ def every_graph_by_degree(n: int):
 
 
 class TestLowestBadPoint:
-    """The lowest bad point named by the separation-pair engine against
-    the removal-subset reference, and on large graphs against a sweep of
-    the public m = 2 test."""
+    """The lowest bad point named by the separation-pair engine (every bad
+    point on the 2-connected graphs of up to seven nodes) against the
+    removal-subset reference, and every bad point on large graphs against
+    a sweep of the public m = 2 test."""
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_every_small_graph(self, n):
+        # and every bad point of each 2-connected one
         for g in every_graph(n):
             assert lowest_bad_point(g) == naive_lowest_bad_point(g, range(n))
+            if is_m_connected(g, range(n), 2):
+                assert bad_points(g) == naive_bad_points(g, range(n))
 
     def test_every_two_connected_graph_on_seven_nodes(self):
         # each graph in a labelling with degrees falling and one with them
@@ -800,9 +811,9 @@ class TestLowestBadPoint:
             if not is_m_connected(g, range(7), 2):
                 continue
             checked += 1
-            assert lowest_bad_point(g) == naive_lowest_bad_point(g, range(7))
+            assert bad_points(g) == naive_bad_points(g, range(7))
             h = relabel(g, list(range(6, -1, -1)))
-            assert lowest_bad_point(h) == naive_lowest_bad_point(h, range(7))
+            assert bad_points(h) == naive_bad_points(h, range(7))
         assert checked > 468  # the number of 2-connected graphs on 7 nodes
 
     @given(ring_with_chords())
@@ -868,7 +879,47 @@ class TestLowestBadPoint:
             if len(sets[0]) == n:
                 sets.append(run_plutus(graph, PlutusConfig(k=2, m=2)).dominating_set)
             for subset in sets:
-                assert lowest_bad_point(graph, subset) == sweep_lowest_bad_point(graph, subset)
+                assert bad_points(graph, subset) == sweep_bad_points(graph, subset)
+
+
+class TestBadPoints:
+    """Every bad point the engine marks, not only the lowest, against the
+    removal-subset reference on 2-connected sets, and against the sweep of
+    the public m = 2 test on a long ladder."""
+
+    @given(seeds, st.integers(min_value=1, max_value=3), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs(self, seed, edge_bias, whole):
+        g = random_graph(seed, max_nodes=11, edge_bias=edge_bias)
+        nodes = [v for v in range(g.node_count) if whole or splitmix_pick(seed, v)]
+        assume(len(nodes) >= 4 and naive_m_connected(g, nodes, 2))
+        assert bad_points(g, nodes) == naive_bad_points(g, nodes)
+
+    @pytest.mark.parametrize("size", range(4, 9))
+    @pytest.mark.parametrize("family, every", [
+        (cycle_graph, True), (ladder_graph, None), (wheel_graph, False),
+        (prism_graph, False), (moebius_ladder, False),
+    ])
+    def test_families(self, family, every, size):
+        # every vertex of a cycle is bad, and none of a wheel, a prism or
+        # a Moebius ladder; K4 is the wheel with a rim of three
+        g = family(size)
+        n = g.node_count
+        shuffled = sorted(range(n), key=lambda v: splitmix64(size, v))
+        for order in (list(range(n)), list(range(n))[::-1], shuffled):
+            h = relabel(g, order)
+            expected = naive_bad_points(h, range(n))
+            assert bad_points(h) == expected
+            if every is not None:
+                assert expected == (list(range(n)) if every else [])
+        assert bad_points(wheel_graph(3)) == [] == bad_points(complete_graph(4))
+
+    def test_long_cycle_and_ladder(self):
+        # one long root path: every slot of the candidate stack is in one
+        # nested gap after another
+        assert bad_points(cycle_graph(3000)) == list(range(3000))
+        ladder = ladder_graph(150)
+        assert bad_points(ladder) == sweep_bad_points(ladder, range(300))
 
 
 class TestDisconnectingSet:

@@ -47,6 +47,7 @@ from .helpers import (
     naive_lex_shortest_path,
     naive_lowest_bad_point,
     naive_m_connected,
+    naive_sustainability,
     random_connected_graph,
     random_graph,
     relabel,
@@ -443,6 +444,28 @@ class TestSustainability:
         assert (info.value.m, info.value.witness) == (3, (0,))
         assert str(info.value) == "input graph is not 3-connected; stuck at [0]"
 
+    def test_ends_of_a_one_vertex_ear_can_turn_bad(self):
+        # the first round repairs 1 with the ear 0-4-3.  4 has no third
+        # backbone neighbour, so the good end 0 turns bad (4 hangs off 3
+        # without it): the next round repairs 0, the lowest bad point, and
+        # gets stuck there
+        g = from_edge_list(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (2, 5), (3, 4), (3, 5)])
+        assert naive_lowest_bad_point(g, {0, 1, 2, 3, 5}) == 1
+        assert naive_lowest_bad_point(g, range(6)) == 0
+        with pytest.raises(GraphNotMConnectedError) as info:
+            sustainability(g, {0, 1, 2, 3, 5})
+        assert info.value.witness == (0,)
+
+    def test_vertices_of_a_longer_ear_can_turn_bad(self):
+        # the triangle {1, 4, 5} takes the ear 4-2-5 for 1 and then the ear
+        # 1-3-0-2 for 4; each of 0 and 3 leaves the other hanging, so 0 is
+        # the next lowest bad point, where the phase gets stuck
+        g = from_edge_list(6, [(0, 2), (0, 3), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (4, 5)])
+        assert naive_lowest_bad_point(g, range(6)) == 0
+        with pytest.raises(GraphNotMConnectedError) as info:
+            sustainability(g, {1, 4, 5})
+        assert info.value.witness == (0,)
+
     @given(seeds)
     @settings(max_examples=40, deadline=None)
     def test_no_bad_point_remains(self, seed):
@@ -498,11 +521,12 @@ def test_direct_phase_calls_check_the_cap(cap):
 
 
 def _phase_outcome(phase, g, d, cap=None):
-    """The phase's backbone, or the type and message of the error it raises."""
+    """The phase's backbone, or the type, message and witness (None when
+    it has none) of the error it raises."""
     try:
         return phase(g, d, cap)
     except PlutusError as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), getattr(exc, "witness", None)
 
 
 def _draw_connected_set(g, data):
@@ -585,6 +609,21 @@ def _check_stuck_phase(g, phase, d, m):
         assert naive_m_connected(g, backbone, m)
 
 
+@given(seeds, st.integers(1, 3), st.sampled_from([None, 1, 2, 3]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_sustainability_matches_the_round_by_round_reference(seed, edge_bias, cap, data):
+    # the candidates carried between rounds change no round: the backbone,
+    # or the error with its message and witness, is that of the loop that
+    # finds each round's lowest bad point by the removal-subset reference
+    g = random_graph(seed, max_nodes=12, edge_bias=edge_bias)
+    d = _draw_connected_set(g, data)
+    if not naive_m_connected(g, d, 2):
+        d = _phase_outcome(diversification, g, d)
+        assume(isinstance(d, frozenset))
+    expected = _phase_outcome(naive_sustainability, g, d, cap)
+    assert _phase_outcome(sustainability, g, d, cap) == expected
+
+
 def test_stuck_sustainability_witness_may_be_a_promoted_vertex():
     # the BFS prefix {1, 2, 4} from 4 is not 2-connected; diversification
     # makes it {1, 2, 4, 6}, and sustainability gets stuck at vertex 0,
@@ -624,44 +663,56 @@ def _count_builds(monkeypatch):
 
 def _recorded_rounds(monkeypatch, phase, g, backbone):
     """Run ``phase`` (diversification or sustainability) and return, per
-    round, the sorted backbone, the bad point the engine named (an id, or
-    None in the last round and in every diversification round), the leaf
-    block handed to the leaf step (None in other rounds) and the promoted
-    path (None in the last round).
+    round, the sorted backbone, the bad point it repairs (an id, or None
+    in the last round and in every diversification round), the leaf block
+    handed to the leaf step (None in other rounds) and the promoted path
+    (None in the last round); and the phase's calls in order: "engine" for
+    a bad-point pass, "stale" for a block DFS that finds its candidate
+    good and "round" for one that opens a round.
 
-    A round opens with the engine call at m = 3 and with the block
-    decomposition at m = 2.  Each round must see the one adjacency the
-    phase keeps: rows equal to a fresh reference local adjacency mapped to
-    ids, with a member list equal to the sorted backbone so far, the input
-    plus every promoted path; and no other adjacency is built."""
+    A round opens with a block decomposition: at m = 2 every one, at
+    m = 3 each one whose removed candidate leaves the rest disconnected,
+    with a cut vertex or with fewer than three vertices.  At m = 3 the
+    last round is the backbone returned.  Each call must see the one adjacency
+    the phase keeps: rows equal to a fresh reference local adjacency
+    mapped to ids, with a member list equal to the sorted backbone so far,
+    the input plus every promoted path; and no other adjacency is built."""
     rounds: list[list] = []
-    kept = []  # the adjacency each round reads
-    lowest_bad_point = pipeline._lowest_bad_point
+    calls: list[str] = []
+    kept = []  # the adjacency each call reads
+    bad_points = pipeline._bad_points
     local_blocks = pipeline._local_blocks
     augment_leaf_block = pipeline._augment_leaf_block
     alternate_pair_path = pipeline._alternate_pair_path
     builds = _count_builds(monkeypatch)
 
-    def open_round(adj, members):
-        grown = set(backbone)
+    def grown():
+        nodes = set(backbone)
         for _, _, _, path in rounds:
-            grown.update(path[1:-1])
-        assert list(members) == sorted(grown)
+            nodes.update(path[1:-1])
+        return sorted(nodes)
+
+    def check_adjacency(adj, members):
+        assert list(members) == grown()
         fresh = local_adjacency(g, members)
         assert [adj[v] for v in members] == [[members[j] for j in row] for row in fresh]
-        assert all(adj[v] == [] for v in range(g.node_count) if v not in grown)
+        assert all(adj[v] == [] for v in range(g.node_count) if v not in members)
         kept.append(adj)
-        rounds.append([list(members), None, None, None])
 
     def record_bad(adj, members):
-        open_round(adj, members)
-        rounds[-1][1] = lowest_bad_point(adj, members)
-        return rounds[-1][1]
+        check_adjacency(adj, members)
+        calls.append("engine")
+        return bad_points(adj, members)
 
     def record_blocks(adj, members, skip=-1):
-        if phase is diversification:
-            open_round(adj, members)
-        return local_blocks(adj, members, skip)
+        blocks, cut = local_blocks(adj, members, skip)
+        if phase is diversification or skip >= 0:
+            check_adjacency(adj, members)
+            opens = skip < 0 or blocks is None or bool(cut) or len(members) <= 3
+            calls.append("round" if opens else "stale")
+            if opens:
+                rounds.append([list(members), None if skip < 0 else skip, None, None])
+        return blocks, cut
 
     def record_leaf(*args):
         rounds[-1][2:] = augment_leaf_block(*args)
@@ -671,14 +722,17 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
         rounds[-1][3] = alternate_pair_path(*args)
         return rounds[-1][3]
 
-    monkeypatch.setattr(pipeline, "_lowest_bad_point", record_bad)
+    monkeypatch.setattr(pipeline, "_bad_points", record_bad)
     monkeypatch.setattr(pipeline, "_local_blocks", record_blocks)
     monkeypatch.setattr(pipeline, "_augment_leaf_block", record_leaf)
     monkeypatch.setattr(pipeline, "_alternate_pair_path", record_pair)
-    phase(g, backbone)
+    result = phase(g, backbone)
+    if phase is sustainability:
+        rounds.append([grown(), None, None, None])
+    assert rounds[-1][0] == sorted(result)
     assert [kind for kind, _, _ in builds] == ["rows"]
     assert all(adj is builds[0][2] for adj in kept)
-    return rounds
+    return rounds, calls
 
 
 class TestSustainabilityRounds:
@@ -686,12 +740,20 @@ class TestSustainabilityRounds:
     round's backbone, by the removal-subset reference.  It is also what a
     sweep returns that skips the members found good in earlier rounds,
     unless a later path ended at them: an open ear between two other
-    members keeps the backbone minus any such member 2-connected."""
+    members keeps the backbone minus any such member 2-connected.  The
+    phase opens with one bad-point pass, and a block DFS that finds its
+    candidate good is followed by one more pass, after which the next
+    candidate opens a round."""
 
     def check(self, monkeypatch, g):
         backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
-        rounds = _recorded_rounds(monkeypatch, sustainability, g, backbone)
+        rounds, calls = _recorded_rounds(monkeypatch, sustainability, g, backbone)
         assert rounds[-1][1] is None
+        assert calls[0] == "engine"
+        for i, call in enumerate(calls):
+            if call == "stale":
+                assert calls[i + 1] == "engine"
+                assert calls[i + 2 : i + 3] in ([], ["round"])
         known_good: set[int] = set()
         for nodes, bad, _, path in rounds:
             assert bad == naive_lowest_bad_point(g, nodes)
@@ -704,7 +766,7 @@ class TestSustainabilityRounds:
             known_good.update(v for v in nodes if swept is None or v < swept)
             if path is not None:
                 known_good -= {path[0], path[-1]}
-        return rounds
+        return rounds, calls
 
     @pytest.mark.parametrize("n, radius, seed", [(40, 0.3, 11), (60, 0.25, 16), (120, 0.16, 22)])
     @pytest.mark.parametrize("shuffled", [False, True])
@@ -713,7 +775,14 @@ class TestSustainabilityRounds:
         if shuffled:
             g = relabel(g, sorted(range(n), key=lambda v: splitmix64(seed, v)))
         assert is_m_connected(g, range(n), 3)
-        assert len(self.check(monkeypatch, g)) > 3
+        rounds, _ = self.check(monkeypatch, g)
+        assert len(rounds) > 3
+
+    def test_fewer_engine_passes_than_rounds(self, monkeypatch):
+        # the candidates carried between rounds spare most passes
+        g = random_geometric(120, 0.16, 22).graph()
+        rounds, calls = self.check(monkeypatch, g)
+        assert calls.count("engine") < len(rounds) - 1
 
     @given(seeds)
     @settings(max_examples=60, deadline=None)
@@ -733,7 +802,8 @@ class TestDiversificationRounds:
 
     def check(self, monkeypatch, g, k):
         backbone = run_plutus(g, PlutusConfig(k=k, m=1)).dominating_set
-        rounds = _recorded_rounds(monkeypatch, diversification, g, backbone)
+        rounds, calls = _recorded_rounds(monkeypatch, diversification, g, backbone)
+        assert set(calls) == {"round"}
         assert rounds[-1][3] is None
         assert naive_m_connected(g, rounds[-1][0], 2)
         for nodes, bad, leaf, path in rounds[:-1]:
@@ -808,7 +878,7 @@ def test_sustainability_builds_its_induced_graph_once(monkeypatch):
     builds = _count_builds(monkeypatch)
     checks = []
     local_blocks = pipeline._local_blocks
-    lowest_bad_point = pipeline._lowest_bad_point
+    bad_points = pipeline._bad_points
 
     def record_blocks(adj, members, skip=-1):
         checks.append(("blocks", adj, skip))
@@ -816,10 +886,10 @@ def test_sustainability_builds_its_induced_graph_once(monkeypatch):
 
     def record_bad(adj, members):
         checks.append(("bad", adj, None))
-        return lowest_bad_point(adj, members)
+        return bad_points(adj, members)
 
     monkeypatch.setattr(pipeline, "_local_blocks", record_blocks)
-    monkeypatch.setattr(pipeline, "_lowest_bad_point", record_bad)
+    monkeypatch.setattr(pipeline, "_bad_points", record_bad)
     grown = sustainability(g, backbone)
     assert [(kind, members) for kind, members, _ in builds] == [("rows", sorted(backbone))]
     assert checks[:2] == [("blocks", builds[0][2], -1), ("bad", builds[0][2], None)]

@@ -244,7 +244,7 @@ class TestCertificate:
         n = g.node_count
         engine = {
             plutus.graph._disconnecting_set.__code__: "disconnecting set",
-            plutus.graph._lowest_bad_point.__code__: "bad point",
+            plutus.graph._bad_points.__code__: "bad point",
         }
         calls = []
 
