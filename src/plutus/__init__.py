@@ -31,7 +31,6 @@ from .pipeline import (
     isolation,
     run_plutus,
     sustainability,
-    synergy,
     synergy_layers,
 )
 from .verify import (
@@ -85,7 +84,6 @@ __all__ = [
     "run_plutus",
     "splitmix64",
     "sustainability",
-    "synergy",
     "synergy_layers",
     "unit_interval",
 ]

@@ -11,11 +11,12 @@ indexed by node id (:func:`_induced_rows`), which the pipeline's
 augmentation loop keeps for a whole phase; a check of the whole graph
 reads the graph's own adjacency.  One routine,
 :func:`_connectivity_witness`, gives the m = 1..3 verdicts and verify's
-witness in one call; at m = 2 and 3 it asks :func:`_disconnecting_set`,
-which at m = 3 pins the lowest bad point.  That comes from the one
-separation-pair engine, :func:`_bad_points`: one palm tree plus a
-separation-pair pass, about O((n + E) log n), that marks every bad point.
-Sustainability fills its candidate set from the same engine.
+witness in one call.  At m = 2 and 3 it reads the lowest vertex that
+splits the set from one palm tree, after pinning at m = 3 the lowest bad
+point.  On a 2-connected set that comes from the one separation-pair
+engine, :func:`_bad_points`: one palm tree plus a separation-pair pass,
+about O((n + E) log n), that marks every bad point.  Sustainability fills
+its candidate set from the same engine.
 
 Every deterministic shortest path (the paths the pipeline's domination
 and both augmentation phases promote) comes from one search,
@@ -422,37 +423,21 @@ def _local_blocks(
     return ([order] if len(order) == 1 else blocks), cut
 
 
-def _not_two_connected(adj: Sequence[Sequence[int]], members: Sequence[int]) -> int:
-    """Lowest bad point of a graph on four or more ``members`` (see
-    :func:`_palm_tree`) that is not 2-connected: the lowest member, unless
-    it has at most one neighbour and the rest is 2-connected; then the
-    second-lowest.  Only such a vertex u can leave a 2-connected rest (two
-    neighbours would make G 2-connected), and only one can: every other
-    vertex has two neighbours in G - u.  Costs at most one block DFS."""
-    first = members[0]
-    if len(adj[first]) <= 1:
-        blocks, cut = _local_blocks(adj, members, skip=first)
-        if blocks is not None and not cut:
-            return members[1]
-    return first
-
-
-def _bad_points(adj: Sequence[Sequence[int]], members: Sequence[int]) -> list[int]:
+def _bad_points(adj: Sequence[Sequence[int]], members: Sequence[int]) -> list[int] | None:
     """Every bad point of the graph on the sorted vertices ``members``
     (see :func:`_palm_tree`) in ascending order, empty when the graph is
-    3-connected; on a graph that is not 2-connected only the lowest one.
-    About O((n + E) log n) for n members, plus one pass over arrays as long
-    as ``adj``.
+    3-connected, or None when a graph of four or more vertices is not
+    2-connected.  About O((n + E) log n) for n members, plus one pass over
+    arrays as long as ``adj``.
 
     A bad point is a vertex whose removal leaves the rest not strictly
     2-connected.  With fewer than four vertices every vertex is bad.  With
     four or more, in a 2-connected graph the bad points are exactly the
     members of separation pairs: if v is bad, the rest is connected and
     has a cut vertex w, so {v, w} separates; if {v, w} separates, w is a
-    cut vertex of the graph minus v.  A graph that is not itself
-    2-connected, which the DFS shows by a cut vertex or by not reaching
-    every vertex, has its lowest bad point from :func:`_not_two_connected`,
-    at the cost of at most one more block DFS.
+    cut vertex of the graph minus v.  The DFS shows a graph that is not
+    2-connected by a cut vertex or by not reaching every vertex, and stops
+    there.
 
     One palm tree from vertex 0 gives every vertex its depth and low point
     and lists the fronds by target depth; one pass back over the preorder
@@ -496,7 +481,7 @@ def _bad_points(adj: Sequence[Sequence[int]], members: Sequence[int]) -> list[in
     by_target: list[list[int]] = [[] for _ in range(n)]  # frond sources by target depth
     order, parent, depth, low = _palm_tree(adj, members, fronds=by_target)
     if len(order) < n:
-        return [_not_two_connected(adj, members)]
+        return None
     size = [1] * span
     children: list[list[int]] = [[] for _ in range(span)]
     first_low = [n] * span  # the two smallest child low points of each vertex
@@ -505,7 +490,7 @@ def _bad_points(adj: Sequence[Sequence[int]], members: Sequence[int]) -> list[in
         p = parent[x]
         lx = low[x]
         if lx == depth[p]:
-            return [_not_two_connected(adj, members)]  # p is a cut vertex
+            return None  # p is a cut vertex
         size[p] += size[x]
         children[p].append(x)
         if lx < first_low[p]:
@@ -595,51 +580,38 @@ def _bad_points(adj: Sequence[Sequence[int]], members: Sequence[int]) -> list[in
     return [v for v in members if bad[v]]
 
 
-def _disconnecting_set(g: Graph, nodes: list[int], m: int) -> tuple[int, ...] | None:
-    """Lexicographically smallest set of m - 1 ids (m = 2 or 3) whose
-    removal splits the subgraph induced by the more than m sorted ids
-    ``nodes``, read from one build of their rows (:func:`_induced_rows`),
-    or from the graph's own adjacency when they are all its nodes; None
-    when it is m-connected.
-
-    The first m - 2 members are pinned: none for m = 2, and for m = 3 the
-    lowest bad point, the first of one pass of :func:`_bad_points`, since
-    both members of a disconnecting pair are bad points, and in a set of
-    four or more vertices every bad point belongs to one.  The last member
-    is the lowest vertex whose removal splits ``rest``, the set without
-    the pinned ones.  A connected ``rest`` has at least three vertices, so
-    it splits exactly when a cut vertex goes: past the root's first child,
-    each v of its palm tree with ``low[v] == depth[parent[v]]`` names
-    one, ``parent[v]``.  A split ``rest`` stays split when its lowest
-    vertex goes, unless that vertex is alone beside one other component;
-    then the second-lowest vertex splits it.
-    """
-    rows = g.adjacency if len(nodes) == g.node_count else _induced_rows(g, nodes)
-    pinned = () if m == 2 else tuple(_bad_points(rows, nodes)[:1])
-    if len(pinned) < m - 2:
-        return None  # a 3-connected set
-    order, parent, depth, low = _palm_tree(rows, nodes, *pinned)
-    if len(order) + len(pinned) < len(nodes):
-        rest = [v for v in nodes if v not in pinned]
-        components = connected_components(g, rest)
-        last = rest[1] if len(components) == 2 and len(components[0]) == 1 else rest[0]
-    else:
-        cut = [parent[v] for v in order[2:] if low[v] == depth[parent[v]]]
-        if not cut:
-            return None  # only at m = 2: a 2-connected set
-        last = min(cut)
-    return (*pinned, last)
-
-
 def _connectivity_witness(g: Graph, nodes: list[int], m: int) -> tuple | None:
     """Why the subgraph induced by the ascending, already validated ids
     ``nodes`` is not m-connected (m in 1..3, checked by the caller), or
     None when it is: ``("disconnected", comp)`` with the first component
     of a split set at m = 1, ``("too-small", size)`` for a set of at most
     m vertices at m >= 2, and otherwise ``("disconnecting-set", ids)``,
-    the lexicographically smallest m - 1 ids whose removal splits it
-    (:func:`_disconnecting_set`).  The one call gives both the verdict of
-    :func:`is_m_connected` and verify's witness."""
+    the lexicographically smallest m - 1 ids whose removal splits it.  The
+    one call gives both the verdict of :func:`is_m_connected` and verify's
+    witness.
+
+    At m = 2 and 3 the ids are read from one build of the set's rows
+    (:func:`_induced_rows`), or from the graph's own adjacency when the set
+    is the whole graph.  The first m - 2 ids are pinned, and the last is
+    the lowest vertex whose removal splits ``rest``, the set without them.
+    A connected ``rest`` has at least three vertices, so it splits exactly
+    when a cut vertex goes: past the root's first child, each v of its
+    palm tree with ``low[v] == depth[parent[v]]`` names one,
+    ``parent[v]``.  A split ``rest`` stays split when its lowest vertex
+    goes, unless that vertex is alone beside one other component; then the
+    second-lowest vertex splits it.  A ``rest`` that is 2-connected yields
+    nothing, and the next candidate for the pinned ids is tried.
+
+    At m = 2 nothing is pinned.  At m = 3 the pinned id is the lowest bad
+    point, since both members of a disconnecting pair are bad points and
+    in a set of four or more every bad point belongs to one.  On a
+    2-connected set it is the first of one pass of :func:`_bad_points`
+    (none: the set is 3-connected).  On a set that is not 2-connected it
+    is the lowest member, unless the rest is 2-connected; then it is the
+    second-lowest.  Only a vertex u with at most one neighbour can leave a
+    2-connected rest (two would make the set 2-connected), and only one
+    can: every other vertex has two neighbours in the set minus u.
+    """
     if not nodes:
         raise GraphInputError("subset must be non-empty")
     if m == 1:
@@ -647,8 +619,22 @@ def _connectivity_witness(g: Graph, nodes: list[int], m: int) -> tuple | None:
         return None if len(components) == 1 else ("disconnected", tuple(components[0]))
     if len(nodes) <= m:
         return ("too-small", len(nodes))
-    found = _disconnecting_set(g, nodes, m)
-    return None if found is None else ("disconnecting-set", found)
+    rows = g.adjacency if len(nodes) == g.node_count else _induced_rows(g, nodes)
+    candidates: list[tuple[int, ...]] = [()]
+    if m == 3:
+        bad = _bad_points(rows, nodes)
+        candidates = [(v,) for v in (nodes[:2] if bad is None else bad[:1])]
+    for pinned in candidates:
+        order, parent, depth, low = _palm_tree(rows, nodes, *pinned)
+        if len(order) + len(pinned) < len(nodes):
+            rest = [v for v in nodes if v not in pinned]
+            components = _components(g, rest)
+            last = rest[1] if len(components) == 2 and len(components[0]) == 1 else rest[0]
+            return ("disconnecting-set", (*pinned, last))
+        cut = [parent[v] for v in order[2:] if low[v] == depth[parent[v]]]
+        if cut:
+            return ("disconnecting-set", (*pinned, min(cut)))
+    return None
 
 
 def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
@@ -657,13 +643,12 @@ def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
 
     m = 1 is plain connectivity (a singleton counts as connected).  For
     m >= 2 a subset of at most m vertices never qualifies: the complete
-    graph on n vertices is only (n-1)-connected.  Both higher levels ask
-    :func:`_disconnecting_set` on one build of the subset's rows, or on
+    graph on n vertices is only (n-1)-connected.  The verdict is that of
+    :func:`_connectivity_witness`, on one build of the subset's rows, or on
     the graph's own adjacency for the whole graph.  m = 2 is one palm tree
     (:func:`_palm_tree`): connected with no cut vertex.  m = 3 is one palm
     tree followed by the separation-pair pass of :func:`_bad_points`,
-    about O((n + E) log n): 3-connected when it finds no bad point.  The
-    verdict is that of :func:`_connectivity_witness`.
+    about O((n + E) log n): 3-connected when it finds no bad point.
     """
     _check_m(m)
     return _connectivity_witness(g, _as_subset(g, subset), m) is None

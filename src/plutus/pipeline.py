@@ -301,26 +301,19 @@ def synergy_layers(
     return frozenset(covered.union(nodes)), tuple(layers)
 
 
-def synergy(g: Graph, d: Iterable[int], k: int) -> frozenset[int]:
-    """Phase 3: stack independent layers until every outside node has k
-    dominator neighbours.  See :func:`synergy_layers`."""
-    backbone, _ = synergy_layers(g, d, k)
-    return backbone
-
-
 def _augment_leaf_block(
     g: Graph,
-    blocks: list[list[int]],
+    leaves: list[list[int]],
     cut: set[int],
     base: set[int],
     allowed: Callable[[int], bool],
 ) -> tuple[frozenset[int], list[int] | None]:
-    """The smallest-member leaf block of ``base``, a block meeting its cut
-    vertices ``cut`` once, from its two or more ``blocks`` of ids; and the
-    shortest path in g from a non-cut member of that leaf to any base
-    vertex outside it, whose internal vertices all satisfy ``allowed``
-    (None when there is none), the ones to promote."""
-    leaf = min((b for b in blocks if len(cut.intersection(b)) == 1), key=sorted)
+    """The smallest-member leaf block of ``base`` from its ``leaves``, the
+    blocks of ids meeting its cut vertices ``cut`` once; and the shortest
+    path in g from a non-cut member of that leaf to any base vertex
+    outside it, whose internal vertices all satisfy ``allowed`` (None when
+    there is none), the ones to promote."""
+    leaf = min(leaves, key=sorted)
     ids = frozenset(leaf)
     sources = [v for v in leaf if v not in cut]
     return ids, _lex_shortest_path(g, sources, base - ids, allowed)
@@ -414,11 +407,12 @@ def _augment(
             break
         if iterations > cap:
             raise IterationCapExceededError(phase, cap)
+        leaves = [b for b in blocks if len(cut.intersection(b)) == 1]
         witness = base
         if len(base) <= 2:
             path = _alternate_pair_path(g, min(base), max(base), outside)
         else:
-            witness, path = _augment_leaf_block(g, blocks, cut, base, outside)
+            witness, path = _augment_leaf_block(g, leaves, cut, base, outside)
         if path is None:
             raise GraphNotMConnectedError(m, tuple(sorted(witness)) if m == 2 else (bad,))
         ear = path[1:-1]
@@ -443,7 +437,7 @@ def _augment(
             reach = set(rows[ear[0]])
             maybe_bad = maybe_bad[:2] if len(reach) < 3 else []
             reach -= cut
-            if all(not reach.isdisjoint(b) for b in blocks if len(cut.intersection(b)) == 1):
+            if all(not reach.isdisjoint(b) for b in leaves):
                 heapq.heappop(heap)
         for x in maybe_bad:
             if x not in heap:

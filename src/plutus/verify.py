@@ -79,15 +79,34 @@ class OracleResult:
 
 def is_maximal_independent_set(g: Graph, s: Iterable[int]) -> tuple[bool, Witness | None]:
     """No edge inside the set, and no outside vertex addable without one."""
-    members = set(_as_subset(g, s))
-    for u in sorted(members):
+    nodes = _as_subset(g, s)
+    members = set(nodes)
+    for u in nodes:
         for v in g.adjacency[u]:
             if v in members and v > u:
                 return False, ("adjacent-pair", u, v)
-    for v in range(g.node_count):
-        if v not in members and not any(w in members for w in g.adjacency[v]):
-            return False, ("addable-vertex", v)
+    short = _short_of_k(g, members, 1)
+    if short is not None:
+        return False, ("addable-vertex", short[0])
     return True, None
+
+
+def _short_of_k(g: Graph, members: set[int], k: int) -> tuple[int, int] | None:
+    """The lowest vertex outside ``members`` with fewer than k neighbours
+    in it, and that count; None when there is none.  The one domination
+    scan behind maximality, domination and k-domination."""
+    adj = g.adjacency
+    for v in range(g.node_count):
+        if v in members:
+            continue
+        row = adj[v]
+        if members.isdisjoint(row):
+            return v, 0
+        if k > 1:
+            count = len(members.intersection(row))
+            if count < k:
+                return v, count
+    return None
 
 
 def is_connected_dominating_set(g: Graph, s: Iterable[int]) -> tuple[bool, Witness | None]:
@@ -104,23 +123,18 @@ def _cds_witness(g: Graph, members: list[int]) -> Witness | None:
     component search."""
     if not members:
         raise GraphInputError("set must be non-empty")
-    member_set = set(members)
-    for v in range(g.node_count):
-        if v not in member_set and not any(w in member_set for w in g.adjacency[v]):
-            return ("undominated", v)
+    short = _short_of_k(g, set(members), 1)
+    if short is not None:
+        return ("undominated", short[0])
     return _connectivity_witness(g, members, 1)
 
 
 def is_k_dominating(g: Graph, s: Iterable[int], k: int) -> tuple[bool, Witness | None]:
     """Every vertex outside the set has at least k neighbours inside it."""
     _check_k(k)
-    member_set = set(_as_subset(g, s))
-    for v in range(g.node_count):
-        if v in member_set:
-            continue
-        count = sum(1 for w in g.adjacency[v] if w in member_set)
-        if count < k:
-            return False, ("deficient", v, count)
+    short = _short_of_k(g, set(_as_subset(g, s)), k)
+    if short is not None:
+        return False, ("deficient", *short)
     return True, None
 
 

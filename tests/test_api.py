@@ -44,7 +44,6 @@ PUBLIC = [
     "run_plutus",
     "splitmix64",
     "sustainability",
-    "synergy",
     "synergy_layers",
     "unit_interval",
 ]
@@ -54,6 +53,8 @@ REMOVED = [
     "BlockCutTree", "block_cut_tree", "hop_distance", "shortest_path",
     # a stuck round means the graph is not m-connected: GraphNotMConnectedError
     "Infeasible2ConnectivityError", "Infeasible3ConnectivityError",
+    # a wrapper that dropped the layers of synergy_layers, its only caller
+    "synergy",
 ]
 
 # members no package code called: each repeated what its owner already gives

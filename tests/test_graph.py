@@ -23,7 +23,7 @@ from plutus import (
 from plutus.geometry import splitmix64
 from plutus.graph import (
     _bad_points,
-    _disconnecting_set,
+    _connectivity_witness,
     _induced_rows,
     _lex_shortest_path,
     _local_blocks,
@@ -397,9 +397,11 @@ def blocks_by_id(g: Graph, subset) -> tuple[list[list[int]] | None, set[int]]:
 
 
 def leaf_pick(g: Graph, subset) -> frozenset[int]:
-    """The leaf block the pipeline repairs in a round on ``subset``."""
+    """The leaf block the pipeline repairs in a round on ``subset``, picked
+    from the blocks that meet the cut vertices once."""
     blocks, cut = blocks_by_id(g, subset)
-    return _augment_leaf_block(g, blocks, cut, set(subset), lambda x: False)[0]
+    leaves = [b for b in blocks if len(cut.intersection(b)) == 1]
+    return _augment_leaf_block(g, leaves, cut, set(subset), lambda x: False)[0]
 
 
 def assert_matches_naive(g: Graph, subset) -> tuple[list[list[int]], set[int]]:
@@ -733,27 +735,43 @@ class TestTriconnectivity:
         assert leaf_pick(path, nodes) == {0, 1}
         assert blocks_by_id(cycle, nodes) == ([nodes], set())
         for g, at_two in ((path, (1,)), (cycle, None)):
-            assert _disconnecting_set(g, nodes, 2) == at_two
-            assert _disconnecting_set(g, nodes, 3) == (0, 2)
+            assert disconnecting_set(g, nodes, 2) == at_two
+            assert disconnecting_set(g, nodes, 3) == (0, 2)
 
 
-def bad_points(g: Graph, subset=None) -> list[int]:
+def bad_points(g: Graph, subset=None) -> list[int] | None:
     """The separation-pair engine's bad points, read from the graph's own
-    adjacency.  On a subset the engine runs on the rows indexed by node id
-    and on the reference local adjacency, and both must name the same
-    vertices."""
+    adjacency (None on a set of four or more that is not 2-connected).  On
+    a subset the engine runs on the rows indexed by node id and on the
+    reference local adjacency, and both must name the same vertices."""
     if subset is None:
         return _bad_points(g.adjacency, range(g.node_count))
     nodes = sorted(subset)
     bad = _bad_points(_induced_rows(g, nodes), nodes)
     local = _bad_points(local_adjacency(g, nodes), range(len(nodes)))
-    assert bad == [nodes[v] for v in local]
+    assert bad == (None if local is None else [nodes[v] for v in local])
     return bad
 
 
 def lowest_bad_point(g: Graph, subset=None) -> int | None:
-    """The first of :func:`bad_points`, or None when there is none."""
-    return next(iter(bad_points(g, subset)), None)
+    """The first of :func:`bad_points`, or None when there is none; on a
+    set that is not 2-connected, which the engine leaves to
+    :func:`_connectivity_witness`, the first member of its m = 3 witness."""
+    bad = bad_points(g, subset)
+    if bad is None:
+        nodes = list(range(g.node_count)) if subset is None else sorted(subset)
+        return disconnecting_set(g, nodes, 3)[0]
+    return next(iter(bad), None)
+
+
+def disconnecting_set(g: Graph, nodes: list[int], m: int) -> tuple[int, ...] | None:
+    """The ids of the witness :func:`_connectivity_witness` gives for a set
+    of more than m ``nodes`` at m = 2 or 3, None when it is m-connected."""
+    witness = _connectivity_witness(g, nodes, m)
+    if witness is None:
+        return None
+    assert witness[0] == "disconnecting-set"
+    return witness[1]
 
 
 def every_graph(n: int):
@@ -845,25 +863,37 @@ class TestLowestBadPoint:
         assert lowest_bad_point(g) == 1 == naive_lowest_bad_point(g, range(5))
         assert naive_disconnecting_set(g, range(5), 3) == (1, 2)
 
-    def test_not_two_connected_exit_costs_at_most_one_block_search(self, monkeypatch):
-        # a graph with a cut vertex: vertex 0 with two neighbours is bad at
-        # once, and a pendant vertex 0 costs one block DFS of the rest
+    def test_not_two_connected_exit_costs_at_most_three_palm_trees(self, monkeypatch):
+        # a graph with a cut vertex: after the engine's palm tree, vertex 0
+        # with two neighbours is pinned at once, and one tree of the rest
+        # names its partner; a pendant vertex 0 leaves a 2-connected rest,
+        # so a third tree, without 1, names the witness.  No block search.
         import plutus.graph
 
-        calls = []
+        trees = []
+        blocks = []
+        palm_tree = plutus.graph._palm_tree
         local_blocks = plutus.graph._local_blocks
 
-        def counting(adj, members, skip=-1):
-            calls.append(skip)
+        def counting(adj, members, skip=-1, fronds=None):
+            trees.append(skip)
+            return palm_tree(adj, members, skip, fronds)
+
+        def counting_blocks(adj, members, skip=-1):
+            blocks.append(skip)
             return local_blocks(adj, members, skip)
 
-        monkeypatch.setattr(plutus.graph, "_local_blocks", counting)
+        monkeypatch.setattr(plutus.graph, "_palm_tree", counting)
+        monkeypatch.setattr(plutus.graph, "_local_blocks", counting_blocks)
+        nodes = list(range(5))
         bowtie = from_edge_list(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-        assert lowest_bad_point(bowtie) == 0
-        assert calls == []
+        assert disconnecting_set(bowtie, nodes, 3) == (0, 2)
+        assert trees == [-1, 0]
+        trees.clear()
         pendant = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)])
-        assert lowest_bad_point(pendant) == 1
-        assert calls == [0]
+        assert disconnecting_set(pendant, nodes, 3) == (1, 2)
+        assert trees == [-1, 0, 1]
+        assert blocks == []
 
     @pytest.mark.parametrize("n, radius, seed", [
         (200, 0.15, 3), (300, 0.12, 2), (400, 0.1, 4), (500, 0.1, 1), (500, 0.1, 2),
@@ -895,6 +925,18 @@ class TestBadPoints:
         assume(len(nodes) >= 4 and naive_m_connected(g, nodes, 2))
         assert bad_points(g, nodes) == naive_bad_points(g, nodes)
 
+    @given(seeds, st.integers(min_value=1, max_value=3), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_none_exactly_when_not_two_connected(self, seed, edge_bias, whole):
+        # the engine names bad points only on a 2-connected set; any other
+        # set of four or more gets None, and its witness search goes on
+        g = random_graph(seed, max_nodes=11, edge_bias=edge_bias)
+        nodes = [v for v in range(g.node_count) if whole or splitmix_pick(seed, v)]
+        assume(len(nodes) >= 4)
+        two_connected = naive_m_connected(g, nodes, 2)
+        expected = naive_bad_points(g, nodes) if two_connected else None
+        assert bad_points(g, nodes) == expected
+
     @pytest.mark.parametrize("size", range(4, 9))
     @pytest.mark.parametrize("family, every", [
         (cycle_graph, True), (ladder_graph, None), (wheel_graph, False),
@@ -924,14 +966,15 @@ class TestBadPoints:
 
 class TestDisconnectingSet:
     """The one routine behind the m = 2 and m = 3 verdicts and verify's
-    witness, against trying every set of m - 1 members in order."""
+    witness, :func:`_connectivity_witness`, against trying every set of
+    m - 1 members in order."""
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     @pytest.mark.parametrize("m", [2, 3])
     def test_every_small_graph(self, n, m):
         nodes = list(range(n))
         for g in every_graph(n):
-            found = _disconnecting_set(g, nodes, m)
+            found = disconnecting_set(g, nodes, m)
             assert found == naive_disconnecting_set(g, nodes, m)
 
     @given(seeds, st.integers(min_value=2, max_value=3))
@@ -940,7 +983,7 @@ class TestDisconnectingSet:
         g = random_graph(seed, max_nodes=12)
         nodes = [v for v in range(g.node_count) if splitmix_pick(seed, v)]
         assume(len(nodes) > m)
-        found = _disconnecting_set(g, nodes, m)
+        found = disconnecting_set(g, nodes, m)
         assert found == naive_disconnecting_set(g, nodes, m)
         assert is_m_connected(g, nodes, m) == (found is None)
 

@@ -28,7 +28,6 @@ from plutus import (
     random_geometric,
     run_plutus,
     sustainability,
-    synergy,
     synergy_layers,
 )
 import plutus.graph
@@ -148,13 +147,13 @@ class TestDomination:
 class TestSynergy:
     def test_k1_is_identity(self, p5):
         cds = domination(p5, isolation(p5)[0])
-        assert synergy(p5, cds, 1) == cds
+        assert synergy_layers(p5, cds, 1)[0] == cds
 
     def test_complete_graph_second_layer(self, k5):
-        assert synergy(k5, {0}, 2) == frozenset({0, 1})
+        assert synergy_layers(k5, {0}, 2)[0] == frozenset({0, 1})
 
     def test_cycle_vacuous_when_layers_exhaust(self, c6):
-        assert synergy(c6, {0, 1, 2, 3, 4}, 2) == frozenset(range(6))
+        assert synergy_layers(c6, {0, 1, 2, 3, 4}, 2)[0] == frozenset(range(6))
 
     def test_layers_include_first_isolation(self, c6):
         _, layers = synergy_layers(c6, {0, 1, 2, 3, 4}, 2)
@@ -183,13 +182,13 @@ class TestSynergy:
     def test_requires_containing_first_layer(self, c6):
         # {1, 2, 3, 4, 5} is a CDS of C6 but misses isolation's {0, 2, 4}
         with pytest.raises(GraphInputError):
-            synergy(c6, {1, 2, 3, 4, 5}, 2)
+            synergy_layers(c6, {1, 2, 3, 4, 5}, 2)
 
     def test_rejects_non_cds(self, p5):
         with pytest.raises(DisconnectedInputError):
-            synergy(p5, {1, 3}, 1)  # dominating but induces two components
+            synergy_layers(p5, {1, 3}, 1)  # dominating but induces two components
         with pytest.raises(GraphInputError):
-            synergy(p5, {0, 1}, 1)  # connected but leaves 3 and 4 undominated
+            synergy_layers(p5, {0, 1}, 1)  # connected but leaves 3 and 4 undominated
 
     @given(seeds, st.integers(min_value=1, max_value=3))
     @settings(max_examples=50, deadline=None)
@@ -210,7 +209,7 @@ class TestSynergy:
     def test_full_layers_are_k_dominating(self, k5):
         # every residual node joins a layer or keeps a neighbour per layer,
         # so the layers alone are k-dominating
-        assert synergy(k5, {0}, 3) == frozenset({0, 1, 2})
+        assert synergy_layers(k5, {0}, 3)[0] == frozenset({0, 1, 2})
 
     def test_early_stop_when_residual_exhausts(self, k5):
         # K5 yields singleton layers; asking for more layers than nodes
@@ -414,7 +413,7 @@ class TestDiversification:
         if not is_m_connected(g, range(g.node_count), 2):
             return
         cds = domination(g, isolation(g)[0])
-        backbone = synergy(g, cds, 2)
+        backbone = synergy_layers(g, cds, 2)[0]
         widened = diversification(g, backbone)
         assert backbone <= widened
         assert is_m_connected(g, widened, 2)
@@ -473,7 +472,7 @@ class TestSustainability:
         if not is_m_connected(g, range(g.node_count), 3):
             return
         cds = domination(g, isolation(g)[0])
-        backbone = diversification(g, synergy(g, cds, 2))
+        backbone = diversification(g, synergy_layers(g, cds, 2)[0])
         hardened = sustainability(g, backbone)
         assert backbone <= hardened
         assert naive_m_connected(g, hardened, 3)
@@ -930,7 +929,9 @@ class TestAugmentationPaths:
         expected = naive_lex_shortest_path(g, leaf - tree.cut_vertices, base - leaf, allowed)
         members = sorted(base)
         blocks, cut = _local_blocks(_induced_rows(g, members), members)
-        assert _augment_leaf_block(g, blocks, cut, base, allowed) == (leaf, expected)
+        leaves = [b for b in blocks if len(cut.intersection(b)) == 1]
+        assert sorted(map(frozenset, leaves), key=sorted) == list(tree.leaf_blocks)
+        assert _augment_leaf_block(g, leaves, cut, base, allowed) == (leaf, expected)
 
     @given(st.data())
     @settings(max_examples=300)
@@ -1034,7 +1035,7 @@ class TestRunPlutus:
             result = run_plutus(g, PlutusConfig(k=2, m=m))
             mis, _ = isolation(g)
             stages = [("isolation", mis), ("domination", domination(g, mis))]
-            stages.append(("synergy", synergy(g, stages[-1][1], 2)))
+            stages.append(("synergy", synergy_layers(g, stages[-1][1], 2)[0]))
             if m >= 2:
                 stages.append(("diversification", diversification(g, stages[-1][1])))
             if m == 3:

@@ -25,10 +25,10 @@ from plutus import (
     isolation,
     random_geometric,
     run_plutus,
-    synergy,
+    synergy_layers,
     verify,
 )
-from plutus.graph import DistanceReport, connected_components
+from plutus.graph import DistanceReport
 
 from .conftest import complete_graph, cycle_graph, path_graph, star_graph, structured_graphs
 from .helpers import (
@@ -168,12 +168,13 @@ class TestCertificate:
         edges += [(u, v) for v in (n - 2, n - 1) for u in range(v)]
         g = from_edge_list(n, edges)
         searches = []
+        components = plutus.graph._components
 
-        def counting(graph, subset=None):
-            searches.append(subset)
-            return connected_components(graph, subset)
+        def counting(graph, nodes):
+            searches.append(nodes)
+            return components(graph, nodes)
 
-        monkeypatch.setattr(plutus.graph, "connected_components", counting)
+        monkeypatch.setattr(plutus.graph, "_components", counting)
         report = is_m_connected_k_dominating(g, range(n), 1, 3)
         assert report.checks[1].witness == ("disconnecting-set", (n - 2, n - 1))
         assert len(searches) <= 2
@@ -193,12 +194,13 @@ class TestCertificate:
             edges += [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
         g = from_edge_list(n, edges)
         searches = []
+        components = plutus.graph._components
 
-        def counting(graph, subset=None):
-            searches.append(subset)
-            return connected_components(graph, subset)
+        def counting(graph, nodes):
+            searches.append(nodes)
+            return components(graph, nodes)
 
-        monkeypatch.setattr(plutus.graph, "connected_components", counting)
+        monkeypatch.setattr(plutus.graph, "_components", counting)
         report = is_m_connected_k_dominating(g, range(n), 1, 2)
         assert report.checks[1].witness == ("disconnecting-set", (hub,))
         assert naive_disconnecting_set(g, range(n), 2) == (hub,)
@@ -235,15 +237,15 @@ class TestCertificate:
 
     def test_one_connectivity_pass_per_check(self, monkeypatch):
         # a rejected backbone gets its verdict and its witness from one
-        # pass: the disconnecting-set search runs once, and at m = 3 so
-        # does the bad-point engine.  Calls are counted by code object,
-        # whatever name a module imported them under.
+        # pass: the witness search runs once, and at m = 3 so does the
+        # bad-point engine.  Calls are counted by code object, whatever
+        # name a module imported them under.
         import plutus.graph
 
         g = random_geometric(1000, 0.07, 1).graph()
         n = g.node_count
         engine = {
-            plutus.graph._disconnecting_set.__code__: "disconnecting set",
+            plutus.graph._connectivity_witness.__code__: "witness",
             plutus.graph._bad_points.__code__: "bad point",
         }
         calls = []
@@ -253,8 +255,8 @@ class TestCertificate:
                 calls.append(engine[frame.f_code])
 
         for solved_at, checked_at, expected in (
-            (2, 3, ["disconnecting set", "bad point"]),
-            (1, 2, ["disconnecting set"]),
+            (2, 3, ["witness", "bad point"]),
+            (1, 2, ["witness"]),
         ):
             backbone = run_plutus(g, PlutusConfig(k=2, m=solved_at)).dominating_set
             calls.clear()
@@ -406,7 +408,7 @@ class TestStretchAgainstNaive:
         h = relabel(g, sorted(range(n), key=lambda v: splitmix64(seed, v)))
         for graph in (g, h):
             cds = domination(graph, isolation(graph)[0])
-            for backbone in (cds, synergy(graph, cds, 2)):
+            for backbone in (cds, synergy_layers(graph, cds, 2)[0]):
                 got = backbone_stretch(graph, backbone)
                 assert got == naive_backbone_stretch(graph, backbone)
                 assert got[0] > 1.0
