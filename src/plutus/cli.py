@@ -1,10 +1,10 @@
 """Command-line front end: generate instances, solve, verify, compare to
 the oracle, benchmark.
 
-Exit codes: 0 ok; 2 parse/input error; 3 preflight failure (empty,
-disconnected or not m-connected input); 5 iteration cap exceeded; 6
-verification failure.  The seed falls back to the PLUTUS_SEED
-environment variable, then to 0.
+Exit codes: 0 ok; 2 parse/input error; 3 the graph is empty or
+disconnected, or a phase could not make the backbone m-connected; 5
+iteration cap exceeded; 6 verification failure.  The seed falls back to
+the PLUTUS_SEED environment variable, then to 0.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     max_stretch=round(stretch, 4),
                 )
                 if n <= 14:
-                    # the whole node set is feasible, so the oracle has an optimum
+                    # the returned backbone is feasible, so the oracle has an optimum
                     oracle = brute_force_min_mcds(g, args.k, args.m)
                     row["ratio"] = round(len(result.dominating_set) / oracle.optimum_size, 4)
             rows.append(row)

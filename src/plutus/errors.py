@@ -29,18 +29,15 @@ class DisconnectedInputError(PlutusError):
 
 
 class GraphNotMConnectedError(PlutusError):
-    """The input graph is not m-connected, so no m-connected backbone can
-    exist inside it.  The preflight raises it without a witness; a direct
-    diversification or sustainability call raises it from a stuck round,
-    with the stuck set as ``witness``: the lone member with no neighbour,
-    the pair with no second route or the stuck leaf block at m = 2, and
-    the one-element tuple of the irreparable bad point at m = 3."""
+    """The input graph is not m-connected: a diversification or
+    sustainability round got stuck.  Its ``witness`` is the stuck set: the
+    lone member with no neighbour, the pair with no second route or the
+    stuck leaf block at m = 2, and the one-element tuple of the
+    irreparable bad point at m = 3.  At k >= m no m-connected k-dominating
+    set exists then; at k < m one may still exist."""
 
-    def __init__(self, m: int, witness: tuple[int, ...] | None = None) -> None:
-        message = f"input graph is not {m}-connected"
-        if witness is not None:
-            message += f"; stuck at {list(witness)}"
-        super().__init__(message)
+    def __init__(self, m: int, witness: tuple[int, ...]) -> None:
+        super().__init__(f"input graph is not {m}-connected; stuck at {list(witness)}")
         self.m = m
         self.witness = witness
 

@@ -10,8 +10,9 @@ an m-connected k-dominating backbone.
 Isolation and every synergy layer are one greedy independent-set
 routine, :func:`_greedy_mis`; diversification and sustainability are one
 augmentation loop, :func:`_augment`, run at m = 2 and at m = 3, which
-gets stuck only on a graph that is not m-connected and then raises the
-preflight's :class:`GraphNotMConnectedError`.  Phases only ever add
+gets stuck only on a graph that is not m-connected and then raises
+:class:`GraphNotMConnectedError`, the pipeline's only refusal of a
+connected graph.  Phases only ever add
 vertices; a dominator never loses its role.  All tie-breaks (degree
 picks, block picks, path choices) go to the lowest node id, so a run is a
 pure deterministic function of (graph, config).  The pipeline is
@@ -48,7 +49,6 @@ from .graph import (
     _lex_shortest_path,
     _local_blocks,
     is_connected,
-    is_m_connected,
 )
 from .verify import is_connected_dominating_set, is_maximal_independent_set
 
@@ -99,10 +99,11 @@ class PhaseTrace:
 @dataclass(frozen=True)
 class PlutusResult:
     """Backbone plus provenance: the per-phase growth trace, the node
-    count of the graph it was built on and the wall time of the input
-    checks in microseconds.  Every node outside ``dominating_set`` ends
-    the run reluctant.  Like :attr:`PhaseTrace.micros`, the time is left
-    out of equality and of the result JSON."""
+    count of the graph it was built on and the wall time of its
+    empty-graph and connectivity checks in microseconds.  Every node
+    outside ``dominating_set`` ends the run reluctant.  Like
+    :attr:`PhaseTrace.micros`, the time is left out of equality and of
+    the result JSON."""
 
     dominating_set: frozenset[int]
     phase_trace: tuple[PhaseTrace, ...]
@@ -485,21 +486,19 @@ def sustainability(
 
 
 def run_plutus(g: Graph, cfg: PlutusConfig) -> PlutusResult:
-    """Run the full pipeline on a connected graph.
-
-    For m >= 2 the graph itself must be m-connected (no m-connected
-    backbone can exist otherwise); this is checked up front.  Phases after
-    synergy run only when the connectivity target asks for them.  The
-    result records the backbone, the wall time of these input checks and
-    one trace entry, with its wall time, per executed phase.
+    """Run the public phases in order on a non-empty connected graph;
+    phases after synergy run only when the connectivity target asks for
+    them.  Only a stuck round raises :class:`GraphNotMConnectedError`, on
+    a graph that is not m-connected: at k >= m such a graph holds no
+    backbone, at k < m the phases may still build one.  The result
+    records the backbone, the wall time of the two input checks and one
+    trace entry, with its wall time, per executed phase.
     """
     t0 = time.perf_counter()
     if g.node_count == 0:
         raise EmptyGraphError("pipeline needs at least one node")
     if not is_connected(g):
         raise DisconnectedInputError("pipeline requires a connected graph")
-    if cfg.m >= 2 and not is_m_connected(g, range(g.node_count), cfg.m):
-        raise GraphNotMConnectedError(cfg.m)
     preflight_micros = int((time.perf_counter() - t0) * 1_000_000)
 
     cap = cfg.max_augmentation_iterations

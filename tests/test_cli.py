@@ -120,6 +120,24 @@ class TestSolve:
     def test_preflight_exit_code(self, p3_file, capsys):
         assert main(["solve", str(p3_file), "-m", "3"]) == 3
 
+    def test_graph_that_is_not_m_connected_solves_below_k_equals_m(self, tmp_path, capsys):
+        # K4 with 4 hanging off 0: {0, 1, 2} is 2-connected and 1-dominating,
+        # but at k = 2 the pendant must join the backbone, which then
+        # cannot be 2-connected
+        graph = tmp_path / "pendant.json"
+        graph.write_text(json.dumps(
+            {"n": 5, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3], [0, 4]]}
+        ))
+        out = tmp_path / "result.json"
+        assert main(["solve", str(graph), "-k", "1", "-m", "2", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["D"] == [0, 1, 2]
+        assert main(["verify", str(graph), str(out)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(graph), "-k", "2", "-m", "2"]) == 3
+        assert capsys.readouterr().err == (
+            "error: input graph is not 2-connected; stuck at [0, 1]\n"
+        )
+
     def test_iteration_cap_exit_code(self, tmp_path, capsys):
         # the README instance; one round does not 2-connect its backbone
         main(["generate", "-n", "50", "-r", "0.3", "--seed", "8", "--out", str(tmp_path)])
@@ -410,9 +428,14 @@ class TestBench:
             outs.append(payload)
         assert outs[0] == outs[1]
 
-    def test_preflight_runs_once_per_row(self, tmp_path, monkeypatch):
+    def test_bench_makes_no_whole_graph_m_connectivity_call(self, tmp_path, monkeypatch):
+        # only a stuck round refuses a connected graph, so nothing tests
+        # the whole graph's m-connectivity up front
+        import plutus
         import plutus.cli
+        import plutus.graph
         import plutus.pipeline
+        import plutus.verify
         from plutus.graph import is_m_connected
 
         whole_graph_checks = []
@@ -423,15 +446,14 @@ class TestBench:
                 whole_graph_checks.append(m)
             return is_m_connected(g, nodes, m)
 
-        for module in (plutus.cli, plutus.pipeline):
+        for module in (plutus, plutus.cli, plutus.graph, plutus.pipeline, plutus.verify):
             monkeypatch.setattr(module, "is_m_connected", counting, raising=False)
         out = tmp_path / "bench.json"
         main(["bench", "-n", "12,14", "-r", "0.6", "--seeds", "1..3", "-m", "2",
               "--out", str(out)])
         rows = json.loads(out.read_text())["rows"]
-        connected = [r for r in rows if r.get("note") != "disconnected"]
         assert any(r["status"] == "ok" for r in rows)
-        assert len(whole_graph_checks) == len(connected)
+        assert whole_graph_checks == []
         for row in rows:
             if row["status"] == "ok":
                 assert list(row["phase_micros"]) == list(row["phase_sizes"]) == [

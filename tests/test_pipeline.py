@@ -12,8 +12,10 @@ from plutus import (
     GraphInputError,
     GraphNotMConnectedError,
     IterationCapExceededError,
+    PhaseTrace,
     PlutusConfig,
     PlutusError,
+    PlutusResult,
     Role,
     brute_force_min_mcds,
     diversification,
@@ -23,6 +25,7 @@ from plutus import (
     is_connected_dominating_set,
     is_k_dominating,
     is_m_connected,
+    is_m_connected_k_dominating,
     is_maximal_independent_set,
     isolation,
     random_geometric,
@@ -480,8 +483,7 @@ class TestSustainability:
 
 class TestInfeasibilityWitnesses:
     """Every way an augmentation round can get stuck, with the witness and
-    message it ends in.  Each graph is not m-connected, so the error is
-    the preflight's, with the stuck set added."""
+    message it ends in.  Each graph is not m-connected."""
 
     @pytest.mark.parametrize("g, backbone, witness", [
         (path_graph(3), {0, 1, 2}, (0, 1)),  # the whole graph: its smallest leaf block
@@ -519,11 +521,11 @@ def test_direct_phase_calls_check_the_cap(cap):
         sustainability(wheel_graph(5), range(1, 6), cap)
 
 
-def _phase_outcome(phase, g, d, cap=None):
-    """The phase's backbone, or the type, message and witness (None when
-    it has none) of the error it raises."""
+def _phase_outcome(phase, *args):
+    """phase(*args), a backbone or a pipeline result, or the type, message
+    and witness (None when it has none) of the error it raises."""
     try:
-        return phase(g, d, cap)
+        return phase(*args)
     except PlutusError as exc:
         return type(exc), str(exc), getattr(exc, "witness", None)
 
@@ -553,24 +555,47 @@ def test_augmentation_ends_within_the_outside_count_plus_one(seed, data):
         assert _phase_outcome(phase, g, start_set, bound) == _phase_outcome(phase, g, start_set)
 
 
-@given(seeds, st.integers(1, 3), st.integers(2, 3), st.integers(1, 3))
+def _composed_phases(g, cfg):
+    """The public phases composed in run_plutus's order, each fed the last
+    one's backbone, as a result with zero times."""
+    mis = isolation(g)[0]
+    stages = [("isolation", mis), ("domination", domination(g, mis))]
+    stages.append(("synergy", synergy_layers(g, stages[-1][1], cfg.k)[0]))
+    if cfg.m >= 2:
+        stages.append(("diversification", diversification(g, stages[-1][1])))
+    if cfg.m == 3:
+        stages.append(("sustainability", sustainability(g, stages[-1][1])))
+    trace, before = [], frozenset()
+    for name, backbone in stages:
+        trace.append(PhaseTrace(name, len(backbone), tuple(sorted(backbone - before)), 0))
+        before = backbone
+    return PlutusResult(before, tuple(trace), g.node_count, 0)
+
+
+@given(seeds, st.integers(1, 3), st.integers(1, 3))
 @settings(max_examples=300, deadline=None)
-def test_no_infeasibility_after_the_preflight(seed, k, m, edge_bias):
-    # in an m-connected graph every repair round finds its path: a leaf
-    # block L with cut vertex c (and bad point a at m = 3) leaves G - c
-    # (G - a - c) connected, so a path runs from L - c to the rest of the
-    # set through outside vertices.  So a stuck round, which raises
-    # GraphNotMConnectedError with its witness, needs a direct phase call
-    # on a graph the preflight would reject.
-    g = random_graph(seed, max_nodes=12, edge_bias=edge_bias)
+def test_run_plutus_is_its_composed_phases(seed, k, m):
+    # run_plutus checks nothing beyond emptiness and connectivity, so it
+    # gives the composed phases' result or their error.  At k >= m every
+    # outside vertex has at least m neighbours in an m-connected backbone,
+    # which makes g m-connected: the phases raise exactly on the graphs
+    # that are not.  At k < m they may solve such a graph, and raise only
+    # on one of them
+    g = random_connected_graph(seed, max_nodes=12)
     cfg = PlutusConfig(k=k, m=m)
-    if not (is_connected(g) and is_m_connected(g, range(g.node_count), m)):
-        with pytest.raises((DisconnectedInputError, GraphNotMConnectedError)):
-            run_plutus(g, cfg)
-        return
-    backbone = run_plutus(g, cfg).dominating_set
-    assert is_k_dominating(g, backbone, k)[0]
-    assert is_m_connected(g, backbone, m)
+    expected = _phase_outcome(_composed_phases, g, cfg)
+    everything = range(g.node_count)
+    try:
+        result = run_plutus(g, cfg)
+    except GraphNotMConnectedError as exc:
+        assert expected == (GraphNotMConnectedError, str(exc), exc.witness)
+        assert exc.witness and not naive_m_connected(g, everything, exc.m)
+        assert k < m or not naive_m_connected(g, everything, m)
+    else:
+        assert result == expected
+        assert is_k_dominating(g, result.dominating_set, k)[0]
+        assert naive_m_connected(g, result.dominating_set, m)
+        assert k < m or naive_m_connected(g, everything, m)
 
 
 @given(seeds, st.integers(1, 3), st.sampled_from([2, 3]), st.data())
@@ -1027,27 +1052,31 @@ class TestRunPlutus:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_composed_phases_reproduce_run_plutus(self, m):
-        compared = 0
+        # on every connected graph, whether the phases solve it or not
+        solved = 0
         for seed in range(300):
             g = random_connected_graph(seed)
-            if m >= 2 and not is_m_connected(g, range(g.node_count), m):
-                continue
-            result = run_plutus(g, PlutusConfig(k=2, m=m))
-            mis, _ = isolation(g)
-            stages = [("isolation", mis), ("domination", domination(g, mis))]
-            stages.append(("synergy", synergy_layers(g, stages[-1][1], 2)[0]))
-            if m >= 2:
-                stages.append(("diversification", diversification(g, stages[-1][1])))
-            if m == 3:
-                stages.append(("sustainability", sustainability(g, stages[-1][1])))
-            expected, before = [], frozenset()
-            for name, backbone in stages:
-                expected.append((name, len(backbone), tuple(sorted(backbone - before))))
-                before = backbone
-            assert [(t.name, t.size, t.added) for t in result.phase_trace] == expected
-            assert result.dominating_set == before
-            compared += 1
-        assert compared >= 10
+            cfg = PlutusConfig(k=2, m=m)
+            outcome = _phase_outcome(run_plutus, g, cfg)
+            assert outcome == _phase_outcome(_composed_phases, g, cfg)
+            solved += isinstance(outcome, PlutusResult)
+        assert solved >= 10
+
+    @pytest.mark.parametrize("m, backbone", [(2, {0, 1, 2}), (3, {0, 1, 2, 3})])
+    def test_graph_that_is_not_m_connected_can_hold_a_backbone(self, m, backbone):
+        # K4 with 4 hanging off 0 is not 2-connected, but at k = 1 < m the
+        # phases build an optimal backbone; at k = 2 the pendant must join
+        # it, so none exists and diversification gets stuck
+        g = from_edge_list(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)])
+        assert not is_m_connected(g, range(5), 2)
+        result = run_plutus(g, PlutusConfig(k=1, m=m))
+        assert result.dominating_set == frozenset(backbone)
+        assert is_m_connected_k_dominating(g, backbone, 1, m).overall
+        assert brute_force_min_mcds(g, 1, m).optimum_size == len(backbone)
+        with pytest.raises(GraphNotMConnectedError) as info:
+            run_plutus(g, PlutusConfig(k=2, m=m))
+        assert (info.value.m, info.value.witness) == (2, (0, 1))
+        assert not brute_force_min_mcds(g, 2, m).feasible
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_isolation_runs_once(self, m, monkeypatch):
