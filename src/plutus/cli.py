@@ -44,7 +44,7 @@ from .verify import backbone_stretch, brute_force_min_mcds, is_m_connected_k_dom
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_PREFLIGHT = 3
+EXIT_REFUSED = 3
 EXIT_ITERATION_CAP = 5
 EXIT_VERIFY_FAILED = 6
 
@@ -52,9 +52,9 @@ _EXIT_CODES = {
     GraphInputError: EXIT_INPUT,
     OracleSizeError: EXIT_INPUT,
     OSError: EXIT_INPUT,
-    GraphNotMConnectedError: EXIT_PREFLIGHT,
-    DisconnectedInputError: EXIT_PREFLIGHT,
-    EmptyGraphError: EXIT_PREFLIGHT,
+    GraphNotMConnectedError: EXIT_REFUSED,
+    DisconnectedInputError: EXIT_REFUSED,
+    EmptyGraphError: EXIT_REFUSED,
     IterationCapExceededError: EXIT_ITERATION_CAP,
 }
 
@@ -204,7 +204,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     status="ok",
                     backbone=len(result.dominating_set),
                     phase_sizes={p.name: p.size for p in result.phase_trace},
-                    preflight_micros=result.preflight_micros,
                     phase_micros={p.name: p.micros for p in result.phase_trace},
                     verified=report.overall,
                     max_stretch=round(stretch, 4),

@@ -98,17 +98,13 @@ class PhaseTrace:
 
 @dataclass(frozen=True)
 class PlutusResult:
-    """Backbone plus provenance: the per-phase growth trace, the node
-    count of the graph it was built on and the wall time of its
-    empty-graph and connectivity checks in microseconds.  Every node
-    outside ``dominating_set`` ends the run reluctant.  Like
-    :attr:`PhaseTrace.micros`, the time is left out of equality and of
-    the result JSON."""
+    """Backbone plus provenance: the per-phase growth trace and the node
+    count of the graph it was built on.  Every node outside
+    ``dominating_set`` ends the run reluctant."""
 
     dominating_set: frozenset[int]
     phase_trace: tuple[PhaseTrace, ...]
     node_count: int
-    preflight_micros: int = field(compare=False)
 
 
 def _greedy_mis(nodes: Iterable[int], adj: Sequence[Sequence[int]]) -> list[int]:
@@ -486,21 +482,14 @@ def sustainability(
 
 
 def run_plutus(g: Graph, cfg: PlutusConfig) -> PlutusResult:
-    """Run the public phases in order on a non-empty connected graph;
-    phases after synergy run only when the connectivity target asks for
-    them.  Only a stuck round raises :class:`GraphNotMConnectedError`, on
-    a graph that is not m-connected: at k >= m such a graph holds no
-    backbone, at k < m the phases may still build one.  The result
-    records the backbone, the wall time of the two input checks and one
-    trace entry, with its wall time, per executed phase.
+    """Run the public phases in order; phases after synergy run only when
+    the connectivity target asks for them.  The input checks are the
+    first phase's: isolation rejects an empty or disconnected graph.  Only
+    a stuck round raises :class:`GraphNotMConnectedError`, on a graph
+    that is not m-connected: at k >= m such a graph holds no backbone, at
+    k < m the phases may still build one.  The result records the
+    backbone and one trace entry, with its wall time, per executed phase.
     """
-    t0 = time.perf_counter()
-    if g.node_count == 0:
-        raise EmptyGraphError("pipeline needs at least one node")
-    if not is_connected(g):
-        raise DisconnectedInputError("pipeline requires a connected graph")
-    preflight_micros = int((time.perf_counter() - t0) * 1_000_000)
-
     cap = cfg.max_augmentation_iterations
     phases = [
         ("isolation", lambda d: isolation(g)[0]),
@@ -524,4 +513,4 @@ def run_plutus(g: Graph, cfg: PlutusConfig) -> PlutusResult:
         micros = int((time.perf_counter() - t0) * 1_000_000)
         trace.append(PhaseTrace(name, len(grown), tuple(sorted(grown - backbone)), micros))
         backbone = grown
-    return PlutusResult(backbone, tuple(trace), g.node_count, preflight_micros)
+    return PlutusResult(backbone, tuple(trace), g.node_count)

@@ -7,9 +7,12 @@ counter runs unit-capacity augmentation on a vertex-split digraph
 simple paths, the stretch twin runs two BFSs per source, the unit-disk
 twin compares every pair of points, the block twin runs the
 dict-based edge-stack DFS, the independent-set twin runs the greedy
-rounds separately on each component, the sustainability twin repairs the
-removal-subset lowest bad point round by round and the oracle twin tries
-every subset against the package's checkers.  The local adjacency relabels an
+rounds separately on each component, the domination twin finds its pairs
+by one plain BFS per member and tests them against the components, the
+diversification twin repairs the first leaf block of the block twin round
+by round, the sustainability twin repairs the removal-subset lowest bad
+point round by round and the oracle twin tries every subset against the
+package's checkers.  The local adjacency relabels an
 induced subgraph onto local indices: the traversals run on it too, and
 must agree with their runs on the rows indexed by node id.  The one
 exception is the bad-point sweep, which runs the package's m = 2 test
@@ -372,14 +375,79 @@ def naive_lex_shortest_path(g: Graph, sources, targets, allowed) -> list[int] | 
     return None
 
 
+def naive_domination(g: Graph, mis) -> frozenset[int]:
+    """Domination pair by pair from the references: the member pairs
+    within three hops, by one plain BFS per member, are visited in
+    (distance, u, v) order; a pair that :func:`naive_components` of the
+    growing backbone already joins is skipped, and any other has the
+    interior of its :func:`naive_lex_shortest_path` promoted."""
+    members = sorted(set(mis))
+    pairs = []
+    for u in members:
+        dist = _distances_from(g, u, lambda x: True)
+        pairs += [
+            (dist[v], u, v) for v in members if v > u and dist[v] is not None and dist[v] <= 3
+        ]
+    backbone = set(members)
+    for _, u, v in sorted(pairs):
+        if any(u in comp and v in comp for comp in naive_components(g, backbone)):
+            continue
+        backbone.update(naive_lex_shortest_path(g, [u], [v], lambda x: True)[1:-1])
+    return frozenset(backbone)
+
+
+def _naive_round(g: Graph, base: set[int], allowed) -> tuple[frozenset[int], list[int] | None]:
+    """One augmentation round on ``base`` from the references: the stuck
+    set it repairs, and the path that repairs it through vertices that
+    satisfy ``allowed`` (None when there is none).  A lone member adopts
+    its smallest allowed neighbour, a pair takes its shortest second route
+    and a larger set reconnects the first leaf block of
+    :func:`naive_block_cut_tree` to the rest, by
+    :func:`naive_lex_shortest_path`."""
+    if len(base) == 1:
+        (u,) = base
+        w = min((w for w in g.adjacency[u] if allowed(w)), default=None)
+        return frozenset(base), None if w is None else [u, w, u]
+    if len(base) == 2:
+        u, v = sorted(base)
+        without_uv = from_edge_list(g.node_count, [e for e in g.edges() if set(e) != {u, v}])
+        return frozenset(base), naive_lex_shortest_path(without_uv, (u,), (v,), allowed)
+    tree = naive_block_cut_tree(g, base)
+    leaf = tree.leaf_blocks[0]
+    return leaf, naive_lex_shortest_path(g, leaf - tree.cut_vertices, base - leaf, allowed)
+
+
+def naive_diversification(g: Graph, d, cap: int | None = None) -> frozenset[int]:
+    """Diversification round by round from the references: while the
+    backbone D is not 2-connected, :func:`_naive_round` repairs D through
+    outside vertices.  It raises the package's errors, with their messages
+    and witnesses, where the phase raises them: a set that is not
+    connected, a round past ``cap`` (default 10 * node count) and a round
+    with no path, whose witness is the stuck set."""
+    from plutus import DisconnectedInputError, GraphNotMConnectedError, IterationCapExceededError
+
+    nodes = set(d)
+    if not induced_connected(g, nodes):
+        raise DisconnectedInputError("input set does not induce a connected subgraph")
+    cap = 10 * g.node_count if cap is None else cap
+    rounds = 0
+    while not naive_m_connected(g, nodes, 2):
+        rounds += 1
+        if rounds > cap:
+            raise IterationCapExceededError("diversification", cap)
+        stuck, path = _naive_round(g, nodes, lambda x: x not in nodes)
+        if path is None:
+            raise GraphNotMConnectedError(2, tuple(sorted(stuck)))
+        nodes.update(path[1:-1])
+    return frozenset(nodes)
+
+
 def naive_sustainability(g: Graph, d, cap: int | None = None) -> frozenset[int]:
     """Sustainability round by round from the references: each round
-    repairs :func:`naive_lowest_bad_point` a of the backbone D, joining
-    the pair D - a by its shortest second route, or reconnecting the first
-    leaf block of :func:`naive_block_cut_tree` to the rest of D - a, both
-    through outside vertices by :func:`naive_lex_shortest_path`.  It
-    raises the package's errors, with their messages and witnesses, where
-    the phase raises them: a set that is not 2-connected, a round past
+    repairs :func:`naive_lowest_bad_point` a of the backbone D by
+    :func:`_naive_round` on D - a, through outside vertices.  It raises
+    the package's errors, with their messages and witnesses, where the
+    phase raises them: a set that is not 2-connected, a round past
     ``cap`` (default 10 * node count) and a round with no path."""
     from plutus import GraphInputError, GraphNotMConnectedError, IterationCapExceededError
 
@@ -392,16 +460,7 @@ def naive_sustainability(g: Graph, d, cap: int | None = None) -> frozenset[int]:
         rounds += 1
         if rounds > cap:
             raise IterationCapExceededError("sustainability", cap)
-        base = nodes - {bad}
-        outside = lambda x: x not in nodes
-        if len(base) <= 2:
-            u, v = sorted(base)
-            without_uv = from_edge_list(g.node_count, [e for e in g.edges() if set(e) != {u, v}])
-            path = naive_lex_shortest_path(without_uv, (u,), (v,), outside)
-        else:
-            tree = naive_block_cut_tree(g, base)
-            leaf = tree.leaf_blocks[0]
-            path = naive_lex_shortest_path(g, leaf - tree.cut_vertices, base - leaf, outside)
+        _, path = _naive_round(g, nodes - {bad}, lambda x: x not in nodes)
         if path is None:
             raise GraphNotMConnectedError(3, (bad,))
         nodes.update(path[1:-1])

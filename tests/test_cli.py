@@ -117,8 +117,22 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["D"] == [1]
 
-    def test_preflight_exit_code(self, p3_file, capsys):
+    def test_graph_that_is_not_m_connected_exits_3(self, p3_file, capsys):
         assert main(["solve", str(p3_file), "-m", "3"]) == 3
+
+    @pytest.mark.parametrize("graph, message", [
+        ({"n": 0, "edges": []}, "isolation needs at least one node"),
+        ({"n": 4, "edges": [[0, 1], [2, 3]]}, "isolation requires a connected graph"),
+    ])
+    def test_empty_or_disconnected_graph_exits_3_with_isolations_message(
+        self, graph, message, tmp_path, capsys
+    ):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph))
+        assert main(["solve", str(path), "-k", "2", "-m", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_graph_that_is_not_m_connected_solves_below_k_equals_m(self, tmp_path, capsys):
         # K4 with 4 hanging off 0: {0, 1, 2} is 2-connected and 1-dominating,
@@ -424,7 +438,6 @@ class TestBench:
             payload = json.loads(out.read_text())
             for row in payload["rows"]:
                 row.pop("phase_micros", None)
-                row.pop("preflight_micros", None)
             outs.append(payload)
         assert outs[0] == outs[1]
 
@@ -459,7 +472,8 @@ class TestBench:
                 assert list(row["phase_micros"]) == list(row["phase_sizes"]) == [
                     "isolation", "domination", "synergy", "diversification"
                 ]
-                assert isinstance(row["preflight_micros"], int)
+                assert all(isinstance(t, int) for t in row["phase_micros"].values())
+                assert not any(key.endswith("micros") for key in row if key != "phase_micros")
 
 
 _P3 = {"n": 3, "edges": [[0, 1], [1, 2]]}

@@ -45,6 +45,8 @@ from .helpers import (
     local_adjacency,
     naive_block_cut_tree,
     naive_components,
+    naive_diversification,
+    naive_domination,
     naive_greedy_mis,
     naive_lex_shortest_path,
     naive_lowest_bad_point,
@@ -145,6 +147,20 @@ class TestDomination:
         assert mis <= cds
         ok, witness = is_connected_dominating_set(g, cds)
         assert ok, witness
+
+
+@given(seeds, st.data())
+@settings(max_examples=200, deadline=None)
+def test_domination_matches_the_pair_by_pair_reference(seed, data):
+    # the isolation set, and a greedy maximal independent set over a drawn
+    # order, are connected as the plain-BFS pair reference connects them
+    g = random_connected_graph(seed, max_nodes=12)
+    greedy: set[int] = set()
+    for v in data.draw(st.permutations(range(g.node_count))):
+        if greedy.isdisjoint(g.adjacency[v]):
+            greedy.add(v)
+    for mis in (isolation(g)[0], frozenset(greedy)):
+        assert domination(g, mis) == naive_domination(g, mis)
 
 
 class TestSynergy:
@@ -569,7 +585,7 @@ def _composed_phases(g, cfg):
     for name, backbone in stages:
         trace.append(PhaseTrace(name, len(backbone), tuple(sorted(backbone - before)), 0))
         before = backbone
-    return PlutusResult(before, tuple(trace), g.node_count, 0)
+    return PlutusResult(before, tuple(trace), g.node_count)
 
 
 @given(seeds, st.integers(1, 3), st.integers(1, 3))
@@ -646,6 +662,21 @@ def test_sustainability_matches_the_round_by_round_reference(seed, edge_bias, ca
         assume(isinstance(d, frozenset))
     expected = _phase_outcome(naive_sustainability, g, d, cap)
     assert _phase_outcome(sustainability, g, d, cap) == expected
+
+
+@given(seeds, st.integers(1, 3), st.sampled_from([None, 1, 2, 3]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_diversification_matches_the_round_by_round_reference(seed, edge_bias, cap, data):
+    # the backbone, or the error with its message and witness, is that of
+    # the loop that repairs each round's first leaf block by the naive
+    # block-cut tree; a drawn set may also be disconnected
+    g = random_graph(seed, max_nodes=12, edge_bias=edge_bias)
+    if data.draw(st.booleans()):
+        d = _draw_connected_set(g, data)
+    else:
+        d = data.draw(st.sets(st.integers(0, g.node_count - 1), min_size=1))
+    expected = _phase_outcome(naive_diversification, g, d, cap)
+    assert _phase_outcome(diversification, g, d, cap) == expected
 
 
 def test_stuck_sustainability_witness_may_be_a_promoted_vertex():
@@ -1010,20 +1041,35 @@ class TestRunPlutus:
             "sustainability",
         ]
 
-    def test_preflight_rejects_weak_graph(self, p3):
+    def test_stuck_round_rejects_weak_graph(self, p3):
         with pytest.raises(GraphNotMConnectedError):
             run_plutus(p3, PlutusConfig(k=1, m=3))
         with pytest.raises(GraphNotMConnectedError):
             run_plutus(p3, PlutusConfig(k=1, m=2))
 
-    def test_preflight_rejects_disconnected(self):
+    def test_isolation_rejects_disconnected(self):
         g = from_edge_list(4, [(0, 1), (2, 3)])
-        with pytest.raises(DisconnectedInputError):
+        with pytest.raises(DisconnectedInputError, match="^isolation requires a connected graph$"):
             run_plutus(g, PlutusConfig())
 
     def test_empty_graph(self):
-        with pytest.raises(EmptyGraphError):
+        with pytest.raises(EmptyGraphError, match="^isolation needs at least one node$"):
             run_plutus(from_edge_list(0, []), PlutusConfig())
+
+    def test_checks_connectivity_of_the_whole_graph_once(self, monkeypatch):
+        # isolation's check is the run's only whole-graph component search
+        g = random_geometric(200, 0.16, 1).graph()
+        components = plutus.graph._components
+        whole_graph = []
+
+        def counting(graph, nodes):
+            if len(nodes) == graph.node_count:
+                whole_graph.append(nodes)
+            return components(graph, nodes)
+
+        monkeypatch.setattr(plutus.graph, "_components", counting)
+        run_plutus(g, PlutusConfig(k=2, m=2))
+        assert len(whole_graph) == 1
 
     def test_roles_match_backbone(self, c6):
         cfg = PlutusConfig(k=1, m=1)
@@ -1042,25 +1088,27 @@ class TestRunPlutus:
         assert all(isinstance(t.micros, int) and t.micros >= 0 for t in result.phase_trace)
         slower = tuple(replace(t, micros=t.micros + 10**6) for t in result.phase_trace)
         assert replace(result, phase_trace=slower) == result
-
-    def test_preflight_time_on_result_only(self, k4):
-        result = run_plutus(k4, PlutusConfig(k=1, m=3))
-        assert isinstance(result.preflight_micros, int) and result.preflight_micros >= 0
-        assert replace(result, preflight_micros=result.preflight_micros + 10**6) == result
         text = repr(result_to_dict(result, PlutusConfig(k=1, m=3)))
         assert "micros" not in text
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_composed_phases_reproduce_run_plutus(self, m):
-        # on every connected graph, whether the phases solve it or not
-        solved = 0
+        # on every graph, whether the phases solve it or not: run_plutus
+        # has no input checks of its own, so an empty or disconnected
+        # graph gets isolation's error, message and witness
+        graphs = [from_edge_list(0, [])]
         for seed in range(300):
-            g = random_connected_graph(seed)
-            cfg = PlutusConfig(k=2, m=m)
+            graphs += [random_connected_graph(seed), random_graph(seed, max_nodes=12, edge_bias=1)]
+        cfg = PlutusConfig(k=2, m=m)
+        solved = disconnected = 0
+        for g in graphs:
             outcome = _phase_outcome(run_plutus, g, cfg)
             assert outcome == _phase_outcome(_composed_phases, g, cfg)
             solved += isinstance(outcome, PlutusResult)
-        assert solved >= 10
+            disconnected += outcome == (
+                DisconnectedInputError, "isolation requires a connected graph", None
+            )
+        assert solved >= 10 and disconnected >= 20
 
     @pytest.mark.parametrize("m, backbone", [(2, {0, 1, 2}), (3, {0, 1, 2, 3})])
     def test_graph_that_is_not_m_connected_can_hold_a_backbone(self, m, backbone):
