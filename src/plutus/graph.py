@@ -16,13 +16,18 @@ splits the set from one palm tree, after pinning at m = 3 the lowest bad
 point.  On a 2-connected set that comes from the one separation-pair
 engine, :func:`_bad_points`: one palm tree plus a separation-pair pass,
 about O((n + E) log n), that marks every bad point.  Sustainability fills
-its candidate set from the same engine.
+its candidate set from the same engine, which can also record the
+separation pairs themselves, up to a budget of n + E.  From a recorded
+pair {v, c}, :func:`_small_sides` finds the components of the set minus
+both but the largest, by interleaved searches that cost the small side
+only, and :func:`_blocks_within` splits them into blocks.
 
 Every deterministic shortest path (the paths the pipeline's domination
 and both augmentation phases promote) comes from one search,
 :func:`_lex_shortest_path`: a BFS from the smaller of a source and a
-target set through the vertices a predicate allows, then a smallest-id
-walk from the nearest source.
+target set, or from the one that is listed when the other is given as a
+membership test, through the vertices a predicate allows, then a
+smallest-id walk from the nearest source.
 
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely across threads.  Every iteration
@@ -36,7 +41,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .errors import GraphInputError, SelfLoopError
 
@@ -218,8 +223,8 @@ def from_points(points: Sequence[tuple[float, float]], radius: float) -> Graph:
 
 def _lex_shortest_path(
     g: Graph,
-    sources: Iterable[int],
-    targets: Iterable[int],
+    sources: Iterable[int] | Container[int],
+    targets: Iterable[int] | Container[int],
     allowed: Callable[[int], bool],
 ) -> list[int] | None:
     """Lexicographically smallest among the shortest paths from any source
@@ -230,19 +235,27 @@ def _lex_shortest_path(
     One BFS layers the graph by distance from the smaller of the two sets
     (the targets on a tie), expanding only that set and the vertices
     ``allowed`` accepts, and stops once the layer holding the nearest
-    member of the other set is complete.  On a shortest path the i-th
-    vertex lies in layer i counted from the source end, so from the
-    targets the walk starts at the smallest source of the last layer and
-    always steps to the smallest-id vertex one layer closer.  From the
-    sources, one pass back over the layers first marks the vertices with
-    a marked neighbour one layer further out, the targets reached being
-    marked; the walk then starts at the smallest marked source and always
-    steps to the smallest marked vertex one layer further out.
+    member of the other set is complete.  Either set may instead be given
+    as a membership test, any object that supports ``in`` but has no
+    length, which is never listed: the BFS then runs from the other set,
+    so a caller pays for the side it lists, not for the side it only
+    tests.  On a shortest path the i-th vertex lies in layer i counted
+    from the source end, so from the targets the walk starts at the
+    smallest source of the last layer and always steps to the smallest-id
+    vertex one layer closer.  From the sources, one pass back over the
+    layers first marks the vertices with a marked neighbour one layer
+    further out, the targets reached being marked; the walk then starts at
+    the smallest marked source and always steps to the smallest marked
+    vertex one layer further out.
     """
-    starts = frozenset(sources)
-    ends = frozenset(targets)
-    forward = len(starts) < len(ends)
-    near, far = (starts, ends) if forward else (ends, starts)
+    if not hasattr(targets, "__len__"):
+        forward, near, far = True, frozenset(sources), targets
+    elif not hasattr(sources, "__len__"):
+        forward, near, far = False, frozenset(targets), sources
+    else:
+        starts, ends = frozenset(sources), frozenset(targets)
+        forward = len(starts) < len(ends)
+        near, far = (starts, ends) if forward else (ends, starts)
     adj = g.adjacency
     dist = dict.fromkeys(near, 0)
     found = [v for v in near if v in far]
@@ -423,7 +436,77 @@ def _local_blocks(
     return ([order] if len(order) == 1 else blocks), cut
 
 
-def _bad_points(adj: Sequence[Sequence[int]], members: Sequence[int]) -> list[int] | None:
+def _blocks_within(adj: Sequence[Sequence[int]], nodes: Sequence[int]) -> list[list[int]]:
+    """The blocks (:func:`_local_blocks`) of the connected subgraph induced
+    by the sorted ids ``nodes``, whose rows ``adj`` may list other vertices
+    too.  It runs on a copy of the nodes' rows renumbered
+    0 .. len(nodes) - 1, so it costs those rows, not ``len(adj)``."""
+    index = {v: i for i, v in enumerate(nodes)}
+    local = [[index[w] for w in adj[v] if w in index] for v in nodes]
+    blocks, _ = _local_blocks(local, range(len(nodes)))
+    return [[nodes[i] for i in b] for b in blocks]
+
+
+def _small_sides(
+    adj: Sequence[Sequence[int]], v: int, c: int, work: int
+) -> tuple[set[int], int] | None:
+    """The vertices of every component of the graph minus {v, c} but one,
+    found by the interleaved search of Even and Shiloach (1981) that pays
+    for the small side only, and the adjacency entries it read; None once
+    it has read more than ``work``.  ``adj`` holds the graph's rows, and
+    the graph minus v must be connected, so every component meets a
+    neighbour of c.  The set is empty when {v, c} does not separate.
+
+    One search starts from each neighbour of c.  Each pass, every search
+    still running expands one vertex.  A search that reaches a vertex of
+    another merges with it, and one with nothing left to expand has
+    explored a whole component.  The searching stops once at most one is
+    still running, and that one is the large side.  When the last two
+    finish in the same pass, the last to finish is the large side."""
+    starts = [w for w in adj[c] if w != v]
+    owner = dict.fromkeys((v, c), -1)
+    owner.update((w, i) for i, w in enumerate(starts))
+    head = list(range(len(starts)))  # union-find over the searches
+    todo = [[w] for w in starts]
+    seen = [[w] for w in starts]
+    running = head[:]
+    done: list[int] = []
+    read = 0
+    while len(running) > 1:
+        still = []
+        for i in running:
+            if head[i] != i:
+                continue  # merged into another search
+            stack = todo[i]
+            row = adj[stack.pop()]
+            read += len(row)
+            for y in row:
+                j = owner.get(y)
+                if j is None:
+                    owner[y] = i
+                    stack.append(y)
+                    seen[i].append(y)
+                elif j >= 0:
+                    while head[j] != j:
+                        j = head[j]
+                    if j != i:
+                        head[j] = i
+                        stack += todo[j]
+                        seen[i] += seen[j]
+            (still if stack else done).append(i)
+        if read > work:
+            return None
+        running = [i for i in still if head[i] == i]
+    if not running and done:
+        done.pop()
+    return {x for i in done for x in seen[i]}, read
+
+
+def _bad_points(
+    adj: Sequence[Sequence[int]],
+    members: Sequence[int],
+    partners: dict[int, set[int]] | None = None,
+) -> list[int] | None:
     """Every bad point of the graph on the sorted vertices ``members``
     (see :func:`_palm_tree`) in ascending order, empty when the graph is
     3-connected, or None when a graph of four or more vertices is not
@@ -473,10 +556,23 @@ def _bad_points(adj: Sequence[Sequence[int]], members: Sequence[int]) -> list[in
     range is marked from its top, following the pointers and halving the
     paths walked, and its top slot then points below it; a pushed slot
     points at itself, and the log restores its pointer with its value.
+
+    Given a dict ``partners``, the pass also records the separation pairs
+    behind its hits: b in ``partners[a]`` and a in ``partners[b]`` for each
+    pair {a, b}, so the partners of a bad point v are the cut vertices of
+    the graph minus v.  A type-1 hit is one pair; recording a type-2 hit
+    walks its gap in full, one pair per slot.  A cycle has a quadratic
+    number of pairs, so recording stops once it would pass a budget of
+    n + E pairs, for E edges, and the dict is then left empty; with fewer
+    than four vertices nothing is recorded either.
     """
     n = len(members)
     if n < 4:
         return list(members)
+    pairs: list[tuple[int, int]] | None = None  # None: not recording
+    if partners is not None:
+        budget = n + sum(len(adj[v]) for v in members) // 2
+        pairs = []
     span = len(adj)  # vertex-indexed arrays
     by_target: list[list[int]] = [[] for _ in range(n)]  # frond sources by target depth
     order, parent, depth, low = _palm_tree(adj, members, fronds=by_target)
@@ -541,6 +637,8 @@ def _bad_points(adj: Sequence[Sequence[int]], members: Sequence[int]) -> list[in
         p = parent[b]
         if d >= 2 and low[b] == hi[b] and size[b] < n - 2:  # type 1, with c = b
             bad[path[low[b]]] = bad[p] = True
+            if pairs is not None:
+                pairs.append((path[low[b]], p))
         h = second_low[p] if low[b] == first_low[p] else first_low[p]
         if own[p] < h:
             h = own[p]
@@ -565,6 +663,11 @@ def _bad_points(adj: Sequence[Sequence[int]], members: Sequence[int]) -> list[in
                 j = bisect_left(candidates, first, i, length)
                 if i < j:  # type 2: b with every candidate in the gap
                     bad[b] = True
+                    if pairs is not None:
+                        if len(pairs) + j - i > budget:
+                            pairs = None
+                        else:
+                            pairs += [(b, path[candidates[s]]) for s in range(i, j)]
                     s = j - 1
                     while s >= i:
                         t = down[s]
@@ -577,6 +680,10 @@ def _bad_points(adj: Sequence[Sequence[int]], members: Sequence[int]) -> list[in
                     down[j - 1] = s
             if last >= start:
                 start = last + 1
+    if pairs is not None and len(pairs) <= budget:
+        for a, b in pairs:
+            partners.setdefault(a, set()).add(b)
+            partners.setdefault(b, set()).add(a)
     return [v for v in members if bad[v]]
 
 

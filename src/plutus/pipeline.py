@@ -29,7 +29,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 from .errors import (
     DisconnectedInputError,
@@ -42,12 +42,14 @@ from .graph import (
     Graph,
     _as_subset,
     _bad_points,
+    _blocks_within,
     _check_k,
     _check_m,
     _induced_rows,
     _is_int,
     _lex_shortest_path,
     _local_blocks,
+    _small_sides,
     is_connected,
 )
 from .verify import is_connected_dominating_set, is_maximal_independent_set
@@ -298,22 +300,168 @@ def synergy_layers(
     return frozenset(covered.union(nodes)), tuple(layers)
 
 
+class _Excluding:
+    """Membership in ``backbone`` outside ``skip``: a side of a path
+    search given as a membership test (see :func:`graph._lex_shortest_path`)."""
+
+    __slots__ = ("backbone", "skip")
+
+    def __init__(self, backbone: set[int], skip: set[int] | frozenset[int]):
+        self.backbone = backbone
+        self.skip = skip
+
+    def __contains__(self, y: int) -> bool:
+        return y in self.backbone and y not in self.skip
+
+
+class _Remainder:
+    """The leaf block of D - v that no small side holds, named by exclusion
+    (see :func:`_split_without`): its members are those of D - v outside
+    ``rest``, the small sides, listed.  ``skip`` is ``rest`` plus v, and
+    ``head`` the block's two smallest members, read by walking the sorted
+    ``members`` past ``skip``: all the leaf order needs
+    (:func:`_first_leaf`)."""
+
+    __slots__ = ("rest", "skip", "head")
+
+    def __init__(self, rest: set[int], v: int, members: list[int]):
+        self.rest = rest
+        self.skip = skip = rest | {v}
+        self.head = head = []
+        for u in members:
+            if u not in skip:
+                head.append(u)
+                if len(head) == 2:
+                    break
+
+
+def _first_leaf(leaves: list) -> list[int] | _Remainder:
+    """The leaf with the smallest sorted members, ``min(leaves,
+    key=sorted)``, read from the two smallest members of each: two blocks
+    share at most one vertex, so no two leaves tie on both.  Only leaves
+    tied on the smallest member need a second one."""
+    lows = [b.head[0] if isinstance(b, _Remainder) else min(b) for b in leaves]
+    low = min(lows)
+    tied = [b for b, x in zip(leaves, lows) if x == low]
+    if len(tied) == 1:
+        return tied[0]
+    return min(
+        tied,
+        key=lambda b: b.head[1] if isinstance(b, _Remainder) else min(v for v in b if v != low),
+    )
+
+
 def _augment_leaf_block(
     g: Graph,
-    leaves: list[list[int]],
+    leaves: list,
     cut: set[int],
-    base: set[int],
+    backbone: set[int],
+    bad: int,
     allowed: Callable[[int], bool],
-) -> tuple[frozenset[int], list[int] | None]:
-    """The smallest-member leaf block of ``base`` from its ``leaves``, the
-    blocks of ids meeting its cut vertices ``cut`` once; and the shortest
-    path in g from a non-cut member of that leaf to any base vertex
+    blocks: list[list[int]] | None = None,
+) -> tuple[frozenset[int] | _Remainder, list[int] | None]:
+    """The leaf block to repair, the smallest-member one of ``leaves``
+    (blocks of the round's set, the members of ``backbone`` other than
+    ``bad``, that meet its cut vertices ``cut`` once); and the shortest
+    path in g from a non-cut member of that leaf to any vertex of the set
     outside it, whose internal vertices all satisfy ``allowed`` (None when
-    there is none), the ones to promote."""
-    leaf = min(leaves, key=sorted)
+    there is none), the ones to promote.
+
+    The path search runs from the side that is listed.  A leaf named by
+    exclusion (:class:`_Remainder`) is a membership test, and the search
+    runs from the rest.  A leaf given by its members that holds more than
+    half of the set, when ``blocks`` lists all of the set's blocks, has
+    the rest listed from the other blocks, and the search runs from the
+    smaller side.  Otherwise the rest of the set is a membership test."""
+    leaf = _first_leaf(leaves)
+    if isinstance(leaf, _Remainder):
+        sources = _Excluding(backbone, leaf.skip | cut)
+        return leaf, _lex_shortest_path(g, sources, leaf.rest, allowed)
     ids = frozenset(leaf)
     sources = [v for v in leaf if v not in cut]
-    return ids, _lex_shortest_path(g, sources, base - ids, allowed)
+    if blocks is not None and 2 * len(leaf) > sum(map(len, blocks)) - len(blocks) + 1:
+        # a cut vertex is in one block more than once
+        rest: Container[int] = set().union(*[b for b in blocks if b is not leaf]).difference(ids)
+    else:
+        rest = _Excluding(backbone, ids | {bad})
+    return ids, _lex_shortest_path(g, sources, rest, allowed)
+
+
+def _split_without(
+    rows: list[list[int]],
+    members: list[int],
+    v: int,
+    partners: dict[int, set[int]] | None,
+    work: int,
+) -> tuple[set[int], list, list[list[int]] | None] | None:
+    """The cut vertices, the leaf blocks and, from the block DFS, all the
+    blocks of the backbone minus its member v, or None when v is not a
+    bad point (the rest is 2-connected with at least three vertices).
+
+    With a partner map, whose recorded partners of v include every cut
+    vertex of the backbone minus v, the split costs the small sides only.
+    For each partner c, :func:`graph._small_sides` finds the components of
+    the backbone minus {v, c} but one; a pair that no longer separates is
+    dropped, and v is not a bad point when no partner is left.  The
+    top-level partners, those in no other partner's small side, are the
+    cut vertices of one block B0.  Every other block lies in a top-level
+    partner's small side, so blocks are computed there only
+    (:func:`graph._blocks_within`).  B0 is a leaf when it has one cut
+    vertex, and then takes part as a :class:`_Remainder`.  When no partner
+    is top-level (the large sides disagree) or the searches read ``work``
+    adjacency entries, the split falls back to the block DFS of the
+    backbone minus v, as it does when there is no map.
+    """
+    if partners is not None and len(members) > 3:
+        sides: dict[int, set[int]] = {}
+        for c in sorted(partners.get(v, ())):
+            found = _small_sides(rows, v, c, work)
+            if found is None:
+                break  # the searches cost as much as the block DFS
+            small, read = found
+            work -= read
+            if small:
+                sides[c] = small
+            else:  # {v, c} no longer separates
+                partners[v].discard(c)
+                partners[c].discard(v)
+        else:
+            if not sides:
+                return None
+            top = [c for c in sides if not any(c in side for side in sides.values())]
+            if top:
+                cut = set(sides)
+                leaves: list = []
+                for c in top:
+                    blocks = _blocks_within(rows, sorted(sides[c] | {c}))
+                    leaves += [b for b in blocks if len(cut.intersection(b)) == 1]
+                if len(top) == 1:
+                    leaves.append(_Remainder(sides[top[0]], v, members))
+                return cut, leaves, None
+    blocks, cut = _local_blocks(rows, members, v)
+    if cut or len(members) <= 3:
+        return cut, [b for b in blocks if len(cut.intersection(b)) == 1], blocks
+    return None
+
+
+# Below this many adjacency entries in the backbone, the block DFS of
+# D - v costs less than the partner route's fixed cost (measured on the
+# m = 2 backbones of unit-disk graphs: the routes tie at about 200-250
+# entries, and the partner route is 0.73-0.93x at 330-390).
+_PARTNER_VOLUME = 256
+
+
+def _record_pairs(
+    rows: list[list[int]], members: list[int], volume: int
+) -> tuple[list[int], dict[int, set[int]] | None]:
+    """Every bad point of the backbone, ascending, from one engine pass,
+    and the partner map it records when the backbone holds ``volume`` >=
+    ``_PARTNER_VOLUME`` adjacency entries; None for the map when the pass
+    recorded nothing (a small backbone, past the engine's budget, or
+    fewer than four members)."""
+    partners: dict[int, set[int]] | None = {} if volume >= _PARTNER_VOLUME else None
+    bad = _bad_points(rows, members, partners)
+    return bad, partners or None
 
 
 def _alternate_pair_path(
@@ -343,33 +491,44 @@ def _augment(
     both are kept for the whole phase: each promoted vertex gets its row
     and is inserted into its neighbours' rows and into the list.  Each
     round names the set to repair, the backbone for m = 2 and the backbone
-    minus its lowest bad point for m = 3, and splits it into blocks and
-    cut vertices (:func:`graph._local_blocks`); at m = 2 three or more
-    members with no cut vertex end the loop.  A lone vertex adopts its
-    smallest neighbour, a pair is joined by its shortest alternate route
-    (a common neighbour when one exists) and a larger set has its smallest
-    leaf block reconnected to the rest, always through vertices outside
-    the backbone.  A disconnected first set and a cap other than None or a
-    positive int are input errors.  A round gets stuck only when g is not
-    m-connected: otherwise G - c (G - a - c at m = 3, with bad point a) is
-    connected for the leaf block's cut vertex c, so a path leaves the
-    block through outside vertices.  So a stuck round raises
-    :class:`GraphNotMConnectedError`, with the stuck set as witness at
-    m = 2 and the bad point at m = 3.
+    minus its lowest bad point for m = 3, and splits it into leaf blocks
+    and cut vertices: at m = 2 by the block DFS of the backbone
+    (:func:`graph._local_blocks`), where three or more members with no cut
+    vertex end the loop, and at m = 3 by :func:`_split_without`.  A lone
+    vertex adopts its smallest neighbour, a pair is joined by its shortest
+    alternate route (a common neighbour when one exists) and a larger set
+    has its smallest leaf block (:func:`_first_leaf`) reconnected to the
+    rest, always through vertices outside the backbone
+    (:func:`_augment_leaf_block`).  A disconnected first set and a cap
+    other than None or a positive int are input errors.  A round gets
+    stuck only when g is not m-connected: otherwise G - c (G - a - c at
+    m = 3, with bad point a) is connected for the leaf block's cut vertex
+    c, so a path leaves the block through outside vertices.  So a stuck
+    round raises :class:`GraphNotMConnectedError`, with the stuck set as
+    witness at m = 2 and the bad point at m = 3.
 
     At m = 3 the loop keeps a min-heap of candidates that holds every bad
-    point, filled by one pass of :func:`graph._bad_points`.  A round tests
-    the lowest candidate v with the block DFS of the backbone minus v it
-    needs anyway: v is the round's bad point when that set is split, has a
-    cut vertex or has fewer than three vertices.  Otherwise v is stale and
-    one more pass refills the heap exactly, so the next test succeeds and
-    an empty heap ends the phase.  Adding the ear is settled without a
-    DFS: only the ear and its two ends can turn bad, and they are pushed
-    unless a one-vertex ear x shows they cannot (see the loop).  The
-    repaired point a leaves the heap when x is adjacent to a non-cut
-    member of every leaf block of D - a, which makes D' - a 2-connected.
-    A round thus costs one block DFS plus, when its candidate was stale,
-    one block DFS and one engine pass.
+    point, filled by one pass of :func:`graph._bad_points`, and, on a
+    backbone of at least ``_PARTNER_VOLUME`` adjacency entries, the map of
+    separation pairs that pass records: the partners of each vertex.  A
+    round tests the lowest candidate v by splitting the backbone minus v,
+    which the repair needs anyway: from v's partners, at the cost of the
+    small sides, or by the block DFS of the backbone minus v when there is
+    no map.  v is the round's bad point when that set has a cut vertex or
+    fewer than three vertices.  Otherwise v is stale and one more pass
+    refills the heap and the map exactly, so the next test succeeds and an
+    empty heap ends the phase.  Adding the ear is settled without a DFS:
+    only the ear and its two ends can turn bad, and they are pushed unless
+    a one-vertex ear x shows they cannot (see the loop).  The repaired
+    point a leaves the heap when x is adjacent to a non-cut member of
+    every leaf block of D - a, which makes D' - a 2-connected.  The map
+    stays a superset of the separation pairs: an ear adds a pair of old
+    vertices only at its ends p and q, and only when x has no other
+    backbone neighbour, so {p, q} is added then; a pair that no longer
+    separates is dropped when a split finds it so.  A longer ear voids
+    the map, and rounds take the block DFS until the next pass.  A round
+    thus costs its small sides (at most one block DFS), plus, when its
+    candidate was stale, one engine pass.
 
     Every ear has an internal vertex, so every round that does not end the
     loop promotes at least one vertex from outside the backbone: a phase
@@ -382,45 +541,52 @@ def _augment(
     backbone = set(members)
     outside = lambda x: x not in backbone
     bad = -1
-    heap = [] if m == 2 else _bad_points(rows, members)  # ascending: a heap already
+    heap: list[int] = []  # ascending: a heap already
+    partners = None
+    volume = sum(len(rows[v]) for v in members)  # adjacency entries of the backbone
+    if m == 3:
+        heap, partners = _record_pairs(rows, members, volume)
     for iterations in itertools.count(1):
         if m == 2:
             # one block decomposition per round answers both
             # "2-connected?" and "which leaf block?"
             blocks, cut = _local_blocks(rows, members)
+            if blocks is None:
+                raise DisconnectedInputError("input set does not induce a connected subgraph")
+            if len(members) >= 3 and not cut:
+                break
+            leaves = [b for b in blocks if len(cut.intersection(b)) == 1]
         else:
             while heap:
                 bad = heap[0]
-                blocks, cut = _local_blocks(rows, members, bad)
-                if blocks is None or cut or len(members) <= 3:
+                split = _split_without(rows, members, bad, partners, volume)
+                if split is not None:
                     break
-                heap = _bad_points(rows, members)  # bad was stale: refill exactly
+                heap, partners = _record_pairs(rows, members, volume)  # bad was stale: refill exactly
             else:
                 break  # no bad point: the backbone is 3-connected
-        base = backbone if bad < 0 else backbone - {bad}
-        if blocks is None:
-            raise DisconnectedInputError("input set does not induce a connected subgraph")
-        if m == 2 and len(base) >= 3 and not cut:
-            break
+            cut, leaves, blocks = split
         if iterations > cap:
             raise IterationCapExceededError(phase, cap)
-        leaves = [b for b in blocks if len(cut.intersection(b)) == 1]
-        witness = base
-        if len(base) <= 2:
-            path = _alternate_pair_path(g, min(base), max(base), outside)
+        witness: Iterable[int] = members
+        if len(members) - (bad >= 0) <= 2:
+            base = [v for v in members if v != bad]
+            path = _alternate_pair_path(g, base[0], base[-1], outside)
         else:
-            witness, path = _augment_leaf_block(g, leaves, cut, base, outside)
+            witness, path = _augment_leaf_block(g, leaves, cut, backbone, bad, outside, blocks)
         if path is None:
             raise GraphNotMConnectedError(m, tuple(sorted(witness)) if m == 2 else (bad,))
         ear = path[1:-1]
         backbone.update(ear)
         for x in ear:
             rows[x] = [w for w in g.adjacency[x] if w in backbone]
+            volume += len(rows[x])
             insort(members, x)
         for x in ear:
             for w in rows[x]:
                 if w not in ear:
                     insort(rows[w], x)
+                    volume += 1
         if m == 2:
             continue
         # Keep every bad point of the grown backbone among the candidates.
@@ -428,14 +594,25 @@ def _augment(
         # is (the backbone without it is the old one), its ends stay as
         # they were when x has a third backbone neighbour, and it leaves
         # the backbone minus bad 2-connected when it meets every leaf
-        # block of the old one off its cut vertex.
+        # block of the old one off its cut vertex.  The partner map keeps
+        # every separation pair: an ear can add one of old vertices only
+        # at its ends, and only when its vertex has no other backbone
+        # neighbour; a longer ear voids the map until the next pass.
         maybe_bad = [path[0], path[-1], *ear]
         if len(ear) == 1:
             reach = set(rows[ear[0]])
+            if len(reach) == 2 and partners is not None:
+                partners.setdefault(path[0], set()).add(path[-1])
+                partners.setdefault(path[-1], set()).add(path[0])
             maybe_bad = maybe_bad[:2] if len(reach) < 3 else []
             reach -= cut
-            if all(not reach.isdisjoint(b) for b in leaves):
+            if all(
+                not reach <= b.skip if isinstance(b, _Remainder) else not reach.isdisjoint(b)
+                for b in leaves
+            ):
                 heapq.heappop(heap)
+        else:
+            partners = None
         for x in maybe_bad:
             if x not in heap:
                 heapq.heappush(heap, x)

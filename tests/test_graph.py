@@ -401,7 +401,7 @@ def leaf_pick(g: Graph, subset) -> frozenset[int]:
     from the blocks that meet the cut vertices once."""
     blocks, cut = blocks_by_id(g, subset)
     leaves = [b for b in blocks if len(cut.intersection(b)) == 1]
-    return _augment_leaf_block(g, leaves, cut, set(subset), lambda x: False)[0]
+    return _augment_leaf_block(g, leaves, cut, set(subset), -1, lambda x: False)[0]
 
 
 def assert_matches_naive(g: Graph, subset) -> tuple[list[list[int]], set[int]]:
@@ -962,6 +962,32 @@ class TestBadPoints:
         assert bad_points(cycle_graph(3000)) == list(range(3000))
         ladder = ladder_graph(150)
         assert bad_points(ladder) == sweep_bad_points(ladder, range(300))
+        # the cycle's pairs pass the recording budget, so none are kept
+        partners: dict = {}
+        assert _bad_points(cycle_graph(3000).adjacency, range(3000), partners) == list(range(3000))
+        assert partners == {}
+
+    @given(seeds, st.integers(min_value=1, max_value=3), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_recorded_partners_are_the_separation_pairs(self, seed, edge_bias, whole):
+        # recording names every pair whose removal splits the set, by the
+        # reference, each from both ends, or none: past the budget of
+        # |D| + E(D) pairs (counted as found, so a pair found twice counts
+        # twice) it names none
+        g = random_graph(seed, max_nodes=11, edge_bias=edge_bias)
+        nodes = [v for v in range(g.node_count) if whole or splitmix_pick(seed, v)]
+        assume(len(nodes) >= 4 and naive_m_connected(g, nodes, 2))
+        rows = _induced_rows(g, nodes)
+        partners: dict = {}
+        assert _bad_points(rows, nodes, partners) == _bad_points(rows, nodes)
+        pairs = {
+            (a, b) for a, b in itertools.combinations(nodes, 2)
+            if not induced_connected(g, set(nodes) - {a, b})
+        }
+        recorded = {(a, b) for a, row in partners.items() for b in row}
+        budget = len(nodes) + sum(len(rows[v]) for v in nodes) // 2
+        assert recorded in (set(), pairs | {(b, a) for a, b in pairs})
+        assert len(pairs) <= budget or not recorded
 
 
 class TestDisconnectingSet:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -42,6 +43,8 @@ from plutus.serialize import dumps, result_to_dict
 
 from .conftest import complete_graph, cycle_graph, path_graph, wheel_graph
 from .helpers import (
+    _naive_round,
+    induced_connected,
     local_adjacency,
     naive_block_cut_tree,
     naive_components,
@@ -720,23 +723,25 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
     """Run ``phase`` (diversification or sustainability) and return, per
     round, the sorted backbone, the bad point it repairs (an id, or None
     in the last round and in every diversification round), the leaf block
-    handed to the leaf step (None in other rounds) and the promoted path
-    (None in the last round); and the phase's calls in order: "engine" for
-    a bad-point pass, "stale" for a block DFS that finds its candidate
-    good and "round" for one that opens a round.
+    handed to the leaf step as a frozenset of ids (None in other rounds)
+    and the promoted path (None in the last round); and the phase's calls
+    in order: "engine" for a bad-point pass, "stale" for a candidate test
+    that finds its candidate good and "round" for one that opens a round.
 
-    A round opens with a block decomposition: at m = 2 every one, at
-    m = 3 each one whose removed candidate leaves the rest disconnected,
-    with a cut vertex or with fewer than three vertices.  At m = 3 the
-    last round is the backbone returned.  Each call must see the one adjacency
-    the phase keeps: rows equal to a fresh reference local adjacency
-    mapped to ids, with a member list equal to the sorted backbone so far,
-    the input plus every promoted path; and no other adjacency is built."""
+    A round opens at m = 2 with each block decomposition of the backbone,
+    and at m = 3 with each split of the backbone minus a candidate
+    (``_split_without``) that finds the candidate bad.  At m = 3 the last
+    round is the backbone returned.  Each engine pass, decomposition and
+    split must see the one adjacency the phase keeps: rows equal to a
+    fresh reference local adjacency mapped to ids, with a member list
+    equal to the sorted backbone so far, the input plus every promoted
+    path; and no other adjacency is built."""
     rounds: list[list] = []
     calls: list[str] = []
     kept = []  # the adjacency each call reads
     bad_points = pipeline._bad_points
     local_blocks = pipeline._local_blocks
+    split_without = pipeline._split_without
     augment_leaf_block = pipeline._augment_leaf_block
     alternate_pair_path = pipeline._alternate_pair_path
     builds = _count_builds(monkeypatch)
@@ -754,23 +759,31 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
         assert all(adj[v] == [] for v in range(g.node_count) if v not in members)
         kept.append(adj)
 
-    def record_bad(adj, members):
+    def record_bad(adj, members, *partners):
         check_adjacency(adj, members)
         calls.append("engine")
-        return bad_points(adj, members)
+        return bad_points(adj, members, *partners)
 
     def record_blocks(adj, members, skip=-1):
-        blocks, cut = local_blocks(adj, members, skip)
-        if phase is diversification or skip >= 0:
+        if skip < 0:
             check_adjacency(adj, members)
-            opens = skip < 0 or blocks is None or bool(cut) or len(members) <= 3
-            calls.append("round" if opens else "stale")
-            if opens:
-                rounds.append([list(members), None if skip < 0 else skip, None, None])
-        return blocks, cut
+            calls.append("round")
+            rounds.append([list(members), None, None, None])
+        return local_blocks(adj, members, skip)
+
+    def record_split(adj, members, v, *rest):
+        check_adjacency(adj, members)
+        split = split_without(adj, members, v, *rest)
+        calls.append("stale" if split is None else "round")
+        if split is not None:
+            rounds.append([list(members), v, None, None])
+        return split
 
     def record_leaf(*args):
-        rounds[-1][2:] = augment_leaf_block(*args)
+        leaf, path = augment_leaf_block(*args)
+        if isinstance(leaf, pipeline._Remainder):
+            leaf = frozenset(v for v in rounds[-1][0] if v not in leaf.skip)
+        rounds[-1][2:] = leaf, path
         return rounds[-1][2:]
 
     def record_pair(*args):
@@ -778,7 +791,9 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
         return rounds[-1][3]
 
     monkeypatch.setattr(pipeline, "_bad_points", record_bad)
-    monkeypatch.setattr(pipeline, "_local_blocks", record_blocks)
+    if phase is diversification:
+        monkeypatch.setattr(pipeline, "_local_blocks", record_blocks)
+    monkeypatch.setattr(pipeline, "_split_without", record_split)
     monkeypatch.setattr(pipeline, "_augment_leaf_block", record_leaf)
     monkeypatch.setattr(pipeline, "_alternate_pair_path", record_pair)
     result = phase(g, backbone)
@@ -792,35 +807,46 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
 
 class TestSustainabilityRounds:
     """Every bad point sustainability repairs is the lowest one of that
-    round's backbone, by the removal-subset reference.  It is also what a
-    sweep returns that skips the members found good in earlier rounds,
-    unless a later path ended at them: an open ear between two other
-    members keeps the backbone minus any such member 2-connected.  The
-    phase opens with one bad-point pass, and a block DFS that finds its
-    candidate good is followed by one more pass, after which the next
-    candidate opens a round."""
+    round's backbone, by the removal-subset reference, and the leaf block
+    and path of the round are those of the reference round on the
+    backbone minus it.  The bad point is also what a sweep returns that
+    skips the members found good in earlier rounds, unless a later path
+    ended at them: an open ear between two other members keeps the
+    backbone minus any such member 2-connected.  The phase opens with one
+    bad-point pass, and a candidate test that finds its candidate good is
+    followed by one more pass, after which the next candidate opens a
+    round.  Each check runs on both routes of a round: the block DFS, and
+    the partner route, which every backbone takes when the size floor
+    ``_PARTNER_VOLUME`` is 0."""
 
     def check(self, monkeypatch, g):
         backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
-        rounds, calls = _recorded_rounds(monkeypatch, sustainability, g, backbone)
-        assert rounds[-1][1] is None
-        assert calls[0] == "engine"
-        for i, call in enumerate(calls):
-            if call == "stale":
-                assert calls[i + 1] == "engine"
-                assert calls[i + 2 : i + 3] in ([], ["round"])
-        known_good: set[int] = set()
-        for nodes, bad, _, path in rounds:
-            assert bad == naive_lowest_bad_point(g, nodes)
-            swept = next(
-                (v for v in nodes
-                 if v not in known_good and not naive_m_connected(g, set(nodes) - {v}, 2)),
-                None,
-            )
-            assert swept == bad
-            known_good.update(v for v in nodes if swept is None or v < swept)
-            if path is not None:
-                known_good -= {path[0], path[-1]}
+        for floor in (pipeline._PARTNER_VOLUME, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pipeline, "_PARTNER_VOLUME", floor)
+                rounds, calls = _recorded_rounds(patch, sustainability, g, backbone)
+            assert rounds[-1][1] is None
+            assert calls[0] == "engine"
+            for i, call in enumerate(calls):
+                if call == "stale":
+                    assert calls[i + 1] == "engine"
+                    assert calls[i + 2 : i + 3] in ([], ["round"])
+            known_good: set[int] = set()
+            for nodes, bad, leaf, path in rounds:
+                assert bad == naive_lowest_bad_point(g, nodes)
+                swept = next(
+                    (v for v in nodes
+                     if v not in known_good and not naive_m_connected(g, set(nodes) - {v}, 2)),
+                    None,
+                )
+                assert swept == bad
+                known_good.update(v for v in nodes if swept is None or v < swept)
+                if path is not None:
+                    known_good -= {path[0], path[-1]}
+                    members = set(nodes)
+                    stuck, expected = _naive_round(g, members - {bad}, lambda x: x not in members)
+                    assert path == expected
+                    assert leaf == (None if len(nodes) <= 3 else stuck)
         return rounds, calls
 
     @pytest.mark.parametrize("n, radius, seed", [(40, 0.3, 11), (60, 0.25, 16), (120, 0.16, 22)])
@@ -846,6 +872,140 @@ class TestSustainabilityRounds:
         assume(is_m_connected(g, range(g.node_count), 3))
         with pytest.MonkeyPatch.context() as monkeypatch:
             self.check(monkeypatch, g)
+
+
+def _partner_rounds(g, d, cap=None):
+    """Run sustainability on ``d`` with the partner route open to every
+    backbone (``_PARTNER_VOLUME`` 0) and return its outcome and one entry
+    per candidate test: the candidate, how its test was answered
+    ("partners", "dfs" or "stale") and whether a search hit the work cap.
+
+    At each test, while the phase holds a partner map, the map must hold
+    every separation pair of the backbone, by the removal-subset
+    reference.  After a test the partner route answered, the candidate's
+    partners must be exactly the cut vertices of the backbone minus it by
+    :func:`naive_block_cut_tree`: none when the candidate was stale."""
+    tests = []
+    split_without = pipeline._split_without
+    local_blocks = pipeline._local_blocks
+    small_sides = pipeline._small_sides
+    route: list = []
+
+    def record_blocks(adj, members, skip=-1):
+        if skip >= 0:
+            route.append("dfs")
+        return local_blocks(adj, members, skip)
+
+    def record_sides(*args):
+        found = small_sides(*args)
+        if found is None:
+            route.append("capped")
+        return found
+
+    def record_split(adj, members, v, partners, work):
+        nodes = set(members)
+        if partners is not None:
+            for a, b in itertools.combinations(sorted(nodes), 2):
+                if not induced_connected(g, nodes - {a, b}):
+                    assert b in partners.get(a, ()) and a in partners.get(b, ())
+        route.clear()
+        split = split_without(adj, members, v, partners, work)
+        how = "dfs" if "dfs" in route else "stale" if split is None else "partners"
+        if partners is not None and "dfs" not in route:
+            rest = nodes - {v}
+            expected = naive_block_cut_tree(g, rest).cut_vertices if len(rest) > 2 else set()
+            assert partners.get(v, set()) == expected
+        tests.append((v, how, "capped" in route))
+        return split
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(pipeline, "_PARTNER_VOLUME", 0)
+        monkeypatch.setattr(pipeline, "_split_without", record_split)
+        monkeypatch.setattr(pipeline, "_local_blocks", record_blocks)
+        monkeypatch.setattr(pipeline, "_small_sides", record_sides)
+        return _phase_outcome(sustainability, g, d, cap), tests
+
+
+class TestPartnerRounds:
+    """The partner route of a sustainability round: the map of separation
+    pairs the engine records and the ears keep, and the interleaved
+    searches that find the small sides of each pair.  Every outcome must
+    be that of the round-by-round reference."""
+
+    @given(seeds, st.integers(1, 3), st.sampled_from([None, 1, 2, 3]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_partners_are_the_cut_vertices_of_each_round(self, seed, edge_bias, cap, data):
+        g = random_graph(seed, max_nodes=12, edge_bias=edge_bias)
+        d = _draw_connected_set(g, data)
+        if not naive_m_connected(g, d, 2):
+            d = _phase_outcome(diversification, g, d)
+            assume(isinstance(d, frozenset))
+        outcome, _ = _partner_rounds(g, d, cap)
+        assert outcome == _phase_outcome(naive_sustainability, g, d, cap)
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_cycle_and_ladder_past_the_budget(self, n):
+        # a cycle has n (n - 3) / 2 separation pairs, and a ladder whose
+        # rungs stand eight rail edges apart about 2.5 per vertex, both
+        # past the engine's budget of |D| + E(D): the first pass records
+        # none, and rounds take the block DFS until a pass on a grown
+        # backbone fits the budget.  A vertex beside each backbone vertex,
+        # joined to the next one and to the one halfway round, gives the
+        # repairs.
+        rails = [(i, i + 1) for i in range(n - 1)] + [(n + i, n + i + 1) for i in range(n - 1)]
+        ladder = rails + [(0, n), (n - 1, 2 * n - 1)] + [(i, n + i) for i in range(8, n - 1, 8)]
+        cycle = [(i, (i + 1) % n) for i in range(n)]
+        for edges, size in ((cycle, n), (ladder, 2 * n)):
+            repairs = [(size + v, w) for v in range(size) for w in (v, (v + 1) % size, (v + size // 2) % size)]
+            g = from_edge_list(2 * size, edges + repairs)
+            d = range(size)
+            outcome, tests = _partner_rounds(g, d)
+            assert outcome == _phase_outcome(naive_sustainability, g, d)
+            pairs: dict = {}
+            assert pipeline._bad_points(local_adjacency(g, d), d, pairs) == list(d)
+            assert pairs == {} and tests[0][1] == "dfs"
+
+    def test_an_ear_makes_its_ends_a_pair(self):
+        # {0, 2} does not separate D = {0, 1, 2, 3}; the round on its bad
+        # point 1 adds the ear 0-4-2, and 4 has no other backbone
+        # neighbour, so {0, 2} separates 4 from {1, 3}.  No engine pass
+        # comes between, so only the ear's update records the pair, and
+        # the next round takes the partner route from it.
+        g = from_edge_list(7, [
+            (0, 1), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 5),
+            (1, 6), (2, 3), (2, 4), (2, 6), (3, 5), (3, 6), (4, 6),
+        ])
+        d = {0, 1, 2, 3}
+        assert induced_connected(g, d - {0, 2})
+        outcome, tests = _partner_rounds(g, d)
+        assert outcome == _phase_outcome(naive_sustainability, g, d)
+        assert [(v, how) for v, how, _ in tests[:2]] == [(1, "partners"), (0, "partners")]
+
+    def test_a_hub_over_a_cycle_hits_the_work_cap(self):
+        # the backbone is a 16-cycle with a hub on every fourth vertex:
+        # vertex 0's partners lie along two arcs, and their searches read
+        # more entries than the block DFS of D - 0, so the round falls
+        # back to it
+        n = 16
+        edges = [(i, (i + 1) % n) for i in range(n)] + [(n, i) for i in range(0, n, 4)]
+        repairs = [(n + 1 + i, (i + j) % n) for i in range(n) for j in (0, 1, n // 2)]
+        g = from_edge_list(2 * n + 1, edges + repairs)
+        d = range(n + 1)
+        outcome, tests = _partner_rounds(g, d)
+        assert outcome == _phase_outcome(naive_sustainability, g, d)
+        assert (0, "dfs", True) in tests
+        assert any(how == "partners" for _, how, _ in tests)
+
+    def test_last_two_searches_finish_in_the_same_pass(self):
+        # D is the 4-cycle 1-5-3-7 and its lowest bad point is 1.  D - 1
+        # is the path 5-3-7 with partner 3, whose two searches, from 5 and
+        # from 7, both finish in the first pass: one of them must stay the
+        # large side, or no block is left to name by exclusion.
+        g = from_edge_list(8, [(1, 5), (5, 3), (3, 7), (7, 1), (0, 1), (0, 3), (0, 5), (0, 7)])
+        d = {1, 3, 5, 7}
+        outcome, tests = _partner_rounds(g, d)
+        assert outcome == frozenset({0, 1, 3, 5, 7}) == naive_sustainability(g, d)
+        assert tests[0] == (1, "partners", False)
 
 
 class TestDiversificationRounds:
@@ -927,29 +1087,42 @@ def test_diversification_builds_one_adjacency_per_round(monkeypatch):
 
 
 def test_sustainability_builds_its_induced_graph_once(monkeypatch):
-    # the entry check is one block DFS of the rows the loop then keeps
+    # the entry check is one block DFS of the rows the loop then keeps;
+    # every engine pass and every candidate test, on either route (the
+    # partner route is open to every backbone at a size floor of 0),
+    # reads those rows
     g = random_geometric(120, 0.16, 22).graph()
     backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
-    builds = _count_builds(monkeypatch)
-    checks = []
     local_blocks = pipeline._local_blocks
     bad_points = pipeline._bad_points
+    split_without = pipeline._split_without
+    for floor in (pipeline._PARTNER_VOLUME, 0):
+        checks = []
 
-    def record_blocks(adj, members, skip=-1):
-        checks.append(("blocks", adj, skip))
-        return local_blocks(adj, members, skip)
+        def record_blocks(adj, members, skip=-1):
+            checks.append(("blocks", adj, skip))
+            return local_blocks(adj, members, skip)
 
-    def record_bad(adj, members):
-        checks.append(("bad", adj, None))
-        return bad_points(adj, members)
+        def record_bad(adj, members, *partners):
+            checks.append(("bad", adj, None))
+            return bad_points(adj, members, *partners)
 
-    monkeypatch.setattr(pipeline, "_local_blocks", record_blocks)
-    monkeypatch.setattr(pipeline, "_bad_points", record_bad)
-    grown = sustainability(g, backbone)
-    assert [(kind, members) for kind, members, _ in builds] == [("rows", sorted(backbone))]
-    assert checks[:2] == [("blocks", builds[0][2], -1), ("bad", builds[0][2], None)]
-    assert all(adj is builds[0][2] for _, adj, _ in checks)
-    assert is_m_connected(g, grown, 3) and len(grown) > len(backbone)
+        def record_split(adj, members, v, *rest):
+            checks.append(("split", adj, v))
+            return split_without(adj, members, v, *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            builds = _count_builds(patch)
+            patch.setattr(pipeline, "_PARTNER_VOLUME", floor)
+            patch.setattr(pipeline, "_local_blocks", record_blocks)
+            patch.setattr(pipeline, "_bad_points", record_bad)
+            patch.setattr(pipeline, "_split_without", record_split)
+            grown = sustainability(g, backbone)
+        assert [(kind, members) for kind, members, _ in builds] == [("rows", sorted(backbone))]
+        assert [kind for kind, _, _ in checks[:3]] == ["blocks", "bad", "split"] and checks[0][2] == -1
+        assert all(adj is builds[0][2] for _, adj, _ in checks)
+        assert is_m_connected(g, grown, 3) and len(grown) > len(backbone)
+    builds = _count_builds(monkeypatch)
     # a set that is disconnected, has a cut vertex or is too small is
     # rejected after the same single build
     for g, rejected in (
@@ -987,7 +1160,7 @@ class TestAugmentationPaths:
         blocks, cut = _local_blocks(_induced_rows(g, members), members)
         leaves = [b for b in blocks if len(cut.intersection(b)) == 1]
         assert sorted(map(frozenset, leaves), key=sorted) == list(tree.leaf_blocks)
-        assert _augment_leaf_block(g, leaves, cut, base, allowed) == (leaf, expected)
+        assert _augment_leaf_block(g, leaves, cut, base, -1, allowed) == (leaf, expected)
 
     @given(st.data())
     @settings(max_examples=300)
