@@ -561,18 +561,20 @@ def _bad_points(
     behind its hits: b in ``partners[a]`` and a in ``partners[b]`` for each
     pair {a, b}, so the partners of a bad point v are the cut vertices of
     the graph minus v.  A type-1 hit is one pair; recording a type-2 hit
-    walks its gap in full, one pair per slot.  A cycle has a quadratic
-    number of pairs, so recording stops once it would pass a budget of
-    n + E pairs, for E edges, and the dict is then left empty; with fewer
-    than four vertices nothing is recorded either.
+    walks its gap in full, one pair per slot.  The pairs are kept ancestor
+    first in a set, so a pair hit twice counts once.  A cycle has a
+    quadratic number of pairs, so recording stops once the distinct pairs
+    pass a budget of n + E, for E edges, and the dict is then left empty;
+    with fewer than four vertices nothing is recorded either.  Type-2 hits
+    name distinct pairs, so the gaps walked stay within the budget plus O(n).
     """
     n = len(members)
     if n < 4:
         return list(members)
-    pairs: list[tuple[int, int]] | None = None  # None: not recording
+    pairs: set[tuple[int, int]] | None = None  # ancestor first; None: not recording
     if partners is not None:
         budget = n + sum(len(adj[v]) for v in members) // 2
-        pairs = []
+        pairs = set()
     span = len(adj)  # vertex-indexed arrays
     by_target: list[list[int]] = [[] for _ in range(n)]  # frond sources by target depth
     order, parent, depth, low = _palm_tree(adj, members, fronds=by_target)
@@ -638,7 +640,7 @@ def _bad_points(
         if d >= 2 and low[b] == hi[b] and size[b] < n - 2:  # type 1, with c = b
             bad[path[low[b]]] = bad[p] = True
             if pairs is not None:
-                pairs.append((path[low[b]], p))
+                pairs.add((path[low[b]], p))
         h = second_low[p] if low[b] == first_low[p] else first_low[p]
         if own[p] < h:
             h = own[p]
@@ -664,10 +666,9 @@ def _bad_points(
                 if i < j:  # type 2: b with every candidate in the gap
                     bad[b] = True
                     if pairs is not None:
-                        if len(pairs) + j - i > budget:
+                        pairs.update([(path[candidates[s]], b) for s in range(i, j)])
+                        if len(pairs) > budget:
                             pairs = None
-                        else:
-                            pairs += [(b, path[candidates[s]]) for s in range(i, j)]
                     s = j - 1
                     while s >= i:
                         t = down[s]

@@ -29,7 +29,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Container, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DisconnectedInputError,
@@ -358,7 +358,7 @@ def _augment_leaf_block(
     backbone: set[int],
     bad: int,
     allowed: Callable[[int], bool],
-    blocks: list[list[int]] | None = None,
+    listed: bool,
 ) -> tuple[frozenset[int] | _Remainder, list[int] | None]:
     """The leaf block to repair, the smallest-member one of ``leaves``
     (blocks of the round's set, the members of ``backbone`` other than
@@ -367,23 +367,19 @@ def _augment_leaf_block(
     outside it, whose internal vertices all satisfy ``allowed`` (None when
     there is none), the ones to promote.
 
-    The path search runs from the side that is listed.  A leaf named by
-    exclusion (:class:`_Remainder`) is a membership test, and the search
-    runs from the rest.  A leaf given by its members that holds more than
-    half of the set, when ``blocks`` lists all of the set's blocks, has
-    the rest listed from the other blocks, and the search runs from the
-    smaller side.  Otherwise the rest of the set is a membership test."""
+    When the split ``listed`` both sides (a block DFS), the rest of the set
+    is listed too, and the path search runs from the smaller side.  On the
+    partner route one side is a membership test and the search runs from
+    the other: a leaf named by exclusion (:class:`_Remainder`) against the
+    small sides listed, or a listed leaf against the rest of the set
+    (:class:`_Excluding`)."""
     leaf = _first_leaf(leaves)
     if isinstance(leaf, _Remainder):
         sources = _Excluding(backbone, leaf.skip | cut)
         return leaf, _lex_shortest_path(g, sources, leaf.rest, allowed)
     ids = frozenset(leaf)
     sources = [v for v in leaf if v not in cut]
-    if blocks is not None and 2 * len(leaf) > sum(map(len, blocks)) - len(blocks) + 1:
-        # a cut vertex is in one block more than once
-        rest: Container[int] = set().union(*[b for b in blocks if b is not leaf]).difference(ids)
-    else:
-        rest = _Excluding(backbone, ids | {bad})
+    rest = backbone.difference(ids, (bad,)) if listed else _Excluding(backbone, ids | {bad})
     return ids, _lex_shortest_path(g, sources, rest, allowed)
 
 
@@ -393,10 +389,12 @@ def _split_without(
     v: int,
     partners: dict[int, set[int]] | None,
     work: int,
-) -> tuple[set[int], list, list[list[int]] | None] | None:
-    """The cut vertices, the leaf blocks and, from the block DFS, all the
-    blocks of the backbone minus its member v, or None when v is not a
-    bad point (the rest is 2-connected with at least three vertices).
+) -> tuple[set[int], list, bool] | None:
+    """The cut vertices and the leaf blocks of the backbone minus its
+    member v (the whole backbone when v is -1), and whether both sides of
+    every leaf are listed (they are after a block DFS); or None when that
+    set has at least three vertices and is 2-connected: v is not a bad
+    point, or at v = -1 the backbone is 2-connected.
 
     With a partner map, whose recorded partners of v include every cut
     vertex of the backbone minus v, the split costs the small sides only.
@@ -410,7 +408,9 @@ def _split_without(
     vertex, and then takes part as a :class:`_Remainder`.  When no partner
     is top-level (the large sides disagree) or the searches read ``work``
     adjacency entries, the split falls back to the block DFS of the
-    backbone minus v, as it does when there is no map.
+    backbone minus v, as it does when there is no map, and v's partners
+    become the cut vertices that DFS names.  A set the block DFS finds
+    disconnected is an input error.
     """
     if partners is not None and len(members) > 3:
         sides: dict[int, set[int]] = {}
@@ -437,10 +437,14 @@ def _split_without(
                     leaves += [b for b in blocks if len(cut.intersection(b)) == 1]
                 if len(top) == 1:
                     leaves.append(_Remainder(sides[top[0]], v, members))
-                return cut, leaves, None
+                return cut, leaves, False
     blocks, cut = _local_blocks(rows, members, v)
-    if cut or len(members) <= 3:
-        return cut, [b for b in blocks if len(cut.intersection(b)) == 1], blocks
+    if blocks is None:
+        raise DisconnectedInputError("input set does not induce a connected subgraph")
+    if partners is not None:
+        partners[v] = set(cut)
+    if cut or len(members) - (v >= 0) <= 2:
+        return cut, [b for b in blocks if len(cut.intersection(b)) == 1], True
     return None
 
 
@@ -492,14 +496,14 @@ def _augment(
     and is inserted into its neighbours' rows and into the list.  Each
     round names the set to repair, the backbone for m = 2 and the backbone
     minus its lowest bad point for m = 3, and splits it into leaf blocks
-    and cut vertices: at m = 2 by the block DFS of the backbone
-    (:func:`graph._local_blocks`), where three or more members with no cut
-    vertex end the loop, and at m = 3 by :func:`_split_without`.  A lone
-    vertex adopts its smallest neighbour, a pair is joined by its shortest
-    alternate route (a common neighbour when one exists) and a larger set
-    has its smallest leaf block (:func:`_first_leaf`) reconnected to the
-    rest, always through vertices outside the backbone
-    (:func:`_augment_leaf_block`).  A disconnected first set and a cap
+    and cut vertices by :func:`_split_without`: at m = 2 the block DFS of
+    the backbone, where three or more members with no cut vertex end the
+    loop.  A lone vertex adopts its smallest neighbour, a pair is joined by
+    its shortest alternate route (a common neighbour when one exists) and
+    a larger set has its smallest leaf block (:func:`_first_leaf`)
+    reconnected to the rest, always through vertices outside the backbone
+    (:func:`_augment_leaf_block`); after a block DFS the path search runs
+    from the smaller side.  A disconnected first set and a cap
     other than None or a positive int are input errors.  A round gets
     stuck only when g is not m-connected: otherwise G - c (G - a - c at
     m = 3, with bad point a) is connected for the leaf block's cut vertex
@@ -547,25 +551,16 @@ def _augment(
     if m == 3:
         heap, partners = _record_pairs(rows, members, volume)
     for iterations in itertools.count(1):
-        if m == 2:
-            # one block decomposition per round answers both
-            # "2-connected?" and "which leaf block?"
-            blocks, cut = _local_blocks(rows, members)
-            if blocks is None:
-                raise DisconnectedInputError("input set does not induce a connected subgraph")
-            if len(members) >= 3 and not cut:
+        split = _split_without(rows, members, -1, None, volume) if m == 2 else None
+        while heap:
+            bad = heap[0]
+            split = _split_without(rows, members, bad, partners, volume)
+            if split is not None:
                 break
-            leaves = [b for b in blocks if len(cut.intersection(b)) == 1]
-        else:
-            while heap:
-                bad = heap[0]
-                split = _split_without(rows, members, bad, partners, volume)
-                if split is not None:
-                    break
-                heap, partners = _record_pairs(rows, members, volume)  # bad was stale: refill exactly
-            else:
-                break  # no bad point: the backbone is 3-connected
-            cut, leaves, blocks = split
+            heap, partners = _record_pairs(rows, members, volume)  # bad was stale: refill exactly
+        if split is None:
+            break  # m-connected: no cut vertex at m = 2, no bad point at m = 3
+        cut, leaves, listed = split
         if iterations > cap:
             raise IterationCapExceededError(phase, cap)
         witness: Iterable[int] = members
@@ -573,7 +568,7 @@ def _augment(
             base = [v for v in members if v != bad]
             path = _alternate_pair_path(g, base[0], base[-1], outside)
         else:
-            witness, path = _augment_leaf_block(g, leaves, cut, backbone, bad, outside, blocks)
+            witness, path = _augment_leaf_block(g, leaves, cut, backbone, bad, outside, listed)
         if path is None:
             raise GraphNotMConnectedError(m, tuple(sorted(witness)) if m == 2 else (bad,))
         ear = path[1:-1]

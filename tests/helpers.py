@@ -11,10 +11,12 @@ rounds separately on each component, the domination twin finds its pairs
 by one plain BFS per member and tests them against the components, the
 diversification twin repairs the first leaf block of the block twin round
 by round, the sustainability twin repairs the removal-subset lowest bad
-point round by round and the oracle twin tries every subset against the
-package's checkers.  The local adjacency relabels an
-induced subgraph onto local indices: the traversals run on it too, and
-must agree with their runs on the rows indexed by node id.  The one
+point round by round, the pipeline twin composes the independent-set,
+domination, diversification and sustainability twins, and the oracle
+twin tries every subset against the package's checkers.  The local
+adjacency relabels an induced subgraph onto local indices: the
+traversals run on it too, and must agree with their runs on the rows
+indexed by node id.  The one
 exception is the bad-point sweep, which runs the package's m = 2 test
 once per member: it is independent of the m = 3 engine it checks.
 """
@@ -465,6 +467,38 @@ def naive_sustainability(g: Graph, d, cap: int | None = None) -> frozenset[int]:
             raise GraphNotMConnectedError(3, (bad,))
         nodes.update(path[1:-1])
     return frozenset(nodes)
+
+
+def naive_run_plutus(g: Graph, cfg):
+    """The whole pipeline from the references alone: isolation and every
+    synergy layer by :func:`naive_greedy_mis`, then
+    :func:`naive_domination`, and :func:`naive_diversification` and
+    :func:`naive_sustainability` as ``cfg.m`` asks, with its cap.  It
+    raises the package's errors, with their messages and witnesses, where
+    the pipeline raises them, and its trace has zero times."""
+    from plutus import DisconnectedInputError, EmptyGraphError, PhaseTrace, PlutusResult
+
+    if g.node_count == 0:
+        raise EmptyGraphError("isolation needs at least one node")
+    everything = range(g.node_count)
+    if len(naive_components(g, everything)) > 1:
+        raise DisconnectedInputError("isolation requires a connected graph")
+    mis = frozenset(naive_greedy_mis(g, everything))
+    stages = [("isolation", mis), ("domination", naive_domination(g, mis))]
+    covered = set(mis)
+    for _ in range(2, cfg.k + 1):
+        covered.update(naive_greedy_mis(g, [v for v in everything if v not in covered]))
+    stages.append(("synergy", frozenset(covered | stages[-1][1])))
+    cap = cfg.max_augmentation_iterations
+    if cfg.m >= 2:
+        stages.append(("diversification", naive_diversification(g, stages[-1][1], cap)))
+    if cfg.m == 3:
+        stages.append(("sustainability", naive_sustainability(g, stages[-1][1], cap)))
+    trace, before = [], frozenset()
+    for name, backbone in stages:
+        trace.append(PhaseTrace(name, len(backbone), tuple(sorted(backbone - before)), 0))
+        before = backbone
+    return PlutusResult(before, tuple(trace), g.node_count)
 
 
 def vertex_disjoint_paths(g: Graph, nodes: set[int], s: int, t: int, cap: int) -> int:

@@ -401,7 +401,7 @@ def leaf_pick(g: Graph, subset) -> frozenset[int]:
     from the blocks that meet the cut vertices once."""
     blocks, cut = blocks_by_id(g, subset)
     leaves = [b for b in blocks if len(cut.intersection(b)) == 1]
-    return _augment_leaf_block(g, leaves, cut, set(subset), -1, lambda x: False)[0]
+    return _augment_leaf_block(g, leaves, cut, set(subset), -1, lambda x: False, True)[0]
 
 
 def assert_matches_naive(g: Graph, subset) -> tuple[list[list[int]], set[int]]:
@@ -972,8 +972,8 @@ class TestBadPoints:
     def test_recorded_partners_are_the_separation_pairs(self, seed, edge_bias, whole):
         # recording names every pair whose removal splits the set, by the
         # reference, each from both ends, or none: past the budget of
-        # |D| + E(D) pairs (counted as found, so a pair found twice counts
-        # twice) it names none
+        # |D| + E(D) distinct pairs (a pair found twice counts once) it
+        # names none
         g = random_graph(seed, max_nodes=11, edge_bias=edge_bias)
         nodes = [v for v in range(g.node_count) if whole or splitmix_pick(seed, v)]
         assume(len(nodes) >= 4 and naive_m_connected(g, nodes, 2))
@@ -988,6 +988,24 @@ class TestBadPoints:
         budget = len(nodes) + sum(len(rows[v]) for v in nodes) // 2
         assert recorded in (set(), pairs | {(b, a) for a, b in pairs})
         assert len(pairs) <= budget or not recorded
+        assert bool(recorded) == (0 < len(pairs) <= budget)
+
+    def test_pairs_hit_twice_count_once_against_the_budget(self):
+        # 22 distinct separation pairs meet the budget of |D| + E(D) = 22
+        # exactly, though the engine hits some of them more than once
+        g = from_edge_list(10, [
+            (0, 1), (0, 2), (0, 6), (1, 5), (1, 6), (2, 4), (3, 8), (3, 9),
+            (4, 7), (4, 9), (5, 8), (7, 9),
+        ])
+        nodes = list(range(10))
+        pairs = {
+            (a, b) for a, b in itertools.combinations(nodes, 2)
+            if not induced_connected(g, set(nodes) - {a, b})
+        }
+        assert len(pairs) == 10 + 12
+        partners: dict = {}
+        assert _bad_points(g.adjacency, nodes, partners) == naive_bad_points(g, nodes)
+        assert {(a, b) for a, row in partners.items() for b in row if a < b} == pairs
 
 
 class TestDisconnectingSet:

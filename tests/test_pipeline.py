@@ -54,6 +54,7 @@ from .helpers import (
     naive_lex_shortest_path,
     naive_lowest_bad_point,
     naive_m_connected,
+    naive_run_plutus,
     naive_sustainability,
     random_connected_graph,
     random_graph,
@@ -682,6 +683,25 @@ def test_diversification_matches_the_round_by_round_reference(seed, edge_bias, c
     assert _phase_outcome(diversification, g, d, cap) == expected
 
 
+@given(seeds, st.integers(1, 3), st.integers(1, 3), st.sampled_from([None, 1, 2, 3]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_run_plutus_matches_the_whole_pipeline_reference(seed, k, m, cap, data):
+    # the result file's bytes, or the error with its message and witness,
+    # are those of the pipeline composed from the slow references alone;
+    # an arbitrary graph may be disconnected
+    if data.draw(st.booleans()):
+        g = random_connected_graph(seed, max_nodes=12)
+    else:
+        g = random_graph(seed, max_nodes=12, edge_bias=data.draw(st.integers(1, 3)))
+    cfg = PlutusConfig(k=k, m=m, max_augmentation_iterations=cap)
+
+    def outcome(run):
+        found = _phase_outcome(run, g, cfg)
+        return result_to_dict(found, cfg) if isinstance(found, PlutusResult) else found
+
+    assert outcome(run_plutus) == outcome(naive_run_plutus)
+
+
 def test_stuck_sustainability_witness_may_be_a_promoted_vertex():
     # the BFS prefix {1, 2, 4} from 4 is not 2-connected; diversification
     # makes it {1, 2, 4, 6}, and sustainability gets stuck at vertex 0,
@@ -728,11 +748,12 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
     in order: "engine" for a bad-point pass, "stale" for a candidate test
     that finds its candidate good and "round" for one that opens a round.
 
-    A round opens at m = 2 with each block decomposition of the backbone,
-    and at m = 3 with each split of the backbone minus a candidate
-    (``_split_without``) that finds the candidate bad.  At m = 3 the last
-    round is the backbone returned.  Each engine pass, decomposition and
-    split must see the one adjacency the phase keeps: rows equal to a
+    A round opens with each split (``_split_without``): at m = 2 every
+    split of the whole backbone (v = -1), the last one, which returns
+    None, finding it 2-connected, and at m = 3 each split of the backbone
+    minus a candidate that finds the candidate bad.  At m = 3 the last
+    round is the backbone returned.  Each engine pass and split must see
+    the one adjacency the phase keeps: rows equal to a
     fresh reference local adjacency mapped to ids, with a member list
     equal to the sorted backbone so far, the input plus every promoted
     path; and no other adjacency is built."""
@@ -740,7 +761,6 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
     calls: list[str] = []
     kept = []  # the adjacency each call reads
     bad_points = pipeline._bad_points
-    local_blocks = pipeline._local_blocks
     split_without = pipeline._split_without
     augment_leaf_block = pipeline._augment_leaf_block
     alternate_pair_path = pipeline._alternate_pair_path
@@ -764,19 +784,12 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
         calls.append("engine")
         return bad_points(adj, members, *partners)
 
-    def record_blocks(adj, members, skip=-1):
-        if skip < 0:
-            check_adjacency(adj, members)
-            calls.append("round")
-            rounds.append([list(members), None, None, None])
-        return local_blocks(adj, members, skip)
-
     def record_split(adj, members, v, *rest):
         check_adjacency(adj, members)
         split = split_without(adj, members, v, *rest)
-        calls.append("stale" if split is None else "round")
-        if split is not None:
-            rounds.append([list(members), v, None, None])
+        calls.append("stale" if split is None and v >= 0 else "round")
+        if split is not None or v < 0:
+            rounds.append([list(members), v if v >= 0 else None, None, None])
         return split
 
     def record_leaf(*args):
@@ -791,8 +804,6 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
         return rounds[-1][3]
 
     monkeypatch.setattr(pipeline, "_bad_points", record_bad)
-    if phase is diversification:
-        monkeypatch.setattr(pipeline, "_local_blocks", record_blocks)
     monkeypatch.setattr(pipeline, "_split_without", record_split)
     monkeypatch.setattr(pipeline, "_augment_leaf_block", record_leaf)
     monkeypatch.setattr(pipeline, "_alternate_pair_path", record_pair)
@@ -882,8 +893,9 @@ def _partner_rounds(g, d, cap=None):
 
     At each test, while the phase holds a partner map, the map must hold
     every separation pair of the backbone, by the removal-subset
-    reference.  After a test the partner route answered, the candidate's
-    partners must be exactly the cut vertices of the backbone minus it by
+    reference.  After every test that held a map, answered by the partner
+    route or by the block DFS it fell back to, the candidate's partners
+    must be exactly the cut vertices of the backbone minus it by
     :func:`naive_block_cut_tree`: none when the candidate was stale."""
     tests = []
     split_without = pipeline._split_without
@@ -911,7 +923,7 @@ def _partner_rounds(g, d, cap=None):
         route.clear()
         split = split_without(adj, members, v, partners, work)
         how = "dfs" if "dfs" in route else "stale" if split is None else "partners"
-        if partners is not None and "dfs" not in route:
+        if partners is not None:
             rest = nodes - {v}
             expected = naive_block_cut_tree(g, rest).cut_vertices if len(rest) > 2 else set()
             assert partners.get(v, set()) == expected
@@ -995,6 +1007,9 @@ class TestPartnerRounds:
         assert outcome == _phase_outcome(naive_sustainability, g, d)
         assert (0, "dfs", True) in tests
         assert any(how == "partners" for _, how, _ in tests)
+        # each fallback DFS leaves vertex 0 only the partners that still
+        # separate, so its searches hit the cap twice, not three times
+        assert [how for v, how, _ in tests if v == 0] == ["dfs", "dfs", "partners", "partners"]
 
     def test_last_two_searches_finish_in_the_same_pass(self):
         # D is the 4-cycle 1-5-3-7 and its lowest bad point is 1.  D - 1
@@ -1006,6 +1021,55 @@ class TestPartnerRounds:
         outcome, tests = _partner_rounds(g, d)
         assert outcome == frozenset({0, 1, 3, 5, 7}) == naive_sustainability(g, d)
         assert tests[0] == (1, "partners", False)
+
+
+def test_only_partner_route_rounds_test_membership_in_the_rest(monkeypatch):
+    # a round whose split ran the block DFS lists both sides of its path
+    # search; only a partner-route round hands the search a side that is a
+    # membership test (_Excluding), one per round
+    g = random_geometric(120, 0.16, 22).graph()
+    excluding = pipeline._Excluding
+    split_without = pipeline._split_without
+    augment_leaf_block = pipeline._augment_leaf_block
+    local_blocks = pipeline._local_blocks
+    built, route, rounds = [], [], []
+
+    def count_excluding(*args):
+        built.append(args)
+        return excluding(*args)
+
+    def record_blocks(adj, members, skip=-1):
+        route.append("dfs")
+        return local_blocks(adj, members, skip)
+
+    def record_split(*args):
+        route.clear()
+        return split_without(*args)
+
+    def record_leaf(*args):
+        before = len(built)
+        found = augment_leaf_block(*args)
+        rounds.append((route[:] or ["partners"], len(built) - before))
+        return found
+
+    monkeypatch.setattr(pipeline, "_Excluding", count_excluding)
+    monkeypatch.setattr(pipeline, "_local_blocks", record_blocks)
+    monkeypatch.setattr(pipeline, "_split_without", record_split)
+    monkeypatch.setattr(pipeline, "_augment_leaf_block", record_leaf)
+    diversification(g, run_plutus(g, PlutusConfig(k=1, m=1)).dominating_set)
+    assert len(rounds) > 1 and not built
+    # the n = 120 backbone is past the size floor, the n = 40 one is not
+    for g in (g, random_geometric(40, 0.3, 11).graph()):
+        backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
+        for floor in (pipeline._PARTNER_VOLUME, 0):
+            rounds.clear()
+            monkeypatch.setattr(pipeline, "_PARTNER_VOLUME", floor)
+            sustainability(g, backbone)
+            dfs = [count for how, count in rounds if how == ["dfs"]]
+            partner = [count for how, count in rounds if how == ["partners"]]
+            assert len(dfs) + len(partner) == len(rounds)
+            assert set(dfs) <= {0} and set(partner) <= {1}
+            assert partner if floor == 0 or g.node_count == 120 else dfs
 
 
 class TestDiversificationRounds:
@@ -1160,7 +1224,8 @@ class TestAugmentationPaths:
         blocks, cut = _local_blocks(_induced_rows(g, members), members)
         leaves = [b for b in blocks if len(cut.intersection(b)) == 1]
         assert sorted(map(frozenset, leaves), key=sorted) == list(tree.leaf_blocks)
-        assert _augment_leaf_block(g, leaves, cut, base, -1, allowed) == (leaf, expected)
+        for listed in (True, False):
+            assert _augment_leaf_block(g, leaves, cut, base, -1, allowed, listed) == (leaf, expected)
 
     @given(st.data())
     @settings(max_examples=300)
