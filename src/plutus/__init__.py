@@ -6,7 +6,6 @@ from .errors import (
     EmptyGraphError,
     GraphInputError,
     GraphNotMConnectedError,
-    IterationCapExceededError,
     OracleSizeError,
     PlutusError,
     SelfLoopError,
@@ -55,7 +54,6 @@ __all__ = [
     "Graph",
     "GraphInputError",
     "GraphNotMConnectedError",
-    "IterationCapExceededError",
     "OracleResult",
     "OracleSizeError",
     "PhaseTrace",

@@ -2,8 +2,8 @@
 the oracle, benchmark.
 
 Exit codes: 0 ok; 2 parse/input error; 3 the graph is empty or
-disconnected, or a phase could not make the backbone m-connected; 5
-iteration cap exceeded; 6 verification failure.  The seed falls back to
+disconnected, or a phase could not make the backbone m-connected; 6
+verification failure.  The seed falls back to
 the PLUTUS_SEED environment variable, then to 0.
 """
 
@@ -22,7 +22,6 @@ from .errors import (
     EmptyGraphError,
     GraphInputError,
     GraphNotMConnectedError,
-    IterationCapExceededError,
     OracleSizeError,
 )
 from .geometry import random_geometric
@@ -45,7 +44,6 @@ from .verify import backbone_stretch, brute_force_min_mcds, is_m_connected_k_dom
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_REFUSED = 3
-EXIT_ITERATION_CAP = 5
 EXIT_VERIFY_FAILED = 6
 
 _EXIT_CODES = {
@@ -55,7 +53,6 @@ _EXIT_CODES = {
     GraphNotMConnectedError: EXIT_REFUSED,
     DisconnectedInputError: EXIT_REFUSED,
     EmptyGraphError: EXIT_REFUSED,
-    IterationCapExceededError: EXIT_ITERATION_CAP,
 }
 
 
@@ -72,11 +69,7 @@ def _default_seed(value: int | None) -> int:
 
 
 def _config_from(args: argparse.Namespace) -> PlutusConfig:
-    return PlutusConfig(
-        k=args.k,
-        m=args.m,
-        max_augmentation_iterations=args.max_iters,
-    )
+    return PlutusConfig(k=args.k, m=args.m)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -279,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("-m", type=int, default=1, choices=(1, 2, 3))
     p_solve.add_argument("--out", default=None, help="result JSON path")
     p_solve.add_argument("--dot", default=None, help="also write a DOT rendering")
-    p_solve.add_argument("--max-iters", type=int, default=None)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check a result file against its graph")
@@ -304,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=None)
     p_bench.add_argument("-k", type=int, default=1)
     p_bench.add_argument("-m", type=int, default=1, choices=(1, 2, 3))
-    p_bench.add_argument("--max-iters", type=int, default=None)
     p_bench.add_argument("--out", default=None, help="JSON summary path")
     p_bench.set_defaults(func=_cmd_bench)
     return parser

@@ -42,15 +42,6 @@ class GraphNotMConnectedError(PlutusError):
         self.witness = witness
 
 
-class IterationCapExceededError(PlutusError):
-    """An augmentation loop ran past its safety cap."""
-
-    def __init__(self, phase: str, cap: int) -> None:
-        super().__init__(f"{phase} exceeded the augmentation cap of {cap} iterations")
-        self.phase = phase
-        self.cap = cap
-
-
 class OracleSizeError(PlutusError):
     """The exhaustive oracle was asked for a graph above its node limit."""
 

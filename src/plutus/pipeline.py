@@ -23,7 +23,6 @@ concurrently.
 from __future__ import annotations
 
 import heapq
-import itertools
 import time
 from bisect import insort
 from collections import deque
@@ -36,7 +35,6 @@ from .errors import (
     EmptyGraphError,
     GraphInputError,
     GraphNotMConnectedError,
-    IterationCapExceededError,
 )
 from .graph import (
     Graph,
@@ -46,7 +44,6 @@ from .graph import (
     _check_k,
     _check_m,
     _induced_rows,
-    _is_int,
     _lex_shortest_path,
     _local_blocks,
     _small_sides,
@@ -63,27 +60,17 @@ class Role(Enum):
     DOMINATION_RELUCTANT = "reluctant"
 
 
-def _check_cap(cap: object) -> None:
-    """An augmentation cap is None (10 * node count) or a positive int."""
-    if cap is not None and (not _is_int(cap) or cap < 1):
-        raise GraphInputError(f"iteration cap must be positive, got {cap!r}")
-
-
 @dataclass(frozen=True)
 class PlutusConfig:
-    """Targets for a pipeline run: k-dominance multiplicity, connectivity
-    level m (at most 3) and the augmentation-loop safety cap (None means
-    10 * node count).  A phase that starts from d ends within
-    n - |d| + 1 rounds (see :func:`_augment`), so the default never fires."""
+    """Targets for a pipeline run: k-dominance multiplicity and
+    connectivity level m (at most 3)."""
 
     k: int = 1
     m: int = 1
-    max_augmentation_iterations: int | None = None
 
     def __post_init__(self) -> None:
         _check_k(self.k)
         _check_m(self.m)
-        _check_cap(self.max_augmentation_iterations)
 
 
 @dataclass(frozen=True)
@@ -457,12 +444,13 @@ _PARTNER_VOLUME = 256
 
 def _record_pairs(
     rows: list[list[int]], members: list[int], volume: int
-) -> tuple[list[int], dict[int, set[int]] | None]:
-    """Every bad point of the backbone, ascending, from one engine pass,
-    and the partner map it records when the backbone holds ``volume`` >=
-    ``_PARTNER_VOLUME`` adjacency entries; None for the map when the pass
-    recorded nothing (a small backbone, past the engine's budget, or
-    fewer than four members)."""
+) -> tuple[list[int] | None, dict[int, set[int]] | None]:
+    """Every bad point of the backbone, ascending, from one engine pass
+    (None when four or more members are not 2-connected), and the partner
+    map it records when the backbone holds ``volume`` >= ``_PARTNER_VOLUME``
+    adjacency entries; None for the map when the pass recorded nothing (a
+    small backbone, past the engine's budget, or fewer than four
+    members)."""
     partners: dict[int, set[int]] | None = {} if volume >= _PARTNER_VOLUME else None
     bad = _bad_points(rows, members, partners)
     return bad, partners or None
@@ -484,7 +472,6 @@ def _augment(
     g: Graph,
     members: list[int],
     rows: list[list[int]],
-    max_iterations: int | None,
     m: int,
 ) -> frozenset[int]:
     """The augmentation loop of diversification (m = 2) and sustainability
@@ -503,13 +490,14 @@ def _augment(
     a larger set has its smallest leaf block (:func:`_first_leaf`)
     reconnected to the rest, always through vertices outside the backbone
     (:func:`_augment_leaf_block`); after a block DFS the path search runs
-    from the smaller side.  A disconnected first set and a cap
-    other than None or a positive int are input errors.  A round gets
-    stuck only when g is not m-connected: otherwise G - c (G - a - c at
-    m = 3, with bad point a) is connected for the leaf block's cut vertex
-    c, so a path leaves the block through outside vertices.  So a stuck
-    round raises :class:`GraphNotMConnectedError`, with the stuck set as
-    witness at m = 2 and the bad point at m = 3.
+    from the smaller side.  The first split at m = 2 rejects a
+    disconnected set, and the first engine pass at m = 3 one that is not
+    2-connected.  A round gets stuck only when g is not m-connected:
+    otherwise G - c (G - a - c at m = 3, with bad point a) is connected
+    for the leaf block's cut vertex c, so a path leaves the block through
+    outside vertices.  So a stuck round raises
+    :class:`GraphNotMConnectedError`, with the stuck set as witness at
+    m = 2 and the bad point at m = 3.
 
     At m = 3 the loop keeps a min-heap of candidates that holds every bad
     point, filled by one pass of :func:`graph._bad_points`, and, on a
@@ -534,14 +522,14 @@ def _augment(
     thus costs its small sides (at most one block DFS), plus, when its
     candidate was stale, one engine pass.
 
-    Every ear has an internal vertex, so every round that does not end the
-    loop promotes at least one vertex from outside the backbone: a phase
-    ends within n - |backbone| + 1 rounds, and a cap of at least that
-    changes nothing.
+    The phase ends: every ear has an internal vertex, so every round that
+    does not end the loop promotes at least one vertex from outside the
+    backbone, and a phase that starts from d ends within n - |d| + 1
+    rounds.  A pair's path has at least two edges, and a leaf block's
+    path is not one edge: its source is no cut vertex, so its neighbours
+    in the set lie in the leaf.  A round whose path has no internal
+    vertex would break this and raises AssertionError.
     """
-    _check_cap(max_iterations)
-    phase = "diversification" if m == 2 else "sustainability"
-    cap = 10 * g.node_count if max_iterations is None else max_iterations
     backbone = set(members)
     outside = lambda x: x not in backbone
     bad = -1
@@ -550,7 +538,11 @@ def _augment(
     volume = sum(len(rows[v]) for v in members)  # adjacency entries of the backbone
     if m == 3:
         heap, partners = _record_pairs(rows, members, volume)
-    for iterations in itertools.count(1):
+        # the engine finds four or more members that are not 2-connected;
+        # below four, only a triangle (six adjacency entries) is
+        if heap is None or volume < 6:
+            raise GraphInputError("sustainability requires a 2-connected input set")
+    while True:
         split = _split_without(rows, members, -1, None, volume) if m == 2 else None
         while heap:
             bad = heap[0]
@@ -561,8 +553,6 @@ def _augment(
         if split is None:
             break  # m-connected: no cut vertex at m = 2, no bad point at m = 3
         cut, leaves, listed = split
-        if iterations > cap:
-            raise IterationCapExceededError(phase, cap)
         witness: Iterable[int] = members
         if len(members) - (bad >= 0) <= 2:
             base = [v for v in members if v != bad]
@@ -572,6 +562,8 @@ def _augment(
         if path is None:
             raise GraphNotMConnectedError(m, tuple(sorted(witness)) if m == 2 else (bad,))
         ear = path[1:-1]
+        if not ear:
+            raise AssertionError(f"augmentation round promoted nothing: path {path}")
         backbone.update(ear)
         for x in ear:
             rows[x] = [w for w in g.adjacency[x] if w in backbone]
@@ -614,9 +606,7 @@ def _augment(
     return frozenset(backbone)
 
 
-def diversification(
-    g: Graph, d: Iterable[int], max_iterations: int | None = None
-) -> frozenset[int]:
+def diversification(g: Graph, d: Iterable[int]) -> frozenset[int]:
     """Phase 4: grow the backbone until it is 2-connected (at least three
     vertices, no cut vertex).
 
@@ -630,27 +620,21 @@ def diversification(
     members = _as_subset(g, d)
     if not members:
         raise GraphInputError("backbone must be non-empty")
-    return _augment(g, members, _induced_rows(g, members), max_iterations, 2)
+    return _augment(g, members, _induced_rows(g, members), 2)
 
 
-def sustainability(
-    g: Graph, d: Iterable[int], max_iterations: int | None = None
-) -> frozenset[int]:
+def sustainability(g: Graph, d: Iterable[int]) -> frozenset[int]:
     """Phase 5: grow the 2-connected backbone until it is 3-connected.
 
     A backbone vertex is a bad point when removing it leaves the rest not
     2-connected; a 2-connected backbone with no bad point is 3-connected.
     Rounds pick the lowest-id bad point v and run the diversification
     augmentation on the backbone minus v, with paths avoiding v entirely
-    (see :func:`_augment`).  The input must be 2-connected; that check is
-    one block DFS of the induced adjacency the loop then keeps.
+    (see :func:`_augment`).  The input must be 2-connected; the loop's
+    first bad-point pass checks it.
     """
     members = _as_subset(g, d)
-    rows = _induced_rows(g, members)
-    blocks, cut = _local_blocks(rows, members)
-    if len(members) <= 2 or blocks is None or cut:
-        raise GraphInputError("sustainability requires a 2-connected input set")
-    return _augment(g, members, rows, max_iterations, 3)
+    return _augment(g, members, _induced_rows(g, members), 3)
 
 
 def run_plutus(g: Graph, cfg: PlutusConfig) -> PlutusResult:
@@ -662,7 +646,6 @@ def run_plutus(g: Graph, cfg: PlutusConfig) -> PlutusResult:
     k < m the phases may still build one.  The result records the
     backbone and one trace entry, with its wall time, per executed phase.
     """
-    cap = cfg.max_augmentation_iterations
     phases = [
         ("isolation", lambda d: isolation(g)[0]),
         ("domination", lambda d: domination(g, d)),
@@ -672,9 +655,9 @@ def run_plutus(g: Graph, cfg: PlutusConfig) -> PlutusResult:
         ),
     ]
     if cfg.m >= 2:
-        phases.append(("diversification", lambda d: diversification(g, d, cap)))
+        phases.append(("diversification", lambda d: diversification(g, d)))
     if cfg.m == 3:
-        phases.append(("sustainability", lambda d: sustainability(g, d, cap)))
+        phases.append(("sustainability", lambda d: sustainability(g, d)))
 
     backbone: frozenset[int] = frozenset()
     grown_by: dict[str, frozenset[int]] = {}

@@ -419,24 +419,18 @@ def _naive_round(g: Graph, base: set[int], allowed) -> tuple[frozenset[int], lis
     return leaf, naive_lex_shortest_path(g, leaf - tree.cut_vertices, base - leaf, allowed)
 
 
-def naive_diversification(g: Graph, d, cap: int | None = None) -> frozenset[int]:
+def naive_diversification(g: Graph, d) -> frozenset[int]:
     """Diversification round by round from the references: while the
     backbone D is not 2-connected, :func:`_naive_round` repairs D through
     outside vertices.  It raises the package's errors, with their messages
     and witnesses, where the phase raises them: a set that is not
-    connected, a round past ``cap`` (default 10 * node count) and a round
-    with no path, whose witness is the stuck set."""
-    from plutus import DisconnectedInputError, GraphNotMConnectedError, IterationCapExceededError
+    connected and a round with no path, whose witness is the stuck set."""
+    from plutus import DisconnectedInputError, GraphNotMConnectedError
 
     nodes = set(d)
     if not induced_connected(g, nodes):
         raise DisconnectedInputError("input set does not induce a connected subgraph")
-    cap = 10 * g.node_count if cap is None else cap
-    rounds = 0
     while not naive_m_connected(g, nodes, 2):
-        rounds += 1
-        if rounds > cap:
-            raise IterationCapExceededError("diversification", cap)
         stuck, path = _naive_round(g, nodes, lambda x: x not in nodes)
         if path is None:
             raise GraphNotMConnectedError(2, tuple(sorted(stuck)))
@@ -444,24 +438,19 @@ def naive_diversification(g: Graph, d, cap: int | None = None) -> frozenset[int]
     return frozenset(nodes)
 
 
-def naive_sustainability(g: Graph, d, cap: int | None = None) -> frozenset[int]:
+def naive_sustainability(g: Graph, d) -> frozenset[int]:
     """Sustainability round by round from the references: each round
     repairs :func:`naive_lowest_bad_point` a of the backbone D by
     :func:`_naive_round` on D - a, through outside vertices.  It raises
     the package's errors, with their messages and witnesses, where the
-    phase raises them: a set that is not 2-connected, a round past
-    ``cap`` (default 10 * node count) and a round with no path."""
-    from plutus import GraphInputError, GraphNotMConnectedError, IterationCapExceededError
+    phase raises them: a set that is not 2-connected and a round with no
+    path."""
+    from plutus import GraphInputError, GraphNotMConnectedError
 
     nodes = set(d)
     if not naive_m_connected(g, nodes, 2):
         raise GraphInputError("sustainability requires a 2-connected input set")
-    cap = 10 * g.node_count if cap is None else cap
-    rounds = 0
     while (bad := naive_lowest_bad_point(g, nodes)) is not None:
-        rounds += 1
-        if rounds > cap:
-            raise IterationCapExceededError("sustainability", cap)
         _, path = _naive_round(g, nodes - {bad}, lambda x: x not in nodes)
         if path is None:
             raise GraphNotMConnectedError(3, (bad,))
@@ -473,7 +462,7 @@ def naive_run_plutus(g: Graph, cfg):
     """The whole pipeline from the references alone: isolation and every
     synergy layer by :func:`naive_greedy_mis`, then
     :func:`naive_domination`, and :func:`naive_diversification` and
-    :func:`naive_sustainability` as ``cfg.m`` asks, with its cap.  It
+    :func:`naive_sustainability` as ``cfg.m`` asks.  It
     raises the package's errors, with their messages and witnesses, where
     the pipeline raises them, and its trace has zero times."""
     from plutus import DisconnectedInputError, EmptyGraphError, PhaseTrace, PlutusResult
@@ -489,11 +478,10 @@ def naive_run_plutus(g: Graph, cfg):
     for _ in range(2, cfg.k + 1):
         covered.update(naive_greedy_mis(g, [v for v in everything if v not in covered]))
     stages.append(("synergy", frozenset(covered | stages[-1][1])))
-    cap = cfg.max_augmentation_iterations
     if cfg.m >= 2:
-        stages.append(("diversification", naive_diversification(g, stages[-1][1], cap)))
+        stages.append(("diversification", naive_diversification(g, stages[-1][1])))
     if cfg.m == 3:
-        stages.append(("sustainability", naive_sustainability(g, stages[-1][1], cap)))
+        stages.append(("sustainability", naive_sustainability(g, stages[-1][1])))
     trace, before = [], frozenset()
     for name, backbone in stages:
         trace.append(PhaseTrace(name, len(backbone), tuple(sorted(backbone - before)), 0))

@@ -15,7 +15,6 @@ PUBLIC = [
     "Graph",
     "GraphInputError",
     "GraphNotMConnectedError",
-    "IterationCapExceededError",
     "OracleResult",
     "OracleSizeError",
     "PhaseTrace",
@@ -55,6 +54,8 @@ REMOVED = [
     "Infeasible2ConnectivityError", "Infeasible3ConnectivityError",
     # a wrapper that dropped the layers of synergy_layers, its only caller
     "synergy",
+    # every augmentation phase ends within n - |d| + 1 rounds, so no cap
+    "IterationCapExceededError",
 ]
 
 # members no package code called: each repeated what its owner already gives

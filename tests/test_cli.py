@@ -106,11 +106,12 @@ class TestGenerate:
 class TestSolve:
     def test_path_graph(self, p3_file, tmp_path, capsys):
         out = tmp_path / "result.json"
-        code = main(["solve", str(p3_file), "-k", "1", "-m", "1", "--out", str(out)])
+        code = main(["solve", str(p3_file), "-k", "2", "-m", "1", "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["D"] == [1]
-        assert out.with_suffix(".manifest.json").exists()
+        assert payload["D"] == [0, 1, 2]
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert manifest["config"] == {"k": 2, "m": 1}
 
     def test_stdout_when_no_out(self, p3_file, capsys):
         assert main(["solve", str(p3_file)]) == 0
@@ -150,19 +151,6 @@ class TestSolve:
         assert main(["solve", str(graph), "-k", "2", "-m", "2"]) == 3
         assert capsys.readouterr().err == (
             "error: input graph is not 2-connected; stuck at [0, 1]\n"
-        )
-
-    def test_iteration_cap_exit_code(self, tmp_path, capsys):
-        # the README instance; one round does not 2-connect its backbone
-        main(["generate", "-n", "50", "-r", "0.3", "--seed", "8", "--out", str(tmp_path)])
-        instance = tmp_path / "udg_n50_r0.3_s8.json"
-        capsys.readouterr()
-        code = main(["solve", str(instance), "-k", "2", "-m", "3", "--max-iters", "1"])
-        captured = capsys.readouterr()
-        assert code == 5
-        assert captured.out == ""
-        assert captured.err == (
-            "error: diversification exceeded the augmentation cap of 1 iterations\n"
         )
 
     def test_complete_graph_full(self, k4_file, capsys):
@@ -553,15 +541,21 @@ class TestParsing:
         assert main(["generate", "-n", "5"]) == 2
 
     def test_unknown_option_exits_2(self, k4_file, capsys):
-        # --strict was a solve option once
-        assert main(["solve", str(k4_file), "--strict"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "unrecognized arguments: --strict" in captured.err
-        assert "Traceback" not in captured.err
+        # --strict was a solve option once, and --max-iters a solve and
+        # bench option
+        for argv, option in (
+            (["solve", str(k4_file), "--strict"], "--strict"),
+            (["solve", str(k4_file), "--max-iters", "1"], "--max-iters"),
+            (["bench", "-n", "8", "-r", "0.5", "--max-iters", "1"], "--max-iters"),
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"unrecognized arguments: {option}" in captured.err
+            assert "Traceback" not in captured.err
 
 
-_DOCUMENTED_EXIT_CODES = {0, 2, 3, 5, 6}
+_DOCUMENTED_EXIT_CODES = {0, 2, 3, 6}
 
 # Graph files: valid ones (small enough for the oracle), malformed JSON,
 # wrong shapes and values.  ``None`` names a missing file.
@@ -616,7 +610,6 @@ _SUBCOMMANDS = {
         "-m": _INTS + ["4"],
         "--out": ["OUT/r.json", "FILE", "OUT"],
         "--dot": ["OUT/v.dot", "FILE"],
-        "--max-iters": _INTS,
     },
     "verify": {"-k": _INTS, "-m": _INTS + ["4"], "--stretch-threshold": _REALS},
     "oracle": {"-k": _INTS, "-m": _INTS, "--size-cap": _INTS + ["30"]},
@@ -627,7 +620,6 @@ _SUBCOMMANDS = {
         "--seed": ["1", "x", "-3"],
         "-k": _INTS,
         "-m": _INTS,
-        "--max-iters": _INTS,
         "--out": ["OUT/bench.json", "FILE"],
     },
 }

@@ -12,7 +12,6 @@ from plutus import (
     EmptyGraphError,
     GraphInputError,
     GraphNotMConnectedError,
-    IterationCapExceededError,
     PhaseTrace,
     PlutusConfig,
     PlutusError,
@@ -415,19 +414,6 @@ class TestDiversification:
     def test_disconnected_input_rejected(self, p5):
         with pytest.raises(DisconnectedInputError):
             diversification(p5, {0, 4})
-        # the first round's decomposition is the entry check, so a bad cap
-        # is named first; PlutusConfig checks the cap before any phase runs
-        with pytest.raises(GraphInputError, match="iteration cap must be positive"):
-            diversification(p5, {0, 4}, 0)
-
-    def test_iteration_cap(self):
-        # two ears are needed here: one for each leaf block of the path
-        g = from_edge_list(
-            7, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3), (0, 5), (5, 2), (2, 6), (6, 4)]
-        )
-        assert diversification(g, {0, 1, 2, 3, 4}) == frozenset(range(7))
-        with pytest.raises(IterationCapExceededError):
-            diversification(g, {0, 1, 2, 3, 4}, max_iterations=1)
 
     @given(seeds)
     @settings(max_examples=50, deadline=None)
@@ -529,18 +515,6 @@ class TestInfeasibilityWitnesses:
         assert str(info.value) == "input graph is not 3-connected; stuck at [0]"
 
 
-@pytest.mark.parametrize("cap", [0, -1, 2.5, True])
-def test_direct_phase_calls_check_the_cap(cap):
-    # both inputs need augmentation rounds, so an accepted cap would run
-    g = from_edge_list(
-        7, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3), (0, 5), (5, 2), (2, 6), (6, 4)]
-    )
-    with pytest.raises(GraphInputError, match="iteration cap must be positive"):
-        diversification(g, {0, 1, 2, 3, 4}, cap)
-    with pytest.raises(GraphInputError, match="iteration cap must be positive"):
-        sustainability(wheel_graph(5), range(1, 6), cap)
-
-
 def _phase_outcome(phase, *args):
     """phase(*args), a backbone or a pipeline result, or the type, message
     and witness (None when it has none) of the error it raises."""
@@ -561,18 +535,69 @@ def _draw_connected_set(g, data):
 @given(seeds, st.data())
 @settings(max_examples=150, deadline=None)
 def test_augmentation_ends_within_the_outside_count_plus_one(seed, data):
-    # every round that does not end a phase promotes an outside vertex, so
-    # a cap of n - |d| + 1 never fires: the capped call gives what the
-    # uncapped one gives, backbone or error
+    # every repair path has an internal vertex, all of them outside the
+    # backbone, so a phase from d repairs at most n - |d| times and its
+    # last round, which ends it or gets stuck, comes within n - |d| + 1
     g = random_connected_graph(seed, max_nodes=14)
     d = _draw_connected_set(g, data)
     cases = [(diversification, d), (sustainability, d)]
     widened = _phase_outcome(diversification, g, d)
     if isinstance(widened, frozenset):
         cases.append((sustainability, widened))
+    leaf_block, pair_path = pipeline._augment_leaf_block, pipeline._alternate_pair_path
     for phase, start_set in cases:
-        bound = g.node_count - len(start_set) + 1
-        assert _phase_outcome(phase, g, start_set, bound) == _phase_outcome(phase, g, start_set)
+        paths = []
+
+        def record_leaf(*args):
+            found = leaf_block(*args)
+            paths.append(found[1])
+            return found
+
+        def record_pair(*args):
+            paths.append(pair_path(*args))
+            return paths[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "_augment_leaf_block", record_leaf)
+            patch.setattr(pipeline, "_alternate_pair_path", record_pair)
+            outcome = _phase_outcome(phase, g, start_set)
+        repairs = [path for path in paths if path is not None]
+        assert paths[len(repairs):] in ([], [None])  # only a stuck last round finds none
+        grown = set(start_set)
+        for path in repairs:
+            ear = path[1:-1]
+            assert ear and grown.isdisjoint(ear)
+            grown.update(ear)
+        assert len(repairs) <= g.node_count - len(start_set)
+        if isinstance(outcome, frozenset):
+            assert outcome == grown
+
+
+@pytest.mark.parametrize(
+    "phase, g, d",
+    [
+        (diversification, complete_graph(4), {0}),  # a lone member's pair route
+        (diversification, cycle_graph(5), {0, 1, 2}),  # a leaf block
+        (sustainability, wheel_graph(5), range(1, 6)),
+    ],
+)
+def test_a_round_that_promotes_nothing_is_an_internal_error(monkeypatch, phase, g, d):
+    # a repair path with no internal vertex leaves the backbone as it was,
+    # so its round would repeat forever; the loop raises at the first one
+    leaf_block, pair_path = pipeline._augment_leaf_block, pipeline._alternate_pair_path
+
+    def leaf_ends(*args):
+        leaf, path = leaf_block(*args)
+        return leaf, [path[0], path[-1]]
+
+    def pair_ends(*args):
+        path = pair_path(*args)
+        return [path[0], path[-1]]
+
+    monkeypatch.setattr(pipeline, "_augment_leaf_block", leaf_ends)
+    monkeypatch.setattr(pipeline, "_alternate_pair_path", pair_ends)
+    with pytest.raises(AssertionError, match="promoted nothing"):
+        phase(g, d)
 
 
 def _composed_phases(g, cfg):
@@ -653,9 +678,9 @@ def _check_stuck_phase(g, phase, d, m):
         assert naive_m_connected(g, backbone, m)
 
 
-@given(seeds, st.integers(1, 3), st.sampled_from([None, 1, 2, 3]), st.data())
+@given(seeds, st.integers(1, 3), st.data())
 @settings(max_examples=300, deadline=None)
-def test_sustainability_matches_the_round_by_round_reference(seed, edge_bias, cap, data):
+def test_sustainability_matches_the_round_by_round_reference(seed, edge_bias, data):
     # the candidates carried between rounds change no round: the backbone,
     # or the error with its message and witness, is that of the loop that
     # finds each round's lowest bad point by the removal-subset reference
@@ -664,13 +689,13 @@ def test_sustainability_matches_the_round_by_round_reference(seed, edge_bias, ca
     if not naive_m_connected(g, d, 2):
         d = _phase_outcome(diversification, g, d)
         assume(isinstance(d, frozenset))
-    expected = _phase_outcome(naive_sustainability, g, d, cap)
-    assert _phase_outcome(sustainability, g, d, cap) == expected
+    expected = _phase_outcome(naive_sustainability, g, d)
+    assert _phase_outcome(sustainability, g, d) == expected
 
 
-@given(seeds, st.integers(1, 3), st.sampled_from([None, 1, 2, 3]), st.data())
+@given(seeds, st.integers(1, 3), st.data())
 @settings(max_examples=300, deadline=None)
-def test_diversification_matches_the_round_by_round_reference(seed, edge_bias, cap, data):
+def test_diversification_matches_the_round_by_round_reference(seed, edge_bias, data):
     # the backbone, or the error with its message and witness, is that of
     # the loop that repairs each round's first leaf block by the naive
     # block-cut tree; a drawn set may also be disconnected
@@ -679,13 +704,13 @@ def test_diversification_matches_the_round_by_round_reference(seed, edge_bias, c
         d = _draw_connected_set(g, data)
     else:
         d = data.draw(st.sets(st.integers(0, g.node_count - 1), min_size=1))
-    expected = _phase_outcome(naive_diversification, g, d, cap)
-    assert _phase_outcome(diversification, g, d, cap) == expected
+    expected = _phase_outcome(naive_diversification, g, d)
+    assert _phase_outcome(diversification, g, d) == expected
 
 
-@given(seeds, st.integers(1, 3), st.integers(1, 3), st.sampled_from([None, 1, 2, 3]), st.data())
+@given(seeds, st.integers(1, 3), st.integers(1, 3), st.data())
 @settings(max_examples=300, deadline=None)
-def test_run_plutus_matches_the_whole_pipeline_reference(seed, k, m, cap, data):
+def test_run_plutus_matches_the_whole_pipeline_reference(seed, k, m, data):
     # the result file's bytes, or the error with its message and witness,
     # are those of the pipeline composed from the slow references alone;
     # an arbitrary graph may be disconnected
@@ -693,7 +718,7 @@ def test_run_plutus_matches_the_whole_pipeline_reference(seed, k, m, cap, data):
         g = random_connected_graph(seed, max_nodes=12)
     else:
         g = random_graph(seed, max_nodes=12, edge_bias=data.draw(st.integers(1, 3)))
-    cfg = PlutusConfig(k=k, m=m, max_augmentation_iterations=cap)
+    cfg = PlutusConfig(k=k, m=m)
 
     def outcome(run):
         found = _phase_outcome(run, g, cfg)
@@ -713,15 +738,6 @@ def test_stuck_sustainability_witness_may_be_a_promoted_vertex():
         sustainability(g, d)
     assert info.value.witness == (0,)
     _check_stuck_phase(g, sustainability, d, 3)
-
-
-def test_sustainability_iteration_cap():
-    g = random_geometric(50, 0.3, 8).graph()
-    backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
-    with pytest.raises(IterationCapExceededError) as info:
-        sustainability(g, backbone, 2)
-    assert (info.value.phase, info.value.cap) == ("sustainability", 2)
-    assert is_m_connected(g, sustainability(g, backbone, 3), 3)
 
 
 def _count_builds(monkeypatch):
@@ -885,7 +901,7 @@ class TestSustainabilityRounds:
             self.check(monkeypatch, g)
 
 
-def _partner_rounds(g, d, cap=None):
+def _partner_rounds(g, d):
     """Run sustainability on ``d`` with the partner route open to every
     backbone (``_PARTNER_VOLUME`` 0) and return its outcome and one entry
     per candidate test: the candidate, how its test was answered
@@ -935,7 +951,7 @@ def _partner_rounds(g, d, cap=None):
         monkeypatch.setattr(pipeline, "_split_without", record_split)
         monkeypatch.setattr(pipeline, "_local_blocks", record_blocks)
         monkeypatch.setattr(pipeline, "_small_sides", record_sides)
-        return _phase_outcome(sustainability, g, d, cap), tests
+        return _phase_outcome(sustainability, g, d), tests
 
 
 class TestPartnerRounds:
@@ -944,16 +960,16 @@ class TestPartnerRounds:
     searches that find the small sides of each pair.  Every outcome must
     be that of the round-by-round reference."""
 
-    @given(seeds, st.integers(1, 3), st.sampled_from([None, 1, 2, 3]), st.data())
+    @given(seeds, st.integers(1, 3), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_partners_are_the_cut_vertices_of_each_round(self, seed, edge_bias, cap, data):
+    def test_partners_are_the_cut_vertices_of_each_round(self, seed, edge_bias, data):
         g = random_graph(seed, max_nodes=12, edge_bias=edge_bias)
         d = _draw_connected_set(g, data)
         if not naive_m_connected(g, d, 2):
             d = _phase_outcome(diversification, g, d)
             assume(isinstance(d, frozenset))
-        outcome, _ = _partner_rounds(g, d, cap)
-        assert outcome == _phase_outcome(naive_sustainability, g, d, cap)
+        outcome, _ = _partner_rounds(g, d)
+        assert outcome == _phase_outcome(naive_sustainability, g, d)
 
     @pytest.mark.parametrize("n", [12, 40])
     def test_cycle_and_ladder_past_the_budget(self, n):
@@ -1151,10 +1167,10 @@ def test_diversification_builds_one_adjacency_per_round(monkeypatch):
 
 
 def test_sustainability_builds_its_induced_graph_once(monkeypatch):
-    # the entry check is one block DFS of the rows the loop then keeps;
-    # every engine pass and every candidate test, on either route (the
-    # partner route is open to every backbone at a size floor of 0),
-    # reads those rows
+    # the entry check is the first engine pass, over the rows the loop
+    # then keeps; every engine pass and every candidate test, on either
+    # route (the partner route is open to every backbone at a size floor
+    # of 0), reads those rows, and no block DFS of the whole set runs
     g = random_geometric(120, 0.16, 22).graph()
     backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
     local_blocks = pipeline._local_blocks
@@ -1183,7 +1199,8 @@ def test_sustainability_builds_its_induced_graph_once(monkeypatch):
             patch.setattr(pipeline, "_split_without", record_split)
             grown = sustainability(g, backbone)
         assert [(kind, members) for kind, members, _ in builds] == [("rows", sorted(backbone))]
-        assert [kind for kind, _, _ in checks[:3]] == ["blocks", "bad", "split"] and checks[0][2] == -1
+        assert [kind for kind, _, _ in checks[:2]] == ["bad", "split"]
+        assert all(skip != -1 for kind, _, skip in checks if kind == "blocks")
         assert all(adj is builds[0][2] for _, adj, _ in checks)
         assert is_m_connected(g, grown, 3) and len(grown) > len(backbone)
     builds = _count_builds(monkeypatch)
@@ -1191,6 +1208,7 @@ def test_sustainability_builds_its_induced_graph_once(monkeypatch):
     # rejected after the same single build
     for g, rejected in (
         (path_graph(5), {0, 1, 3, 4}),
+        (path_graph(5), {0, 1, 2, 3}),
         (path_graph(5), {1, 2, 3}),
         (complete_graph(4), {0, 1}),
     ):
@@ -1409,10 +1427,6 @@ class TestRunPlutus:
             PlutusConfig(k=0)
         with pytest.raises(GraphInputError):
             PlutusConfig(m=4)
-        with pytest.raises(GraphInputError):
-            PlutusConfig(max_augmentation_iterations=0)
-        with pytest.raises(GraphInputError):
-            PlutusConfig(max_augmentation_iterations=True)
 
     @given(seeds, st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3))
     @settings(max_examples=60, deadline=None)
