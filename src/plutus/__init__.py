@@ -14,7 +14,6 @@ from .geometry import UdgInstance, random_geometric, splitmix64, unit_interval
 from .graph import (
     DistanceReport,
     Graph,
-    connected_components,
     from_edge_list,
     from_points,
     is_connected,
@@ -66,7 +65,6 @@ __all__ = [
     "VerificationReport",
     "backbone_stretch",
     "brute_force_min_mcds",
-    "connected_components",
     "diversification",
     "domination",
     "from_edge_list",

@@ -307,15 +307,10 @@ def _induced_rows(g: Graph, nodes: Sequence[int]) -> list[list[int]]:
     return rows
 
 
-def connected_components(g: Graph, subset: Iterable[int] | None = None) -> list[list[int]]:
-    """Connected components of the (induced) graph, each sorted, listed in
-    ascending order of their smallest member."""
-    return _components(g, range(g.node_count) if subset is None else _as_subset(g, subset))
-
-
 def _components(g: Graph, nodes: Sequence[int]) -> list[list[int]]:
-    """:func:`connected_components` of the subgraph induced by the
-    ascending, already validated ids ``nodes``."""
+    """Connected components of the subgraph induced by the ascending,
+    already validated ids ``nodes``, each sorted, listed in ascending
+    order of their smallest member."""
     unseen = [False] * g.node_count
     for v in nodes:
         unseen[v] = True
@@ -338,7 +333,8 @@ def _components(g: Graph, nodes: Sequence[int]) -> list[list[int]]:
 
 def is_connected(g: Graph, subset: Iterable[int] | None = None) -> bool:
     """True when the (induced) graph has at most one connected component."""
-    return len(connected_components(g, subset)) <= 1
+    nodes = range(g.node_count) if subset is None else _as_subset(g, subset)
+    return len(_components(g, nodes)) <= 1
 
 
 def _palm_tree(

@@ -499,28 +499,27 @@ def _augment(
     :class:`GraphNotMConnectedError`, with the stuck set as witness at
     m = 2 and the bad point at m = 3.
 
-    At m = 3 the loop keeps a min-heap of candidates that holds every bad
-    point, filled by one pass of :func:`graph._bad_points`, and, on a
-    backbone of at least ``_PARTNER_VOLUME`` adjacency entries, the map of
-    separation pairs that pass records: the partners of each vertex.  A
-    round tests the lowest candidate v by splitting the backbone minus v,
-    which the repair needs anyway: from v's partners, at the cost of the
-    small sides, or by the block DFS of the backbone minus v when there is
-    no map.  v is the round's bad point when that set has a cut vertex or
-    fewer than three vertices.  Otherwise v is stale and one more pass
-    refills the heap and the map exactly, so the next test succeeds and an
-    empty heap ends the phase.  Adding the ear is settled without a DFS:
-    only the ear and its two ends can turn bad, and they are pushed unless
-    a one-vertex ear x shows they cannot (see the loop).  The repaired
-    point a leaves the heap when x is adjacent to a non-cut member of
-    every leaf block of D - a, which makes D' - a 2-connected.  The map
-    stays a superset of the separation pairs: an ear adds a pair of old
-    vertices only at its ends p and q, and only when x has no other
-    backbone neighbour, so {p, q} is added then; a pair that no longer
-    separates is dropped when a split finds it so.  A longer ear voids
-    the map, and rounds take the block DFS until the next pass.  A round
-    thus costs its small sides (at most one block DFS), plus, when its
-    candidate was stale, one engine pass.
+    At m = 3 the loop keeps a min-heap of candidates and, on a backbone of
+    at least ``_PARTNER_VOLUME`` adjacency entries, a map of separation
+    pairs: the partners of each vertex.  Its invariant: the heap holds
+    every bad point, and the map, unless the engine recorded none, every
+    separation pair.  One pass of :func:`graph._bad_points` sets both
+    exactly at entry.  A round tests the lowest candidate v by splitting
+    the backbone minus v, which the repair needs anyway: from v's
+    partners, at the cost of the small sides, or by the block DFS of the
+    backbone minus v when there is no map.  v is the round's bad point
+    when that set has a cut vertex or fewer than three vertices;
+    otherwise v is good and is popped, and an empty heap ends the phase.
+    A split removes a pair from the map only when it no longer
+    separates.  An ear keeps the invariant.  For a vertex y off the ear
+    and its ends, D' - y is D - y plus an ear, 2-connected when D - y is,
+    so only the ear and its ends can turn bad.  A one-vertex ear x is not
+    bad (D' - x is D), so only its ends are pushed; and {p, q}, its ends,
+    is the one pair it can add, when x has no other backbone neighbour,
+    so the map gets it then.  After a longer ear one more engine pass
+    sets both exactly.  So the engine runs at entry and after each ear of
+    two or more vertices, and any other round costs its small sides, or
+    at most one block DFS.
 
     The phase ends: every ear has an internal vertex, so every round that
     does not end the loop promotes at least one vertex from outside the
@@ -549,7 +548,7 @@ def _augment(
             split = _split_without(rows, members, bad, partners, volume)
             if split is not None:
                 break
-            heap, partners = _record_pairs(rows, members, volume)  # bad was stale: refill exactly
+            heapq.heappop(heap)  # the candidate is good
         if split is None:
             break  # m-connected: no cut vertex at m = 2, no bad point at m = 3
         cut, leaves, listed = split
@@ -576,31 +575,14 @@ def _augment(
                     volume += 1
         if m == 2:
             continue
-        # Keep every bad point of the grown backbone among the candidates.
-        # Only the ear and its ends can turn bad.  A one-vertex ear x never
-        # is (the backbone without it is the old one), its ends stay as
-        # they were when x has a third backbone neighbour, and it leaves
-        # the backbone minus bad 2-connected when it meets every leaf
-        # block of the old one off its cut vertex.  The partner map keeps
-        # every separation pair: an ear can add one of old vertices only
-        # at its ends, and only when its vertex has no other backbone
-        # neighbour; a longer ear voids the map until the next pass.
-        maybe_bad = [path[0], path[-1], *ear]
-        if len(ear) == 1:
-            reach = set(rows[ear[0]])
-            if len(reach) == 2 and partners is not None:
-                partners.setdefault(path[0], set()).add(path[-1])
-                partners.setdefault(path[-1], set()).add(path[0])
-            maybe_bad = maybe_bad[:2] if len(reach) < 3 else []
-            reach -= cut
-            if all(
-                not reach <= b.skip if isinstance(b, _Remainder) else not reach.isdisjoint(b)
-                for b in leaves
-            ):
-                heapq.heappop(heap)
-        else:
-            partners = None
-        for x in maybe_bad:
+        if len(ear) > 1:
+            heap, partners = _record_pairs(rows, members, volume)
+            continue
+        p, q = path[0], path[-1]
+        if len(rows[ear[0]]) == 2 and partners is not None:
+            partners.setdefault(p, set()).add(q)
+            partners.setdefault(q, set()).add(p)
+        for x in (p, q):
             if x not in heap:
                 heapq.heappush(heap, x)
     return frozenset(backbone)
@@ -646,13 +628,11 @@ def run_plutus(g: Graph, cfg: PlutusConfig) -> PlutusResult:
     k < m the phases may still build one.  The result records the
     backbone and one trace entry, with its wall time, per executed phase.
     """
+    # isolation grows the empty backbone: its trace entry lists its set
     phases = [
         ("isolation", lambda d: isolation(g)[0]),
         ("domination", lambda d: domination(g, d)),
-        (
-            "synergy",
-            lambda d: synergy_layers(g, d, cfg.k, layer_one=grown_by["isolation"])[0],
-        ),
+        ("synergy", lambda d: synergy_layers(g, d, cfg.k, layer_one=trace[0].added)[0]),
     ]
     if cfg.m >= 2:
         phases.append(("diversification", lambda d: diversification(g, d)))
@@ -660,11 +640,10 @@ def run_plutus(g: Graph, cfg: PlutusConfig) -> PlutusResult:
         phases.append(("sustainability", lambda d: sustainability(g, d)))
 
     backbone: frozenset[int] = frozenset()
-    grown_by: dict[str, frozenset[int]] = {}
     trace: list[PhaseTrace] = []
     for name, phase in phases:
         t0 = time.perf_counter()
-        grown = grown_by[name] = phase(backbone)
+        grown = phase(backbone)
         micros = int((time.perf_counter() - t0) * 1_000_000)
         trace.append(PhaseTrace(name, len(grown), tuple(sorted(grown - backbone)), micros))
         backbone = grown

@@ -27,7 +27,6 @@ PUBLIC = [
     "VerificationReport",
     "backbone_stretch",
     "brute_force_min_mcds",
-    "connected_components",
     "diversification",
     "domination",
     "from_edge_list",
@@ -56,6 +55,8 @@ REMOVED = [
     "synergy",
     # every augmentation phase ends within n - |d| + 1 rounds, so no cap
     "IterationCapExceededError",
+    # only is_connected called it: that now counts graph._components
+    "connected_components",
 ]
 
 # members no package code called: each repeated what its owner already gives

@@ -12,7 +12,6 @@ from plutus import (
     GraphInputError,
     PlutusConfig,
     SelfLoopError,
-    connected_components,
     from_edge_list,
     from_points,
     is_connected,
@@ -23,6 +22,7 @@ from plutus import (
 from plutus.geometry import splitmix64
 from plutus.graph import (
     _bad_points,
+    _components,
     _connectivity_witness,
     _induced_rows,
     _lex_shortest_path,
@@ -443,20 +443,20 @@ class TestBlockCutTree:
 
     def test_cut_vertices_match_removal_on_midsize_instance(self):
         g = random_geometric(50, 0.22, 3).graph()
-        for comp in connected_components(g):
+        for comp in _components(g, range(g.node_count)):
             if len(comp) == 1:
                 continue
             _, cut = blocks_by_id(g, comp)
             for v in comp:
                 rest = set(comp) - {v}
-                removal_splits = len(connected_components(g, rest)) > 1
+                removal_splits = len(_components(g, sorted(rest))) > 1
                 assert (v in cut) == removal_splits
 
     @given(seeds)
     @settings(max_examples=40)
     def test_edges_partition_and_cut_vertices_match_removal(self, seed):
         g = random_graph(seed)
-        for comp in connected_components(g):
+        for comp in _components(g, range(g.node_count)):
             blocks, cut = blocks_by_id(g, comp)
             in_block = sum(
                 sum(1 for u in block for v in g.adjacency[u] if v in block and v > u)
@@ -471,7 +471,7 @@ class TestBlockCutTree:
                 rest = set(comp) - {v}
                 if not rest:
                     continue
-                removal_splits = len(connected_components(g, rest)) > 1
+                removal_splits = len(_components(g, sorted(rest))) > 1
                 assert (v in cut) == removal_splits
 
     def test_blocks_sharing_their_smallest_member(self):
@@ -904,7 +904,7 @@ class TestLowestBadPoint:
         g = random_geometric(n, radius, seed).graph()
         h = relabel(g, sorted(range(n), key=lambda v: splitmix64(seed, v)))
         for graph in (g, h):
-            biggest = max(connected_components(graph), key=len)
+            biggest = max(_components(graph, range(n)), key=len)
             sets = [max(blocks_by_id(graph, biggest)[0], key=len)]
             if len(sets[0]) == n:
                 sets.append(run_plutus(graph, PlutusConfig(k=2, m=2)).dominating_set)
@@ -1112,7 +1112,7 @@ class TestStrictBiconnectivity:
 class TestComponents:
     def test_components_sorted(self):
         g = from_edge_list(6, [(4, 5), (1, 2), (0, 2)])
-        assert connected_components(g) == [[0, 1, 2], [3], [4, 5]]
+        assert _components(g, range(6)) == [[0, 1, 2], [3], [4, 5]]
 
     def test_cycle_connected(self):
         assert is_connected(cycle_graph(5))
@@ -1129,5 +1129,7 @@ class TestComponents:
         n = g.node_count
         subset = data.draw(st.lists(st.integers(0, n - 1)))
         for nodes in (subset, range(n), [data.draw(st.integers(0, n - 1))]):
-            assert connected_components(g, nodes) == naive_components(g, nodes)
-        assert connected_components(g) == naive_components(g, range(n))
+            expected = naive_components(g, nodes)
+            assert _components(g, sorted(set(nodes))) == expected
+            assert is_connected(g, nodes) == (len(expected) <= 1)
+        assert is_connected(g) == (len(naive_components(g, range(n))) <= 1)

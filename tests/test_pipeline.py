@@ -840,11 +840,11 @@ class TestSustainabilityRounds:
     skips the members found good in earlier rounds, unless a later path
     ended at them: an open ear between two other members keeps the
     backbone minus any such member 2-connected.  The phase opens with one
-    bad-point pass, and a candidate test that finds its candidate good is
-    followed by one more pass, after which the next candidate opens a
-    round.  Each check runs on both routes of a round: the block DFS, and
-    the partner route, which every backbone takes when the size floor
-    ``_PARTNER_VOLUME`` is 0."""
+    bad-point pass and runs another right after each round whose ear has
+    two or more vertices, and never otherwise: a candidate test that finds
+    its candidate good drops it and tests the next one.  Each check runs
+    on both routes of a round: the block DFS, and the partner route, which
+    every backbone takes when the size floor ``_PARTNER_VOLUME`` is 0."""
 
     def check(self, monkeypatch, g):
         backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
@@ -854,10 +854,13 @@ class TestSustainabilityRounds:
                 rounds, calls = _recorded_rounds(patch, sustainability, g, backbone)
             assert rounds[-1][1] is None
             assert calls[0] == "engine"
-            for i, call in enumerate(calls):
-                if call == "stale":
-                    assert calls[i + 1] == "engine"
-                    assert calls[i + 2 : i + 3] in ([], ["round"])
+            opened = 0
+            for before, call in zip(calls, calls[1:]):
+                long_ear = False
+                if before == "round":
+                    long_ear = len(rounds[opened][3]) > 3
+                    opened += 1
+                assert (call == "engine") == long_ear
             known_good: set[int] = set()
             for nodes, bad, leaf, path in rounds:
                 assert bad == naive_lowest_bad_point(g, nodes)
@@ -1009,6 +1012,38 @@ class TestPartnerRounds:
         assert outcome == _phase_outcome(naive_sustainability, g, d)
         assert [(v, how) for v, how, _ in tests[:2]] == [(1, "partners"), (0, "partners")]
 
+    def test_a_long_ear_records_the_pairs_again(self, monkeypatch):
+        # D is the 4-cycle 0-1-2-3 and its lowest bad point is 0.  The
+        # leaf {1, 2} of D - 0 reaches 3 only by the ear 1-4-5-3, which
+        # makes {1, 3}, {1, 5} and {3, 4} the pairs of the grown backbone,
+        # so one more engine pass records them; the hub 6 then repairs
+        # bad point 1 by a one-vertex ear, and the phase ends
+        g = from_edge_list(7, [
+            (0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 5), (5, 3),
+            (6, 0), (6, 2), (6, 4), (6, 5),
+        ])
+        d = {0, 1, 2, 3}
+        recorded = []
+        record_pairs = pipeline._record_pairs
+
+        def record(rows, members, volume):
+            bad, partners = record_pairs(rows, members, volume)
+            copied = {v: set(w) for v, w in (partners or {}).items()}
+            recorded.append((list(members), list(bad), copied))
+            return bad, partners
+
+        monkeypatch.setattr(pipeline, "_record_pairs", record)
+        outcome, tests = _partner_rounds(g, d)
+        assert outcome == frozenset(range(7)) == naive_sustainability(g, d)
+        assert [members for members, _, _ in recorded] == [[0, 1, 2, 3], [0, 1, 2, 3, 4, 5]]
+        members, bad, partners = recorded[1]
+        fresh: dict = {}
+        assert pipeline._bad_points(_induced_rows(g, members), members, fresh) == bad
+        assert bad == [1, 3, 4, 5]
+        assert partners == fresh == {1: {3, 5}, 3: {1, 4}, 4: {3}, 5: {1}}
+        # the entry map and the recorded one each answer a round
+        assert [(v, how) for v, how, _ in tests[:2]] == [(0, "partners"), (1, "partners")]
+
     def test_a_hub_over_a_cycle_hits_the_work_cap(self):
         # the backbone is a 16-cycle with a hub on every fourth vertex:
         # vertex 0's partners lie along two arcs, and their searches read
@@ -1024,8 +1059,12 @@ class TestPartnerRounds:
         assert (0, "dfs", True) in tests
         assert any(how == "partners" for _, how, _ in tests)
         # each fallback DFS leaves vertex 0 only the partners that still
-        # separate, so its searches hit the cap twice, not three times
-        assert [how for v, how, _ in tests if v == 0] == ["dfs", "dfs", "partners", "partners"]
+        # separate, so its searches hit the cap twice, not three times;
+        # once repaired it tests good and leaves the candidates, and so it
+        # does again after a one-vertex ear ending at it pushes it back
+        assert [how for v, how, _ in tests if v == 0] == [
+            "dfs", "dfs", "partners", "partners", "stale", "stale"
+        ]
 
     def test_last_two_searches_finish_in_the_same_pass(self):
         # D is the 4-cycle 1-5-3-7 and its lowest bad point is 1.  D - 1
@@ -1037,6 +1076,35 @@ class TestPartnerRounds:
         outcome, tests = _partner_rounds(g, d)
         assert outcome == frozenset({0, 1, 3, 5, 7}) == naive_sustainability(g, d)
         assert tests[0] == (1, "partners", False)
+
+
+@pytest.mark.parametrize("n, radius, seed, rounds", [
+    (500, 0.09, 28, 35), (1000, 0.064, 18, 63), (2000, 0.046, 36, 96), (4000, 0.0325, 100, 167),
+])
+def test_one_engine_pass_per_phase_on_the_m3_corpus(monkeypatch, n, radius, seed, rounds):
+    # on the unit-disk corpus at k = 2 no round's ear has two vertices, so
+    # the entry pass is the phase's only one: every later candidate test
+    # is answered from the partners, or by one block DFS
+    g = random_geometric(n, radius, seed).graph()
+    backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
+    bad_points = pipeline._bad_points
+    split_without = pipeline._split_without
+    passes, opened = [], []
+
+    def count_passes(*args):
+        passes.append(args)
+        return bad_points(*args)
+
+    def count_rounds(*args):
+        split = split_without(*args)
+        if split is not None:
+            opened.append(args[2])
+        return split
+
+    monkeypatch.setattr(pipeline, "_bad_points", count_passes)
+    monkeypatch.setattr(pipeline, "_split_without", count_rounds)
+    sustainability(g, backbone)
+    assert (len(passes), len(opened)) == (1, rounds)
 
 
 def test_only_partner_route_rounds_test_membership_in_the_rest(monkeypatch):
