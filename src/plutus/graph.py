@@ -7,9 +7,12 @@ radius wide and compares only neighbouring cells.
 Block lists with their cut vertices (:func:`_local_blocks`) and
 separation pairs are all read from one palm tree of an induced subgraph
 (:func:`_palm_tree`), O(n + E).  An induced subgraph has one form: rows
-indexed by node id (:func:`_induced_rows`), which the pipeline's
-augmentation loop keeps for a whole phase; a check of the whole graph
-reads the graph's own adjacency.  One routine,
+indexed by node id (:func:`_induced_rows`), which sustainability keeps
+for a whole phase; a check of the whole graph reads the graph's own
+adjacency.  From one block list, :class:`_BlockCutTree` keeps the blocks
+and cut vertices of a set as vertices join it, in near-linear time in
+all, and names its first leaf block: diversification runs one block DFS
+per phase and reads every round's leaf from the tree.  One routine,
 :func:`_connectivity_witness`, gives the m = 1..3 verdicts and verify's
 witness in one call.  At m = 2 and 3 it reads the lowest vertex that
 splits the set from one palm tree, after pinning at m = 3 the lowest bad
@@ -38,6 +41,7 @@ deterministic.
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -432,6 +436,147 @@ def _local_blocks(
     return ([order] if len(order) == 1 else blocks), cut
 
 
+class _BlockCutTree:
+    """The blocks and cut vertices of a connected graph, kept as vertices
+    join it, each with all of its neighbours already in place (Westbrook
+    and Tarjan, "Maintaining bridge-connected and biconnected components
+    on-line", 1992).  It starts from the blocks :func:`_local_blocks`
+    lists, each of which opens with its head.
+
+    The tree is rooted at the root of that DFS.  A block's head is its
+    member nearest the root, and every other member v names its block in
+    ``block[v]``, through a union-find over block ids, so the block above
+    a block is its head's.  ``rank`` is the order in which vertices were
+    named, so a head ranks below every other member of its block.  A
+    vertex x that joins next to S opens the block {s, x} under the first
+    s of S.  For each other t of S the walks up from x and from t, always
+    stepping from the higher-ranked vertex, meet at the head of the
+    blocks between them, and those blocks merge into one: the largest
+    member set absorbs the rest.  Merged blocks vanish, so the walks cost
+    near-linear time in all.
+
+    A vertex is a cut vertex when it heads a block and is not the root,
+    or heads two.  ``heads`` counts the blocks each vertex heads, and
+    ``kids[b]`` holds the members of block b, its head aside, that head a
+    block.  A leaf is a block with one cut vertex.  Leaves sit in a lazy
+    heap keyed on their two smallest members, which orders them as
+    ``min(leaves, key=sorted)`` does, since two blocks share at most one
+    vertex; an entry is re-checked when it reaches the top.  A block
+    keeps its members and gains cut vertices unless it merges, so only a
+    new or merged block can turn into a leaf, or the lone block when a
+    vertex joins next to one member; those are the blocks pushed.
+    """
+
+    __slots__ = (
+        "root", "block", "rank", "named", "heads", "up", "head", "members", "kids",
+        "low", "live", "heap",
+    )
+
+    def __init__(self, blocks: list[list[int]], span: int):
+        self.root = blocks[0][0]
+        self.block = [-1] * span
+        self.rank = [0] * span
+        self.named = 1  # the root ranks 0
+        self.heads = [0] * span
+        self.up: list[int] = []
+        self.head: list[int] = []
+        self.members: list[set[int]] = []
+        self.kids: list[set[int]] = []
+        self.low: list[list[int]] = []
+        self.live = 0
+        for b in blocks:
+            if len(b) > 1:  # a lone vertex is no block here
+                self._open(b[0], b[1:])
+        for v in {b[0] for b in blocks} - {self.root}:
+            self.kids[self.block[v]].add(v)
+        self.heap = [(low, b) for b, low in enumerate(self.low)]
+        heapq.heapify(self.heap)
+
+    def _open(self, head: int, rest: list[int]) -> int:
+        b = len(self.up)
+        self.up.append(b)
+        self.head.append(head)
+        members = {head, *rest}
+        self.members.append(members)
+        self.kids.append(set())
+        self.low.append(sorted(members)[:2])
+        self.heads[head] += 1
+        self.live += 1
+        for v in rest:
+            self.block[v] = b
+            self.rank[v] = self.named
+            self.named += 1
+        return b
+
+    def _find(self, b: int) -> int:
+        up = self.up
+        while up[b] != b:
+            up[b] = b = up[up[b]]
+        return b
+
+    def _push(self, b: int) -> None:
+        b = self._find(b)
+        heapq.heappush(self.heap, (self.low[b], b))
+
+    def add(self, x: int, near: Sequence[int]) -> None:
+        """Join x, whose neighbours in the graph are ``near``, at least one."""
+        lone = len(near) == 1 and self.live == 1
+        s = near[0]
+        if s != self.root and not self.heads[s]:
+            self.kids[self._find(self.block[s])].add(s)
+        b = self._open(s, [x])
+        for t in near[1:]:
+            self._merge(x, t)
+        self._push(b)
+        if lone:
+            self._push(0)
+
+    def _merge(self, a: int, b: int) -> None:
+        """Merge the blocks on the tree path between the vertices a and b."""
+        rank, block, head, find = self.rank, self.block, self.head, self._find
+        path = set()
+        while a != b:
+            if rank[a] < rank[b]:
+                a, b = b, a
+            c = find(block[a])
+            path.add(c)
+            a = head[c]
+        if len(path) == 1:
+            return
+        keep = max(path, key=lambda c: len(self.members[c]))
+        heads, members, kids = self.heads, self.members[keep], self.kids[keep]
+        tops = [head[c] for c in path]
+        low = []
+        for c in path:
+            low += self.low[c]
+            if c != keep:
+                self.up[c] = keep
+                members |= self.members[c]
+                kids |= self.kids[c]
+        for h in tops:
+            heads[h] -= 1
+        heads[a] += 1  # a is where the walks met
+        kids.difference_update([h for h in tops if h != a and not heads[h]])
+        head[keep] = a
+        self.low[keep] = sorted(set(low))[:2]
+        self.live -= len(path) - 1
+
+    def first_leaf(self) -> tuple[set[int], int] | None:
+        """The leaf with the smallest sorted members and its cut vertex, or
+        None when the graph has fewer than two blocks."""
+        heap = self.heap
+        while heap:
+            low, b = heap[0]
+            if self.up[b] == b and self.low[b] == low:
+                h = self.head[b]
+                kids = self.kids[b]
+                above = h != self.root or self.heads[h] > 1  # h is a cut vertex
+                if len(kids) + above == 1:
+                    return self.members[b], h if above else next(iter(kids))
+            heapq.heappop(heap)
+        return None
+
+
 def _blocks_within(adj: Sequence[Sequence[int]], nodes: Sequence[int]) -> list[list[int]]:
     """The blocks (:func:`_local_blocks`) of the connected subgraph induced
     by the sorted ids ``nodes``, whose rows ``adj`` may list other vertices
@@ -715,6 +860,10 @@ def _connectivity_witness(g: Graph, nodes: list[int], m: int) -> tuple | None:
     second-lowest.  Only a vertex u with at most one neighbour can leave a
     2-connected rest (two would make the set 2-connected), and only one
     can: every other vertex has two neighbours in the set minus u.
+
+    Before a disconnecting set is returned, one component search of the
+    set without it confirms that it splits the set; a set that does not
+    is an internal error, raised as AssertionError.
     """
     if not nodes:
         raise GraphInputError("subset must be non-empty")
@@ -734,10 +883,15 @@ def _connectivity_witness(g: Graph, nodes: list[int], m: int) -> tuple | None:
             rest = [v for v in nodes if v not in pinned]
             components = _components(g, rest)
             last = rest[1] if len(components) == 2 and len(components[0]) == 1 else rest[0]
-            return ("disconnecting-set", (*pinned, last))
-        cut = [parent[v] for v in order[2:] if low[v] == depth[parent[v]]]
-        if cut:
-            return ("disconnecting-set", (*pinned, min(cut)))
+        else:
+            cut = [parent[v] for v in order[2:] if low[v] == depth[parent[v]]]
+            if not cut:
+                continue
+            last = min(cut)
+        ids = (*pinned, last)
+        if len(_components(g, [v for v in nodes if v not in ids])) < 2:
+            raise AssertionError(f"witness {ids} does not disconnect the set")
+        return ("disconnecting-set", ids)
     return None
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import heapq
 import time
 from bisect import insort
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -38,6 +37,7 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    _BlockCutTree,
     _as_subset,
     _bad_points,
     _blocks_within,
@@ -174,29 +174,6 @@ def isolation(g: Graph) -> tuple[frozenset[int], tuple[Role, ...]]:
     return mis, roles
 
 
-def _mis_pairs_within(g: Graph, mis: Sequence[int], limit: int) -> list[tuple[int, int, int]]:
-    """(distance, u, v) for independent-set pairs with hop distance <= limit,
-    found by a depth-limited BFS from each member."""
-    members = set(mis)
-    pairs: list[tuple[int, int, int]] = []
-    for u in sorted(mis):
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            d = dist[x]
-            if d == limit:
-                continue
-            for y in g.adjacency[x]:
-                if y not in dist:
-                    dist[y] = d + 1
-                    queue.append(y)
-                    if y in members and y > u:
-                        pairs.append((d + 1, u, y))
-    pairs.sort()
-    return pairs
-
-
 def domination(g: Graph, mis: Iterable[int]) -> frozenset[int]:
     """Phase 2: connect the independent dominators into a connected
     dominating set.
@@ -204,8 +181,16 @@ def domination(g: Graph, mis: Iterable[int]) -> frozenset[int]:
     Dominator pairs within three hops are visited in ascending
     (distance, smaller id, larger id) order; a pair whose endpoints
     already share a component of the growing backbone is skipped, and
-    otherwise the internal vertices of the deterministic shortest path
-    between them are promoted.
+    otherwise the internal vertices of the lexicographically smallest
+    shortest path between them are promoted.
+
+    The pairs come from set unions.  With ``near[x]`` the dominators
+    adjacent to x, the dominators two hops from u are the union of
+    ``near[x]`` over u's neighbours x (none is one hop away), and those
+    three hops away are the union over u's ball of radius two, less
+    those.  A pair's path is read off directly: at two hops the smallest
+    common neighbour; at three, the smallest neighbour x of u with a
+    neighbour next to v, then the smallest such neighbour of x.
     """
     members = _as_subset(g, mis)
     if not members:
@@ -213,6 +198,18 @@ def domination(g: Graph, mis: Iterable[int]) -> frozenset[int]:
     independent, witness = is_maximal_independent_set(g, members)
     if not independent:
         raise GraphInputError(f"input is not a maximal independent set: {witness}")
+
+    adj = g.adjacency
+    member = set(members)
+    near = [member.intersection(row) for row in adj]
+    two_hops: list[tuple[int, int]] = []
+    three_hops: list[tuple[int, int]] = []
+    for u in members:
+        two = set().union(*[near[x] for x in adj[u]])
+        ball = set(adj[u]).union(*[adj[x] for x in adj[u]])
+        three = set().union(*[near[y] for y in ball]) - two
+        two_hops += [(u, v) for v in sorted(two) if v > u]
+        three_hops += [(u, v) for v in sorted(three) if v > u]
 
     dominating = set(members)
     parent = list(range(g.node_count))
@@ -222,16 +219,22 @@ def domination(g: Graph, mis: Iterable[int]) -> frozenset[int]:
             parent[v] = v = parent[parent[v]]
         return v
 
-    for _, u, v in _mis_pairs_within(g, members, 3):
-        if find(u) == find(v):
-            continue
-        path = _lex_shortest_path(g, (u,), (v,), lambda x: True)
-        for w in path[1:-1]:
-            if w not in dominating:
-                dominating.add(w)
-                for x in g.adjacency[w]:
-                    if x in dominating:
-                        parent[find(w)] = find(x)
+    for hops, pairs in ((2, two_hops), (3, three_hops)):
+        for u, v in pairs:
+            if find(u) == find(v):
+                continue
+            ends = set(adj[v])
+            if hops == 2:
+                path = [next(x for x in adj[u] if x in ends)]
+            else:
+                x = next(x for x in adj[u] if not ends.isdisjoint(adj[x]))
+                path = [x, min(ends.intersection(adj[x]))]
+            for w in path:
+                if w not in dominating:
+                    dominating.add(w)
+                    for y in adj[w]:
+                        if y in dominating:
+                            parent[find(w)] = find(y)
     roots = {find(v) for v in dominating}
     if len(roots) > 1:
         raise DisconnectedInputError(
@@ -354,17 +357,22 @@ def _augment_leaf_block(
     outside it, whose internal vertices all satisfy ``allowed`` (None when
     there is none), the ones to promote.
 
+    The search runs from the smaller side, so a round pays for that side.
     When the split ``listed`` both sides (a block DFS), the rest of the set
-    is listed too, and the path search runs from the smaller side.  On the
-    partner route one side is a membership test and the search runs from
-    the other: a leaf named by exclusion (:class:`_Remainder`) against the
-    small sides listed, or a listed leaf against the rest of the set
-    (:class:`_Excluding`)."""
+    is listed too and the search picks the smaller.  Otherwise one side is
+    a membership test and the search runs from the other: a leaf named by
+    exclusion (:class:`_Remainder`) against the small sides listed, a
+    listed leaf of at most half the set against the rest of the set
+    (:class:`_Excluding`), and a larger leaf, as a membership test,
+    against the rest listed by one set difference."""
     leaf = _first_leaf(leaves)
     if isinstance(leaf, _Remainder):
         sources = _Excluding(backbone, leaf.skip | cut)
         return leaf, _lex_shortest_path(g, sources, leaf.rest, allowed)
     ids = frozenset(leaf)
+    if not listed and 2 * len(ids) > len(backbone) - (bad >= 0):
+        rest = backbone.difference(ids, (bad,))
+        return ids, _lex_shortest_path(g, _Excluding(ids, cut), rest, allowed)
     sources = [v for v in leaf if v not in cut]
     rest = backbone.difference(ids, (bad,)) if listed else _Excluding(backbone, ids | {bad})
     return ids, _lex_shortest_path(g, sources, rest, allowed)
@@ -377,11 +385,10 @@ def _split_without(
     partners: dict[int, set[int]] | None,
     work: int,
 ) -> tuple[set[int], list, bool] | None:
-    """The cut vertices and the leaf blocks of the backbone minus its
-    member v (the whole backbone when v is -1), and whether both sides of
-    every leaf are listed (they are after a block DFS); or None when that
-    set has at least three vertices and is 2-connected: v is not a bad
-    point, or at v = -1 the backbone is 2-connected.
+    """The cut vertices and the leaf blocks of the 2-connected backbone
+    minus its member v, and whether both sides of every leaf are listed
+    (they are after a block DFS); or None when that set has at least three
+    vertices and is 2-connected: v is not a bad point.
 
     With a partner map, whose recorded partners of v include every cut
     vertex of the backbone minus v, the split costs the small sides only.
@@ -396,8 +403,7 @@ def _split_without(
     is top-level (the large sides disagree) or the searches read ``work``
     adjacency entries, the split falls back to the block DFS of the
     backbone minus v, as it does when there is no map, and v's partners
-    become the cut vertices that DFS names.  A set the block DFS finds
-    disconnected is an input error.
+    become the cut vertices that DFS names.
     """
     if partners is not None and len(members) > 3:
         sides: dict[int, set[int]] = {}
@@ -426,11 +432,9 @@ def _split_without(
                     leaves.append(_Remainder(sides[top[0]], v, members))
                 return cut, leaves, False
     blocks, cut = _local_blocks(rows, members, v)
-    if blocks is None:
-        raise DisconnectedInputError("input set does not induce a connected subgraph")
     if partners is not None:
         partners[v] = set(cut)
-    if cut or len(members) - (v >= 0) <= 2:
+    if cut or len(members) <= 3:
         return cut, [b for b in blocks if len(cut.intersection(b)) == 1], True
     return None
 
@@ -478,48 +482,51 @@ def _augment(
     (m = 3): grow the backbone until it is m-connected.
 
     The caller passes the backbone as its sorted member list and its
-    induced adjacency indexed by node id (:func:`graph._induced_rows`);
-    both are kept for the whole phase: each promoted vertex gets its row
-    and is inserted into its neighbours' rows and into the list.  Each
-    round names the set to repair, the backbone for m = 2 and the backbone
-    minus its lowest bad point for m = 3, and splits it into leaf blocks
-    and cut vertices by :func:`_split_without`: at m = 2 the block DFS of
-    the backbone, where three or more members with no cut vertex end the
-    loop.  A lone vertex adopts its smallest neighbour, a pair is joined by
-    its shortest alternate route (a common neighbour when one exists) and
-    a larger set has its smallest leaf block (:func:`_first_leaf`)
-    reconnected to the rest, always through vertices outside the backbone
-    (:func:`_augment_leaf_block`); after a block DFS the path search runs
-    from the smaller side.  The first split at m = 2 rejects a
-    disconnected set, and the first engine pass at m = 3 one that is not
-    2-connected.  A round gets stuck only when g is not m-connected:
-    otherwise G - c (G - a - c at m = 3, with bad point a) is connected
-    for the leaf block's cut vertex c, so a path leaves the block through
-    outside vertices.  So a stuck round raises
-    :class:`GraphNotMConnectedError`, with the stuck set as witness at
-    m = 2 and the bad point at m = 3.
+    induced adjacency indexed by node id (:func:`graph._induced_rows`).
+    Each round names the set to repair, the backbone for m = 2 and the
+    backbone minus its lowest bad point for m = 3, and its leaf blocks and
+    cut vertices.  A lone vertex adopts its smallest neighbour, a pair is
+    joined by its shortest alternate route (a common neighbour when one
+    exists) and a larger set has its smallest leaf block
+    (:func:`_first_leaf`) reconnected to the rest, always through
+    vertices outside the backbone (:func:`_augment_leaf_block`).  A round
+    gets stuck only when g is not m-connected: otherwise G - c (G - a - c
+    at m = 3, with bad point a) is connected for the leaf block's cut
+    vertex c, so a path leaves the block through outside vertices.  So a
+    stuck round raises :class:`GraphNotMConnectedError`, with the stuck
+    set as witness at m = 2 and the bad point at m = 3.
 
-    At m = 3 the loop keeps a min-heap of candidates and, on a backbone of
-    at least ``_PARTNER_VOLUME`` adjacency entries, a map of separation
-    pairs: the partners of each vertex.  Its invariant: the heap holds
-    every bad point, and the map, unless the engine recorded none, every
-    separation pair.  One pass of :func:`graph._bad_points` sets both
-    exactly at entry.  A round tests the lowest candidate v by splitting
-    the backbone minus v, which the repair needs anyway: from v's
-    partners, at the cost of the small sides, or by the block DFS of the
-    backbone minus v when there is no map.  v is the round's bad point
-    when that set has a cut vertex or fewer than three vertices;
-    otherwise v is good and is popped, and an empty heap ends the phase.
-    A split removes a pair from the map only when it no longer
-    separates.  An ear keeps the invariant.  For a vertex y off the ear
-    and its ends, D' - y is D - y plus an ear, 2-connected when D - y is,
-    so only the ear and its ends can turn bad.  A one-vertex ear x is not
-    bad (D' - x is D), so only its ends are pushed; and {p, q}, its ends,
-    is the one pair it can add, when x has no other backbone neighbour,
-    so the map gets it then.  After a longer ear one more engine pass
-    sets both exactly.  So the engine runs at entry and after each ear of
-    two or more vertices, and any other round costs its small sides, or
-    at most one block DFS.
+    At m = 2 the phase runs one block DFS, at entry: it rejects a
+    disconnected set and seeds a block-cut tree of the backbone
+    (:class:`graph._BlockCutTree`), which each promoted vertex then joins
+    with its backbone neighbours.  A round reads its leaf and that leaf's
+    cut vertex from the tree, and three or more members with no leaf, a
+    single block, end the loop.
+
+    At m = 3 the adjacency is kept for the whole phase: each promoted
+    vertex gets its row and is inserted into its neighbours' rows, and
+    each round splits the backbone minus a candidate by
+    :func:`_split_without`.  The loop keeps a min-heap of candidates and,
+    on a backbone of at least ``_PARTNER_VOLUME`` adjacency entries, a map
+    of separation pairs: the partners of each vertex.  Its invariant: the
+    heap holds every bad point, and the map, unless the engine recorded
+    none, every separation pair.  One pass of :func:`graph._bad_points`
+    sets both exactly at entry.  A round tests the lowest candidate v by
+    splitting the backbone minus v, which the repair needs anyway: from
+    v's partners, at the cost of the small sides, or by the block DFS of
+    the backbone minus v when there is no map.  v is the round's bad point
+    when that set has a cut vertex or fewer than three vertices; otherwise
+    v is good and is popped, and an empty heap ends the phase.  A split
+    removes a pair from the map only when it no longer separates.  An ear
+    keeps the invariant.  For a vertex y off the ear and its ends, D' - y
+    is D - y plus an ear, 2-connected when D - y is, so only the ear and
+    its ends can turn bad.  A one-vertex ear x is not bad (D' - x is D),
+    so only its ends are pushed; and {p, q}, its ends, is the one pair it
+    can add, when x has no other backbone neighbour, so the map gets it
+    then.  After a longer ear one more engine pass sets both exactly.  So
+    the engine runs at entry and after each ear of two or more vertices,
+    and any other round costs its small sides, or at most one block DFS.
+    The first engine pass rejects a set that is not 2-connected.
 
     The phase ends: every ear has an internal vertex, so every round that
     does not end the loop promotes at least one vertex from outside the
@@ -533,16 +540,26 @@ def _augment(
     outside = lambda x: x not in backbone
     bad = -1
     heap: list[int] = []  # ascending: a heap already
-    partners = None
-    volume = sum(len(rows[v]) for v in members)  # adjacency entries of the backbone
-    if m == 3:
+    if m == 2:
+        blocks, _ = _local_blocks(rows, members)
+        if blocks is None:
+            raise DisconnectedInputError("input set does not induce a connected subgraph")
+        tree = _BlockCutTree(blocks, len(rows))
+    else:
+        volume = sum(len(rows[v]) for v in members)  # adjacency entries of the backbone
         heap, partners = _record_pairs(rows, members, volume)
         # the engine finds four or more members that are not 2-connected;
         # below four, only a triangle (six adjacency entries) is
         if heap is None or volume < 6:
             raise GraphInputError("sustainability requires a 2-connected input set")
     while True:
-        split = _split_without(rows, members, -1, None, volume) if m == 2 else None
+        split = None
+        if m == 2:
+            leaf = tree.first_leaf()
+            if leaf is not None:
+                split = {leaf[1]}, [leaf[0]], False
+            elif len(members) <= 2:
+                split = set(), [], False
         while heap:
             bad = heap[0]
             split = _split_without(rows, members, bad, partners, volume)
@@ -563,6 +580,12 @@ def _augment(
         ear = path[1:-1]
         if not ear:
             raise AssertionError(f"augmentation round promoted nothing: path {path}")
+        if m == 2:
+            for x in ear:
+                tree.add(x, [w for w in g.adjacency[x] if w in backbone])
+                backbone.add(x)
+                insort(members, x)
+            continue
         backbone.update(ear)
         for x in ear:
             rows[x] = [w for w in g.adjacency[x] if w in backbone]
@@ -573,8 +596,6 @@ def _augment(
                 if w not in ear:
                     insort(rows[w], x)
                     volume += 1
-        if m == 2:
-            continue
         if len(ear) > 1:
             heap, partners = _record_pairs(rows, members, volume)
             continue
@@ -592,12 +613,13 @@ def diversification(g: Graph, d: Iterable[int]) -> frozenset[int]:
     """Phase 4: grow the backbone until it is 2-connected (at least three
     vertices, no cut vertex).
 
-    Each round decomposes the backbone into blocks and reconnects the
-    smallest leaf block to the rest through promoted outside vertices;
-    backbones of one or two vertices are grown directly (see
-    :func:`_augment`); the first decomposition also rejects a set that
-    does not induce a connected subgraph.  Additions never reduce any
-    outside node's dominator count, so k-dominance survives the phase.
+    Each round reconnects the smallest leaf block of the backbone to the
+    rest through promoted outside vertices; backbones of one or two
+    vertices are grown directly (see :func:`_augment`).  One block
+    decomposition, at entry, rejects a set that does not induce a
+    connected subgraph and seeds the block-cut tree from which every
+    round reads its leaf.  Additions never reduce any outside node's
+    dominator count, so k-dominance survives the phase.
     """
     members = _as_subset(g, d)
     if not members:

@@ -16,9 +16,10 @@ domination, diversification and sustainability twins, and the oracle
 twin tries every subset against the package's checkers.  The local
 adjacency relabels an induced subgraph onto local indices: the
 traversals run on it too, and must agree with their runs on the rows
-indexed by node id.  The one
-exception is the bad-point sweep, which runs the package's m = 2 test
-once per member: it is independent of the m = 3 engine it checks.
+indexed by node id.  There are two exceptions.  The bad-point sweep
+runs the package's m = 2 test once per member: it is independent of the
+m = 3 engine it checks.  The block-cut tree check holds the incremental
+tree to the package's block DFS as well as to the block twin.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from plutus import Graph, OracleResult, from_edge_list, is_k_dominating, is_m_connected
-from plutus.graph import DistanceReport
+from plutus.graph import DistanceReport, _BlockCutTree, _induced_rows, _local_blocks
 from plutus.geometry import splitmix64
 
 
@@ -298,6 +299,31 @@ def naive_block_cut_tree(g: Graph, nodes) -> NaiveBlockCutTree:
     cut_vertices = frozenset(v for v, count in membership.items() if count >= 2)
     leaves = () if len(blocks) == 1 else tuple(b for b in blocks if len(b & cut_vertices) == 1)
     return NaiveBlockCutTree(tuple(blocks), cut_vertices, leaves)
+
+
+def assert_tree_matches(g: Graph, tree, nodes) -> None:
+    """A :class:`plutus.graph._BlockCutTree` of the connected set ``nodes``
+    against :func:`_local_blocks` and :func:`naive_block_cut_tree`: the
+    same blocks and cut vertices, read off the tree's blocks and the
+    blocks each vertex heads (the root is a cut vertex when it heads two),
+    and its first leaf is the naive first leaf block with its cut vertex.
+    A lone vertex is no block of the tree."""
+    nodes = sorted(nodes)
+    blocks = sorted(sorted(tree.members[b]) for b, up in enumerate(tree.up) if up == b)
+    cut = {v for v, heads in enumerate(tree.heads) if heads > (v == tree.root)}
+    naive = naive_block_cut_tree(g, nodes)
+    if len(nodes) == 1:
+        assert (blocks, cut, _BlockCutTree.first_leaf(tree)) == ([], set(), None)
+        return
+    found, found_cut = _local_blocks(_induced_rows(g, nodes), nodes)
+    assert blocks == sorted(sorted(b) for b in found) == [sorted(b) for b in naive.blocks]
+    assert cut == found_cut == naive.cut_vertices
+    leaf = _BlockCutTree.first_leaf(tree)
+    if naive.leaf_blocks:
+        first = naive.leaf_blocks[0]
+        assert leaf == (first, *(first & naive.cut_vertices))
+    else:
+        assert leaf is None
 
 
 def naive_lowest_bad_point(g: Graph, subset) -> int | None:

@@ -21,6 +21,7 @@ from plutus import (
 )
 from plutus.geometry import splitmix64
 from plutus.graph import (
+    _BlockCutTree,
     _bad_points,
     _components,
     _connectivity_witness,
@@ -34,6 +35,7 @@ from plutus.pipeline import _augment_leaf_block
 from .conftest import complete_graph, cycle_graph, path_graph, wheel_graph
 from .helpers import (
     _distances_from,
+    assert_tree_matches,
     induced_connected,
     local_adjacency,
     menger_m_connected,
@@ -510,6 +512,81 @@ class TestBlockCutTree:
                 assert cut == tree.cut_vertices
             else:
                 assert blocks is None and cut == set()
+
+
+def _grow_tree(g: Graph, start, order) -> None:
+    """Build the incremental block-cut tree from the block DFS of the
+    connected set ``start``, then join each vertex of ``order`` with its
+    neighbours in the set so far, checking the tree after every join."""
+    nodes = sorted(set(start))
+    blocks, _ = _local_blocks(_induced_rows(g, nodes), nodes)
+    tree = _BlockCutTree(blocks, g.node_count)
+    joined = set(nodes)
+    assert_tree_matches(g, tree, joined)
+    for x in order:
+        near = [w for w in g.adjacency[x] if w in joined]
+        tree.add(x, near)
+        joined.add(x)
+        assert_tree_matches(g, tree, joined)
+
+
+def _join_order(g: Graph, start, pick) -> list[int]:
+    """The vertices of ``start``'s component outside it, each adjacent
+    to the set before it: ``pick(frontier)`` names the next one."""
+    joined, order = set(start), []
+    frontier = sorted({y for x in joined for y in g.adjacency[x]} - joined)
+    while frontier:
+        x = pick(frontier)
+        order.append(x)
+        joined.add(x)
+        frontier = sorted((set(frontier) | set(g.adjacency[x])) - joined)
+    return order
+
+
+class TestIncrementalBlockCutTree:
+    """The tree that diversification keeps, against the block DFS and the
+    block twin after every vertex that joins, its first leaf included."""
+
+    def test_pendant_on_a_lone_block_makes_both_leaves(self):
+        # the triangle is the only block until 3 hangs off 2, and then
+        # it is a leaf; 4 closes 2-3-4 into a second block
+        g = from_edge_list(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+        _grow_tree(g, {0, 1, 2}, [3, 4])
+
+    def test_root_turns_cut_and_back(self):
+        # pendants at the root 0 make it a cut vertex, and 3, adjacent to
+        # both, merges the two root blocks back into one
+        g = from_edge_list(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        _grow_tree(g, {0}, [1, 2, 3])
+
+    @given(seeds, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_graphs(self, seed, data):
+        g = random_graph(seed, max_nodes=12)
+        component = max(_components(g, range(g.node_count)), key=len)
+        start = [data.draw(st.sampled_from(component))]
+        for x in start:
+            start += [y for y in g.adjacency[x] if y not in start]
+        start = start[: data.draw(st.integers(1, len(start)))]
+        order = _join_order(g, start, lambda frontier: data.draw(st.sampled_from(frontier)))
+        _grow_tree(g, start, order)
+
+    @pytest.mark.parametrize("n, radius, seed", [(60, 0.25, 16), (120, 0.16, 22)])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_unit_disk_subsets(self, n, radius, seed, shuffled):
+        g = random_geometric(n, radius, seed).graph()
+        if shuffled:
+            g = relabel(g, sorted(range(n), key=lambda v: splitmix64(seed, v)))
+        assert is_connected(g)
+        # a synergy backbone and a BFS prefix of a third of the graph,
+        # grown by the vertices in a pseudo-random frontier order
+        backbone = run_plutus(g, PlutusConfig(k=1, m=1)).dominating_set
+        prefix = [n // 2]
+        for x in prefix:
+            prefix += [y for y in g.adjacency[x] if y not in prefix]
+        for start in (backbone, prefix[: n // 3]):
+            order = _join_order(g, start, lambda f: f[splitmix64(seed, len(f)) % len(f)])
+            _grow_tree(g, start, order)
 
 
 class TestIsMConnected:

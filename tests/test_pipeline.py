@@ -43,6 +43,7 @@ from plutus.serialize import dumps, result_to_dict
 from .conftest import complete_graph, cycle_graph, path_graph, wheel_graph
 from .helpers import (
     _naive_round,
+    assert_tree_matches,
     induced_connected,
     local_adjacency,
     naive_block_cut_tree,
@@ -140,6 +141,27 @@ class TestDomination:
         g = from_edge_list(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedInputError, match="did not converge to a single component"):
             domination(g, {0, 2})
+
+    def test_reads_its_pairs_and_paths_without_a_path_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("domination ran a path search")
+
+        g = random_geometric(120, 0.16, 22).graph()
+        mis = isolation(g)[0]
+        expected = naive_domination(g, mis)
+        monkeypatch.setattr(pipeline, "_lex_shortest_path", no_search)
+        monkeypatch.setattr(plutus.graph, "_lex_shortest_path", no_search)
+        assert domination(g, mis) == expected
+
+    def test_tied_three_hop_routes_take_the_smallest_path(self):
+        # 0 and 1 are three hops apart through 2 (to 5 or 6) and through 3
+        # (to 4 or 5): the smallest path goes through 2, then 5, the
+        # smaller of 2's neighbours next to 1
+        edges = [(0, 2), (0, 3), (2, 6), (2, 5), (3, 4), (3, 5), (4, 1), (5, 1), (6, 1)]
+        g = from_edge_list(7, edges)
+        path = naive_lex_shortest_path(g, (0,), (1,), lambda x: True)
+        assert path == [0, 2, 5, 1]
+        assert domination(g, {0, 1}) == frozenset(path) == naive_domination(g, {0, 1})
 
     @given(seeds)
     @settings(max_examples=50)
@@ -764,12 +786,13 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
     in order: "engine" for a bad-point pass, "stale" for a candidate test
     that finds its candidate good and "round" for one that opens a round.
 
-    A round opens with each split (``_split_without``): at m = 2 every
-    split of the whole backbone (v = -1), the last one, which returns
-    None, finding it 2-connected, and at m = 3 each split of the backbone
-    minus a candidate that finds the candidate bad.  At m = 3 the last
-    round is the backbone returned.  Each engine pass and split must see
-    the one adjacency the phase keeps: rows equal to a
+    At m = 2 a round opens with each leaf query of the block-cut tree
+    (``first_leaf``), the last one finding the backbone 2-connected, and
+    the tree's blocks and cut vertices must then be those of the backbone
+    so far.  At m = 3 a round opens with each split of the backbone minus
+    a candidate (``_split_without``) that finds the candidate bad, and
+    the last round is the backbone returned.  Each engine pass, split and
+    block DFS must see the one adjacency the phase keeps: rows equal to a
     fresh reference local adjacency mapped to ids, with a member list
     equal to the sorted backbone so far, the input plus every promoted
     path; and no other adjacency is built."""
@@ -777,6 +800,7 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
     calls: list[str] = []
     kept = []  # the adjacency each call reads
     bad_points = pipeline._bad_points
+    local_blocks = pipeline._local_blocks
     split_without = pipeline._split_without
     augment_leaf_block = pipeline._augment_leaf_block
     alternate_pair_path = pipeline._alternate_pair_path
@@ -800,13 +824,27 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
         calls.append("engine")
         return bad_points(adj, members, *partners)
 
+    def record_blocks(adj, members, *skip):
+        check_adjacency(adj, members)
+        return local_blocks(adj, members, *skip)
+
     def record_split(adj, members, v, *rest):
         check_adjacency(adj, members)
         split = split_without(adj, members, v, *rest)
-        calls.append("stale" if split is None and v >= 0 else "round")
-        if split is not None or v < 0:
-            rounds.append([list(members), v if v >= 0 else None, None, None])
+        calls.append("stale" if split is None else "round")
+        if split is not None:
+            rounds.append([list(members), v, None, None])
         return split
+
+    class RecordedTree(pipeline._BlockCutTree):
+        __slots__ = ()
+
+        def first_leaf(self):
+            nodes = grown()
+            assert_tree_matches(g, self, nodes)
+            calls.append("round")
+            rounds.append([nodes, None, None, None])
+            return super().first_leaf()
 
     def record_leaf(*args):
         leaf, path = augment_leaf_block(*args)
@@ -820,7 +858,9 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
         return rounds[-1][3]
 
     monkeypatch.setattr(pipeline, "_bad_points", record_bad)
+    monkeypatch.setattr(pipeline, "_local_blocks", record_blocks)
     monkeypatch.setattr(pipeline, "_split_without", record_split)
+    monkeypatch.setattr(pipeline, "_BlockCutTree", RecordedTree)
     monkeypatch.setattr(pipeline, "_augment_leaf_block", record_leaf)
     monkeypatch.setattr(pipeline, "_alternate_pair_path", record_pair)
     result = phase(g, backbone)
@@ -1108,19 +1148,37 @@ def test_one_engine_pass_per_phase_on_the_m3_corpus(monkeypatch, n, radius, seed
 
 
 def test_only_partner_route_rounds_test_membership_in_the_rest(monkeypatch):
-    # a round whose split ran the block DFS lists both sides of its path
-    # search; only a partner-route round hands the search a side that is a
-    # membership test (_Excluding), one per round
+    # a sustainability round whose split ran the block DFS lists both
+    # sides of its path search; only a partner-route round hands the
+    # search a side that is a membership test (_Excluding), one per round.
+    # A diversification round's leaf comes from the block-cut tree, listed:
+    # it searches from the leaf against the rest as a membership test, or,
+    # when the leaf holds more than half the backbone, from the rest,
+    # listed by one set difference, against the leaf as a membership test
     g = random_geometric(120, 0.16, 22).graph()
     excluding = pipeline._Excluding
     split_without = pipeline._split_without
     augment_leaf_block = pipeline._augment_leaf_block
     local_blocks = pipeline._local_blocks
-    built, route, rounds = [], [], []
+    built, route, rounds, sides = [], [], [], []
 
     def count_excluding(*args):
         built.append(args)
         return excluding(*args)
+
+    def record_sides(g, leaves, cut, backbone, *rest):
+        before = len(built)
+        found = augment_leaf_block(g, leaves, cut, backbone, *rest)
+        (leaf,) = leaves
+        tested = [args[0] for args in built[before:]]
+        sides.append((2 * len(leaf) > len(backbone), tested == [leaf], tested == [backbone]))
+        return found
+
+    monkeypatch.setattr(pipeline, "_Excluding", count_excluding)
+    monkeypatch.setattr(pipeline, "_augment_leaf_block", record_sides)
+    for k in (1, 2):
+        diversification(g, run_plutus(g, PlutusConfig(k=k, m=1)).dominating_set)
+    assert sorted(set(sides)) == [(False, False, True), (True, True, False)]
 
     def record_blocks(adj, members, skip=-1):
         route.append("dfs")
@@ -1136,12 +1194,9 @@ def test_only_partner_route_rounds_test_membership_in_the_rest(monkeypatch):
         rounds.append((route[:] or ["partners"], len(built) - before))
         return found
 
-    monkeypatch.setattr(pipeline, "_Excluding", count_excluding)
     monkeypatch.setattr(pipeline, "_local_blocks", record_blocks)
     monkeypatch.setattr(pipeline, "_split_without", record_split)
     monkeypatch.setattr(pipeline, "_augment_leaf_block", record_leaf)
-    diversification(g, run_plutus(g, PlutusConfig(k=1, m=1)).dominating_set)
-    assert len(rounds) > 1 and not built
     # the n = 120 backbone is past the size floor, the n = 40 one is not
     for g in (g, random_geometric(40, 0.3, 11).graph()):
         backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
@@ -1210,28 +1265,33 @@ class TestDiversificationRounds:
             self.check(monkeypatch, g, k)
 
 
-def test_diversification_builds_one_adjacency_per_round(monkeypatch):
-    # the first round's decomposition is the entry check; the one
-    # adjacency built for the phase is decomposed once per round, each
-    # round on a larger member list than the last
+def test_diversification_runs_one_block_dfs_per_phase(monkeypatch):
+    # the entry block DFS is the connectivity check and seeds the block-cut
+    # tree; every later round reads its leaf from the tree, so each phase
+    # runs exactly one block DFS, on the one adjacency built for it
     g = random_geometric(120, 0.16, 22).graph()
-    backbone = run_plutus(g, PlutusConfig(k=2, m=1)).dominating_set
-    builds = _count_builds(monkeypatch)
-    decomposed, rounds = [], []
     local_blocks = pipeline._local_blocks
+    first_leaf = pipeline._BlockCutTree.first_leaf
+    for k in (1, 2):
+        backbone = run_plutus(g, PlutusConfig(k=k, m=1)).dominating_set
+        decomposed, rounds = [], []
 
-    def record_round(adj, members, skip=-1):
-        decomposed.append(adj)
-        rounds.append(list(members))
-        return local_blocks(adj, members, skip)
+        def record_blocks(adj, members, *skip):
+            decomposed.append((adj, list(members), skip))
+            return local_blocks(adj, members, *skip)
 
-    monkeypatch.setattr(pipeline, "_local_blocks", record_round)
-    grown = diversification(g, backbone)
-    assert len(decomposed) > 1
-    assert [kind for kind, _, _ in builds] == ["rows"]
-    assert all(a is builds[0][2] for a in decomposed)
-    assert builds[0][1] == rounds[0] == sorted(backbone) and rounds[-1] == sorted(grown)
-    assert all(len(a) < len(b) for a, b in zip(rounds, rounds[1:]))
+        def record_round(tree):
+            rounds.append(tree)
+            return first_leaf(tree)
+
+        with pytest.MonkeyPatch.context() as patch:
+            builds = _count_builds(patch)
+            patch.setattr(pipeline, "_local_blocks", record_blocks)
+            patch.setattr(pipeline._BlockCutTree, "first_leaf", record_round)
+            grown = diversification(g, backbone)
+        assert len(rounds) > 1 and len(grown) > len(backbone)
+        assert [kind for kind, _, _ in builds] == ["rows"]
+        assert decomposed == [(builds[0][2], sorted(backbone), ())]
 
 
 def test_sustainability_builds_its_induced_graph_once(monkeypatch):

@@ -235,6 +235,57 @@ class TestCertificate:
         assert naive_lowest_bad_point(g, range(5)) == 1
         assert naive_disconnecting_set(g, range(5), 3) == (1, 2)
 
+    @pytest.mark.parametrize("case, m, ids", [
+        ("k2m2", 3, (1, 36)),
+        ("k2m1", 3, (0, 2)),
+        ("k2m1", 2, (2,)),
+        ("pendant", 3, (1, 2)),
+        ("pendant", 2, (1,)),
+    ])
+    def test_witness_is_confirmed_by_a_component_search(self, monkeypatch, case, m, ids):
+        # the rejections the CI replays: a backbone of the seed-8 n = 50
+        # instance solved at k = 2, and 0 hanging off the 4-cycle 1-2-3-4.
+        # Before the witness is reported, the set without it is searched
+        # and falls apart
+        import plutus.graph
+
+        if case == "pendant":
+            g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)])
+            backbone = range(5)
+        else:
+            g = random_geometric(50, 0.3, 8).graph()
+            backbone = run_plutus(g, PlutusConfig(k=2, m=int(case[-1]))).dominating_set
+        searches = []
+        components = plutus.graph._components
+
+        def recording(graph, nodes):
+            searches.append((list(nodes), components(graph, nodes)))
+            return searches[-1][1]
+
+        monkeypatch.setattr(plutus.graph, "_components", recording)
+        report = is_m_connected_k_dominating(g, backbone, 1, m)
+        assert report.checks[1].witness == ("disconnecting-set", ids)
+        assert naive_disconnecting_set(g, backbone, m) == ids
+        nodes, found = searches[-1]
+        assert nodes == sorted(set(backbone) - set(ids)) and len(found) > 1
+
+    def test_a_witness_that_does_not_disconnect_is_an_internal_error(self, monkeypatch):
+        # a palm tree whose low point names 1, the parent of 2 on the
+        # 5-cycle, as a cut vertex: the cycle without 1 is still connected
+        import plutus.graph
+
+        palm_tree = plutus.graph._palm_tree
+
+        def wrong(adj, members, *rest):
+            order, parent, depth, low = palm_tree(adj, members, *rest)
+            low = low[:]
+            low[order[2]] = depth[parent[order[2]]]
+            return order, parent, depth, low
+
+        monkeypatch.setattr(plutus.graph, "_palm_tree", wrong)
+        with pytest.raises(AssertionError, match=r"^witness \(1,\) does not disconnect the set$"):
+            is_m_connected_k_dominating(cycle_graph(5), range(5), 1, 2)
+
     def test_one_connectivity_pass_per_check(self, monkeypatch):
         # a rejected backbone gets its verdict and its witness from one
         # pass: the witness search runs once, and at m = 3 so does the
