@@ -8,9 +8,9 @@ an m-connected k-dominating backbone.
     sustainability  repair bad points until the backbone is 3-connected
 
 Isolation and every synergy layer are one greedy independent-set
-routine, :func:`_greedy_mis`; diversification and sustainability are one
-augmentation loop, :func:`_augment`, run at m = 2 and at m = 3, which
-gets stuck only on a graph that is not m-connected and then raises
+routine, :func:`_greedy_mis`; diversification and sustainability each
+run their own loop over one round step, :func:`_repair_path`, which gets
+stuck only on a graph that is not m-connected, and the phase then raises
 :class:`GraphNotMConnectedError`, the pipeline's only refusal of a
 connected graph.  Phases only ever add
 vertices; a dominator never loses its role.  All tie-breaks (degree
@@ -325,57 +325,55 @@ class _Remainder:
                     break
 
 
-def _first_leaf(leaves: list) -> list[int] | _Remainder:
+def _first_leaf(leaves: list, cut: set[int]) -> tuple[set[int] | _Remainder, int]:
     """The leaf with the smallest sorted members, ``min(leaves,
     key=sorted)``, read from the two smallest members of each: two blocks
     share at most one vertex, so no two leaves tie on both.  Only leaves
-    tied on the smallest member need a second one."""
+    tied on the smallest member need a second one.  Returned with its cut
+    vertex, the one of ``cut`` in it; a :class:`_Remainder` holds every
+    cut vertex but its own in its small sides."""
     lows = [b.head[0] if isinstance(b, _Remainder) else min(b) for b in leaves]
     low = min(lows)
     tied = [b for b, x in zip(leaves, lows) if x == low]
-    if len(tied) == 1:
-        return tied[0]
-    return min(
-        tied,
-        key=lambda b: b.head[1] if isinstance(b, _Remainder) else min(v for v in b if v != low),
-    )
+    leaf = tied[0]
+    if len(tied) > 1:
+        leaf = min(
+            tied,
+            key=lambda b: b.head[1] if isinstance(b, _Remainder) else min(v for v in b if v != low),
+        )
+    if isinstance(leaf, _Remainder):
+        (c,) = cut.difference(leaf.rest)
+        return leaf, c
+    (c,) = cut.intersection(leaf)
+    return set(leaf), c
 
 
 def _augment_leaf_block(
     g: Graph,
-    leaves: list,
-    cut: set[int],
+    leaf: set[int] | _Remainder,
+    c: int,
     backbone: set[int],
     bad: int,
     allowed: Callable[[int], bool],
-    listed: bool,
-) -> tuple[frozenset[int] | _Remainder, list[int] | None]:
-    """The leaf block to repair, the smallest-member one of ``leaves``
-    (blocks of the round's set, the members of ``backbone`` other than
-    ``bad``, that meet its cut vertices ``cut`` once); and the shortest
-    path in g from a non-cut member of that leaf to any vertex of the set
-    outside it, whose internal vertices all satisfy ``allowed`` (None when
-    there is none), the ones to promote.
+) -> list[int] | None:
+    """The shortest path in g from a member of the leaf block ``leaf``
+    other than its cut vertex c to any vertex of the round's set, the
+    members of ``backbone`` other than ``bad``, outside the leaf, whose
+    internal vertices all satisfy ``allowed``; None when there is none.
 
-    The search runs from the smaller side, so a round pays for that side.
-    When the split ``listed`` both sides (a block DFS), the rest of the set
-    is listed too and the search picks the smaller.  Otherwise one side is
-    a membership test and the search runs from the other: a leaf named by
-    exclusion (:class:`_Remainder`) against the small sides listed, a
-    listed leaf of at most half the set against the rest of the set
-    (:class:`_Excluding`), and a larger leaf, as a membership test,
-    against the rest listed by one set difference."""
-    leaf = _first_leaf(leaves)
+    The search runs from the smaller side, so a round pays for that side,
+    and the other side is a membership test.  A leaf named by exclusion
+    (:class:`_Remainder`) is searched against the small sides listed.  A
+    listed leaf of at most half the set is searched from, against the rest
+    of the set (:class:`_Excluding`); a larger leaf becomes the membership
+    test, and the search runs from the rest, listed by one set difference."""
     if isinstance(leaf, _Remainder):
-        sources = _Excluding(backbone, leaf.skip | cut)
-        return leaf, _lex_shortest_path(g, sources, leaf.rest, allowed)
-    ids = frozenset(leaf)
-    if not listed and 2 * len(ids) > len(backbone) - (bad >= 0):
-        rest = backbone.difference(ids, (bad,))
-        return ids, _lex_shortest_path(g, _Excluding(ids, cut), rest, allowed)
-    sources = [v for v in leaf if v not in cut]
-    rest = backbone.difference(ids, (bad,)) if listed else _Excluding(backbone, ids | {bad})
-    return ids, _lex_shortest_path(g, sources, rest, allowed)
+        return _lex_shortest_path(g, _Excluding(backbone, leaf.skip | {c}), leaf.rest, allowed)
+    if 2 * len(leaf) > len(backbone) - (bad >= 0):
+        rest = backbone.difference(leaf, (bad,))
+        return _lex_shortest_path(g, _Excluding(leaf, {c}), rest, allowed)
+    sources = [v for v in leaf if v != c]
+    return _lex_shortest_path(g, sources, _Excluding(backbone, leaf | {bad}), allowed)
 
 
 def _split_without(
@@ -384,11 +382,11 @@ def _split_without(
     v: int,
     partners: dict[int, set[int]] | None,
     work: int,
-) -> tuple[set[int], list, bool] | None:
-    """The cut vertices and the leaf blocks of the 2-connected backbone
-    minus its member v, and whether both sides of every leaf are listed
-    (they are after a block DFS); or None when that set has at least three
-    vertices and is 2-connected: v is not a bad point.
+) -> tuple[set[int] | _Remainder | None, int] | None:
+    """The first leaf block (:func:`_first_leaf`) of the 2-connected
+    backbone minus its member v and that leaf's cut vertex; (None, -1)
+    when that set has at most two members; or None when it has at least
+    three and is 2-connected: v is not a bad point.
 
     With a partner map, whose recorded partners of v include every cut
     vertex of the backbone minus v, the split costs the small sides only.
@@ -405,7 +403,9 @@ def _split_without(
     backbone minus v, as it does when there is no map, and v's partners
     become the cut vertices that DFS names.
     """
-    if partners is not None and len(members) > 3:
+    if len(members) <= 3:
+        return None, -1
+    if partners is not None:
         sides: dict[int, set[int]] = {}
         for c in sorted(partners.get(v, ())):
             found = _small_sides(rows, v, c, work)
@@ -430,13 +430,13 @@ def _split_without(
                     leaves += [b for b in blocks if len(cut.intersection(b)) == 1]
                 if len(top) == 1:
                     leaves.append(_Remainder(sides[top[0]], v, members))
-                return cut, leaves, False
+                return _first_leaf(leaves, cut)
     blocks, cut = _local_blocks(rows, members, v)
     if partners is not None:
         partners[v] = set(cut)
-    if cut or len(members) <= 3:
-        return cut, [b for b in blocks if len(cut.intersection(b)) == 1], True
-    return None
+    if not cut:
+        return None
+    return _first_leaf([b for b in blocks if len(cut.intersection(b)) == 1], cut)
 
 
 # Below this many adjacency entries in the backbone, the block DFS of
@@ -472,49 +472,99 @@ def _alternate_pair_path(
     return None if path is None else path + [v]
 
 
-def _augment(
-    g: Graph,
-    members: list[int],
-    rows: list[list[int]],
-    m: int,
-) -> frozenset[int]:
-    """The augmentation loop of diversification (m = 2) and sustainability
-    (m = 3): grow the backbone until it is m-connected.
+def _repair_path(
+    g: Graph, backbone: set[int], bad: int, leaf: set[int] | _Remainder | None, c: int
+) -> list[int] | None:
+    """One augmentation round: the path whose internal vertices, all
+    outside ``backbone``, the round promotes; None when there is none.
 
-    The caller passes the backbone as its sorted member list and its
-    induced adjacency indexed by node id (:func:`graph._induced_rows`).
-    Each round names the set to repair, the backbone for m = 2 and the
-    backbone minus its lowest bad point for m = 3, and its leaf blocks and
-    cut vertices.  A lone vertex adopts its smallest neighbour, a pair is
-    joined by its shortest alternate route (a common neighbour when one
-    exists) and a larger set has its smallest leaf block
-    (:func:`_first_leaf`) reconnected to the rest, always through
-    vertices outside the backbone (:func:`_augment_leaf_block`).  A round
-    gets stuck only when g is not m-connected: otherwise G - c (G - a - c
-    at m = 3, with bad point a) is connected for the leaf block's cut
-    vertex c, so a path leaves the block through outside vertices.  So a
-    stuck round raises :class:`GraphNotMConnectedError`, with the stuck
-    set as witness at m = 2 and the bad point at m = 3.
+    The round's set is the members of ``backbone`` other than ``bad`` (-1
+    at m = 2).  With ``leaf`` None it has at most two members: a lone
+    vertex adopts its smallest neighbour and a pair is joined by its
+    shortest alternate route (:func:`_alternate_pair_path`, a common
+    neighbour when one exists).  Otherwise the leaf block ``leaf``, with
+    cut vertex c, is reconnected to the rest (:func:`_augment_leaf_block`).
+    A round gets stuck only when g is not m-connected: otherwise G - c
+    (G - a - c at m = 3, with bad point a) is connected, so a path leaves
+    the block through outside vertices.
 
-    At m = 2 the phase runs one block DFS, at entry: it rejects a
-    disconnected set and seeds a block-cut tree of the backbone
+    Every ear has an internal vertex, so every round promotes at least
+    one vertex, and a phase that starts from d ends within n - |d| + 1
+    rounds.  A pair's path has at least two edges, and a leaf block's
+    path is not one edge: its source is no cut vertex, so its neighbours
+    in the set lie in the leaf.  A path with no internal vertex would
+    break this and raises AssertionError.
+    """
+    outside = lambda x: x not in backbone
+    if leaf is None:
+        base = sorted(backbone.difference((bad,)))
+        path = _alternate_pair_path(g, base[0], base[-1], outside)
+    else:
+        path = _augment_leaf_block(g, leaf, c, backbone, bad, outside)
+    if path is not None and not path[1:-1]:
+        raise AssertionError(f"augmentation round promoted nothing: path {path}")
+    return path
+
+
+def diversification(g: Graph, d: Iterable[int]) -> frozenset[int]:
+    """Phase 4: grow the backbone until it is 2-connected (at least three
+    vertices, no cut vertex).
+
+    One block DFS, at entry, rejects a set that does not induce a
+    connected subgraph and seeds a block-cut tree of the backbone
     (:class:`graph._BlockCutTree`), which each promoted vertex then joins
-    with its backbone neighbours.  A round reads its leaf and that leaf's
-    cut vertex from the tree, and three or more members with no leaf, a
-    single block, end the loop.
+    with its backbone neighbours.  Each round reads the smallest leaf
+    block and its cut vertex from the tree and reconnects it to the rest
+    through promoted outside vertices; backbones of one or two vertices
+    are grown directly (:func:`_repair_path`).  Three or more members with
+    no leaf, a single block, end the phase.  A stuck round raises
+    :class:`GraphNotMConnectedError` with the stuck set as witness.
+    Additions never reduce any outside node's dominator count, so
+    k-dominance survives the phase.
+    """
+    members = _as_subset(g, d)
+    if not members:
+        raise GraphInputError("backbone must be non-empty")
+    blocks, _ = _local_blocks(_induced_rows(g, members), members)
+    if blocks is None:
+        raise DisconnectedInputError("input set does not induce a connected subgraph")
+    tree = _BlockCutTree(blocks, g.node_count)
+    backbone = set(members)
+    while True:
+        found = tree.first_leaf()
+        if found is None and len(backbone) > 2:
+            return frozenset(backbone)
+        leaf, c = found or (None, -1)
+        path = _repair_path(g, backbone, -1, leaf, c)
+        if path is None:
+            raise GraphNotMConnectedError(2, tuple(sorted(backbone if leaf is None else leaf)))
+        for x in path[1:-1]:
+            tree.add(x, [w for w in g.adjacency[x] if w in backbone])
+            backbone.add(x)
 
-    At m = 3 the adjacency is kept for the whole phase: each promoted
-    vertex gets its row and is inserted into its neighbours' rows, and
-    each round splits the backbone minus a candidate by
-    :func:`_split_without`.  The loop keeps a min-heap of candidates and,
-    on a backbone of at least ``_PARTNER_VOLUME`` adjacency entries, a map
-    of separation pairs: the partners of each vertex.  Its invariant: the
-    heap holds every bad point, and the map, unless the engine recorded
-    none, every separation pair.  One pass of :func:`graph._bad_points`
-    sets both exactly at entry.  A round tests the lowest candidate v by
-    splitting the backbone minus v, which the repair needs anyway: from
-    v's partners, at the cost of the small sides, or by the block DFS of
-    the backbone minus v when there is no map.  v is the round's bad point
+
+def sustainability(g: Graph, d: Iterable[int]) -> frozenset[int]:
+    """Phase 5: grow the 2-connected backbone until it is 3-connected.
+
+    A backbone vertex is a bad point when removing it leaves the rest not
+    2-connected; a 2-connected backbone with no bad point is 3-connected.
+    Each round repairs the backbone minus its lowest bad point v as
+    diversification repairs a backbone, with paths avoiding v entirely
+    (:func:`_repair_path`); a stuck round raises
+    :class:`GraphNotMConnectedError` with v as witness.
+
+    The induced adjacency is kept for the whole phase: each promoted
+    vertex gets its row and is inserted into its neighbours' rows.  The
+    loop keeps a min-heap of candidates and, on a backbone of at least
+    ``_PARTNER_VOLUME`` adjacency entries, a map of separation pairs: the
+    partners of each vertex.  Its invariant: the heap holds every bad
+    point, and the map, unless the engine recorded none, every separation
+    pair.  One pass of :func:`graph._bad_points` sets both exactly at
+    entry, and rejects a set that is not 2-connected.  A round tests the
+    lowest candidate v by splitting the backbone minus v
+    (:func:`_split_without`), which the repair needs anyway: from v's
+    partners, at the cost of the small sides, or by the block DFS of the
+    backbone minus v when there is no map.  v is the round's bad point
     when that set has a cut vertex or fewer than three vertices; otherwise
     v is good and is popped, and an empty heap ends the phase.  A split
     removes a pair from the map only when it no longer separates.  An ear
@@ -526,66 +576,26 @@ def _augment(
     then.  After a longer ear one more engine pass sets both exactly.  So
     the engine runs at entry and after each ear of two or more vertices,
     and any other round costs its small sides, or at most one block DFS.
-    The first engine pass rejects a set that is not 2-connected.
-
-    The phase ends: every ear has an internal vertex, so every round that
-    does not end the loop promotes at least one vertex from outside the
-    backbone, and a phase that starts from d ends within n - |d| + 1
-    rounds.  A pair's path has at least two edges, and a leaf block's
-    path is not one edge: its source is no cut vertex, so its neighbours
-    in the set lie in the leaf.  A round whose path has no internal
-    vertex would break this and raises AssertionError.
     """
+    members = _as_subset(g, d)
+    rows = _induced_rows(g, members)
     backbone = set(members)
-    outside = lambda x: x not in backbone
-    bad = -1
-    heap: list[int] = []  # ascending: a heap already
-    if m == 2:
-        blocks, _ = _local_blocks(rows, members)
-        if blocks is None:
-            raise DisconnectedInputError("input set does not induce a connected subgraph")
-        tree = _BlockCutTree(blocks, len(rows))
-    else:
-        volume = sum(len(rows[v]) for v in members)  # adjacency entries of the backbone
-        heap, partners = _record_pairs(rows, members, volume)
-        # the engine finds four or more members that are not 2-connected;
-        # below four, only a triangle (six adjacency entries) is
-        if heap is None or volume < 6:
-            raise GraphInputError("sustainability requires a 2-connected input set")
-    while True:
-        split = None
-        if m == 2:
-            leaf = tree.first_leaf()
-            if leaf is not None:
-                split = {leaf[1]}, [leaf[0]], False
-            elif len(members) <= 2:
-                split = set(), [], False
-        while heap:
-            bad = heap[0]
-            split = _split_without(rows, members, bad, partners, volume)
-            if split is not None:
-                break
-            heapq.heappop(heap)  # the candidate is good
+    volume = sum(len(rows[v]) for v in members)  # adjacency entries of the backbone
+    heap, partners = _record_pairs(rows, members, volume)  # ascending: a heap already
+    # the engine finds four or more members that are not 2-connected;
+    # below four, only a triangle (six adjacency entries) is
+    if heap is None or volume < 6:
+        raise GraphInputError("sustainability requires a 2-connected input set")
+    while heap:
+        bad = heap[0]
+        split = _split_without(rows, members, bad, partners, volume)
         if split is None:
-            break  # m-connected: no cut vertex at m = 2, no bad point at m = 3
-        cut, leaves, listed = split
-        witness: Iterable[int] = members
-        if len(members) - (bad >= 0) <= 2:
-            base = [v for v in members if v != bad]
-            path = _alternate_pair_path(g, base[0], base[-1], outside)
-        else:
-            witness, path = _augment_leaf_block(g, leaves, cut, backbone, bad, outside, listed)
-        if path is None:
-            raise GraphNotMConnectedError(m, tuple(sorted(witness)) if m == 2 else (bad,))
-        ear = path[1:-1]
-        if not ear:
-            raise AssertionError(f"augmentation round promoted nothing: path {path}")
-        if m == 2:
-            for x in ear:
-                tree.add(x, [w for w in g.adjacency[x] if w in backbone])
-                backbone.add(x)
-                insort(members, x)
+            heapq.heappop(heap)  # the candidate is good
             continue
+        path = _repair_path(g, backbone, bad, *split)
+        if path is None:
+            raise GraphNotMConnectedError(3, (bad,))
+        ear = path[1:-1]
         backbone.update(ear)
         for x in ear:
             rows[x] = [w for w in g.adjacency[x] if w in backbone]
@@ -607,38 +617,6 @@ def _augment(
             if x not in heap:
                 heapq.heappush(heap, x)
     return frozenset(backbone)
-
-
-def diversification(g: Graph, d: Iterable[int]) -> frozenset[int]:
-    """Phase 4: grow the backbone until it is 2-connected (at least three
-    vertices, no cut vertex).
-
-    Each round reconnects the smallest leaf block of the backbone to the
-    rest through promoted outside vertices; backbones of one or two
-    vertices are grown directly (see :func:`_augment`).  One block
-    decomposition, at entry, rejects a set that does not induce a
-    connected subgraph and seeds the block-cut tree from which every
-    round reads its leaf.  Additions never reduce any outside node's
-    dominator count, so k-dominance survives the phase.
-    """
-    members = _as_subset(g, d)
-    if not members:
-        raise GraphInputError("backbone must be non-empty")
-    return _augment(g, members, _induced_rows(g, members), 2)
-
-
-def sustainability(g: Graph, d: Iterable[int]) -> frozenset[int]:
-    """Phase 5: grow the 2-connected backbone until it is 3-connected.
-
-    A backbone vertex is a bad point when removing it leaves the rest not
-    2-connected; a 2-connected backbone with no bad point is 3-connected.
-    Rounds pick the lowest-id bad point v and run the diversification
-    augmentation on the backbone minus v, with paths avoiding v entirely
-    (see :func:`_augment`).  The input must be 2-connected; the loop's
-    first bad-point pass checks it.
-    """
-    members = _as_subset(g, d)
-    return _augment(g, members, _induced_rows(g, members), 3)
 
 
 def run_plutus(g: Graph, cfg: PlutusConfig) -> PlutusResult:

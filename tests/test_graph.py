@@ -30,7 +30,7 @@ from plutus.graph import (
     _local_blocks,
     _palm_tree,
 )
-from plutus.pipeline import _augment_leaf_block
+from plutus.pipeline import _first_leaf
 
 from .conftest import complete_graph, cycle_graph, path_graph, wheel_graph
 from .helpers import (
@@ -398,12 +398,12 @@ def blocks_by_id(g: Graph, subset) -> tuple[list[list[int]] | None, set[int]]:
     return (None if found is None else sorted(sorted(b) for b in found)), cut
 
 
-def leaf_pick(g: Graph, subset) -> frozenset[int]:
+def leaf_pick(g: Graph, subset) -> set[int]:
     """The leaf block the pipeline repairs in a round on ``subset``, picked
     from the blocks that meet the cut vertices once."""
     blocks, cut = blocks_by_id(g, subset)
     leaves = [b for b in blocks if len(cut.intersection(b)) == 1]
-    return _augment_leaf_block(g, leaves, cut, set(subset), -1, lambda x: False, True)[0]
+    return _first_leaf(leaves, cut)[0]
 
 
 def assert_matches_naive(g: Graph, subset) -> tuple[list[list[int]], set[int]]:

@@ -37,7 +37,7 @@ import plutus.graph
 from plutus import pipeline
 from plutus.geometry import splitmix64
 from plutus.graph import _induced_rows, _local_blocks
-from plutus.pipeline import _alternate_pair_path, _augment_leaf_block
+from plutus.pipeline import _alternate_pair_path, _augment_leaf_block, _first_leaf
 from plutus.serialize import dumps, result_to_dict
 
 from .conftest import complete_graph, cycle_graph, path_graph, wheel_graph
@@ -566,22 +566,16 @@ def test_augmentation_ends_within_the_outside_count_plus_one(seed, data):
     widened = _phase_outcome(diversification, g, d)
     if isinstance(widened, frozenset):
         cases.append((sustainability, widened))
-    leaf_block, pair_path = pipeline._augment_leaf_block, pipeline._alternate_pair_path
+    repair_path = pipeline._repair_path
     for phase, start_set in cases:
         paths = []
 
-        def record_leaf(*args):
-            found = leaf_block(*args)
-            paths.append(found[1])
-            return found
-
-        def record_pair(*args):
-            paths.append(pair_path(*args))
+        def record_repair(*args):
+            paths.append(repair_path(*args))
             return paths[-1]
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pipeline, "_augment_leaf_block", record_leaf)
-            patch.setattr(pipeline, "_alternate_pair_path", record_pair)
+            patch.setattr(pipeline, "_repair_path", record_repair)
             outcome = _phase_outcome(phase, g, start_set)
         repairs = [path for path in paths if path is not None]
         assert paths[len(repairs):] in ([], [None])  # only a stuck last round finds none
@@ -605,12 +599,13 @@ def test_augmentation_ends_within_the_outside_count_plus_one(seed, data):
 )
 def test_a_round_that_promotes_nothing_is_an_internal_error(monkeypatch, phase, g, d):
     # a repair path with no internal vertex leaves the backbone as it was,
-    # so its round would repeat forever; the loop raises at the first one
+    # so its round would repeat forever; the round step raises at the
+    # first one, whichever of its two searches found the path
     leaf_block, pair_path = pipeline._augment_leaf_block, pipeline._alternate_pair_path
 
     def leaf_ends(*args):
-        leaf, path = leaf_block(*args)
-        return leaf, [path[0], path[-1]]
+        path = leaf_block(*args)
+        return [path[0], path[-1]]
 
     def pair_ends(*args):
         path = pair_path(*args)
@@ -781,29 +776,30 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
     """Run ``phase`` (diversification or sustainability) and return, per
     round, the sorted backbone, the bad point it repairs (an id, or None
     in the last round and in every diversification round), the leaf block
-    handed to the leaf step as a frozenset of ids (None in other rounds)
-    and the promoted path (None in the last round); and the phase's calls
-    in order: "engine" for a bad-point pass, "stale" for a candidate test
-    that finds its candidate good and "round" for one that opens a round.
+    handed to the round step (``_repair_path``) as a frozenset of ids
+    (None in a round on at most two members) and the promoted path (None
+    in the last round); and the phase's calls in order: "engine" for a
+    bad-point pass, "stale" for a candidate test that finds its candidate
+    good and "round" for one that opens a round.
 
     At m = 2 a round opens with each leaf query of the block-cut tree
     (``first_leaf``), the last one finding the backbone 2-connected, and
     the tree's blocks and cut vertices must then be those of the backbone
     so far.  At m = 3 a round opens with each split of the backbone minus
     a candidate (``_split_without``) that finds the candidate bad, and
-    the last round is the backbone returned.  Each engine pass, split and
-    block DFS must see the one adjacency the phase keeps: rows equal to a
-    fresh reference local adjacency mapped to ids, with a member list
-    equal to the sorted backbone so far, the input plus every promoted
-    path; and no other adjacency is built."""
+    the last round is the backbone returned.  The cut vertex handed with a
+    leaf must lie in it and disconnect the round's set.  Each engine pass,
+    split and block DFS must see the one adjacency the phase keeps: rows
+    equal to a fresh reference local adjacency mapped to ids, with a
+    member list equal to the sorted backbone so far, the input plus every
+    promoted path; and no other adjacency is built."""
     rounds: list[list] = []
     calls: list[str] = []
     kept = []  # the adjacency each call reads
     bad_points = pipeline._bad_points
     local_blocks = pipeline._local_blocks
     split_without = pipeline._split_without
-    augment_leaf_block = pipeline._augment_leaf_block
-    alternate_pair_path = pipeline._alternate_pair_path
+    repair_path = pipeline._repair_path
     builds = _count_builds(monkeypatch)
 
     def grown():
@@ -846,23 +842,22 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
             rounds.append([nodes, None, None, None])
             return super().first_leaf()
 
-    def record_leaf(*args):
-        leaf, path = augment_leaf_block(*args)
+    def record_repair(graph, nodes, bad, leaf, c):
+        path = repair_path(graph, nodes, bad, leaf, c)
         if isinstance(leaf, pipeline._Remainder):
             leaf = frozenset(v for v in rounds[-1][0] if v not in leaf.skip)
+        if leaf is not None:
+            rest = set(rounds[-1][0]) - {bad}
+            assert c in leaf and not induced_connected(g, rest - {c})
+            leaf = frozenset(leaf)
         rounds[-1][2:] = leaf, path
-        return rounds[-1][2:]
-
-    def record_pair(*args):
-        rounds[-1][3] = alternate_pair_path(*args)
-        return rounds[-1][3]
+        return path
 
     monkeypatch.setattr(pipeline, "_bad_points", record_bad)
     monkeypatch.setattr(pipeline, "_local_blocks", record_blocks)
     monkeypatch.setattr(pipeline, "_split_without", record_split)
     monkeypatch.setattr(pipeline, "_BlockCutTree", RecordedTree)
-    monkeypatch.setattr(pipeline, "_augment_leaf_block", record_leaf)
-    monkeypatch.setattr(pipeline, "_alternate_pair_path", record_pair)
+    monkeypatch.setattr(pipeline, "_repair_path", record_repair)
     result = phase(g, backbone)
     if phase is sustainability:
         rounds.append([grown(), None, None, None])
@@ -1147,68 +1142,69 @@ def test_one_engine_pass_per_phase_on_the_m3_corpus(monkeypatch, n, radius, seed
     assert (len(passes), len(opened)) == (1, rounds)
 
 
-def test_only_partner_route_rounds_test_membership_in_the_rest(monkeypatch):
-    # a sustainability round whose split ran the block DFS lists both
-    # sides of its path search; only a partner-route round hands the
-    # search a side that is a membership test (_Excluding), one per round.
-    # A diversification round's leaf comes from the block-cut tree, listed:
-    # it searches from the leaf against the rest as a membership test, or,
-    # when the leaf holds more than half the backbone, from the rest,
-    # listed by one set difference, against the leaf as a membership test
+def test_every_leaf_round_tests_membership_in_one_side(monkeypatch):
+    # a round that reconnects a leaf block lists one side of its path
+    # search and hands it the other as one membership test (_Excluding):
+    # a leaf of at most half the round's set is listed against the rest
+    # of the backbone, a larger leaf is the test, searched from the rest
+    # listed by one set difference, and a leaf named by exclusion (a
+    # partner-route _Remainder) is tested against the small sides listed.
+    # The rule is the same in both phases and on both routes of a
+    # sustainability round: the block DFS, and the partner route, which
+    # every backbone takes at a size floor of 0
     g = random_geometric(120, 0.16, 22).graph()
     excluding = pipeline._Excluding
     split_without = pipeline._split_without
     augment_leaf_block = pipeline._augment_leaf_block
     local_blocks = pipeline._local_blocks
-    built, route, rounds, sides = [], [], [], []
+    built, route, sides = [], [], []
 
     def count_excluding(*args):
         built.append(args)
         return excluding(*args)
 
-    def record_sides(g, leaves, cut, backbone, *rest):
+    def record_sides(graph, leaf, c, backbone, bad, allowed):
         before = len(built)
-        found = augment_leaf_block(g, leaves, cut, backbone, *rest)
-        (leaf,) = leaves
+        path = augment_leaf_block(graph, leaf, c, backbone, bad, allowed)
         tested = [args[0] for args in built[before:]]
-        sides.append((2 * len(leaf) > len(backbone), tested == [leaf], tested == [backbone]))
-        return found
-
-    monkeypatch.setattr(pipeline, "_Excluding", count_excluding)
-    monkeypatch.setattr(pipeline, "_augment_leaf_block", record_sides)
-    for k in (1, 2):
-        diversification(g, run_plutus(g, PlutusConfig(k=k, m=1)).dominating_set)
-    assert sorted(set(sides)) == [(False, False, True), (True, True, False)]
+        if isinstance(leaf, pipeline._Remainder):
+            kind = "remainder"
+        else:
+            kind = "big" if 2 * len(leaf) > len(backbone) - (bad >= 0) else "small"
+        assert len(tested) == 1 and tested[0] is (leaf if kind == "big" else backbone)
+        sides.append((route[-1] if route else "tree", kind))
+        return path
 
     def record_blocks(adj, members, skip=-1):
         route.append("dfs")
         return local_blocks(adj, members, skip)
 
     def record_split(*args):
-        route.clear()
+        route[:] = ["partners"]
         return split_without(*args)
 
-    def record_leaf(*args):
-        before = len(built)
-        found = augment_leaf_block(*args)
-        rounds.append((route[:] or ["partners"], len(built) - before))
-        return found
+    monkeypatch.setattr(pipeline, "_Excluding", count_excluding)
+    monkeypatch.setattr(pipeline, "_augment_leaf_block", record_sides)
+    for k in (1, 2):
+        diversification(g, run_plutus(g, PlutusConfig(k=k, m=1)).dominating_set)
+    assert set(sides) == {("tree", "small"), ("tree", "big")}
 
     monkeypatch.setattr(pipeline, "_local_blocks", record_blocks)
     monkeypatch.setattr(pipeline, "_split_without", record_split)
-    monkeypatch.setattr(pipeline, "_augment_leaf_block", record_leaf)
     # the n = 120 backbone is past the size floor, the n = 40 one is not
-    for g in (g, random_geometric(40, 0.3, 11).graph()):
+    small = random_geometric(40, 0.3, 11).graph()
+    partner_sides = {("partners", "remainder"), ("partners", "small")}
+    for g, floor, seen in (
+        (g, pipeline._PARTNER_VOLUME, partner_sides),
+        (g, 0, partner_sides),
+        (small, pipeline._PARTNER_VOLUME, {("dfs", "small"), ("dfs", "big")}),
+        (small, 0, partner_sides),
+    ):
         backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
-        for floor in (pipeline._PARTNER_VOLUME, 0):
-            rounds.clear()
-            monkeypatch.setattr(pipeline, "_PARTNER_VOLUME", floor)
-            sustainability(g, backbone)
-            dfs = [count for how, count in rounds if how == ["dfs"]]
-            partner = [count for how, count in rounds if how == ["partners"]]
-            assert len(dfs) + len(partner) == len(rounds)
-            assert set(dfs) <= {0} and set(partner) <= {1}
-            assert partner if floor == 0 or g.node_count == 120 else dfs
+        sides.clear()
+        monkeypatch.setattr(pipeline, "_PARTNER_VOLUME", floor)
+        sustainability(g, backbone)
+        assert set(sides) == seen
 
 
 class TestDiversificationRounds:
@@ -1370,8 +1366,9 @@ class TestAugmentationPaths:
         blocks, cut = _local_blocks(_induced_rows(g, members), members)
         leaves = [b for b in blocks if len(cut.intersection(b)) == 1]
         assert sorted(map(frozenset, leaves), key=sorted) == list(tree.leaf_blocks)
-        for listed in (True, False):
-            assert _augment_leaf_block(g, leaves, cut, base, -1, allowed, listed) == (leaf, expected)
+        (c,) = leaf & tree.cut_vertices
+        assert _first_leaf(leaves, cut) == (leaf, c)
+        assert _augment_leaf_block(g, leaf, c, base, -1, allowed) == expected
 
     @given(st.data())
     @settings(max_examples=300)
