@@ -156,10 +156,9 @@ def is_m_connected_k_dominating(
     )
 
 
-# Memory budget of one pass of the all-sources search, in bits: a pass
-# over ``width`` sources keeps arrays of one ``width``-bit mask per vertex,
-# and n * width, the bits of one such array (2**26 bits is 8 MiB), may not
-# exceed the budget.
+# Memory budget of one stretch pass over ``width`` sources, in bits:
+# n * width, the bits of one array of a ``width``-bit mask per vertex
+# (2**26 bits is 8 MiB), may not exceed it.
 _STRETCH_BUDGET = 1 << 26
 
 
@@ -173,22 +172,15 @@ def backbone_stretch(g: Graph, s: Iterable[int]) -> tuple[float, DistanceReport 
     1; otherwise the ratio and the lexicographically first pair (u, v),
     u < v, that attains it.
 
-    The sources run in blocks (see :func:`_source_blocks`), one bit each:
-    a level-synchronous BFS from all of them at once keeps, for every
-    vertex, the mask of sources within plain distance d and the mask of
-    sources within routed distance d, and grows both by one level per
-    sweep (see :func:`_stretch_block`).  A pass costs O(n + E) big-int
-    ORs per level.  Every routed distance is at most ``reach``
-    (:func:`_routed_reach`, three O(n + E) searches shared by all
-    blocks), so a pair at plain distance a can tie the worst ratio
-    d_backbone / d_g only if reach * d_g >= d_backbone * a: the plain
-    search stops past that distance, and the routed one once it has
-    settled the pairs within it.  The levels are bounded by L, the largest
-    routed distance of a pair the cutoff keeps (L <= reach), so the whole
-    search costs O(passes * L * (n + E)) such operations, each on a mask
-    of block width.  The width comes from the memory budget
-    ``_STRETCH_BUDGET`` (n * width <= 2**26 bits), so a graph of up to
-    8192 nodes takes one pass; the answer does not depend on the width.
+    A level-synchronous BFS from a block of sources at once, one bit
+    each, grows every vertex's masks of the sources within plain and
+    within routed distance d (see :func:`_stretch_block`, which gets the
+    member set to shrink its routed sweep).  Every routed distance is at
+    most ``reach`` (:func:`_routed_reach`, three O(n + E) searches shared
+    by all blocks), which cuts both searches short.  The blocks keep to
+    the memory budget ``_STRETCH_BUDGET`` (see :func:`_source_blocks`),
+    so a graph of up to 8192 nodes takes one pass; the answer does not
+    depend on the width.
     """
     nodes = _as_subset(g, s)
     witness = _cds_witness(g, nodes)
@@ -201,7 +193,7 @@ def backbone_stretch(g: Graph, s: Iterable[int]) -> tuple[float, DistanceReport 
     worst: tuple[int, int, Edge | None] = (1, 1, None)
     bounds = _source_blocks(n)
     for lo, hi in zip(bounds, bounds[1:]):
-        worst = _stretch_block(g.adjacency, relays, lo, hi, reach, worst)
+        worst = _stretch_block(g.adjacency, relays, members, lo, hi, reach, worst)
     d_backbone, d_g, pair = worst
     if pair is None:
         return 1.0, None
@@ -260,6 +252,7 @@ def _source_blocks(n: int) -> list[int]:
 def _stretch_block(
     adjacency: Sequence[Sequence[int]],
     relays: Sequence[Sequence[int]],
+    members: set[int],
     lo: int,
     hi: int,
     reach: int,
@@ -271,103 +264,110 @@ def _stretch_block(
 
     Source u is bit u - lo.  ``plain[v]`` holds the sources within
     distance ``level`` of v and ``routed[v]`` those within routed distance
-    ``level``; a routed path may leave a source or a backbone member
-    (``relays[v]`` lists v's member neighbours), never any other vertex.
-    Both distances are symmetric, so u can be the source of every pair.
+    ``level``; a routed path may leave a source or a member (``relays[v]``
+    lists v's member neighbours).  Both distances are symmetric, so u can
+    be the source of every pair.  Masks only grow and routed lies within
+    plain, so a plain level adds ``new ^ (old | routed[v])`` to v's pairs
+    that route further: ``pending[v] = [a, unrouted, mask_a, ...]``, where
+    mask_d, as it entered, holds those at plain distance d, and
+    ``unrouted`` those not routed yet.  A routed level tests ``unrouted``
+    once; the first mask_d, d <= level * d_g // d_backbone, with a newly
+    routed source has the only ratio that can raise or tie the worst.
+    Leading masks with no unrouted source go.  A pair at plain distance a
+    routes at most ``reach``, so it can tie the worst only while a <=
+    ``cap`` = reach * d_g // d_backbone.  The worst only rises, so the
+    plain search stops at the first level past ``cap``, and masks past it
+    go whenever the worst rises.  Then no pair enters ``pending`` again
+    and a non-member's routed mask is read by no other vertex, so the
+    routed sweep keeps members and pending vertices only, until nothing
+    is pending.  Ties keep the first pair.
 
-    ``pending[v]`` is ``[a, mask_a, mask_a+1, ...]``: mask_d holds the
-    sources u < v reached at plain distance d and not yet by the routed
-    search.  The routed level that reaches them is their d_backbone.
-    Pairs with equal distances never enter it, as their ratio 1 cannot
-    beat the starting worst.  A pair at plain distance a routes at most
-    ``reach``, so it can tie or beat the worst only while a <= ``cap`` =
-    reach * d_g // d_backbone.  The worst only rises, so the plain search
-    stops at the first level past ``cap``, pending masks past it are
-    dropped whenever the worst rises, and the call ends once the plain
-    search has stopped and nothing is pending.  Ties keep the first pair.
-
-    One call costs O(L * (n + E)) ORs of (hi - lo)-bit masks, L the
-    largest routed distance of a pair within ``cap`` (at most ``reach``).
-    It holds ``plain`` (until the plain search stops), ``routed``, one
-    sweep's grown masks and the pending ones, which grow with how far the
-    routed search trails the plain one, up to ``cap``.
+    One call costs O(L * (n + E)) ORs of (hi - lo)-bit masks, L <= reach
+    the largest routed distance of a pair within ``cap``.  It holds
+    ``plain``, ``routed``, one sweep's grown masks and ``pending``: up to
+    one unrouted and ``cap`` level masks per vertex.
     """
     n = len(adjacency)
     full = (1 << (hi - lo)) - 1
-    seed = [0] * n
-    for u in range(lo, hi):
-        seed[u] = 1 << (u - lo)
     # One hop is one hop on both routes, because a source may be left.
-    plain = [_grow(seed, row, seed[v]) for v, row in enumerate(adjacency)]
+    plain = [0] * n
+    for u in range(lo, hi):
+        for w in (u, *adjacency[u]):
+            plain[w] |= 1 << (u - lo)
     routed = plain[:]
-    del seed
     pending: dict[int, list[int]] = {}
-    plain_live = [v for v in range(n) if plain[v] != full]
-    routed_live = [v for v in range(n) if routed[v] != full]
+    plain_live = routed_live = [v for v in range(n) if plain[v] != full]
     d_backbone, d_g, pair = worst
     cap = reach * d_g // d_backbone
-    level = 1
-    while plain_live or pending:
-        level += 1
-        grown = [_grow(routed, relays[v], routed[v]) for v in routed_live]
-        for v, mask in zip(routed_live, grown):
-            fresh = mask & ~routed[v]
-            routed[v] = mask
+    # no routed distance exceeds reach, so no later level settles a pair
+    for level in range(2, reach + 1):
+        if not (plain_live or pending):
+            break
+        amax = level * d_g // d_backbone
+        grown = routed[:]
+        for v in routed_live:
+            mask = routed[v]
+            for w in relays[v]:
+                mask |= routed[w]
+            grown[v] = mask
             entries = pending.get(v)
-            if not (fresh and entries):
+            hit = entries and mask & entries[1]
+            if not hit:
                 continue
+            unrouted = entries[1]
             first = entries[0]
-            for i in range(1, len(entries)):
-                hit = entries[i] & fresh
-                if hit:
-                    entries[i] ^= hit
-                    a = first + i - 1
-                    # level / a against d_backbone / d_g, compared exactly
-                    gain = level * d_g - d_backbone * a
-                    if gain >= 0:
-                        u = lo + (hit & -hit).bit_length() - 1
-                        if gain > 0 or (u, v) < pair:
-                            d_backbone, d_g, pair = level, a, (u, v)
-            settled = 1
-            while settled < len(entries) and not entries[settled]:
-                settled += 1
-            if settled == len(entries):
+            if first <= amax:
+                for a in range(first, min(amax + 1, first + len(entries) - 2)):
+                    found = entries[a - first + 2] & hit
+                    if found:
+                        u = lo + (found & -found).bit_length() - 1
+                        if a * d_backbone < level * d_g or (u, v) < pair:
+                            d_backbone, d_g, pair, amax = level, a, (u, v), a
+                        break
+            entries[1] = unrouted = unrouted ^ hit
+            if not unrouted:
                 del pending[v]
-            elif settled > 1:
-                del entries[1:settled]
-                entries[0] = first + settled - 1
+                continue
+            while not entries[2] & unrouted:
+                del entries[2]
+                entries[0] += 1
+        routed = grown
         if reach * d_g // d_backbone < cap:
             cap = reach * d_g // d_backbone
-            for v in list(pending):
+            # no pending entry yet holds a plain distance past level - 1
+            for v in list(pending) if cap < level - 1 else ():
                 entries = pending[v]
-                keep = max(1, cap - entries[0] + 2)
-                if any(entries[1:keep]):
-                    del entries[keep:]
-                else:
+                keep = max(2, cap - entries[0] + 3)
+                for mask in entries[keep:]:
+                    entries[1] &= ~mask
+                del entries[keep:]
+                if not entries[1]:
                     del pending[v]
         if level > cap:
             # the cutoff never rises again, so the plain search is done
             plain_live, plain = [], []
-        grown = [_grow(plain, adjacency[v], plain[v]) for v in plain_live]
-        for v, mask in zip(plain_live, grown):
-            fresh = mask & ~plain[v] & ~routed[v]
-            plain[v] = mask
-            if fresh and v > lo:
-                fresh &= full if v >= hi else (1 << (v - lo)) - 1
+        grown = plain[:]
+        for v in plain_live:
+            old = mask = plain[v]
+            for w in adjacency[v]:
+                mask |= plain[w]
+            grown[v] = mask
+            if v > lo:
+                fresh = mask ^ (old | routed[v])
+                if fresh and v < hi:
+                    fresh &= (1 << (v - lo)) - 1
                 if fresh:
-                    entries = pending.setdefault(v, [level])
+                    entries = pending.setdefault(v, [level, 0])
+                    entries[1] |= fresh
                     # a zero mask for each level that added nothing
-                    entries += [0] * (level - entries[0] - len(entries) + 1)
+                    while len(entries) < level - entries[0] + 2:
+                        entries.append(0)
                     entries.append(fresh)
+        plain = grown
         plain_live = [v for v in plain_live if plain[v] != full]
-        routed_live = [v for v in routed_live if routed[v] != full]
+        routed_live = [v for v in routed_live if routed[v] != full
+                       and (plain_live or v in members or v in pending)]
     return d_backbone, d_g, pair
-
-
-def _grow(masks: list[int], row: Sequence[int], mask: int) -> int:
-    for w in row:
-        mask |= masks[w]
-    return mask
 
 
 def _mask_connected(adj_masks: list[int], mask: int) -> bool:

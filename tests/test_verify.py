@@ -479,6 +479,16 @@ class TestStretchAgainstNaive:
             assert got == want
             assert got[1].pair[0] < bounds[1]
 
+    @pytest.mark.parametrize("n, radius, seed", [(1000, 0.07, 4), (2000, 0.05, 2)])
+    def test_udg_m3_corpus_graphs(self, n, radius, seed):
+        # the two unit-disk graphs of the udg-m3 benchmark workload with
+        # their k = 2, m = 3 backbones: dozens of levels, cap drops, and a
+        # routed sweep that keeps members and pending vertices only once
+        # the plain search stops
+        g = random_geometric(n, radius, seed).graph()
+        backbone = run_plutus(g, PlutusConfig(k=2, m=3)).dominating_set
+        assert backbone_stretch(g, backbone) == naive_backbone_stretch(g, backbone)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 1000, 2047, 2048, 2049, 8192, 8193, 16000, 10**6])
     def test_blocks_keep_the_budget(self, n):
         bounds = verify._source_blocks(n)
@@ -539,6 +549,60 @@ class TestStretchBound:
             assert verify._source_blocks(g.node_count) == list(range(15))
             got = backbone_stretch(g, backbone)
         assert got == (11 / 3, DistanceReport((10, 13), 3, 11))
+        assert got == naive_backbone_stretch(g, backbone)
+
+
+def _two_detours() -> tuple:
+    """The member path 2-3-4-5-6 with members 0 and 1 on 2 and the member
+    tail 2-10-11, and three outsiders: 7 sees 1, 6 and 9; 8 sees 0 and 6;
+    9 sees 6 and 7.  Vertex 9 is two hops from 1 (through 7) and three
+    from 0 (through 8 and 6); both route six hops, along the path."""
+    edges = [(0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 10), (10, 11)]
+    edges += [(1, 7), (6, 7), (7, 9), (0, 8), (6, 8), (6, 9)]
+    return from_edge_list(12, edges), {0, 1, 2, 3, 4, 5, 6, 10, 11}
+
+
+class TestStretchLevels:
+    """The pending sets of the level loop: which pair a routed level
+    reports, and when a vertex leaves the sweeps."""
+
+    def test_nearer_source_wins_a_shared_routed_level(self):
+        # level 6 routes 1 (plain distance 2) and 0 (plain distance 3) to 9
+        # at once: only the nearer source's 6 / 2 can be the worst, so the
+        # pair is (1, 9) though 0 is the lower id.  The tail makes reach 8,
+        # so the runner-up (0, 6), 5 / 2, leaves the cutoff at 8 * 2 // 5
+        # = 3 and the pair at plain distance 3 is still pending at level 6
+        g, backbone = _two_detours()
+        assert verify._routed_reach(g.adjacency, backbone, 0) == 8
+        got = backbone_stretch(g, backbone)
+        assert got == (3.0, DistanceReport((1, 9), 2, 6))
+        assert got == naive_backbone_stretch(g, backbone)
+
+    def test_outsider_pending_after_the_plain_search_stops(self):
+        # the cycle 0-1-...-8 with backbone 0..6: the worst pair (0, 7) is
+        # two hops apart through the outsider 8 and routes seven hops round
+        # the path.  The runner-up (0, 6), 6 / 3 at level 6, cuts the cutoff
+        # to 8 * 3 // 6 = 4, so the plain search stops there, and the
+        # routed sweep must still visit 7, no member, at level 7
+        g = cycle_graph(9)
+        backbone = set(range(7))
+        assert verify._routed_reach(g.adjacency, backbone, 0) == 8
+        got = backbone_stretch(g, backbone)
+        assert got == (3.5, DistanceReport((0, 7), 2, 7))
+        assert got == naive_backbone_stretch(g, backbone)
+
+    def test_a_cap_drop_empties_pending_sets(self):
+        # the cycle 0-1-...-8 with every vertex but 1 in the backbone, and
+        # the path 2-9-10 hanging off 2 (9 a member, 10 not).  The worst
+        # pair (0, 2), 7 / 2 at level 7, cuts the cutoff from 5 to
+        # 10 * 2 // 7 = 2.  Then 9 holds only 0, at plain distance 3, and
+        # 10 only 0 and 8, at 4 and 5, all routed at later levels: both
+        # sets empty, though their sources are not routed yet
+        g = from_edge_list(11, [(v, (v + 1) % 9) for v in range(9)] + [(2, 9), (9, 10)])
+        backbone = set(range(11)) - {1, 10}
+        assert verify._routed_reach(g.adjacency, backbone, 0) == 10
+        got = backbone_stretch(g, backbone)
+        assert got == (3.5, DistanceReport((0, 2), 2, 7))
         assert got == naive_backbone_stretch(g, backbone)
 
 
