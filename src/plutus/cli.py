@@ -251,58 +251,85 @@ def _print_bench_table(rows: list[dict], summary: dict) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _generate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-n", type=int, required=True, help="nodes per instance")
+    p.add_argument("-r", "--radius", type=float, required=True)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--out", default=".", help="output directory")
+
+
+def _solve_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input")
+    p.add_argument("-k", type=int, default=1)
+    p.add_argument("-m", type=int, default=1, choices=(1, 2, 3))
+    p.add_argument("--out", default=None, help="result JSON path")
+    p.add_argument("--dot", default=None, help="also write a DOT rendering")
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("graph")
+    p.add_argument("result")
+    p.add_argument("-k", type=int, default=None)
+    p.add_argument("-m", type=int, default=None, choices=(1, 2, 3))
+    p.add_argument("--stretch-threshold", type=float, default=5.0)
+
+
+def _oracle_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("graph")
+    p.add_argument("-k", type=int, default=1)
+    p.add_argument("-m", type=int, default=1, choices=(1, 2, 3))
+    p.add_argument("--size-cap", type=int, default=None)
+
+
+def _bench_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-n", required=True, help="comma-separated node counts")
+    p.add_argument("-r", "--radius", type=float, required=True)
+    p.add_argument("--seeds", default=None, help="a..b range or comma list")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("-k", type=int, default=1)
+    p.add_argument("-m", type=int, default=1, choices=(1, 2, 3))
+    p.add_argument("--out", default=None, help="JSON summary path")
+
+
+# Every command: its help line, what adds its arguments, and its handler,
+# in the order the top-level usage lists them.
+_COMMANDS = {
+    "generate": ("write seeded unit-disk instances", _generate_arguments, _cmd_generate),
+    "solve": ("run the pipeline on a graph file", _solve_arguments, _cmd_solve),
+    "verify": ("check a result file against its graph", _verify_arguments, _cmd_verify),
+    "oracle": ("exhaustive optimum for small graphs", _oracle_arguments, _cmd_oracle),
+    "bench": ("solve+verify a seeded corpus", _bench_arguments, _cmd_bench),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``plutus`` parser.  When ``command`` names a command, only that
+    command's subparser gets its arguments; every other command is a bare
+    placeholder, there only so that the top-level usage and help list it.
+    Otherwise every subparser gets its arguments."""
     parser = argparse.ArgumentParser(
         prog="plutus",
         description="Construct and verify m-connected k-dominating backbones.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("generate", help="write seeded unit-disk instances")
-    p_gen.add_argument("-n", type=int, required=True, help="nodes per instance")
-    p_gen.add_argument("-r", "--radius", type=float, required=True)
-    p_gen.add_argument("--seed", type=int, default=None)
-    p_gen.add_argument("--count", type=int, default=1)
-    p_gen.add_argument("--out", default=".", help="output directory")
-    p_gen.set_defaults(func=_cmd_generate)
-
-    p_solve = sub.add_parser("solve", help="run the pipeline on a graph file")
-    p_solve.add_argument("input")
-    p_solve.add_argument("-k", type=int, default=1)
-    p_solve.add_argument("-m", type=int, default=1, choices=(1, 2, 3))
-    p_solve.add_argument("--out", default=None, help="result JSON path")
-    p_solve.add_argument("--dot", default=None, help="also write a DOT rendering")
-    p_solve.set_defaults(func=_cmd_solve)
-
-    p_verify = sub.add_parser("verify", help="check a result file against its graph")
-    p_verify.add_argument("graph")
-    p_verify.add_argument("result")
-    p_verify.add_argument("-k", type=int, default=None)
-    p_verify.add_argument("-m", type=int, default=None, choices=(1, 2, 3))
-    p_verify.add_argument("--stretch-threshold", type=float, default=5.0)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_oracle = sub.add_parser("oracle", help="exhaustive optimum for small graphs")
-    p_oracle.add_argument("graph")
-    p_oracle.add_argument("-k", type=int, default=1)
-    p_oracle.add_argument("-m", type=int, default=1, choices=(1, 2, 3))
-    p_oracle.add_argument("--size-cap", type=int, default=None)
-    p_oracle.set_defaults(func=_cmd_oracle)
-
-    p_bench = sub.add_parser("bench", help="solve+verify a seeded corpus")
-    p_bench.add_argument("-n", required=True, help="comma-separated node counts")
-    p_bench.add_argument("-r", "--radius", type=float, required=True)
-    p_bench.add_argument("--seeds", default=None, help="a..b range or comma list")
-    p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.add_argument("-k", type=int, default=1)
-    p_bench.add_argument("-m", type=int, default=1, choices=(1, 2, 3))
-    p_bench.add_argument("--out", default=None, help="JSON summary path")
-    p_bench.set_defaults(func=_cmd_bench)
+    every = command not in _COMMANDS
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        if every or name == command:
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=handler)
+        else:
+            sub.add_parser(name, help=help_text, add_help=False)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A command named first takes every later word, so no other subparser
+    # is read.  Any other argv (help, a misspelt command, an option before
+    # the command) builds them all: its message may need any of them.
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -23,7 +23,9 @@ its candidate set from the same engine, which can also record the
 separation pairs themselves, up to a budget of n + E.  From a recorded
 pair {v, c}, :func:`_small_sides` finds the components of the set minus
 both but the largest, by interleaved searches that cost the small side
-only, and :func:`_blocks_within` splits them into blocks.
+only, and counts them, and :func:`_blocks_within` splits them into
+blocks.  A round that joins the only two sides of {v, c} by a one-vertex
+ear retires the pair from the map on that count, with no search.
 
 Every deterministic shortest path (the paths the pipeline's domination
 and both augmentation phases promote) comes from one search,
@@ -590,20 +592,23 @@ def _blocks_within(adj: Sequence[Sequence[int]], nodes: Sequence[int]) -> list[l
 
 def _small_sides(
     adj: Sequence[Sequence[int]], v: int, c: int, work: int
-) -> tuple[set[int], int] | None:
+) -> tuple[set[int], int, int] | None:
     """The vertices of every component of the graph minus {v, c} but one,
     found by the interleaved search of Even and Shiloach (1981) that pays
-    for the small side only, and the adjacency entries it read; None once
-    it has read more than ``work``.  ``adj`` holds the graph's rows, and
-    the graph minus v must be connected, so every component meets a
-    neighbour of c.  The set is empty when {v, c} does not separate.
+    for the small side only, the adjacency entries it read, and the number
+    of components; None once it has read more than ``work``.  ``adj``
+    holds the graph's rows, and the graph minus v must be connected, so
+    every component meets a neighbour of c.  The set is empty, and the
+    count at most 1, when {v, c} does not separate.
 
     One search starts from each neighbour of c.  Each pass, every search
     still running expands one vertex.  A search that reaches a vertex of
     another merges with it, and one with nothing left to expand has
     explored a whole component.  The searching stops once at most one is
     still running, and that one is the large side.  When the last two
-    finish in the same pass, the last to finish is the large side."""
+    finish in the same pass, the last to finish is the large side.  Each
+    finished search has explored one whole component, so the components
+    are the finished searches plus the one still running, if any."""
     starts = [w for w in adj[c] if w != v]
     owner = dict.fromkeys((v, c), -1)
     owner.update((w, i) for i, w in enumerate(starts))
@@ -638,9 +643,10 @@ def _small_sides(
         if read > work:
             return None
         running = [i for i in still if head[i] == i]
+    parts = len(done) + len(running)
     if not running and done:
         done.pop()
-    return {x for i in done for x in seen[i]}, read
+    return {x for i in done for x in seen[i]}, read, parts
 
 
 def _bad_points(

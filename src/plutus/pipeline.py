@@ -382,11 +382,12 @@ def _split_without(
     v: int,
     partners: dict[int, set[int]] | None,
     work: int,
-) -> tuple[set[int] | _Remainder | None, int] | None:
+) -> tuple[set[int] | _Remainder | None, int, int] | None:
     """The first leaf block (:func:`_first_leaf`) of the 2-connected
-    backbone minus its member v and that leaf's cut vertex; (None, -1)
-    when that set has at most two members; or None when it has at least
-    three and is 2-connected: v is not a bad point.
+    backbone minus its member v, that leaf's cut vertex c, and the number
+    of components of the backbone minus {v, c}; (None, -1, 0) when the
+    backbone minus v has at most two members; or None when it has at
+    least three and is 2-connected: v is not a bad point.
 
     With a partner map, whose recorded partners of v include every cut
     vertex of the backbone minus v, the split costs the small sides only.
@@ -397,21 +398,24 @@ def _split_without(
     cut vertices of one block B0.  Every other block lies in a top-level
     partner's small side, so blocks are computed there only
     (:func:`graph._blocks_within`).  B0 is a leaf when it has one cut
-    vertex, and then takes part as a :class:`_Remainder`.  When no partner
-    is top-level (the large sides disagree) or the searches read ``work``
-    adjacency entries, the split falls back to the block DFS of the
-    backbone minus v, as it does when there is no map, and v's partners
-    become the cut vertices that DFS names.
+    vertex, and then takes part as a :class:`_Remainder`.  The searches
+    count the components of each pair.  When no partner is top-level (the
+    large sides disagree) or the searches read ``work`` adjacency entries,
+    the split falls back to the block DFS of the backbone minus v, as it
+    does when there is no map, and v's partners become the cut vertices
+    that DFS names; the components of the backbone minus {v, c} are then
+    as many as the blocks of the backbone minus v that hold c.
     """
     if len(members) <= 3:
-        return None, -1
+        return None, -1, 0
     if partners is not None:
         sides: dict[int, set[int]] = {}
+        parts: dict[int, int] = {}
         for c in sorted(partners.get(v, ())):
             found = _small_sides(rows, v, c, work)
             if found is None:
                 break  # the searches cost as much as the block DFS
-            small, read = found
+            small, read, parts[c] = found
             work -= read
             if small:
                 sides[c] = small
@@ -430,13 +434,15 @@ def _split_without(
                     leaves += [b for b in blocks if len(cut.intersection(b)) == 1]
                 if len(top) == 1:
                     leaves.append(_Remainder(sides[top[0]], v, members))
-                return _first_leaf(leaves, cut)
+                leaf, c = _first_leaf(leaves, cut)
+                return leaf, c, parts[c]
     blocks, cut = _local_blocks(rows, members, v)
     if partners is not None:
         partners[v] = set(cut)
     if not cut:
         return None
-    return _first_leaf([b for b in blocks if len(cut.intersection(b)) == 1], cut)
+    leaf, c = _first_leaf([b for b in blocks if len(cut.intersection(b)) == 1], cut)
+    return leaf, c, sum(c in b for b in blocks)
 
 
 # Below this many adjacency entries in the backbone, the block DFS of
@@ -566,11 +572,14 @@ def sustainability(g: Graph, d: Iterable[int]) -> frozenset[int]:
     partners, at the cost of the small sides, or by the block DFS of the
     backbone minus v when there is no map.  v is the round's bad point
     when that set has a cut vertex or fewer than three vertices; otherwise
-    v is good and is popped, and an empty heap ends the phase.  A split
-    removes a pair from the map only when it no longer separates.  An ear
-    keeps the invariant.  For a vertex y off the ear and its ends, D' - y
-    is D - y plus an ear, 2-connected when D - y is, so only the ear and
-    its ends can turn bad.  A one-vertex ear x is not bad (D' - x is D),
+    v is good and is popped, and an empty heap ends the phase.  A pair
+    leaves the map only when it no longer separates: when a split finds
+    so, or when a round's one-vertex ear joins the only two components of
+    the backbone minus {v, c}, v the round's bad point and c its leaf's cut
+    vertex, which the split counted; then no later test of v searches that
+    pair again.  An ear keeps the invariant.  For a vertex y off the ear
+    and its ends, D' - y is D - y plus an ear, 2-connected when D - y is,
+    so only the ear and its ends can turn bad.  A one-vertex ear x is not bad (D' - x is D),
     so only its ends are pushed; and {p, q}, its ends, is the one pair it
     can add, when x has no other backbone neighbour, so the map gets it
     then.  After a longer ear one more engine pass sets both exactly.  So
@@ -592,7 +601,8 @@ def sustainability(g: Graph, d: Iterable[int]) -> frozenset[int]:
         if split is None:
             heapq.heappop(heap)  # the candidate is good
             continue
-        path = _repair_path(g, backbone, bad, *split)
+        leaf, c, parts = split
+        path = _repair_path(g, backbone, bad, leaf, c)
         if path is None:
             raise GraphNotMConnectedError(3, (bad,))
         ear = path[1:-1]
@@ -610,9 +620,13 @@ def sustainability(g: Graph, d: Iterable[int]) -> frozenset[int]:
             heap, partners = _record_pairs(rows, members, volume)
             continue
         p, q = path[0], path[-1]
-        if len(rows[ear[0]]) == 2 and partners is not None:
-            partners.setdefault(p, set()).add(q)
-            partners.setdefault(q, set()).add(p)
+        if partners is not None:
+            if parts == 2:  # the ear joins the two sides of {bad, c}
+                partners[bad].discard(c)
+                partners[c].discard(bad)
+            if len(rows[ear[0]]) == 2:
+                partners.setdefault(p, set()).add(q)
+                partners.setdefault(q, set()).add(p)
         for x in (p, q):
             if x not in heap:
                 heapq.heappush(heap, x)

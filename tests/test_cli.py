@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plutus import cli
 from plutus.cli import main
 from plutus.serialize import dumps, write_json
 
@@ -553,6 +555,36 @@ class TestParsing:
             assert captured.out == ""
             assert f"unrecognized arguments: {option}" in captured.err
             assert "Traceback" not in captured.err
+
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], *([command, "-h"] for command in cli._COMMANDS),
+        ["frobnicate"], ["so"], ["solve", "x", "--strict"], ["--bogus", "solve", "x"],
+        ["solve"], ["solve", "x", "-m", "4"], ["generate", "-n", "abc", "-r", "1"],
+        ["-h", "solve"], ["--", "solve", "x"],
+    ], ids=lambda argv: " ".join(argv) or "no-argv")
+    def test_every_message_is_that_of_the_full_parser(self, argv, monkeypatch, capsys):
+        # main builds the arguments of the command argv names first only;
+        # help, usage and errors must keep the bytes of a parse with every
+        # subparser built
+        monkeypatch.setenv("COLUMNS", "80")
+        built = (main(argv), *capsys.readouterr())
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert (main(argv), *capsys.readouterr()) == built
+
+    def test_one_command_builds_only_its_arguments(self):
+        def actions(parser):
+            (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return {name: len(p._actions) for name, p in sub.choices.items()}
+
+        # -h, graph, result, -k, -m and --stretch-threshold
+        assert actions(cli.build_parser("verify")) == {
+            "generate": 0, "solve": 0, "verify": 6, "oracle": 0, "bench": 0,
+        }
+        assert actions(cli.build_parser()) == {
+            "generate": 6, "solve": 6, "verify": 6, "oracle": 5, "bench": 8,
+        }
 
 
 _DOCUMENTED_EXIT_CODES = {0, 2, 3, 6}

@@ -1142,6 +1142,33 @@ def test_one_engine_pass_per_phase_on_the_m3_corpus(monkeypatch, n, radius, seed
     assert (len(passes), len(opened)) == (1, rounds)
 
 
+@pytest.mark.parametrize("n, radius, seed, searches, read", [
+    (500, 0.09, 28, 66, 3986), (1000, 0.064, 18, 137, 11621),
+    (2000, 0.046, 36, 217, 24342), (4000, 0.0325, 100, 371, 65534),
+])
+def test_repaired_pairs_are_not_searched_again_on_the_m3_corpus(
+    monkeypatch, n, radius, seed, searches, read
+):
+    # every round's one-vertex ear joins the only two sides of its pair
+    # {bad point, cut vertex}, so the round retires the pair, and no later
+    # test of the bad point searches it again: at the parent of this rule
+    # the same phases ran 101 / 200 / 313 / 538 small-side searches,
+    # reading 5862 / 17734 / 38880 / 102741 adjacency entries
+    g = random_geometric(n, radius, seed).graph()
+    backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
+    small_sides = pipeline._small_sides
+    reads = []
+
+    def count_reads(*args):
+        found = small_sides(*args)
+        reads.append(0 if found is None else found[1])  # None: past the work cap
+        return found
+
+    monkeypatch.setattr(pipeline, "_small_sides", count_reads)
+    sustainability(g, backbone)
+    assert (len(reads), sum(reads)) == (searches, read)
+
+
 def test_every_leaf_round_tests_membership_in_one_side(monkeypatch):
     # a round that reconnects a leaf block lists one side of its path
     # search and hands it the other as one membership test (_Excluding):
