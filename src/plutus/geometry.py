@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphInputError
-from .graph import Graph, _finite_real, _is_int, from_points
+from .graph import Graph, _check_node_count, _finite_real, _is_int, from_points
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -64,10 +64,12 @@ class UdgInstance:
 def random_geometric(n: int, radius: float, seed: int) -> UdgInstance:
     """``n`` points uniform in the unit square from the counter-based
     SplitMix64 stream of ``seed``.  Identical arguments reproduce the
-    instance bit-for-bit.  Seeds are taken mod 2^64.
+    instance bit-for-bit.  Seeds are taken mod 2^64.  ``n`` may not
+    exceed ``graph.NODE_LIMIT``.
     """
     if not _is_int(n) or n < 1:
         raise GraphInputError(f"n must be a positive integer, got {n!r}")
+    _check_node_count(n)
     r = _finite_real(radius, "radius")
     if r <= 0:
         raise GraphInputError(f"radius must be positive, got {radius!r}")

@@ -131,15 +131,27 @@ def _check_m(m: object) -> None:
         raise GraphInputError(f"m must be 1, 2 or 3, got {m!r}")
 
 
+# The most nodes a graph may have.  Every builder checks it before it
+# allocates anything per node, so a short input cannot ask for more
+# memory than a graph of this size takes.
+NODE_LIMIT = 1 << 20
+
+
+def _check_node_count(n: int) -> None:
+    if n > NODE_LIMIT:
+        raise GraphInputError(f"node count {n} is above the limit of {NODE_LIMIT}")
+
+
 def from_edge_list(n: int, edges: Iterable[Edge]) -> Graph:
     """Build a simple symmetric graph from an edge list.
 
     Duplicate edges (in either orientation) are collapsed.  Self-loops,
-    out-of-range ids and ids that are not ints (bools included) are
-    rejected.
+    out-of-range ids, ids that are not ints (bools included) and a node
+    count above ``NODE_LIMIT`` are rejected.
     """
     if not _is_int(n) or n < 0:
         raise GraphInputError(f"node count must be a non-negative integer, got {n!r}")
+    _check_node_count(n)
     neighbor_sets: list[set[int]] = [set() for _ in range(n)]
     for edge in edges:
         if not (isinstance(edge, (tuple, list)) and len(edge) == 2):
@@ -170,7 +182,7 @@ def from_points(points: Sequence[tuple[float, float]], radius: float) -> Graph:
     ``dx * dx + dy * dy <= radius * radius`` with ``dx = x_i - x_j``;
     rounding is symmetric, so swapping i and j only flips the signs and
     leaves the test unchanged.  Each point must be an (x, y) pair of
-    finite real numbers.
+    finite real numbers, and there may be at most ``NODE_LIMIT`` of them.
 
     The points are bucketed into square cells and each point is compared
     only with the points of its own and the eight neighbouring cells, so
@@ -191,6 +203,7 @@ def from_points(points: Sequence[tuple[float, float]], radius: float) -> Graph:
       cell indices differ by at most one.  The same bound keeps the
       quotient finite, however large the coordinates or small the radius.
     """
+    _check_node_count(len(points))
     r = _finite_real(radius, "radius")
     if r <= 0:
         raise GraphInputError(f"radius must be positive, got {radius!r}")

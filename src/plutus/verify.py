@@ -16,11 +16,17 @@ tagged tuple that, replayed against the graph, reproduces the violation:
 The oracle keeps its validity tests self-contained (bitmask arithmetic:
 bit-sliced neighbour counts and breadth-first search on masks, no shared
 code with the checkers or the pipeline) so that oracle versus pipeline
-comparisons stay two independent routes.  Its search prunes by counts
+comparisons stay two independent routes.  One search answers all its
+questions: is there a valid set of a given size that holds some nodes
+and avoids some others?  It picks the free nodes in Cuthill-McKee order,
+which keeps each node's neighbours close to it, and prunes by counts
 alone: a depth with ``left`` picks to go gives a vertex at most ``left``
 more chosen neighbours, which bounds (a) whether a vertex can still reach
 its need, (b) the candidates of the last pick and (c) the picks at every
-depth (see ``brute_force_min_mcds``).
+depth (see ``_find_set``).  One question per size finds the minimum size;
+the lexicographically first witness of that size is then built node by
+node, one question per node that the last set found does not hold (see
+``brute_force_min_mcds``).
 """
 
 from __future__ import annotations
@@ -441,22 +447,120 @@ def brute_force_min_mcds(
     """Exhaustive minimum m-connected k-dominating set, for graphs of at
     most 20 nodes.
 
-    Subsets are searched in ascending cardinality, lexicographic within
-    one cardinality, so the first valid subset is a global minimum.
-    ``sets_examined`` is the rank of that witness in this order, or the
-    number of subsets up to the cap when none qualifies.  It counts every
-    subset ordered before the witness, including those the search skips.
-    Returns infeasible when nothing up to ``size_cap`` (a positive int;
-    default: all n nodes) qualifies.
+    Subsets are ordered by ascending cardinality, lexicographically within
+    one cardinality, and the first valid subset is returned, so it is a
+    global minimum.  ``sets_examined`` is the rank of that witness in this
+    order, or the number of subsets up to the cap when none qualifies.  It
+    counts every subset ordered before the witness, whether or not the
+    search looked at it.  Returns infeasible when nothing up to ``size_cap``
+    (a positive int; default: all n nodes) qualifies.
 
-    One depth-first pass per cardinality picks members in ascending order
-    and carries bit-sliced counts of chosen neighbours down the prefix,
-    saturating at max(k, m).  A set is valid only if every outsider has
-    at least k chosen neighbours and, for m >= 2, every member at least m
-    member neighbours (vertex connectivity is at most the minimum
-    degree); only sets that pass both reach the connectivity test.  A
-    depth with ``left`` picks to go can give a vertex at most ``left``
-    more chosen neighbours, which prunes three ways:
+    Every question goes to one search, :func:`_find_set`: is there a valid
+    set of a given size that holds some nodes and avoids some others?  It
+    searches the other nodes in Cuthill-McKee order
+    (:func:`_cuthill_mckee`), which keeps each node's neighbours close to
+    it, so its count prunes fire early.  Each size from 1 up is decided by
+    one question that holds and avoids nothing.  At the first feasible
+    size the witness is built node by node: v = 0, 1, ... is kept when the
+    last set found holds it, or when some valid set holds the nodes kept
+    so far and v and avoids the nodes refused so far (that set is then the
+    last set found); otherwise v is refused.  So each node is settled as
+    the lexicographic order settles it, the nodes kept are the first valid
+    set of that size, and ``sets_examined``, the sets of smaller sizes
+    plus the witness's rank among the sets of its size, follows from the
+    witness alone.
+    """
+    _check_k(k)
+    _check_m(m)
+    if size_cap is not None and (not _is_int(size_cap) or size_cap < 1):
+        raise GraphInputError(f"size cap must be a positive integer, got {size_cap!r}")
+    n = g.node_count
+    if n > ORACLE_NODE_LIMIT:
+        raise OracleSizeError(n, ORACLE_NODE_LIMIT)
+    cap = n if size_cap is None else min(size_cap, n)
+    order = _cuthill_mckee(g.adjacency)
+    examined = 0
+    for size in range(1, cap + 1):
+        found = _find_set(g.adjacency, order, k, m, size)
+        if found:
+            break
+        examined += comb(n, size)
+    else:
+        return OracleResult(None, None, examined)
+    # ``found`` holds every node kept and none refused
+    kept: list[int] = []
+    refused: list[int] = []
+    for v in range(n):
+        if len(kept) == size:
+            break
+        if not found >> v & 1:
+            hit = _find_set(g.adjacency, order, k, m, size, kept + [v], refused)
+            if not hit:
+                refused.append(v)
+                continue
+            found = hit
+        kept.append(v)
+    # at each kept node c, with ``left`` nodes to go from before + 1 on,
+    # comb(n - before - 1, left) - comb(n - c, left) sets share the
+    # earlier nodes and hold a smaller node here
+    before = -1
+    for left, c in zip(range(size, 0, -1), kept):
+        examined += comb(n - before - 1, left) - comb(n - c, left)
+        before = c
+    return OracleResult(size, frozenset(kept), examined + 1)
+
+
+def _cuthill_mckee(adjacency: Sequence[Sequence[int]]) -> list[int]:
+    """Every node in Cuthill-McKee order: a breadth-first search from the
+    node of lowest (degree, id) that visits each node's new neighbours by
+    (degree, id), then the same from the unvisited node of lowest
+    (degree, id), one component after another."""
+
+    def key(v: int) -> tuple[int, int]:
+        return len(adjacency[v]), v
+
+    order: list[int] = []
+    seen: set[int] = set()
+    for start in sorted(range(len(adjacency)), key=key):
+        if start in seen:
+            continue
+        head = len(order)
+        order.append(start)
+        seen.add(start)
+        while head < len(order):
+            fresh = sorted((w for w in adjacency[order[head]] if w not in seen), key=key)
+            seen.update(fresh)
+            order += fresh
+            head += 1
+    return order
+
+
+def _find_set(
+    adjacency: Sequence[Sequence[int]],
+    order: Sequence[int],
+    k: int,
+    m: int,
+    size: int,
+    forced: Sequence[int] = (),
+    excluded: Sequence[int] = (),
+) -> int:
+    """A valid set of ``size`` nodes that holds every node of ``forced``
+    and none of ``excluded``, as a mask of node ids, or 0 when there is
+    none.  ``order`` lists every node; the nodes in neither list are
+    searched in its order.
+
+    The nodes are relabelled: ``forced`` at positions 0..f-1, chosen from
+    the start, then ``excluded``, below the first position ``lo`` that may
+    be picked, so that every rule treats them as outsiders, then the rest
+    in ``order``.  One depth-first search picks the other size - f members
+    at ascending positions and carries bit-sliced counts of chosen
+    neighbours down the prefix, saturating at max(k, m).  A set is valid
+    only if every outsider has at least k chosen neighbours and, for
+    m >= 2, every member at least m member neighbours (vertex connectivity
+    is at most the minimum degree); only sets that pass both reach the
+    connectivity test.  A depth with ``left`` picks to go can give a
+    vertex at most ``left`` more chosen neighbours, which prunes three
+    ways:
 
     (a) a pick stops its depth when some vertex below it, or a member,
         cannot reach its need with at most ``left`` more neighbours from
@@ -470,30 +574,38 @@ def brute_force_min_mcds(
         is adjacent to every member ``left`` short and every outsider
         ``left`` short that can no longer be picked.
 
-    Every prune drops only sets that fail the counts, so the first set
-    the search accepts is still the first valid set in the order, and
-    ``sets_examined``, the sets of smaller sizes plus the witness's rank
-    among the sets of its size, needs no count of what was skipped.
+    Every prune drops only sets that fail the counts.  When ``forced``
+    already fills the size, the counts and the connectivity test are run
+    on it directly.
     """
-    _check_k(k)
-    _check_m(m)
-    if size_cap is not None and (not _is_int(size_cap) or size_cap < 1):
-        raise GraphInputError(f"size cap must be a positive integer, got {size_cap!r}")
-    n = g.node_count
-    if n > ORACLE_NODE_LIMIT:
-        raise OracleSizeError(n, ORACLE_NODE_LIMIT)
-    cap = n if size_cap is None else min(size_cap, n)
-    adj_masks = [0] * n
-    for v in range(n):
-        for w in g.adjacency[v]:
-            adj_masks[v] |= 1 << w
+    n = len(adjacency)
     # No count exceeds n - 1, so a need above n is the need n.
     k = min(k, n)
+    labels = [*forced, *excluded]
+    lo = len(labels)
+    placed = set(labels)
+    labels += [v for v in order if v not in placed]
+    position = [0] * n
+    for i, v in enumerate(labels):
+        position[v] = i
+    adj_masks = [0] * n
+    for i, v in enumerate(labels):
+        for w in adjacency[v]:
+            adj_masks[i] |= 1 << position[w]
     saturation = max(k, m)
     full = (1 << n) - 1
+    levels = (0,) * saturation
+    for c in range(len(forced)):
+        levels = _add_vertex(levels, adj_masks[c])
+    chosen = (1 << len(forced)) - 1
+    if size == len(forced):
+        # nothing to pick: the counts, then the connectivity test
+        if full & ~chosen & ~levels[k - 1] or m > 1 and chosen & ~levels[m - 1]:
+            return 0
+        return _unlabel(chosen, labels) if _mask_m_connected(adj_masks, chosen, m) else 0
     # suffix[c]: the counters of the vertices c..n-1 all chosen
     suffix = [(0,) * saturation] * (n + 1)
-    for c in range(n - 1, -1, -1):
+    for c in range(n - 1, lo - 1, -1):
         suffix[c] = _add_vertex(suffix[c + 1], adj_masks[c])
 
     def search(levels: tuple[int, ...], chosen: int, lo: int, left: int) -> int:
@@ -542,19 +654,14 @@ def brute_force_min_mcds(
                 return found
         return 0
 
-    # sets_examined: every set of a smaller size, then the witness's rank
-    # among the sets of its size; at each pick c, with ``left`` picks to
-    # go from before + 1 on, comb(n - before - 1, left) - comb(n - c, left)
-    # sets share the earlier picks and pick a smaller vertex here
-    examined = 0
-    for size in range(1, cap + 1):
-        mask = search((0,) * saturation, 0, 0, size)
-        if mask:
-            members = [v for v in range(n) if mask >> v & 1]
-            before = -1
-            for left, c in zip(range(size, 0, -1), members):
-                examined += comb(n - before - 1, left) - comb(n - c, left)
-                before = c
-            return OracleResult(size, frozenset(members), examined + 1)
-        examined += comb(n, size)
-    return OracleResult(None, None, examined)
+    return _unlabel(search(levels, chosen, lo, size - len(forced)), labels)
+
+
+def _unlabel(mask: int, labels: Sequence[int]) -> int:
+    """The mask of node ids ``labels[i]`` for the positions i in ``mask``."""
+    ids = 0
+    while mask:
+        bit = mask & -mask
+        ids |= 1 << labels[bit.bit_length() - 1]
+        mask ^= bit
+    return ids

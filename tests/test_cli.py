@@ -535,6 +535,41 @@ class TestMalformedInput:
             assert err.startswith("error: invalid JSON in") and "Traceback" not in err
 
 
+    def test_over_limit_graph_exits_2(self, tmp_path):
+        # each call runs under its own 1 GiB address-space limit, so a
+        # build that allocated per node would fail there with a
+        # MemoryError, not exit 2
+        import resource
+        import subprocess
+        import sys
+
+        from plutus.graph import NODE_LIMIT
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        over = tmp_path / "over.json"
+        over.write_text(json.dumps({"n": NODE_LIMIT + 1, "edges": []}))
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"n": 100000000, "edges": []}')
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        for argv in (
+            ["solve", over],
+            ["oracle", over],
+            ["verify", over, over],
+            ["solve", huge],
+            ["generate", "-n", NODE_LIMIT + 1, "-r", 0.1, "--out", tmp_path / "out"],
+        ):
+            done = subprocess.run(
+                [sys.executable, "-m", "plutus.cli", *map(str, argv)],
+                capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=60,
+            )
+            assert done.returncode == 2, (argv, done.stderr)
+            assert f"above the limit of {NODE_LIMIT}" in done.stderr, argv
+            assert "Traceback" not in done.stderr
+        assert not (tmp_path / "out").exists()
+
+
 class TestParsing:
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2

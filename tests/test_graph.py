@@ -197,6 +197,13 @@ class TestFromPoints:
         with pytest.raises(GraphInputError):
             from_points([(0.0, 0.0)], 0.0)
 
+    def test_more_points_than_the_node_limit_rejected(self):
+        # a range has a length but no points to allocate
+        from plutus.graph import NODE_LIMIT
+
+        with pytest.raises(GraphInputError, match="above the limit"):
+            from_points(range(NODE_LIMIT + 1), 0.1)
+
     @pytest.mark.parametrize("case", sorted(GRID_CASES))
     def test_grid_matches_pairwise_scan(self, case):
         points, radius = GRID_CASES[case]

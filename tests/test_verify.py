@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from itertools import combinations
 from unittest.mock import patch
 
 import pytest
@@ -714,6 +715,8 @@ class TestOracle:
         (cycle_graph(6), 1, 1, 3, None, None, 6 + 15 + 20),
         (cycle_graph(6), 1, 2, 5, None, None, 2**6 - 2),
         (cycle_graph(6), 1, 2, 6, 6, set(range(6)), 2**6 - 1),
+        # no nodes, so no set and no size to search
+        (from_edge_list(0, []), 1, 1, None, None, None, 0),
     ])
     def test_hand_cases(self, g, k, m, cap, size, witness, examined):
         result = brute_force_min_mcds(g, k, m, cap)
@@ -723,10 +726,12 @@ class TestOracle:
 
     def test_degree_filter_spares_the_connectivity_search(self):
         # the member-degree test rejects almost every k-dominating set
-        # before a breadth-first search runs (running the removal BFSs on
-        # each of them takes 120 568 calls here), and the bound on what
-        # the picks left can add spares most counter updates (16 842
-        # without it, 7 249 with it); calls are counted by code object
+        # before a breadth-first search runs: the oracle's 19 searches
+        # make 6 850 calls here, against 120 568 for the removal BFSs on
+        # every k-dominating set the id-order search reached without the
+        # test.  The bound on what the picks left can add keeps counter
+        # updates at 1 690 (bounded with a margin of about 300).  Calls
+        # are counted by code object
         import plutus.verify
 
         g = random_geometric(18, 0.45, 10).graph()
@@ -749,7 +754,98 @@ class TestOracle:
             sys.setprofile(previous)
         assert (result.optimum_size, result.sets_examined) == (11, 207_955)
         assert 0 < calls < 12_000
-        assert 0 < adds < 8_000
+        assert 0 < adds < 2_000
+
+    @pytest.mark.parametrize("n, seed, size, witness, examined", [
+        (18, 2, 6, [0, 2, 5, 6, 13, 15], 15132),
+        (18, 4, 8, [1, 2, 3, 4, 5, 6, 8, 16], 82469),
+        (18, 10, 11, [0, 1, 3, 5, 7, 10, 13, 14, 15, 16, 17], 207955),
+        (18, 12, 5, [7, 9, 12, 13, 14], 12274),
+        (19, 2, 6, [0, 2, 5, 6, 13, 15], 19915),
+        (19, 4, 8, [1, 2, 3, 4, 5, 6, 8, 16], 126026),
+        (19, 10, 9, [2, 3, 5, 10, 13, 15, 16, 17, 18], 242523),
+        (19, 11, 8, [0, 1, 2, 4, 8, 9, 11, 16], 96232),
+        (20, 2, 6, [0, 2, 5, 6, 13, 15], 25833),
+        (20, 4, 8, [1, 2, 3, 4, 5, 6, 8, 16], 188387),
+        (20, 10, 8, [2, 3, 5, 10, 15, 17, 18, 19], 225069),
+        (20, 11, 8, [0, 1, 2, 4, 8, 9, 11, 16], 140683),
+    ])
+    def test_benchmark_scale_optima(self, n, seed, size, witness, examined):
+        # the small-oracle graphs of the benchmark, too large for plain
+        # enumeration; each row as the search in node-id order gave it
+        g = random_geometric(n, 0.45, seed).graph()
+        expected = OracleResult(size, frozenset(witness), examined)
+        assert brute_force_min_mcds(g, 2, 3) == expected
+
+    def test_witness_walk_settles_every_node_below_its_query(self, monkeypatch):
+        # one query per size until one is feasible, then each query of
+        # the witness walk holds the nodes kept so far and the node v it
+        # tries, and avoids every node below v that was refused.  (Not
+        # avoiding them would change no answer, since a valid set that
+        # held one would come before the witness, but would search them.)
+        queries = []
+        find_set = verify._find_set
+
+        def spy(adjacency, order, k, m, size, forced=(), excluded=()):
+            queries.append((size, list(forced), list(excluded)))
+            return find_set(adjacency, order, k, m, size, forced, excluded)
+
+        monkeypatch.setattr(verify, "_find_set", spy)
+        cases = [(random_geometric(18, 0.45, 10).graph(), 2, 3)]
+        cases += [(random_graph(seed, max_nodes=10), 1 + seed % 3, 1 + seed // 3 % 3)
+                  for seed in range(200)]
+        walks = 0
+        for g, k, m in cases:
+            queries.clear()
+            result = brute_force_min_mcds(g, k, m)
+            sizes = [size for size, forced, excluded in queries if not forced + excluded]
+            assert sizes == list(range(1, len(sizes) + 1))
+            walk = queries[len(sizes):]
+            if not result.feasible:
+                assert not walk
+                continue
+            assert sizes[-1] == result.optimum_size
+            witness = result.optimum_witness
+            for size, forced, excluded in walk:
+                v = forced[-1]
+                assert size == result.optimum_size
+                assert forced[:-1] == sorted(witness & set(range(v)))
+                assert sorted(forced[:-1] + excluded) == list(range(v))
+            walks += bool(walk)
+        assert walks > 50
+
+    def test_one_query_answers_as_plain_enumeration(self):
+        # the oracle's one search, asked for a valid set of a given size
+        # that holds every node of ``forced`` and none of ``excluded``,
+        # says yes exactly when some subset tried against the checkers
+        # does, and a yes names such a subset
+        answers = [0, 0]
+        for seed in range(1500):
+            g = random_graph(seed, max_nodes=10, edge_bias=(1, 2, 4)[seed % 3])
+            n = g.node_count
+            k = 1 + seed % 3
+            m = 1 + seed // 3 % 3
+            order = verify._cuthill_mckee(g.adjacency)
+            assert sorted(order) == list(range(n))
+            role = [splitmix64(seed, 2000 + v) % 4 for v in range(n)]
+            forced = [v for v in range(n) if role[v] == 0]
+            excluded = [v for v in range(n) if role[v] == 1]
+            # every size from the forced nodes up, and one too many for
+            # the nodes not excluded
+            for size in range(max(1, len(forced)), n - len(excluded) + 2):
+                valid = [
+                    set(combo)
+                    for combo in combinations(range(n), size)
+                    if set(forced) <= set(combo)
+                    and set(excluded).isdisjoint(combo)
+                    and is_k_dominating(g, combo, k)[0]
+                    and is_m_connected(g, combo, m)
+                ]
+                found = verify._find_set(g.adjacency, order, k, m, size, forced, excluded)
+                members = {v for v in range(n) if found >> v & 1}
+                assert members in valid if valid else found == 0, (seed, forced, excluded, size)
+                answers[bool(valid)] += 1
+        assert min(answers) > 1000, answers
 
 
 class TestStructuredOracleTable:
