@@ -76,12 +76,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     seed = _default_seed(args.seed)
     if args.count < 1:
         raise GraphInputError(f"--count must be at least 1, got {args.count}")
-    # every instance is generated, and so validated, before anything is written
-    instances = [random_geometric(args.n, args.radius, seed + i) for i in range(args.count)]
+    # Only the seed changes between instances, so the first one validates n
+    # and the radius for all of them before anything is written; each is
+    # then written as it is made, and only one is held at a time.
+    instance = random_geometric(args.n, args.radius, seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    for offset, instance in enumerate(instances):
+    for offset in range(args.count):
+        if offset:
+            instance = random_geometric(args.n, args.radius, seed + offset)
         name = f"udg_n{args.n}_r{args.radius:g}_s{seed + offset}.json"
         write_json(out_dir / name, udg_to_dict(instance))
         outputs.append(name)

@@ -211,7 +211,12 @@ def from_points(points: Sequence[tuple[float, float]], radius: float) -> Graph:
     for i, p in enumerate(points):
         if not (isinstance(p, (tuple, list)) and len(p) == 2):
             raise GraphInputError(f"point {i} is not an (x, y) pair: {p!r}")
-        pts.append((_finite_real(p[0], f"point {i} x"), _finite_real(p[1], f"point {i} y")))
+        x, y = p
+        # A pair of plain finite floats is taken as it is; only another
+        # pair pays for the checks' labels.
+        if not (type(x) is float and type(y) is float and math.isfinite(x) and math.isfinite(y)):
+            x, y = _finite_real(x, f"point {i} x"), _finite_real(y, f"point {i} y")
+        pts.append((x, y))
     n = len(pts)
     r2 = r * r
     if r2 == math.inf:

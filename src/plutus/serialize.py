@@ -4,11 +4,23 @@ Graph files carry either an explicit edge list or a unit-disk instance
 (points plus radius, edges derived); the two are mutually exclusive.  All
 writers emit stable key order and two-space indentation, so re-serialising
 identical values is byte-identical.
+
+Every JSON file is exactly ``json.dumps(payload, indent=2) + "\n"``.  On
+CPython 3.13 and later ``dumps`` is that call.  Before 3.13, json takes its
+C encoder only when ``indent`` is None and indents in pure Python, so
+``dumps`` uses the writer below instead.  It emits the shapes that carry
+the bytes (a list of plain finite numbers, a list of equal-width rows of
+them, a map of strings to strings) in one C-level join each, and every
+other value by json's own rules.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
+from itertools import chain, starmap
+from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -20,9 +32,142 @@ from .verify import OracleResult, VerificationReport
 
 SCHEMA_VERSION = 1
 
+_NUMBERS = frozenset((int, float))
+_SEQUENCES = frozenset((list, tuple))
+_STRINGS = frozenset((str,))
 
-def dumps(payload: Mapping[str, Any]) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key: Any) -> str:
+    if isinstance(key, str):
+        return _encode(key)
+    if isinstance(key, float):
+        return _encode(_float_text(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _encode(int.__repr__(key))
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
+
+
+def _packed_list(values: list | tuple, level: int) -> str | None:
+    """The text of a non-empty list of plain finite numbers, or of
+    equal-width non-empty rows of them; None for any other list."""
+    kinds = set(map(type, values))
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    if kinds <= _NUMBERS:
+        body = ("," + inner).join(map(repr, values))
+    elif (
+        kinds <= _SEQUENCES
+        and len(widths := set(map(len, values))) == 1
+        and 0 not in widths
+        and set(map(type, chain.from_iterable(values))) <= _NUMBERS
+    ):
+        cell = inner + "  "
+        row = "[" + cell + ("," + cell).join(["{!r}"] * widths.pop()) + inner + "]"
+        body = ("," + inner).join(starmap(row.format, values))
+    else:
+        return None
+    # repr writes nan and inf where json writes NaN and Infinity; the repr
+    # of a plain int or finite float never holds an "n".
+    if "n" in body:
+        return None
+    return "[" + inner + body + outer + "]"
+
+
+def _packed_map(mapping: dict, level: int) -> str | None:
+    """The text of a non-empty map of plain strings to plain strings; None
+    for any other map."""
+    if not (set(map(type, mapping)) <= _STRINGS and set(map(type, mapping.values())) <= _STRINGS):
+        return None
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    body = ("," + inner).join(
+        map(": ".join, zip(map(_encode, mapping), map(_encode, mapping.values())))
+    )
+    return "{" + inner + body + outer + "}"
+
+
+def _write(value: Any, level: int, markers: set[int]) -> str:
+    """``value`` as json writes it with indent=2 at nesting depth ``level``.
+    ``markers`` holds the ids of the containers being written, as json's
+    circular-reference check does."""
+    if isinstance(value, str):
+        return _encode(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if type(value) in _SEQUENCES and (text := _packed_list(value, level)):
+            return text
+        _enter(value, markers)
+        items = [_write(item, level + 1, markers) for item in value]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        if not value:
+            return "{}"
+        if type(value) is dict and (text := _packed_map(value, level)):
+            return text
+        _enter(value, markers)
+        items = [
+            _key_text(key) + ": " + _write(item, level + 1, markers)
+            for key, item in value.items()
+        ]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    markers.remove(id(value))
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
+
+
+def _enter(container: Any, markers: set[int]) -> None:
+    if id(container) in markers:
+        raise ValueError("Circular reference detected")
+    markers.add(id(container))
+
+
+def _json_text(value: Any) -> str:
+    """``json.dumps(value, indent=2)``, without json's pure-Python encoder."""
+    return _write(value, 0, set())
+
+
+if sys.version_info >= (3, 13):
+    # json indents in C from 3.13 on and is faster than the writer above;
+    # delete the writer when requires-python reaches 3.13.
+    def dumps(payload: Mapping[str, Any]) -> str:
+        return json.dumps(payload, indent=2) + "\n"
+
+else:
+
+    def dumps(payload: Mapping[str, Any]) -> str:
+        return _json_text(payload) + "\n"
 
 
 def write_json(path: str | Path, payload: Mapping[str, Any]) -> None:

@@ -54,6 +54,29 @@ class TestGenerate:
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_each_instance_is_written_before_the_next_is_made(self, tmp_path, monkeypatch):
+        events = []
+        make, write = cli.random_geometric, cli.write_json
+
+        def spy_make(n, radius, seed):
+            events.append(("make", seed))
+            return make(n, radius, seed)
+
+        def spy_write(path, payload):
+            events.append(("write", Path(path).name))
+            write(path, payload)
+
+        monkeypatch.setattr(cli, "random_geometric", spy_make)
+        monkeypatch.setattr(cli, "write_json", spy_write)
+        argv = ["generate", "-n", "5", "-r", "0.3", "--seed", "7", "--count", "3"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert events == [
+            ("make", 7), ("write", "udg_n5_r0.3_s7.json"),
+            ("make", 8), ("write", "udg_n5_r0.3_s8.json"),
+            ("make", 9), ("write", "udg_n5_r0.3_s9.json"),
+            ("write", "manifest.json"),
+        ]
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PLUTUS_SEED", "11")
         out = tmp_path / "env"
@@ -174,8 +197,9 @@ class TestSolve:
         assert main(["solve", str(bad)]) == 2
 
 
-# SHA-256 of the solve result JSON, the DOT file and the verify report on
-# three seeded instances with many augmentation rounds (k = 2).  The two
+# SHA-256 of the generated instance and its manifest, the solve result
+# JSON, the DOT file and the verify report on three seeded instances with
+# many augmentation rounds (k = 2).  The two
 # n = 50 rows also pin the reports of verify at a higher ``-m``
 # ("report -m 3"), which rejects the backbone with a disconnecting-set
 # witness and exits 6.  The two small rows also pin the JSON of the
@@ -187,27 +211,37 @@ class TestSolve:
 # is.
 _GOLDEN = [
     ("300", "0.12", "1", "2", {
+        "instance": "f6f421e1edd758eea86d5f8600a1ccb008889c51f00fc7174e7897f5f8d19140",
+        "manifest": "6754b44eb61569e818f190cd20d6de61b8f3c4c0133eb51b159f3c3d8ce22359",
         "result": "b996a1d685b0351a97f0df1246239e207d92aeaab23ff19cc40532e05d7b65e7",
         "dot": "80c39c27bb1fe7fb8ca063b0d6ef2b0797f91fad7bf4506a069497c1c2b9e6ae",
         "report": "beea75566723a8e5c9f8e50ec995a583e9a68b1b82273a2a2153e95fedcd5090",
     }),
     ("300", "0.13", "2", "3", {
+        "instance": "a9df2d91ff6b4657e8e472c1f55b0b65db0fd2b32eccbf2671138c414dcc963b",
+        "manifest": "dd318158dab17b1243d54e3e2bae356db89c985c23e14f534d2e40711d9ddb74",
         "result": "4b81a0b8ea0a895ac2a2c81780221894a24091a3faaf5cb21b61448cc51b9fe0",
         "dot": "0d994fe82694467d45f54e53236fc22b30caef7938ad7034f2e3f5c8f8087518",
         "report": "15e7d6fb15c455478361a0667865ebd813123d53d581f1e027fbfa38e4953a5f",
     }),
     ("400", "0.11", "2", "3", {
+        "instance": "5aaebade67b9afb055d4f15cfe92c3c60e9fa8ed6ca9e46e7a2ec4e922168994",
+        "manifest": "25682fca17e8ce74785975d129c438349c8da40614285a37f9e748ed1c3ef20d",
         "result": "9c76e1385116701c2f922556b00f535e7f3bd9d280792b13f2fb16124ebc0275",
         "dot": "ed2651500f83241a001958f205395e830e81d18ee60af0353f703b926bd9a7f6",
         "report": "459d62de58b236b8cfdcaf69c08067f975b73643cafbf28216827821973f7e24",
     }),
     ("50", "0.3", "8", "2", {
+        "instance": "af7b38bfccbf9dc9ef45151059bf9cd0c3cd20da0cd0c0ede44a8872c67fa082",
+        "manifest": "8c793415df739173fef0a99a363f3ac2fff791c020c9a831953c904170fb59a2",
         "result": "2eb4c0085e419396f43e206794539a97b866cd894825d9bd6a3688b88e69bad5",
         "dot": "889909d54faa6469f2d426ceda73f4f55025624e9221b0ca1225d14797c01695",
         "report": "a50ba2f120ea264d5fa505fca7eb1a4690ec85b154419a3c5c916d62cbe2e556",
         "report -m 3": "ffcd1d76e7b996665e972d9e40824e78a68e189188d2a2b0ea651123d39d01e9",
     }),
     ("50", "0.3", "8", "1", {
+        "instance": "af7b38bfccbf9dc9ef45151059bf9cd0c3cd20da0cd0c0ede44a8872c67fa082",
+        "manifest": "8c793415df739173fef0a99a363f3ac2fff791c020c9a831953c904170fb59a2",
         "result": "53fa0aa7c95171e2d5a34f3b04ceef6151c23b945e79d7416315cd02523102d2",
         "dot": "e5993b8eea12e052f572bd7872b222affd5ed95735abac2bd21ac341b9deb59e",
         "report": "9a7658c232305c7403a5e26a1dcf847a3c88ceb7d04b567773d405f62cdd9f28",
@@ -215,29 +249,39 @@ _GOLDEN = [
         "report -m 3": "af4e569cc7e4885b23faadfce8a1f87970c28dad47efc5bcda2864273117a56a",
     }),
     ("18", "0.45", "10", "3", {
+        "instance": "eaf5b50741e9332bd111c42a123328fc0f1ca301b64d42f13e7a11047483b427",
+        "manifest": "e680813b0de65c240ec14e0087db701d1353edf0ee5bb184049204d2b6ee6178",
         "result": "dd87eb0e59c1f46c9fee30038da48a990ce1e3ac730382df49b9ed3dded3968a",
         "dot": "b00191735add795dbdcbfe95ad17af35a15c9cdfd00f2bcf874049c6704de1a6",
         "report": "e63b6d57ec1aa5265e64dd8abbe5840d0ff5a41b286391a484c04544e540369a",
         "oracle -k 2 -m 3": "cc95a05cc1528d0facc9497240080d244abc0d7a7922ef7acefc00b169da5c34",
     }),
     ("16", "0.5", "4", "2", {
+        "instance": "2dd62761776e27dc786cf1ffac30b2d14447be352161c0c87d8d5573ebd2e405",
+        "manifest": "18d555f82af5e8ea5579c6cb165c7eca34efb403391f7b0d8c9a56ca7789cca6",
         "result": "aad11d081366c7fa60caa3b7e2c0233f16ae9220fef3d258e2e2b2df72591c1b",
         "dot": "02ce11037826389f33c01378ed1a5d78a9cb10ca05460fae5f3286bdd0fc40fe",
         "report": "e63b6d57ec1aa5265e64dd8abbe5840d0ff5a41b286391a484c04544e540369a",
         "oracle -k 1 -m 2": "4ae528dce18cdbcb4ea5bd0a4773b666ae434f2067c2bf0d0f486ec359b56ec4",
     }),
     ("1000", "0.07", "4", "3", {
+        "instance": "4d38e7087a5fe4a8232f31cf7f791b4cc06b26f7daf89c39fbb0919f230b712a",
+        "manifest": "309d8a251377938e9d85dde48b8604acb705d6fdf3658bec5e5062f6fe931b6d",
         "result": "5c0e609dfaba24d2ce8b1b234ba69b377934f7095c73e837217ed7b24d316422",
         "dot": "637da78551369356449e3538f7ce01e63c355f51eaaa8fd3176cc59d2fb10cd5",
         "report": "fdfc59e2e5eaad441b4a72dd214fcfc328a48048cb26fc1a5879519d7bfe2123",
     }),
     ("500", "0.1", "1", "1", {
+        "instance": "6abd008945f76ca9ce8f347f1f949f492ee2b3ad415f805fa7f702212c5600f6",
+        "manifest": "92c88f5a11845f8143aab5f4711a1baa8dd90d5a49b6760198ed817ca27dd623",
         "result": "5baf42cfd3e5ca19acd8262095254933298a05c9988fb85f834088df2837a22d",
         "dot": "7f8e39e4a09e15a8bc0b160da1dee2c0259856ce70f9501d74d1d7aa2dd0e8c1",
         "report": "b0996619f88a2b7b59e2cf18f7e9d53c986c573ddf704265aa1eb7f8b697478b",
     }),
     # the slowest graph of the benchmark's small-oracle workload
     ("20", "0.45", "4", "3", {
+        "instance": "5ba808fe8649ac2d12df5938e6e8464edc89858a8fe579ed43286932fa6c1c6a",
+        "manifest": "ad5d15d6f0dcb60677b742e67403564e80fcc7406920eff159b64196832fbe26",
         "result": "e0bc54b86a7dcf855b52e19ab3f7d7976fad143f45454181476456f2b9826264",
         "dot": "0355e85e329b5b512746ae5792378f4128744c726c0fc60cbdb8da041cd92ec9",
         "report": "e63b6d57ec1aa5265e64dd8abbe5840d0ff5a41b286391a484c04544e540369a",
@@ -245,6 +289,8 @@ _GOLDEN = [
     }),
     # the n = 1000 graph of the m = 3 scaling corpus: many sustainability rounds
     ("1000", "0.064", "18", "3", {
+        "instance": "da7df164e1d91f99c52d710bf0ce70b22cb47bcd767348b536d882d34ce20c8b",
+        "manifest": "ec94c552a4b1fe8ed61fb77ba8b195ca666da43e4588acd6c7f382ac71849431",
         "result": "59949f402299b3cb5a29fa3dc37fad934696a0ff291dcbc818aa691ed50cfcfa",
         "dot": "8ede3badfa57f3cf548e5213d20f29edfe86001b5a3d63ddf57374cf50aed701",
         "report": "4e7abbb87a924143cd8959e4853092794aecfd58628bb41c60166a6cffa9db16",
@@ -261,6 +307,8 @@ def test_golden_bytes(n, radius, seed, m, digests, tmp_path, capsys):
                  "--out", str(result), "--dot", str(dot)]) == 0
     capsys.readouterr()
     found = {
+        "instance": hashlib.sha256(instance.read_bytes()).hexdigest(),
+        "manifest": hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest(),
         "result": hashlib.sha256(result.read_bytes()).hexdigest(),
         "dot": hashlib.sha256(dot.read_bytes()).hexdigest(),
     }

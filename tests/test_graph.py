@@ -193,6 +193,16 @@ class TestFromPoints:
         with pytest.raises(GraphInputError):
             from_points([(10**400, 0.0)], 1.0)  # an int beyond the float range
 
+    @pytest.mark.parametrize("bad, shown", [
+        (True, "True"), (math.nan, "nan"), ("1", "'1'"), (10**400, "1" + "0" * 400),
+    ])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_bad_coordinate_message(self, bad, shown, axis):
+        point = [bad, 0.25] if axis == "x" else [0.25, bad]
+        with pytest.raises(GraphInputError) as exc:
+            from_points([[0.0, 0.5], point], 0.5)
+        assert str(exc.value) == f"point 1 {axis} must be a finite real number, got {shown}"
+
     def test_bad_radius_rejected(self):
         with pytest.raises(GraphInputError):
             from_points([(0.0, 0.0)], 0.0)

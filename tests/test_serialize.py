@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,9 @@ from plutus import (
     random_geometric,
     run_plutus,
 )
+import plutus.serialize
 from plutus.serialize import (
+    _json_text,
     dumps,
     graph_from_dict,
     manifest_to_dict,
@@ -181,3 +185,100 @@ class TestManifest:
             "outputs": ["out.json"],
             "config": {"k": 2, "m": 1},
         }
+
+
+class _Int(int):
+    """json writes a subclass by ``int.__repr__``, never by its own text."""
+
+    def __repr__(self):
+        return "_Int()"
+
+    __str__ = __repr__
+
+
+class _Float(float):
+    def __repr__(self):
+        return "_Float()"
+
+    __str__ = __repr__
+
+
+class _Str(str):
+    def __repr__(self):
+        return "_Str()"
+
+    __str__ = __repr__
+
+
+_SPECIAL_FLOATS = [-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf]
+_SPECIAL_STRINGS = ['"', "\\", '\\"\n\t', "\x00\x1f\x7f", "é", "\u2028", "\ud800", "😀"]
+_PLAIN_NUMBERS = (
+    st.integers()
+    | st.sampled_from([2**64, 2**64 + 1, -(2**64), -(10**30)])
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+_NUMBERS = (
+    _PLAIN_NUMBERS
+    | st.sampled_from(_SPECIAL_FLOATS)
+    | st.builds(_Int, st.integers())
+    | st.builds(_Float, st.floats())
+)
+_STRINGS = st.text(max_size=6) | st.sampled_from(_SPECIAL_STRINGS) | st.builds(_Str, st.text(max_size=3))
+_SCALARS = st.none() | st.booleans() | _NUMBERS | _STRINGS
+# Lists of rows: equal-width rows of plain finite numbers (the points
+# shape), and rows of mixed widths, empty rows and rows holding anything
+# else a row cell may be.
+_CELLS = _NUMBERS | st.none() | st.booleans()
+_ROWS = st.integers(0, 3).flatmap(
+    lambda width: st.lists(st.lists(_PLAIN_NUMBERS, min_size=width, max_size=width), max_size=5)
+) | st.lists(st.lists(_CELLS, max_size=3) | st.tuples(_CELLS, _CELLS), max_size=5)
+_KEYS = _STRINGS | st.none() | st.booleans() | _NUMBERS
+_TREES = st.recursive(
+    _SCALARS
+    | _ROWS
+    | st.lists(_PLAIN_NUMBERS, max_size=6)
+    | st.lists(_CELLS, max_size=6)
+    | st.dictionaries(_STRINGS, _STRINGS, max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@given(_TREES)
+@settings(max_examples=600, deadline=None)
+def test_writer_writes_what_json_writes(value):
+    expected = json.dumps(value, indent=2)
+    assert _json_text(value) == expected
+    assert dumps(value) == expected + "\n"
+
+
+_cycle: list = [1]
+_cycle.append([2, _cycle])
+_UNWRITABLE = [
+    {"a": {1, 2}},
+    [[1.5, 2], [3, {4}]],
+    {(1, 2): 0},
+    {"roles": {"0": "x", (0,): "y"}},
+    [object()],
+    _cycle,
+]
+
+
+@pytest.mark.parametrize("value", _UNWRITABLE, ids=range(len(_UNWRITABLE)))
+def test_writer_raises_what_json_raises(value):
+    with pytest.raises((TypeError, ValueError)) as expected:
+        json.dumps(value, indent=2)
+    for write in (_json_text, dumps):
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            write(value)
+
+
+def test_dumps_is_json_from_python_3_13(monkeypatch):
+    written = []
+    monkeypatch.setattr(
+        plutus.serialize, "_json_text", lambda value: written.append(value) or "{}"
+    )
+    dumps({})
+    assert bool(written) == (sys.version_info < (3, 13))
