@@ -162,12 +162,12 @@ def _parse_int_list(text: str) -> list[int]:
         raise GraphInputError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _parse_seed_range(text: str) -> list[int]:
-    """Either 'a..b' (inclusive) or a comma-separated list."""
+def _parse_seed_range(text: str) -> Sequence[int]:
+    """Either 'a..b' (inclusive, kept as a range) or a comma-separated list."""
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
-            return list(range(int(lo), int(hi) + 1))
+            return range(int(lo), int(hi) + 1)
         except ValueError as exc:
             raise GraphInputError(f"bad seed range {text!r}") from exc
     return _parse_int_list(text)

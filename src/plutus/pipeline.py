@@ -445,23 +445,14 @@ def _split_without(
     return leaf, c, sum(c in b for b in blocks)
 
 
-# Below this many adjacency entries in the backbone, the block DFS of
-# D - v costs less than the partner route's fixed cost (measured on the
-# m = 2 backbones of unit-disk graphs: the routes tie at about 200-250
-# entries, and the partner route is 0.73-0.93x at 330-390).
-_PARTNER_VOLUME = 256
-
-
 def _record_pairs(
-    rows: list[list[int]], members: list[int], volume: int
+    rows: list[list[int]], members: list[int]
 ) -> tuple[list[int] | None, dict[int, set[int]] | None]:
     """Every bad point of the backbone, ascending, from one engine pass
     (None when four or more members are not 2-connected), and the partner
-    map it records when the backbone holds ``volume`` >= ``_PARTNER_VOLUME``
-    adjacency entries; None for the map when the pass recorded nothing (a
-    small backbone, past the engine's budget, or fewer than four
-    members)."""
-    partners: dict[int, set[int]] | None = {} if volume >= _PARTNER_VOLUME else None
+    map the pass records; None for the map when it recorded nothing (past
+    the engine's budget, or fewer than four members)."""
+    partners: dict[int, set[int]] = {}
     bad = _bad_points(rows, members, partners)
     return bad, partners or None
 
@@ -561,25 +552,25 @@ def sustainability(g: Graph, d: Iterable[int]) -> frozenset[int]:
 
     The induced adjacency is kept for the whole phase: each promoted
     vertex gets its row and is inserted into its neighbours' rows.  The
-    loop keeps a min-heap of candidates and, on a backbone of at least
-    ``_PARTNER_VOLUME`` adjacency entries, a map of separation pairs: the
-    partners of each vertex.  Its invariant: the heap holds every bad
+    loop keeps a min-heap of candidates and a map of separation pairs:
+    the partners of each vertex.  Its invariant: the heap holds every bad
     point, and the map, unless the engine recorded none, every separation
     pair.  One pass of :func:`graph._bad_points` sets both exactly at
     entry, and rejects a set that is not 2-connected.  A round tests the
     lowest candidate v by splitting the backbone minus v
     (:func:`_split_without`), which the repair needs anyway: from v's
     partners, at the cost of the small sides, or by the block DFS of the
-    backbone minus v when there is no map.  v is the round's bad point
-    when that set has a cut vertex or fewer than three vertices; otherwise
-    v is good and is popped, and an empty heap ends the phase.  A pair
-    leaves the map only when it no longer separates: when a split finds
-    so, or when a round's one-vertex ear joins the only two components of
-    the backbone minus {v, c}, v the round's bad point and c its leaf's cut
-    vertex, which the split counted; then no later test of v searches that
-    pair again.  An ear keeps the invariant.  For a vertex y off the ear
-    and its ends, D' - y is D - y plus an ear, 2-connected when D - y is,
-    so only the ear and its ends can turn bad.  A one-vertex ear x is not bad (D' - x is D),
+    backbone minus v when the engine's budget left no map.  v is the
+    round's bad point when that set has a cut vertex or fewer than three
+    vertices; otherwise v is good and is popped, and an empty heap ends
+    the phase.  A pair leaves the map only when it no longer separates:
+    when a split finds so, or when a round's one-vertex ear joins the only
+    two components of the backbone minus {v, c}, v the round's bad point
+    and c its leaf's cut vertex, which the split counted; then no later
+    test of v searches that pair again.  An ear keeps the invariant.  For
+    a vertex y off the ear and its ends, D' - y is D - y plus an ear,
+    2-connected when D - y is, so only the ear and its ends can turn bad.
+    A one-vertex ear x is not bad (D' - x is D),
     so only its ends are pushed; and {p, q}, its ends, is the one pair it
     can add, when x has no other backbone neighbour, so the map gets it
     then.  After a longer ear one more engine pass sets both exactly.  So
@@ -590,7 +581,7 @@ def sustainability(g: Graph, d: Iterable[int]) -> frozenset[int]:
     rows = _induced_rows(g, members)
     backbone = set(members)
     volume = sum(len(rows[v]) for v in members)  # adjacency entries of the backbone
-    heap, partners = _record_pairs(rows, members, volume)  # ascending: a heap already
+    heap, partners = _record_pairs(rows, members)  # ascending: a heap already
     # the engine finds four or more members that are not 2-connected;
     # below four, only a triangle (six adjacency entries) is
     if heap is None or volume < 6:
@@ -617,7 +608,7 @@ def sustainability(g: Graph, d: Iterable[int]) -> frozenset[int]:
                     insort(rows[w], x)
                     volume += 1
         if len(ear) > 1:
-            heap, partners = _record_pairs(rows, members, volume)
+            heap, partners = _record_pairs(rows, members)
             continue
         p, q = path[0], path[-1]
         if partners is not None:

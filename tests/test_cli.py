@@ -468,6 +468,27 @@ class TestBench:
         assert "all_verified" not in captured.out
         assert "Traceback" not in captured.err
 
+    def test_huge_seed_range_is_not_listed(self):
+        # a range of 1e11 seeds is walked lazily: under a 1 GiB
+        # address-space limit a listed range would end in a MemoryError,
+        # while the walk reaches the bad node count at its first row
+        import resource
+        import subprocess
+        import sys
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        argv = ["bench", "-n", "0", "-r", "0.3", "--seeds", "1..100000000000"]
+        done = subprocess.run(
+            [sys.executable, "-m", "plutus.cli", *argv],
+            capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=60,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "n must be a positive integer" in done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_deterministic_apart_from_timing(self, tmp_path):
         outs = []
         for name in ("x.json", "y.json"):

@@ -877,41 +877,39 @@ class TestSustainabilityRounds:
     backbone minus any such member 2-connected.  The phase opens with one
     bad-point pass and runs another right after each round whose ear has
     two or more vertices, and never otherwise: a candidate test that finds
-    its candidate good drops it and tests the next one.  Each check runs
-    on both routes of a round: the block DFS, and the partner route, which
-    every backbone takes when the size floor ``_PARTNER_VOLUME`` is 0."""
+    its candidate good drops it and tests the next one.  Rounds are
+    answered from the partners, or by the block DFS of the backbone minus
+    the candidate where the engine's budget or the work cap sends them."""
 
-    def check(self, monkeypatch, g):
-        backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
-        for floor in (pipeline._PARTNER_VOLUME, 0):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(pipeline, "_PARTNER_VOLUME", floor)
-                rounds, calls = _recorded_rounds(patch, sustainability, g, backbone)
-            assert rounds[-1][1] is None
-            assert calls[0] == "engine"
-            opened = 0
-            for before, call in zip(calls, calls[1:]):
-                long_ear = False
-                if before == "round":
-                    long_ear = len(rounds[opened][3]) > 3
-                    opened += 1
-                assert (call == "engine") == long_ear
-            known_good: set[int] = set()
-            for nodes, bad, leaf, path in rounds:
-                assert bad == naive_lowest_bad_point(g, nodes)
-                swept = next(
-                    (v for v in nodes
-                     if v not in known_good and not naive_m_connected(g, set(nodes) - {v}, 2)),
-                    None,
-                )
-                assert swept == bad
-                known_good.update(v for v in nodes if swept is None or v < swept)
-                if path is not None:
-                    known_good -= {path[0], path[-1]}
-                    members = set(nodes)
-                    stuck, expected = _naive_round(g, members - {bad}, lambda x: x not in members)
-                    assert path == expected
-                    assert leaf == (None if len(nodes) <= 3 else stuck)
+    def check(self, monkeypatch, g, backbone=None):
+        if backbone is None:
+            backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
+        rounds, calls = _recorded_rounds(monkeypatch, sustainability, g, backbone)
+        assert rounds[-1][1] is None
+        assert calls[0] == "engine"
+        opened = 0
+        for before, call in zip(calls, calls[1:]):
+            long_ear = False
+            if before == "round":
+                long_ear = len(rounds[opened][3]) > 3
+                opened += 1
+            assert (call == "engine") == long_ear
+        known_good: set[int] = set()
+        for nodes, bad, leaf, path in rounds:
+            assert bad == naive_lowest_bad_point(g, nodes)
+            swept = next(
+                (v for v in nodes
+                 if v not in known_good and not naive_m_connected(g, set(nodes) - {v}, 2)),
+                None,
+            )
+            assert swept == bad
+            known_good.update(v for v in nodes if swept is None or v < swept)
+            if path is not None:
+                known_good -= {path[0], path[-1]}
+                members = set(nodes)
+                stuck, expected = _naive_round(g, members - {bad}, lambda x: x not in members)
+                assert path == expected
+                assert leaf == (None if len(nodes) <= 3 else stuck)
         return rounds, calls
 
     @pytest.mark.parametrize("n, radius, seed", [(40, 0.3, 11), (60, 0.25, 16), (120, 0.16, 22)])
@@ -930,6 +928,12 @@ class TestSustainabilityRounds:
         rounds, calls = self.check(monkeypatch, g)
         assert calls.count("engine") < len(rounds) - 1
 
+    def test_backbones_that_fall_back_to_the_block_dfs(self, monkeypatch):
+        for g, d in [*_past_budget_graphs(12), _hub_over_a_cycle()]:
+            with pytest.MonkeyPatch.context() as patch:
+                rounds, _ = self.check(patch, g, d)
+            assert len(rounds) > 3
+
     @given(seeds)
     @settings(max_examples=60, deadline=None)
     def test_random_graphs(self, seed):
@@ -939,9 +943,34 @@ class TestSustainabilityRounds:
             self.check(monkeypatch, g)
 
 
+def _past_budget_graphs(n):
+    """A cycle of n vertices and a ladder of two n-vertex rails, each as
+    the backbone range(size) of a graph with one repair vertex beside
+    each backbone vertex v, joined to v, to the next one and to the one
+    halfway round.  A cycle has n (n - 3) / 2 separation pairs, and a
+    ladder whose rungs stand eight rail edges apart about 2.5 per vertex,
+    both past the engine's budget of |D| + E(D)."""
+    rails = [(i, i + 1) for i in range(n - 1)] + [(n + i, n + i + 1) for i in range(n - 1)]
+    ladder = rails + [(0, n), (n - 1, 2 * n - 1)] + [(i, n + i) for i in range(8, n - 1, 8)]
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+    for edges, size in ((cycle, n), (ladder, 2 * n)):
+        repairs = [(size + v, w) for v in range(size) for w in (v, (v + 1) % size, (v + size // 2) % size)]
+        yield from_edge_list(2 * size, edges + repairs), range(size)
+
+
+def _hub_over_a_cycle():
+    """A 16-cycle with a hub on every fourth vertex, as the backbone
+    range(17), and a repair vertex beside each cycle vertex.  Vertex 0's
+    partners lie along two arcs, and their searches read more entries
+    than the block DFS of D - 0, so its test falls back to it."""
+    n = 16
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(n, i) for i in range(0, n, 4)]
+    repairs = [(n + 1 + i, (i + j) % n) for i in range(n) for j in (0, 1, n // 2)]
+    return from_edge_list(2 * n + 1, edges + repairs), range(n + 1)
+
+
 def _partner_rounds(g, d):
-    """Run sustainability on ``d`` with the partner route open to every
-    backbone (``_PARTNER_VOLUME`` 0) and return its outcome and one entry
+    """Run sustainability on ``d`` and return its outcome and one entry
     per candidate test: the candidate, how its test was answered
     ("partners", "dfs" or "stale") and whether a search hit the work cap.
 
@@ -985,7 +1014,6 @@ def _partner_rounds(g, d):
         return split
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(pipeline, "_PARTNER_VOLUME", 0)
         monkeypatch.setattr(pipeline, "_split_without", record_split)
         monkeypatch.setattr(pipeline, "_local_blocks", record_blocks)
         monkeypatch.setattr(pipeline, "_small_sides", record_sides)
@@ -1011,20 +1039,9 @@ class TestPartnerRounds:
 
     @pytest.mark.parametrize("n", [12, 40])
     def test_cycle_and_ladder_past_the_budget(self, n):
-        # a cycle has n (n - 3) / 2 separation pairs, and a ladder whose
-        # rungs stand eight rail edges apart about 2.5 per vertex, both
-        # past the engine's budget of |D| + E(D): the first pass records
-        # none, and rounds take the block DFS until a pass on a grown
-        # backbone fits the budget.  A vertex beside each backbone vertex,
-        # joined to the next one and to the one halfway round, gives the
-        # repairs.
-        rails = [(i, i + 1) for i in range(n - 1)] + [(n + i, n + i + 1) for i in range(n - 1)]
-        ladder = rails + [(0, n), (n - 1, 2 * n - 1)] + [(i, n + i) for i in range(8, n - 1, 8)]
-        cycle = [(i, (i + 1) % n) for i in range(n)]
-        for edges, size in ((cycle, n), (ladder, 2 * n)):
-            repairs = [(size + v, w) for v in range(size) for w in (v, (v + 1) % size, (v + size // 2) % size)]
-            g = from_edge_list(2 * size, edges + repairs)
-            d = range(size)
+        # the first pass records no pairs, and rounds take the block DFS
+        # until a pass on a grown backbone fits the budget
+        for g, d in _past_budget_graphs(n):
             outcome, tests = _partner_rounds(g, d)
             assert outcome == _phase_outcome(naive_sustainability, g, d)
             pairs: dict = {}
@@ -1061,8 +1078,8 @@ class TestPartnerRounds:
         recorded = []
         record_pairs = pipeline._record_pairs
 
-        def record(rows, members, volume):
-            bad, partners = record_pairs(rows, members, volume)
+        def record(rows, members):
+            bad, partners = record_pairs(rows, members)
             copied = {v: set(w) for v, w in (partners or {}).items()}
             recorded.append((list(members), list(bad), copied))
             return bad, partners
@@ -1080,15 +1097,7 @@ class TestPartnerRounds:
         assert [(v, how) for v, how, _ in tests[:2]] == [(0, "partners"), (1, "partners")]
 
     def test_a_hub_over_a_cycle_hits_the_work_cap(self):
-        # the backbone is a 16-cycle with a hub on every fourth vertex:
-        # vertex 0's partners lie along two arcs, and their searches read
-        # more entries than the block DFS of D - 0, so the round falls
-        # back to it
-        n = 16
-        edges = [(i, (i + 1) % n) for i in range(n)] + [(n, i) for i in range(0, n, 4)]
-        repairs = [(n + 1 + i, (i + j) % n) for i in range(n) for j in (0, 1, n // 2)]
-        g = from_edge_list(2 * n + 1, edges + repairs)
-        d = range(n + 1)
+        g, d = _hub_over_a_cycle()
         outcome, tests = _partner_rounds(g, d)
         assert outcome == _phase_outcome(naive_sustainability, g, d)
         assert (0, "dfs", True) in tests
@@ -1142,6 +1151,37 @@ def test_one_engine_pass_per_phase_on_the_m3_corpus(monkeypatch, n, radius, seed
     assert (len(passes), len(opened)) == (1, rounds)
 
 
+def test_partner_route_on_every_backbone_of_the_oracle_corpus(monkeypatch):
+    # the twelve small-oracle graphs of the benchmark at k = 2, m = 3:
+    # every engine pass records the pairs, however small the backbone,
+    # so only 8 of the 138 candidate tests run a block DFS of D - v
+    bad_points = pipeline._bad_points
+    split_without = pipeline._split_without
+    local_blocks = pipeline._local_blocks
+    passes, tests, searched = [], [], []
+
+    def count_passes(*args):
+        passes.append(args)
+        return bad_points(*args)
+
+    def count_tests(*args):
+        tests.append(args)
+        return split_without(*args)
+
+    def count_blocks(adj, members, skip=-1):
+        if skip >= 0:
+            searched.append(skip)
+        return local_blocks(adj, members, skip)
+
+    monkeypatch.setattr(pipeline, "_bad_points", count_passes)
+    monkeypatch.setattr(pipeline, "_split_without", count_tests)
+    monkeypatch.setattr(pipeline, "_local_blocks", count_blocks)
+    for n, bases in ((18, (2, 4, 10, 12)), (19, (2, 4, 10, 11)), (20, (2, 4, 10, 11))):
+        for seed in bases:
+            run_plutus(random_geometric(n, 0.45, seed).graph(), PlutusConfig(k=2, m=3))
+    assert (len(tests), len(passes), len(searched)) == (138, 12, 8)
+
+
 @pytest.mark.parametrize("n, radius, seed, searches, read", [
     (500, 0.09, 28, 66, 3986), (1000, 0.064, 18, 137, 11621),
     (2000, 0.046, 36, 217, 24342), (4000, 0.0325, 100, 371, 65534),
@@ -1177,8 +1217,8 @@ def test_every_leaf_round_tests_membership_in_one_side(monkeypatch):
     # listed by one set difference, and a leaf named by exclusion (a
     # partner-route _Remainder) is tested against the small sides listed.
     # The rule is the same in both phases and on both routes of a
-    # sustainability round: the block DFS, and the partner route, which
-    # every backbone takes at a size floor of 0
+    # sustainability round: the partner route, and the block DFS it falls
+    # back to past the engine's budget or the work cap
     g = random_geometric(120, 0.16, 22).graph()
     excluding = pipeline._Excluding
     split_without = pipeline._split_without
@@ -1218,18 +1258,17 @@ def test_every_leaf_round_tests_membership_in_one_side(monkeypatch):
 
     monkeypatch.setattr(pipeline, "_local_blocks", record_blocks)
     monkeypatch.setattr(pipeline, "_split_without", record_split)
-    # the n = 120 backbone is past the size floor, the n = 40 one is not
-    small = random_geometric(40, 0.3, 11).graph()
     partner_sides = {("partners", "remainder"), ("partners", "small")}
-    for g, floor, seen in (
-        (g, pipeline._PARTNER_VOLUME, partner_sides),
-        (g, 0, partner_sides),
-        (small, pipeline._PARTNER_VOLUME, {("dfs", "small"), ("dfs", "big")}),
-        (small, 0, partner_sides),
-    ):
-        backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
+    dfs_sides = {("dfs", "small"), ("dfs", "big")}
+    cases = [
+        (udg, run_plutus(udg, PlutusConfig(k=2, m=2)).dominating_set, partner_sides)
+        for udg in (g, random_geometric(40, 0.3, 11).graph())
+    ]
+    cycle, _ = _past_budget_graphs(12)  # the ladder's rounds take the same sides
+    cases.append((*cycle, dfs_sides))
+    cases.append((*_hub_over_a_cycle(), dfs_sides | {("partners", "remainder")}))
+    for g, backbone, seen in cases:
         sides.clear()
-        monkeypatch.setattr(pipeline, "_PARTNER_VOLUME", floor)
         sustainability(g, backbone)
         assert set(sides) == seen
 
@@ -1320,40 +1359,37 @@ def test_diversification_runs_one_block_dfs_per_phase(monkeypatch):
 def test_sustainability_builds_its_induced_graph_once(monkeypatch):
     # the entry check is the first engine pass, over the rows the loop
     # then keeps; every engine pass and every candidate test, on either
-    # route (the partner route is open to every backbone at a size floor
-    # of 0), reads those rows, and no block DFS of the whole set runs
+    # route, reads those rows, and no block DFS of the whole set runs
     g = random_geometric(120, 0.16, 22).graph()
     backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
     local_blocks = pipeline._local_blocks
     bad_points = pipeline._bad_points
     split_without = pipeline._split_without
-    for floor in (pipeline._PARTNER_VOLUME, 0):
-        checks = []
+    checks = []
 
-        def record_blocks(adj, members, skip=-1):
-            checks.append(("blocks", adj, skip))
-            return local_blocks(adj, members, skip)
+    def record_blocks(adj, members, skip=-1):
+        checks.append(("blocks", adj, skip))
+        return local_blocks(adj, members, skip)
 
-        def record_bad(adj, members, *partners):
-            checks.append(("bad", adj, None))
-            return bad_points(adj, members, *partners)
+    def record_bad(adj, members, *partners):
+        checks.append(("bad", adj, None))
+        return bad_points(adj, members, *partners)
 
-        def record_split(adj, members, v, *rest):
-            checks.append(("split", adj, v))
-            return split_without(adj, members, v, *rest)
+    def record_split(adj, members, v, *rest):
+        checks.append(("split", adj, v))
+        return split_without(adj, members, v, *rest)
 
-        with pytest.MonkeyPatch.context() as patch:
-            builds = _count_builds(patch)
-            patch.setattr(pipeline, "_PARTNER_VOLUME", floor)
-            patch.setattr(pipeline, "_local_blocks", record_blocks)
-            patch.setattr(pipeline, "_bad_points", record_bad)
-            patch.setattr(pipeline, "_split_without", record_split)
-            grown = sustainability(g, backbone)
-        assert [(kind, members) for kind, members, _ in builds] == [("rows", sorted(backbone))]
-        assert [kind for kind, _, _ in checks[:2]] == ["bad", "split"]
-        assert all(skip != -1 for kind, _, skip in checks if kind == "blocks")
-        assert all(adj is builds[0][2] for _, adj, _ in checks)
-        assert is_m_connected(g, grown, 3) and len(grown) > len(backbone)
+    with pytest.MonkeyPatch.context() as patch:
+        builds = _count_builds(patch)
+        patch.setattr(pipeline, "_local_blocks", record_blocks)
+        patch.setattr(pipeline, "_bad_points", record_bad)
+        patch.setattr(pipeline, "_split_without", record_split)
+        grown = sustainability(g, backbone)
+    assert [(kind, members) for kind, members, _ in builds] == [("rows", sorted(backbone))]
+    assert [kind for kind, _, _ in checks[:2]] == ["bad", "split"]
+    assert all(skip != -1 for kind, _, skip in checks if kind == "blocks")
+    assert all(adj is builds[0][2] for _, adj, _ in checks)
+    assert is_m_connected(g, grown, 3) and len(grown) > len(backbone)
     builds = _count_builds(monkeypatch)
     # a set that is disconnected, has a cut vertex or is too small is
     # rejected after the same single build
