@@ -8,10 +8,10 @@ identical values is byte-identical.
 Every JSON file is exactly ``json.dumps(payload, indent=2) + "\n"``.  On
 CPython 3.13 and later ``dumps`` is that call.  Before 3.13, json takes its
 C encoder only when ``indent`` is None and indents in pure Python, so
-``dumps`` uses the writer below instead.  It emits the shapes that carry
-the bytes (a list of plain finite numbers, a list of equal-width rows of
-them, a map of strings to strings) in one C-level join each, and every
-other value by json's own rules.
+``dumps`` uses the writer below instead.  It writes the values Plutus's
+payloads hold, and the shapes that carry the bytes (a list of plain
+finite numbers, a list of equal-width rows of them, a map of strings to
+strings) in one C-level join each; every other value is json's own text.
 """
 
 from __future__ import annotations
@@ -35,34 +35,6 @@ SCHEMA_VERSION = 1
 _NUMBERS = frozenset((int, float))
 _SEQUENCES = frozenset((list, tuple))
 _STRINGS = frozenset((str,))
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(key: Any) -> str:
-    if isinstance(key, str):
-        return _encode(key)
-    if isinstance(key, float):
-        return _encode(_float_text(key))
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return _encode(int.__repr__(key))
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-    )
 
 
 def _packed_list(values: list | tuple, level: int) -> str | None:
@@ -91,24 +63,15 @@ def _packed_list(values: list | tuple, level: int) -> str | None:
     return "[" + inner + body + outer + "]"
 
 
-def _packed_map(mapping: dict, level: int) -> str | None:
-    """The text of a non-empty map of plain strings to plain strings; None
-    for any other map."""
-    if not (set(map(type, mapping)) <= _STRINGS and set(map(type, mapping.values())) <= _STRINGS):
-        return None
-    outer = "\n" + "  " * level
-    inner = outer + "  "
-    body = ("," + inner).join(
-        map(": ".join, zip(map(_encode, mapping), map(_encode, mapping.values())))
-    )
-    return "{" + inner + body + outer + "}"
-
-
 def _write(value: Any, level: int, markers: set[int]) -> str:
     """``value`` as json writes it with indent=2 at nesting depth ``level``.
+    The writer writes what Plutus's payloads hold: plain strings, ints,
+    finite floats, booleans and None, lists and tuples, and dicts whose
+    keys are plain strings.  Every other value is json's own text.
     ``markers`` holds the ids of the containers being written, as json's
     circular-reference check does."""
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is str:
         return _encode(value)
     if value is None:
         return "null"
@@ -116,41 +79,37 @@ def _write(value: Any, level: int, markers: set[int]) -> str:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if type(value) in _SEQUENCES and (text := _packed_list(value, level)):
-            return text
-        _enter(value, markers)
-        items = [_write(item, level + 1, markers) for item in value]
-        brackets = "[]"
-    elif isinstance(value, dict):
-        if not value:
-            return "{}"
-        if type(value) is dict and (text := _packed_map(value, level)):
-            return text
-        _enter(value, markers)
-        items = [
-            _key_text(key) + ": " + _write(item, level + 1, markers)
-            for key, item in value.items()
-        ]
-        brackets = "{}"
-    else:
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-    markers.remove(id(value))
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
     outer = "\n" + "  " * level
     inner = outer + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
-
-
-def _enter(container: Any, markers: set[int]) -> None:
-    if id(container) in markers:
+    if kind in _SEQUENCES:
+        if not value:
+            return "[]"
+        if text := _packed_list(value, level):
+            return text
+        brackets = "[]"
+    elif kind is dict and set(map(type, value)) <= _STRINGS:
+        if not value:
+            return "{}"
+        brackets = "{}"
+    else:
+        # json escapes every newline inside a string, so each newline of
+        # its text starts a line
+        return json.dumps(value, indent=2).replace("\n", outer)
+    if id(value) in markers:
         raise ValueError("Circular reference detected")
-    markers.add(id(container))
+    markers.add(id(value))
+    if kind is not dict:
+        items = [_write(item, level + 1, markers) for item in value]
+    elif set(map(type, value.values())) <= _STRINGS:
+        items = map(": ".join, zip(map(_encode, value), map(_encode, value.values())))
+    else:
+        items = [
+            _encode(key) + ": " + _write(item, level + 1, markers) for key, item in value.items()
+        ]
+    markers.remove(id(value))
+    return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
 
 
 def _json_text(value: Any) -> str:

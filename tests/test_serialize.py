@@ -15,7 +15,9 @@ from plutus import (
     random_geometric,
     run_plutus,
 )
+import plutus.cli
 import plutus.serialize
+from plutus.cli import main
 from plutus.serialize import (
     _json_text,
     dumps,
@@ -256,6 +258,9 @@ def test_writer_writes_what_json_writes(value):
 
 _cycle: list = [1]
 _cycle.append([2, _cycle])
+# a cycle that passes through a dict the writer hands to json
+_keyed_cycle: list = [1]
+_keyed_cycle.append([2, {3: _keyed_cycle}])
 _UNWRITABLE = [
     {"a": {1, 2}},
     [[1.5, 2], [3, {4}]],
@@ -263,6 +268,8 @@ _UNWRITABLE = [
     {"roles": {"0": "x", (0,): "y"}},
     [object()],
     _cycle,
+    _keyed_cycle,
+    {"a": {0: [1, {2, 3}]}},
 ]
 
 
@@ -282,3 +289,55 @@ def test_dumps_is_json_from_python_3_13(monkeypatch):
     )
     dumps({})
     assert bool(written) == (sys.version_info < (3, 13))
+
+
+def test_plutus_payloads_never_reach_json(tmp_path, monkeypatch):
+    # every kind of payload the CLI writes, from the n = 2000 udg-m3
+    # instance on, is written by the writer alone: json.dumps indents in
+    # pure Python before 3.13
+    payloads = []
+
+    def recording(write):
+        def record(*args):
+            payloads.append(args[-1])
+            return write(*args)
+
+        return record
+
+    monkeypatch.setattr(plutus.cli, "dumps", recording(plutus.cli.dumps))
+    monkeypatch.setattr(plutus.cli, "write_json", recording(plutus.cli.write_json))
+    big, small, tiny, result, m1 = (
+        str(tmp_path / name)
+        for name in ("udg_n2000_r0.05_s2.json", "udg_n50_r0.3_s8.json",
+                     "udg_n16_r0.5_s4.json", "result.json", "m1.json")
+    )
+    for argv, code in [
+        (["generate", "-n", "2000", "-r", "0.05", "--seed", "2", "--out", str(tmp_path)], 0),
+        (["solve", big, "-k", "2", "-m", "3", "--out", result], 0),
+        (["verify", big, result], 0),
+        (["generate", "-n", "50", "-r", "0.3", "--seed", "8", "--out", str(tmp_path)], 0),
+        (["solve", small, "-k", "2", "-m", "1", "--out", m1], 0),
+        (["verify", small, m1, "-m", "3"], 6),
+        (["generate", "-n", "16", "-r", "0.5", "--seed", "4", "--out", str(tmp_path)], 0),
+        (["oracle", tiny, "-k", "1", "-m", "2"], 0),
+        (["bench", "-n", "12,60", "-r", "0.5", "--seeds", "1..3", "-k", "2", "-m", "2",
+          "--out", str(tmp_path / "bench.json")], 0),
+    ]:
+        assert main(argv) == code
+    commands = [payload.get("command") for payload in payloads]
+    assert commands.count("generate") == 3 and commands.count("solve") == 2
+    report, failing = (payload for payload in payloads if "checks" in payload)
+    assert report["stretch"]["max"] > 1 and not failing["overall"]
+    assert any(check["witness"] for check in failing["checks"])
+    oracle, bench = payloads[-2:]
+    assert oracle["feasible"] and "mean_ratio" in bench["summary"]
+    assert {row["status"] for row in bench["rows"]} == {"ok", "skipped"}
+    expected = [json.dumps(payload, indent=2) for payload in payloads]
+    json_dumps, calls = json.dumps, []
+    monkeypatch.setattr(
+        plutus.serialize.json,
+        "dumps",
+        lambda *args, **kwargs: calls.append(args) or json_dumps(*args, **kwargs),
+    )
+    assert [_json_text(payload) for payload in payloads] == expected
+    assert calls == []
