@@ -27,12 +27,11 @@ only, and counts them, and :func:`_blocks_within` splits them into
 blocks.  A round that joins the only two sides of {v, c} by a one-vertex
 ear retires the pair from the map on that count, with no search.
 
-Every deterministic shortest path (the paths the pipeline's domination
-and both augmentation phases promote) comes from one search,
-:func:`_lex_shortest_path`: a BFS from the smaller of a source and a
-target set, or from the one that is listed when the other is given as a
-membership test, through the vertices a predicate allows, then a
-smallest-id walk from the nearest source.
+Every path that an augmentation phase promotes comes from one search,
+:func:`_lex_shortest_path`: a BFS from the listed sources, or back from
+the listed targets when the sources are given as a membership test,
+through the vertices a predicate allows, then a smallest-id walk from
+the nearest source.
 
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely across threads.  Every iteration
@@ -256,30 +255,24 @@ def _lex_shortest_path(
     when there is none.  A source that is also a target is the path
     [source].
 
-    One BFS layers the graph by distance from the smaller of the two sets
-    (the targets on a tie), expanding only that set and the vertices
-    ``allowed`` accepts, and stops once the layer holding the nearest
-    member of the other set is complete.  Either set may instead be given
-    as a membership test, any object that supports ``in`` but has no
-    length, which is never listed: the BFS then runs from the other set,
-    so a caller pays for the side it lists, not for the side it only
-    tests.  On a shortest path the i-th vertex lies in layer i counted
-    from the source end, so from the targets the walk starts at the
-    smallest source of the last layer and always steps to the smallest-id
-    vertex one layer closer.  From the sources, one pass back over the
-    layers first marks the vertices with a marked neighbour one layer
-    further out, the targets reached being marked; the walk then starts at
-    the smallest marked source and always steps to the smallest marked
-    vertex one layer further out.
+    One BFS layers the graph by distance from the listed side, expanding
+    only that side and the vertices ``allowed`` accepts, and stops once
+    the layer holding the nearest member of the other side, which is only
+    tested with ``in``, is complete.  Listed sources (any object with a
+    length) are that side.  Sources given as a membership test (``in``
+    but no length) are never listed: the BFS runs back from the listed
+    targets.  So a caller pays for the side it lists, and gets the same
+    path either way.  On a shortest path the i-th vertex lies in layer i
+    counted from the source end, so from the targets the walk starts at
+    the smallest source of the last layer and always steps to the
+    smallest-id vertex one layer closer.  From the sources, one pass back
+    over the layers first marks the vertices with a marked neighbour one
+    layer further out, the targets reached being marked; the walk then
+    starts at the smallest marked source and always steps to the smallest
+    marked vertex one layer further out.
     """
-    if not hasattr(targets, "__len__"):
-        forward, near, far = True, frozenset(sources), targets
-    elif not hasattr(sources, "__len__"):
-        forward, near, far = False, frozenset(targets), sources
-    else:
-        starts, ends = frozenset(sources), frozenset(targets)
-        forward = len(starts) < len(ends)
-        near, far = (starts, ends) if forward else (ends, starts)
+    forward = hasattr(sources, "__len__")
+    near, far = (frozenset(sources), targets) if forward else (frozenset(targets), sources)
     adj = g.adjacency
     dist = dict.fromkeys(near, 0)
     found = [v for v in near if v in far]

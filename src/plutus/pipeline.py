@@ -27,6 +27,7 @@ import time
 from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -307,43 +308,29 @@ class _Excluding:
 class _Remainder:
     """The leaf block of D - v that no small side holds, named by exclusion
     (see :func:`_split_without`): its members are those of D - v outside
-    ``rest``, the small sides, listed.  ``skip`` is ``rest`` plus v, and
-    ``head`` the block's two smallest members, read by walking the sorted
-    ``members`` past ``skip``: all the leaf order needs
-    (:func:`_first_leaf`)."""
+    ``rest``, the small sides of its cut vertex ``c``, listed.  ``skip``
+    is ``rest`` plus v, and ``head`` the block's two smallest members, read
+    by walking the sorted ``members`` past ``skip``: the leaf's key in
+    :func:`_first_leaf`."""
 
-    __slots__ = ("rest", "skip", "head")
+    __slots__ = ("rest", "c", "skip", "head")
 
-    def __init__(self, rest: set[int], v: int, members: list[int]):
+    def __init__(self, rest: set[int], c: int, v: int, members: list[int]):
         self.rest = rest
+        self.c = c
         self.skip = skip = rest | {v}
-        self.head = head = []
-        for u in members:
-            if u not in skip:
-                head.append(u)
-                if len(head) == 2:
-                    break
+        self.head = list(islice((u for u in members if u not in skip), 2))
 
 
 def _first_leaf(leaves: list, cut: set[int]) -> tuple[set[int] | _Remainder, int]:
     """The leaf with the smallest sorted members, ``min(leaves,
-    key=sorted)``, read from the two smallest members of each: two blocks
-    share at most one vertex, so no two leaves tie on both.  Only leaves
-    tied on the smallest member need a second one.  Returned with its cut
-    vertex, the one of ``cut`` in it; a :class:`_Remainder` holds every
-    cut vertex but its own in its small sides."""
-    lows = [b.head[0] if isinstance(b, _Remainder) else min(b) for b in leaves]
-    low = min(lows)
-    tied = [b for b, x in zip(leaves, lows) if x == low]
-    leaf = tied[0]
-    if len(tied) > 1:
-        leaf = min(
-            tied,
-            key=lambda b: b.head[1] if isinstance(b, _Remainder) else min(v for v in b if v != low),
-        )
+    key=sorted)``, keyed on the two smallest members of each: a leaf has
+    at least two and two blocks share at most one vertex, so no two
+    leaves tie on both.  Returned with its cut vertex: the one of ``cut``
+    in it, or a :class:`_Remainder`'s own."""
+    leaf = min(leaves, key=lambda b: b.head if isinstance(b, _Remainder) else sorted(b)[:2])
     if isinstance(leaf, _Remainder):
-        (c,) = cut.difference(leaf.rest)
-        return leaf, c
+        return leaf, leaf.c
     (c,) = cut.intersection(leaf)
     return set(leaf), c
 
@@ -384,27 +371,36 @@ def _split_without(
     work: int,
 ) -> tuple[set[int] | _Remainder | None, int, int] | None:
     """The first leaf block (:func:`_first_leaf`) of the 2-connected
-    backbone minus its member v, that leaf's cut vertex c, and the number
-    of components of the backbone minus {v, c}; (None, -1, 0) when the
-    backbone minus v has at most two members; or None when it has at
-    least three and is 2-connected: v is not a bad point.
+    backbone D minus its member v, that leaf's cut vertex c, and the number
+    of components of D - {v, c}; (None, -1, 0) when H = D - v has at most
+    two members; or None when H has three or more and is 2-connected.
 
     With a partner map, whose recorded partners of v include every cut
-    vertex of the backbone minus v, the split costs the small sides only.
-    For each partner c, :func:`graph._small_sides` finds the components of
-    the backbone minus {v, c} but one; a pair that no longer separates is
-    dropped, and v is not a bad point when no partner is left.  The
-    top-level partners, those in no other partner's small side, are the
-    cut vertices of one block B0.  Every other block lies in a top-level
-    partner's small side, so blocks are computed there only
-    (:func:`graph._blocks_within`).  B0 is a leaf when it has one cut
-    vertex, and then takes part as a :class:`_Remainder`.  The searches
-    count the components of each pair.  When no partner is top-level (the
-    large sides disagree) or the searches read ``work`` adjacency entries,
-    the split falls back to the block DFS of the backbone minus v, as it
-    does when there is no map, and v's partners become the cut vertices
-    that DFS names; the components of the backbone minus {v, c} are then
-    as many as the blocks of the backbone minus v that hold c.
+    vertex of H, the split costs the small sides only: for each partner c,
+    :func:`graph._small_sides` finds and counts the components of H - c,
+    all but the large side L(c).  A pair that no longer separates is
+    dropped; with no partner left v is not a bad point.  The top-level
+    partners, in no other partner's small side, are the cut vertices of
+    one block B0; every other block lies in a top-level partner's small
+    side and is computed there (:func:`graph._blocks_within`).  B0 is a
+    leaf when it has one cut vertex, named as a :class:`_Remainder`.
+
+    Some partner is top-level.  Let each cut vertex c of H point at the
+    block where L(c) starts.  Were none top-level, the pointers would give
+    two sink blocks, and the cut vertices a and b beside them, on the path
+    between the sinks, would point away from each other.  Every running
+    search expands one vertex per pass, so a component of k vertices
+    finishes within k passes.  L(b) is reached only through b, by one
+    search, so the component of H - a that holds b needs |L(b)| + 1 passes
+    or more; L(a) finishes no earlier, so |L(a)| >= |L(b)| + 1, and by
+    symmetry |L(b)| >= |L(a)| + 1, a contradiction.  So an empty top is
+    an internal error, raised as AssertionError.
+
+    The block DFS of H runs for two causes: there is no map (past the
+    engine's budget, or fewer than four members), or the searches read
+    ``work`` adjacency entries.  With a map, v's partners then become the
+    cut vertices it names.  The components of D - {v, c} are as many as
+    the blocks of H that hold c.
     """
     if len(members) <= 3:
         return None, -1, 0
@@ -426,16 +422,17 @@ def _split_without(
             if not sides:
                 return None
             top = [c for c in sides if not any(c in side for side in sides.values())]
-            if top:
-                cut = set(sides)
-                leaves: list = []
-                for c in top:
-                    blocks = _blocks_within(rows, sorted(sides[c] | {c}))
-                    leaves += [b for b in blocks if len(cut.intersection(b)) == 1]
-                if len(top) == 1:
-                    leaves.append(_Remainder(sides[top[0]], v, members))
-                leaf, c = _first_leaf(leaves, cut)
-                return leaf, c, parts[c]
+            if not top:
+                raise AssertionError(f"no partner of {v} is top-level: {sorted(sides)}")
+            cut = set(sides)
+            leaves: list = []
+            for c in top:
+                blocks = _blocks_within(rows, sorted(sides[c] | {c}))
+                leaves += [b for b in blocks if len(cut.intersection(b)) == 1]
+            if len(top) == 1:
+                leaves.append(_Remainder(sides[top[0]], top[0], v, members))
+            leaf, c = _first_leaf(leaves, cut)
+            return leaf, c, parts[c]
     blocks, cut = _local_blocks(rows, members, v)
     if partners is not None:
         partners[v] = set(cut)
@@ -465,7 +462,7 @@ def _alternate_pair_path(
     then v, so its length is at least two.  The length-2 case promotes the
     lowest-id common neighbour, closing a triangle.  With u = v it is the
     walk u, w, u through the smallest allowed neighbour w of a lone member."""
-    path = _lex_shortest_path(g, (u,), [w for w in g.adjacency[v] if allowed(w)], allowed)
+    path = _lex_shortest_path(g, (u,), {w for w in g.adjacency[v] if allowed(w)}, allowed)
     return None if path is None else path + [v]
 
 

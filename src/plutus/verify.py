@@ -151,12 +151,13 @@ def is_m_connected_k_dominating(
     m-connectivity of the induced subgraph, whose verdict and witness come
     from one call of :func:`graph._connectivity_witness`."""
     nodes = _as_subset(g, s)
-    ok_k, witness_k = is_k_dominating(g, nodes, k)
+    _check_k(k)
     _check_m(m)
+    short = _short_of_k(g, set(nodes), k)
     witness_m = _connectivity_witness(g, nodes, m)
     return VerificationReport(
         (
-            CheckResult("k-dominating", ok_k, witness_k),
+            CheckResult("k-dominating", short is None, short and ("deficient", *short)),
             CheckResult("m-connected", witness_m is None, witness_m),
         )
     )

@@ -30,7 +30,7 @@ from plutus.graph import (
     _local_blocks,
     _palm_tree,
 )
-from plutus.pipeline import _first_leaf
+from plutus.pipeline import _Excluding, _first_leaf
 
 from .conftest import complete_graph, cycle_graph, path_graph, wheel_graph
 from .helpers import (
@@ -338,16 +338,17 @@ class TestShortestPath:
 
 
 class TestLexShortestPath:
-    """The one path search runs from the smaller side: a forward BFS from
-    the sources when they are fewer than the targets, the backward BFS
-    from the targets otherwise.  Both give the path that simple-path
-    enumeration finds."""
+    """The one path search runs from the side its sources pick: a forward
+    BFS from listed sources, and the backward BFS from the targets when
+    the sources are given as a membership test (an object with ``in`` but
+    no length).  Both give the path that simple-path enumeration finds."""
 
     @given(st.data())
     @settings(max_examples=300)
     def test_every_size_order_matches_simple_path_enumeration(self, data):
         # each example runs with fewer, as many and more sources than
-        # targets, the sets overlapping or not, a target reachable or not
+        # targets, the sets overlapping or not, a target reachable or not,
+        # and with the sources listed and given as a membership test
         seed = data.draw(seeds)
         g = random_connected_graph(seed) if data.draw(st.booleans()) else random_graph(seed)
         nodes = st.integers(0, g.node_count - 1)
@@ -361,14 +362,19 @@ class TestLexShortestPath:
         ):
             expected = naive_lex_shortest_path(g, sources, targets, allowed)
             assert _lex_shortest_path(g, sources, targets, allowed) == expected
+            tested = _Excluding(sources, ())
+            assert _lex_shortest_path(g, tested, targets, allowed) == expected
 
-    def test_search_runs_from_the_smaller_side(self):
+    def test_search_runs_from_the_listed_side(self):
         # a path 0 - 1 - ... - 99 with a target two steps from source 0 and
         # fifty far away: only vertex 1 is ever offered to the predicate,
-        # whichever side holds the fifty
+        # whether the fifty are listed targets of the listed source 0 or
+        # sources given as a membership test, searched back from target 0
         g = path_graph(100)
         many = {2, *range(50, 100)}
-        for sources, targets, expected in (({0}, many, [0, 1, 2]), (many, {0}, [2, 1, 0])):
+        for sources, targets, expected in (
+            ({0}, many, [0, 1, 2]), (_Excluding(many, ()), {0}, [2, 1, 0]),
+        ):
             asked = []
             allowed = lambda x: asked.append(x) or True
             assert _lex_shortest_path(g, sources, targets, allowed) == expected

@@ -1122,6 +1122,78 @@ class TestPartnerRounds:
         assert tests[0] == (1, "partners", False)
 
 
+def _tree_of_blocks(seed):
+    """A seeded tree of 2-6 blocks, each hung from a vertex of an earlier
+    one, plus one extra vertex joined to 2-6 random draws (repeats merge)
+    and to a vertex other than the cut vertex of each leaf block, so the
+    graph is 2-connected; relabelled.  A block is a cycle, a clique or a
+    wheel of 2-14 vertices (a clique when it has at most three)."""
+    draw = itertools.count(1)
+    rand = lambda bound: splitmix64(seed, next(draw)) % bound
+    n, blocks, edges = 1, [], []
+    for _ in range(2 + rand(5)):
+        size, kind = 2 + rand(13), rand(3)
+        block = [rand(n), *range(n, n + size - 1)]
+        n += size - 1
+        wheel = kind == 2 and size >= 4
+        ring = block[:-1] if wheel else block
+        if kind == 1 or size <= 3:
+            edges += itertools.combinations(block, 2)
+        else:
+            edges += [(v, ring[j - 1]) for j, v in enumerate(ring)]
+            edges += [(block[-1], v) for v in ring] if wheel else []
+        blocks.append(block)
+    joints = {b[0] for b in blocks[1:]}
+    near = set()
+    for block in blocks:
+        inner = [v for v in block if v not in joints]
+        if len(inner) == len(block) - 1:  # a leaf
+            near.add(inner[rand(len(inner))])
+    for _ in range(2 + rand(5)):
+        near.add(rand(n))
+    g = from_edge_list(n + 1, edges + [(n, v) for v in near])
+    return relabel(g, sorted(range(n + 1), key=lambda v: splitmix64(seed, 1000 + v)))
+
+
+def test_partner_route_agrees_with_the_block_dfs(monkeypatch):
+    # for every bad point v of a 2-connected graph whose entry pass
+    # records the partner map, the partner route with unlimited work runs
+    # no block DFS of D - v, as some partner is always top-level, and
+    # names the same leaf, cut vertex and component count as the DFS
+    local_blocks = pipeline._local_blocks
+    searched = []
+
+    def count_blocks(adj, members, skip=-1):
+        searched.append(skip)
+        return local_blocks(adj, members, skip)
+
+    def key(split, members):
+        leaf, c, parts = split
+        if isinstance(leaf, pipeline._Remainder):
+            leaf = set(members) - leaf.skip
+        return (None if leaf is None else sorted(leaf)), c, parts
+
+    monkeypatch.setattr(pipeline, "_local_blocks", count_blocks)
+    graphs = [random_graph(seed, 12, 3) for seed in range(1000)]
+    graphs += [_tree_of_blocks(seed) for seed in range(300)]
+    splits = 0
+    for g in graphs:
+        members = list(range(g.node_count))
+        rows = _induced_rows(g, members)
+        partners: dict = {}
+        bad = pipeline._bad_points(rows, members, partners)
+        if not bad or not partners:
+            continue
+        for v in bad:
+            expected = pipeline._split_without(rows, members, v, None, 0)
+            searched.clear()
+            mapped = {u: set(p) for u, p in partners.items()}
+            split = pipeline._split_without(rows, members, v, mapped, float("inf"))
+            assert searched == [] and key(split, members) == key(expected, members)
+            splits += 1
+    assert splits > 1000
+
+
 @pytest.mark.parametrize("n, radius, seed, rounds", [
     (500, 0.09, 28, 35), (1000, 0.064, 18, 63), (2000, 0.046, 36, 96), (4000, 0.0325, 100, 167),
 ])
