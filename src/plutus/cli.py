@@ -308,38 +308,38 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``plutus`` parser.  When ``command`` names a command, only that
-    command's subparser gets its arguments; every other command is a bare
-    placeholder, there only so that the top-level usage and help list it.
-    Otherwise every subparser gets its arguments."""
+    """The ``plutus`` parser.  When ``command`` names a command, only its
+    subparser is built, and the usage lists every command through the
+    subparsers' metavar.  Otherwise all are built, with no metavar:
+    argparse names the command argument by its metavar before its dest,
+    which would change the "invalid choice" and "required" errors."""
     parser = argparse.ArgumentParser(
         prog="plutus",
         description="Construct and verify m-connected k-dominating backbones.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    every = command not in _COMMANDS
-    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
-        if every or name == command:
-            p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
-            p.set_defaults(func=handler)
-        else:
-            sub.add_parser(name, help=help_text, add_help=False)
+    one = command in _COMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{%s}" % ",".join(_COMMANDS) if one else None
+    )
+    for name in (command,) if one else _COMMANDS:
+        help_text, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # A command named first takes every later word, so no other subparser
-    # is read.  Any other argv (help, a misspelt command, an option before
-    # the command) builds them all: its message may need any of them.
+    # is read, and the one top-level error left prints the usage the
+    # metavar keeps.  Any other argv (help, a misspelt command, an option
+    # before the command) builds them all: its message may need any of them.
     parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][2](args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

@@ -308,18 +308,16 @@ class _Excluding:
 class _Remainder:
     """The leaf block of D - v that no small side holds, named by exclusion
     (see :func:`_split_without`): its members are those of D - v outside
-    ``rest``, the small sides of its cut vertex ``c``, listed.  ``skip``
-    is ``rest`` plus v, and ``head`` the block's two smallest members, read
-    by walking the sorted ``members`` past ``skip``: the leaf's key in
-    :func:`_first_leaf`."""
+    ``rest``, the small sides of its cut vertex ``c``, listed.  ``head`` is
+    the block's two smallest members, read by walking the sorted
+    ``members`` past ``rest`` and v: the leaf's key in :func:`_first_leaf`."""
 
-    __slots__ = ("rest", "c", "skip", "head")
+    __slots__ = ("rest", "c", "head")
 
     def __init__(self, rest: set[int], c: int, v: int, members: list[int]):
         self.rest = rest
         self.c = c
-        self.skip = skip = rest | {v}
-        self.head = list(islice((u for u in members if u not in skip), 2))
+        self.head = list(islice((u for u in members if u not in rest and u != v), 2))
 
 
 def _first_leaf(leaves: list, cut: set[int]) -> tuple[set[int] | _Remainder, int]:
@@ -349,16 +347,15 @@ def _augment_leaf_block(
     internal vertices all satisfy ``allowed``; None when there is none.
 
     The search runs from the smaller side, so a round pays for that side,
-    and the other side is a membership test.  A leaf named by exclusion
-    (:class:`_Remainder`) is searched against the small sides listed.  A
+    and the other side is a membership test (:class:`_Excluding`).  A
     listed leaf of at most half the set is searched from, against the rest
-    of the set (:class:`_Excluding`); a larger leaf becomes the membership
-    test, and the search runs from the rest, listed by one set difference."""
-    if isinstance(leaf, _Remainder):
-        return _lex_shortest_path(g, _Excluding(backbone, leaf.skip | {c}), leaf.rest, allowed)
-    if 2 * len(leaf) > len(backbone) - (bad >= 0):
-        rest = backbone.difference(leaf, (bad,))
-        return _lex_shortest_path(g, _Excluding(leaf, {c}), rest, allowed)
+    of the set.  A larger leaf is named by exclusion, as a
+    :class:`_Remainder` is: the set outside c and the rest, which is
+    listed (for a listed leaf, by one set difference) and searched back
+    from."""
+    if isinstance(leaf, _Remainder) or 2 * len(leaf) > len(backbone) - (bad >= 0):
+        rest = leaf.rest if isinstance(leaf, _Remainder) else backbone.difference(leaf, (bad,))
+        return _lex_shortest_path(g, _Excluding(backbone, rest | {bad, c}), rest, allowed)
     sources = [v for v in leaf if v != c]
     return _lex_shortest_path(g, sources, _Excluding(backbone, leaf | {bad}), allowed)
 

@@ -666,11 +666,15 @@ class TestParsing:
         ["frobnicate"], ["so"], ["solve", "x", "--strict"], ["--bogus", "solve", "x"],
         ["solve"], ["solve", "x", "-m", "4"], ["generate", "-n", "abc", "-r", "1"],
         ["-h", "solve"], ["--", "solve", "x"],
+        ["verify", "g", "r", "--bogus"], ["oracle", "g", "extra"],
+        ["bench", "-n", "8", "-r", "0.5", "--bogus"], ["generate", "-n", "3", "-r", "1", "--bogus"],
+        ["solve", "x", "-k", "2", "extra"],
     ], ids=lambda argv: " ".join(argv) or "no-argv")
     def test_every_message_is_that_of_the_full_parser(self, argv, monkeypatch, capsys):
-        # main builds the arguments of the command argv names first only;
+        # main builds only the subparser of the command argv names first;
         # help, usage and errors must keep the bytes of a parse with every
-        # subparser built
+        # subparser built.  After a command, the one top-level message is
+        # "unrecognized arguments", whose usage lists every command
         monkeypatch.setenv("COLUMNS", "80")
         built = (main(argv), *capsys.readouterr())
         full = cli.build_parser
@@ -682,13 +686,11 @@ class TestParsing:
             (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
             return {name: len(p._actions) for name, p in sub.choices.items()}
 
-        # -h, graph, result, -k, -m and --stretch-threshold
-        assert actions(cli.build_parser("verify")) == {
-            "generate": 0, "solve": 0, "verify": 6, "oracle": 0, "bench": 0,
-        }
-        assert actions(cli.build_parser()) == {
-            "generate": 6, "solve": 6, "verify": 6, "oracle": 5, "bench": 8,
-        }
+        # verify's six: -h, graph, result, -k, -m and --stretch-threshold
+        every = {"generate": 6, "solve": 6, "verify": 6, "oracle": 5, "bench": 8}
+        assert actions(cli.build_parser()) == every
+        for command, count in every.items():
+            assert actions(cli.build_parser(command)) == {command: count}
 
 
 _DOCUMENTED_EXIT_CODES = {0, 2, 3, 6}

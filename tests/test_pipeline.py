@@ -845,7 +845,7 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
     def record_repair(graph, nodes, bad, leaf, c):
         path = repair_path(graph, nodes, bad, leaf, c)
         if isinstance(leaf, pipeline._Remainder):
-            leaf = frozenset(v for v in rounds[-1][0] if v not in leaf.skip)
+            leaf = frozenset(v for v in rounds[-1][0] if v not in leaf.rest and v != bad)
         if leaf is not None:
             rest = set(rounds[-1][0]) - {bad}
             assert c in leaf and not induced_connected(g, rest - {c})
@@ -1167,10 +1167,10 @@ def test_partner_route_agrees_with_the_block_dfs(monkeypatch):
         searched.append(skip)
         return local_blocks(adj, members, skip)
 
-    def key(split, members):
+    def key(split, members, v):
         leaf, c, parts = split
         if isinstance(leaf, pipeline._Remainder):
-            leaf = set(members) - leaf.skip
+            leaf = set(members) - leaf.rest - {v}
         return (None if leaf is None else sorted(leaf)), c, parts
 
     monkeypatch.setattr(pipeline, "_local_blocks", count_blocks)
@@ -1189,7 +1189,7 @@ def test_partner_route_agrees_with_the_block_dfs(monkeypatch):
             searched.clear()
             mapped = {u: set(p) for u, p in partners.items()}
             split = pipeline._split_without(rows, members, v, mapped, float("inf"))
-            assert searched == [] and key(split, members) == key(expected, members)
+            assert searched == [] and key(split, members, v) == key(expected, members, v)
             splits += 1
     assert splits > 1000
 
@@ -1283,11 +1283,11 @@ def test_repaired_pairs_are_not_searched_again_on_the_m3_corpus(
 
 def test_every_leaf_round_tests_membership_in_one_side(monkeypatch):
     # a round that reconnects a leaf block lists one side of its path
-    # search and hands it the other as one membership test (_Excluding):
-    # a leaf of at most half the round's set is listed against the rest
-    # of the backbone, a larger leaf is the test, searched from the rest
-    # listed by one set difference, and a leaf named by exclusion (a
-    # partner-route _Remainder) is tested against the small sides listed.
+    # search and hands it the other as one membership test (_Excluding)
+    # of the backbone: a leaf of at most half the round's set is listed
+    # against the rest of the set, and a larger leaf, like a leaf named by
+    # exclusion (a partner-route _Remainder), is the test, searched back
+    # from the rest, listed (for a listed leaf, by one set difference).
     # The rule is the same in both phases and on both routes of a
     # sustainability round: the partner route, and the block DFS it falls
     # back to past the engine's budget or the work cap
@@ -1305,12 +1305,15 @@ def test_every_leaf_round_tests_membership_in_one_side(monkeypatch):
     def record_sides(graph, leaf, c, backbone, bad, allowed):
         before = len(built)
         path = augment_leaf_block(graph, leaf, c, backbone, bad, allowed)
-        tested = [args[0] for args in built[before:]]
+        ((tested, skip),) = built[before:]
         if isinstance(leaf, pipeline._Remainder):
-            kind = "remainder"
+            kind, members = "remainder", backbone - leaf.rest - {bad}
         else:
             kind = "big" if 2 * len(leaf) > len(backbone) - (bad >= 0) else "small"
-        assert len(tested) == 1 and tested[0] is (leaf if kind == "big" else backbone)
+            members = leaf
+        admitted = {y for y in backbone if y not in skip}
+        assert tested is backbone
+        assert admitted == (backbone - members - {bad} if kind == "small" else members - {c})
         sides.append((route[-1] if route else "tree", kind))
         return path
 
@@ -1533,6 +1536,41 @@ class TestAugmentationPaths:
         adopted = [w for w in g.adjacency[v] if allowed(w)]
         expected = [v, adopted[0], v] if adopted else None
         assert _alternate_pair_path(g, v, v, allowed) == expected
+
+    def test_every_leaf_form_takes_the_same_path(self):
+        # a leaf of D - v reaches the round step listed, searched from when
+        # it holds at most half the round's set and named by exclusion of
+        # the rest when larger, or as a _Remainder of the rest: each form,
+        # and a listed leaf forced past the half-size switch, takes the
+        # path simple-path enumeration finds
+        class Claimed(set):
+            """A listed leaf that reports a chosen size."""
+
+            def __len__(self):
+                return self.size
+
+        taken = set()
+        for seed in range(300):
+            g = random_connected_graph(seed, 14)
+            try:
+                backbone = set(run_plutus(g, PlutusConfig(k=1, m=2)).dominating_set)
+            except GraphNotMConnectedError:
+                continue
+            members = sorted(backbone)
+            outside = lambda x: x not in backbone
+            for v in members:
+                tree = naive_block_cut_tree(g, backbone - {v})
+                for leaf in tree.leaf_blocks:
+                    (c,) = leaf & tree.cut_vertices
+                    rest = backbone - leaf - {v}
+                    expected = naive_lex_shortest_path(g, leaf - {c}, rest, outside)
+                    large = 2 * len(leaf) > len(backbone) - 1
+                    forced = Claimed(leaf)
+                    forced.size = 0 if large else len(backbone)
+                    for form in (set(leaf), forced, pipeline._Remainder(rest, c, v, members)):
+                        assert _augment_leaf_block(g, form, c, backbone, v, outside) == expected
+                    taken.add((large, expected is not None))
+        assert taken == {(False, True), (True, True), (False, False), (True, False)}
 
 
 class TestRunPlutus:
