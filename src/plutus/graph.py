@@ -5,18 +5,17 @@ and exact vertex-connectivity tests.
 radius wide and compares only neighbouring cells.
 
 Block lists with their cut vertices (:func:`_local_blocks`) and
-separation pairs are all read from one palm tree of an induced subgraph
-(:func:`_palm_tree`), O(n + E).  An induced subgraph has one form: rows
-indexed by node id (:func:`_induced_rows`), which sustainability keeps
-for a whole phase; a check of the whole graph reads the graph's own
-adjacency.  From one block list, :class:`_BlockCutTree` keeps the blocks
-and cut vertices of a set as vertices join it, in near-linear time in
-all, and names its first leaf block: diversification runs one block DFS
-per phase and reads every round's leaf from the tree.  One routine,
-:func:`_connectivity_witness`, gives the m = 1..3 verdicts and verify's
-witness in one call.  At m = 2 and 3 it reads the lowest vertex that
-splits the set from one palm tree, after pinning at m = 3 the lowest bad
-point.  On a 2-connected set that comes from the one separation-pair
+separation pairs are all read from one palm tree (:func:`_palm_tree`),
+O(n + E), of a sorted member list over any adjacency indexed by node id:
+the graph's own, or the induced rows sustainability keeps for a phase
+(:func:`_induced_rows`).  From one block list, :class:`_BlockCutTree`
+keeps the blocks and cut vertices of a set as vertices join it, in
+near-linear time in all, and names its first leaf block: diversification
+runs one block DFS per phase and reads every round's leaf from the tree.
+One routine, :func:`_connectivity_witness`, gives the m = 1..3 verdicts
+and verify's witness in one call.  At m = 2 and 3 it reads the lowest
+vertex that splits the set from one palm tree, after pinning at m = 3
+the lowest bad point.  On a 2-connected set that comes from the one separation-pair
 engine, :func:`_bad_points`: one palm tree plus a separation-pair pass,
 about O((n + E) log n), that marks every bad point.  Sustainability fills
 its candidate set from the same engine, which can also record the
@@ -357,37 +356,33 @@ def is_connected(g: Graph, subset: Iterable[int] | None = None) -> bool:
 def _palm_tree(
     adj: Sequence[Sequence[int]],
     members: Sequence[int],
-    skip: int = -1,
     fronds: list[list[int]] | None = None,
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """(preorder, parent, depth, low) of one iterative DFS, from its lowest
-    vertex, of the graph on the sorted vertices ``members`` minus the
-    member ``skip``: the palm tree of Tarjan (1972) and Hopcroft and
-    Tarjan (1973).  ``adj`` is indexed by node id (the rows of
-    :func:`_induced_rows`, or a graph's own adjacency when the members are
-    all its nodes): ``adj[v]`` lists the neighbours of each member v among
-    the members in ascending order, and the arrays returned are as long as
-    ``adj``.
+    vertex, of the graph on the sorted vertices ``members``: the palm tree
+    of Tarjan (1972) and Hopcroft and Tarjan (1973).  ``adj[v]`` lists the
+    neighbours of each member v in ascending order, members or not: any
+    adjacency indexed by node id, as long as the arrays returned.
 
-    The preorder covers one component.  Off the tree ``parent`` and
-    ``depth`` are -1, as is the root's parent, but ``skip`` has depth
-    ``len(adj)``, so it is neither entered nor lowers a low point.
-    ``low[v]`` is the shallowest depth reached by an edge leaving v's
-    subtree, the edge to v's parent included, or ``depth[v]`` when none
-    goes higher.  Only given ``fronds`` does the DFS test for fronds, the
-    edges up to an ancestor other than the parent, and append each one's
-    deeper end to ``fronds[d]``, d being the depth of its shallower end.
+    The preorder covers one component.  ``depth`` starts at ``len(adj)``
+    and is -1 for each member, so a non-member is neither entered nor
+    lowers a low point.  Off the tree a member's ``parent`` and ``depth``
+    stay -1, as does the root's parent.  ``low[v]`` is the shallowest
+    depth reached by an edge leaving v's subtree, the edge to v's parent
+    included, or ``depth[v]`` when none goes higher.  Only given
+    ``fronds`` does the DFS test for fronds, the edges up to an ancestor
+    other than the parent, and append each one's deeper end to
+    ``fronds[d]``, d being the depth of its shallower end.
     """
     n = len(adj)
-    depth = [-1] * n
+    depth = [n] * n
     parent = [-1] * n
     low = [0] * n
-    if skip >= 0:
-        depth[skip] = n
-    roots = [v for v in members[:2] if v != skip]
-    if not roots:
+    if not members:
         return [], parent, depth, low
-    root = roots[0]
+    for v in members:
+        depth[v] = -1
+    root = members[0]
     order = [root]
     depth[root] = 0
     stack = [(root, iter(adj[root]))]
@@ -418,10 +413,10 @@ def _palm_tree(
 
 
 def _local_blocks(
-    adj: Sequence[Sequence[int]], members: Sequence[int], skip: int = -1
+    adj: Sequence[Sequence[int]], members: Sequence[int]
 ) -> tuple[list[list[int]] | None, set[int]]:
-    """(blocks, cut vertices) of the graph on ``members`` minus the member
-    ``skip`` (see :func:`_palm_tree`), the blocks being None when that
+    """(blocks, cut vertices) of the graph on the sorted vertices
+    ``members`` (see :func:`_palm_tree`), the blocks being None when that
     graph is disconnected.  A block is the vertex set of a biconnected
     component; a lone vertex is one.
 
@@ -430,8 +425,8 @@ def _local_blocks(
     the root's first child, names its parent a cut vertex; every other
     vertex joins its parent's block.
     """
-    order, parent, depth, low = _palm_tree(adj, members, skip)
-    if len(order) < len(members) - (skip >= 0):
+    order, parent, depth, low = _palm_tree(adj, members)
+    if len(order) < len(members):
         return None, set()
     blocks: list[list[int]] = []
     cut: set[int] = set()
@@ -722,22 +717,24 @@ def _bad_points(
     walks its gap in full, one pair per slot.  The pairs are kept ancestor
     first in a set, so a pair hit twice counts once.  A cycle has a
     quadratic number of pairs, so recording stops once the distinct pairs
-    pass a budget of n + E, for E edges, and the dict is then left empty;
-    with fewer than four vertices nothing is recorded either.  Type-2 hits
-    name distinct pairs, so the gaps walked stay within the budget plus O(n).
+    pass a budget of 2n - 1 plus the fronds, n + E for the E edges among
+    the members, and the dict is then left empty; with fewer than four
+    vertices nothing is recorded either.  Type-2 hits name distinct pairs,
+    so the gaps walked stay within the budget plus O(n).
     """
     n = len(members)
     if n < 4:
         return list(members)
     pairs: set[tuple[int, int]] | None = None  # ancestor first; None: not recording
-    if partners is not None:
-        budget = n + sum(len(adj[v]) for v in members) // 2
-        pairs = set()
     span = len(adj)  # vertex-indexed arrays
     by_target: list[list[int]] = [[] for _ in range(n)]  # frond sources by target depth
-    order, parent, depth, low = _palm_tree(adj, members, fronds=by_target)
+    order, parent, depth, low = _palm_tree(adj, members, by_target)
     if len(order) < n:
         return None
+    if partners is not None:
+        # n, plus the n - 1 tree edges, plus one frond per other edge
+        budget = 2 * n - 1 + sum(map(len, by_target))
+        pairs = set()
     size = [1] * span
     children: list[list[int]] = [[] for _ in range(span)]
     first_low = [n] * span  # the two smallest child low points of each vertex
@@ -856,10 +853,10 @@ def _connectivity_witness(g: Graph, nodes: list[int], m: int) -> tuple | None:
     one call gives both the verdict of :func:`is_m_connected` and verify's
     witness.
 
-    At m = 2 and 3 the ids are read from one build of the set's rows
-    (:func:`_induced_rows`), or from the graph's own adjacency when the set
-    is the whole graph.  The first m - 2 ids are pinned, and the last is
-    the lowest vertex whose removal splits ``rest``, the set without them.
+    At m = 2 and 3 the ids are read from palm trees over the graph's own
+    adjacency (:func:`_palm_tree`).  The first m - 2 ids are pinned, and
+    the last is the lowest vertex whose removal splits ``rest``, the set
+    without them, the member list of the last tree.
     A connected ``rest`` has at least three vertices, so it splits exactly
     when a cut vertex goes: past the root's first child, each v of its
     palm tree with ``low[v] == depth[parent[v]]`` names one,
@@ -889,15 +886,14 @@ def _connectivity_witness(g: Graph, nodes: list[int], m: int) -> tuple | None:
         return None if len(components) == 1 else ("disconnected", tuple(components[0]))
     if len(nodes) <= m:
         return ("too-small", len(nodes))
-    rows = g.adjacency if len(nodes) == g.node_count else _induced_rows(g, nodes)
     candidates: list[tuple[int, ...]] = [()]
     if m == 3:
-        bad = _bad_points(rows, nodes)
+        bad = _bad_points(g.adjacency, nodes)
         candidates = [(v,) for v in (nodes[:2] if bad is None else bad[:1])]
     for pinned in candidates:
-        order, parent, depth, low = _palm_tree(rows, nodes, *pinned)
-        if len(order) + len(pinned) < len(nodes):
-            rest = [v for v in nodes if v not in pinned]
+        rest = [v for v in nodes if v not in pinned]
+        order, parent, depth, low = _palm_tree(g.adjacency, rest)
+        if len(order) < len(rest):
             components = _components(g, rest)
             last = rest[1] if len(components) == 2 and len(components[0]) == 1 else rest[0]
         else:
@@ -919,8 +915,8 @@ def is_m_connected(g: Graph, subset: Iterable[int], m: int) -> bool:
     m = 1 is plain connectivity (a singleton counts as connected).  For
     m >= 2 a subset of at most m vertices never qualifies: the complete
     graph on n vertices is only (n-1)-connected.  The verdict is that of
-    :func:`_connectivity_witness`, on one build of the subset's rows, or on
-    the graph's own adjacency for the whole graph.  m = 2 is one palm tree
+    :func:`_connectivity_witness`, read from the graph's own adjacency with
+    the subset as the member list.  m = 2 is one palm tree
     (:func:`_palm_tree`): connected with no cut vertex.  m = 3 is one palm
     tree followed by the separation-pair pass of :func:`_bad_points`,
     about O((n + E) log n): 3-connected when it finds no bad point.

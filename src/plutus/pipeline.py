@@ -430,7 +430,7 @@ def _split_without(
                 leaves.append(_Remainder(sides[top[0]], top[0], v, members))
             leaf, c = _first_leaf(leaves, cut)
             return leaf, c, parts[c]
-    blocks, cut = _local_blocks(rows, members, v)
+    blocks, cut = _local_blocks(rows, [u for u in members if u != v])
     if partners is not None:
         partners[v] = set(cut)
     if not cut:
@@ -516,7 +516,7 @@ def diversification(g: Graph, d: Iterable[int]) -> frozenset[int]:
     members = _as_subset(g, d)
     if not members:
         raise GraphInputError("backbone must be non-empty")
-    blocks, _ = _local_blocks(_induced_rows(g, members), members)
+    blocks, _ = _local_blocks(g.adjacency, members)
     if blocks is None:
         raise DisconnectedInputError("input set does not induce a connected subgraph")
     tree = _BlockCutTree(blocks, g.node_count)

@@ -524,11 +524,11 @@ class TestBlockCutTree:
         # the plain block lists of every one-vertex-deleted subgraph and the
         # cut vertices read off the same pass of the graph's own adjacency
         for skip in range(n):
-            rest = set(nodes) - {nodes[skip]}
+            rest = [v for v in nodes if v != skip]
             if not rest:
                 continue
-            blocks, cut = _local_blocks(g.adjacency, nodes, skip)
-            if induced_connected(g, rest):
+            blocks, cut = _local_blocks(g.adjacency, rest)
+            if induced_connected(g, set(rest)):
                 tree = naive_block_cut_tree(g, rest)
                 ids = [frozenset(block) for block in blocks]
                 assert sorted(ids, key=sorted) == list(tree.blocks)
@@ -975,24 +975,25 @@ class TestLowestBadPoint:
         palm_tree = plutus.graph._palm_tree
         local_blocks = plutus.graph._local_blocks
 
-        def counting(adj, members, skip=-1, fronds=None):
-            trees.append(skip)
-            return palm_tree(adj, members, skip, fronds)
+        def counting(adj, members, fronds=None):
+            # the adjacency read and the vertices of the set left out
+            trees.append((adj, [v for v in range(5) if v not in members]))
+            return palm_tree(adj, members, fronds)
 
-        def counting_blocks(adj, members, skip=-1):
-            blocks.append(skip)
-            return local_blocks(adj, members, skip)
+        def counting_blocks(adj, members):
+            blocks.append(members)
+            return local_blocks(adj, members)
 
         monkeypatch.setattr(plutus.graph, "_palm_tree", counting)
         monkeypatch.setattr(plutus.graph, "_local_blocks", counting_blocks)
         nodes = list(range(5))
         bowtie = from_edge_list(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
         assert disconnecting_set(bowtie, nodes, 3) == (0, 2)
-        assert trees == [-1, 0]
+        assert trees == [(bowtie.adjacency, []), (bowtie.adjacency, [0])]
         trees.clear()
         pendant = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)])
         assert disconnecting_set(pendant, nodes, 3) == (1, 2)
-        assert trees == [-1, 0, 1]
+        assert trees == [(pendant.adjacency, []), (pendant.adjacency, [0]), (pendant.adjacency, [1])]
         assert blocks == []
 
     @pytest.mark.parametrize("n, radius, seed", [
@@ -1107,6 +1108,23 @@ class TestBadPoints:
         assert _bad_points(g.adjacency, nodes, partners) == naive_bad_points(g, nodes)
         assert {(a, b) for a, row in partners.items() for b in row if a < b} == pairs
 
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_budget_counts_only_edges_among_the_members(self, n):
+        # the cycle C_n with a pendant non-member on every vertex: the
+        # budget is n + n edges = 2n, so C_7 records its 14 pairs and C_8
+        # none of its 20, on the graph's own adjacency as on the rows; a
+        # budget counted from the full rows, n + 3n / 2, would keep C_8's
+        cycle = [(v, (v + 1) % n) for v in range(n)]
+        g = from_edge_list(2 * n, cycle + [(v, n + v) for v in range(n)])
+        nodes = list(range(n))
+        pairs = {(a, b) for a, b in itertools.combinations(nodes, 2) if 1 < b - a < n - 1}
+        assert len(pairs) == {7: 14, 8: 20}[n]
+        for adj in (g.adjacency, _induced_rows(g, nodes)):
+            partners: dict = {}
+            assert _bad_points(adj, nodes, partners) == nodes
+            recorded = {(a, b) for a, row in partners.items() for b in row if a < b}
+            assert recorded == (pairs if n == 7 else set())
+
 
 class TestDisconnectingSet:
     """The one routine behind the m = 2 and m = 3 verdicts and verify's
@@ -1132,25 +1150,26 @@ class TestDisconnectingSet:
         assert is_m_connected(g, nodes, m) == (found is None)
 
 
-def check_palm_tree(adj: list[list[int]], members, skip: int):
-    """The palm tree of the graph on ``members`` minus ``skip`` against its
+def check_palm_tree(adj: list[list[int]], members):
+    """The palm tree of the graph on the sorted vertices ``members`` of
+    ``adj``, whose rows may list other vertices too, against its
     definition, each part found by brute force; returns the tree."""
     n = len(adj)
+    inside = set(members)
     fronds: list[list[int]] = [[] for _ in range(n)]
-    tree = order, parent, depth, low = _palm_tree(adj, members, skip, fronds)
-    assert tree == _palm_tree(adj, members, skip)
-    rest = [v for v in members if v != skip]
-    if not rest:
+    tree = order, parent, depth, low = _palm_tree(adj, members, fronds)
+    assert tree == _palm_tree(adj, members)
+    if not members:
         assert order == []
         return tree
-    component = {rest[0]}
-    todo = [rest[0]]
+    component = {members[0]}
+    todo = [members[0]]
     while todo:
         for y in adj[todo.pop()]:
-            if y != skip and y not in component:
+            if y in inside and y not in component:
                 component.add(y)
                 todo.append(y)
-    assert order[0] == rest[0] and len(order) == len(component) and set(order) == component
+    assert order[0] == members[0] and len(order) == len(component) and set(order) == component
     assert (parent[order[0]], depth[order[0]]) == (-1, 0)
     ancestors = {order[0]: set()}  # proper ancestors, filled in preorder
     for v in order[1:]:
@@ -1159,11 +1178,11 @@ def check_palm_tree(adj: list[list[int]], members, skip: int):
         ancestors[v] = ancestors[p] | {p}
     for v in range(n):
         if v not in component:
-            assert (parent[v], depth[v]) == (-1, n if v == skip else -1)
+            assert (parent[v], depth[v]) == (-1, -1 if v in inside else n)
     expected = []
     for x in order:
         for y in adj[x]:
-            if y != skip:
+            if y in inside:
                 assert y in ancestors[x] or x in ancestors[y]
                 if y in ancestors[x] and y != parent[x]:
                     expected.append((depth[y], x))
@@ -1171,7 +1190,7 @@ def check_palm_tree(adj: list[list[int]], members, skip: int):
     assert sorted((d, x) for d, row in enumerate(fronds) for x in row) == sorted(expected)
     for v in order:
         subtree = {w for w in order if w == v or v in ancestors[w]}
-        leaving = [depth[y] for x in subtree for y in adj[x] if y != skip and y not in subtree]
+        leaving = [depth[y] for x in subtree for y in adj[x] if y in inside and y not in subtree]
         assert low[v] == min(leaving + [depth[v]])
     return tree
 
@@ -1182,22 +1201,50 @@ class TestPalmTree:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_small_graph_and_skip(self, n):
+        # every graph, whole and without each one vertex
         for g in every_graph(n):
             for skip in range(-1, n):
-                check_palm_tree(g.adjacency, range(n), skip)
+                check_palm_tree(g.adjacency, [v for v in range(n) if v != skip])
 
     @pytest.mark.parametrize("n, radius, seed", [(200, 0.15, 1), (300, 0.12, 2), (400, 0.1, 3)])
     def test_unit_disk_subsets(self, n, radius, seed):
+        # a sampled subset and a 2-connected backbone, the m = 2 backbone
+        # of the graph's largest block, each whole and without one member,
+        # read from the graph's own adjacency and from the subset's rows
+        # indexed by node id: the same palm tree as on the reference local
+        # adjacency, relabelled, and the same block lists, bad points and
+        # recorded partner map from either
         g = random_geometric(n, radius, seed).graph()
-        nodes = [v for v in range(n) if splitmix_pick(seed, v) or v % 3 == 0]
-        local = local_adjacency(g, nodes)
-        rows = _induced_rows(g, nodes)
-        for skip in (-1, 0, 1, len(nodes) // 2):
-            order, parent, depth, low = check_palm_tree(local, range(len(nodes)), skip)
-            # on rows indexed by node id the same tree, relabelled
-            by_id = check_palm_tree(rows, nodes, -1 if skip < 0 else nodes[skip])
-            assert by_id[0] == [nodes[v] for v in order]
-            assert [by_id[3][v] for v in nodes] == low
+        sample = [v for v in range(n) if splitmix_pick(seed, v) or v % 3 == 0]
+        block = sorted(max(_local_blocks(g.adjacency, range(n))[0], key=len))
+        local = local_adjacency(g, block)
+        h = from_edge_list(len(block), [(i, j) for i, row in enumerate(local) for j in row])
+        backbone = [block[v] for v in sorted(run_plutus(h, PlutusConfig(k=2, m=2)).dominating_set)]
+        recorded = []
+        for nodes in (sample, backbone):
+            rows = _induced_rows(g, nodes)
+            for skip in (-1, 0, 1, len(nodes) // 2):
+                members = [v for i, v in enumerate(nodes) if i != skip]
+                tree = check_palm_tree(local_adjacency(g, members), range(len(members)))
+                order, parent, depth, low = tree
+                by_graph, by_rows = (_palm_tree(adj, members) for adj in (g.adjacency, rows))
+                assert by_graph[0] == by_rows[0] == [members[v] for v in order]
+                assert by_graph[1] == by_rows[1]
+                assert [by_graph[1][v] for v in members] == [
+                    p if p < 0 else members[p] for p in parent
+                ]
+                assert [by_graph[2][v] for v in members] == depth
+                assert [by_rows[2][v] for v in members] == depth
+                assert by_graph[3] == by_rows[3]
+                assert [by_graph[3][v] for v in members] == low
+                assert _local_blocks(g.adjacency, members) == _local_blocks(rows, members)
+                found = []
+                for adj in (g.adjacency, rows):
+                    partners: dict = {}
+                    found.append((_bad_points(adj, members, partners), partners))
+                assert found[0] == found[1]
+                recorded.append(bool(found[0][1]))
+        assert any(recorded)
 
 
 class TestStrictBiconnectivity:

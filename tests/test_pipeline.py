@@ -788,14 +788,19 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
     so far.  At m = 3 a round opens with each split of the backbone minus
     a candidate (``_split_without``) that finds the candidate bad, and
     the last round is the backbone returned.  The cut vertex handed with a
-    leaf must lie in it and disconnect the round's set.  Each engine pass,
-    split and block DFS must see the one adjacency the phase keeps: rows
-    equal to a fresh reference local adjacency mapped to ids, with a
-    member list equal to the sorted backbone so far, the input plus every
-    promoted path; and no other adjacency is built."""
+    leaf must lie in it and disconnect the round's set.
+
+    Diversification builds no adjacency: its one block DFS reads the
+    graph's own with the sorted input as members.  In sustainability each
+    engine pass, split and block DFS must see the one adjacency the phase
+    keeps: rows equal to a fresh reference local adjacency mapped to ids,
+    over the sorted backbone so far, the input plus every promoted path.
+    The member list is that backbone, without the split's candidate for
+    the block DFS of a split; and no other adjacency is built."""
     rounds: list[list] = []
     calls: list[str] = []
     kept = []  # the adjacency each call reads
+    splitting = []  # the candidate of the split under way
     bad_points = pipeline._bad_points
     local_blocks = pipeline._local_blocks
     split_without = pipeline._split_without
@@ -808,11 +813,12 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
             nodes.update(path[1:-1])
         return sorted(nodes)
 
-    def check_adjacency(adj, members):
-        assert list(members) == grown()
-        fresh = local_adjacency(g, members)
-        assert [adj[v] for v in members] == [[members[j] for j in row] for row in fresh]
-        assert all(adj[v] == [] for v in range(g.node_count) if v not in members)
+    def check_adjacency(adj, members, without=()):
+        nodes = grown()
+        assert list(members) == [v for v in nodes if v not in without]
+        fresh = local_adjacency(g, nodes)
+        assert [adj[v] for v in nodes] == [[nodes[j] for j in row] for row in fresh]
+        assert all(adj[v] == [] for v in range(g.node_count) if v not in nodes)
         kept.append(adj)
 
     def record_bad(adj, members, *partners):
@@ -820,12 +826,16 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
         calls.append("engine")
         return bad_points(adj, members, *partners)
 
-    def record_blocks(adj, members, *skip):
-        check_adjacency(adj, members)
-        return local_blocks(adj, members, *skip)
+    def record_blocks(adj, members):
+        if phase is diversification:
+            assert adj is g.adjacency and list(members) == grown()
+        else:
+            check_adjacency(adj, members, splitting)
+        return local_blocks(adj, members)
 
     def record_split(adj, members, v, *rest):
         check_adjacency(adj, members)
+        splitting[:] = [v]
         split = split_without(adj, members, v, *rest)
         calls.append("stale" if split is None else "round")
         if split is not None:
@@ -862,7 +872,7 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
     if phase is sustainability:
         rounds.append([grown(), None, None, None])
     assert rounds[-1][0] == sorted(result)
-    assert [kind for kind, _, _ in builds] == ["rows"]
+    assert [kind for kind, _, _ in builds] == ([] if phase is diversification else ["rows"])
     assert all(adj is builds[0][2] for adj in kept)
     return rounds, calls
 
@@ -986,10 +996,9 @@ def _partner_rounds(g, d):
     small_sides = pipeline._small_sides
     route: list = []
 
-    def record_blocks(adj, members, skip=-1):
-        if skip >= 0:
-            route.append("dfs")
-        return local_blocks(adj, members, skip)
+    def record_blocks(adj, members):
+        route.append("dfs")
+        return local_blocks(adj, members)
 
     def record_sides(*args):
         found = small_sides(*args)
@@ -1163,9 +1172,9 @@ def test_partner_route_agrees_with_the_block_dfs(monkeypatch):
     local_blocks = pipeline._local_blocks
     searched = []
 
-    def count_blocks(adj, members, skip=-1):
-        searched.append(skip)
-        return local_blocks(adj, members, skip)
+    def count_blocks(adj, members):
+        searched.append(members)
+        return local_blocks(adj, members)
 
     def key(split, members, v):
         leaf, c, parts = split
@@ -1240,17 +1249,18 @@ def test_partner_route_on_every_backbone_of_the_oracle_corpus(monkeypatch):
         tests.append(args)
         return split_without(*args)
 
-    def count_blocks(adj, members, skip=-1):
-        if skip >= 0:
-            searched.append(skip)
-        return local_blocks(adj, members, skip)
+    def count_blocks(adj, members):
+        if adj is not g.adjacency:  # not diversification's entry: a block DFS of D - v
+            searched.append(members)
+        return local_blocks(adj, members)
 
     monkeypatch.setattr(pipeline, "_bad_points", count_passes)
     monkeypatch.setattr(pipeline, "_split_without", count_tests)
     monkeypatch.setattr(pipeline, "_local_blocks", count_blocks)
     for n, bases in ((18, (2, 4, 10, 12)), (19, (2, 4, 10, 11)), (20, (2, 4, 10, 11))):
         for seed in bases:
-            run_plutus(random_geometric(n, 0.45, seed).graph(), PlutusConfig(k=2, m=3))
+            g = random_geometric(n, 0.45, seed).graph()
+            run_plutus(g, PlutusConfig(k=2, m=3))
     assert (len(tests), len(passes), len(searched)) == (138, 12, 8)
 
 
@@ -1317,9 +1327,9 @@ def test_every_leaf_round_tests_membership_in_one_side(monkeypatch):
         sides.append((route[-1] if route else "tree", kind))
         return path
 
-    def record_blocks(adj, members, skip=-1):
+    def record_blocks(adj, members):
         route.append("dfs")
-        return local_blocks(adj, members, skip)
+        return local_blocks(adj, members)
 
     def record_split(*args):
         route[:] = ["partners"]
@@ -1405,7 +1415,8 @@ class TestDiversificationRounds:
 def test_diversification_runs_one_block_dfs_per_phase(monkeypatch):
     # the entry block DFS is the connectivity check and seeds the block-cut
     # tree; every later round reads its leaf from the tree, so each phase
-    # runs exactly one block DFS, on the one adjacency built for it
+    # runs exactly one block DFS, on the graph's own adjacency, and builds
+    # no induced rows
     g = random_geometric(120, 0.16, 22).graph()
     local_blocks = pipeline._local_blocks
     first_leaf = pipeline._BlockCutTree.first_leaf
@@ -1413,9 +1424,9 @@ def test_diversification_runs_one_block_dfs_per_phase(monkeypatch):
         backbone = run_plutus(g, PlutusConfig(k=k, m=1)).dominating_set
         decomposed, rounds = [], []
 
-        def record_blocks(adj, members, *skip):
-            decomposed.append((adj, list(members), skip))
-            return local_blocks(adj, members, *skip)
+        def record_blocks(adj, members):
+            decomposed.append((adj, list(members)))
+            return local_blocks(adj, members)
 
         def record_round(tree):
             rounds.append(tree)
@@ -1427,24 +1438,27 @@ def test_diversification_runs_one_block_dfs_per_phase(monkeypatch):
             patch.setattr(pipeline._BlockCutTree, "first_leaf", record_round)
             grown = diversification(g, backbone)
         assert len(rounds) > 1 and len(grown) > len(backbone)
-        assert [kind for kind, _, _ in builds] == ["rows"]
-        assert decomposed == [(builds[0][2], sorted(backbone), ())]
+        assert builds == []
+        assert decomposed == [(g.adjacency, sorted(backbone))]
 
 
 def test_sustainability_builds_its_induced_graph_once(monkeypatch):
     # the entry check is the first engine pass, over the rows the loop
     # then keeps; every engine pass and every candidate test, on either
-    # route, reads those rows, and no block DFS of the whole set runs
+    # route, reads those rows, and every block DFS is that of a candidate
+    # test, over its set without the candidate
     g = random_geometric(120, 0.16, 22).graph()
     backbone = run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set
     local_blocks = pipeline._local_blocks
     bad_points = pipeline._bad_points
     split_without = pipeline._split_without
     checks = []
+    splitting = []  # the members and candidate of the split under way
 
-    def record_blocks(adj, members, skip=-1):
-        checks.append(("blocks", adj, skip))
-        return local_blocks(adj, members, skip)
+    def record_blocks(adj, members):
+        assert list(members) == [u for u in splitting[0] if u != splitting[1]]
+        checks.append(("blocks", adj, splitting[1]))
+        return local_blocks(adj, members)
 
     def record_bad(adj, members, *partners):
         checks.append(("bad", adj, None))
@@ -1452,6 +1466,7 @@ def test_sustainability_builds_its_induced_graph_once(monkeypatch):
 
     def record_split(adj, members, v, *rest):
         checks.append(("split", adj, v))
+        splitting[:] = list(members), v
         return split_without(adj, members, v, *rest)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -1462,7 +1477,7 @@ def test_sustainability_builds_its_induced_graph_once(monkeypatch):
         grown = sustainability(g, backbone)
     assert [(kind, members) for kind, members, _ in builds] == [("rows", sorted(backbone))]
     assert [kind for kind, _, _ in checks[:2]] == ["bad", "split"]
-    assert all(skip != -1 for kind, _, skip in checks if kind == "blocks")
+    assert any(kind == "blocks" for kind, _, _ in checks)
     assert all(adj is builds[0][2] for _, adj, _ in checks)
     assert is_m_connected(g, grown, 3) and len(grown) > len(backbone)
     builds = _count_builds(monkeypatch)
