@@ -68,10 +68,6 @@ def _default_seed(value: int | None) -> int:
     return 0
 
 
-def _config_from(args: argparse.Namespace) -> PlutusConfig:
-    return PlutusConfig(k=args.k, m=args.m)
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     seed = _default_seed(args.seed)
     if args.count < 1:
@@ -105,7 +101,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     g, _ = load_graph(args.input)
-    cfg = _config_from(args)
+    cfg = PlutusConfig(k=args.k, m=args.m)
     result = run_plutus(g, cfg)
     payload = result_to_dict(result, cfg)
     text = dumps(payload)
@@ -180,7 +176,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise GraphInputError(f"-n {args.n!r} names no node count")
     if not seeds:
         raise GraphInputError(f"--seeds {args.seeds!r} names no seed")
-    cfg = _config_from(args)
+    cfg = PlutusConfig(k=args.k, m=args.m)
     rows = []
     for n in ns:
         for seed in seeds:

@@ -18,19 +18,19 @@ vertex that splits the set from one palm tree, after pinning at m = 3
 the lowest bad point.  On a 2-connected set that comes from the one separation-pair
 engine, :func:`_bad_points`: one palm tree plus a separation-pair pass,
 about O((n + E) log n), that marks every bad point.  Sustainability fills
-its candidate set from the same engine, which can also record the
-separation pairs themselves, up to a budget of n + E.  From a recorded
-pair {v, c}, :func:`_small_sides` finds the components of the set minus
-both but the largest, by interleaved searches that cost the small side
-only, and counts them, and :func:`_blocks_within` splits them into
-blocks.  A round that joins the only two sides of {v, c} by a one-vertex
-ear retires the pair from the map on that count, with no search.
+its candidate set from the same engine, which records the separation
+pairs themselves, up to a budget of n + E.  From a recorded pair
+{v, c}, :func:`_small_sides` finds the components of the set minus both
+but the largest, by interleaved searches that cost the small side only,
+and counts them, and :func:`_blocks_within` splits them into blocks.
+A round that joins the only two sides of {v, c} by a one-vertex ear
+retires the pair from the map on that count, with no search.
 
 Every path that an augmentation phase promotes comes from one search,
 :func:`_lex_shortest_path`: a BFS from the listed sources, or back from
 the listed targets when the sources are given as a membership test,
-through the vertices a predicate allows, then a smallest-id walk from
-the nearest source.
+through the vertices outside a blocked set, then a smallest-id walk
+from the nearest source.
 
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely across threads.  Every iteration
@@ -45,7 +45,7 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .errors import GraphInputError, SelfLoopError
 
@@ -247,15 +247,15 @@ def _lex_shortest_path(
     g: Graph,
     sources: Iterable[int] | Container[int],
     targets: Iterable[int] | Container[int],
-    allowed: Callable[[int], bool],
+    blocked: Container[int],
 ) -> list[int] | None:
     """Lexicographically smallest among the shortest paths from any source
-    to any target whose internal vertices all satisfy ``allowed``; None
-    when there is none.  A source that is also a target is the path
+    to any target whose internal vertices all lie outside ``blocked``;
+    None when there is none.  A source that is also a target is the path
     [source].
 
     One BFS layers the graph by distance from the listed side, expanding
-    only that side and the vertices ``allowed`` accepts, and stops once
+    only that side and the vertices not in ``blocked``, and stops once
     the layer holding the nearest member of the other side, which is only
     tested with ``in``, is complete.  Listed sources (any object with a
     length) are that side.  Sources given as a membership test (``in``
@@ -286,7 +286,7 @@ def _lex_shortest_path(
                 if y in far:
                     dist[y] = d
                     found.append(y)
-                elif allowed(y):
+                elif y not in blocked:
                     dist[y] = d
                     layer.append(y)
         layers.append(layer)
@@ -656,13 +656,12 @@ def _small_sides(
 
 
 def _bad_points(
-    adj: Sequence[Sequence[int]],
-    members: Sequence[int],
-    partners: dict[int, set[int]] | None = None,
-) -> list[int] | None:
-    """Every bad point of the graph on the sorted vertices ``members``
-    (see :func:`_palm_tree`) in ascending order, empty when the graph is
-    3-connected, or None when a graph of four or more vertices is not
+    adj: Sequence[Sequence[int]], members: Sequence[int]
+) -> tuple[list[int] | None, dict[int, set[int]] | None]:
+    """(bad, partners): every bad point of the graph on the sorted vertices
+    ``members`` (see :func:`_palm_tree`) in ascending order, empty when the
+    graph is 3-connected, and the separation pairs as a partner map, or
+    None for both when a graph of four or more vertices is not
     2-connected.  About O((n + E) log n) for n members, plus one pass over
     arrays as long as ``adj``.
 
@@ -710,31 +709,29 @@ def _bad_points(
     paths walked, and its top slot then points below it; a pushed slot
     points at itself, and the log restores its pointer with its value.
 
-    Given a dict ``partners``, the pass also records the separation pairs
-    behind its hits: b in ``partners[a]`` and a in ``partners[b]`` for each
-    pair {a, b}, so the partners of a bad point v are the cut vertices of
-    the graph minus v.  A type-1 hit is one pair; recording a type-2 hit
-    walks its gap in full, one pair per slot.  The pairs are kept ancestor
-    first in a set, so a pair hit twice counts once.  A cycle has a
-    quadratic number of pairs, so recording stops once the distinct pairs
-    pass a budget of 2n - 1 plus the fronds, n + E for the E edges among
-    the members, and the dict is then left empty; with fewer than four
-    vertices nothing is recorded either.  Type-2 hits name distinct pairs,
-    so the gaps walked stay within the budget plus O(n).
+    The pass also records the separation pairs behind its hits: b in
+    ``partners[a]`` and a in ``partners[b]`` for each pair {a, b}, so the
+    partners of a bad point v are the cut vertices of the graph minus v.
+    A type-1 hit is one pair; recording a type-2 hit walks its gap in
+    full, one pair per slot.  The pairs are kept ancestor first in a set,
+    so a pair hit twice counts once.  A cycle has a quadratic number of
+    pairs, so recording stops once the distinct pairs pass a budget of
+    2n - 1 plus the fronds, n + E for the E edges among the members.
+    Type-2 hits name distinct pairs, so the gaps walked stay within the
+    budget plus O(n).  The map is None when nothing was recorded: past
+    the budget, with fewer than four vertices, or with no pair at all.
     """
     n = len(members)
     if n < 4:
-        return list(members)
-    pairs: set[tuple[int, int]] | None = None  # ancestor first; None: not recording
+        return list(members), None
     span = len(adj)  # vertex-indexed arrays
     by_target: list[list[int]] = [[] for _ in range(n)]  # frond sources by target depth
     order, parent, depth, low = _palm_tree(adj, members, by_target)
     if len(order) < n:
-        return None
-    if partners is not None:
-        # n, plus the n - 1 tree edges, plus one frond per other edge
-        budget = 2 * n - 1 + sum(map(len, by_target))
-        pairs = set()
+        return None, None
+    # n, plus the n - 1 tree edges, plus one frond per other edge
+    budget = 2 * n - 1 + sum(map(len, by_target))
+    pairs: set[tuple[int, int]] | None = set()  # ancestor first; None past the budget
     size = [1] * span
     children: list[list[int]] = [[] for _ in range(span)]
     first_low = [n] * span  # the two smallest child low points of each vertex
@@ -743,7 +740,7 @@ def _bad_points(
         p = parent[x]
         lx = low[x]
         if lx == depth[p]:
-            return None  # p is a cut vertex
+            return None, None  # p is a cut vertex
         size[p] += size[x]
         children[p].append(x)
         if lx < first_low[p]:
@@ -836,11 +833,13 @@ def _bad_points(
                     down[j - 1] = s
             if last >= start:
                 start = last + 1
-    if pairs is not None and len(pairs) <= budget:
+    partners: dict[int, set[int]] | None = None
+    if pairs and len(pairs) <= budget:
+        partners = {}
         for a, b in pairs:
             partners.setdefault(a, set()).add(b)
             partners.setdefault(b, set()).add(a)
-    return [v for v in members if bad[v]]
+    return [v for v in members if bad[v]], partners
 
 
 def _connectivity_witness(g: Graph, nodes: list[int], m: int) -> tuple | None:
@@ -888,7 +887,7 @@ def _connectivity_witness(g: Graph, nodes: list[int], m: int) -> tuple | None:
         return ("too-small", len(nodes))
     candidates: list[tuple[int, ...]] = [()]
     if m == 3:
-        bad = _bad_points(g.adjacency, nodes)
+        bad, _ = _bad_points(g.adjacency, nodes)
         candidates = [(v,) for v in (nodes[:2] if bad is None else bad[:1])]
     for pinned in candidates:
         rest = [v for v in nodes if v not in pinned]

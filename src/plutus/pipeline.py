@@ -28,7 +28,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DisconnectedInputError,
@@ -339,12 +339,12 @@ def _augment_leaf_block(
     c: int,
     backbone: set[int],
     bad: int,
-    allowed: Callable[[int], bool],
 ) -> list[int] | None:
     """The shortest path in g from a member of the leaf block ``leaf``
     other than its cut vertex c to any vertex of the round's set, the
     members of ``backbone`` other than ``bad``, outside the leaf, whose
-    internal vertices all satisfy ``allowed``; None when there is none.
+    internal vertices all lie outside ``backbone``; None when there is
+    none.
 
     The search runs from the smaller side, so a round pays for that side,
     and the other side is a membership test (:class:`_Excluding`).  A
@@ -355,9 +355,9 @@ def _augment_leaf_block(
     from."""
     if isinstance(leaf, _Remainder) or 2 * len(leaf) > len(backbone) - (bad >= 0):
         rest = leaf.rest if isinstance(leaf, _Remainder) else backbone.difference(leaf, (bad,))
-        return _lex_shortest_path(g, _Excluding(backbone, rest | {bad, c}), rest, allowed)
+        return _lex_shortest_path(g, _Excluding(backbone, rest | {bad, c}), rest, backbone)
     sources = [v for v in leaf if v != c]
-    return _lex_shortest_path(g, sources, _Excluding(backbone, leaf | {bad}), allowed)
+    return _lex_shortest_path(g, sources, _Excluding(backbone, leaf | {bad}), backbone)
 
 
 def _split_without(
@@ -439,27 +439,14 @@ def _split_without(
     return leaf, c, sum(c in b for b in blocks)
 
 
-def _record_pairs(
-    rows: list[list[int]], members: list[int]
-) -> tuple[list[int] | None, dict[int, set[int]] | None]:
-    """Every bad point of the backbone, ascending, from one engine pass
-    (None when four or more members are not 2-connected), and the partner
-    map the pass records; None for the map when it recorded nothing (past
-    the engine's budget, or fewer than four members)."""
-    partners: dict[int, set[int]] = {}
-    bad = _bad_points(rows, members, partners)
-    return bad, partners or None
-
-
-def _alternate_pair_path(
-    g: Graph, u: int, v: int, allowed: Callable[[int], bool]
-) -> list[int] | None:
-    """Shortest second route between two adjacent backbone members, which
-    ``allowed`` must reject: a path from u to an allowed neighbour of v,
-    then v, so its length is at least two.  The length-2 case promotes the
-    lowest-id common neighbour, closing a triangle.  With u = v it is the
-    walk u, w, u through the smallest allowed neighbour w of a lone member."""
-    path = _lex_shortest_path(g, (u,), {w for w in g.adjacency[v] if allowed(w)}, allowed)
+def _alternate_pair_path(g: Graph, u: int, v: int, backbone: set[int]) -> list[int] | None:
+    """Shortest second route between two adjacent members of ``backbone``
+    through vertices outside it: a path from u to an outside neighbour of
+    v, then v, so its length is at least two.  The length-2 case promotes
+    the lowest-id common neighbour, closing a triangle.  With u = v it is
+    the walk u, w, u through the smallest outside neighbour w of a lone
+    member."""
+    path = _lex_shortest_path(g, (u,), set(g.adjacency[v]).difference(backbone), backbone)
     return None if path is None else path + [v]
 
 
@@ -475,9 +462,10 @@ def _repair_path(
     shortest alternate route (:func:`_alternate_pair_path`, a common
     neighbour when one exists).  Otherwise the leaf block ``leaf``, with
     cut vertex c, is reconnected to the rest (:func:`_augment_leaf_block`).
-    A round gets stuck only when g is not m-connected: otherwise G - c
-    (G - a - c at m = 3, with bad point a) is connected, so a path leaves
-    the block through outside vertices.
+    Both routes hand ``backbone`` to the path search as the set its
+    internal vertices avoid.  A round gets stuck only when g is not
+    m-connected: otherwise G - c (G - a - c at m = 3, with bad point a) is
+    connected, so a path leaves the block through outside vertices.
 
     Every ear has an internal vertex, so every round promotes at least
     one vertex, and a phase that starts from d ends within n - |d| + 1
@@ -486,12 +474,11 @@ def _repair_path(
     in the set lie in the leaf.  A path with no internal vertex would
     break this and raises AssertionError.
     """
-    outside = lambda x: x not in backbone
     if leaf is None:
         base = sorted(backbone.difference((bad,)))
-        path = _alternate_pair_path(g, base[0], base[-1], outside)
+        path = _alternate_pair_path(g, base[0], base[-1], backbone)
     else:
-        path = _augment_leaf_block(g, leaf, c, backbone, bad, outside)
+        path = _augment_leaf_block(g, leaf, c, backbone, bad)
     if path is not None and not path[1:-1]:
         raise AssertionError(f"augmentation round promoted nothing: path {path}")
     return path
@@ -575,7 +562,7 @@ def sustainability(g: Graph, d: Iterable[int]) -> frozenset[int]:
     rows = _induced_rows(g, members)
     backbone = set(members)
     volume = sum(len(rows[v]) for v in members)  # adjacency entries of the backbone
-    heap, partners = _record_pairs(rows, members)  # ascending: a heap already
+    heap, partners = _bad_points(rows, members)  # ascending: a heap already
     # the engine finds four or more members that are not 2-connected;
     # below four, only a triangle (six adjacency entries) is
     if heap is None or volume < 6:
@@ -602,7 +589,7 @@ def sustainability(g: Graph, d: Iterable[int]) -> frozenset[int]:
                     insort(rows[w], x)
                     volume += 1
         if len(ear) > 1:
-            heap, partners = _record_pairs(rows, members)
+            heap, partners = _bad_points(rows, members)
             continue
         p, q = path[0], path[-1]
         if partners is not None:

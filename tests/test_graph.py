@@ -18,6 +18,7 @@ from plutus import (
     is_m_connected,
     random_geometric,
     run_plutus,
+    sustainability,
 )
 from plutus.geometry import splitmix64
 from plutus.graph import (
@@ -234,9 +235,9 @@ class TestFromPoints:
         assert from_points(points, radius) == naive_from_points(points, radius)
 
 
-def path_between(g: Graph, u: int, v: int, allowed=lambda x: True) -> list[int] | None:
-    """The one path search from u to v, internal vertices passing ``allowed``."""
-    return _lex_shortest_path(g, (u,), (v,), allowed)
+def path_between(g: Graph, u: int, v: int, blocked=()) -> list[int] | None:
+    """The one path search from u to v, internal vertices outside ``blocked``."""
+    return _lex_shortest_path(g, (u,), (v,), blocked)
 
 
 def hops(g: Graph, u: int, v: int) -> int | None:
@@ -274,11 +275,10 @@ class TestHopDistance:
 
 class TestShortestPath:
     def test_internal_constraint_forces_detour(self, c4):
-        blocked = {0, 1, 2}
-        assert path_between(c4, 0, 2, lambda v: v not in blocked) == [0, 3, 2]
+        assert path_between(c4, 0, 2, {0, 1, 2}) == [0, 3, 2]
 
     def test_forbidden_cuts_only_route(self, p3):
-        assert path_between(p3, 0, 2, lambda v: v != 1) is None
+        assert path_between(p3, 0, 2, {1}) is None
 
     def test_adjacent_endpoints(self, k4):
         assert path_between(k4, 1, 3) == [1, 3]
@@ -315,9 +315,9 @@ class TestShortestPath:
         u, v = data.draw(nodes), data.draw(nodes)
         forbidden = data.draw(st.sets(nodes)) - {u, v}
         constraint = data.draw(st.none() | st.sets(nodes))
-        allowed = lambda x: x not in forbidden and (constraint is None or x in constraint)
-        expected = naive_lex_shortest_path(g, (u,), (v,), allowed)
-        assert path_between(g, u, v, allowed) == expected
+        blocked = forbidden | (set() if constraint is None else set(range(g.node_count)) - constraint)
+        expected = naive_lex_shortest_path(g, (u,), (v,), lambda x: x not in blocked)
+        assert path_between(g, u, v, blocked) == expected
 
     @given(st.data())
     @settings(max_examples=300)
@@ -326,15 +326,26 @@ class TestShortestPath:
         g = random_connected_graph(seed) if data.draw(st.booleans()) else random_graph(seed)
         nodes = st.integers(0, g.node_count - 1)
         sources, targets = data.draw(st.sets(nodes)), data.draw(st.sets(nodes))
-        allowed = data.draw(st.sets(nodes)).__contains__
-        expected = naive_lex_shortest_path(g, sources, targets, allowed)
-        assert _lex_shortest_path(g, sources, targets, allowed) == expected
+        blocked = set(range(g.node_count)) - data.draw(st.sets(nodes))
+        expected = naive_lex_shortest_path(g, sources, targets, lambda x: x not in blocked)
+        assert _lex_shortest_path(g, sources, targets, blocked) == expected
 
     def test_nearest_source_found_last_still_wins(self):
         # 4 is discovered (through 1) before 3 (through 2); both are at
         # distance 2 and the smaller id starts the path
         g = from_edge_list(5, [(0, 1), (0, 2), (1, 4), (2, 3)])
-        assert _lex_shortest_path(g, {3, 4}, {0}, lambda x: True) == [3, 2, 0]
+        assert _lex_shortest_path(g, {3, 4}, {0}, ()) == [3, 2, 0]
+
+
+class AskedNothing:
+    """A blocked set that holds nothing and records every vertex tested."""
+
+    def __init__(self):
+        self.asked = []
+
+    def __contains__(self, x):
+        self.asked.append(x)
+        return False
 
 
 class TestLexShortestPath:
@@ -356,38 +367,38 @@ class TestLexShortestPath:
         if data.draw(st.booleans()):
             small = set(sorted(small)[1:]) | set(sorted(large)[:1])  # share a vertex
         equal = set(sorted(large)[: len(small)])
-        allowed = data.draw(st.sets(nodes)).__contains__
+        blocked = set(range(g.node_count)) - data.draw(st.sets(nodes))
         for sources, targets in (
             (small, large), (large, small), (small, equal), (equal, small), (large, large),
         ):
-            expected = naive_lex_shortest_path(g, sources, targets, allowed)
-            assert _lex_shortest_path(g, sources, targets, allowed) == expected
+            expected = naive_lex_shortest_path(g, sources, targets, lambda x: x not in blocked)
+            assert _lex_shortest_path(g, sources, targets, blocked) == expected
             tested = _Excluding(sources, ())
-            assert _lex_shortest_path(g, tested, targets, allowed) == expected
+            assert _lex_shortest_path(g, tested, targets, blocked) == expected
 
     def test_search_runs_from_the_listed_side(self):
         # a path 0 - 1 - ... - 99 with a target two steps from source 0 and
-        # fifty far away: only vertex 1 is ever offered to the predicate,
-        # whether the fifty are listed targets of the listed source 0 or
-        # sources given as a membership test, searched back from target 0
+        # fifty far away: only vertex 1 is ever tested against the blocked
+        # set, whether the fifty are listed targets of the listed source 0
+        # or sources given as a membership test, searched back from target 0
         g = path_graph(100)
         many = {2, *range(50, 100)}
         for sources, targets, expected in (
             ({0}, many, [0, 1, 2]), (_Excluding(many, ()), {0}, [2, 1, 0]),
         ):
-            asked = []
-            allowed = lambda x: asked.append(x) or True
-            assert _lex_shortest_path(g, sources, targets, allowed) == expected
-            assert asked == [1]
+            blocked = AskedNothing()
+            assert _lex_shortest_path(g, sources, targets, blocked) == expected
+            assert blocked.asked == [1]
 
     def test_forward_tie_ends_where_the_smallest_walk_ends(self):
         # 5 and 6 are both two steps from source 0; the smallest walk
         # 0 - 1 - 6 ends at the larger of the two targets
         g = from_edge_list(10, [(0, 1), (0, 2), (1, 6), (2, 5)])
-        for allowed in (lambda x: True, {1, 2}.__contains__):
-            assert _lex_shortest_path(g, {0}, {5, 6, 9}, allowed) == [0, 1, 6]
+        for blocked in ((), set(range(10)) - {1, 2}):
+            assert _lex_shortest_path(g, {0}, {5, 6, 9}, blocked) == [0, 1, 6]
+            allowed = lambda x: x not in blocked
             assert naive_lex_shortest_path(g, {0}, {5, 6, 9}, allowed) == [0, 1, 6]
-        assert _lex_shortest_path(g, {0}, {5, 6, 9}, {2}.__contains__) == [0, 2, 5]
+        assert _lex_shortest_path(g, {0}, {5, 6, 9}, set(range(10)) - {2}) == [0, 2, 5]
 
     def test_forward_marks_one_layer_at_a_time(self):
         # sources iterate as 8, 1, so layer 1 is [3, 2]; 2 lies beside the
@@ -395,16 +406,16 @@ class TestLexShortestPath:
         # from 1 through 2 would find no next step
         g = from_edge_list(9, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 8)])
         assert list(frozenset({1, 8})) == [8, 1]
-        assert _lex_shortest_path(g, {1, 8}, {4, 5, 6}, lambda x: True) == [1, 3, 4]
+        assert _lex_shortest_path(g, {1, 8}, {4, 5, 6}, ()) == [1, 3, 4]
 
     def test_forward_overlap_and_unreachable_targets(self):
         g = from_edge_list(6, [(0, 1), (1, 2), (3, 4)])
         # a source that is a target is the whole path, the smallest such
-        assert _lex_shortest_path(g, {1, 4}, {0, 1, 2, 4, 5}, lambda x: True) == [1]
-        # 3 and 4 are cut off, 5 is isolated, and 1 is not allowed inside
-        assert _lex_shortest_path(g, {3}, {0, 2, 5}, lambda x: True) is None
-        assert _lex_shortest_path(g, {0}, {2, 3, 5}, lambda x: x != 1) is None
-        assert _lex_shortest_path(g, {0}, {2, 3, 5}, lambda x: True) == [0, 1, 2]
+        assert _lex_shortest_path(g, {1, 4}, {0, 1, 2, 4, 5}, ()) == [1]
+        # 3 and 4 are cut off, 5 is isolated, and 1 is blocked inside
+        assert _lex_shortest_path(g, {3}, {0, 2, 5}, ()) is None
+        assert _lex_shortest_path(g, {0}, {2, 3, 5}, {1}) is None
+        assert _lex_shortest_path(g, {0}, {2, 3, 5}, ()) == [0, 1, 2]
 
 
 def blocks_by_id(g: Graph, subset) -> tuple[list[list[int]] | None, set[int]]:
@@ -843,13 +854,18 @@ def bad_points(g: Graph, subset=None) -> list[int] | None:
     """The separation-pair engine's bad points, read from the graph's own
     adjacency (None on a set of four or more that is not 2-connected).  On
     a subset the engine runs on the rows indexed by node id and on the
-    reference local adjacency, and both must name the same vertices."""
+    reference local adjacency, and both must name the same vertices and
+    record the same partner map."""
     if subset is None:
-        return _bad_points(g.adjacency, range(g.node_count))
+        return _bad_points(g.adjacency, range(g.node_count))[0]
     nodes = sorted(subset)
-    bad = _bad_points(_induced_rows(g, nodes), nodes)
-    local = _bad_points(local_adjacency(g, nodes), range(len(nodes)))
+    bad, partners = _bad_points(_induced_rows(g, nodes), nodes)
+    local, local_partners = _bad_points(local_adjacency(g, nodes), range(len(nodes)))
     assert bad == (None if local is None else [nodes[v] for v in local])
+    assert partners == (
+        None if local_partners is None
+        else {nodes[a]: {nodes[b] for b in row} for a, row in local_partners.items()}
+    )
     return bad
 
 
@@ -1064,9 +1080,8 @@ class TestBadPoints:
         ladder = ladder_graph(150)
         assert bad_points(ladder) == sweep_bad_points(ladder, range(300))
         # the cycle's pairs pass the recording budget, so none are kept
-        partners: dict = {}
-        assert _bad_points(cycle_graph(3000).adjacency, range(3000), partners) == list(range(3000))
-        assert partners == {}
+        bad, partners = _bad_points(cycle_graph(3000).adjacency, range(3000))
+        assert bad == list(range(3000)) and partners is None
 
     @given(seeds, st.integers(min_value=1, max_value=3), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -1079,17 +1094,18 @@ class TestBadPoints:
         nodes = [v for v in range(g.node_count) if whole or splitmix_pick(seed, v)]
         assume(len(nodes) >= 4 and naive_m_connected(g, nodes, 2))
         rows = _induced_rows(g, nodes)
-        partners: dict = {}
-        assert _bad_points(rows, nodes, partners) == _bad_points(rows, nodes)
+        bad, partners = _bad_points(rows, nodes)
+        assert bad == naive_bad_points(g, nodes)
         pairs = {
             (a, b) for a, b in itertools.combinations(nodes, 2)
             if not induced_connected(g, set(nodes) - {a, b})
         }
-        recorded = {(a, b) for a, row in partners.items() for b in row}
+        recorded = {(a, b) for a, row in (partners or {}).items() for b in row}
         budget = len(nodes) + sum(len(rows[v]) for v in nodes) // 2
         assert recorded in (set(), pairs | {(b, a) for a, b in pairs})
         assert len(pairs) <= budget or not recorded
         assert bool(recorded) == (0 < len(pairs) <= budget)
+        assert (partners is None) == (not recorded)
 
     def test_pairs_hit_twice_count_once_against_the_budget(self):
         # 22 distinct separation pairs meet the budget of |D| + E(D) = 22
@@ -1104,8 +1120,8 @@ class TestBadPoints:
             if not induced_connected(g, set(nodes) - {a, b})
         }
         assert len(pairs) == 10 + 12
-        partners: dict = {}
-        assert _bad_points(g.adjacency, nodes, partners) == naive_bad_points(g, nodes)
+        bad, partners = _bad_points(g.adjacency, nodes)
+        assert bad == naive_bad_points(g, nodes)
         assert {(a, b) for a, row in partners.items() for b in row if a < b} == pairs
 
     @pytest.mark.parametrize("n", [7, 8])
@@ -1120,10 +1136,50 @@ class TestBadPoints:
         pairs = {(a, b) for a, b in itertools.combinations(nodes, 2) if 1 < b - a < n - 1}
         assert len(pairs) == {7: 14, 8: 20}[n]
         for adj in (g.adjacency, _induced_rows(g, nodes)):
-            partners: dict = {}
-            assert _bad_points(adj, nodes, partners) == nodes
-            recorded = {(a, b) for a, row in partners.items() for b in row if a < b}
-            assert recorded == (pairs if n == 7 else set())
+            bad, partners = _bad_points(adj, nodes)
+            assert bad == nodes
+            if n == 8:
+                assert partners is None
+                continue
+            assert {(a, b) for a, row in partners.items() for b in row if a < b} == pairs
+
+    @pytest.mark.parametrize("n, radius, seed", [
+        (500, 0.09, 28), (1000, 0.064, 18), (2000, 0.046, 36), (4000, 0.0325, 100),
+    ])
+    def test_one_palm_tree_per_member_on_the_m3_corpus(self, n, radius, seed):
+        # the engine on sustainability's input (the k = 2, m = 2 backbone),
+        # its output, that output less one member and a BFS prefix of it,
+        # against the cut vertices of S - v from one block DFS per member
+        # v: every member up to n = 2000, a seeded eighth of them at 4000
+        g = random_geometric(n, radius, seed).graph()
+        d2 = sorted(run_plutus(g, PlutusConfig(k=2, m=2)).dominating_set)
+        d3 = sorted(sustainability(g, d2))
+        rows = _induced_rows(g, d3)
+        prefix = [d3[splitmix64(seed, 1) % len(d3)]]
+        seen = set(prefix)
+        for x in prefix:  # grows as it is read: a BFS of D3
+            prefix += [y for y in rows[x] if y not in seen]
+            seen.update(rows[x])
+        drop = d3[splitmix64(seed, 0) % len(d3)]
+        sets = [d2, d3, [v for v in d3 if v != drop], sorted(prefix[: len(d3) // 2])]
+        for members in sets:
+            rows = _induced_rows(g, members)
+            bad, partners = _bad_points(rows, members)
+            blocks, cut = _local_blocks(rows, members)
+            assert is_m_connected(g, members, 3) == (bad == [])
+            if len(members) >= 4 and (blocks is None or cut):  # not 2-connected
+                assert (bad, partners) == (None, None)
+                continue
+            checked = [v for v in members if n <= 2000 or splitmix64(seed, v) % 8 == 0]
+            cuts = {v: _local_blocks(rows, [u for u in members if u != v])[1] for v in checked}
+            assert [v for v in checked if v in bad] == [v for v in checked if cuts[v]]
+            if partners is not None:
+                assert {v: partners.get(v, set()) for v in checked} == cuts
+            elif n <= 2000:
+                pairs = sum(map(len, cuts.values())) // 2
+                assert pairs == 0 or pairs > len(members) + sum(map(len, rows)) // 2
+            if n <= 2000:
+                assert bad == [v for v in members if cuts[v]]
 
 
 class TestDisconnectingSet:
@@ -1238,12 +1294,9 @@ class TestPalmTree:
                 assert by_graph[3] == by_rows[3]
                 assert [by_graph[3][v] for v in members] == low
                 assert _local_blocks(g.adjacency, members) == _local_blocks(rows, members)
-                found = []
-                for adj in (g.adjacency, rows):
-                    partners: dict = {}
-                    found.append((_bad_points(adj, members, partners), partners))
+                found = [_bad_points(adj, members) for adj in (g.adjacency, rows)]
                 assert found[0] == found[1]
-                recorded.append(bool(found[0][1]))
+                recorded.append(found[0][1] is not None)
         assert any(recorded)
 
 

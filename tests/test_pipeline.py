@@ -36,7 +36,7 @@ from plutus import (
 import plutus.graph
 from plutus import pipeline
 from plutus.geometry import splitmix64
-from plutus.graph import _induced_rows, _local_blocks
+from plutus.graph import _induced_rows, _lex_shortest_path, _local_blocks
 from plutus.pipeline import _alternate_pair_path, _augment_leaf_block, _first_leaf
 from plutus.serialize import dumps, result_to_dict
 
@@ -821,10 +821,10 @@ def _recorded_rounds(monkeypatch, phase, g, backbone):
         assert all(adj[v] == [] for v in range(g.node_count) if v not in nodes)
         kept.append(adj)
 
-    def record_bad(adj, members, *partners):
+    def record_bad(adj, members):
         check_adjacency(adj, members)
         calls.append("engine")
-        return bad_points(adj, members, *partners)
+        return bad_points(adj, members)
 
     def record_blocks(adj, members):
         if phase is diversification:
@@ -1053,9 +1053,8 @@ class TestPartnerRounds:
         for g, d in _past_budget_graphs(n):
             outcome, tests = _partner_rounds(g, d)
             assert outcome == _phase_outcome(naive_sustainability, g, d)
-            pairs: dict = {}
-            assert pipeline._bad_points(local_adjacency(g, d), d, pairs) == list(d)
-            assert pairs == {} and tests[0][1] == "dfs"
+            bad, pairs = pipeline._bad_points(local_adjacency(g, d), d)
+            assert bad == list(d) and pairs is None and tests[0][1] == "dfs"
 
     def test_an_ear_makes_its_ends_a_pair(self):
         # {0, 2} does not separate D = {0, 1, 2, 3}; the round on its bad
@@ -1085,23 +1084,22 @@ class TestPartnerRounds:
         ])
         d = {0, 1, 2, 3}
         recorded = []
-        record_pairs = pipeline._record_pairs
+        bad_points = pipeline._bad_points
 
         def record(rows, members):
-            bad, partners = record_pairs(rows, members)
+            bad, partners = bad_points(rows, members)
             copied = {v: set(w) for v, w in (partners or {}).items()}
             recorded.append((list(members), list(bad), copied))
             return bad, partners
 
-        monkeypatch.setattr(pipeline, "_record_pairs", record)
+        monkeypatch.setattr(pipeline, "_bad_points", record)
         outcome, tests = _partner_rounds(g, d)
         assert outcome == frozenset(range(7)) == naive_sustainability(g, d)
         assert [members for members, _, _ in recorded] == [[0, 1, 2, 3], [0, 1, 2, 3, 4, 5]]
         members, bad, partners = recorded[1]
-        fresh: dict = {}
-        assert pipeline._bad_points(_induced_rows(g, members), members, fresh) == bad
+        assert bad_points(_induced_rows(g, members), members) == (bad, partners)
         assert bad == [1, 3, 4, 5]
-        assert partners == fresh == {1: {3, 5}, 3: {1, 4}, 4: {3}, 5: {1}}
+        assert partners == {1: {3, 5}, 3: {1, 4}, 4: {3}, 5: {1}}
         # the entry map and the recorded one each answer a round
         assert [(v, how) for v, how, _ in tests[:2]] == [(0, "partners"), (1, "partners")]
 
@@ -1129,6 +1127,22 @@ class TestPartnerRounds:
         outcome, tests = _partner_rounds(g, d)
         assert outcome == frozenset({0, 1, 3, 5, 7}) == naive_sustainability(g, d)
         assert tests[0] == (1, "partners", False)
+
+    def test_a_split_with_no_top_level_partner_is_an_internal_error(self, monkeypatch):
+        # some partner of v is in no other partner's small side, as
+        # _split_without proves; searches that put each of 0's partners
+        # 2, 3 and 4 in C_6 in the small sides of the other two break
+        # that, and the split raises rather than name no leaf
+        g = cycle_graph(6)
+        members = list(range(6))
+        partners = {0: {2, 3, 4}, 2: {0}, 3: {0}, 4: {0}}
+
+        def crossed_sides(adj, v, c, work):
+            return partners[v] - {c}, 0, 2
+
+        monkeypatch.setattr(pipeline, "_small_sides", crossed_sides)
+        with pytest.raises(AssertionError, match=r"^no partner of 0 is top-level: \[2, 3, 4\]$"):
+            pipeline._split_without(_induced_rows(g, members), members, 0, partners, 100)
 
 
 def _tree_of_blocks(seed):
@@ -1189,8 +1203,7 @@ def test_partner_route_agrees_with_the_block_dfs(monkeypatch):
     for g in graphs:
         members = list(range(g.node_count))
         rows = _induced_rows(g, members)
-        partners: dict = {}
-        bad = pipeline._bad_points(rows, members, partners)
+        bad, partners = pipeline._bad_points(rows, members)
         if not bad or not partners:
             continue
         for v in bad:
@@ -1312,9 +1325,9 @@ def test_every_leaf_round_tests_membership_in_one_side(monkeypatch):
         built.append(args)
         return excluding(*args)
 
-    def record_sides(graph, leaf, c, backbone, bad, allowed):
+    def record_sides(graph, leaf, c, backbone, bad):
         before = len(built)
-        path = augment_leaf_block(graph, leaf, c, backbone, bad, allowed)
+        path = augment_leaf_block(graph, leaf, c, backbone, bad)
         ((tested, skip),) = built[before:]
         if isinstance(leaf, pipeline._Remainder):
             kind, members = "remainder", backbone - leaf.rest - {bad}
@@ -1460,9 +1473,9 @@ def test_sustainability_builds_its_induced_graph_once(monkeypatch):
         checks.append(("blocks", adj, splitting[1]))
         return local_blocks(adj, members)
 
-    def record_bad(adj, members, *partners):
+    def record_bad(adj, members):
         checks.append(("bad", adj, None))
-        return bad_points(adj, members, *partners)
+        return bad_points(adj, members)
 
     def record_split(adj, members, v, *rest):
         checks.append(("split", adj, v))
@@ -1497,8 +1510,9 @@ def test_sustainability_builds_its_induced_graph_once(monkeypatch):
 
 class TestAugmentationPaths:
     """Both augmentation steps take the lexicographically smallest
-    shortest admissible path, checked against simple-path enumeration on
-    random graphs with random forbidden sets and constraints."""
+    shortest path through vertices outside the backbone, checked against
+    simple-path enumeration on random graphs with random blocked sets,
+    each a forbidden set plus the complement of a constraint."""
 
     @given(st.data())
     @settings(max_examples=300)
@@ -1512,16 +1526,19 @@ class TestAugmentationPaths:
         assume(tree.leaf_blocks)
         blocked = base | data.draw(st.sets(nodes))
         constraint = data.draw(st.sets(nodes))
-        allowed = lambda x: x not in blocked and x in constraint
+        blocked |= set(range(g.node_count)) - constraint
         leaf = tree.leaf_blocks[0]
-        expected = naive_lex_shortest_path(g, leaf - tree.cut_vertices, base - leaf, allowed)
+        sources, targets = leaf - tree.cut_vertices, base - leaf
+        expected = naive_lex_shortest_path(g, sources, targets, lambda x: x not in blocked)
+        assert _lex_shortest_path(g, sources, targets, blocked) == expected
         members = sorted(base)
         blocks, cut = _local_blocks(_induced_rows(g, members), members)
         leaves = [b for b in blocks if len(cut.intersection(b)) == 1]
         assert sorted(map(frozenset, leaves), key=sorted) == list(tree.leaf_blocks)
         (c,) = leaf & tree.cut_vertices
         assert _first_leaf(leaves, cut) == (leaf, c)
-        assert _augment_leaf_block(g, leaf, c, base, -1, allowed) == expected
+        expected = naive_lex_shortest_path(g, sources, targets, lambda x: x not in base)
+        assert _augment_leaf_block(g, leaf, c, base, -1) == expected
 
     @given(st.data())
     @settings(max_examples=300)
@@ -1533,24 +1550,24 @@ class TestAugmentationPaths:
             u, v = v, u
         blocked = {u, v} | data.draw(st.sets(nodes))
         constraint = data.draw(st.sets(nodes))
-        allowed = lambda x: x not in blocked and x in constraint
+        blocked |= set(range(g.node_count)) - constraint
         # the second route must not be the edge itself: search without it
         without_uv = from_edge_list(
             g.node_count, [e for e in g.edges() if set(e) != {u, v}]
         )
-        expected = naive_lex_shortest_path(without_uv, (u,), (v,), allowed)
-        assert _alternate_pair_path(g, u, v, allowed) == expected
+        expected = naive_lex_shortest_path(without_uv, (u,), (v,), lambda x: x not in blocked)
+        assert _alternate_pair_path(g, u, v, blocked) == expected
 
     @given(st.data())
     @settings(max_examples=100)
     def test_lone_member_adopts_smallest_allowed_neighbour(self, data):
         g = random_connected_graph(data.draw(seeds))
         v = data.draw(st.integers(0, g.node_count - 1))
-        allowed_set = data.draw(st.sets(st.integers(0, g.node_count - 1))) - {v}
-        allowed = lambda x: x in allowed_set
-        adopted = [w for w in g.adjacency[v] if allowed(w)]
+        allowed = data.draw(st.sets(st.integers(0, g.node_count - 1))) - {v}
+        blocked = set(range(g.node_count)) - allowed
+        adopted = [w for w in g.adjacency[v] if w in allowed]
         expected = [v, adopted[0], v] if adopted else None
-        assert _alternate_pair_path(g, v, v, allowed) == expected
+        assert _alternate_pair_path(g, v, v, blocked) == expected
 
     def test_every_leaf_form_takes_the_same_path(self):
         # a leaf of D - v reaches the round step listed, searched from when
@@ -1583,7 +1600,7 @@ class TestAugmentationPaths:
                     forced = Claimed(leaf)
                     forced.size = 0 if large else len(backbone)
                     for form in (set(leaf), forced, pipeline._Remainder(rest, c, v, members)):
-                        assert _augment_leaf_block(g, form, c, backbone, v, outside) == expected
+                        assert _augment_leaf_block(g, form, c, backbone, v) == expected
                     taken.add((large, expected is not None))
         assert taken == {(False, True), (True, True), (False, False), (True, False)}
 
