@@ -100,7 +100,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    g, _ = load_graph(args.input)
+    g = load_graph(args.input)[0]
     cfg = PlutusConfig(k=args.k, m=args.m)
     result = run_plutus(g, cfg)
     payload = result_to_dict(result, cfg)
@@ -126,7 +126,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if math.isnan(args.stretch_threshold):
         # Every comparison with NaN is false, so such a threshold never warns.
         raise GraphInputError("--stretch-threshold must be a number, got nan")
-    g, _ = load_graph(args.graph)
+    g = load_graph(args.graph)[0]
     backbone, k_file, m_file = result_from_dict(read_json(args.result))
     k = args.k if args.k is not None else k_file
     m = args.m if args.m is not None else m_file
@@ -145,7 +145,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    g, _ = load_graph(args.graph)
+    g = load_graph(args.graph)[0]
     result = brute_force_min_mcds(g, args.k, args.m, args.size_cap)
     sys.stdout.write(dumps(oracle_to_dict(result, args.k, args.m)))
     return EXIT_OK

@@ -181,13 +181,16 @@ def backbone_stretch(g: Graph, s: Iterable[int]) -> tuple[float, DistanceReport 
 
     A level-synchronous BFS from a block of sources at once, one bit
     each, grows every vertex's masks of the sources within plain and
-    within routed distance d (see :func:`_stretch_block`, which gets the
-    member set to shrink its routed sweep).  Every routed distance is at
-    most ``reach`` (:func:`_routed_reach`, three O(n + E) searches shared
-    by all blocks), which cuts both searches short.  The blocks keep to
-    the memory budget ``_STRETCH_BUDGET`` (see :func:`_source_blocks`),
-    so a graph of up to 8192 nodes takes one pass; the answer does not
-    depend on the width.
+    within routed distance d, and keeps one ball per plain level, the
+    lower sources within it, so that one test per vertex and routed
+    level finds the pairs that can raise the worst (see
+    :func:`_stretch_block`, which gets the member set to shrink its
+    routed sweep).  Every routed distance is at most ``reach``
+    (:func:`_routed_reach`, three O(n + E) searches shared by all
+    blocks), which cuts both searches short.  The blocks keep to the
+    memory budget ``_STRETCH_BUDGET`` (see :func:`_source_blocks`), so a
+    graph of up to 8192 nodes takes one pass; the answer does not depend
+    on the width.
     """
     nodes = _as_subset(g, s)
     witness = _cds_witness(g, nodes)
@@ -273,107 +276,86 @@ def _stretch_block(
     distance ``level`` of v and ``routed[v]`` those within routed distance
     ``level``; a routed path may leave a source or a member (``relays[v]``
     lists v's member neighbours).  Both distances are symmetric, so u can
-    be the source of every pair.  Masks only grow and routed lies within
-    plain, so a plain level adds ``new ^ (old | routed[v])`` to v's pairs
-    that route further: ``pending[v] = [a, unrouted, mask_a, ...]``, where
-    mask_d, as it entered, holds those at plain distance d, and
-    ``unrouted`` those not routed yet.  A routed level tests ``unrouted``
-    once; the first mask_d, d <= level * d_g // d_backbone, with a newly
-    routed source has the only ratio that can raise or tie the worst.
-    Leading masks with no unrouted source go.  A pair at plain distance a
-    routes at most ``reach``, so it can tie the worst only while a <=
-    ``cap`` = reach * d_g // d_backbone.  The worst only rises, so the
-    plain search stops at the first level past ``cap``, and masks past it
-    go whenever the worst rises.  Then no pair enters ``pending`` again
-    and a non-member's routed mask is read by no other vertex, so the
-    routed sweep keeps members and pending vertices only, until nothing
-    is pending.  Ties keep the first pair.
+    be the source of every pair.  After plain level a, ``balls[a][v]``
+    holds the sources u < v (``below[v]``) within plain distance a; at
+    a < 2 every pair routes at its plain distance, so those balls are
+    empty.  Routed level ``level`` tests each vertex once: the sources it
+    newly routes within ball amax, amax = level * d_g // d_backbone, are
+    the only pairs that can raise or tie the worst, and of these the
+    first ball a that holds one has the largest ratio, its lowest bit the
+    first pair.  A pair at plain distance a routes at most ``reach``, so
+    it can tie the worst only while a <= ``cap`` = reach * d_g //
+    d_backbone.  The worst only rises, so the plain search stops at the
+    first level past ``cap``, and balls past it go whenever the worst
+    rises.  Then a non-member's routed mask is read by no other vertex,
+    so the routed sweep keeps the members and the vertices whose top ball
+    still holds an unrouted source, until none is left.  Ties keep the
+    first pair.
 
     One call costs O(L * (n + E)) ORs of (hi - lo)-bit masks, L <= reach
     the largest routed distance of a pair within ``cap``.  It holds
-    ``plain``, ``routed``, one sweep's grown masks and ``pending``: up to
-    one unrouted and ``cap`` level masks per vertex.
+    ``plain``, ``routed``, one sweep's grown masks, ``below`` and the
+    balls.  A routed source never counts again: each new ball makes the
+    balls 2, 4, 8, ... levels older keep only their unrouted sources, and
+    the masks of the old balls are then mostly 0.
     """
     n = len(adjacency)
     full = (1 << (hi - lo)) - 1
+    below = [0] * (lo + 1) + [(1 << (v - lo)) - 1 for v in range(lo + 1, hi)]
+    below += [full] * (n - hi)
     # One hop is one hop on both routes, because a source may be left.
     plain = [0] * n
     for u in range(lo, hi):
         for w in (u, *adjacency[u]):
             plain[w] |= 1 << (u - lo)
     routed = plain[:]
-    pending: dict[int, list[int]] = {}
+    balls = [[0] * n] * 2
     plain_live = routed_live = [v for v in range(n) if plain[v] != full]
     d_backbone, d_g, pair = worst
     cap = reach * d_g // d_backbone
     # no routed distance exceeds reach, so no later level settles a pair
     for level in range(2, reach + 1):
-        if not (plain_live or pending):
-            break
-        amax = level * d_g // d_backbone
+        ball = balls[min(level * d_g // d_backbone, len(balls) - 1)]
         grown = routed[:]
         for v in routed_live:
-            mask = routed[v]
+            old = mask = routed[v]
             for w in relays[v]:
                 mask |= routed[w]
             grown[v] = mask
-            entries = pending.get(v)
-            hit = entries and mask & entries[1]
-            if not hit:
-                continue
-            unrouted = entries[1]
-            first = entries[0]
-            if first <= amax:
-                for a in range(first, min(amax + 1, first + len(entries) - 2)):
-                    found = entries[a - first + 2] & hit
-                    if found:
-                        u = lo + (found & -found).bit_length() - 1
-                        if a * d_backbone < level * d_g or (u, v) < pair:
-                            d_backbone, d_g, pair, amax = level, a, (u, v), a
-                        break
-            entries[1] = unrouted = unrouted ^ hit
-            if not unrouted:
-                del pending[v]
-                continue
-            while not entries[2] & unrouted:
-                del entries[2]
-                entries[0] += 1
+            hit = (mask ^ old) & ball[v]
+            if hit:
+                a = 2
+                while not (found := hit & balls[a][v]):
+                    a += 1
+                u = lo + (found & -found).bit_length() - 1
+                if a * d_backbone < level * d_g or (u, v) < pair:
+                    d_backbone, d_g, pair, ball = level, a, (u, v), balls[a]
         routed = grown
         if reach * d_g // d_backbone < cap:
             cap = reach * d_g // d_backbone
-            # no pending entry yet holds a plain distance past level - 1
-            for v in list(pending) if cap < level - 1 else ():
-                entries = pending[v]
-                keep = max(2, cap - entries[0] + 3)
-                for mask in entries[keep:]:
-                    entries[1] &= ~mask
-                del entries[keep:]
-                if not entries[1]:
-                    del pending[v]
+            del balls[cap + 1:]
         if level > cap:
             # the cutoff never rises again, so the plain search is done
             plain_live, plain = [], []
-        grown = plain[:]
-        for v in plain_live:
-            old = mask = plain[v]
-            for w in adjacency[v]:
-                mask |= plain[w]
-            grown[v] = mask
-            if v > lo:
-                fresh = mask ^ (old | routed[v])
-                if fresh and v < hi:
-                    fresh &= (1 << (v - lo)) - 1
-                if fresh:
-                    entries = pending.setdefault(v, [level, 0])
-                    entries[1] |= fresh
-                    # a zero mask for each level that added nothing
-                    while len(entries) < level - entries[0] + 2:
-                        entries.append(0)
-                    entries.append(fresh)
-        plain = grown
-        plain_live = [v for v in plain_live if plain[v] != full]
+        if plain_live:
+            grown = plain[:]
+            for v in plain_live:
+                mask = plain[v]
+                for w in adjacency[v]:
+                    mask |= plain[w]
+                grown[v] = mask
+            plain = grown
+            balls.append([p & b for p, b in zip(plain, below)])
+            age = 2
+            while age < len(balls) - 2:
+                balls[-1 - age] = [b and b ^ (b & r) for b, r in zip(balls[-1 - age], routed)]
+                age *= 2
+            plain_live = [v for v in plain_live if plain[v] != full]
+        top = balls[-1]
         routed_live = [v for v in routed_live if routed[v] != full
-                       and (plain_live or v in members or v in pending)]
+                       and (plain_live or v in members or top[v] & routed[v] != top[v])]
+        if not (plain_live or any(top[v] & routed[v] != top[v] for v in routed_live)):
+            break
     return d_backbone, d_g, pair
 
 

@@ -5,7 +5,7 @@ from itertools import combinations
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plutus import (
@@ -35,6 +35,7 @@ from .conftest import complete_graph, cycle_graph, path_graph, star_graph, struc
 from .helpers import (
     _distances_from,
     naive_backbone_stretch,
+    naive_components,
     naive_disconnecting_set,
     naive_lowest_bad_point,
     naive_min_mcds,
@@ -402,6 +403,21 @@ def graph_with_cds(draw):
     return g, inner | set(draw(st.lists(node, max_size=n)))
 
 
+@st.composite
+def sparse_unit_disk_with_cds(draw):
+    """The largest component, of 20 to 60 nodes, of a sparse unit-disk
+    graph, in random node order, and a random connected dominating set of
+    it: a greedy one plus any extra nodes.  Such components are long and
+    thin, so the stretch search often runs ten plain levels and more."""
+    g = random_geometric(draw(st.integers(30, 80)), draw(st.floats(0.14, 0.2)), draw(seeds)).graph()
+    component = max(naive_components(g, range(g.node_count)), key=len)
+    assume(20 <= len(component) <= 60)
+    new = dict(zip(draw(st.permutations(component)), range(len(component))))
+    g = from_edge_list(len(new), [(new[u], new[v]) for u, v in g.edges() if u in new])
+    node = st.integers(min_value=0, max_value=g.node_count - 1)
+    return g, set(domination(g, isolation(g)[0])) | set(draw(st.lists(node, max_size=30)))
+
+
 def _chained_detours(order: list[int]) -> tuple:
     """Two shortcuts through outsiders, 1-2-5 and 5-4-8, that the backbone
     replaces by 1-3-6-5 and 5-0-7-8, relabelled by ``order`` (old v is
@@ -437,6 +453,18 @@ class TestStretchAgainstNaive:
             got = backbone_stretch(g, backbone)
         assert max(hi - lo for lo, hi in zip(bounds, bounds[1:])) <= width
         assert len(bounds) - 1 == -(-n // width)
+        assert got == naive_backbone_stretch(g, backbone)
+
+    @given(sparse_unit_disk_with_cds(), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=300, deadline=None)
+    def test_compacted_balls_match_naive(self, case, passes):
+        # ten levels and more in one to three passes: the balls of a pass
+        # reach ages 2, 4 and 8 and keep only their unrouted sources
+        g, backbone = case
+        n = g.node_count
+        with patch.object(verify, "_STRETCH_BUDGET", n * -(-n // passes)):
+            assert len(verify._source_blocks(n)) - 1 == passes
+            got = backbone_stretch(g, backbone)
         assert got == naive_backbone_stretch(g, backbone)
 
     @pytest.mark.parametrize("order, pair, distances", [
@@ -484,8 +512,8 @@ class TestStretchAgainstNaive:
     def test_udg_m3_corpus_graphs(self, n, radius, seed):
         # the two unit-disk graphs of the udg-m3 benchmark workload with
         # their k = 2, m = 3 backbones: dozens of levels, cap drops, and a
-        # routed sweep that keeps members and pending vertices only once
-        # the plain search stops
+        # routed sweep that keeps members and the vertices whose top ball
+        # holds an unrouted source only once the plain search stops
         g = random_geometric(n, radius, seed).graph()
         backbone = run_plutus(g, PlutusConfig(k=2, m=3)).dominating_set
         assert backbone_stretch(g, backbone) == naive_backbone_stretch(g, backbone)
@@ -532,8 +560,8 @@ class TestStretchBound:
 
     def test_worst_pair_three_hops_apart(self):
         # reach = 12 (twice the eccentricity of member 5), so once the
-        # runner-up 7 / 2 is found the cutoff is 12 * 2 // 7 = 3: the
-        # pending pairs at plain distance 3 must be kept
+        # runner-up 7 / 2 is found the cutoff is 12 * 2 // 7 = 3: ball 3,
+        # the pairs at plain distance 3, must be kept
         g, backbone = _detour_of_three(list(range(14)))
         assert verify._routed_reach(g.adjacency, backbone, 0) == 12
         got = backbone_stretch(g, backbone)
@@ -563,16 +591,31 @@ def _two_detours() -> tuple:
     return from_edge_list(12, edges), {0, 1, 2, 3, 4, 5, 6, 10, 11}
 
 
+def _detour_behind_a_tail(order: list[int]) -> tuple:
+    """The member path 0-1-...-10 with the member tail 5-13-14-...-28, and
+    two outsiders: 11 sees 0, 5 and 12; 12 sees 5, 10 and 11.  The pair
+    (0, 10) is three hops apart through both outsiders and routes ten
+    along the path: the one worst ratio 10 / 3.  The runners-up (0, 12)
+    and (10, 11) route six hops round 5 instead of two.  Relabelled by
+    ``order`` (old v is renamed order[v])."""
+    edges = [(i, i + 1) for i in range(10)] + [(5, 13)] + [(i, i + 1) for i in range(13, 28)]
+    edges += [(0, 11), (5, 11), (11, 12), (5, 12), (10, 12)]
+    g = from_edge_list(29, [(order[u], order[v]) for u, v in edges])
+    return g, {order[v] for v in range(29) if v not in (11, 12)}
+
+
 class TestStretchLevels:
-    """The pending sets of the level loop: which pair a routed level
-    reports, and when a vertex leaves the sweeps."""
+    """The balls of the level loop, ``balls[a][v]`` the sources u < v
+    within plain distance a: which pair a routed level reports, when a
+    ball is dropped or compacted, and when a vertex leaves the sweeps."""
 
     def test_nearer_source_wins_a_shared_routed_level(self):
         # level 6 routes 1 (plain distance 2) and 0 (plain distance 3) to 9
-        # at once: only the nearer source's 6 / 2 can be the worst, so the
-        # pair is (1, 9) though 0 is the lower id.  The tail makes reach 8,
-        # so the runner-up (0, 6), 5 / 2, leaves the cutoff at 8 * 2 // 5
-        # = 3 and the pair at plain distance 3 is still pending at level 6
+        # at once: only the nearer source's 6 / 2 can be the worst, and the
+        # runner-up (0, 6), 5 / 2, makes the level test 9's ball
+        # 6 * 2 // 5 = 2, which holds 1 and not 0, so the pair is (1, 9)
+        # though 0 is the lower id.  The tail makes reach 8, so the cutoff
+        # stays at 8 * 2 // 5 = 3 and ball 3 is kept to level 6
         g, backbone = _two_detours()
         assert verify._routed_reach(g.adjacency, backbone, 0) == 8
         got = backbone_stretch(g, backbone)
@@ -584,7 +627,8 @@ class TestStretchLevels:
         # two hops apart through the outsider 8 and routes seven hops round
         # the path.  The runner-up (0, 6), 6 / 3 at level 6, cuts the cutoff
         # to 8 * 3 // 6 = 4, so the plain search stops there, and the
-        # routed sweep must still visit 7, no member, at level 7
+        # routed sweep must still visit 7, no member, at level 7: its top
+        # ball still holds the unrouted 0
         g = cycle_graph(9)
         backbone = set(range(7))
         assert verify._routed_reach(g.adjacency, backbone, 0) == 8
@@ -596,14 +640,28 @@ class TestStretchLevels:
         # the cycle 0-1-...-8 with every vertex but 1 in the backbone, and
         # the path 2-9-10 hanging off 2 (9 a member, 10 not).  The worst
         # pair (0, 2), 7 / 2 at level 7, cuts the cutoff from 5 to
-        # 10 * 2 // 7 = 2.  Then 9 holds only 0, at plain distance 3, and
-        # 10 only 0 and 8, at 4 and 5, all routed at later levels: both
-        # sets empty, though their sources are not routed yet
+        # 10 * 2 // 7 = 2, which drops every ball past 2.  Then 9's
+        # unrouted source 0, at plain distance 3, and 10's, 0 and 8 at 4
+        # and 5, all routed at later levels, are in no ball: both leave
+        # the routed sweep, though their sources are not routed yet
         g = from_edge_list(11, [(v, (v + 1) % 9) for v in range(9)] + [(2, 9), (9, 10)])
         backbone = set(range(11)) - {1, 10}
         assert verify._routed_reach(g.adjacency, backbone, 0) == 10
         got = backbone_stretch(g, backbone)
         assert got == (3.5, DistanceReport((0, 2), 2, 7))
+        assert got == naive_backbone_stretch(g, backbone)
+
+    @pytest.mark.parametrize("order, pair", [(list(range(29)), (0, 10)),
+                                             (list(range(28, -1, -1)), (18, 28))])
+    def test_worst_pair_routes_after_its_ball_is_compacted(self, order, pair):
+        # the runners-up, 6 / 2 at level 6, leave the cutoff at
+        # 22 * 2 // 6 = 7, so the plain search runs to level 7, and its
+        # balls 5 and 7 compact ball 3 at ages 2 and 4.  The worst pair
+        # routes only at level 10, and compaction must keep its source
+        g, backbone = _detour_behind_a_tail(order)
+        assert verify._routed_reach(g.adjacency, backbone, min(backbone)) == 22
+        got = backbone_stretch(g, backbone)
+        assert got == (10 / 3, DistanceReport(pair, 3, 10))
         assert got == naive_backbone_stretch(g, backbone)
 
 
