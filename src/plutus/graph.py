@@ -20,11 +20,11 @@ engine, :func:`_bad_points`: one palm tree plus a separation-pair pass,
 about O((n + E) log n), that marks every bad point.  Sustainability fills
 its candidate set from the same engine, which records the separation
 pairs themselves, up to a budget of n + E.  From a recorded pair
-{v, c}, :func:`_small_sides` finds the components of the set minus both
-but the largest, by interleaved searches that cost the small side only,
-and counts them, and :func:`_blocks_within` splits them into blocks.
-A round that joins the only two sides of {v, c} by a one-vertex ear
-retires the pair from the map on that count, with no search.
+{v, c}, :func:`_small_sides` lists the components of the set minus both
+but the largest, by interleaved searches that cost the small side only;
+each one that holds no cut vertex of the set minus v makes a leaf block
+with c.  A round that joins the only two sides of {v, c}, one listed, by
+a one-vertex ear retires the pair from the map with no search.
 
 Every path that an augmentation phase promotes comes from one search,
 :func:`_lex_shortest_path`: a BFS from the listed sources, or back from
@@ -471,13 +471,14 @@ class _BlockCutTree:
     ``min(leaves, key=sorted)`` does, since two blocks share at most one
     vertex; an entry is re-checked when it reaches the top.  A block
     keeps its members and gains cut vertices unless it merges, so only a
-    new or merged block can turn into a leaf, or the lone block when a
-    vertex joins next to one member; those are the blocks pushed.
+    new or merged block can turn into a leaf, or, when a vertex joins next
+    to one member s, the block of s (block 0 when s is the root), which
+    may gain its first cut vertex; those are the blocks pushed.
     """
 
     __slots__ = (
         "root", "block", "rank", "named", "heads", "up", "head", "members", "kids",
-        "low", "live", "heap",
+        "low", "heap",
     )
 
     def __init__(self, blocks: list[list[int]], span: int):
@@ -491,7 +492,6 @@ class _BlockCutTree:
         self.members: list[set[int]] = []
         self.kids: list[set[int]] = []
         self.low: list[list[int]] = []
-        self.live = 0
         for b in blocks:
             if len(b) > 1:  # a lone vertex is no block here
                 self._open(b[0], b[1:])
@@ -509,7 +509,6 @@ class _BlockCutTree:
         self.kids.append(set())
         self.low.append(sorted(members)[:2])
         self.heads[head] += 1
-        self.live += 1
         for v in rest:
             self.block[v] = b
             self.rank[v] = self.named
@@ -528,7 +527,6 @@ class _BlockCutTree:
 
     def add(self, x: int, near: Sequence[int]) -> None:
         """Join x, whose neighbours in the graph are ``near``, at least one."""
-        lone = len(near) == 1 and self.live == 1
         s = near[0]
         if s != self.root and not self.heads[s]:
             self.kids[self._find(self.block[s])].add(s)
@@ -536,8 +534,8 @@ class _BlockCutTree:
         for t in near[1:]:
             self._merge(x, t)
         self._push(b)
-        if lone:
-            self._push(0)
+        if len(near) == 1:
+            self._push(0 if s == self.root else self.block[s])
 
     def _merge(self, a: int, b: int) -> None:
         """Merge the blocks on the tree path between the vertices a and b."""
@@ -567,7 +565,6 @@ class _BlockCutTree:
         kids.difference_update([h for h in tops if h != a and not heads[h]])
         head[keep] = a
         self.low[keep] = sorted(set(low))[:2]
-        self.live -= len(path) - 1
 
     def first_leaf(self) -> tuple[set[int], int] | None:
         """The leaf with the smallest sorted members and its cut vertex, or
@@ -585,27 +582,16 @@ class _BlockCutTree:
         return None
 
 
-def _blocks_within(adj: Sequence[Sequence[int]], nodes: Sequence[int]) -> list[list[int]]:
-    """The blocks (:func:`_local_blocks`) of the connected subgraph induced
-    by the sorted ids ``nodes``, whose rows ``adj`` may list other vertices
-    too.  It runs on a copy of the nodes' rows renumbered
-    0 .. len(nodes) - 1, so it costs those rows, not ``len(adj)``."""
-    index = {v: i for i, v in enumerate(nodes)}
-    local = [[index[w] for w in adj[v] if w in index] for v in nodes]
-    blocks, _ = _local_blocks(local, range(len(nodes)))
-    return [[nodes[i] for i in b] for b in blocks]
-
-
 def _small_sides(
     adj: Sequence[Sequence[int]], v: int, c: int, work: int
-) -> tuple[set[int], int, int] | None:
-    """The vertices of every component of the graph minus {v, c} but one,
-    found by the interleaved search of Even and Shiloach (1981) that pays
-    for the small side only, the adjacency entries it read, and the number
-    of components; None once it has read more than ``work``.  ``adj``
-    holds the graph's rows, and the graph minus v must be connected, so
-    every component meets a neighbour of c.  The set is empty, and the
-    count at most 1, when {v, c} does not separate.
+) -> tuple[list[list[int]], int] | None:
+    """Every component of the graph minus {v, c} but one, found by the
+    interleaved search of Even and Shiloach (1981) that pays for the small
+    side only, and the adjacency entries it read; None once it has read
+    more than ``work``.  ``adj`` holds the graph's rows, and the graph
+    minus v must be connected, so every component meets a neighbour of c
+    and there are one more of them than listed.  None is listed when
+    {v, c} does not separate.
 
     One search starts from each neighbour of c.  Each pass, every search
     still running expands one vertex.  A search that reaches a vertex of
@@ -649,10 +635,9 @@ def _small_sides(
         if read > work:
             return None
         running = [i for i in still if head[i] == i]
-    parts = len(done) + len(running)
     if not running and done:
         done.pop()
-    return {x for i in done for x in seen[i]}, read, parts
+    return [seen[i] for i in done], read
 
 
 def _bad_points(

@@ -41,7 +41,6 @@ from .graph import (
     _BlockCutTree,
     _as_subset,
     _bad_points,
-    _blocks_within,
     _check_k,
     _check_m,
     _induced_rows,
@@ -374,13 +373,19 @@ def _split_without(
 
     With a partner map, whose recorded partners of v include every cut
     vertex of H, the split costs the small sides only: for each partner c,
-    :func:`graph._small_sides` finds and counts the components of H - c,
-    all but the large side L(c).  A pair that no longer separates is
-    dropped; with no partner left v is not a bad point.  The top-level
-    partners, in no other partner's small side, are the cut vertices of
-    one block B0; every other block lies in a top-level partner's small
-    side and is computed there (:func:`graph._blocks_within`).  B0 is a
-    leaf when it has one cut vertex, named as a :class:`_Remainder`.
+    :func:`graph._small_sides` lists the components of H - c, all but the
+    large side L(c).  A pair that no longer separates is dropped; with no
+    partner left v is not a bad point.  The partners left are the cut
+    vertices of H.  The top-level ones, in no other partner's small side,
+    are the cut vertices of one block B0, a leaf when it has one cut
+    vertex, named as a :class:`_Remainder`.  Every other leaf is X + c for
+    a small side X of c that holds no cut vertex, and each such X + c is
+    a leaf.  A connected X with no cut vertex lies in one block B, and
+    B - c is connected, so B = X + c, whose one cut vertex is c.  A leaf L
+    with cut vertex c keeps every edge of L - c, whose vertices are no cut
+    vertices, so L - c is a whole component of H - c; were it L(c), every
+    other cut vertex would lie in a small side of c, so that c is the only
+    top-level partner and L is B0.
 
     Some partner is top-level.  Let each cut vertex c of H point at the
     block where L(c) starts.  Were none top-level, the pointers would give
@@ -402,13 +407,12 @@ def _split_without(
     if len(members) <= 3:
         return None, -1, 0
     if partners is not None:
-        sides: dict[int, set[int]] = {}
-        parts: dict[int, int] = {}
+        sides: dict[int, list[list[int]]] = {}
         for c in sorted(partners.get(v, ())):
             found = _small_sides(rows, v, c, work)
             if found is None:
                 break  # the searches cost as much as the block DFS
-            small, read, parts[c] = found
+            small, read = found
             work -= read
             if small:
                 sides[c] = small
@@ -418,18 +422,20 @@ def _split_without(
         else:
             if not sides:
                 return None
-            top = [c for c in sides if not any(c in side for side in sides.values())]
+            inside = {x for small in sides.values() for side in small for x in side}
+            top = [c for c in sides if c not in inside]
             if not top:
                 raise AssertionError(f"no partner of {v} is top-level: {sorted(sides)}")
             cut = set(sides)
-            leaves: list = []
-            for c in top:
-                blocks = _blocks_within(rows, sorted(sides[c] | {c}))
-                leaves += [b for b in blocks if len(cut.intersection(b)) == 1]
+            leaves: list = [
+                side + [c] for c, small in sides.items() for side in small if cut.isdisjoint(side)
+            ]
             if len(top) == 1:
-                leaves.append(_Remainder(sides[top[0]], top[0], v, members))
+                # inside is the top one's small sides: every other partner
+                # lies in one, and so do its own, which miss the top one
+                leaves.append(_Remainder(inside, top[0], v, members))
             leaf, c = _first_leaf(leaves, cut)
-            return leaf, c, parts[c]
+            return leaf, c, len(sides[c]) + 1
     blocks, cut = _local_blocks(rows, [u for u in members if u != v])
     if partners is not None:
         partners[v] = set(cut)

@@ -1138,7 +1138,7 @@ class TestPartnerRounds:
         partners = {0: {2, 3, 4}, 2: {0}, 3: {0}, 4: {0}}
 
         def crossed_sides(adj, v, c, work):
-            return partners[v] - {c}, 0, 2
+            return [sorted(partners[v] - {c})], 0
 
         monkeypatch.setattr(pipeline, "_small_sides", crossed_sides)
         with pytest.raises(AssertionError, match=r"^no partner of 0 is top-level: \[2, 3, 4\]$"):
@@ -1178,17 +1178,40 @@ def _tree_of_blocks(seed):
     return relabel(g, sorted(range(n + 1), key=lambda v: splitmix64(seed, 1000 + v)))
 
 
+def _mapped_bad_points():
+    """(g, members, rows, v, partners) for every bad point v of each graph
+    of 1000 small random graphs and 300 trees of blocks (:func:`_tree_of_blocks`)
+    whose entry pass records the partner map, the whole graph being the
+    backbone; the map is the engine's, shared by the bad points of a
+    graph."""
+    graphs = [random_graph(seed, 12, 3) for seed in range(1000)]
+    graphs += [_tree_of_blocks(seed) for seed in range(300)]
+    for g in graphs:
+        members = list(range(g.node_count))
+        rows = _induced_rows(g, members)
+        bad, partners = pipeline._bad_points(rows, members)
+        if bad and partners:
+            for v in bad:
+                yield g, members, rows, v, partners
+
+
 def test_partner_route_agrees_with_the_block_dfs(monkeypatch):
     # for every bad point v of a 2-connected graph whose entry pass
     # records the partner map, the partner route with unlimited work runs
-    # no block DFS of D - v, as some partner is always top-level, and
-    # names the same leaf, cut vertex and component count as the DFS
+    # no block DFS of D - v, as some partner is always top-level, nor any
+    # other palm tree, and names the same leaf, cut vertex and component
+    # count as the DFS
     local_blocks = pipeline._local_blocks
-    searched = []
+    palm_tree = plutus.graph._palm_tree
+    searched, trees = [], []
 
     def count_blocks(adj, members):
         searched.append(members)
         return local_blocks(adj, members)
+
+    def count_trees(adj, members, *fronds):
+        trees.append(members)
+        return palm_tree(adj, members, *fronds)
 
     def key(split, members, v):
         leaf, c, parts = split
@@ -1197,23 +1220,49 @@ def test_partner_route_agrees_with_the_block_dfs(monkeypatch):
         return (None if leaf is None else sorted(leaf)), c, parts
 
     monkeypatch.setattr(pipeline, "_local_blocks", count_blocks)
-    graphs = [random_graph(seed, 12, 3) for seed in range(1000)]
-    graphs += [_tree_of_blocks(seed) for seed in range(300)]
+    monkeypatch.setattr(plutus.graph, "_palm_tree", count_trees)
     splits = 0
-    for g in graphs:
-        members = list(range(g.node_count))
-        rows = _induced_rows(g, members)
-        bad, partners = pipeline._bad_points(rows, members)
-        if not bad or not partners:
-            continue
-        for v in bad:
-            expected = pipeline._split_without(rows, members, v, None, 0)
-            searched.clear()
-            mapped = {u: set(p) for u, p in partners.items()}
-            split = pipeline._split_without(rows, members, v, mapped, float("inf"))
-            assert searched == [] and key(split, members, v) == key(expected, members, v)
-            splits += 1
+    for g, members, rows, v, partners in _mapped_bad_points():
+        expected = pipeline._split_without(rows, members, v, None, 0)
+        searched.clear()
+        trees.clear()
+        mapped = {u: set(p) for u, p in partners.items()}
+        split = pipeline._split_without(rows, members, v, mapped, float("inf"))
+        assert searched == trees == [] and key(split, members, v) == key(expected, members, v)
+        splits += 1
     assert splits > 1000
+
+
+def test_small_sides_without_a_cut_vertex_are_the_leaves(monkeypatch):
+    # for every bad point v with recorded partners and every partner c, a
+    # small side of c that holds no cut vertex of D - v makes a leaf of
+    # D - v with c, and the leaves found so are all of them but at most
+    # one: the block the split names by exclusion (a _Remainder)
+    named = []
+
+    class Recorded(pipeline._Remainder):
+        def __init__(self, *args):
+            super().__init__(*args)
+            named.append(self)
+
+    monkeypatch.setattr(pipeline, "_Remainder", Recorded)
+    splits = leaves = 0
+    for g, members, rows, v, partners in _mapped_bad_points():
+        rest = set(members) - {v}
+        naive = naive_block_cut_tree(g, rest)
+        cut, found = naive.cut_vertices, []
+        for c in partners[v]:
+            small, _ = pipeline._small_sides(rows, v, c, float("inf"))
+            found += [frozenset(side + [c]) for side in small if cut.isdisjoint(side)]
+        assert len(set(found)) == len(found) and set(found) <= set(naive.leaf_blocks)
+        named.clear()
+        mapped = {u: set(p) for u, p in partners.items()}
+        pipeline._split_without(rows, members, v, mapped, float("inf"))
+        missing = set(naive.leaf_blocks) - set(found)
+        assert len(missing) <= 1 and missing == {frozenset(rest - r.rest) for r in named}
+        splits += 1
+        leaves += len(naive.leaf_blocks)
+    assert splits > 1000 and leaves > 2 * splits
 
 
 @pytest.mark.parametrize("n, radius, seed, rounds", [
